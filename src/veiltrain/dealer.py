@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import Exhausted
+from .errors import Exhausted, ParseError
 from .fixedpoint import DEFAULT_RING, RingConfig, from_signed, to_signed
 from .sharing import BeaverTriple, RandomBitShare, Share, TruncationPair
 
@@ -36,8 +36,22 @@ def _window(session_seed: int, tags, start_words: int, n_words: int) -> np.ndarr
     return np.random.Generator(gen).integers(0, 2**64, size=n_words, dtype=np.uint64)
 
 
-def _key(kind: str, shift: int | None) -> tuple:
-    return (kind, shift) if kind == "trunc" else (kind,)
+SIGN_BLOCK = 3  # mask bits per monomial block of the msb op's material
+
+
+def bit_key(block: int = 1) -> tuple:
+    """Material key of random-bit words: single bits, or monomials of k-bit blocks."""
+    return ("bit",) if block == 1 else ("bit", block)
+
+
+def check_key(key, cfg: RingConfig) -> None:
+    """Raise ParseError unless key names material the dealer generates:
+    ("triple",), ("trunc", s) with 0 < s < lambda, ("bit",) or ("bit", SIGN_BLOCK)."""
+    if key in (("triple",), bit_key(), bit_key(SIGN_BLOCK)):
+        return
+    if len(key) == 2 and key[0] == "trunc" and 0 < key[1] < cfg.lam:
+        return
+    raise ParseError(f"unknown material key {key!r}")
 
 
 class MaterialSource:
@@ -82,14 +96,42 @@ class MaterialSource:
         r0, rs0 = sp[:, 0], sp[:, 1]
         return r0, rs0, r - r0, rs - rs0
 
-    def bits_plain(self, start: int, n: int):
-        words = self._words("bit", None, _PLAIN, start, n)[:, 0]
-        return (words & np.uint64(1)).astype(self.cfg.udtype)
+    def bit_shares(self, start: int, n: int, block: int = 1):
+        """Returns (b0, b1), the halves of random-bit words [start, start+n).
 
-    def bit_shares(self, start: int, n: int):
-        b = self.bits_plain(start, n)
-        b0 = self._to_ring(self._words("bit", None, _SPLIT, start, n))[:, 0]
+        With block 1 every word is one random bit. With block k > 1 every k
+        random bits fill 2^k - 1 consecutive words with the products of their
+        non-empty subsets, in subset order: word S - 1 holds the product of
+        the bits i with bit i of S set, so words 0, 1, 3 of a 3-bit block are
+        the bits themselves."""
+        per = (1 << block) - 1
+        param = block if block > 1 else None
+        first, end = start // per, -(-(start + n) // per)
+        words = self._words("bit", param, _PLAIN, first, end - first)[:, 0]
+        mono = np.empty((len(words), per), dtype=words.dtype)
+        for i in range(block):  # the subsets holding bit i follow those without it
+            lo = (1 << i) - 1
+            mono[:, lo] = (words >> np.uint64(i)) & np.uint64(1)
+            mono[:, lo + 1:2 * lo + 1] = mono[:, :lo] * mono[:, lo:lo + 1]
+        at = start - first * per
+        b = self._to_ring(mono.ravel()[at:at + n])
+        b0 = self._to_ring(self._words("bit", param, _SPLIT, start, n))[:, 0]
         return b0, b - b0
+
+    def halves(self, key: tuple, start: int, n: int):
+        """(party 0's arrays, party 1's arrays) of items [start, start+n) of one
+        material key; each party gets _SPLIT_WORDS[kind] arrays of n words."""
+        kind = key[0]
+        if kind == "triple":
+            out = self.triples(start, n)
+        elif kind == "trunc":
+            out = self.trunc_pairs(key[1], start, n)
+        elif kind == "bit":
+            out = self.bit_shares(start, n, *key[1:])
+        else:
+            raise ValueError(f"unknown material kind {key!r}")
+        half = len(out) // 2
+        return out[:half], out[half:]
 
     def party_bit_stream(self, party: int, start: int, n: int):
         """Party-local uniform bits used for jointly sampled randomness."""
@@ -101,8 +143,12 @@ class MaterialSource:
         return _stream(self.seed, _INIT_TAG)
 
 
-class MaterialCursor:
-    """One party's sequential view over provisioned dealer material."""
+class _Cursor:
+    """One party's sequential view over provisioned dealer material.
+
+    Subclasses say where the party's halves of a window of material come
+    from (_halves); the take_* methods and the provisioning check are shared.
+    """
 
     def __init__(self, source: MaterialSource, party: int, counts: dict):
         self.source = source
@@ -110,40 +156,40 @@ class MaterialCursor:
         self.counts = dict(counts)
         self.pos: dict = {}
 
-    def _advance(self, key, n):
+    def _halves(self, key, at, n):
+        raise NotImplementedError
+
+    def _take(self, key, n):
         cap = self.counts.get(key, 0)
         at = self.pos.get(key, 0)
         if at + n > cap:
             raise Exhausted(f"requested {at + n} of {key!r} but only {cap} provisioned")
         self.pos[key] = at + n
-        return at
+        return self._halves(key, at, n)
 
     def take_triples(self, n: int):
-        at = self._advance(("triple",), n)
-        u0, v0, w0, u1, v1, w1 = self.source.triples(at, n)
-        return (u0, v0, w0) if self.party == 0 else (u1, v1, w1)
+        u, v, w = self._take(("triple",), n)
+        return u, v, w
 
     def take_trunc(self, shift: int, n: int):
-        at = self._advance(("trunc", shift), n)
-        r0, rs0, r1, rs1 = self.source.trunc_pairs(shift, at, n)
-        return (r0, rs0) if self.party == 0 else (r1, rs1)
+        r, rs = self._take(("trunc", shift), n)
+        return r, rs
 
-    def take_bits(self, n: int):
-        at = self._advance(("bit",), n)
-        b0, b1 = self.source.bit_shares(at, n)
-        return b0 if self.party == 0 else b1
+    def take_bits(self, n: int, block: int = 1):
+        """n random-bit words (see MaterialSource.bit_shares)."""
+        return self._take(bit_key(block), n)[0]
 
     def take_local_bits(self, n: int):
-        at = self._advance_local(n)
-        return self.source.party_bit_stream(self.party, at, n)
-
-    def _advance_local(self, n):
         at = self.pos.get("local_bits", 0)
         self.pos["local_bits"] = at + n
-        return at
+        return self.source.party_bit_stream(self.party, at, n)
 
-    def consumed(self) -> dict:
-        return dict(self.pos)
+
+class MaterialCursor(_Cursor):
+    """A cursor that regenerates the party's halves from the session seed."""
+
+    def _halves(self, key, at, n):
+        return self.source.halves(key, at, n)[self.party]
 
 
 class Dealer:

@@ -23,11 +23,58 @@ import threading
 
 import numpy as np
 
-from .dealer import MaterialCursor, MaterialSource
+from .dealer import SIGN_BLOCK, MaterialCursor, MaterialSource, bit_key
 from .fixedpoint import DEFAULT_RING, RingConfig, from_signed, to_signed
 from .session import PartyRuntime, handshake
-from .sharing import ShareVector
 from .transport import queue_pair
+
+SIGN_WORDS = (1 << SIGN_BLOCK) - 1  # dealer words per block: its non-empty monomials
+
+
+def sign_tree(width: int):
+    """Shape of msb at a width: (single-bit leaves, block leaves, pairs per level).
+
+    The mask's low width % 3 bits are single-bit leaves; the rest form
+    3-bit blocks. Each level combines its nodes pairwise from the bottom in
+    one batched product: two products per pair, one for the lowest pair,
+    whose P is never needed. An odd node out moves up unchanged."""
+    singles, blocks = width % SIGN_BLOCK, width // SIGN_BLOCK
+    levels, nodes = [], singles + blocks
+    while nodes > 1:
+        levels.append(nodes // 2)
+        nodes -= nodes // 2
+    return singles, blocks, levels
+
+
+def _leaf_maps(k):
+    """Monomial coefficients of a k-bit leaf's map g -> G + P*g, for every
+    value of the leaf's k bits of c.
+
+    A leaf covers k consecutive bits of x = c - r mod 2^width, where c is
+    public and r the secret mask. Given borrow-in g, the map gives the
+    leaf's borrow out, or, for the top leaf (the one that holds bit
+    width-1), that bit of x (the sign). Returns int64 (G, P), each indexed
+    [top leaf, value of c's k bits, monomial]: the coefficient of the
+    monomial over the mask-bit subset S sits at index S.
+    """
+    cb = np.arange(1 << k)[:, None] >> np.arange(k) & 1
+    table = np.empty((2, 2, 1 << k, 1 << k), dtype=np.int64)
+    for g in (0, 1):
+        for s in range(1 << k):
+            borrow = np.full(1 << k, g)
+            for t in range(k):
+                r_t = (s >> t) & 1
+                bit = cb[:, t] ^ r_t ^ borrow
+                borrow = (cb[:, t] < r_t + borrow).astype(np.int64)
+            table[g, 0, :, s], table[g, 1, :, s] = borrow, bit
+    for t in range(k):  # values on the 2^k assignments -> monomial coefficients
+        for s in range(1 << k):
+            if s >> t & 1:
+                table[..., s] -= table[..., s ^ (1 << t)]
+    return table[0], table[1] - table[0]
+
+
+_LEAF_MAPS = {k: _leaf_maps(k) for k in (1, SIGN_BLOCK)}  # single-bit and block leaves
 
 
 class BaseEngine:
@@ -137,6 +184,18 @@ class PlainEngine(BaseEngine):
         js = np.arange(width, dtype=np.uint64).reshape((width,) + (1,) * a.ndim)
         return ((a[None, ...] >> js) & np.uint64(1)).astype(self.cfg.udtype)
 
+    def msb(self, a, width):
+        """Two's-complement sign of a mod 2^width, as 0 or 1."""
+        n = int(np.prod(np.shape(a), dtype=np.int64))
+        singles, blocks, levels = sign_tree(width)
+        products = sum(2 * pairs - 1 for pairs in levels)
+        for key, per in ((bit_key(), singles), (bit_key(SIGN_BLOCK), SIGN_WORDS * blocks),
+                         (("triple",), products)):
+            if per:
+                self._advance(key, per * n)
+        a = np.asarray(a, dtype=self.cfg.udtype)
+        return ((a >> np.uint64(width - 1)) & np.uint64(1)).astype(self.cfg.udtype)
+
     def joint_uniform(self, shape):
         """Uniform fixed-point values on (0, 1]: l jointly-XORed bits plus one ulp."""
         l = self.cfg.frac_bits
@@ -149,9 +208,6 @@ class PlainEngine(BaseEngine):
         weights = (np.uint64(1) << np.arange(l, dtype=np.uint64))
         u = (bits * weights).sum(axis=1, dtype=np.uint64) + np.uint64(1)
         return u.reshape(shape).astype(self.cfg.udtype)
-
-    def to_sharevector(self, a):
-        return np.asarray(a, dtype=self.cfg.udtype)
 
 
 class MpcEngine(BaseEngine):
@@ -245,6 +301,53 @@ class MpcEngine(BaseEngine):
                 borrow = np.where(np.asarray(cj, dtype=bool), m, rj + borrow - m)
         return out.reshape((width,) + shape)
 
+    def msb(self, a, width):
+        """Sign of a mod 2^width in log depth: one opening, then a tree.
+
+        Opens c = (a + r) mod 2^width for a dealer mask r whose bits come as
+        single bits and as 3-bit blocks with all their monomials. Every leaf's
+        borrow map is then a local affine combination of its monomials, with
+        coefficients looked up by the leaf's bits of c (_LEAF_MAPS), and the
+        maps compose up a pairwise tree to the sign bit of c - r.
+        """
+        shape = np.shape(a)
+        n = int(np.prod(shape, dtype=np.int64))
+        singles, blocks, levels = sign_tree(width)
+        groups = []  # (leaf positions, bits per leaf, monomial shares)
+        if singles:
+            bits = self.material.take_bits(singles * n).reshape(singles, 1, n)
+            groups.append((np.arange(singles), 1, bits))
+        if blocks:
+            words = self.material.take_bits(SIGN_WORDS * blocks * n, block=SIGN_BLOCK)
+            mono = words.reshape(blocks, n, SIGN_WORDS).transpose(0, 2, 1)
+            groups.append((singles + SIGN_BLOCK * np.arange(blocks), SIGN_BLOCK, mono))
+        flat = np.ravel(np.asarray(a, dtype=self.cfg.udtype))
+        mask = np.uint64((1 << width) - 1) if width < self.cfg.lam else ~np.uint64(0)
+        with np.errstate(over="ignore"):
+            r = self.zeros(n)
+            for pos, k, mono in groups:
+                for t in range(k):
+                    r = r + self.sum(mono[:, (1 << t) - 1]
+                                     << (pos + t).astype(np.uint64)[:, None], axis=0)
+            c = np.ravel(self.open((flat + r) & mask)) & mask
+            G, P = [], []
+            for pos, k, mono in groups:
+                top = (pos + k == width).astype(np.intp)[:, None]
+                val = (c >> pos.astype(np.uint64)[:, None]) & np.uint64((1 << k) - 1)
+                val = val.astype(np.intp)  # each leaf's k bits of c
+                for coef, out in zip(_LEAF_MAPS[k], (G, P)):
+                    coef = coef.astype(self.cfg.udtype)
+                    share = sum(coef[top, val, s] * mono[:, s - 1] for s in range(1, 1 << k))
+                    out.append(self.add_public(share, coef[top, val, 0]))
+            G, P = np.concatenate(G), np.concatenate(P)
+            for m in levels:  # (G, P)_hi o (G, P)_lo = (G_hi + P_hi G_lo, P_hi P_lo)
+                lo, hi = slice(0, 2 * m, 2), slice(1, 2 * m, 2)
+                prod = self.mul(np.concatenate([P[hi], P[hi][1:]]),
+                                np.concatenate([G[lo], P[lo][1:]]))
+                G = np.concatenate([G[hi] + prod[:m], G[2 * m:]])
+                P = np.concatenate([P[:1], prod[m:], P[2 * m:]])
+        return G[0].reshape(shape)
+
     def joint_uniform(self, shape):
         l = self.cfg.frac_bits
         n = int(np.prod(shape, dtype=np.int64))
@@ -259,10 +362,6 @@ class MpcEngine(BaseEngine):
             u = (ubits * weights).sum(axis=1, dtype=self.cfg.udtype)
             u = self.add_public(u, np.uint64(1))
         return u.reshape(shape)
-
-    def to_sharevector(self, a):
-        return ShareVector(np.asarray(a, dtype=self.cfg.udtype), self.party,
-                           self.rt.session_id)
 
 
 def estimate_counts(fn, session_seed: int = 0, cfg: RingConfig = DEFAULT_RING) -> dict:

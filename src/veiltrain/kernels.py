@@ -3,10 +3,12 @@
 Division, square root, and logarithm first extract the operand's most
 significant bit with dealer random bits, rescale to a mantissa in [0.5, 1),
 then run fixed-iteration Newton refinement or Chebyshev evaluation; sine and
-cosine reduce the angle to a quarter period through the argument's bits;
-the sigmoid is a clamped odd polynomial with oblivious segment selection.
-Iteration counts and degrees are fixed, so transcripts depend only on input
-sizes, never on values.
+cosine reduce the angle to a quarter period through the argument's bits.
+Signs alone (the division's sign, the sigmoid's clamps) come from the
+engine's log-depth msb op. The sigmoid is a clamped odd polynomial with
+oblivious segment selection, evaluated in the power basis from four stacked
+products. Iteration counts and degrees are fixed, so transcripts depend
+only on input sizes, never on values.
 
 Polynomial coefficients are Chebyshev interpolants (degree chosen so the
 float-side fit error sits well below each kernel's tolerance):
@@ -14,7 +16,7 @@ float-side fit error sits well below each kernel's tolerance):
   SIN_CHEB: sin(2 pi f) on f in [0, 0.25], argument 8f - 1
   COS_CHEB: cos(2 pi f) likewise
   SIG_CHEB: (sigmoid(8t) - 1/2)/t as a function of u = t^2 on [0, 1],
-            argument 2u - 1
+            argument v = 2u - 1; SIG_POWER is the same fit in powers of v
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fixedpoint import encode
+from .fixedpoint import encode, to_signed
 
 LN_CHEB = (
     -0.31669436764074993, 0.3431457505076194, -0.029437251522857588,
@@ -48,6 +50,8 @@ SIG_CHEB = (
     -0.0011960771705892565, 0.0005555374662430875, -0.0002576838921734763,
     0.00011878306069975032, -5.315364180733871e-05, 2.0312068077371395e-05,
 )
+# the same fit in the power basis of v: sum_k SIG_POWER[k] v^k
+SIG_POWER = tuple(np.polynomial.chebyshev.cheb2poly(SIG_CHEB))
 
 _NEWTON_ITERS = 3
 SIGMOID_CLAMP = 8.0
@@ -146,7 +150,7 @@ def secure_div(eng, a, b, magnitude_bits=None):
     l = eng.frac_bits
     width = _width(eng, magnitude_bits)
     with eng.phase("div"):
-        sgn = eng.bits(b, width)[width - 1]
+        sgn = eng.msb(b, width)
         b_abs = eng.sub(b, eng.mul_public_int(eng.mul(sgn, b), 2))
         m2l, z = _normalize(eng, b_abs, width)
         y, c2l = _recip_mantissa(eng, m2l)
@@ -217,20 +221,39 @@ def secure_sin_cos(eng, theta):
 
 def secure_sigmoid(eng, z, magnitude_bits=None):
     """Logistic function on shares: odd polynomial on |z| <= 8, exact 0/1
-    clamp outside, all three segments blended obliviously."""
+    clamp outside, all three segments blended obliviously.
+
+    Both clamp signs come from one msb call. The core is t = z/8 times a
+    polynomial q in v = 2 t^2 - 1, evaluated in the power basis: the powers
+    v .. v^14 take four stacked products, and the sum is local. The
+    middle-segment indicator multiplies t inside the first power level, so
+    outside |z| <= 8 the core is exactly zero and no blend product is left.
+    On |z| <= 8 every truncated value holds at most 2l fractional bits of a
+    number below 4 (outside, what it holds is multiplied by zero), so the
+    sigmoid works on any ring with 2l + 4 <= lambda.
+    """
     l = eng.frac_bits
     width = _width(eng, magnitude_bits)
-    one = _enc(eng, 1.0)
+    degree = len(SIG_POWER) - 1
     with eng.phase("sigmoid"):
-        hi = eng.bits(eng.add_public(eng.neg(z), _enc(eng, SIGMOID_CLAMP)), width)[width - 1]
-        lo = eng.bits(eng.add_public(z, _enc(eng, SIGMOID_CLAMP)), width)[width - 1]
-        t = eng.trunc(z, 3)  # z / 8
-        u = eng.mul(t, t, l)
-        v = eng.add_public(eng.mul_public_int(u, 2), _enc(eng, -1. + 0))
-        q = _clenshaw(eng, SIG_CHEB, v)
-        core = eng.add_public(eng.mul(t, q, l), _enc(eng, 0.5))
+        bounds = eng.stack([eng.add_public(eng.neg(z), _enc(eng, SIGMOID_CLAMP)),
+                            eng.add_public(z, _enc(eng, SIGMOID_CLAMP))])
+        hi, lo = eng.msb(bounds, width)  # z > 8, z < -8
         mid = eng.sub(eng.sub(eng.add_public(eng.zeros(np.shape(z)), np.uint64(1)), hi), lo)
-        return eng.add(eng.mul_public_int(hi, int(one)), eng.mul(mid, core))
+        t = eng.trunc(z, 3)  # z / 8
+        v = eng.add_public(eng.mul_public_int(eng.mul(t, t, l), 2), _enc(eng, -1.0))
+        # mid * t rides along with v^2; mid at l bits makes its truncation exact
+        first = eng.mul(eng.stack([v, eng.mul_public_int(mid, 1 << l)]), eng.stack([v, t]), l)
+        powers, t_mid = [v, first[0]], first[1]
+        while len(powers) < degree:
+            k = min(len(powers), degree - len(powers))
+            powers.extend(eng.mul(powers[-1], eng.stack(powers[:k]), l))
+        q2l = _combine_int(eng, eng.stack(powers), to_signed(_enc(eng, SIG_POWER[1:]), eng.cfg))
+        q2l = eng.add_public(q2l, _enc(eng, SIG_POWER[0] * 2.0 ** l))
+        core = eng.mul(t_mid, eng.trunc(q2l, l), l)
+        out = eng.add(eng.mul_public_int(hi, int(_enc(eng, 1.0))),
+                      eng.mul_public_int(mid, int(_enc(eng, 0.5))))
+        return eng.add(out, core)
 
 
 def joint_uniform(eng, shape):

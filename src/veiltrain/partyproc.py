@@ -12,18 +12,15 @@ import os
 
 import numpy as np
 
-from .dealer import MaterialSource
+from .dealer import _KIND_TAGS, _SPLIT_WORDS, MaterialSource, _Cursor, check_key
 from .engine import MpcEngine
-from .errors import ConfigMismatch, Exhausted, ParseError
+from .errors import ConfigMismatch, ParseError
 from .fixedpoint import decode
 from .session import PartyRuntime, format_report, handshake, run_report
 from .shareio import (check_ring_meta, public_section, read_share_file,
                       ring_from_config, write_weights_file)
 from .transport import (KIND_HELLO, KIND_MATERIAL, KIND_PROVISION, FrameIO,
                         connect, listen_one, payload_u64, u64_payload)
-
-_KIND_CODES = {"triple": 1, "trunc": 2, "bit": 3}
-_KIND_NAMES = {v: k for k, v in _KIND_CODES.items()}
 
 
 def encode_counts(counts: dict) -> bytes:
@@ -35,21 +32,32 @@ def encode_counts(counts: dict) -> bytes:
     return "\n".join(lines).encode()
 
 
-def decode_counts(payload: bytes) -> dict:
+def decode_counts(payload: bytes, ring) -> dict:
+    """Parse a provisioning request; ParseError for a malformed line, a
+    negative count, or a key the dealer does not generate."""
     out = {}
-    for line in payload.decode().splitlines():
-        head, value = line.split("=", 1)
-        kind, shift = head.split(":", 1)
-        key = (kind, int(shift)) if shift else (kind,)
-        out[key] = int(value)
+    for line in payload.decode(errors="replace").splitlines():
+        try:
+            head, value = line.split("=", 1)
+            kind, shift = head.split(":", 1)
+            key = (kind, int(shift)) if shift else (kind,)
+            count = int(value)
+        except ValueError:
+            raise ParseError(f"malformed provisioning line {line!r}") from None
+        check_key(key, ring)
+        if count < 0:
+            raise ParseError(f"negative count in provisioning line {line!r}")
+        out[key] = count
     return out
 
 
+def _material_head(key) -> bytes:
+    """Two header bytes naming a material key: its stream tag and parameter."""
+    return bytes([_KIND_TAGS[key[0]], key[1] if len(key) > 1 else 0])
+
+
 def _material_payload(key, arrays) -> bytes:
-    kind = _KIND_CODES[key[0]]
-    shift = key[1] if len(key) > 1 else 0
-    head = bytes([kind, shift])
-    return head + u64_payload(np.concatenate([np.ravel(a) for a in arrays]))
+    return _material_head(key) + u64_payload(np.concatenate([np.ravel(a) for a in arrays]))
 
 
 def serve_dealer(cfg: dict) -> None:
@@ -77,71 +85,36 @@ def serve_dealer(cfg: dict) -> None:
             _, _, hello = io.recv(expect_kind=KIND_HELLO)
             party = int(hello.decode().split("=")[1])
             _, _, prov = io.recv(expect_kind=KIND_PROVISION)
-            requests[party] = decode_counts(prov)
+            requests[party] = decode_counts(prov, ring)
             conns.append((party, io, chan))
         if requests.get(0) != requests.get(1):
             raise ConfigMismatch("provisioning", requests.get(0), requests.get(1))
         counts = requests[0]
         for party, io, _chan in conns:
             for key in sorted(counts, key=str):
-                n = counts[key]
-                if key[0] == "triple":
-                    u0, v0, w0, u1, v1, w1 = source.triples(0, n)
-                    arrays = (u0, v0, w0) if party == 0 else (u1, v1, w1)
-                elif key[0] == "trunc":
-                    r0, rs0, r1, rs1 = source.trunc_pairs(key[1], 0, n)
-                    arrays = (r0, rs0) if party == 0 else (r1, rs1)
-                elif key[0] == "bit":
-                    b0, b1 = source.bit_shares(0, n)
-                    arrays = (b0,) if party == 0 else (b1,)
-                else:
-                    raise ParseError(f"unknown material kind {key!r}")
-                io.send(KIND_MATERIAL, _material_payload(key, arrays))
+                halves = source.halves(key, 0, counts[key])[party]
+                io.send(KIND_MATERIAL, _material_payload(key, halves))
     finally:
         for _, _, chan in conns:
             chan.close()
         srv.close()
 
 
-class WireMaterial:
+class WireMaterial(_Cursor):
     """Party-side material buffers received from the dealer, plus the
     party's own local bit stream."""
 
     def __init__(self, source: MaterialSource, party: int, counts: dict):
-        self.source = source
-        self.party = party
-        self.counts = dict(counts)
+        super().__init__(source, party, counts)
         self.buffers: dict = {}
-        self.pos: dict = {}
 
     def load(self, key, payload: bytes):
-        data = payload_u64(payload[2:])
-        per = {"triple": 3, "trunc": 2, "bit": 1}[key[0]]
-        self.buffers[key] = data.reshape(per, -1)
+        if payload[:2] != _material_head(key):
+            raise ParseError(f"dealer sent material {payload[:2].hex()} where {key!r} was due")
+        self.buffers[key] = payload_u64(payload[2:]).reshape(_SPLIT_WORDS[key[0]], -1)
 
-    def _take(self, key, n):
-        cap = self.counts.get(key, 0)
-        at = self.pos.get(key, 0)
-        if at + n > cap:
-            raise Exhausted(f"requested {at + n} of {key!r} but only {cap} provisioned")
-        self.pos[key] = at + n
+    def _halves(self, key, at, n):
         return self.buffers[key][:, at:at + n]
-
-    def take_triples(self, n):
-        u, v, w = self._take(("triple",), n)
-        return u, v, w
-
-    def take_trunc(self, shift, n):
-        r, rs = self._take(("trunc", shift), n)
-        return r, rs
-
-    def take_bits(self, n):
-        return self._take(("bit",), n)[0]
-
-    def take_local_bits(self, n):
-        at = self.pos.get("local_bits", 0)
-        self.pos["local_bits"] = at + n
-        return self.source.party_bit_stream(self.party, at, n)
 
 
 def provision_from_dealer(cfg: dict, party: int, counts: dict) -> WireMaterial:
@@ -154,10 +127,7 @@ def provision_from_dealer(cfg: dict, party: int, counts: dict) -> WireMaterial:
     material = WireMaterial(MaterialSource(cfg["seed"], ring), party, counts)
     for key in sorted(counts, key=str):
         _, _, payload = io.recv(expect_kind=KIND_MATERIAL, timeout=600.0)
-        got_key = (_KIND_NAMES[payload[0]],)
-        if payload[0] == _KIND_CODES["trunc"]:
-            got_key = ("trunc", payload[1])
-        material.load(got_key, payload)
+        material.load(key, payload)
     chan.close()
     return material
 

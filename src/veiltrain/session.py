@@ -28,7 +28,7 @@ class RoundRecord:
     bytes_sent: int
     bytes_received: int
     seconds: float
-    phase: str
+    path: str  # the enclosing phases, outermost first, "/"-joined ("-" for none)
 
 
 @dataclass
@@ -39,7 +39,8 @@ class Transcript:
     phase_stack: list = field(default_factory=lambda: ["-"])
 
     def record(self, round_no, sent, received, seconds):
-        self.rounds.append(RoundRecord(round_no, sent, received, seconds, self.phase_stack[-1]))
+        self.rounds.append(RoundRecord(round_no, sent, received, seconds,
+                                       "/".join(self.phase_stack[1:]) or "-"))
 
     @property
     def n_rounds(self):
@@ -53,15 +54,25 @@ class Transcript:
     def bytes_received(self):
         return sum(r.bytes_received for r in self.rounds)
 
-    def by_phase(self):
+    def by_path(self):
+        """Rounds, bytes and seconds per phase path."""
         out = {}
         for r in self.rounds:
-            agg = out.setdefault(r.phase, {"rounds": 0, "bytes_sent": 0, "bytes_received": 0,
-                                           "seconds": 0.0})
+            agg = out.setdefault(r.path, {"rounds": 0, "bytes_sent": 0, "bytes_received": 0,
+                                          "seconds": 0.0})
             agg["rounds"] += 1
             agg["bytes_sent"] += r.bytes_sent
             agg["bytes_received"] += r.bytes_received
             agg["seconds"] += r.seconds
+        return out
+
+    def by_phase(self):
+        """The same totals per innermost phase."""
+        out = {}
+        for path, agg in self.by_path().items():
+            into = out.setdefault(path.rsplit("/", 1)[-1], dict.fromkeys(agg, 0))
+            for k, v in agg.items():
+                into[k] += v
         return out
 
 
@@ -152,6 +163,9 @@ def run_report(transcript: Transcript, party_id: int, session_id: int) -> dict:
         report[f"phase.{phase}.rounds"] = agg["rounds"]
         report[f"phase.{phase}.bytes_sent"] = agg["bytes_sent"]
         report[f"phase.{phase}.seconds"] = round(agg["seconds"], 6)
+    for path, agg in sorted(transcript.by_path().items()):
+        report[f"path.{path}.rounds"] = agg["rounds"]
+        report[f"path.{path}.bytes_sent"] = agg["bytes_sent"]
     return report
 
 

@@ -10,6 +10,7 @@ import numpy as np
 
 from .errors import ConfigMismatch, ParseError
 from .fixedpoint import RingConfig
+from .training import TrainingConfig
 from .transport import (KIND_DATA, KIND_HELLO, KIND_LABELS, pack_frame,
                         payload_u64, u64_payload, unpack_frame)
 
@@ -74,9 +75,11 @@ def ring_from_config(cfg: dict) -> RingConfig:
 
 
 def public_section(cfg: dict) -> dict:
-    """The byte-identical public part both computing parties must agree on."""
-    keys = ("lambda", "frac_bits", "epochs", "alpha", "lambda_reg", "momentum",
-            "add_bias", "skip_norm", "epsilon", "noise_draws", "seed", "session_id")
+    """The byte-identical public part both computing parties must agree on:
+    the ring, every training hyperparameter, the privacy parameters, the
+    protocol seed and the session."""
+    keys = (*RingConfig().public(), *TrainingConfig().public(),
+            "epsilon", "noise_draws", "seed", "session_id")
     return {k: cfg[k] for k in keys if k in cfg}
 
 

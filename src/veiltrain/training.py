@@ -147,8 +147,7 @@ def train_logreg(eng, X, t, cfg: TrainingConfig):
         for at in range(0, n, step):
             Xb, tb = X[at:at + step], t[at:at + step]
             with eng.phase("epoch_setup"):
-                w_l = eng.trunc(state.w2l, l)
-                v_l = eng.trunc(state.v2l, l)
+                w_l, v_l = eng.trunc(eng.stack([state.w2l, state.v2l]), l)
             predictions = forward(eng, Xb, w_l)
             grad = backward(eng, Xb, predictions, tb)
             state = update(eng, state, w_l, v_l, grad, cfg)

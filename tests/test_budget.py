@@ -1,0 +1,36 @@
+"""Pinned communication budget of one tiny session.
+
+Round and byte counts are data-independent, so they are exact regression
+gates. A change that lowers them updates these numbers on purpose and says
+so in CHANGES.md; a change that raises them has to justify it there.
+"""
+
+from veiltrain import harness
+from veiltrain.datasets import make_plan, partition, synth_data
+from veiltrain.shareio import DEFAULTS
+
+# 20x4 horizontal, 2 epochs, 3 noise draws, thread executor
+ROUNDS_BY_PATH = {
+    "-": 1,
+    "normalize": 4, "normalize/sqrt": 121, "normalize/div": 123,
+    "epoch_setup": 2, "forward": 4, "sigmoid": 38, "backward": 6, "finalize": 1,
+    "perturb": 2,
+    "perturb/gaussian": 5, "perturb/gaussian/uniform": 2, "perturb/gaussian/ln": 68,
+    "perturb/gaussian/sqrt": 87, "perturb/gaussian/sin_cos": 67,
+    "perturb/normalize": 4, "perturb/normalize/sqrt": 121, "perturb/normalize/div": 123,
+    "perturb/gamma": 1, "perturb/gamma/uniform": 1, "perturb/gamma/ln": 68,
+}
+WIRE_BYTES = 383_290  # party 0, sent plus received
+
+
+def test_tiny_session_budget():
+    cfg = dict(DEFAULTS, epochs=2, executor="thread")
+    X, t = synth_data(20, 4, seed=3, separability=1.0)
+    parts = partition(X, t, make_plan("horizontal", 2, 20, 4))
+    res = harness.run_mpc_threaded(parts, "horizontal", cfg, 1, 3)
+    report = res["report"]
+    paths = {k[len("path."):-len(".rounds")]: v for k, v in report.items()
+             if k.startswith("path.") and k.endswith(".rounds")}
+    assert paths == ROUNDS_BY_PATH
+    assert res["rounds"] == sum(ROUNDS_BY_PATH.values())
+    assert res["bytes"] == WIRE_BYTES

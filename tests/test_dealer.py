@@ -93,3 +93,50 @@ def test_local_bit_streams_differ_by_party():
     b1 = src.party_bit_stream(1, 0, 1000)
     assert not np.array_equal(b0, b1)
     assert set(np.unique(b0)) <= {0, 1}
+
+
+def test_bit_blocks_hold_monomials():
+    src = MaterialSource(10, RING)
+    b0, b1 = src.bit_shares(0, 7 * 1000, block=3)
+    words = (b0 + b1).reshape(1000, 7)
+    x, y, z = words[:, 0], words[:, 1], words[:, 3]
+    assert set(np.unique(words[:, [0, 1, 3]])) == {0, 1}
+    assert np.array_equal(words, np.stack([x, y, x * y, z, x * z, y * z, x * y * z], axis=1))
+    # windows that cut blocks regenerate the same words
+    a, b = src.bit_shares(0, 10, block=3), src.bit_shares(10, 7 * 1000 - 10, block=3)
+    assert np.array_equal(b0, np.concatenate([a[0], b[0]]))
+    assert np.array_equal(b1, np.concatenate([a[1], b[1]]))
+
+
+def test_wire_material_matches_cursor():
+    from veiltrain.errors import ParseError
+    from veiltrain.partyproc import WireMaterial, _material_payload
+
+    src = MaterialSource(11, RING)
+    counts = {("triple",): 5, ("trunc", 20): 4, ("bit",): 3, ("bit", 3): 14}
+    for party in (0, 1):
+        cursor = MaterialCursor(src, party, counts)
+        wire = WireMaterial(src, party, counts)
+        for key, n in counts.items():
+            wire.load(key, _material_payload(key, src.halves(key, 0, n)[party]))
+        for a, b in ((cursor.take_triples(5), wire.take_triples(5)),
+                     (cursor.take_trunc(20, 4), wire.take_trunc(20, 4)),
+                     ((cursor.take_bits(3),), (wire.take_bits(3),)),
+                     ((cursor.take_bits(14, block=3),), (wire.take_bits(14, block=3),))):
+            assert all(np.array_equal(x, y) for x, y in zip(a, b))
+    with pytest.raises(ParseError):
+        wire.load(("bit", 3), _material_payload(("bit",), src.halves(("bit",), 0, 14)[1]))
+
+
+@pytest.mark.parametrize("line", [
+    b"bit:0=5", b"bit:70=5", b"bit:2=5", b"trunc:=5", b"trunc:0=5", b"trunc:64=5",
+    b"trunc:300=5", b"gadget:=5", b"triple:1=5", b"triple:=x", b"triple=5", b"triple:=-1",
+])
+def test_provisioning_request_rejects_unknown_keys(line):
+    from veiltrain.errors import ParseError
+    from veiltrain.partyproc import decode_counts, encode_counts
+
+    counts = {("triple",): 5, ("trunc", 20): 4, ("trunc", 63): 1, ("bit",): 3, ("bit", 3): 14}
+    assert decode_counts(encode_counts(counts), RING) == counts
+    with pytest.raises(ParseError):
+        decode_counts(encode_counts(counts) + b"\n" + line, RING)

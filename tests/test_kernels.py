@@ -141,6 +141,33 @@ def test_sigmoid_tolerance_and_clamp():
     assert np.array_equal(got, [1.0, 1.0, 0.0, 0.0])  # exact clamp
 
 
+@pytest.mark.parametrize("lam, frac_bits", [(64, 24), (64, 30), (32, 13)])
+def test_sigmoid_tolerance_on_other_rings(lam, frac_bits):
+    # every product keeps at most 2l fractional bits, so the sigmoid holds
+    # its tolerance up to the ring's headroom limit 2l + 4 = lambda
+    ring = RingConfig(lam, frac_bits)
+    reach = min(20.0, 2.0 ** ring.int_bits)  # what the sign width covers
+    z = np.random.default_rng(25).uniform(-reach, reach, 4000)
+    eng = plain(26, ring)
+    got = open_plain(eng, kernels.secure_sigmoid(eng, enc_pub(eng, z)))
+    want = np.where(z < -8, 0.0, np.where(z > 8, 1.0, 1 / (1 + np.exp(-z))))
+    assert np.abs(got - want).max() <= 1e-3
+
+
+def test_sigmoid_matches_mirror_on_a_finer_ring():
+    ring = RingConfig(64, 24)
+    z = np.linspace(-10, 10, 41)
+
+    def fn(eng):
+        return eng.open(kernels.secure_sigmoid(eng, enc_pub(eng, z)))
+
+    (r0, r1), _ = run_both(fn, seed=27, cfg=ring)
+    mirror = fn(plain(27, ring))
+    assert np.array_equal(r0, mirror) and np.array_equal(r1, mirror)
+    assert np.abs(decode(mirror, ring) - 1 / (1 + np.exp(-np.clip(z, -8, 8)))
+                  * (np.abs(z) <= 8) - (z > 8)).max() <= 1e-3
+
+
 # --- joint uniforms ---
 
 def test_uniform_small_ring_enumeration():

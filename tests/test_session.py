@@ -23,31 +23,50 @@ def test_handshake_agrees():
     assert engines[0].rt.session_id == engines[1].rt.session_id == 1
 
 
-def test_handshake_mismatch_names_key():
-    # parties loading different fractional precision must abort on that key
-    from veiltrain.dealer import MaterialCursor, MaterialSource
+def _handshake_errors(public0, public1):
+    """Handshake two parties holding the given public configs; returns the
+    exception each party raised, or None."""
+    import threading
+
     from veiltrain.session import PartyRuntime, handshake
     from veiltrain.transport import queue_pair
-    import threading
 
     ch0, ch1 = queue_pair()
     errors = [None, None]
 
-    def run(party, chan, frac):
+    def run(party, chan, public):
         try:
-            rt = PartyRuntime(party, 1, chan, RING)
-            handshake(rt, {"lambda": 64, "frac_bits": frac})
+            handshake(PartyRuntime(party, 1, chan, RING), public)
         except Exception as exc:  # noqa: BLE001
             errors[party] = exc
 
-    threads = [threading.Thread(target=run, args=(0, ch0, 20)),
-               threading.Thread(target=run, args=(1, ch1, 16))]
+    threads = [threading.Thread(target=run, args=(0, ch0, public0)),
+               threading.Thread(target=run, args=(1, ch1, public1))]
     for t in threads:
         t.start()
     for t in threads:
         t.join()
+    return errors
+
+
+def test_handshake_mismatch_names_key():
+    # parties loading different fractional precision must abort on that key
+    errors = _handshake_errors({"lambda": 64, "frac_bits": 20},
+                               {"lambda": 64, "frac_bits": 16})
     assert isinstance(errors[0], ConfigMismatch)
     assert errors[0].key == "frac_bits"
+
+
+def test_handshake_covers_batch_size():
+    # batch_size shapes the transcript, so the public section must carry it
+    from veiltrain.shareio import DEFAULTS, public_section
+
+    mine = public_section(dict(DEFAULTS, batch_size=0))
+    theirs = public_section(dict(DEFAULTS, batch_size=50))
+    errors = _handshake_errors(mine, theirs)
+    for exc in errors:
+        assert isinstance(exc, ConfigMismatch)
+        assert exc.key == "batch_size"
 
 
 def test_unreachable_peer_times_out():
