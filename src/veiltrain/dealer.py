@@ -133,6 +133,16 @@ class MaterialSource:
         half = len(out) // 2
         return out[:half], out[half:]
 
+    def half(self, key: tuple, party: int, start: int, n: int):
+        """One party's arrays of items [start, start+n) of one material key,
+        equal to halves(key, start, n)[party]. Party 0's half is the split
+        stream alone, so it skips generating the plain values."""
+        if party == 1:
+            return self.halves(key, start, n)[1]
+        split = self._to_ring(self._words(key[0], key[1] if len(key) > 1 else None,
+                                          _SPLIT, start, n))
+        return tuple(split.T.copy())
+
     def party_bit_stream(self, party: int, start: int, n: int):
         """Party-local uniform bits used for jointly sampled randomness."""
         words = _window(self.seed, [_GR_TAG, party], start, n)
@@ -189,7 +199,7 @@ class MaterialCursor(_Cursor):
     """A cursor that regenerates the party's halves from the session seed."""
 
     def _halves(self, key, at, n):
-        return self.source.halves(key, at, n)[self.party]
+        return self.source.half(key, self.party, at, n)
 
 
 class Dealer:

@@ -30,43 +30,90 @@ from .transport import queue_pair
 
 SIGN_WORDS = (1 << SIGN_BLOCK) - 1  # dealer words per block: its non-empty monomials
 
+# outputs of a leaf's map g -> G + P*g (g: the borrow into the leaf's lowest
+# bit); bit t of the leaf's slice of x sits at LEAF_BIT + t
+BORROW, NONZERO, LEAF_BIT = 0, 1, 2
 
-def sign_tree(width: int):
-    """Shape of msb at a width: (single-bit leaves, block leaves, pairs per level).
 
-    The mask's low width % 3 bits are single-bit leaves; the rest form
-    3-bit blocks. Each level combines its nodes pairwise from the bottom in
-    one batched product: two products per pair, one for the lowest pair,
-    whose P is never needed. An odd node out moves up unchanged."""
-    singles, blocks = width % SIGN_BLOCK, width // SIGN_BLOCK
-    levels, nodes = [], singles + blocks
-    while nodes > 1:
-        levels.append(nodes // 2)
-        nodes -= nodes // 2
-    return singles, blocks, levels
+def leaf_layout(width: int):
+    """Leaves of a width-bit mask, low to high: (lowest bit, size) of each.
+
+    The mask's low width % 3 bits are single-bit leaves, the rest 3-bit
+    blocks. The msb, lead and split ops all take their leaves from here."""
+    singles = width % SIGN_BLOCK
+    return ([(i, 1) for i in range(singles)]
+            + [(p, SIGN_BLOCK) for p in range(singles, width, SIGN_BLOCK)])
+
+
+def prefix_plan(n: int, want):
+    """Sklansky schedule leaving node i with the composition of nodes 0..i,
+    for every i in want; compositions no wanted node depends on are dropped.
+
+    Returns one list per round of (dst, src, anchored) steps, node dst
+    absorbing node src below it. An anchored step's result starts at node 0:
+    for borrow maps that result is applied to borrow-in 0, so it needs only
+    G (one product), where other steps need G and P (two)."""
+    levels, s = [], 0
+    while (1 << s) < n:
+        levels.append([(i, (i >> s << s) - 1, i < 2 << s) for i in range(n) if i >> s & 1])
+        s += 1
+    need = set(want)
+    for lv in reversed(range(len(levels))):
+        levels[lv] = [step for step in levels[lv] if step[0] in need]
+        need |= {src for _, src, _ in levels[lv]}
+    return [level for level in levels if level]
+
+
+def _plan_products(plan):
+    return sum(1 if anchored else 2 for level in plan for _, _, anchored in level)
+
+
+def msb_plan(width: int):
+    """Borrow-map schedule of msb: every leaf reduced onto the top one."""
+    leaves = len(leaf_layout(width))
+    return prefix_plan(leaves, [leaves - 1])
+
+
+def lead_plan(width: int):
+    """Schedule of lead, over the leaves but one: the borrow prefix runs it
+    on all leaves but the top one, the suffix OR on the nonzero flags of all
+    leaves but the lowest one, from the top down."""
+    inner = len(leaf_layout(width)) - 1
+    return prefix_plan(inner, range(inner))
+
+
+def split_plan(width: int):
+    """Borrow-map schedule of split: the leaves below the top one, reduced.
+    The top leaf must be a 3-bit block."""
+    if width < SIGN_BLOCK:
+        raise ValueError(f"split needs a width of at least {SIGN_BLOCK}, got {width}")
+    inner = len(leaf_layout(width)) - 1
+    return prefix_plan(inner, [inner - 1])
 
 
 def _leaf_maps(k):
-    """Monomial coefficients of a k-bit leaf's map g -> G + P*g, for every
+    """Monomial coefficients of a k-bit leaf's maps g -> G + P*g, for every
     value of the leaf's k bits of c.
 
     A leaf covers k consecutive bits of x = c - r mod 2^width, where c is
-    public and r the secret mask. Given borrow-in g, the map gives the
-    leaf's borrow out, or, for the top leaf (the one that holds bit
-    width-1), that bit of x (the sign). Returns int64 (G, P), each indexed
-    [top leaf, value of c's k bits, monomial]: the coefficient of the
-    monomial over the mask-bit subset S sits at index S.
+    public and r the secret mask. Given borrow-in g, the maps give the
+    leaf's borrow out (BORROW), whether its k bits of x are nonzero
+    (NONZERO) and each of those bits (LEAF_BIT + t). Returns int64 (G, P),
+    each indexed [output, value of c's k bits, monomial]: the coefficient
+    of the monomial over the mask-bit subset S sits at index S.
     """
     cb = np.arange(1 << k)[:, None] >> np.arange(k) & 1
-    table = np.empty((2, 2, 1 << k, 1 << k), dtype=np.int64)
+    table = np.empty((2, LEAF_BIT + k, 1 << k, 1 << k), dtype=np.int64)
     for g in (0, 1):
         for s in range(1 << k):
-            borrow = np.full(1 << k, g)
+            borrow, nonzero = np.full(1 << k, g), 0
             for t in range(k):
                 r_t = (s >> t) & 1
                 bit = cb[:, t] ^ r_t ^ borrow
                 borrow = (cb[:, t] < r_t + borrow).astype(np.int64)
-            table[g, 0, :, s], table[g, 1, :, s] = borrow, bit
+                table[g, LEAF_BIT + t, :, s] = bit
+                nonzero = nonzero | bit
+            table[g, BORROW, :, s], table[g, NONZERO, :, s] = borrow, nonzero
     for t in range(k):  # values on the 2^k assignments -> monomial coefficients
         for s in range(1 << k):
             if s >> t & 1:
@@ -75,6 +122,19 @@ def _leaf_maps(k):
 
 
 _LEAF_MAPS = {k: _leaf_maps(k) for k in (1, SIGN_BLOCK)}  # single-bit and block leaves
+
+
+def _low_mask(width: int, cfg: RingConfig):
+    ones = (1 << width) - 1 if width < cfg.lam else -1
+    return np.asarray(ones).astype(np.int64).astype(cfg.udtype)
+
+
+def _mask_counts(width: int, n: int) -> dict:
+    """Dealer words the leaves of n width-bit masks take, by material key."""
+    sizes = [k for _, k in leaf_layout(width)]
+    counts = {bit_key(): sizes.count(1) * n,
+              bit_key(SIGN_BLOCK): SIGN_WORDS * sizes.count(SIGN_BLOCK) * n}
+    return {key: v for key, v in counts.items() if v}
 
 
 class BaseEngine:
@@ -175,26 +235,38 @@ class PlainEngine(BaseEngine):
             out = from_signed((s >> self.cfg.sdtype(shift)) + carry, self.cfg)
         return np.asarray(out)
 
-    def bits(self, a, width):
-        """Two's-complement bits of a mod 2^width, stacked LSB-first."""
+    def _count_leaf_op(self, a, width, products):
         n = int(np.prod(np.shape(a), dtype=np.int64))
-        self._advance(("bit",), width * n)
-        self._advance(("triple",), (width - 1) * n)
-        a = np.asarray(a, dtype=self.cfg.udtype)
-        js = np.arange(width, dtype=np.uint64).reshape((width,) + (1,) * a.ndim)
-        return ((a[None, ...] >> js) & np.uint64(1)).astype(self.cfg.udtype)
+        for key, words in _mask_counts(width, n).items():
+            self._advance(key, words)
+        self._advance(("triple",), products * n)
+        return np.asarray(a, dtype=self.cfg.udtype) & _low_mask(width, self.cfg)
 
     def msb(self, a, width):
         """Two's-complement sign of a mod 2^width, as 0 or 1."""
-        n = int(np.prod(np.shape(a), dtype=np.int64))
-        singles, blocks, levels = sign_tree(width)
-        products = sum(2 * pairs - 1 for pairs in levels)
-        for key, per in ((bit_key(), singles), (bit_key(SIGN_BLOCK), SIGN_WORDS * blocks),
-                         (("triple",), products)):
-            if per:
-                self._advance(key, per * n)
-        a = np.asarray(a, dtype=self.cfg.udtype)
-        return ((a >> np.uint64(width - 1)) & np.uint64(1)).astype(self.cfg.udtype)
+        x = self._count_leaf_op(a, width, _plan_products(msb_plan(width)))
+        return (x >> np.uint64(width - 1)).astype(self.cfg.udtype)
+
+    def lead(self, a, width):
+        """One-hot over leaf_layout(width) of the leaf holding the top set
+        bit of a mod 2^width, leaves stacked on a new first axis; a = 0
+        marks the lowest leaf."""
+        plan = lead_plan(width)
+        leaves = leaf_layout(width)
+        x = self._count_leaf_op(
+            a, width, _plan_products(plan) + len(leaves) - 1 + sum(map(len, plan)))
+        tops = np.array([p + k for p, k in leaves], dtype=np.uint64)
+        above = (x[None, ...] >> tops.reshape((-1,) + (1,) * x.ndim)) != 0
+        first = np.ones((1,) + x.shape, dtype=bool)
+        return (np.concatenate([first, above[:-1]]) & ~above).astype(self.cfg.udtype)
+
+    def split(self, a, width):
+        """a mod 2^(width-3), then bits width-3 and width-2 of a, stacked."""
+        x = self._count_leaf_op(a, width, _plan_products(split_plan(width)) + 2)
+        low = np.uint64(width - SIGN_BLOCK)
+        one = np.uint64(1)
+        return np.stack([x & ((one << low) - one), (x >> low) & one,
+                         (x >> (low + one)) & one]).astype(self.cfg.udtype)
 
     def joint_uniform(self, shape):
         """Uniform fixed-point values on (0, 1]: l jointly-XORed bits plus one ulp."""
@@ -246,16 +318,18 @@ class MpcEngine(BaseEngine):
         n = int(np.prod(shape, dtype=np.int64))
         u, v, w = (x.reshape(shape) for x in self.material.take_triples(n))
         with np.errstate(over="ignore"):
-            d_mine = np.broadcast_to(a, shape) - u
-            e_mine = np.broadcast_to(b, shape) - v
-            packed = np.concatenate([np.ravel(d_mine), np.ravel(e_mine)])
-            peer = self.rt.exchange(packed)
-            d = (np.ravel(d_mine) + peer[:n]).reshape(shape)
-            e = (np.ravel(e_mine) + peer[n:]).reshape(shape)
-            z = w + d * v + e * u
+            # d = a - u and e = b - v, opened in one round; the buffers are
+            # reused in place, as the products can be large
+            packed = np.empty(2 * n, dtype=self.cfg.udtype)
+            d, e = packed[:n].reshape(shape), packed[n:].reshape(shape)
+            np.subtract(np.broadcast_to(a, shape), u, out=d)
+            np.subtract(np.broadcast_to(b, shape), v, out=e)
+            packed += self.rt.exchange(packed)
+            z = np.asarray(d * v)
+            z += w
+            z += e * u
             if self.party == 0:
-                z = z + d * e
-            z = np.asarray(z)
+                z += d * e
         if shift:
             z = self.trunc(z, shift)
         return z
@@ -274,85 +348,138 @@ class MpcEngine(BaseEngine):
                 out = out + t
             return np.asarray(out)
 
-    def bits(self, a, width):
-        shape = np.shape(a)
-        n = int(np.prod(shape, dtype=np.int64))
-        flat = np.ravel(np.asarray(a, dtype=self.cfg.udtype))
-        r_bits = self.material.take_bits(width * n).reshape(width, n)
-        weights = (np.uint64(1) << np.arange(width, dtype=np.uint64))[:, None]
-        with np.errstate(over="ignore"):
-            r_arith = (r_bits * weights).sum(axis=0, dtype=self.cfg.udtype)
-            mask = np.uint64((1 << width) - 1) if width < self.cfg.lam else ~np.uint64(0)
-            masked = np.asarray((flat + r_arith) & mask)
-        c = np.ravel(self.open(masked)) & mask
-        # subtract the secret mask bitwise: x = c - r mod 2^width, ripple borrow
-        out = np.empty((width, n), dtype=self.cfg.udtype)
-        borrow = self.zeros(n)
-        for j in range(width):
-            cj = (c >> np.uint64(j)) & np.uint64(1)
-            rj = r_bits[j]
-            if j == 0:
-                m = self.zeros(n)  # borrow is publicly zero
-            else:
-                m = self.mul(rj, borrow, shift=None)
+    def _open_leaves(self, a, width):
+        """Take a width-bit mask r in leaves and open c = (a + r) mod 2^width.
+
+        Returns c, each leaf's share of its part of r (shifted into place),
+        and the groups of equal-size leaves: (leaf indices, lowest bits,
+        size k, monomial shares indexed [leaf, monomial, element])."""
+        n = int(np.prod(np.shape(a), dtype=np.int64))
+        layout = leaf_layout(width)
+        groups, parts = [], self.zeros((len(layout), n))
+        for k in (1, SIGN_BLOCK):
+            idx = np.array([i for i, (_, size) in enumerate(layout) if size == k], dtype=np.intp)
+            if not len(idx):
+                continue
+            per = (1 << k) - 1
+            words = self.material.take_bits(per * len(idx) * n, block=k)
+            mono = words.reshape(len(idx), n, per).transpose(0, 2, 1)
+            pos = np.array([layout[i][0] for i in idx], dtype=np.uint64)
             with np.errstate(over="ignore"):
-                t = rj + borrow - np.uint64(2) * m  # r_j XOR borrow
-                out[j] = self.add_public(t, cj) - np.uint64(2) * (t * cj)
-                borrow = np.where(np.asarray(cj, dtype=bool), m, rj + borrow - m)
-        return out.reshape((width,) + shape)
+                for t in range(k):
+                    parts[idx] += mono[:, (1 << t) - 1] << (pos + np.uint64(t))[:, None]
+            groups.append((idx, pos, k, mono))
+        mask = _low_mask(width, self.cfg)
+        flat = np.ravel(np.asarray(a, dtype=self.cfg.udtype))
+        with np.errstate(over="ignore"):
+            c = np.ravel(self.open((flat + self.sum(parts, axis=0)) & mask)) & mask
+        return c, parts, groups
+
+    def _maps(self, c, groups, outputs):
+        """Shares (G, P) [leaf, element] of each leaf's map for the output
+        named in outputs (one index per leaf, None to skip the leaf), with
+        coefficients looked up by the leaf's bits of c (_LEAF_MAPS)."""
+        G, P = self.zeros((len(outputs), len(c))), self.zeros((len(outputs), len(c)))
+        for idx, pos, k, mono in groups:
+            rows = [j for j, i in enumerate(idx) if outputs[i] is not None]
+            if not rows:
+                continue
+            out = np.array([outputs[i] for i in idx[rows]], dtype=np.intp)[:, None]
+            val = ((c >> pos[rows, None]) & np.uint64((1 << k) - 1)).astype(np.intp)
+            with np.errstate(over="ignore"):
+                for coef, dst in zip(_LEAF_MAPS[k], (G, P)):
+                    coef = coef.astype(self.cfg.udtype)
+                    share = sum(coef[out, val, s] * mono[rows, s - 1] for s in range(1, 1 << k))
+                    dst[idx[rows]] = self.add_public(share, coef[out, val, 0])
+        return G, P
+
+    def _compose(self, G, P, plan):
+        """Run a prefix plan on borrow maps, one batched product per round:
+        (G, P)_dst o (G, P)_src = (G_dst + P_dst G_src, P_dst P_src). Returns G."""
+        G, P = G.copy(), P.copy()
+        for level in plan:
+            dst, src = [i for i, _, _ in level], [j for _, j, _ in level]
+            full = [(i, j) for i, j, anchored in level if not anchored]
+            prod = self.mul(np.concatenate([P[dst], P[[i for i, _ in full]]]),
+                            np.concatenate([G[src], P[[j for _, j in full]]]))
+            with np.errstate(over="ignore"):
+                G[dst] += prod[:len(dst)]
+            P[[i for i, _ in full]] = prod[len(dst):]
+        return G
 
     def msb(self, a, width):
         """Sign of a mod 2^width in log depth: one opening, then a tree.
 
         Opens c = (a + r) mod 2^width for a dealer mask r whose bits come as
         single bits and as 3-bit blocks with all their monomials. Every leaf's
-        borrow map is then a local affine combination of its monomials, with
-        coefficients looked up by the leaf's bits of c (_LEAF_MAPS), and the
-        maps compose up a pairwise tree to the sign bit of c - r.
+        borrow map is then a local affine combination of its monomials, and
+        the maps compose onto the top leaf, whose map gives the sign bit of
+        c - r.
         """
-        shape = np.shape(a)
-        n = int(np.prod(shape, dtype=np.int64))
-        singles, blocks, levels = sign_tree(width)
-        groups = []  # (leaf positions, bits per leaf, monomial shares)
-        if singles:
-            bits = self.material.take_bits(singles * n).reshape(singles, 1, n)
-            groups.append((np.arange(singles), 1, bits))
-        if blocks:
-            words = self.material.take_bits(SIGN_WORDS * blocks * n, block=SIGN_BLOCK)
-            mono = words.reshape(blocks, n, SIGN_WORDS).transpose(0, 2, 1)
-            groups.append((singles + SIGN_BLOCK * np.arange(blocks), SIGN_BLOCK, mono))
-        flat = np.ravel(np.asarray(a, dtype=self.cfg.udtype))
-        mask = np.uint64((1 << width) - 1) if width < self.cfg.lam else ~np.uint64(0)
+        layout = leaf_layout(width)
+        c, _, groups = self._open_leaves(a, width)
+        outputs = [BORROW] * (len(layout) - 1) + [LEAF_BIT + layout[-1][1] - 1]
+        G, P = self._maps(c, groups, outputs)
+        return self._compose(G, P, msb_plan(width))[-1].reshape(np.shape(a))
+
+    def lead(self, a, width):
+        """One-hot of the leaf holding a's top set bit, for 0 <= a < 2^width.
+
+        After one opening, a Sklansky prefix of the borrow maps gives every
+        leaf its borrow-in g, one batched product evaluates each leaf's
+        "my bits of x are nonzero" map NA + NB*g, and a Sklansky suffix OR
+        of those flags gives S_i, "a has a bit set in leaf i or above". The
+        one-hot is S_i - S_(i+1), with S_0 taken as 1.
+        """
+        shape, layout = np.shape(a), leaf_layout(width)
+        c, _, groups = self._open_leaves(a, width)
+        n, plan = len(c), lead_plan(width)
+        above = self.zeros((0, n))
+        if len(layout) > 1:
+            G, P = self._maps(c, groups, [BORROW] * (len(layout) - 1) + [None])
+            g = self._compose(G[:-1], P[:-1], plan)  # g[i]: borrow into leaf i + 1
+            NA, NB = self._maps(c, groups, [None] + [NONZERO] * (len(layout) - 1))
+            with np.errstate(over="ignore"):
+                nonzero = NA[1:] + self.mul(NB[1:], g)
+            above = nonzero[::-1].copy()
+            for level in plan:  # OR, from the top leaf down
+                dst, src = [i for i, _, _ in level], [j for _, j, _ in level]
+                prod = self.mul(above[dst], above[src])
+                with np.errstate(over="ignore"):
+                    above[dst] += above[src] - prod
+            above = above[::-1]  # above[i]: a has a bit set in leaf i + 1 or higher
+        one = self.add_public(self.zeros((1, n)), np.uint64(1))
+        ext = np.concatenate([one, above, self.zeros((1, n))])
         with np.errstate(over="ignore"):
-            r = self.zeros(n)
-            for pos, k, mono in groups:
-                for t in range(k):
-                    r = r + self.sum(mono[:, (1 << t) - 1]
-                                     << (pos + t).astype(np.uint64)[:, None], axis=0)
-            c = np.ravel(self.open((flat + r) & mask)) & mask
-            G, P = [], []
-            for pos, k, mono in groups:
-                top = (pos + k == width).astype(np.intp)[:, None]
-                val = (c >> pos.astype(np.uint64)[:, None]) & np.uint64((1 << k) - 1)
-                val = val.astype(np.intp)  # each leaf's k bits of c
-                for coef, out in zip(_LEAF_MAPS[k], (G, P)):
-                    coef = coef.astype(self.cfg.udtype)
-                    share = sum(coef[top, val, s] * mono[:, s - 1] for s in range(1, 1 << k))
-                    out.append(self.add_public(share, coef[top, val, 0]))
-            G, P = np.concatenate(G), np.concatenate(P)
-            for m in levels:  # (G, P)_hi o (G, P)_lo = (G_hi + P_hi G_lo, P_hi P_lo)
-                lo, hi = slice(0, 2 * m, 2), slice(1, 2 * m, 2)
-                prod = self.mul(np.concatenate([P[hi], P[hi][1:]]),
-                                np.concatenate([G[lo], P[lo][1:]]))
-                G = np.concatenate([G[hi] + prod[:m], G[2 * m:]])
-                P = np.concatenate([P[:1], prod[m:], P[2 * m:]])
-        return G[0].reshape(shape)
+            return (ext[:-1] - ext[1:]).reshape((len(layout),) + shape)
+
+    def split(self, a, width):
+        """a mod 2^(width-3), then bits width-3 and width-2 of a, stacked; in log depth.
+
+        The leaves below the top one reduce to the borrow g into bit
+        width - 3, which fixes the low part linearly; one batched product
+        evaluates the top leaf's maps for its two low bits."""
+        shape, layout = np.shape(a), leaf_layout(width)
+        plan = split_plan(width)
+        c, parts, groups = self._open_leaves(a, width)
+        n, low = len(c), width - SIGN_BLOCK
+        g = self.zeros(n)
+        if len(layout) > 1:
+            G, P = self._maps(c, groups, [BORROW] * (len(layout) - 1) + [None])
+            g = self._compose(G[:-1], P[:-1], plan)[-1]
+        A, B = zip(*(self._maps(c, groups, [None] * (len(layout) - 1) + [LEAF_BIT + t])
+                     for t in (0, 1)))
+        with np.errstate(over="ignore"):
+            bits = np.stack([x[-1] for x in A]) + self.mul(np.stack([b[-1] for b in B]), g[None, :])
+            part = self.sub(self.mul_public_int(g, 1 << low), self.sum(parts[:-1], axis=0))
+            lo = self.add_public(part, c & ((np.uint64(1) << np.uint64(low)) - np.uint64(1)))
+        return np.concatenate([lo[None, :], bits]).reshape((3,) + shape)
 
     def joint_uniform(self, shape):
         l = self.cfg.frac_bits
         n = int(np.prod(shape, dtype=np.int64))
         mine = self.material.take_local_bits(l * n).reshape(n, l)
-        zero = np.zeros_like(mine)
+        zero = self.zeros(())
         a0 = mine if self.party == 0 else zero
         a1 = mine if self.party == 1 else zero
         prod = self.mul(a0, a1, shift=None)

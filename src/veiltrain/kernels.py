@@ -1,22 +1,27 @@
 """Secure fixed-point math kernels evaluated on shares.
 
-Division, square root, and logarithm first extract the operand's most
-significant bit with dealer random bits, rescale to a mantissa in [0.5, 1),
-then run fixed-iteration Newton refinement or Chebyshev evaluation; sine and
-cosine reduce the angle to a quarter period through the argument's bits.
-Signs alone (the division's sign, the sigmoid's clamps) come from the
-engine's log-depth msb op. The sigmoid is a clamped odd polynomial with
-oblivious segment selection, evaluated in the power basis from four stacked
-products. Iteration counts and degrees are fixed, so transcripts depend
-only on input sizes, never on values.
+Division, square root, and logarithm first find the leaf (a group of one or
+three bits, see engine.leaf_layout) that holds the operand's top set bit
+with the engine's log-depth lead op, rescale by that leaf's power of two to
+a coarse mantissa in [1/8, 1), then run fixed-count Goldschmidt iterations
+with one residual correction at 2l bits, or a power-basis polynomial. Sine
+and cosine split the angle in turns into its quarter-period fraction and
+quadrant bits with the engine's split op. Signs alone (the division's sign,
+the sigmoid's clamps) come from the engine's msb op. The sigmoid is a
+clamped odd polynomial with oblivious segment selection. Every polynomial
+is evaluated in the power basis: the powers take one stacked product per
+doubling, and the sum is local. Iteration counts and degrees are fixed, so
+transcripts depend only on input sizes, never on values.
 
 Polynomial coefficients are Chebyshev interpolants (degree chosen so the
-float-side fit error sits well below each kernel's tolerance):
-  LN_CHEB:  ln(m) on m in [0.5, 1],   argument 4m - 3
+float-side fit error sits well below each kernel's tolerance), converted to
+the power basis at import:
+  LN_CHEB:  ln(m) on m in [1/8, 1],  argument (16m - 9)/7; LN_POWER in
+            powers of u = 2m - 1
   SIN_CHEB: sin(2 pi f) on f in [0, 0.25], argument 8f - 1
   COS_CHEB: cos(2 pi f) likewise
   SIG_CHEB: (sigmoid(8t) - 1/2)/t as a function of u = t^2 on [0, 1],
-            argument v = 2u - 1; SIG_POWER is the same fit in powers of v
+            argument v = 2u - 1
 """
 
 from __future__ import annotations
@@ -25,13 +30,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .engine import leaf_layout
 from .fixedpoint import encode, to_signed
 
 LN_CHEB = (
-    -0.31669436764074993, 0.3431457505076194, -0.029437251522857588,
-    0.003367089255553031, -0.0004332758885396537, 5.947071155137555e-05,
-    -8.502964804915375e-06, 1.2504501863321355e-06, -1.8761954501532007e-07,
-    2.7940690599361138e-08,
+    -0.7808278095447015, 0.9551844992272576, -0.22809435560293073,
+    0.07262406125225465, -0.02601351000267974, 0.009939066299792068,
+    -0.00395565297894257, 0.0016192366223765921, -0.0006765174240610995,
+    0.00028686669177073075, -0.00012256587527888433, 5.156715977687598e-05,
+    -1.888238927282925e-05,
 )
 SIN_CHEB = (
     0.6021947012555465, 0.5136251666791071, -0.10354634426296364,
@@ -50,10 +57,21 @@ SIG_CHEB = (
     -0.0011960771705892565, 0.0005555374662430875, -0.0002576838921734763,
     0.00011878306069975032, -5.315364180733871e-05, 2.0312068077371395e-05,
 )
-# the same fit in the power basis of v: sum_k SIG_POWER[k] v^k
+# the same fits in the power basis of their arguments: sum_k a[k] v^k. The
+# constant of LN_POWER is pinned to ln(1/2) (a shift of 7.6e-6): one is
+# m = 1/2 in its top leaf at the Box-Muller width, so ln(1) is exactly 0
+# and -2 ln(u) never goes negative
+LN_POWER = (-np.log(2.0),) + tuple(np.polynomial.Chebyshev(LN_CHEB, domain=[-0.75, 1.0])
+                                   .convert(kind=np.polynomial.Polynomial).coef[1:])
+SIN_POWER = tuple(np.polynomial.chebyshev.cheb2poly(SIN_CHEB))
+COS_POWER = tuple(np.polynomial.chebyshev.cheb2poly(COS_CHEB))
 SIG_POWER = tuple(np.polynomial.chebyshev.cheb2poly(SIG_CHEB))
 
-_NEWTON_ITERS = 3
+# linear starts on the coarse mantissa m in [1/8, 1): y0 = a - b m
+RECIP_START = (5.097, 4.531)   # 1/m, relative error below 0.44
+RSQRT_START = (2.516, 1.689)   # 1/sqrt(m)
+_RECIP_STEPS = 4
+_RSQRT_STEPS = 3
 SIGMOID_CLAMP = 8.0
 
 
@@ -80,33 +98,35 @@ def _enc(eng, x):
     return encode(x, eng.cfg)
 
 
-def _clenshaw(eng, cheb, v):
-    """Evaluate a Chebyshev series at fixed-point v in [-1, 1]."""
-    l = eng.frac_bits
-    two_v = eng.mul_public_int(v, 2)
-    b1 = eng.zeros(np.shape(v))
-    b2 = eng.zeros(np.shape(v))
-    for c in cheb[:0:-1]:
-        b1, b2 = eng.add_public(eng.sub(eng.mul(two_v, b1, l), b2), _enc(eng, c)), b1
-    return eng.add_public(eng.sub(eng.mul(v, b1, l), b2), _enc(eng, cheb[0]))
-
-
-def _msb_onehot(eng, bits):
-    """One-hot indicator of the most significant set bit (suffix-OR scan)."""
-    width = bits.shape[0]
-    z = [None] * width
-    seen = eng.zeros(bits.shape[1:])
-    for k in range(width - 1, -1, -1):
-        prod = eng.mul(bits[k], seen)
-        z[k] = eng.sub(bits[k], prod)
-        seen = eng.sub(eng.add(seen, bits[k]), prod)
-    return eng.stack(z)
-
-
 def _combine_int(eng, z, weights):
     """Local weighted sum of the one-hot rows with public integer weights."""
     w = np.asarray(weights, dtype=np.int64).reshape((len(weights),) + (1,) * (z.ndim - 1))
     return eng.sum(eng.mul_public_int(z, w), axis=0)
+
+
+def _powers(eng, powers, degree):
+    """Extend [v, ..., v^k] at l bits to v .. v^degree, stacked: each round
+    multiplies the top power by all the powers below it."""
+    l = eng.frac_bits
+    powers = list(powers)
+    while len(powers) < degree:
+        k = min(len(powers), degree - len(powers))
+        powers.extend(eng.mul(powers[-1], eng.stack(powers[:k]), l))
+    return eng.stack(powers)
+
+
+def _poly_2l(eng, powers, coeffs):
+    """sum_k coeffs[k] v^k at 2l fractional bits, from the stacked powers
+    v .. v^degree at l bits (local)."""
+    l = eng.frac_bits
+    q2l = _combine_int(eng, powers, to_signed(_enc(eng, coeffs[1:]), eng.cfg))
+    return eng.add_public(q2l, _enc(eng, coeffs[0] * 2.0 ** l))
+
+
+def _scale_const(eng, a, b, x):
+    """a - b x for public reals a, b and x at l bits: one truncation round."""
+    bx = eng.trunc(eng.mul_public_int(x, int(_enc(eng, b))), eng.frac_bits)
+    return eng.add_public(eng.neg(bx), _enc(eng, a))
 
 
 def _width(eng, magnitude_bits):
@@ -114,108 +134,106 @@ def _width(eng, magnitude_bits):
     return min(eng.cfg.lam, eng.frac_bits + mag + 2)
 
 
-def _normalize(eng, a, width):
-    """For a > 0: mantissa at 2l fractional bits in [0.5, 1) plus the one-hot.
+def _normalize(eng, a, magnitude_bits):
+    """Normalization of a > 0 whose top bit lies below _width - 2.
 
-    The mantissa is exact: a's raw value times 2^(2l-1-k) where k is the MSB
-    position, computed as one product with a one-hot-derived factor.
-    """
+    Returns the one-hot z over the leaves of that width, every leaf's top
+    T (so a = m 2^(T - l) with the mantissa m in [1/8, 1)), the mantissa
+    precision p = max(2l, width), and the factor sum_i z_i 2^(p - T_i):
+    a times it is m at p fractional bits, exactly."""
+    width = _width(eng, magnitude_bits) - 2
+    prec = max(2 * eng.frac_bits, width)
+    tops = [p + k for p, k in leaf_layout(width)]
+    z = eng.lead(a, width)
+    return z, tops, prec, _combine_int(eng, z, [1 << (prec - t) for t in tops])
+
+
+def _recip_mantissa(eng, m, m_prec, prec):
+    """1/m for the mantissa m in [1/8, 1): Goldschmidt at l bits, y <- y(1+e),
+    e <- e^2 from e = 1 - m y0, then one correction from the exact mantissa
+    m_prec at prec bits. Returns (y at l bits, y(1 - m y) at 2l bits)."""
     l = eng.frac_bits
-    b = eng.bits(a, width)
-    z = _msb_onehot(eng, b)
-    factor = _combine_int(eng, z, [1 << (2 * l - 1 - k) if k <= 2 * l - 1 else 0
-                                   for k in range(width)])
-    m2l = eng.mul(a, factor)  # raw product lands exactly in [2^(2l-1), 2^2l)
-    return m2l, z
-
-
-def _recip_mantissa(eng, m2l):
-    """1/m for mantissa m in [0.5, 1): Newton at l bits plus one refinement
-    step carried at 2l bits. Returns (hi part at l bits, correction at 2l)."""
-    l = eng.frac_bits
-    m = eng.trunc(m2l, l)
-    y = eng.sub(eng.from_public(_enc(eng, 48 / 17)), eng.mul(eng.from_public(_enc(eng, 32 / 17)), m, l))
-    for _ in range(_NEWTON_ITERS):
-        t = eng.add_public(eng.neg(eng.mul(m, y, l)), _enc(eng, 2.0))
-        y = eng.mul(y, t, l)
-    p2l = eng.mul(m2l, y, l)
-    r2l = eng.add_public(eng.neg(p2l), np.uint64(1) << np.uint64(2 * l))
-    c2l = eng.mul(y, r2l, l)
-    return y, c2l
+    one = _enc(eng, 1.0)
+    y = _scale_const(eng, *RECIP_START, m)
+    e = eng.add_public(eng.neg(eng.mul(m, y, l)), one)
+    for _ in range(_RECIP_STEPS - 1):
+        y, e = eng.mul(eng.stack([y, e]), eng.stack([eng.add_public(e, one), e]), l)
+    y = eng.mul(y, eng.add_public(e, one), l)
+    # 1 - m y at prec + l bits: m y sits near 2^(prec + l), which may wrap the
+    # ring, but the difference is exact and small enough to truncate
+    unit = np.asarray((1 << (prec + l)) % eng.cfg.modulus).astype(eng.cfg.udtype)
+    r2l = eng.trunc(eng.add_public(eng.neg(eng.mul(m_prec, y)), unit), prec - l)
+    return y, eng.mul(y, r2l, l)
 
 
 def secure_div(eng, a, b, magnitude_bits=None):
     """a / b on shares; |result| is accurate to well under 2^-14 absolute for
     quotients up to 2^10. Out-of-domain inputs produce garbage obliviously."""
     l = eng.frac_bits
-    width = _width(eng, magnitude_bits)
     with eng.phase("div"):
-        sgn = eng.msb(b, width)
-        b_abs = eng.sub(b, eng.mul_public_int(eng.mul(sgn, b), 2))
-        m2l, z = _normalize(eng, b_abs, width)
-        y, c2l = _recip_mantissa(eng, m2l)
-        factor = _combine_int(eng, z, [1 << (2 * l - 1 - k) if k <= 2 * l - 1 else 0
-                                       for k in range(width)])
-        a2_2l = eng.mul(a, factor)          # a * 2^(l-1-k), exact at 2l bits
-        a2 = eng.trunc(a2_2l, l)
-        q2l = eng.add(eng.mul(a2, y), eng.mul(a2, c2l, l))
-        q = eng.trunc(q2l, l)
-        return eng.sub(q, eng.mul_public_int(eng.mul(q, sgn), 2))
+        sgn = eng.msb(b, _width(eng, magnitude_bits))
+        ba = eng.stack(np.broadcast_arrays(b, a))
+        ba = eng.sub(ba, eng.mul_public_int(eng.mul(sgn, ba), 2))  # |b|, a sign(b)
+        z, tops, prec, factor = _normalize(eng, ba[0], magnitude_bits)
+        # |b|'s mantissa and a sign(b) 2^(l - T), both exact at prec bits
+        scaled = eng.mul(ba, factor)
+        m, a2 = eng.trunc(scaled, prec - l)
+        y, c2l = _recip_mantissa(eng, m, scaled[0], prec)
+        prods = eng.mul(a2, eng.stack([y, c2l]))
+        return eng.trunc(eng.add(prods[0], eng.trunc(prods[1], l)), l)
 
 
 def secure_sqrt(eng, a, magnitude_bits=None):
     """sqrt(a) for a >= 0 on shares, within 2^-12 absolute on [2^-10, 2^10]."""
     l = eng.frac_bits
-    width = _width(eng, magnitude_bits)
     with eng.phase("sqrt"):
-        m2l, z = _normalize(eng, a, width)
-        m = eng.trunc(m2l, l)
-        y = eng.sub(eng.from_public(_enc(eng, 1.7780960666044185)),
-                    eng.mul(eng.from_public(_enc(eng, 0.7977571033068371)), m, l))
-        for _ in range(_NEWTON_ITERS):
-            y2 = eng.mul(y, y, l)
-            half_my2 = eng.trunc(eng.mul(m, y2), l + 1)
-            y = eng.mul(y, eng.add_public(eng.neg(half_my2), _enc(eng, 1.5)), l)
-        s0 = eng.mul(m, y, l)
-        r2l = eng.sub(m2l, eng.mul(s0, s0))
-        c2l = eng.trunc(eng.mul(y, r2l), l + 1)  # r * y / 2
-        factor = _combine_int(
-            eng, z, [int(round(2 ** (l + (k + 1 - l) / 2))) for k in range(width)])
-        out2l = eng.add(eng.mul(s0, factor), eng.mul(c2l, factor, l))
-        return eng.trunc(out2l, l)
+        z, tops, prec, factor = _normalize(eng, a, magnitude_bits)
+        m_prec = eng.mul(a, factor)
+        m = eng.trunc(m_prec, prec - l)
+        # Goldschmidt: g -> sqrt(m), h -> 1/(2 sqrt(m)), from h0 = y0 / 2
+        half = _scale_const(eng, RSQRT_START[0] / 2, RSQRT_START[1] / 2, m)
+        g = eng.mul_public_int(eng.mul(m, half, l), 2)
+        for _ in range(_RSQRT_STEPS):
+            r = eng.add_public(eng.neg(eng.mul(g, half, l)), _enc(eng, 1.5))
+            g, half = eng.mul(eng.stack([g, half]), r, l)
+        # one correction at 2l bits: sqrt(m) ~ g + h (m - g^2), m - g^2 exact at prec bits
+        g2 = eng.mul_public_int(eng.mul(g, g), 1 << (prec - 2 * l))
+        c2l = eng.mul(half, eng.sub(m_prec, g2), prec - l)
+        scale = _combine_int(eng, z, [int(round(2 ** (l + (t - l) / 2))) for t in tops])
+        prods = eng.mul(eng.stack([g, c2l]), scale)
+        return eng.trunc(eng.add(prods[0], eng.trunc(prods[1], l)), l)
 
 
 def secure_ln(eng, a, magnitude_bits=None):
     """ln(a) for a > 0 on shares, within 2^-12 absolute down to one ulp."""
     l = eng.frac_bits
-    width = _width(eng, magnitude_bits)
     with eng.phase("ln"):
-        m2l, z = _normalize(eng, a, width)
-        m = eng.trunc(m2l, l)
-        v = eng.add_public(eng.mul_public_int(m, 4), _enc(eng, -3.0))
-        poly = _clenshaw(eng, LN_CHEB, v)
-        e_int = _combine_int(eng, z, [k + 1 - l for k in range(width)])
-        return eng.add(poly, eng.mul_public_int(e_int, int(_enc(eng, np.log(2.0)))))
+        z, tops, prec, factor = _normalize(eng, a, magnitude_bits)
+        m = eng.mul(a, factor, prec - l)
+        u = eng.add_public(eng.mul_public_int(m, 2), _enc(eng, -1.0))
+        q2l = _poly_2l(eng, _powers(eng, [u], len(LN_POWER) - 1), LN_POWER)
+        ln2 = int(_enc(eng, np.log(2.0) * 2.0 ** l))  # at 2l bits
+        q2l = eng.add(q2l, _combine_int(eng, z, [(t - l) * ln2 for t in tops]))
+        return eng.trunc(q2l, l)
 
 
 def secure_sin_cos(eng, theta):
-    """(sin, cos) of theta in [0, 2pi], via quarter-period bit reduction."""
+    """(sin, cos) of theta in [0, 2pi], via the quarter-period split of the
+    angle in turns (any theta works modulo 2pi)."""
     l = eng.frac_bits
     with eng.phase("sin_cos"):
-        v = eng.mul(theta, eng.from_public(_enc(eng, 1 / (2 * np.pi))), l)
-        b = eng.bits(v, l + 4)
-        q0, q1 = b[l - 2], b[l - 1]
-        f = _combine_int(eng, b[: l - 2], [1 << j for j in range(l - 2)])
+        turns = eng.trunc(eng.mul_public_int(theta, int(_enc(eng, 1 / (2 * np.pi)))), l)
+        f, q0, q1 = eng.split(turns, l + 1)  # turns mod 1/4, quadrant bits
         x = eng.add_public(eng.mul_public_int(f, 8), _enc(eng, -1.0))
-        s = _clenshaw(eng, SIN_CHEB, x)
-        c = _clenshaw(eng, COS_CHEB, x)
-        q0s = eng.mul(q0, s)
-        q0c = eng.mul(q0, c)
+        powers = _powers(eng, [x], len(SIN_POWER) - 1)
+        s, c = eng.trunc(eng.stack([_poly_2l(eng, powers, SIN_POWER),
+                                    _poly_2l(eng, powers, COS_POWER)]), l)
+        q0s, q0c, q1q0 = eng.mul(eng.stack([q0, q0, q1]), eng.stack([s, c, q0]))
         inner_sin = eng.add(eng.sub(s, q0s), q0c)
         inner_cos = eng.add(eng.sub(c, q0c), q0s)
-        sin = eng.sub(inner_sin, eng.mul_public_int(eng.mul(q1, inner_sin), 2))
-        q_xor = eng.sub(eng.add(q1, q0), eng.mul_public_int(eng.mul(q1, q0), 2))
-        cos = eng.sub(inner_cos, eng.mul_public_int(eng.mul(q_xor, inner_cos), 2))
+        q_xor = eng.sub(eng.add(q1, q0), eng.mul_public_int(q1q0, 2))
+        inner = eng.stack([inner_sin, inner_cos])
+        sin, cos = eng.sub(inner, eng.mul_public_int(eng.mul(eng.stack([q1, q_xor]), inner), 2))
         return sin, cos
 
 
@@ -234,7 +252,6 @@ def secure_sigmoid(eng, z, magnitude_bits=None):
     """
     l = eng.frac_bits
     width = _width(eng, magnitude_bits)
-    degree = len(SIG_POWER) - 1
     with eng.phase("sigmoid"):
         bounds = eng.stack([eng.add_public(eng.neg(z), _enc(eng, SIGMOID_CLAMP)),
                             eng.add_public(z, _enc(eng, SIGMOID_CLAMP))])
@@ -244,13 +261,8 @@ def secure_sigmoid(eng, z, magnitude_bits=None):
         v = eng.add_public(eng.mul_public_int(eng.mul(t, t, l), 2), _enc(eng, -1.0))
         # mid * t rides along with v^2; mid at l bits makes its truncation exact
         first = eng.mul(eng.stack([v, eng.mul_public_int(mid, 1 << l)]), eng.stack([v, t]), l)
-        powers, t_mid = [v, first[0]], first[1]
-        while len(powers) < degree:
-            k = min(len(powers), degree - len(powers))
-            powers.extend(eng.mul(powers[-1], eng.stack(powers[:k]), l))
-        q2l = _combine_int(eng, eng.stack(powers), to_signed(_enc(eng, SIG_POWER[1:]), eng.cfg))
-        q2l = eng.add_public(q2l, _enc(eng, SIG_POWER[0] * 2.0 ** l))
-        core = eng.mul(t_mid, eng.trunc(q2l, l), l)
+        powers = _powers(eng, [v, first[0]], len(SIG_POWER) - 1)
+        core = eng.mul(first[1], eng.trunc(_poly_2l(eng, powers, SIG_POWER), l), l)
         out = eng.add(eng.mul_public_int(hi, int(_enc(eng, 1.0))),
                       eng.mul_public_int(mid, int(_enc(eng, 0.5))))
         return eng.add(out, core)

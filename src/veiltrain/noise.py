@@ -55,50 +55,63 @@ def gaussian_pair_count(d: int) -> int:
     return pairs
 
 
-def gaussian_vector(eng, d: int, batch: tuple = ()):
+def _ln(eng, u):
+    return secure_ln(eng, u, magnitude_bits=_LN_MAGNITUDE_BITS)
+
+
+def gaussian_vector(eng, d: int, batch: tuple = (), draws=None):
     """Secret shares of d independent N(0, 1) samples (leading batch axes).
 
     ceil(d/2) Box-Muller pairs: r = sqrt(-2 ln u), theta = 2 pi v, emitting
-    (r cos theta, r sin theta). An odd d draws one more length-2 vector and
-    keeps only its first coordinate.
+    (r cos theta, r sin theta). An odd d takes one more pair and keeps its
+    first coordinate in place of the last one. draws holds (ln u, v) for
+    gaussian_pair_count(d) pairs; drawn here when not given.
     """
     l = eng.frac_bits
-    pairs = (d + 1) // 2
+    pairs = gaussian_pair_count(d)
     with eng.phase("gaussian"):
-        u = joint_uniform(eng, (*batch, pairs))
-        v = joint_uniform(eng, (*batch, pairs))
-        neg2ln = eng.mul_public_int(secure_ln(eng, u, magnitude_bits=_LN_MAGNITUDE_BITS), -2)
-        r = secure_sqrt(eng, neg2ln, magnitude_bits=_SQRT_MAGNITUDE_BITS)
+        if draws is None:
+            u, v = joint_uniform(eng, (2, *batch, pairs))
+            draws = _ln(eng, u), v
+        ln_u, v = draws
+        r = secure_sqrt(eng, eng.mul_public_int(ln_u, -2), magnitude_bits=_SQRT_MAGNITUDE_BITS)
         theta = eng.trunc(eng.mul_public_int(v, int(encode(2 * np.pi, eng.cfg))), l)
         sin, cos = secure_sin_cos(eng, theta)
-        even = eng.mul(r, cos, l)
-        odd = eng.mul(r, sin, l)
-        out = np.stack([even, odd], axis=-1).reshape(*batch, 2 * pairs)
-        out = np.ascontiguousarray(out[..., :d])
-    if d % 2 == 1:
-        extra = gaussian_vector(eng, 2, batch)
-        out[..., d - 1] = extra[..., 0]
-    return out
+        out = eng.mul(eng.stack([r, r]), eng.stack([cos, sin]), l)
+        out = np.moveaxis(out, 0, -1).reshape(*batch, 2 * pairs)
+        if d % 2 == 1:
+            out[..., d - 1] = out[..., -2]
+        return np.ascontiguousarray(out[..., :d])
 
 
-def gamma_magnitude(eng, dp: DpParams, batch: tuple = ()):
+def gamma_magnitude(eng, dp: DpParams, batch: tuple = (), ln_u=None):
     """Secret share of one Gamma(d, c) draw: the sum of d unit exponentials
-    -ln(u_i), scaled by the public constant c."""
+    -ln(u_i), scaled by the public constant c. ln_u holds the d logarithms;
+    drawn here when not given."""
     l = eng.frac_bits
     with eng.phase("gamma"):
-        u = joint_uniform(eng, (*batch, dp.d))
-        exp_sum = eng.neg(eng.sum(secure_ln(eng, u, magnitude_bits=_LN_MAGNITUDE_BITS),
-                                  axis=-1))
+        if ln_u is None:
+            ln_u = _ln(eng, joint_uniform(eng, (*batch, dp.d)))
+        exp_sum = eng.neg(eng.sum(ln_u, axis=-1))
         return eng.trunc(eng.mul_public_int(exp_sum, int(encode(dp.scale, eng.cfg))), l)
 
 
 def perturb_weights(eng, w, dp: DpParams, batch: tuple = ()):
     """Output perturbation on shares: w + gamma * s with s uniform on the
     unit sphere and gamma ~ Gamma(d, c). With a batch shape, each batch row
-    is an independent noise draw added to the same coefficients."""
+    is an independent noise draw added to the same coefficients.
+
+    The logarithms of both samplers come from one ln call. Their uniforms
+    come from two draws, the Gaussian's and the Gamma's: a draw's transient
+    memory grows with its size, about 4 KB per uniform with both parties
+    in one process, and one draw of both would double the peak."""
+    pairs = gaussian_pair_count(dp.d)
     with eng.phase("perturb"):
-        direction = gaussian_vector(eng, dp.d, batch)
+        u, v = joint_uniform(eng, (2, *batch, pairs))
+        u_gamma = joint_uniform(eng, (*batch, dp.d))
+        ln_u = _ln(eng, np.concatenate([u, u_gamma], axis=-1))
+        direction = gaussian_vector(eng, dp.d, batch, (ln_u[..., :pairs], v))
         direction = l2_normalize(eng, direction)
-        gamma = gamma_magnitude(eng, dp, batch)
+        gamma = gamma_magnitude(eng, dp, batch, ln_u[..., pairs:])
         eta = eng.mul(direction, gamma[..., None], eng.frac_bits)
         return eng.add(w, eta)

@@ -92,8 +92,8 @@ def serve_dealer(cfg: dict) -> None:
         counts = requests[0]
         for party, io, _chan in conns:
             for key in sorted(counts, key=str):
-                halves = source.halves(key, 0, counts[key])[party]
-                io.send(KIND_MATERIAL, _material_payload(key, halves))
+                half = source.half(key, party, 0, counts[key])
+                io.send(KIND_MATERIAL, _material_payload(key, half))
     finally:
         for _, _, chan in conns:
             chan.close()

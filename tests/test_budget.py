@@ -12,15 +12,14 @@ from veiltrain.shareio import DEFAULTS
 # 20x4 horizontal, 2 epochs, 3 noise draws, thread executor
 ROUNDS_BY_PATH = {
     "-": 1,
-    "normalize": 4, "normalize/sqrt": 121, "normalize/div": 123,
+    "normalize": 4, "normalize/sqrt": 33, "normalize/div": 36,
     "epoch_setup": 2, "forward": 4, "sigmoid": 38, "backward": 6, "finalize": 1,
-    "perturb": 2,
-    "perturb/gaussian": 5, "perturb/gaussian/uniform": 2, "perturb/gaussian/ln": 68,
-    "perturb/gaussian/sqrt": 87, "perturb/gaussian/sin_cos": 67,
-    "perturb/normalize": 4, "perturb/normalize/sqrt": 121, "perturb/normalize/div": 123,
-    "perturb/gamma": 1, "perturb/gamma/uniform": 1, "perturb/gamma/ln": 68,
+    "perturb": 2, "perturb/uniform": 2, "perturb/ln": 19,
+    "perturb/gaussian": 3, "perturb/gaussian/sqrt": 33, "perturb/gaussian/sin_cos": 15,
+    "perturb/normalize": 4, "perturb/normalize/sqrt": 33, "perturb/normalize/div": 36,
+    "perturb/gamma": 1,
 }
-WIRE_BYTES = 383_290  # party 0, sent plus received
+WIRE_BYTES = 328_890  # party 0, sent plus received
 
 
 def test_tiny_session_budget():

@@ -108,6 +108,18 @@ def test_bit_blocks_hold_monomials():
     assert np.array_equal(b1, np.concatenate([a[1], b[1]]))
 
 
+@pytest.mark.parametrize("key", [("triple",), ("trunc", 20), ("trunc", 23), ("bit",), ("bit", 3)])
+def test_party_half_equals_its_part_of_halves(key):
+    src = MaterialSource(12, RING)
+    rng = np.random.default_rng(13)
+    for start, n in [(0, 1), *zip(rng.integers(0, 5000, 6), rng.integers(1, 300, 6))]:
+        both = src.halves(key, int(start), int(n))
+        for party in (0, 1):
+            mine = src.half(key, party, int(start), int(n))
+            assert len(mine) == len(both[party])
+            assert all(np.array_equal(x, y) for x, y in zip(mine, both[party]))
+
+
 def test_wire_material_matches_cursor():
     from veiltrain.errors import ParseError
     from veiltrain.partyproc import WireMaterial, _material_payload

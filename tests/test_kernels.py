@@ -51,6 +51,26 @@ def test_div_tolerance_sweep():
     assert np.abs(got - want).max() <= 2**-14
 
 
+def _boundaries(lowest, highest):
+    """Raw ring values 2^k and 2^k - 1 for lowest <= k <= highest: the edges
+    of every leaf lead can select, whatever the width's layout."""
+    ks = np.arange(lowest, highest + 1)
+    return np.concatenate([2.0 ** ks, 2.0 ** ks - 1]) / 2.0 ** RING.frac_bits
+
+
+def test_div_edges_up_to_the_top_of_its_domain():
+    # |b| from 2^-18 to just below 2^23, leaf edges included, both signs; the
+    # mantissa is exact at 43 bits, so b >= 2^20 no longer reads as 0
+    b = _boundaries(2, 43)
+    b = np.concatenate([b[b < 2.0 ** 23], [2.0 ** 23 - 2.0 ** -20, 2.0 ** 20, 2.0 ** 22.9]])
+    b = np.concatenate([b, -b])
+    q = np.random.default_rng(30).uniform(-2.0 ** 10, 2.0 ** 10, len(b))
+    eng = plain(31)
+    got = open_plain(eng, kernels.secure_div(eng, enc_pub(eng, q * b), enc_pub(eng, b)))
+    want = decode(encode(q * b, RING), RING) / decode(encode(b, RING), RING)
+    assert np.abs(got - want).max() <= 2**-14
+
+
 # --- square root ---
 
 def test_sqrt_examples():
@@ -69,6 +89,15 @@ def test_sqrt_tolerance_sweep():
     assert np.abs(got - np.sqrt(decode(encode(x, RING), RING))).max() <= 2**-12
 
 
+def test_sqrt_edges_up_to_the_top_of_its_domain():
+    x = _boundaries(10, 30)
+    x = np.concatenate([x[x >= 2.0 ** -10], [2.0 ** 10, 0.0]])
+    eng = plain(32)
+    got = open_plain(eng, kernels.secure_sqrt(eng, enc_pub(eng, x)))
+    assert np.abs(got - np.sqrt(decode(encode(x, RING), RING))).max() <= 2**-12
+    assert got[-1] == 0.0
+
+
 # --- natural log ---
 
 def test_ln_examples():
@@ -85,6 +114,23 @@ def test_ln_tolerance_sweep():
     eng = plain(9)
     got = open_plain(eng, kernels.secure_ln(eng, enc_pub(eng, x)))
     assert np.abs(got - np.log(decode(encode(x, RING), RING))).max() <= 2**-12
+
+
+@pytest.mark.parametrize("magnitude_bits", [None, 1])
+def test_ln_edges_up_to_the_top_of_its_domain(magnitude_bits):
+    top = 10 if magnitude_bits is None else 0  # the Box-Muller width ends at 1
+    x = _boundaries(1, RING.frac_bits + top)
+    x = x[(x > 0) & (x <= 2.0 ** top)]
+    eng = plain(33)
+    got = open_plain(eng, kernels.secure_ln(eng, enc_pub(eng, x), magnitude_bits))
+    assert np.abs(got - np.log(decode(encode(x, RING), RING))).max() <= 2**-12
+
+
+def test_ln_of_one_is_exactly_zero_at_the_box_muller_width():
+    # -2 ln(u) feeds the square root, which must not see a negative value
+    eng = plain(34)
+    got = eng.open(kernels.secure_ln(eng, enc_pub(eng, np.ones(500)), magnitude_bits=1))
+    assert not got.any()
 
 
 # --- sine / cosine ---

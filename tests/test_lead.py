@@ -1,0 +1,125 @@
+"""Leading-leaf normalization (engine op lead) and the quarter split (engine
+op split): exact against the true bits and the clear-text mirror, oblivious,
+exactly provisioned by the dry run, and at their pinned per-element cost."""
+
+import numpy as np
+import pytest
+
+from veiltrain.dealer import _SPLIT_WORDS, MaterialSource, bit_key
+from veiltrain.engine import PlainEngine, estimate_counts, leaf_layout
+from veiltrain.errors import Exhausted
+from veiltrain.fixedpoint import RingConfig
+
+from conftest import run_both
+
+RING = RingConfig()
+FRAME_BYTES = 13  # length, kind, session and round fields of one round's frame
+
+
+def _inputs(width, seed):
+    """0, every leaf boundary 2^p and the value 2^p - 1 below it, the top
+    value, and random values of every magnitude."""
+    rng = np.random.default_rng(seed)
+    edge = [0, 1, (1 << width) - 1]
+    for p, _ in leaf_layout(width)[1:]:
+        edge += [1 << p, (1 << p) - 1, (1 << p) + 1]
+    tops = rng.integers(0, width, 64).astype(np.uint64)
+    spread = (np.uint64(1) << tops) | (rng.integers(0, 1 << 62, 64, dtype=np.uint64)
+                                      & ((np.uint64(1) << tops) - np.uint64(1)))
+    return np.concatenate([np.array(edge, dtype=np.uint64), spread])
+
+
+def _want_lead(values, width):
+    top = np.array([int(v).bit_length() - 1 for v in values])
+    rows = [(p <= top) & (top < p + k) for p, k in leaf_layout(width)]
+    rows[0] |= top < 0  # a = 0 marks the lowest leaf
+    return np.array(rows, dtype=np.uint64)
+
+
+def _lead_fn(values, width):
+    def fn(eng):
+        return eng.open(eng.lead(eng.from_public(values), width))
+
+    return fn
+
+
+def _split_fn(values, width):
+    def fn(eng):
+        return eng.open(eng.split(eng.from_public(values), width))
+
+    return fn
+
+
+@pytest.mark.parametrize("width", [1, 2, 3, 4, 5, 21, 26, 43])
+def test_lead_exact_and_oblivious(width):
+    values = _inputs(width, width)
+    fn = _lead_fn(values, width)
+    (r0, r1), engines = run_both(fn, seed=width)
+    mirror = fn(PlainEngine(MaterialSource(width, RING), RING))
+    assert np.array_equal(mirror, _want_lead(values, width))
+    assert np.array_equal(r0, mirror) and np.array_equal(r1, mirror)
+
+    _, engines_other = run_both(_lead_fn(np.zeros_like(values), width), seed=width + 100)
+    ta, tb = engines[0].rt.transcript, engines_other[0].rt.transcript
+    assert ta.n_rounds == tb.n_rounds
+    assert ta.bytes_sent == tb.bytes_sent
+
+
+@pytest.mark.parametrize("width", [3, 4, 5, 21, 25])
+def test_split_exact_and_oblivious(width):
+    values = _inputs(width, width + 50)
+    fn = _split_fn(values, width)
+    (r0, r1), engines = run_both(fn, seed=width)
+    mirror = fn(PlainEngine(MaterialSource(width, RING), RING))
+    low = np.uint64(width - 3)
+    assert np.array_equal(mirror[0], values & ((np.uint64(1) << low) - np.uint64(1)))
+    assert np.array_equal(mirror[1:], np.stack([values >> low, values >> (low + np.uint64(1))])
+                          & np.uint64(1))
+    assert np.array_equal(r0, mirror) and np.array_equal(r1, mirror)
+
+    _, engines_other = run_both(_split_fn(np.zeros_like(values), width), seed=width + 100)
+    ta, tb = engines[0].rt.transcript, engines_other[0].rt.transcript
+    assert ta.n_rounds == tb.n_rounds
+    assert ta.bytes_sent == tb.bytes_sent
+
+
+def test_split_rejects_a_narrow_width():
+    with pytest.raises(ValueError):
+        PlainEngine(MaterialSource(1, RING), RING).split(np.zeros(2, dtype=np.uint64), 2)
+
+
+@pytest.mark.parametrize("make", [_lead_fn, _split_fn])
+def test_consumes_the_dry_run_exactly(make):
+    fn = make(_inputs(26, 1), 26)
+    counts = estimate_counts(fn, 1, RING)
+    _, engines = run_both(fn, seed=1, counts=counts)
+    for eng in engines:
+        assert {k: v for k, v in eng.material.pos.items() if isinstance(k, tuple)} == counts
+    for key in counts:
+        starved = dict(counts)
+        starved[key] -= 1
+        with pytest.raises(Exhausted):
+            run_both(fn, seed=1, counts=starved)
+
+
+@pytest.mark.parametrize("op, width, rounds, material, wire", [
+    ("lead", 21, 8, {bit_key(3): 49, ("triple",): 22}, 45),
+    ("lead", 26, 10, {bit_key(): 2, bit_key(3): 56, ("triple",): 40}, 81),
+    ("lead", 43, 10, {bit_key(): 1, bit_key(3): 98, ("triple",): 76}, 153),
+    ("split", 21, 5, {bit_key(3): 49, ("triple",): 9}, 19),
+])
+def test_cost_per_element(op, width, rounds, material, wire):
+    n = 10
+
+    def only(eng):
+        return getattr(eng, op)(eng.from_public(np.ones(n, dtype=np.uint64)), width)
+
+    counts = estimate_counts(only, 1, RING)
+    assert counts == {k: v * n for k, v in material.items()}
+    _, engines = run_both(only, seed=1)
+    tr = engines[0].rt.transcript
+    assert tr.n_rounds == rounds
+    assert tr.bytes_sent - FRAME_BYTES * rounds == 8 * wire * n
+    words = sum(_SPLIT_WORDS[k[0]] * v for k, v in material.items())
+    assert words == {("lead", 21): 115, ("lead", 26): 178, ("lead", 43): 327,
+                     ("split", 21): 76}[op, width]
