@@ -173,7 +173,7 @@ def cmd_kernel_bench(args):
     rng = np.random.default_rng(cfg["seed"])
     n = args.samples
     cases = {
-        "div": None, "sqrt": None, "ln": None, "sin": None, "cos": None,
+        "div": None, "sqrt": None, "rsqrt": None, "ln": None, "sin": None, "cos": None,
         "sigmoid": None,
     }
     b = np.exp2(rng.uniform(-8, 8, n)) * np.where(rng.random(n) < 0.5, -1, 1)
@@ -196,6 +196,9 @@ def cmd_kernel_bench(args):
             elif name == "sqrt":
                 got = kernels.secure_sqrt(eng, eng.from_public(encode(sq, ring)))
                 want = np.sqrt(decode(encode(sq, ring), ring))
+            elif name == "rsqrt":
+                got = kernels.secure_rsqrt(eng, eng.from_public(encode(sq, ring)))
+                want = 1 / np.sqrt(decode(encode(sq, ring), ring))
             elif name == "ln":
                 got = kernels.secure_ln(eng, eng.from_public(encode(lx, ring)))
                 want = np.log(decode(encode(lx, ring), ring))

@@ -136,17 +136,6 @@ def partition(X, t, plan: PartitionPlan):
     return out
 
 
-def reassemble(parts, plan: PartitionPlan):
-    """Inverse of partition; bit-exact identity."""
-    if plan.mode == "horizontal":
-        X = np.vstack([p[0] for p in parts])
-        t = np.concatenate([p[1] for p in parts])
-    else:
-        X = np.hstack([p[0] for p in parts])
-        t = parts[0][1]
-    return X, t
-
-
 def evaluate(weights, X_test, t_test, add_bias: bool = False) -> float:
     """Accuracy of a published model: rows are L2-normalized exactly like the
     training pipeline, and sigmoid(w . x) >= 0.5 predicts class 1."""

@@ -5,7 +5,8 @@ below and can run on either engine:
 
 * MpcEngine: values are this party's additive shares; multiplications spend
   Beaver triples, truncations spend dealer pairs, and each step is one
-  synchronized exchange with the peer.
+  synchronized exchange with the peer. A truncation and the products of its
+  result can share one exchange (tmul).
 * PlainEngine: values are the plain ring elements. It consumes the same
   seeded randomness streams (truncation masks, per-party bit streams) in the
   same order, so its outputs are bit-identical to what the two parties would
@@ -129,6 +130,20 @@ def _low_mask(width: int, cfg: RingConfig):
     return np.asarray(ones).astype(np.int64).astype(cfg.udtype)
 
 
+class Results(tuple):
+    """The arrays one engine op returns; size counts their elements, as an
+    array's size would."""
+
+    @property
+    def size(self):
+        return sum(int(np.size(a)) for a in self)
+
+
+def _rows(a, idx):
+    """a's rows (axis 0) at the indices idx, or all of a for None."""
+    return a if idx is None else a[np.asarray(idx, dtype=np.intp)]
+
+
 def _mask_counts(width: int, n: int) -> dict:
     """Dealer words the leaves of n width-bit masks take, by material key."""
     sizes = [k for _, k in leaf_layout(width)]
@@ -234,6 +249,19 @@ class PlainEngine(BaseEngine):
             carry = ((lo_x + lo_r) >= low).astype(self.cfg.sdtype)
             out = from_signed((s >> self.cfg.sdtype(shift)) + carry, self.cfg)
         return np.asarray(out)
+
+    def tmul(self, x, shift, y=None, square=False, rows=None):
+        """t = trunc(x, shift) and, in the same round, the untruncated
+        products of t's rows with y and with themselves (see MpcEngine.tmul).
+        Spends what trunc and mul would."""
+        t = self.trunc(x, shift)
+        out = [t]
+        if y is not None:
+            out.append(self.mul(_rows(t, rows), y))
+        if square is not False:
+            s = _rows(t, None if square is True else square)
+            out.append(self.mul(s, s))
+        return Results(out)
 
     def _count_leaf_op(self, a, width, products):
         n = int(np.prod(np.shape(a), dtype=np.int64))
@@ -347,6 +375,58 @@ class MpcEngine(BaseEngine):
             if self.party == 0:
                 out = out + t
             return np.asarray(out)
+
+    def tmul(self, x, shift, y=None, square=False, rows=None):
+        """t = trunc(x, shift) and, in the same round, untruncated products
+        of t's rows (axis 0): t[rows] * y (all of t when rows is None,
+        broadcast against y), then, if square is set, t * t (square True) or
+        t[square] * t[square] (square a sequence of rows). Returns t and
+        then the products asked for.
+
+        It spends what trunc and mul would: a truncation pair (r, rs) per
+        element of x, rs being r arithmetically shifted, and a triple
+        (a, b, c) per product. The parties open m = x + r, with rs + a (and
+        rs + b for a square) or y - b for the second operand, all at once.
+        p = m >> shift is public and t = p - rs, so the Beaver masked value
+        t - a = p - (rs + a) needs no round of its own. rs + a and rs + b
+        are uniform, as a and b are; so each round opens as many words as
+        trunc's and mul's two rounds would, and each x + r once.
+        """
+        x = np.asarray(x, dtype=self.cfg.udtype)
+        r, rs = (a.reshape(x.shape) for a in self.material.take_trunc(shift, x.size))
+        sends, jobs = [x + r], []
+        with np.errstate(over="ignore"):
+            if y is not None:
+                left = _rows(rs, rows)
+                shape = np.broadcast_shapes(left.shape, np.shape(y))
+                a, b, c = self._triples(shape)
+                sends += [left + a, np.asarray(y) - b]
+                jobs.append((rows, False, a, b, c))
+            if square is not False:
+                idx = None if square is True else square
+                half = _rows(rs, idx)
+                a, b, c = self._triples(half.shape)
+                sends += [half + a, half + b]
+                jobs.append((idx, True, a, b, c))
+            opened = self.open(np.concatenate([np.ravel(v) for v in sends]))
+            parts = np.split(opened, np.cumsum([np.size(v) for v in sends])[:-1])
+            p = from_signed(to_signed(parts[0].reshape(x.shape), self.cfg)
+                            >> self.cfg.sdtype(shift), self.cfg)
+            out = [p - rs if self.party == 0 else self.neg(rs)]
+            for k, (idx, squared, a, b, c) in enumerate(jobs):
+                d = _rows(p, idx) - parts[1 + 2 * k].reshape(a.shape)
+                e = parts[2 + 2 * k].reshape(a.shape)
+                if squared:
+                    e = _rows(p, idx) - e
+                z = c + d * b + e * a
+                if self.party == 0:
+                    z += d * e
+                out.append(z)
+        return Results(out)
+
+    def _triples(self, shape):
+        n = int(np.prod(shape, dtype=np.int64))
+        return (m.reshape(shape) for m in self.material.take_triples(n))
 
     def _open_leaves(self, a, width):
         """Take a width-bit mask r in leaves and open c = (a + r) mod 2^width.

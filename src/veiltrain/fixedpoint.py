@@ -104,8 +104,3 @@ def truncate(r, bits: int, cfg: RingConfig = DEFAULT_RING) -> np.ndarray:
     """
     s = to_signed(r, cfg)
     return from_signed(s >> np.asarray(bits, dtype=cfg.sdtype), cfg)
-
-
-def encode_int(k, cfg: RingConfig = DEFAULT_RING) -> np.ndarray:
-    """Embed plain integers (no fractional scaling) into the ring."""
-    return np.asarray(k).astype(np.int64).astype(cfg.sdtype).view(cfg.udtype)

@@ -9,13 +9,15 @@ and cosine split the angle in turns into its quarter-period fraction and
 quadrant bits with the engine's split op. Signs alone (the division's sign,
 the sigmoid's clamps) come from the engine's msb op. The sigmoid is a
 clamped odd polynomial with oblivious segment selection. Every polynomial
-is evaluated in the power basis: the powers take one stacked product per
-doubling, and the sum is local. Iteration counts and degrees are fixed, so
-transcripts depend only on input sizes, never on values.
+is evaluated in the power basis: the powers take one fused truncate and
+multiply round (engine op tmul) per doubling, and the sum is local.
+Iteration counts and degrees are fixed, so transcripts depend only on input
+sizes, never on values.
 
-Polynomial coefficients are Chebyshev interpolants (degree chosen so the
-float-side fit error sits well below each kernel's tolerance), converted to
-the power basis at import:
+Polynomial coefficients are Chebyshev series (degree chosen so the
+float-side fit error sits well below each kernel's tolerance, and so that
+the fused power chain reaches it in few rounds: degree 6 and 12 take one
+round fewer than 8 and 14), converted to the power basis at import:
   LN_CHEB:  ln(m) on m in [1/8, 1],  argument (16m - 9)/7; LN_POWER in
             powers of u = 2m - 1
   SIN_CHEB: sin(2 pi f) on f in [0, 0.25], argument 8f - 1
@@ -43,19 +45,19 @@ LN_CHEB = (
 SIN_CHEB = (
     0.6021947012555465, 0.5136251666791071, -0.10354634426296364,
     -0.013732034234358455, 0.0013586698380907065, 0.00010726309440585774,
-    -7.0462967931116435e-06, -3.9639025192167405e-07, 1.9499558692841777e-08,
+    -7.0462967931116435e-06,
 )
 COS_CHEB = (
     0.6021947012555464, -0.513625166679107, -0.10354634426296369,
     0.013732034234358668, 0.0013586698380901965, -0.00010726309440573161,
-    -7.046296793789603e-06, 3.963902519129643e-07, 1.9499558375752683e-08,
+    -7.046296793789603e-06,
 )
 SIG_CHEB = (
     0.9179788279261364, -0.5978454057785887, 0.26131485960880796,
     -0.11957835605318305, 0.05532870227597527, -0.025677346204693134,
     0.011926600586948034, -0.005540988206614879, 0.002574437375242915,
     -0.0011960771705892565, 0.0005555374662430875, -0.0002576838921734763,
-    0.00011878306069975032, -5.315364180733871e-05, 2.0312068077371395e-05,
+    0.00011878306069975032,
 )
 # the same fits in the power basis of their arguments: sum_k a[k] v^k. The
 # constant of LN_POWER is pinned to ln(1/2) (a shift of 7.6e-6): one is
@@ -72,7 +74,8 @@ RECIP_START = (5.097, 4.531)   # 1/m, relative error below 0.44
 RSQRT_START = (2.516, 1.689)   # 1/sqrt(m)
 _RECIP_STEPS = 4
 _RSQRT_STEPS = 3
-SIGMOID_CLAMP = 8.0
+_MANTISSA_EXTRA = 3  # fractional bits above l on the mantissa and on div's numerator
+SIGMOID_CLAMP_BITS = 3  # the sigmoid clamps at |z| = 2^3
 
 
 @dataclass(frozen=True)
@@ -87,6 +90,7 @@ class KernelTolerance:
 KERNEL_TOLERANCES = {
     "div": KernelTolerance("div", 2.0 ** -14, "|b| in [2^-18, 2^23), |a/b| <= 2^10"),
     "sqrt": KernelTolerance("sqrt", 2.0 ** -12, "a in [2^-10, 2^10]"),
+    "rsqrt": KernelTolerance("rsqrt", 2.0 ** -12, "a in [2^-10, 2^10]"),
     "ln": KernelTolerance("ln", 2.0 ** -12, "a in [2^-20, 2^10]"),
     "sin": KernelTolerance("sin", 2.0 ** -12, "theta in [0, 2pi]"),
     "cos": KernelTolerance("cos", 2.0 ** -12, "theta in [0, 2pi]"),
@@ -104,15 +108,61 @@ def _combine_int(eng, z, weights):
     return eng.sum(eng.mul_public_int(z, w), axis=0)
 
 
-def _powers(eng, powers, degree):
-    """Extend [v, ..., v^k] at l bits to v .. v^degree, stacked: each round
-    multiplies the top power by all the powers below it."""
+def _partners(rows, low, degree):
+    """For the exponents in rows (powers at 2l bits, squared this round
+    where the square is new and at most degree), the exponent of a power in
+    low (at l bits) to multiply each by, chosen so that the products add as
+    many new exponents up to degree as they can. Returns {row: partner} for
+    the rows whose product adds one; the others take no product."""
+    have = set(low) | set(rows) | {2 * h for h in rows}
+    partners = {}
+    for h in sorted(rows, reverse=True):
+        new = [h + j for j in low if h + j <= degree and h + j not in have]
+        if new:
+            have.add(max(new))
+            partners[h] = max(new) - h
+    return partners
+
+
+def _truncate_all(eng, values, shift):
+    """Truncate arrays of any shapes in one round."""
+    sizes = [np.size(v) for v in values]
+    flat = eng.trunc(np.concatenate([np.ravel(v) for v in values]), shift)
+    parts = np.split(flat, np.cumsum(sizes)[:-1])
+    return [p.reshape(np.shape(v)) for p, v in zip(parts, values)]
+
+
+def _powers(eng, x, shift, degree, ride=None):
+    """v .. v^degree at l bits, stacked, from v at l + shift fractional bits.
+
+    One tmul truncates v and squares it. Every later round truncates each
+    power still at 2l bits and, in the same tmul, takes only the squares
+    and the products with a power already at l bits (_partners) that add
+    new exponents up to degree: the exponents at hand about double per
+    round. A last round truncates the powers left at 2l bits, and ride with
+    them; with ride the result is (powers, ride truncated)."""
     l = eng.frac_bits
-    powers = list(powers)
-    while len(powers) < degree:
-        k = min(len(powers), degree - len(powers))
-        powers.extend(eng.mul(powers[-1], eng.stack(powers[:k]), l))
-    return eng.stack(powers)
+    t, sq = eng.tmul(x, shift, square=True)
+    low, high = {1: t}, {2: sq}  # powers at l and at 2l fractional bits
+    while len(low) + len(high) < degree:
+        rows = sorted(high)
+        partners = _partners(rows, low, degree)
+        times = [i for i, h in enumerate(rows) if h in partners]
+        squares = [i for i, h in enumerate(rows)
+                   if 2 * h <= degree and 2 * h not in low and 2 * h not in high]
+        y = eng.stack([low[partners[rows[i]]] for i in times]) if times else None
+        t, *prods = eng.tmul(eng.stack([high[h] for h in rows]), l, y,
+                             square=squares or False, rows=times)
+        made = dict(zip((rows[i] + partners[rows[i]] for i in times), prods[0])) if times else {}
+        if squares:
+            made.update(zip((2 * rows[i] for i in squares), prods[-1]))
+        low.update(zip(rows, t))
+        high = made
+    extra = [] if ride is None else [ride]
+    done = _truncate_all(eng, [high[k] for k in sorted(high)] + extra, l) if high or extra else []
+    low.update(zip(sorted(high), done))
+    powers = eng.stack([low[k] for k in range(1, degree + 1)])
+    return powers if ride is None else (powers, done[-1])
 
 
 def _poly_2l(eng, powers, coeffs):
@@ -123,9 +173,10 @@ def _poly_2l(eng, powers, coeffs):
     return eng.add_public(q2l, _enc(eng, coeffs[0] * 2.0 ** l))
 
 
-def _scale_const(eng, a, b, x):
-    """a - b x for public reals a, b and x at l bits: one truncation round."""
-    bx = eng.trunc(eng.mul_public_int(x, int(_enc(eng, b))), eng.frac_bits)
+def _scale_const(eng, a, b, x, frac_bits):
+    """a - b x at l bits for public reals a, b and x at frac_bits: one
+    truncation round."""
+    bx = eng.trunc(eng.mul_public_int(x, int(_enc(eng, b))), frac_bits)
     return eng.add_public(eng.neg(bx), _enc(eng, a))
 
 
@@ -148,60 +199,96 @@ def _normalize(eng, a, magnitude_bits):
     return z, tops, prec, _combine_int(eng, z, [1 << (prec - t) for t in tops])
 
 
+def _unit(eng, bits, value=1):
+    """The integer value at the given fractional bits, as a ring element:
+    value 2^bits mod 2^lambda."""
+    return np.asarray((value << bits) % eng.cfg.modulus).astype(eng.cfg.udtype)
+
+
 def _recip_mantissa(eng, m, m_prec, prec):
-    """1/m for the mantissa m in [1/8, 1): Goldschmidt at l bits, y <- y(1+e),
-    e <- e^2 from e = 1 - m y0, then one correction from the exact mantissa
-    m_prec at prec bits. Returns (y at l bits, y(1 - m y) at 2l bits)."""
-    l = eng.frac_bits
+    """1/m for the mantissa m in [1/8, 1), given at l + _MANTISSA_EXTRA
+    bits: Goldschmidt at l bits, y <- y(1+e), e <- e^2 from e = 1 - m y0,
+    then one correction from the exact mantissa m_prec at prec bits.
+    Returns (y at l bits, y(1 - m y) at 2l - _MANTISSA_EXTRA bits)."""
+    l, wide = eng.frac_bits, eng.frac_bits + _MANTISSA_EXTRA
     one = _enc(eng, 1.0)
-    y = _scale_const(eng, *RECIP_START, m)
-    e = eng.add_public(eng.neg(eng.mul(m, y, l)), one)
+    y = _scale_const(eng, *RECIP_START, m, wide)
+    e = eng.add_public(eng.neg(eng.mul(m, y, wide)), one)
     for _ in range(_RECIP_STEPS - 1):
         y, e = eng.mul(eng.stack([y, e]), eng.stack([eng.add_public(e, one), e]), l)
     y = eng.mul(y, eng.add_public(e, one), l)
     # 1 - m y at prec + l bits: m y sits near 2^(prec + l), which may wrap the
     # ring, but the difference is exact and small enough to truncate
-    unit = np.asarray((1 << (prec + l)) % eng.cfg.modulus).astype(eng.cfg.udtype)
-    r2l = eng.trunc(eng.add_public(eng.neg(eng.mul(m_prec, y)), unit), prec - l)
-    return y, eng.mul(y, r2l, l)
+    r2l = eng.trunc(eng.add_public(eng.neg(eng.mul(m_prec, y)), _unit(eng, prec + l)), prec - l)
+    return y, eng.mul(y, r2l, wide)
 
 
 def secure_div(eng, a, b, magnitude_bits=None):
     """a / b on shares; |result| is accurate to well under 2^-14 absolute for
     quotients up to 2^10. Out-of-domain inputs produce garbage obliviously."""
-    l = eng.frac_bits
+    l, wide = eng.frac_bits, eng.frac_bits + _MANTISSA_EXTRA
     with eng.phase("div"):
         sgn = eng.msb(b, _width(eng, magnitude_bits))
         ba = eng.stack(np.broadcast_arrays(b, a))
         ba = eng.sub(ba, eng.mul_public_int(eng.mul(sgn, ba), 2))  # |b|, a sign(b)
         z, tops, prec, factor = _normalize(eng, ba[0], magnitude_bits)
-        # |b|'s mantissa and a sign(b) 2^(l - T), both exact at prec bits
+        # |b|'s mantissa m and a2 = a sign(b) 2^(l - T), exact at prec bits, then
+        # at l + 3: the quotient a2 / m multiplies a2's error by up to 8
         scaled = eng.mul(ba, factor)
-        m, a2 = eng.trunc(scaled, prec - l)
-        y, c2l = _recip_mantissa(eng, m, scaled[0], prec)
-        prods = eng.mul(a2, eng.stack([y, c2l]))
-        return eng.trunc(eng.add(prods[0], eng.trunc(prods[1], l)), l)
+        m, a2 = eng.trunc(scaled, prec - wide)
+        y, c = _recip_mantissa(eng, m, scaled[0], prec)
+        prods = eng.mul(a2, eng.stack([y, c]))  # at 2l + 3 and 3l bits
+        return eng.trunc(eng.add(prods[0], eng.trunc(prods[1], l - _MANTISSA_EXTRA)), wide)
+
+
+def _sqrt_mantissa(eng, a, magnitude_bits):
+    """Normalize a >= 0 and run Goldschmidt on its mantissa m: g -> sqrt(m)
+    and h -> 1/(2 sqrt(m)) from h0 = y0 / 2, the last step truncated and
+    squared in one round. Returns z, tops, prec, m exact at prec bits, m at
+    l + _MANTISSA_EXTRA bits, g and h at l bits, and g^2 and h^2 at 2l."""
+    l, wide = eng.frac_bits, eng.frac_bits + _MANTISSA_EXTRA
+    z, tops, prec, factor = _normalize(eng, a, magnitude_bits)
+    m_prec = eng.mul(a, factor)
+    m = eng.trunc(m_prec, prec - wide)
+    half = _scale_const(eng, RSQRT_START[0] / 2, RSQRT_START[1] / 2, m, wide)
+    g = eng.mul_public_int(eng.mul(m, half, wide), 2)
+    for step in range(_RSQRT_STEPS):
+        r = eng.add_public(eng.neg(eng.mul(g, half, l)), _enc(eng, 1.5))
+        g, half = eng.mul(eng.stack([g, half]), r, l if step < _RSQRT_STEPS - 1 else None)
+    (g, half), (gg, hh) = eng.tmul(eng.stack([g, half]), l, square=True)
+    return z, tops, prec, m_prec, m, g, half, gg, hh
 
 
 def secure_sqrt(eng, a, magnitude_bits=None):
     """sqrt(a) for a >= 0 on shares, within 2^-12 absolute on [2^-10, 2^10]."""
     l = eng.frac_bits
     with eng.phase("sqrt"):
-        z, tops, prec, factor = _normalize(eng, a, magnitude_bits)
-        m_prec = eng.mul(a, factor)
-        m = eng.trunc(m_prec, prec - l)
-        # Goldschmidt: g -> sqrt(m), h -> 1/(2 sqrt(m)), from h0 = y0 / 2
-        half = _scale_const(eng, RSQRT_START[0] / 2, RSQRT_START[1] / 2, m)
-        g = eng.mul_public_int(eng.mul(m, half, l), 2)
-        for _ in range(_RSQRT_STEPS):
-            r = eng.add_public(eng.neg(eng.mul(g, half, l)), _enc(eng, 1.5))
-            g, half = eng.mul(eng.stack([g, half]), r, l)
-        # one correction at 2l bits: sqrt(m) ~ g + h (m - g^2), m - g^2 exact at prec bits
-        g2 = eng.mul_public_int(eng.mul(g, g), 1 << (prec - 2 * l))
-        c2l = eng.mul(half, eng.sub(m_prec, g2), prec - l)
+        z, tops, prec, m_prec, _, g, half, gg, _ = _sqrt_mantissa(eng, a, magnitude_bits)
+        # one correction at 2l bits: sqrt(m) ~ g + h (m - g^2), m - g^2 exact at
+        # prec bits; its truncation to 2l and g's exact one ride with the scale
+        d = eng.mul(half, eng.sub(m_prec, eng.mul_public_int(gg, 1 << (prec - 2 * l))))
         scale = _combine_int(eng, z, [int(round(2 ** (l + (t - l) / 2))) for t in tops])
-        prods = eng.mul(eng.stack([g, c2l]), scale)
+        _, prods = eng.tmul(eng.stack([eng.mul_public_int(g, 1 << (prec - l)), d]),
+                            prec - l, scale)
         return eng.trunc(eng.add(prods[0], eng.trunc(prods[1], l)), l)
+
+
+def secure_rsqrt(eng, a, magnitude_bits=None):
+    """1/sqrt(a) for a > 0 on shares, within 2^-12 absolute on [2^-10, 2^10],
+    from the square root's iteration: its h converges to 1/(2 sqrt(m)).
+    Zero is out of domain."""
+    l, wide = eng.frac_bits, eng.frac_bits + _MANTISSA_EXTRA
+    with eng.phase("rsqrt"):
+        z, tops, _, _, m, _, half, _, hh = _sqrt_mantissa(eng, a, magnitude_bits)
+        scale = _combine_int(eng, z, [int(round(2 ** (l + (l - t) / 2))) for t in tops])
+        # one Newton correction at 2l bits for y = 2h: y + h (1 - m y^2). m y^2
+        # sits near 2^(3l + 3) at 3l + 3 bits, which may wrap the ring, but
+        # 1 - m y^2 is exact and small enough to truncate
+        m_hh, ys = eng.mul(eng.stack([m, eng.mul_public_int(half, 2)]), eng.stack([hh, scale]))
+        e = eng.add_public(eng.neg(eng.mul_public_int(m_hh, 4)), _unit(eng, 2 * l + wide))
+        _, he = eng.tmul(e, wide, half)  # h (1 - m y^2) at 3l bits
+        _, hes = eng.tmul(he, l, scale)
+        return eng.trunc(eng.add(ys, eng.trunc(hes, l)), l)
 
 
 def secure_ln(eng, a, magnitude_bits=None):
@@ -209,9 +296,9 @@ def secure_ln(eng, a, magnitude_bits=None):
     l = eng.frac_bits
     with eng.phase("ln"):
         z, tops, prec, factor = _normalize(eng, a, magnitude_bits)
-        m = eng.mul(a, factor, prec - l)
-        u = eng.add_public(eng.mul_public_int(m, 2), _enc(eng, -1.0))
-        q2l = _poly_2l(eng, _powers(eng, [u], len(LN_POWER) - 1), LN_POWER)
+        # u = 2m - 1, exact at prec bits; the powers' first round truncates it
+        u = eng.add_public(eng.mul_public_int(eng.mul(a, factor), 2), _unit(eng, prec, -1))
+        q2l = _poly_2l(eng, _powers(eng, u, prec - l, len(LN_POWER) - 1), LN_POWER)
         ln2 = int(_enc(eng, np.log(2.0) * 2.0 ** l))  # at 2l bits
         q2l = eng.add(q2l, _combine_int(eng, z, [(t - l) * ln2 for t in tops]))
         return eng.trunc(q2l, l)
@@ -224,8 +311,8 @@ def secure_sin_cos(eng, theta):
     with eng.phase("sin_cos"):
         turns = eng.trunc(eng.mul_public_int(theta, int(_enc(eng, 1 / (2 * np.pi)))), l)
         f, q0, q1 = eng.split(turns, l + 1)  # turns mod 1/4, quadrant bits
-        x = eng.add_public(eng.mul_public_int(f, 8), _enc(eng, -1.0))
-        powers = _powers(eng, [x], len(SIN_POWER) - 1)
+        x2l = eng.add_public(eng.mul_public_int(f, 8 << l), _unit(eng, 2 * l, -1))  # 8f - 1
+        powers = _powers(eng, x2l, l, len(SIN_POWER) - 1)
         s, c = eng.trunc(eng.stack([_poly_2l(eng, powers, SIN_POWER),
                                     _poly_2l(eng, powers, COS_POWER)]), l)
         q0s, q0c, q1q0 = eng.mul(eng.stack([q0, q0, q1]), eng.stack([s, c, q0]))
@@ -237,35 +324,39 @@ def secure_sin_cos(eng, theta):
         return sin, cos
 
 
-def secure_sigmoid(eng, z, magnitude_bits=None):
+def secure_sigmoid(eng, z, magnitude_bits=None, frac_bits=None, ride=None):
     """Logistic function on shares: odd polynomial on |z| <= 8, exact 0/1
     clamp outside, all three segments blended obliviously.
 
-    Both clamp signs come from one msb call. The core is t = z/8 times a
-    polynomial q in v = 2 t^2 - 1, evaluated in the power basis: the powers
-    v .. v^14 take four stacked products, and the sum is local. The
-    middle-segment indicator multiplies t inside the first power level, so
-    outside |z| <= 8 the core is exactly zero and no blend product is left.
-    On |z| <= 8 every truncated value holds at most 2l fractional bits of a
-    number below 4 (outside, what it holds is multiplied by zero), so the
-    sigmoid works on any ring with 2l + 4 <= lambda.
+    z carries frac_bits fractional bits (l by default); the first round
+    truncates it to t = z/8 at l bits and squares it. Both clamp signs come
+    from one msb call on 1 - t and 1 + t, and one product with the middle
+    segment's indicator clamps t and t^2 to zero outside |z| <= 8, before
+    any power is taken. The core is t times a polynomial q in v = 2 t^2 - 1,
+    whose powers come from _powers. On |z| <= 8 every truncated value holds
+    at most 2l fractional bits of a number below 4, so the sigmoid works on
+    any ring with 2l + 4 <= lambda. ride: values to truncate by l in the
+    last round of the powers; with ride the result is (sigmoid, ride
+    truncated).
     """
-    l = eng.frac_bits
-    width = _width(eng, magnitude_bits)
+    l, clamp = eng.frac_bits, SIGMOID_CLAMP_BITS
+    shift = (l if frac_bits is None else frac_bits) - l + clamp
+    width = _width(eng, (eng.cfg.int_bits if magnitude_bits is None else magnitude_bits) - clamp)
     with eng.phase("sigmoid"):
-        bounds = eng.stack([eng.add_public(eng.neg(z), _enc(eng, SIGMOID_CLAMP)),
-                            eng.add_public(z, _enc(eng, SIGMOID_CLAMP))])
-        hi, lo = eng.msb(bounds, width)  # z > 8, z < -8
-        mid = eng.sub(eng.sub(eng.add_public(eng.zeros(np.shape(z)), np.uint64(1)), hi), lo)
-        t = eng.trunc(z, 3)  # z / 8
-        v = eng.add_public(eng.mul_public_int(eng.mul(t, t, l), 2), _enc(eng, -1.0))
-        # mid * t rides along with v^2; mid at l bits makes its truncation exact
-        first = eng.mul(eng.stack([v, eng.mul_public_int(mid, 1 << l)]), eng.stack([v, t]), l)
-        powers = _powers(eng, [v, first[0]], len(SIG_POWER) - 1)
-        core = eng.mul(first[1], eng.trunc(_poly_2l(eng, powers, SIG_POWER), l), l)
-        out = eng.add(eng.mul_public_int(hi, int(_enc(eng, 1.0))),
-                      eng.mul_public_int(mid, int(_enc(eng, 0.5))))
-        return eng.add(out, core)
+        t, tt = eng.tmul(z, shift, square=True)  # z/8 at l bits, its square at 2l
+        one = _enc(eng, 1.0)
+        hi, lo = eng.msb(eng.stack([eng.add_public(eng.neg(t), one), eng.add_public(t, one)]),
+                         width)  # t > 1, t < -1
+        mid = eng.sub(eng.sub(eng.add_public(eng.zeros(np.shape(t)), np.uint64(1)), hi), lo)
+        t, tt = eng.mul(mid, eng.stack([t, tt]))
+        v = eng.add_public(eng.mul_public_int(tt, 2), _unit(eng, 2 * l, -1))
+        powers = _powers(eng, v, l, len(SIG_POWER) - 1, ride)
+        if ride is not None:
+            powers, ride = powers
+        _, core = eng.tmul(_poly_2l(eng, powers, SIG_POWER), l, t)
+        out = eng.add(eng.mul_public_int(hi, int(one)), eng.mul_public_int(mid, int(_enc(eng, 0.5))))
+        out = eng.add(out, eng.trunc(core, l))
+        return out if ride is None else (out, ride)
 
 
 def joint_uniform(eng, shape):

@@ -10,8 +10,10 @@ weight decay:
 
 The update itself is affine in the shares with public ring constants, so it
 costs zero communication rounds. Weights and velocity are carried at double
-fractional precision between epochs; the truncation back to working precision
-rides along with the next forward pass.
+fractional precision between epochs. The forward pass truncates the weights
+in the same round as it multiplies them by the examples (engine op tmul),
+and the velocity's truncation rides with one of the sigmoid's, so an epoch
+spends no round of its own on them.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fixedpoint import encode
-from .kernels import secure_div, secure_sigmoid, secure_sqrt
+from .kernels import secure_rsqrt, secure_sigmoid
 
 # |x . w| stays far below this during regularized training on unit-norm rows
 _FORWARD_MAGNITUDE_BITS = 12
@@ -81,8 +83,7 @@ def l2_normalize(eng, x):
     with eng.phase("normalize"):
         squares = eng.mul(x, x, l)
         total = eng.sum(squares, axis=-1)
-        inv = secure_div(eng, eng.from_public(encode(1.0, eng.cfg)), secure_sqrt(eng, total))
-        return eng.mul(x, inv[..., None], l)
+        return eng.mul(x, secure_rsqrt(eng, total)[..., None], l)
 
 
 def glorot_limit(fan_in: int, fan_out: int = 1) -> float:
@@ -99,25 +100,46 @@ def glorot_init(eng, d: int):
     return eng.from_public(encode(w, eng.cfg))
 
 
-def forward(eng, X, w):
-    """Predictions sigmoid(X . w) on shares."""
+def forward(eng, X, state: ModelState):
+    """Predictions sigmoid(X . w) on shares, from the weights at 2l bits.
+
+    Returns (predictions, w, v): the weights and the velocity truncated to
+    l bits for the update. The product round truncates the weights (tmul),
+    and v rides with one of the sigmoid's truncations."""
     l = eng.frac_bits
     with eng.phase("forward"):
-        z2l = eng.sum(eng.mul(X, w[None, :]), axis=1)
-        z = eng.trunc(z2l, l)
-    return secure_sigmoid(eng, z, magnitude_bits=_FORWARD_MAGNITUDE_BITS)
+        w_l, xw = eng.tmul(state.w2l, l, X)
+        z2l = eng.sum(xw, axis=1)
+    predictions, v_l = secure_sigmoid(
+        eng, z2l, magnitude_bits=_FORWARD_MAGNITUDE_BITS, frac_bits=2 * l, ride=state.v2l)
+    return predictions, w_l, v_l
 
 
-def backward(eng, X, predictions, t):
-    """Mean gradient (1/n) X^T (predictions - t) on shares."""
+def _log2_ceil(n: int) -> int:
+    return (n - 1).bit_length()
+
+
+def scale_rows(eng, X, step: int):
+    """X with the rows of every step-row batch (the last may be shorter)
+    times 2^q / b at l bits, for a batch of b rows and 2^q >= b, in one
+    truncation. The backward pass on such rows takes a batch's mean as a
+    shift by l + q, in the same truncation that drops the product's extra
+    fractional bits."""
     l = eng.frac_bits
     n = X.shape[0]
+    sizes = [min(step, n - at) for at in range(0, n, step)]
+    factors = np.repeat([round(2.0 ** (l + _log2_ceil(b)) / b) for b in sizes], sizes)
+    return eng.trunc(eng.mul_public_int(X, factors[:, None]), l)
+
+
+def backward(eng, scaled, predictions, t):
+    """Mean gradient (1/n) X^T (predictions - t) on shares, from the n rows
+    of X as scale_rows gives them: one product round, one truncation."""
+    l = eng.frac_bits
     with eng.phase("backward"):
         err = eng.sub(predictions, t)
-        g2l = eng.sum(eng.mul(X, err[:, None]), axis=0)
-        g = eng.trunc(g2l, l)
-        scaled = eng.mul_public_int(g, int(encode(1.0 / n, eng.cfg)))
-        return eng.trunc(scaled, l)
+        g = eng.sum(eng.mul(scaled, err[:, None]), axis=0)
+        return eng.trunc(g, l + _log2_ceil(scaled.shape[0]))
 
 
 def update(eng, state: ModelState, w_l, v_l, grad, cfg: TrainingConfig) -> ModelState:
@@ -143,13 +165,12 @@ def train_logreg(eng, X, t, cfg: TrainingConfig):
     step = cfg.batch_size if cfg.batch_size else n
     w0 = glorot_init(eng, d)
     state = ModelState(eng.mul_public_int(w0, 1 << l), eng.zeros(d))
+    with eng.phase("backward"):
+        scaled = scale_rows(eng, X, step)
     for _ in range(cfg.epochs):
         for at in range(0, n, step):
-            Xb, tb = X[at:at + step], t[at:at + step]
-            with eng.phase("epoch_setup"):
-                w_l, v_l = eng.trunc(eng.stack([state.w2l, state.v2l]), l)
-            predictions = forward(eng, Xb, w_l)
-            grad = backward(eng, Xb, predictions, tb)
+            predictions, w_l, v_l = forward(eng, X[at:at + step], state)
+            grad = backward(eng, scaled[at:at + step], predictions, t[at:at + step])
             state = update(eng, state, w_l, v_l, grad, cfg)
     with eng.phase("finalize"):
         return eng.trunc(state.w2l, l)

@@ -12,14 +12,14 @@ from veiltrain.shareio import DEFAULTS
 # 20x4 horizontal, 2 epochs, 3 noise draws, thread executor
 ROUNDS_BY_PATH = {
     "-": 1,
-    "normalize": 4, "normalize/sqrt": 33, "normalize/div": 36,
-    "epoch_setup": 2, "forward": 4, "sigmoid": 38, "backward": 6, "finalize": 1,
-    "perturb": 2, "perturb/uniform": 2, "perturb/ln": 19,
-    "perturb/gaussian": 3, "perturb/gaussian/sqrt": 33, "perturb/gaussian/sin_cos": 15,
-    "perturb/normalize": 4, "perturb/normalize/sqrt": 33, "perturb/normalize/div": 36,
+    "normalize": 4, "normalize/rsqrt": 32,
+    "forward": 2, "sigmoid": 28, "backward": 5, "finalize": 1,
+    "perturb": 2, "perturb/uniform": 2, "perturb/ln": 15,
+    "perturb/gaussian": 3, "perturb/gaussian/sqrt": 31, "perturb/gaussian/sin_cos": 13,
+    "perturb/normalize": 4, "perturb/normalize/rsqrt": 32,
     "perturb/gamma": 1,
 }
-WIRE_BYTES = 328_890  # party 0, sent plus received
+WIRE_BYTES = 228_576  # party 0, sent plus received
 
 
 def test_tiny_session_budget():

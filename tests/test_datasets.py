@@ -5,8 +5,7 @@ from hypothesis import strategies as st
 
 from veiltrain.cleartext import train_lr_clear
 from veiltrain.datasets import (evaluate, load_csv, make_plan, partition,
-                                reassemble, save_csv, stratified_folds,
-                                synth_data)
+                                save_csv, stratified_folds, synth_data)
 from veiltrain.errors import (DimensionMismatch, LabelDomainError, ParseError,
                               PlanInvalid)
 from veiltrain.harness import hash_array
@@ -69,6 +68,17 @@ def test_partition_invalid():
         make_plan("horizontal", 11, 10, 4)
     with pytest.raises(PlanInvalid):
         make_plan("diagonal", 2, 10, 4)
+
+
+def reassemble(parts, plan):
+    """Inverse of partition: stack the owners' blocks back in plan order."""
+    if plan.mode == "horizontal":
+        X = np.vstack([p[0] for p in parts])
+        t = np.concatenate([p[1] for p in parts])
+    else:
+        X = np.hstack([p[0] for p in parts])
+        t = parts[0][1]
+    return X, t
 
 
 @settings(max_examples=50, deadline=None)

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from veiltrain.dealer import Dealer, MaterialCursor, MaterialSource, with_slack
+from veiltrain.dealer import _SPLIT_WORDS, Dealer, MaterialCursor, MaterialSource, with_slack
 from veiltrain.errors import Exhausted
 from veiltrain.fixedpoint import RingConfig, to_signed
 from veiltrain.sharing import reconstruct
@@ -138,6 +138,25 @@ def test_wire_material_matches_cursor():
             assert all(np.array_equal(x, y) for x, y in zip(a, b))
     with pytest.raises(ParseError):
         wire.load(("bit", 3), _material_payload(("bit",), src.halves(("bit",), 0, 14)[1]))
+
+
+def test_every_key_of_a_session_crosses_the_wire():
+    from veiltrain.harness import pipeline_counts
+    from veiltrain.partyproc import WireMaterial, _material_payload, decode_counts, encode_counts
+    from veiltrain.shareio import DEFAULTS
+
+    counts = pipeline_counts(20, 4, dict(DEFAULTS, epochs=1), 2)
+    assert {key[0] for key in counts} == {"triple", "trunc", "bit"}
+    assert decode_counts(encode_counts(counts), RING) == counts
+    src = MaterialSource(15, RING)
+    for party in (0, 1):
+        wire = WireMaterial(src, party, counts)
+        for key, n in counts.items():
+            half = src.half(key, party, 0, n)
+            payload = _material_payload(key, half)
+            assert len(payload) == 2 + 8 * _SPLIT_WORDS[key[0]] * n  # how dealer_mb is sized
+            wire.load(key, payload)
+            assert all(np.array_equal(x, y) for x, y in zip(wire._halves(key, 0, n), half))
 
 
 @pytest.mark.parametrize("line", [

@@ -4,8 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from veiltrain.errors import MagnitudeOverflow
-from veiltrain.fixedpoint import (RingConfig, decode, encode, encode_int,
-                                  to_signed, truncate)
+from veiltrain.fixedpoint import RingConfig, decode, encode, to_signed, truncate
 
 RING = RingConfig()
 
@@ -98,11 +97,6 @@ def test_config_invariants():
         RingConfig(64, 32)
     assert RingConfig(32, 8).int_bits == 15
     assert RING.int_bits == 23
-
-
-def test_encode_int_embedding():
-    assert encode_int(-2, RING) == np.uint64(2**64 - 2)
-    assert encode_int(3, RING) == 3
 
 
 @settings(max_examples=200, deadline=None)

@@ -6,7 +6,7 @@ from veiltrain import kernels
 from veiltrain.dealer import MaterialSource
 from veiltrain.engine import PlainEngine, estimate_counts
 from veiltrain.errors import Exhausted
-from veiltrain.fixedpoint import RingConfig, decode, encode
+from veiltrain.fixedpoint import RingConfig, decode, encode, to_signed
 
 from conftest import run_both
 
@@ -96,6 +96,29 @@ def test_sqrt_edges_up_to_the_top_of_its_domain():
     got = open_plain(eng, kernels.secure_sqrt(eng, enc_pub(eng, x)))
     assert np.abs(got - np.sqrt(decode(encode(x, RING), RING))).max() <= 2**-12
     assert got[-1] == 0.0
+
+
+# --- reciprocal square root ---
+
+def test_rsqrt_tolerance_sweep_and_edges():
+    x = np.concatenate([np.exp2(np.random.default_rng(35).uniform(-10, 10, 5000)),
+                        _boundaries(10, 30)])
+    x = x[(x >= 2.0 ** -10) & (x <= 2.0 ** 10)]
+    eng = plain(36)
+    got = open_plain(eng, kernels.secure_rsqrt(eng, enc_pub(eng, x)))
+    want = 1 / np.sqrt(decode(encode(x, RING), RING))
+    assert np.abs(got - want).max() <= kernels.KERNEL_TOLERANCES["rsqrt"].bound
+
+
+def test_rsqrt_matches_mirror_bit_exact():
+    x = np.exp2(np.linspace(-9, 9, 37))
+
+    def fn(eng):
+        return eng.open(kernels.secure_rsqrt(eng, enc_pub(eng, x)))
+
+    (r0, r1), _ = run_both(fn, seed=37)
+    mirror = fn(plain(37))
+    assert np.array_equal(r0, mirror) and np.array_equal(r1, mirror)
 
 
 # --- natural log ---
@@ -212,6 +235,79 @@ def test_sigmoid_matches_mirror_on_a_finer_ring():
     assert np.array_equal(r0, mirror) and np.array_equal(r1, mirror)
     assert np.abs(decode(mirror, ring) - 1 / (1 + np.exp(-np.clip(z, -8, 8)))
                   * (np.abs(z) <= 8) - (z > 8)).max() <= 1e-3
+
+
+# --- other rings and mask headroom ---
+
+@pytest.mark.parametrize("frac_bits", [16, 24])
+def test_div_sqrt_ln_tolerance_on_other_rings(frac_bits):
+    ring = RingConfig(64, frac_bits)
+    rng = np.random.default_rng(38)
+    n = 2000
+    eng = plain(39, ring)
+
+    def run(fn, *args):
+        return decode(eng.open(fn(eng, *(eng.from_public(encode(a, ring)) for a in args))), ring)
+
+    def exact(x):
+        return decode(encode(x, ring), ring)
+
+    b = np.exp2(rng.uniform(-8, 8, n)) * np.where(rng.random(n) < 0.5, -1, 1)
+    a = rng.uniform(-1, 1, n) * 2.0 ** 10 * b
+    x = np.exp2(rng.uniform(-10, 10, n))
+    lx = np.exp2(rng.uniform(-frac_bits + 0.01, 10, n))
+    errs = {"div": np.abs(run(kernels.secure_div, a, b) - exact(a) / exact(b)).max(),
+            "sqrt": np.abs(run(kernels.secure_sqrt, x) - np.sqrt(exact(x))).max(),
+            "rsqrt": np.abs(run(kernels.secure_rsqrt, x) - 1 / np.sqrt(exact(x))).max(),
+            "ln": np.abs(run(kernels.secure_ln, lx) - np.log(exact(lx))).max()}
+    for name, err in errs.items():
+        assert err <= kernels.KERNEL_TOLERANCES[name].bound, (name, err)
+
+
+class _PeakEngine(PlainEngine):
+    """The mirror, recording the largest |value| it truncates, tmul's
+    inputs included. Truncation masks are uniform on [-2^62, 2^62), so only
+    values below 2^62 stay hidden by the masked opening."""
+
+    peak = 0.0
+
+    def trunc(self, a, shift):
+        if np.size(a):
+            top = np.abs(to_signed(a, self.cfg).astype(np.float64)).max()
+            self.peak = max(self.peak, float(top))
+        return super().trunc(a, shift)
+
+
+def test_every_truncated_value_stays_below_the_mask_range():
+    from veiltrain.training import ModelState, forward
+
+    def peak(fn):
+        eng = _PeakEngine(MaterialSource(40, RING), RING)
+        fn(eng)
+        return eng.peak
+
+    limit = 2.0 ** 62
+    z = np.concatenate([2.0 ** np.arange(12), -2.0 ** np.arange(12), [0.0, 8.0, -8.0]])
+    assert peak(lambda e: kernels.secure_sigmoid(e, enc_pub(e, z))) < limit
+    X = np.eye(len(z))  # X w = z through the forward pass, weights at 2l bits
+
+    def fwd(e):
+        w2l = e.mul_public_int(enc_pub(e, z), 1 << e.frac_bits)
+        return forward(e, enc_pub(e, X), ModelState(w2l, e.zeros(len(z))))
+
+    assert peak(fwd) < limit
+    b = np.concatenate([_boundaries(2, 42), [2.0 ** 23 - 2.0 ** -20]])
+    b = np.concatenate([b, -b])
+    q = np.random.default_rng(41).uniform(-2.0 ** 10, 2.0 ** 10, len(b))
+    assert peak(lambda e: kernels.secure_div(e, enc_pub(e, q * b), enc_pub(e, b))) < limit
+    x = _boundaries(10, 30)
+    x = x[(x >= 2.0 ** -10) & (x <= 2.0 ** 10)]
+    assert peak(lambda e: kernels.secure_sqrt(e, enc_pub(e, x))) < limit
+    assert peak(lambda e: kernels.secure_rsqrt(e, enc_pub(e, x))) < limit
+    lx = _boundaries(1, 30)
+    lx = lx[(lx > 0) & (lx <= 2.0 ** 10)]
+    assert peak(lambda e: kernels.secure_ln(e, enc_pub(e, lx))) < limit
+    assert peak(lambda e: kernels.secure_ln(e, enc_pub(e, lx[lx <= 1]), 1)) < limit
 
 
 # --- joint uniforms ---

@@ -1,0 +1,164 @@
+"""Fused truncate-multiply (engine op tmul): exact against the clear-text
+mirror, opening x + r once and then only uniformly masked words, oblivious,
+exactly provisioned by the dry run, and at its pinned per-element cost."""
+
+import numpy as np
+import pytest
+
+from veiltrain.dealer import MaterialSource
+from veiltrain.engine import PlainEngine, estimate_counts
+from veiltrain.errors import Exhausted
+from veiltrain.fixedpoint import RingConfig, encode, from_signed, to_signed
+
+from conftest import run_both
+
+RING = RingConfig()
+FRAME_BYTES = 13  # length, kind, session and round fields of one round's frame
+SHIFT = 20
+
+
+def _x(shape, seed):
+    """Values at 2l bits up to 2^12 in magnitude, edges included."""
+    rng = np.random.default_rng(seed)
+    x = rng.uniform(-2.0 ** 12, 2.0 ** 12, shape).ravel()
+    x[:4] = [0.0, 2.0 ** -20, -2.0 ** -20, -2.0 ** 12]
+    return encode(x * 2.0 ** 20, RING).reshape(shape)
+
+
+def _y(shape, seed):
+    return encode(np.random.default_rng(seed).uniform(-4, 4, shape), RING)
+
+
+def _tmul_fn(x, y, square, rows=None):
+    def fn(eng):
+        yy = None if y is None else eng.from_public(y)
+        out = eng.tmul(eng.from_public(x), SHIFT, yy, square=square, rows=rows)
+        return [eng.open(v) for v in out]
+
+    return fn
+
+
+CASES = {  # (x shape, y shape or None, square, rows)
+    "product": ((30,), (30,), False, None),
+    "broadcast": ((4,), (6, 4), False, None),
+    "square": ((3, 10), None, True, None),
+    "both": ((2, 12), (2, 12), True, None),
+    "some rows": ((4, 5), (2, 5), [0, 3], [1, 3]),
+    "truncation only": ((7,), None, False, None),
+}
+
+
+def _rows(a, idx):
+    return a if idx is None else a[idx]
+
+
+@pytest.mark.parametrize("case", CASES)
+def test_tmul_matches_the_mirror_and_the_truncation(case):
+    xs, ys, square, rows = CASES[case]
+    x, y = _x(xs, 1), None if ys is None else _y(ys, 2)
+    fn = _tmul_fn(x, y, square, rows)
+    (r0, r1), _ = run_both(fn, seed=5)
+    mirror = fn(PlainEngine(MaterialSource(5, RING), RING))
+    assert len(mirror) == 1 + (y is not None) + (square is not False)
+    for a, b, m in zip(r0, r1, mirror):
+        assert np.array_equal(a, m) and np.array_equal(b, m)
+    t, *prods = mirror
+    exact = to_signed(x, RING) >> SHIFT
+    assert np.abs(to_signed(t, RING) - exact).max() <= 1  # trunc's one-ulp carry
+    with np.errstate(over="ignore"):
+        if y is not None:
+            assert np.array_equal(prods[0], _rows(t, rows) * y)
+        if square is not False:
+            s = _rows(t, None if square is True else square)
+            assert np.array_equal(prods[-1], s * s)
+
+
+def test_tmul_opens_x_plus_r_and_uniformly_masked_words():
+    x, y = _x((3, 4), 3), _y((5, 1, 4), 4)
+    opened = []
+
+    def fn(eng):
+        real = eng.open
+
+        def record(a):
+            out = real(a)
+            opened.append(out)
+            return out
+
+        eng.open = record
+        eng.tmul(eng.from_public(x), SHIFT, eng.from_public(y), square=[2], rows=None)
+
+    run_both(fn, seed=6)
+    source = MaterialSource(6, RING)
+    r0, rs0, r1, rs1 = source.trunc_pairs(SHIFT, 0, 12)
+    u0, v0, _, u1, v1, _ = source.triples(0, 64)
+    with np.errstate(over="ignore"):
+        r, rs = (r0 + r1).reshape(3, 4), (rs0 + rs1).reshape(3, 4)
+        a, b = u0 + u1, v0 + v1
+        want = np.concatenate([
+            (x + r).ravel(),
+            (np.broadcast_to(rs, (5, 3, 4)).ravel() + a[:60]),
+            (np.broadcast_to(y, (5, 3, 4)).ravel() - b[:60]),
+            rs[2] + a[60:], rs[2] + b[60:]])
+    assert len(opened) == 2  # one call per party, one exchange each
+    assert all(np.array_equal(o, want) for o in opened)
+
+
+@pytest.mark.parametrize("case", CASES)
+def test_tmul_transcript_is_value_independent(case):
+    xs, ys, square, rows = CASES[case]
+    _, engines = run_both(
+        _tmul_fn(_x(xs, 7), None if ys is None else _y(ys, 8), square, rows), seed=9)
+    zeros = None if ys is None else np.zeros(ys, dtype=np.uint64)
+    _, other = run_both(_tmul_fn(np.zeros(xs, dtype=np.uint64), zeros, square, rows), seed=10)
+    ta, tb = engines[0].rt.transcript, other[0].rt.transcript
+    assert ta.n_rounds == tb.n_rounds
+    assert ta.bytes_sent == tb.bytes_sent
+
+
+@pytest.mark.parametrize("case", CASES)
+def test_tmul_consumes_the_dry_run_exactly(case):
+    xs, ys, square, rows = CASES[case]
+    fn = _tmul_fn(_x(xs, 11), None if ys is None else _y(ys, 12), square, rows)
+    counts = estimate_counts(fn, 13, RING)
+    _, engines = run_both(fn, seed=13, counts=counts)
+    for eng in engines:
+        assert {k: v for k, v in eng.material.pos.items() if isinstance(k, tuple)} == counts
+    for key in counts:
+        starved = dict(counts)
+        starved[key] -= 1
+        with pytest.raises(Exhausted):
+            run_both(fn, seed=13, counts=starved)
+
+
+@pytest.mark.parametrize("y, square, triples, wire", [
+    (False, False, 0, 1),
+    (True, False, 1, 3),
+    (False, True, 1, 3),
+    (True, True, 2, 5),
+])
+def test_tmul_cost_per_element(y, square, triples, wire):
+    # as trunc and mul would spend, in one round instead of two
+    n = 10
+
+    def fn(eng):
+        zero = eng.zeros(n)
+        return eng.tmul(zero, SHIFT, zero if y else None, square=square)
+
+    counts = estimate_counts(fn, 1, RING)
+    assert counts == {("trunc", SHIFT): n, **({("triple",): triples * n} if triples else {})}
+    _, engines = run_both(fn, seed=1)
+    tr = engines[0].rt.transcript
+    assert tr.n_rounds == 1
+    assert tr.bytes_sent - FRAME_BYTES == 8 * wire * n
+
+
+def test_tmul_of_a_shifted_value_is_exact():
+    # x with zero low bits truncates without a carry: the kernels lean on
+    # this to fold exact rescalings into a tmul round
+    x = encode(np.linspace(-3, 3, 25), RING)
+    fn = _tmul_fn(from_signed(to_signed(x, RING) << SHIFT, RING), None, True)
+    ((t, tt), _), _ = run_both(fn, seed=14)
+    assert np.array_equal(t, x)
+    with np.errstate(over="ignore"):
+        assert np.array_equal(tt, x * x)

@@ -5,10 +5,10 @@ from veiltrain.cleartext import (normalize_rows, regularized_loss, sigmoid,
                                  train_lr_clear)
 from veiltrain.dealer import MaterialSource
 from veiltrain.datasets import synth_data
-from veiltrain.engine import PlainEngine
+from veiltrain.engine import PlainEngine, estimate_counts
 from veiltrain.fixedpoint import RingConfig, decode, encode
 from veiltrain.training import (ModelState, TrainingConfig, glorot_init,
-                                glorot_limit, l2_normalize, backward, forward,
+                                glorot_limit, l2_normalize, backward, forward, scale_rows,
                                 train_pipeline, update)
 
 from conftest import run_both
@@ -64,11 +64,17 @@ def test_glorot_deterministic_and_bounded():
     assert np.abs(a).max() > 0.5 * limit
 
 
+def _state(eng, w, v=None):
+    """Model state holding w and v (zeros by default) at 2l fractional bits."""
+    v = np.zeros_like(w) if v is None else v
+    return ModelState(*(eng.mul_public_int(enc_pub(eng, a), 1 << eng.frac_bits) for a in (w, v)))
+
+
 def test_forward_zero_weights():
     rng = np.random.default_rng(8)
     X = normalize_rows(rng.uniform(-1, 1, (20, 5)))
     eng = plain(9)
-    p = decode(eng.open(forward(eng, enc_pub(eng, X), eng.zeros(5))), RING)
+    p = decode(eng.open(forward(eng, enc_pub(eng, X), _state(eng, np.zeros(5)))[0]), RING)
     assert np.abs(p - 0.5).max() <= 1e-3
 
 
@@ -78,8 +84,17 @@ def test_forward_single_row():
     X[0, 0] = 1.0
     w = np.zeros(4)
     w[0] = 2.0
-    p = decode(eng.open(forward(eng, enc_pub(eng, X), enc_pub(eng, w))), RING)
+    p = decode(eng.open(forward(eng, enc_pub(eng, X), _state(eng, w))[0]), RING)
     assert abs(p[0] - sigmoid(2.0)) <= 2e-3
+
+
+def test_forward_returns_the_state_at_working_precision():
+    rng = np.random.default_rng(25)
+    w, v = rng.uniform(-1, 1, 6), rng.uniform(-0.1, 0.1, 6)
+    eng = plain(26)
+    _, w_l, v_l = forward(eng, enc_pub(eng, rng.uniform(-1, 1, (4, 6))), _state(eng, w, v))
+    assert np.abs(decode(eng.open(w_l), RING) - w).max() <= 2**-20
+    assert np.abs(decode(eng.open(v_l), RING) - v).max() <= 2**-20
 
 
 def test_forward_matches_mirror_within_tolerance():
@@ -88,7 +103,7 @@ def test_forward_matches_mirror_within_tolerance():
     w = rng.uniform(-0.5, 0.5, 20)
 
     def fn(eng):
-        return eng.open(forward(eng, enc_pub(eng, X), enc_pub(eng, w)))
+        return eng.open(forward(eng, enc_pub(eng, X), _state(eng, w))[0])
 
     (r0, _), _ = run_both(fn, seed=12)
     mirror = fn(plain(12))
@@ -100,7 +115,7 @@ def test_backward_zero_when_predictions_match():
     X = normalize_rows(rng.uniform(-1, 1, (10, 4)))
     t = rng.integers(0, 2, 10).astype(float)
     eng = plain(14)
-    g = decode(eng.open(backward(eng, enc_pub(eng, X), enc_pub(eng, t),
+    g = decode(eng.open(backward(eng, scale_rows(eng, enc_pub(eng, X), 10), enc_pub(eng, t),
                                  enc_pub(eng, t))), RING)
     assert np.abs(g).max() <= 2**-18
 
@@ -111,9 +126,26 @@ def test_backward_single_example():
     X[0, 0] = 1.0
     preds = np.array([0.75])
     t = np.array([0.25])
-    g = decode(eng.open(backward(eng, enc_pub(eng, X), enc_pub(eng, preds),
-                                 enc_pub(eng, t))), RING)
+    g = decode(eng.open(backward(eng, scale_rows(eng, enc_pub(eng, X), 1),
+                                 enc_pub(eng, preds), enc_pub(eng, t))), RING)
     assert np.abs(g - [0.5, 0.0, 0.0]).max() <= 2**-16
+
+
+def test_backward_is_the_mean_gradient_of_every_batch():
+    # 1/b for batches of 128 and 44 rows is folded into the rows' scale and
+    # the one truncation's shift
+    rng = np.random.default_rng(27)
+    X = normalize_rows(rng.uniform(-1, 1, (300, 5)))
+    p = rng.uniform(0, 1, 300)
+    t = rng.integers(0, 2, 300).astype(float)
+    eng = plain(28)
+    scaled = scale_rows(eng, enc_pub(eng, X), 128)
+    for at in (0, 128, 256):
+        rows = slice(at, at + 128)
+        g = decode(eng.open(backward(eng, scaled[rows], enc_pub(eng, p[rows]),
+                                     enc_pub(eng, t[rows]))), RING)
+        want = X[rows].T @ (p[rows] - t[rows]) / len(t[rows])
+        assert np.abs(g - want).max() <= 2**-17
 
 
 def test_backward_matches_mirror_on_200x20():
@@ -123,7 +155,8 @@ def test_backward_matches_mirror_on_200x20():
     t = rng.integers(0, 2, 200).astype(float)
 
     def fn(eng):
-        return eng.open(backward(eng, enc_pub(eng, X), enc_pub(eng, p), enc_pub(eng, t)))
+        return eng.open(backward(eng, scale_rows(eng, enc_pub(eng, X), 200),
+                                 enc_pub(eng, p), enc_pub(eng, t)))
 
     (r0, _), _ = run_both(fn, seed=17)
     assert np.array_equal(r0, fn(plain(17)))
@@ -279,6 +312,20 @@ def test_training_config_validation():
         TrainingConfig(momentum=1.0)
     with pytest.raises(ValueError):
         TrainingConfig(epochs=-1)
+
+
+def test_training_consumes_the_dry_run_exactly():
+    X, t = synth_data(20, 4, seed=42, separability=1.0)
+    tc = TrainingConfig(epochs=2, batch_size=8)
+
+    def fn(eng):
+        return eng.open(train_pipeline(eng, enc_pub(eng, X), enc_pub(eng, t), tc))
+
+    counts = estimate_counts(fn, 43, RING)
+    assert {key[0] for key in counts} == {"trunc", "triple", "bit"}
+    _, engines = run_both(fn, seed=43, counts=counts)
+    for eng in engines:
+        assert {k: v for k, v in eng.material.pos.items() if isinstance(k, tuple)} == counts
 
 
 def test_minibatch_mirror_bit_exact():
