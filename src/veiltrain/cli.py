@@ -174,7 +174,7 @@ def cmd_kernel_bench(args):
     n = args.samples
     cases = {
         "div": None, "sqrt": None, "rsqrt": None, "ln": None, "sin": None, "cos": None,
-        "sigmoid": None,
+        "sigmoid": None, "sigmoid_b4": None,
     }
     b = np.exp2(rng.uniform(-8, 8, n)) * np.where(rng.random(n) < 0.5, -1, 1)
     a = rng.uniform(-1, 1, n) * 2.0 ** 10 * b
@@ -182,11 +182,12 @@ def cmd_kernel_bench(args):
     lx = np.exp2(rng.uniform(-ring.frac_bits + 0.01, 10, n))
     th = rng.uniform(0, 2 * np.pi, n)
     z = rng.uniform(-16, 16, n)
+    z4 = rng.uniform(-kernels.SIGMOID_BOUND, kernels.SIGMOID_BOUND, n)
 
     def dec(v):
         return decode(v, ring)
 
-    print(f"{'kernel':8s} {'max_err':>12s} {'mean_err':>12s} {'bound':>12s} {'rounds':>7s}")
+    print(f"{'kernel':10s} {'max_err':>12s} {'mean_err':>12s} {'bound':>12s} {'rounds':>7s}")
     for name in cases:
         def fn(eng, name=name):
             if name == "div":
@@ -206,9 +207,13 @@ def cmd_kernel_bench(args):
                 s, c = kernels.secure_sin_cos(eng, eng.from_public(encode(th, ring)))
                 got = s if name == "sin" else c
                 want = np.sin(th) if name == "sin" else np.cos(th)
-            else:
+            elif name == "sigmoid":
                 got = kernels.secure_sigmoid(eng, eng.from_public(encode(z, ring)))
                 want = np.where(z < -8, 0, np.where(z > 8, 1, 1 / (1 + np.exp(-z))))
+            else:
+                got = kernels.secure_sigmoid(eng, eng.from_public(encode(z4, ring)),
+                                             bound=kernels.SIGMOID_BOUND)
+                want = 1 / (1 + np.exp(-z4))
             return eng.open(got), want
 
         counts = estimate_counts(lambda eng: fn(eng), 0, ring)
@@ -217,7 +222,7 @@ def cmd_kernel_bench(args):
         got, want = res0
         err = np.abs(decode(got, ring) - want)
         bound = kernels.KERNEL_TOLERANCES[name].bound
-        print(f"{name:8s} {err.max():12.3e} {err.mean():12.3e} {bound:12.3e} "
+        print(f"{name:10s} {err.max():12.3e} {err.mean():12.3e} {bound:12.3e} "
               f"{engines[0].rt.transcript.n_rounds:7d}")
 
 

@@ -57,10 +57,22 @@ class ParseError(VeiltrainError):
 class LabelDomainError(VeiltrainError):
     """A label outside {0, 1} was encountered."""
 
-    def __init__(self, value, line=None):
+    def __init__(self, value, line=None, index=None):
         self.line = line
+        self.index = index
         at = f" at line {line}" if line is not None else ""
+        at += f" at index {index}" if index is not None else ""
         super().__init__(f"label value {value!r}{at} is not in {{0, 1}}")
+
+
+class RowNormDomainError(VeiltrainError):
+    """A row's squared norm lies outside what the row normalization keeps
+    accurate (training.row_norm_domain)."""
+
+    def __init__(self, row, squared_norm, floor, cap):
+        self.row = row
+        super().__init__(f"row {row} has squared norm {squared_norm:.6g}, outside 0 and "
+                         f"[{floor:.6g}, {cap:.6g}]; rescale the features")
 
 
 class PlanInvalid(VeiltrainError):

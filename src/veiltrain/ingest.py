@@ -5,9 +5,10 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import MagnitudeOverflow
-from .fixedpoint import RingConfig, encode
+from .errors import LabelDomainError, MagnitudeOverflow, RowNormDomainError
+from .fixedpoint import RingConfig, decode, encode
 from .sharing import split_raw
+from .training import row_norm_domain
 
 
 def encode_matrix(X, ring: RingConfig) -> np.ndarray:
@@ -22,13 +23,35 @@ def encode_matrix(X, ring: RingConfig) -> np.ndarray:
     return encode(X, ring)
 
 
-def ingest_shares(X, t, ring: RingConfig, rng: np.random.Generator):
+def check_domain(X_raw, t, ring: RingConfig, owners: int = 1):
+    """Reject what training's public bounds rule out: labels outside {0, 1},
+    and rows whose squared norm (at the encoded values) is neither zero nor
+    in [floor, cap / owners] of training.row_norm_domain. With vertical
+    partitioning each of the owners holds a piece of every row, and the
+    pieces' squared norms add up."""
+    floor, cap = row_norm_domain(ring)
+    squared = np.sum(decode(X_raw, ring) ** 2, axis=1)
+    bad = (squared != 0) & ((squared < floor) | (squared > cap / owners))
+    if np.any(bad):
+        row = int(np.argmax(bad))
+        raise RowNormDomainError(row, float(squared[row]), floor, cap / owners)
+    if t is not None:
+        t = np.asarray(t, dtype=np.float64)
+        bad = (t != 0) & (t != 1)
+        if np.any(bad):
+            index = int(np.argmax(bad))
+            raise LabelDomainError(float(t[index]), index=index)
+
+
+def ingest_shares(X, t, ring: RingConfig, rng: np.random.Generator, owners: int = 1):
     """Encode a dataset and split every entry into two additive shares.
 
     Returns ((X0, t0), (X1, t1)); t may be None for owners who hold no labels
-    (vertical partitioning keeps labels with one designated owner).
+    (vertical partitioning keeps labels with one designated owner). owners:
+    how many owners hold a piece of every row (check_domain).
     """
     X_raw = encode_matrix(X, ring)
+    check_domain(X_raw, t, ring, owners)
     X0, X1 = split_raw(X_raw, rng, ring)
     if t is None:
         return (X0, None), (X1, None)
@@ -46,9 +69,10 @@ def ingest_partitions(owner_datasets, mode: str, ring: RingConfig, seed: int):
     """
     parts0, parts1 = [], []
     labels0, labels1 = [], []
+    owners = len(owner_datasets) if mode == "vertical" else 1
     for i, (X_i, t_i) in enumerate(owner_datasets):
         rng = np.random.default_rng(np.random.SeedSequence([seed, 90, i]))
-        (x0, t0), (x1, t1) = ingest_shares(X_i, t_i, ring, rng)
+        (x0, t0), (x1, t1) = ingest_shares(X_i, t_i, ring, rng, owners)
         parts0.append(x0)
         parts1.append(x1)
         if t0 is not None:

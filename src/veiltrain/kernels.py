@@ -7,12 +7,13 @@ a coarse mantissa in [1/8, 1), then run fixed-count Goldschmidt iterations
 with one residual correction at 2l bits, or a power-basis polynomial. Sine
 and cosine split the angle in turns into its quarter-period fraction and
 quadrant bits with the engine's split op. Signs alone (the division's sign,
-the sigmoid's clamps) come from the engine's msb op. The sigmoid is a
-clamped odd polynomial with oblivious segment selection. Every polynomial
-is evaluated in the power basis: the powers take one fused truncate and
-multiply round (engine op tmul) per doubling, and the sum is local.
-Iteration counts and degrees are fixed, so transcripts depend only on input
-sizes, never on values.
+the sigmoid's clamps) come from the engine's msb op. The sigmoid is an
+odd polynomial: on an input with a public bound |z| <= 4 it needs no clamp,
+otherwise it clamps outside |z| <= 8 with oblivious segment selection.
+Every polynomial is evaluated in the power basis: the powers take one fused
+truncate and multiply round (engine op tmul) per doubling, and the sum is
+local. Iteration counts and degrees are fixed, so transcripts depend only
+on input sizes, never on values.
 
 Polynomial coefficients are Chebyshev series (degree chosen so the
 float-side fit error sits well below each kernel's tolerance, and so that
@@ -24,6 +25,9 @@ round fewer than 8 and 14), converted to the power basis at import:
   COS_CHEB: cos(2 pi f) likewise
   SIG_CHEB: (sigmoid(8t) - 1/2)/t as a function of u = t^2 on [0, 1],
             argument v = 2u - 1
+  SIG4_CHEB: (sigmoid(4t) - 1/2)/t likewise, weighted by t (Lawson
+            iterations) so the sigmoid's own error t (q~ - q) is minimax:
+            1.7e-5 on |z| <= 4, where the unweighted fit has 3.3e-5
 """
 
 from __future__ import annotations
@@ -59,6 +63,11 @@ SIG_CHEB = (
     -0.0011960771705892565, 0.0005555374662430875, -0.0002576838921734763,
     0.00011878306069975032,
 )
+SIG4_CHEB = (
+    0.681443716932279, -0.24494559652438352, 0.05620327175379739,
+    -0.013198595785737557, 0.0030916296948200533, -0.000705124472112535,
+    0.00014117099591461153,
+)
 # the same fits in the power basis of their arguments: sum_k a[k] v^k. The
 # constant of LN_POWER is pinned to ln(1/2) (a shift of 7.6e-6): one is
 # m = 1/2 in its top leaf at the Box-Muller width, so ln(1) is exactly 0
@@ -68,6 +77,7 @@ LN_POWER = (-np.log(2.0),) + tuple(np.polynomial.Chebyshev(LN_CHEB, domain=[-0.7
 SIN_POWER = tuple(np.polynomial.chebyshev.cheb2poly(SIN_CHEB))
 COS_POWER = tuple(np.polynomial.chebyshev.cheb2poly(COS_CHEB))
 SIG_POWER = tuple(np.polynomial.chebyshev.cheb2poly(SIG_CHEB))
+SIG4_POWER = tuple(np.polynomial.chebyshev.cheb2poly(SIG4_CHEB))
 
 # linear starts on the coarse mantissa m in [1/8, 1): y0 = a - b m
 RECIP_START = (5.097, 4.531)   # 1/m, relative error below 0.44
@@ -76,6 +86,9 @@ _RECIP_STEPS = 4
 _RSQRT_STEPS = 3
 _MANTISSA_EXTRA = 3  # fractional bits above l on the mantissa and on div's numerator
 SIGMOID_CLAMP_BITS = 3  # the sigmoid clamps at |z| = 2^3
+SIGMOID_BOUND_BITS = 2  # with a public bound |z| <= 2^2 it needs no clamp
+SIGMOID_BOUND = 2.0 ** SIGMOID_BOUND_BITS
+_TURNS_EXTRA = 8        # fractional bits above l on sin_cos's 1/(2 pi)
 
 
 @dataclass(frozen=True)
@@ -95,6 +108,11 @@ KERNEL_TOLERANCES = {
     "sin": KernelTolerance("sin", 2.0 ** -12, "theta in [0, 2pi]"),
     "cos": KernelTolerance("cos", 2.0 ** -12, "theta in [0, 2pi]"),
     "sigmoid": KernelTolerance("sigmoid", 1e-3, "any z; exact 0/1 beyond |z| = 8"),
+    "sigmoid_b4": KernelTolerance("sigmoid_b4", 3.9e-5, "|z| <= 4 under a public bound"),
+    # | ||row|| - 1 | after training.l2_normalize; the domain scales with the
+    # ring (training.row_norm_domain), the one given is the default ring's
+    "normalize": KernelTolerance("normalize", 2.0 ** -10,
+                                 "squared row norm 0 or in [2^-10, 2^16]"),
 }
 
 
@@ -305,11 +323,21 @@ def secure_ln(eng, a, magnitude_bits=None):
 
 
 def secure_sin_cos(eng, theta):
-    """(sin, cos) of theta in [0, 2pi], via the quarter-period split of the
-    angle in turns (any theta works modulo 2pi)."""
+    """(sin, cos) of theta in [0, 2pi] (any theta works modulo 2pi). The
+    angle in turns takes one truncation, with 1/(2 pi) at l + _TURNS_EXTRA
+    bits: at l bits its rounding error grows with theta, to 2.4 ulps of the
+    turns at 2 pi on RingConfig(64, 16)."""
+    shift = eng.frac_bits + _TURNS_EXTRA
+    inv = int(round(2.0 ** shift / (2 * np.pi)))
+    return _sin_cos_turns(eng, eng.trunc(eng.mul_public_int(theta, inv), shift))
+
+
+def _sin_cos_turns(eng, turns):
+    """(sin, cos) of 2 pi turns, turns at l bits (any value works modulo 1),
+    via the split of the angle into its quarter-period fraction and
+    quadrant."""
     l = eng.frac_bits
     with eng.phase("sin_cos"):
-        turns = eng.trunc(eng.mul_public_int(theta, int(_enc(eng, 1 / (2 * np.pi)))), l)
         f, q0, q1 = eng.split(turns, l + 1)  # turns mod 1/4, quadrant bits
         x2l = eng.add_public(eng.mul_public_int(f, 8 << l), _unit(eng, 2 * l, -1))  # 8f - 1
         powers = _powers(eng, x2l, l, len(SIN_POWER) - 1)
@@ -324,39 +352,54 @@ def secure_sin_cos(eng, theta):
         return sin, cos
 
 
-def secure_sigmoid(eng, z, magnitude_bits=None, frac_bits=None, ride=None):
-    """Logistic function on shares: odd polynomial on |z| <= 8, exact 0/1
-    clamp outside, all three segments blended obliviously.
+def secure_sigmoid(eng, z, magnitude_bits=None, frac_bits=None, ride=None, bound=None):
+    """Logistic function on shares: 1/2 + t q(2 t^2 - 1), t = z/2^k.
+
+    With a public bound |z| <= bound <= SIGMOID_BOUND, k = 2 and q is the
+    degree-6 fit SIG4_POWER; nothing is clamped. Otherwise k = 3 and q is
+    the degree-12 fit SIG_POWER on |z| <= 8, with exact 0/1 clamps outside,
+    all three segments blended obliviously: both clamp signs come from one
+    msb call on 1 - t and 1 + t, and one product with the middle segment's
+    indicator clamps t and t^2 to zero outside |z| <= 8, before any power
+    is taken.
 
     z carries frac_bits fractional bits (l by default); the first round
-    truncates it to t = z/8 at l bits and squares it. Both clamp signs come
-    from one msb call on 1 - t and 1 + t, and one product with the middle
-    segment's indicator clamps t and t^2 to zero outside |z| <= 8, before
-    any power is taken. The core is t times a polynomial q in v = 2 t^2 - 1,
-    whose powers come from _powers. On |z| <= 8 every truncated value holds
-    at most 2l fractional bits of a number below 4, so the sigmoid works on
-    any ring with 2l + 4 <= lambda. ride: values to truncate by l in the
-    last round of the powers; with ride the result is (sigmoid, ride
-    truncated).
+    truncates it to t at l bits and squares it. The powers of v come from
+    _powers. On either domain every truncated value holds at most 2l
+    fractional bits of a number below 4, so the sigmoid works on any ring
+    with 2l + 4 <= lambda. ride: values to truncate by l in the last round
+    of the powers; with ride the result is (sigmoid, ride truncated).
     """
-    l, clamp = eng.frac_bits, SIGMOID_CLAMP_BITS
-    shift = (l if frac_bits is None else frac_bits) - l + clamp
-    width = _width(eng, (eng.cfg.int_bits if magnitude_bits is None else magnitude_bits) - clamp)
+    l = eng.frac_bits
+    bounded = bound is not None and bound <= SIGMOID_BOUND
+    k, coeffs = (SIGMOID_BOUND_BITS, SIG4_POWER) if bounded else (SIGMOID_CLAMP_BITS, SIG_POWER)
+    shift = (l if frac_bits is None else frac_bits) - l + k
     with eng.phase("sigmoid"):
-        t, tt = eng.tmul(z, shift, square=True)  # z/8 at l bits, its square at 2l
-        one = _enc(eng, 1.0)
-        hi, lo = eng.msb(eng.stack([eng.add_public(eng.neg(t), one), eng.add_public(t, one)]),
-                         width)  # t > 1, t < -1
-        mid = eng.sub(eng.sub(eng.add_public(eng.zeros(np.shape(t)), np.uint64(1)), hi), lo)
-        t, tt = eng.mul(mid, eng.stack([t, tt]))
+        t, tt = eng.tmul(z, shift, square=True)  # z/2^k at l bits, its square at 2l
+        if bounded:
+            out = eng.add_public(eng.zeros(np.shape(t)), _enc(eng, 0.5))
+        else:
+            t, tt, out = _clamp(eng, t, tt, magnitude_bits)
         v = eng.add_public(eng.mul_public_int(tt, 2), _unit(eng, 2 * l, -1))
-        powers = _powers(eng, v, l, len(SIG_POWER) - 1, ride)
+        powers = _powers(eng, v, l, len(coeffs) - 1, ride)
         if ride is not None:
             powers, ride = powers
-        _, core = eng.tmul(_poly_2l(eng, powers, SIG_POWER), l, t)
-        out = eng.add(eng.mul_public_int(hi, int(one)), eng.mul_public_int(mid, int(_enc(eng, 0.5))))
+        _, core = eng.tmul(_poly_2l(eng, powers, coeffs), l, t)
         out = eng.add(out, eng.trunc(core, l))
         return out if ride is None else (out, ride)
+
+
+def _clamp(eng, t, tt, magnitude_bits):
+    """t and t^2 zeroed outside |t| <= 1, and the clamped sigmoid's constant
+    part: 1 above, 1/2 inside, 0 below."""
+    mag = (eng.cfg.int_bits if magnitude_bits is None else magnitude_bits) - SIGMOID_CLAMP_BITS
+    one = _enc(eng, 1.0)
+    hi, lo = eng.msb(eng.stack([eng.add_public(eng.neg(t), one), eng.add_public(t, one)]),
+                     _width(eng, mag))  # t > 1, t < -1
+    mid = eng.sub(eng.sub(eng.add_public(eng.zeros(np.shape(t)), np.uint64(1)), hi), lo)
+    t, tt = eng.mul(mid, eng.stack([t, tt]))
+    base = eng.add(eng.mul_public_int(hi, int(one)), eng.mul_public_int(mid, int(_enc(eng, 0.5))))
+    return t, tt, base
 
 
 def joint_uniform(eng, shape):

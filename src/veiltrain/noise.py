@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fixedpoint import encode
-from .kernels import joint_uniform, secure_ln, secure_sin_cos, secure_sqrt
+from .kernels import _sin_cos_turns, joint_uniform, secure_ln, secure_sqrt
 from .training import l2_normalize
 
 # uniforms live in (0, 1]; -2 ln(u) <= 2 * l * ln 2 < 2^6 at default precision
@@ -63,9 +63,10 @@ def gaussian_vector(eng, d: int, batch: tuple = (), draws=None):
     """Secret shares of d independent N(0, 1) samples (leading batch axes).
 
     ceil(d/2) Box-Muller pairs: r = sqrt(-2 ln u), theta = 2 pi v, emitting
-    (r cos theta, r sin theta). An odd d takes one more pair and keeps its
-    first coordinate in place of the last one. draws holds (ln u, v) for
-    gaussian_pair_count(d) pairs; drawn here when not given.
+    (r cos theta, r sin theta); sin and cos take v as the angle in turns.
+    An odd d takes one more pair and keeps its first coordinate in place of
+    the last one. draws holds (ln u, v) for gaussian_pair_count(d) pairs;
+    drawn here when not given.
     """
     l = eng.frac_bits
     pairs = gaussian_pair_count(d)
@@ -75,8 +76,7 @@ def gaussian_vector(eng, d: int, batch: tuple = (), draws=None):
             draws = _ln(eng, u), v
         ln_u, v = draws
         r = secure_sqrt(eng, eng.mul_public_int(ln_u, -2), magnitude_bits=_SQRT_MAGNITUDE_BITS)
-        theta = eng.trunc(eng.mul_public_int(v, int(encode(2 * np.pi, eng.cfg))), l)
-        sin, cos = secure_sin_cos(eng, theta)
+        sin, cos = _sin_cos_turns(eng, v)
         out = eng.mul(eng.stack([r, r]), eng.stack([cos, sin]), l)
         out = np.moveaxis(out, 0, -1).reshape(*batch, 2 * pairs)
         if d % 2 == 1:

@@ -8,6 +8,8 @@ weight decay:
     velocity <- momentum * velocity - alpha * gradient - reg * alpha * weights
     weights  <- weights + velocity
 
+A public bound on the sigmoid's input (sigmoid_input_bound) lets the
+sigmoid skip its clamp where the bound is at most 4, as at the defaults.
 The update itself is affine in the shares with public ring constants, so it
 costs zero communication rounds. Weights and velocity are carried at double
 fractional precision between epochs. The forward pass truncates the weights
@@ -22,8 +24,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fixedpoint import encode
-from .kernels import secure_rsqrt, secure_sigmoid
+from .fixedpoint import RingConfig, decode, encode
+from .kernels import KERNEL_TOLERANCES, secure_rsqrt, secure_sigmoid
 
 # |x . w| stays far below this during regularized training on unit-norm rows
 _FORWARD_MAGNITUDE_BITS = 12
@@ -76,14 +78,27 @@ class ModelState:
 def l2_normalize(eng, x):
     """Scale vectors along the last axis to unit L2 norm.
 
-    Sum of squared products, reciprocal square root, rescale. Zero vectors
-    are out of domain (the reciprocal is unspecified there).
+    Sum of squared products, truncated once, reciprocal square root,
+    rescale. A zero vector stays zero. Within 2^-10 of unit norm
+    (KERNEL_TOLERANCES["normalize"]) on rows whose squared norm lies in
+    row_norm_domain.
     """
     l = eng.frac_bits
     with eng.phase("normalize"):
-        squares = eng.mul(x, x, l)
-        total = eng.sum(squares, axis=-1)
+        total = eng.trunc(eng.sum(eng.mul(x, x), axis=-1), l)
         return eng.mul(x, secure_rsqrt(eng, total)[..., None], l)
+
+
+def row_norm_domain(ring: RingConfig):
+    """(floor, cap) of the squared row norms l2_normalize keeps accurate.
+
+    At the floor 2^(10 - l) the squared norm's one-ulp truncation moves the
+    norm by 2^-11 relatively; at the cap 2^(2l - 24) one ulp of the
+    reciprocal square root does so by 2^-12, and the cap also keeps the
+    squares at 2l bits inside the truncation masks' range (below
+    2^(int_bits - 1)). 2^-10 and 2^16 at the default ring."""
+    l = ring.frac_bits
+    return 2.0 ** (10 - l), 2.0 ** min(2 * l - 24, ring.int_bits - 1)
 
 
 def glorot_limit(fan_in: int, fan_out: int = 1) -> float:
@@ -100,19 +115,63 @@ def glorot_init(eng, d: int):
     return eng.from_public(encode(w, eng.cfg))
 
 
-def forward(eng, X, state: ModelState):
+def forward(eng, X, state: ModelState, bound=None):
     """Predictions sigmoid(X . w) on shares, from the weights at 2l bits.
 
     Returns (predictions, w, v): the weights and the velocity truncated to
     l bits for the update. The product round truncates the weights (tmul),
-    and v rides with one of the sigmoid's truncations."""
+    and v rides with one of the sigmoid's truncations. bound: a public
+    bound on |X . w| (sigmoid_input_bound), which lets the sigmoid skip its
+    clamp."""
     l = eng.frac_bits
     with eng.phase("forward"):
         w_l, xw = eng.tmul(state.w2l, l, X)
         z2l = eng.sum(xw, axis=1)
     predictions, v_l = secure_sigmoid(
-        eng, z2l, magnitude_bits=_FORWARD_MAGNITUDE_BITS, frac_bits=2 * l, ride=state.v2l)
+        eng, z2l, magnitude_bits=_FORWARD_MAGNITUDE_BITS, frac_bits=2 * l, ride=state.v2l,
+        bound=bound)
     return predictions, w_l, v_l
+
+
+def sigmoid_input_bound(cfg: TrainingConfig, n: int, d: int, ring: RingConfig) -> float:
+    """A bound on |x . w| over every forward pass of train_logreg on n rows
+    of d features (the bias column included), from public values only;
+    inf with skip_norm, whose rows may have any norm.
+
+    The update is linear in (w, v): (w, v) <- A (w, v) + (u, u) for
+    A = [[1 - alpha lambda, momentum], [-alpha lambda, momentum]], at the
+    ring's encodings of the constants, with the drive u = -alpha g plus
+    the truncation errors of w and v. So w_k = f_k w_0 + sum_j h_(k-1-j) u_j
+    with the free response f_k = (A^k)_ww and the impulse response
+    h_m = (A^m (1, 1))_w, and |x . w_k| <= R (|f_k| |w_0| + sum_m |h_m| |u|)
+    for a row norm R: 1 + eps after l2_normalize, times sqrt(2) with the
+    bias column. |w_0| is at most the Glorot box's half-diagonal
+    sqrt(6d / (d + 1)). The labels are 0 or 1, so the gradient's data term
+    is at most R (1 + the bounded sigmoid's error). Every truncation (w, v,
+    the gradient, the row scaling, the sigmoid's powers) adds at most a
+    few ulps per coordinate and step.
+    """
+    if cfg.skip_norm:
+        return float("inf")
+    ulp = 2.0 ** -ring.frac_bits
+    alpha, decay, momentum = (float(decode(encode(c, ring), ring))
+                              for c in (cfg.alpha, cfg.alpha * cfg.lambda_reg, cfg.momentum))
+    row = (1 + KERNEL_TOLERANCES["normalize"].bound) * (np.sqrt(2.0) if cfg.add_bias else 1.0)
+    # |sigmoid - label|; the 8 ulps cover the sigmoid's rounding on coarser rings
+    err = 1 + KERNEL_TOLERANCES["sigmoid_b4"].bound + 8 * ulp
+    spread = np.sqrt(d) * ulp  # one ulp on every coordinate
+    grad = row * err * (1 + ulp) + spread * (err + 1)
+    drive = alpha * grad + spread * (momentum + decay)
+    w0 = np.sqrt(6.0 * d / (d + 1)) + spread
+    step = min(cfg.batch_size or n, n)
+    fw, fv, hw, hv = 1.0, 0.0, 1.0, 1.0  # A^k (1, 0) and A^k (1, 1)
+    summed, bound = 0.0, 0.0
+    for _ in range(cfg.epochs * -(-n // step)):
+        bound = max(bound, row * (abs(fw) * w0 + drive * summed + spread))
+        summed += abs(hw)
+        fw, fv = fw - decay * fw + momentum * fv, momentum * fv - decay * fw
+        hw, hv = hw - decay * hw + momentum * hv, momentum * hv - decay * hw
+    return bound
 
 
 def _log2_ceil(n: int) -> int:
@@ -165,11 +224,12 @@ def train_logreg(eng, X, t, cfg: TrainingConfig):
     step = cfg.batch_size if cfg.batch_size else n
     w0 = glorot_init(eng, d)
     state = ModelState(eng.mul_public_int(w0, 1 << l), eng.zeros(d))
+    bound = sigmoid_input_bound(cfg, n, d, eng.cfg)
     with eng.phase("backward"):
         scaled = scale_rows(eng, X, step)
     for _ in range(cfg.epochs):
         for at in range(0, n, step):
-            predictions, w_l, v_l = forward(eng, X[at:at + step], state)
+            predictions, w_l, v_l = forward(eng, X[at:at + step], state, bound)
             grad = backward(eng, scaled[at:at + step], predictions, t[at:at + step])
             state = update(eng, state, w_l, v_l, grad, cfg)
     with eng.phase("finalize"):

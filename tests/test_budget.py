@@ -13,13 +13,13 @@ from veiltrain.shareio import DEFAULTS
 ROUNDS_BY_PATH = {
     "-": 1,
     "normalize": 4, "normalize/rsqrt": 32,
-    "forward": 2, "sigmoid": 28, "backward": 5, "finalize": 1,
+    "forward": 2, "sigmoid": 14, "backward": 5, "finalize": 1,
     "perturb": 2, "perturb/uniform": 2, "perturb/ln": 15,
-    "perturb/gaussian": 3, "perturb/gaussian/sqrt": 31, "perturb/gaussian/sin_cos": 13,
+    "perturb/gaussian": 2, "perturb/gaussian/sqrt": 31, "perturb/gaussian/sin_cos": 12,
     "perturb/normalize": 4, "perturb/normalize/rsqrt": 32,
     "perturb/gamma": 1,
 }
-WIRE_BYTES = 228_576  # party 0, sent plus received
+WIRE_BYTES = 170_544  # party 0, sent plus received
 
 
 def test_tiny_session_budget():

@@ -76,6 +76,9 @@ def test_kernel_bench_runs(capsys):
     run_cli("kernel-bench", "--samples", "200")
     out = capsys.readouterr().out
     assert "sigmoid" in out and "sqrt" in out
+    row = next(line.split() for line in out.splitlines() if line.startswith("sigmoid_b4"))
+    assert float(row[1]) <= 3.9e-5  # max error
+    assert row[4] == "8"  # the kernel's 7 rounds and the opening of its result
 
 
 def test_experiment_cli_thread(tmp_path):

@@ -237,6 +237,41 @@ def test_sigmoid_matches_mirror_on_a_finer_ring():
                   * (np.abs(z) <= 8) - (z > 8)).max() <= 1e-3
 
 
+# --- sigmoid under a public bound |z| <= 4 ---
+
+def test_bounded_sigmoid_tolerance():
+    z = np.concatenate([np.random.default_rng(42).uniform(-4, 4, 10_000),
+                        np.linspace(-4, 4, 1001)])
+    eng = plain(43)
+    got = open_plain(eng, kernels.secure_sigmoid(eng, enc_pub(eng, z), bound=4.0))
+    want = 1 / (1 + np.exp(-decode(encode(z, RING), RING)))
+    assert np.abs(got - want).max() <= kernels.KERNEL_TOLERANCES["sigmoid_b4"].bound
+
+
+@pytest.mark.parametrize("lam, frac_bits, bound", [(64, 24, 3.9e-5), (64, 30, 3.9e-5),
+                                                   (32, 13, 1e-3)])
+def test_bounded_sigmoid_tolerance_on_other_rings(lam, frac_bits, bound):
+    ring = RingConfig(lam, frac_bits)
+    z = np.random.default_rng(44).uniform(-4, 4, 4000)
+    eng = plain(45, ring)
+    got = open_plain(eng, kernels.secure_sigmoid(eng, enc_pub(eng, z), bound=4.0))
+    assert np.abs(got - 1 / (1 + np.exp(-decode(encode(z, ring), ring)))).max() <= bound
+
+
+def test_bounded_sigmoid_matches_mirror_in_half_the_rounds():
+    z = np.linspace(-4, 4, 41)
+
+    def fn(bound):
+        return lambda eng: eng.open(kernels.secure_sigmoid(eng, enc_pub(eng, z), bound=bound))
+
+    (r0, r1), engines = run_both(fn(4.0), seed=46)
+    mirror = fn(4.0)(plain(46))
+    assert np.array_equal(r0, mirror) and np.array_equal(r1, mirror)
+    _, clamped = run_both(fn(4.01), seed=46)  # above 4 the clamped kernel runs
+    assert engines[0].rt.transcript.n_rounds == 7 + 1  # the last one opens the result
+    assert clamped[0].rt.transcript.n_rounds == 14 + 1
+
+
 # --- other rings and mask headroom ---
 
 @pytest.mark.parametrize("frac_bits", [16, 24])
@@ -262,6 +297,18 @@ def test_div_sqrt_ln_tolerance_on_other_rings(frac_bits):
             "ln": np.abs(run(kernels.secure_ln, lx) - np.log(exact(lx))).max()}
     for name, err in errs.items():
         assert err <= kernels.KERNEL_TOLERANCES[name].bound, (name, err)
+
+
+@pytest.mark.parametrize("frac_bits", [16, 24])
+def test_sincos_tolerance_on_other_rings(frac_bits):
+    ring = RingConfig(64, frac_bits)
+    th = np.random.default_rng(47).uniform(0, 2 * np.pi, 2000)
+    eng = plain(48, ring)
+    s, c = kernels.secure_sin_cos(eng, eng.from_public(encode(th, ring)))
+    exact = decode(encode(th, ring), ring)
+    tol = kernels.KERNEL_TOLERANCES
+    assert np.abs(decode(eng.open(s), ring) - np.sin(exact)).max() <= tol["sin"].bound
+    assert np.abs(decode(eng.open(c), ring) - np.cos(exact)).max() <= tol["cos"].bound
 
 
 class _PeakEngine(PlainEngine):
@@ -296,6 +343,14 @@ def test_every_truncated_value_stays_below_the_mask_range():
         return forward(e, enc_pub(e, X), ModelState(w2l, e.zeros(len(z))))
 
     assert peak(fwd) < limit
+    z4 = np.concatenate([np.linspace(-4, 4, 33), [4.0, -4.0]])  # the bounded path's domain
+    assert peak(lambda e: kernels.secure_sigmoid(e, enc_pub(e, z4), bound=4.0)) < limit
+
+    def fwd4(e):
+        w2l = e.mul_public_int(enc_pub(e, z4), 1 << e.frac_bits)
+        return forward(e, enc_pub(e, np.eye(len(z4))), ModelState(w2l, e.zeros(len(z4))), 4.0)
+
+    assert peak(fwd4) < limit
     b = np.concatenate([_boundaries(2, 42), [2.0 ** 23 - 2.0 ** -20]])
     b = np.concatenate([b, -b])
     q = np.random.default_rng(41).uniform(-2.0 ** 10, 2.0 ** 10, len(b))

@@ -3,11 +3,12 @@ import pytest
 from scipy import stats
 
 from veiltrain.engine import MpcEngine, estimate_counts, run_two_party
-from veiltrain.errors import ConfigMismatch, ConnectTimeout, MagnitudeOverflow
+from veiltrain.errors import (ConfigMismatch, ConnectTimeout, LabelDomainError,
+                              MagnitudeOverflow, RowNormDomainError)
 from veiltrain.fixedpoint import RingConfig, decode, encode
-from veiltrain.ingest import ingest_shares
+from veiltrain.ingest import ingest_partitions, ingest_shares
 from veiltrain.session import run_report
-from veiltrain.training import TrainingConfig, train_pipeline
+from veiltrain.training import TrainingConfig, row_norm_domain, train_pipeline
 
 from conftest import run_both
 
@@ -104,6 +105,32 @@ def test_ingest_overflow_reports_cell():
     X[1, 2] = 2.0**50
     with pytest.raises(MagnitudeOverflow, match="row 1, col 2"):
         ingest_shares(X, np.zeros(3), RING, rng)
+
+
+def test_ingest_rejects_labels_outside_0_1():
+    rng = np.random.default_rng(4)
+    with pytest.raises(LabelDomainError, match="index 2"):
+        ingest_shares(np.ones((4, 2)), np.array([0.0, 1.0, 0.5, 1.0]), RING, rng)
+
+
+def test_ingest_rejects_rows_outside_the_normalization_domain():
+    floor, cap = row_norm_domain(RING)
+    rng = np.random.default_rng(5)
+    ok = np.array([[0.0, 0.0], [np.sqrt(floor), 0.0], [np.sqrt(cap), 0.0]])
+    ingest_shares(ok, np.zeros(3), RING, rng)
+    for bad in (np.sqrt(floor) / 2, 2 * np.sqrt(cap)):
+        X = np.vstack([ok, [[0.0, bad]]])
+        with pytest.raises(RowNormDomainError, match="row 3"):
+            ingest_shares(X, np.zeros(4), RING, rng)
+
+
+def test_vertical_pieces_share_the_cap():
+    _, cap = row_norm_domain(RING)
+    X = np.array([[np.sqrt(cap * 0.75), 0.0], [1.0, 1.0]])
+    owners = [(X[:, :1], np.array([0.0, 1.0])), (X[:, 1:], None)]
+    ingest_partitions([(X, np.array([0.0, 1.0]))], "horizontal", RING, seed=6)
+    with pytest.raises(RowNormDomainError, match="row 0"):
+        ingest_partitions(owners, "vertical", RING, seed=6)
 
 
 def test_report_empty_session():

@@ -6,10 +6,11 @@ from veiltrain.cleartext import (normalize_rows, regularized_loss, sigmoid,
 from veiltrain.dealer import MaterialSource
 from veiltrain.datasets import synth_data
 from veiltrain.engine import PlainEngine, estimate_counts
-from veiltrain.fixedpoint import RingConfig, decode, encode
+from veiltrain.fixedpoint import RingConfig, decode, encode, to_signed
+from veiltrain.kernels import KERNEL_TOLERANCES, SIGMOID_BOUND
 from veiltrain.training import (ModelState, TrainingConfig, glorot_init,
-                                glorot_limit, l2_normalize, backward, forward, scale_rows,
-                                train_pipeline, update)
+                                glorot_limit, l2_normalize, backward, forward, row_norm_domain,
+                                scale_rows, sigmoid_input_bound, train_pipeline, update)
 
 from conftest import run_both
 
@@ -52,6 +53,24 @@ def test_normalize_batch_of_rows():
     eng = plain(6)
     got = decode(eng.open(l2_normalize(eng, enc_pub(eng, X))), RING)
     assert np.abs(np.linalg.norm(got, axis=1) - 1.0).max() <= 1e-3
+
+
+@pytest.mark.parametrize("frac_bits", [16, 20, 24])
+def test_normalize_within_its_tolerance_across_the_ingest_domain(frac_bits):
+    ring = RingConfig(64, frac_bits)
+    floor, cap = row_norm_domain(ring)
+    rng = np.random.default_rng(44)
+    squared = np.exp2(rng.uniform(np.log2(floor), np.log2(cap), 2000))
+    squared[:2] = floor * 1.001, cap * 0.999
+    X = rng.normal(size=(2000, 12))
+    X = encode(X * np.sqrt(squared / np.sum(X ** 2, axis=1))[:, None], ring)
+    X[-1] = 0
+    exact = np.sum(decode(X, ring) ** 2, axis=1)
+    assert np.all((exact == 0) | ((exact >= floor) & (exact <= cap)))
+    eng = PlainEngine(MaterialSource(45, ring), ring)
+    norms = np.linalg.norm(decode(eng.open(l2_normalize(eng, X)), ring), axis=1)
+    assert np.abs(norms[:-1] - 1).max() <= KERNEL_TOLERANCES["normalize"].bound
+    assert norms[-1] == 0
 
 
 def test_glorot_deterministic_and_bounded():
@@ -342,3 +361,45 @@ def test_minibatch_mirror_bit_exact():
     full = train_lr_clear(X, t, TrainingConfig(epochs=4), seed=41,
                           mode="mirror_fixedpoint")
     assert not np.array_equal(mirror.weights, full.weights)
+
+
+def _largest_sigmoid_input(monkeypatch, X, t, tc, seed):
+    """Mirror training: the largest |z| the sigmoid sees, and the bound it is given."""
+    from veiltrain import training
+
+    seen, bounds = [0.0], set()
+    real = training.secure_sigmoid
+
+    def spy(eng, z, **kw):
+        top = float(np.abs(to_signed(z, eng.cfg)).max()) / 2.0 ** kw["frac_bits"]
+        seen[0] = max(seen[0], top)
+        bounds.add(kw["bound"])
+        return real(eng, z, **kw)
+
+    monkeypatch.setattr(training, "secure_sigmoid", spy)
+    eng = plain(seed)
+    train_pipeline(eng, enc_pub(eng, X), enc_pub(eng, t), tc)
+    (bound,) = bounds
+    return seen[0], bound
+
+
+def test_sigmoid_input_stays_within_its_public_bound(monkeypatch):
+    n, m, seed = 8, 4, 50
+    X, _ = synth_data(n, m, seed=51, separability=1.0)
+    aligned = np.tile(decode(glorot_init(plain(seed), m), RING), (n, 1))  # rows along w0
+    ratios = []
+    for data in (X, aligned):
+        for t in (np.zeros(n), np.ones(n), np.arange(n) % 2.0):
+            for batch, bias in ((0, False), (4, False), (1, False), (0, True)):
+                tc = TrainingConfig(epochs=40 if batch == 0 else 10, batch_size=batch,
+                                    add_bias=bias)
+                top, bound = _largest_sigmoid_input(monkeypatch, data, t, tc, seed)
+                assert bound == sigmoid_input_bound(tc, n, m + bias, RING)
+                assert top <= bound
+                ratios.append(top / bound)
+    # the bias column's sqrt(2) on the row norms selects the clamped sigmoid
+    assert sigmoid_input_bound(TrainingConfig(epochs=40), n, m, RING) <= SIGMOID_BOUND
+    assert sigmoid_input_bound(TrainingConfig(epochs=40, add_bias=True), n, m + 1,
+                               RING) > SIGMOID_BOUND
+    assert sigmoid_input_bound(TrainingConfig(skip_norm=True), n, m, RING) == np.inf
+    print(f"largest |z| / B over the sweep: {max(ratios):.3f}")
