@@ -23,7 +23,7 @@ from .errors import VeiltrainError
 from .fixedpoint import decode, encode
 from .harness import (run_experiment, training_config, write_report)
 from .ingest import ingest_shares
-from .noise import DpParams, perturb_weights
+from .noise import DpParams, box_muller_radius, perturb_weights
 from .shareio import (DEFAULTS, load_config, public_section, read_share_file,
                       read_weights_file, ring_from_config, write_share_file,
                       write_weights_file)
@@ -128,10 +128,13 @@ def cmd_perturb(args):
                         cfg.get("provision_slack", 0.10))
     results, _ = _run_local(cfg, fn, lambda: counts)
     session = int(headers[0]["session"])
+    # basic composition: a perturbed input has spent its own budget already
+    eps_total = float(headers[0].get("epsilon_total", 0)) + dp.epsilon
     for party, w in enumerate(results):
         path = f"{args.out_weights}.party{party}.bin"
         write_weights_file(path, session, party, w, ring,
-                           meta={"epsilon": dp.epsilon, "noise_n": dp.n})
+                           meta={"epsilon": dp.epsilon, "epsilon_total": eps_total,
+                                 "noise_n": dp.n})
         print(f"wrote {path}")
 
 
@@ -174,7 +177,7 @@ def cmd_kernel_bench(args):
     n = args.samples
     cases = {
         "div": None, "sqrt": None, "rsqrt": None, "ln": None, "sin": None, "cos": None,
-        "sigmoid": None, "sigmoid_b4": None,
+        "sigmoid": None, "sigmoid_b4": None, "bm_radius": None,
     }
     b = np.exp2(rng.uniform(-8, 8, n)) * np.where(rng.random(n) < 0.5, -1, 1)
     a = rng.uniform(-1, 1, n) * 2.0 ** 10 * b
@@ -183,6 +186,9 @@ def cmd_kernel_bench(args):
     th = rng.uniform(0, 2 * np.pi, n)
     z = rng.uniform(-16, 16, n)
     z4 = rng.uniform(-kernels.SIGMOID_BOUND, kernels.SIGMOID_BOUND, n)
+    # E = -2 ln u on the Box-Muller domain: u on the l-bit grid of (0, 1], u = 1 included
+    bm = -2 * np.log(np.append(rng.integers(1, 2 ** ring.frac_bits, n - 1), 2 ** ring.frac_bits)
+                     * 2.0 ** -ring.frac_bits)
 
     def dec(v):
         return decode(v, ring)
@@ -210,10 +216,14 @@ def cmd_kernel_bench(args):
             elif name == "sigmoid":
                 got = kernels.secure_sigmoid(eng, eng.from_public(encode(z, ring)))
                 want = np.where(z < -8, 0, np.where(z > 8, 1, 1 / (1 + np.exp(-z))))
-            else:
+            elif name == "sigmoid_b4":
                 got = kernels.secure_sigmoid(eng, eng.from_public(encode(z4, ring)),
                                              bound=kernels.SIGMOID_BOUND)
                 want = 1 / (1 + np.exp(-z4))
+            else:
+                got = eng.trunc(box_muller_radius(eng, eng.from_public(encode(bm, ring))),
+                                ring.frac_bits)
+                want = np.sqrt(decode(encode(bm, ring), ring))
             return eng.open(got), want
 
         counts = estimate_counts(lambda eng: fn(eng), 0, ring)

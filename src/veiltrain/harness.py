@@ -284,6 +284,8 @@ def run_experiment(cfg: dict, workdir: str | None = None, log=lambda msg: None):
     report.meta = {
         "n": n, "m": m, "folds": folds, "epochs": cfg["epochs"],
         "epsilon": cfg["epsilon"], "noise_draws": draws, "seed": seed,
+        # the draws opened copies of one model compose: draws * epsilon
+        "epsilon_total": draws * cfg["epsilon"],
         "data_hash": f"{data_hash:016x}",
         "owners": ",".join(str(k) for k in owners), "modes": ",".join(modes),
     }

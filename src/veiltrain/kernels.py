@@ -109,6 +109,8 @@ KERNEL_TOLERANCES = {
     "cos": KernelTolerance("cos", 2.0 ** -12, "theta in [0, 2pi]"),
     "sigmoid": KernelTolerance("sigmoid", 1e-3, "any z; exact 0/1 beyond |z| = 8"),
     "sigmoid_b4": KernelTolerance("sigmoid_b4", 3.9e-5, "|z| <= 4 under a public bound"),
+    # noise.box_muller_radius: E rsqrt(E) for sqrt(E), E = -2 ln u
+    "bm_radius": KernelTolerance("bm_radius", 2.0 ** -12, "E = -2 ln u, u in (0, 1] at l bits"),
     # | ||row|| - 1 | after training.l2_normalize; the domain scales with the
     # ring (training.row_norm_domain), the one given is the default ring's
     "normalize": KernelTolerance("normalize", 2.0 ** -10,
@@ -291,10 +293,12 @@ def secure_sqrt(eng, a, magnitude_bits=None):
         return eng.trunc(eng.add(prods[0], eng.trunc(prods[1], l)), l)
 
 
-def secure_rsqrt(eng, a, magnitude_bits=None):
+def secure_rsqrt(eng, a, magnitude_bits=None, truncate=True):
     """1/sqrt(a) for a > 0 on shares, within 2^-12 absolute on [2^-10, 2^10],
     from the square root's iteration: its h converges to 1/(2 sqrt(m)).
-    Zero is out of domain."""
+    Zero is out of domain, but its result is finite. With truncate False
+    the result stays at 2l fractional bits, for the caller's next tmul to
+    truncate."""
     l, wide = eng.frac_bits, eng.frac_bits + _MANTISSA_EXTRA
     with eng.phase("rsqrt"):
         z, tops, _, _, m, _, half, _, hh = _sqrt_mantissa(eng, a, magnitude_bits)
@@ -306,7 +310,8 @@ def secure_rsqrt(eng, a, magnitude_bits=None):
         e = eng.add_public(eng.neg(eng.mul_public_int(m_hh, 4)), _unit(eng, 2 * l + wide))
         _, he = eng.tmul(e, wide, half)  # h (1 - m y^2) at 3l bits
         _, hes = eng.tmul(he, l, scale)
-        return eng.trunc(eng.add(ys, eng.trunc(hes, l)), l)
+        y2l = eng.add(ys, eng.trunc(hes, l))
+        return eng.trunc(y2l, l) if truncate else y2l
 
 
 def secure_ln(eng, a, magnitude_bits=None):
@@ -332,15 +337,18 @@ def secure_sin_cos(eng, theta):
     return _sin_cos_turns(eng, eng.trunc(eng.mul_public_int(theta, inv), shift))
 
 
-def _sin_cos_turns(eng, turns):
+def _sin_cos_turns(eng, turns, ride=None):
     """(sin, cos) of 2 pi turns, turns at l bits (any value works modulo 1),
     via the split of the angle into its quarter-period fraction and
-    quadrant."""
+    quadrant. ride: values to truncate by l in the last round of the
+    powers; with ride the result is (sin, cos, ride truncated)."""
     l = eng.frac_bits
     with eng.phase("sin_cos"):
         f, q0, q1 = eng.split(turns, l + 1)  # turns mod 1/4, quadrant bits
         x2l = eng.add_public(eng.mul_public_int(f, 8 << l), _unit(eng, 2 * l, -1))  # 8f - 1
-        powers = _powers(eng, x2l, l, len(SIN_POWER) - 1)
+        powers = _powers(eng, x2l, l, len(SIN_POWER) - 1, ride)
+        if ride is not None:
+            powers, ride = powers
         s, c = eng.trunc(eng.stack([_poly_2l(eng, powers, SIN_POWER),
                                     _poly_2l(eng, powers, COS_POWER)]), l)
         q0s, q0c, q1q0 = eng.mul(eng.stack([q0, q0, q1]), eng.stack([s, c, q0]))
@@ -349,7 +357,7 @@ def _sin_cos_turns(eng, turns):
         q_xor = eng.sub(eng.add(q1, q0), eng.mul_public_int(q1q0, 2))
         inner = eng.stack([inner_sin, inner_cos])
         sin, cos = eng.sub(inner, eng.mul_public_int(eng.mul(eng.stack([q1, q_xor]), inner), 2))
-        return sin, cos
+        return (sin, cos) if ride is None else (sin, cos, ride)
 
 
 def secure_sigmoid(eng, z, magnitude_bits=None, frac_bits=None, ride=None, bound=None):

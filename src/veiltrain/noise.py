@@ -1,13 +1,6 @@
-"""Jointly sampled model perturbation: no party ever sees the noise.
-
-Direction and magnitude are sampled separately. A standard Gaussian vector
-(Box-Muller over jointly generated uniforms) is normalized onto the unit
-sphere; its spherical symmetry makes the direction uniform. The magnitude is
-a Gamma(d, 2/(n*epsilon*reg)) draw built from d unit-rate exponentials, each
-obtained as -ln(u) by inverse transform sampling, summed and scaled. The
-scaled direction is added to the secret-shared coefficients; opening the sum
-publishes the privacy-protected model.
-"""
+"""Jointly sampled model perturbation, seen by no party: Gamma * g / ||g||, g a
+Box-Muller Gaussian (a uniform direction), Gamma ~ Gamma(d, 2/(n*epsilon*reg))
+the scaled sum of d unit exponentials -ln(u), added to the shared weights."""
 
 from __future__ import annotations
 
@@ -15,13 +8,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fixedpoint import encode
-from .kernels import _sin_cos_turns, joint_uniform, secure_ln, secure_sqrt
-from .training import l2_normalize
+from .kernels import _sin_cos_turns, joint_uniform, secure_ln, secure_rsqrt
 
-# uniforms live in (0, 1]; -2 ln(u) <= 2 * l * ln 2 < 2^6 at default precision
+# uniforms live in (0, 1]; E = -2 ln(u) <= 2 * l * ln 2 < 2^6 at default precision
 _LN_MAGNITUDE_BITS = 1
-_SQRT_MAGNITUDE_BITS = 6
+_BOX_MULLER_BITS = 6
+_SCALE_BITS = 16  # significant bits the encoded noise scale keeps, within 2l fractional bits
 
 
 @dataclass(frozen=True)
@@ -34,84 +26,92 @@ class DpParams:
     d: int
 
     def __post_init__(self):
-        if self.epsilon <= 0:
-            raise ValueError("epsilon must be positive")
-        if self.lambda_reg <= 0:
-            raise ValueError("lambda_reg must be positive")
-        if self.n <= 0 or self.d <= 0:
-            raise ValueError("n and d must be positive")
+        for name in ("epsilon", "lambda_reg", "n", "d"):
+            if getattr(self, name) <= 0:
+                raise ValueError(f"{name} must be positive")
 
     @property
     def scale(self) -> float:
         """Noise scale c = 2 / (n * epsilon * lambda_reg)."""
         return 2.0 / (self.n * self.epsilon * self.lambda_reg)
 
+    def scale_code(self, cfg) -> tuple:
+        """(C, f), C / 2^f >= c: c rounded up at f = l bits, or up to 2l while
+        it has fewer than _SCALE_BITS significant bits there."""
+        f = min(2 * cfg.frac_bits, max(cfg.frac_bits, _SCALE_BITS - int(np.frexp(self.scale)[1])))
+        return int(np.ceil(np.ldexp(self.scale, f))), f
+
 
 def gaussian_pair_count(d: int) -> int:
-    """Box-Muller pairs one sampling of dimension d consumes."""
-    pairs = (d + 1) // 2
-    if d % 2 == 1:
-        pairs += 1  # the odd tail re-enters with a length-2 sampling
-    return pairs
+    """Box-Muller pairs drawn for dimension d: an odd d adds a tail pair."""
+    return (d + 1) // 2 + d % 2
 
 
-def _ln(eng, u):
-    return secure_ln(eng, u, magnitude_bits=_LN_MAGNITUDE_BITS)
+def _pair_uniforms(eng, d: int, batch: tuple):
+    """(u, v) of the pairs kept, pair axis first: all for even d; for odd d
+    the first (d-1)/2 and the tail, whose cos is the last coordinate."""
+    k = gaussian_pair_count(d)
+    used = np.r_[0:d // 2, k - 1] if d % 2 else np.arange(k)
+    return joint_uniform(eng, (2, k, *batch))[:, used]
 
 
-def gaussian_vector(eng, d: int, batch: tuple = (), draws=None):
-    """Secret shares of d independent N(0, 1) samples (leading batch axes).
+def _coordinates(x, d: int, batch: tuple):
+    """(2, pairs, *batch) Box-Muller outputs as (*batch, d): cos, sin per pair."""
+    return np.ascontiguousarray(np.moveaxis(x, (0, 1), (-1, -2)).reshape(*batch, -1)[..., :d])
 
-    ceil(d/2) Box-Muller pairs: r = sqrt(-2 ln u), theta = 2 pi v, emitting
-    (r cos theta, r sin theta); sin and cos take v as the angle in turns.
-    An odd d takes one more pair and keeps its first coordinate in place of
-    the last one. draws holds (ln u, v) for gaussian_pair_count(d) pairs;
-    drawn here when not given.
-    """
-    l = eng.frac_bits
-    pairs = gaussian_pair_count(d)
+
+def box_muller_radius(eng, e):
+    """sqrt(E) = E rsqrt(E) at 2l bits, E >= 0 at l bits; exactly 0 at E = 0."""
+    y = secure_rsqrt(eng, e, _BOX_MULLER_BITS, truncate=False)
+    return eng.tmul(y, eng.frac_bits, e)[1]
+
+
+def gaussian_vector(eng, d: int, batch: tuple = ()):
+    """Shares of d independent N(0, 1) samples (leading batch axes): pairs
+    r (cos theta, sin theta), theta = 2 pi v (v in turns), r^2 = -2 ln u."""
     with eng.phase("gaussian"):
-        if draws is None:
-            u, v = joint_uniform(eng, (2, *batch, pairs))
-            draws = _ln(eng, u), v
-        ln_u, v = draws
-        r = secure_sqrt(eng, eng.mul_public_int(ln_u, -2), magnitude_bits=_SQRT_MAGNITUDE_BITS)
+        u, v = _pair_uniforms(eng, d, batch)
+        e = eng.mul_public_int(secure_ln(eng, u, _LN_MAGNITUDE_BITS), -2)
         sin, cos = _sin_cos_turns(eng, v)
-        out = eng.mul(eng.stack([r, r]), eng.stack([cos, sin]), l)
-        out = np.moveaxis(out, 0, -1).reshape(*batch, 2 * pairs)
-        if d % 2 == 1:
-            out[..., d - 1] = out[..., -2]
-        return np.ascontiguousarray(out[..., :d])
+        _, out = eng.tmul(box_muller_radius(eng, e), eng.frac_bits, eng.stack([cos, sin]))
+        return _coordinates(eng.trunc(out, eng.frac_bits), d, batch)
 
 
-def gamma_magnitude(eng, dp: DpParams, batch: tuple = (), ln_u=None):
+def gamma_magnitude(eng, dp: DpParams, batch: tuple = ()):
     """Secret share of one Gamma(d, c) draw: the sum of d unit exponentials
-    -ln(u_i), scaled by the public constant c. ln_u holds the d logarithms;
-    drawn here when not given."""
-    l = eng.frac_bits
+    -ln(u_i), scaled by the public c rounded up (DpParams.scale_code)."""
+    code, f = dp.scale_code(eng.cfg)
     with eng.phase("gamma"):
-        if ln_u is None:
-            ln_u = _ln(eng, joint_uniform(eng, (*batch, dp.d)))
-        exp_sum = eng.neg(eng.sum(ln_u, axis=-1))
-        return eng.trunc(eng.mul_public_int(exp_sum, int(encode(dp.scale, eng.cfg))), l)
+        ln_u = secure_ln(eng, joint_uniform(eng, (*batch, dp.d)), _LN_MAGNITUDE_BITS)
+        return eng.trunc(eng.mul_public_int(eng.neg(eng.sum(ln_u, axis=-1)), code), f)
 
 
 def perturb_weights(eng, w, dp: DpParams, batch: tuple = ()):
-    """Output perturbation on shares: w + gamma * s with s uniform on the
-    unit sphere and gamma ~ Gamma(d, c). With a batch shape, each batch row
-    is an independent noise draw added to the same coefficients.
+    """w + Gamma * g / ||g||; with a batch shape, each batch row is an
+    independent noise draw added to the same coefficients.
 
-    The logarithms of both samplers come from one ln call. Their uniforms
-    come from two draws, the Gaussian's and the Gamma's: a draw's transient
-    memory grows with its size, about 4 KB per uniform with both parties
-    in one process, and one draw of both would double the peak."""
-    pairs = gaussian_pair_count(dp.d)
+    One ln gives E_i = -2 ln u_i and the Gamma's logs; ||g||^2 = S = sum E_i
+    (odd tail: E (1 + cos 2 theta) / 2). S/4^a, 4^a >= k, and Gamma ride in
+    sin/cos; one rsqrt over [E_i, S/4^a] gives R_i = E_i rsqrt(E_i) and K =
+    Gamma 2^a / ||g||. Two uniform draws: one would double the peak memory."""
+    l, d, k = eng.frac_bits, dp.d, (dp.d + 1) // 2
+    a = ((k - 1).bit_length() + 1) // 2
+    code, f = dp.scale_code(eng.cfg)
     with eng.phase("perturb"):
-        u, v = joint_uniform(eng, (2, *batch, pairs))
-        u_gamma = joint_uniform(eng, (*batch, dp.d))
-        ln_u = _ln(eng, np.concatenate([u, u_gamma], axis=-1))
-        direction = gaussian_vector(eng, dp.d, batch, (ln_u[..., :pairs], v))
-        direction = l2_normalize(eng, direction)
-        gamma = gamma_magnitude(eng, dp, batch, ln_u[..., pairs:])
-        eta = eng.mul(direction, gamma[..., None], eng.frac_bits)
-        return eng.add(w, eta)
+        u, v = _pair_uniforms(eng, d, batch)
+        u = np.concatenate([np.moveaxis(u, 0, -1), joint_uniform(eng, (*batch, d))], axis=-1)
+        ln_u = secure_ln(eng, u, _LN_MAGNITUDE_BITS)
+        e = np.moveaxis(eng.mul_public_int(ln_u[..., :k], -2), -1, 0)  # (k, *batch)
+        gamma = eng.mul_public_int(eng.neg(eng.sum(ln_u[..., k:], axis=-1)), code)
+        norm = eng.mul_public_int(eng.sum(e[:k - d % 2], axis=0), 1 << (l - 2 * a))
+        turns = np.concatenate([v, eng.mul_public_int(v[k - 1:], 2)]) if d % 2 else v
+        sin, cos, (s4, gamma) = _sin_cos_turns(eng, turns, eng.stack([norm, gamma]))
+        if d % 2:
+            tail = eng.mul(e[-1], eng.add_public(cos[-1], np.uint64(1 << l)))
+            s4 = eng.add(s4, eng.trunc(tail, l + 2 * a + 1))
+            sin, cos = sin[:k], cos[:k]
+        y = secure_rsqrt(eng, np.concatenate([e, s4[None]]), _BOX_MULLER_BITS, truncate=False)
+        _, rk = eng.tmul(y, l, np.concatenate([e, gamma[None]]))  # R at 2l, K at l + f
+        t, g = eng.tmul(rk, l, eng.stack([cos, sin]), rows=range(k))  # g = R (cos, sin) at 2l
+        _, eta = eng.tmul(g, l, t[k])  # eta 2^a at l + f bits
+        return eng.add(w, _coordinates(eng.trunc(eta, f + a), d, batch))

@@ -14,12 +14,10 @@ ROUNDS_BY_PATH = {
     "-": 1,
     "normalize": 4, "normalize/rsqrt": 32,
     "forward": 2, "sigmoid": 14, "backward": 5, "finalize": 1,
-    "perturb": 2, "perturb/uniform": 2, "perturb/ln": 15,
-    "perturb/gaussian": 2, "perturb/gaussian/sqrt": 31, "perturb/gaussian/sin_cos": 12,
-    "perturb/normalize": 4, "perturb/normalize/rsqrt": 32,
-    "perturb/gamma": 1,
+    "perturb": 4, "perturb/uniform": 2, "perturb/ln": 15,
+    "perturb/sin_cos": 12, "perturb/rsqrt": 31,
 }
-WIRE_BYTES = 170_544  # party 0, sent plus received
+WIRE_BYTES = 165_790  # party 0, sent plus received
 
 
 def test_tiny_session_budget():

@@ -24,6 +24,13 @@ def test_full_stage_flow(tmp_path):
     noisy = tmp_path / "noisy"
     run_cli("perturb", "--in-weights", str(weights), "--out-weights", str(noisy),
             "--n", "60", "--epsilon", "1.0", "--seed", "21")
+    from veiltrain.shareio import read_weights_file
+
+    assert float(read_weights_file(f"{noisy}.party0.bin")[0]["epsilon_total"]) == 1.0
+    twice = tmp_path / "twice"
+    run_cli("perturb", "--in-weights", str(noisy), "--out-weights", str(twice),
+            "--n", "60", "--epsilon", "0.5", "--seed", "21")
+    assert float(read_weights_file(f"{twice}.party1.bin")[0]["epsilon_total"]) == 1.5
     model_csv = tmp_path / "model.csv"
     run_cli("open", "--in-weights", str(noisy), "--out", str(model_csv))
     lines = model_csv.read_text().strip().splitlines()
@@ -31,8 +38,6 @@ def test_full_stage_flow(tmp_path):
     w = np.array([float(v) for v in lines[1:]])
     assert w.shape == (5,)
     # the noisy model must equal trained weights plus a plausible noise draw
-    from veiltrain.shareio import read_weights_file
-
     trained = sum(read_weights_file(f"{weights}.party{p}.bin")[1] for p in (0, 1))
     from veiltrain.fixedpoint import decode
 
@@ -79,6 +84,9 @@ def test_kernel_bench_runs(capsys):
     row = next(line.split() for line in out.splitlines() if line.startswith("sigmoid_b4"))
     assert float(row[1]) <= 3.9e-5  # max error
     assert row[4] == "8"  # the kernel's 7 rounds and the opening of its result
+    row = next(line.split() for line in out.splitlines() if line.startswith("bm_radius"))
+    assert float(row[1]) <= float(row[3])  # E rsqrt(E) against sqrt(E), within its bound
+    assert row[4] == "34"  # rsqrt's 31 rounds, the product, its truncation, the opening
 
 
 def test_experiment_cli_thread(tmp_path):

@@ -148,6 +148,8 @@ def test_every_key_of_a_session_crosses_the_wire():
     counts = pipeline_counts(20, 4, dict(DEFAULTS, epochs=1), 2)
     assert {key[0] for key in counts} == {"triple", "trunc", "bit"}
     assert decode_counts(encode_counts(counts), RING) == counts
+    # the dealer sends in the order of its decoded keys, the party reads in its own
+    assert sorted(decode_counts(encode_counts(counts), RING), key=str) == sorted(counts, key=str)
     src = MaterialSource(15, RING)
     for party in (0, 1):
         wire = WireMaterial(src, party, counts)

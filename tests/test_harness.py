@@ -54,6 +54,9 @@ def test_experiment_report_structure(tmp_path):
     assert rows[("2", "vertical", "baseline")][3] == "-"  # marked like Table 2
     mpc_cells = [v[3] for k, v in rows.items() if k[2] == "mpc_dp"]
     assert len(set(mpc_cells)) == 1  # constant MPC accuracy column
+    # four opened copies of one model at epsilon 1 compose to 4 (basic composition)
+    assert report.meta["epsilon_total"] == 4.0
+    assert "epsilon_total = 4.0" in report.text()
     write_report(report, tmp_path)
     assert (tmp_path / "report.csv").exists()
     assert (tmp_path / "report.txt").exists()

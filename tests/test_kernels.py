@@ -7,6 +7,7 @@ from veiltrain.dealer import MaterialSource
 from veiltrain.engine import PlainEngine, estimate_counts
 from veiltrain.errors import Exhausted
 from veiltrain.fixedpoint import RingConfig, decode, encode, to_signed
+from veiltrain.noise import DpParams, perturb_weights
 
 from conftest import run_both
 
@@ -363,6 +364,11 @@ def test_every_truncated_value_stays_below_the_mask_range():
     lx = lx[(lx > 0) & (lx <= 2.0 ** 10)]
     assert peak(lambda e: kernels.secure_ln(e, enc_pub(e, lx))) < limit
     assert peak(lambda e: kernels.secure_ln(e, enc_pub(e, lx[lx <= 1]), 1)) < limit
+    # the perturbation's chain: c = 2^-30, 2e-6, 1e-3 and 10, the last at n = 2, epsilon 0.1
+    for d in (3, 12, 50, 1874):
+        for n, eps in ((2, 2.0 ** 30), (10 ** 6, 1.0), (2000, 1.0), (2, 0.1)):
+            dp = DpParams(epsilon=eps, lambda_reg=1.0, n=n, d=d)
+            assert peak(lambda e: perturb_weights(e, e.zeros(d), dp, batch=(8,))) < limit
 
 
 # --- joint uniforms ---

@@ -6,8 +6,8 @@ from veiltrain.dealer import MaterialSource
 from veiltrain.engine import PlainEngine
 from veiltrain.fixedpoint import RingConfig, decode, encode
 from veiltrain.kernels import joint_uniform
-from veiltrain.noise import (DpParams, gamma_magnitude, gaussian_pair_count,
-                             gaussian_vector, perturb_weights)
+from veiltrain.noise import (DpParams, box_muller_radius, gamma_magnitude,
+                             gaussian_pair_count, gaussian_vector, perturb_weights)
 
 from conftest import run_both
 
@@ -157,3 +157,103 @@ def test_perturb_batch_rows_are_independent_draws():
     noisy = decode(eng.open(perturb_weights(eng, eng.zeros(3), dp, batch=(50,))), RING)
     assert noisy.shape == (50, 3)
     assert len(np.unique(np.round(noisy, 6), axis=0)) == 50
+
+
+class _ChosenUniforms(PlainEngine):
+    """The mirror with chosen uniforms: each joint_uniform call draws as
+    usual, consuming the same bits, then passes its raw values through the
+    next of the given edits (None keeps them)."""
+
+    def __init__(self, seed, *edits):
+        super().__init__(MaterialSource(seed, RING), RING)
+        self.edits = list(edits)
+
+    def joint_uniform(self, shape):
+        u = super().joint_uniform(shape)
+        edit = self.edits.pop(0)
+        return u if edit is None else edit(u)
+
+
+def _one_ulp(u):
+    return np.ones_like(u)  # u = 2^-l: every -ln u is l ln 2
+
+
+def _first_pair_at_one(u):
+    u = u.copy()
+    u[0, 0] = np.uint64(1 << RING.frac_bits)  # the Gaussian draw is (u|v, pair, *batch)
+    return u
+
+
+@pytest.mark.parametrize("n", [300, 2000, 10**5, 10**6])
+def test_effective_noise_scale_is_never_below_the_calibrated_one(n):
+    dp = DpParams(epsilon=1.0, lambda_reg=1.0, n=n, d=50)
+    code, f = dp.scale_code(RING)
+    assert code / 2.0 ** f >= dp.scale
+    # with every Gamma uniform at one ulp, ||eta|| = c d l ln 2 up to the ln
+    # and rsqrt kernels' relative errors (1e-4 together); at n = 10^6 c is
+    # 2.097 ulps, which rounded to 2 at l bits would show as -4.6 %
+    eng = _ChosenUniforms(15, None, _one_ulp)
+    eta = decode(eng.open(perturb_weights(eng, eng.zeros(dp.d), dp, batch=(50,))), RING)
+    effective = np.linalg.norm(eta, axis=1).mean() / (dp.d * RING.frac_bits * np.log(2))
+    assert effective >= dp.scale * (1 - 1e-3)
+
+
+def test_perturbation_magnitude_law_at_odd_d():
+    # the tolerances of the acceptance test's Gamma law, at odd d
+    dp = DpParams(epsilon=1.0, lambda_reg=1.0, n=1000, d=11)
+    eng = plain(16)
+    eta = decode(eng.open(perturb_weights(eng, eng.zeros(dp.d), dp, batch=(5000,))), RING)
+    norms = np.linalg.norm(eta, axis=1)
+    assert abs(norms.mean() - dp.d * dp.scale) <= 0.03 * dp.d * dp.scale
+    assert abs(norms.var() - dp.d * dp.scale**2) <= 0.10 * dp.d * dp.scale**2
+    assert stats.kstest(norms, stats.gamma(a=dp.d, scale=dp.scale).cdf).statistic < 0.03
+    # the direction is uniform: every coordinate, the tail's too, holds 1/d of it
+    share = (eta / norms[:, None]) ** 2
+    assert np.abs(share.mean(axis=0) * dp.d - 1).max() < 0.1
+
+
+def test_box_muller_radius_tolerance():
+    from veiltrain.kernels import KERNEL_TOLERANCES
+
+    l = RING.frac_bits  # u on the l-bit grid of (0, 1], both ends included
+    u = np.concatenate([[1, 2, 3], np.random.default_rng(21).integers(1, 2**l, 20_000), [2**l]])
+    e = encode(-2 * np.log(u * 2.0**-l), RING)
+    eng = plain(22)
+    got = decode(eng.open(eng.trunc(box_muller_radius(eng, eng.from_public(e)), l)), RING)
+    assert np.abs(got - np.sqrt(decode(e, RING))).max() <= KERNEL_TOLERANCES["bm_radius"].bound
+    assert got[-1] == 0  # u = 1
+
+
+def test_unit_uniform_gives_zero_radius_and_finite_noise():
+    eng = _ChosenUniforms(17, _first_pair_at_one)
+    g = decode(eng.open(gaussian_vector(eng, 4, batch=(8,))), RING)
+    assert np.all(g[:, :2] == 0) and np.all(g[:, 2:] != 0)
+    # E = 0 for the first pair: its coordinates are exactly 0, and the norm
+    # is still the Gamma draw, c d l ln 2 with every Gamma uniform at one ulp
+    dp = DpParams(epsilon=1.0, lambda_reg=1.0, n=300, d=5)
+    gamma = dp.scale * dp.d * RING.frac_bits * np.log(2)
+    eng = _ChosenUniforms(18, _first_pair_at_one, _one_ulp)
+    eta = decode(eng.open(perturb_weights(eng, eng.zeros(dp.d), dp, batch=(20,))), RING)
+    assert np.all(eta[:, :2] == 0)
+    assert np.abs(np.linalg.norm(eta, axis=1) / gamma - 1).max() < 1e-3
+    # every pair at u = 1: ||g|| = 0, rsqrt(0) stays finite and eta is exactly 0
+    eng = _ChosenUniforms(19, lambda u: np.full_like(u, 1 << RING.frac_bits), None)
+    w = encode(np.linspace(-1, 1, dp.d), RING)
+    assert np.array_equal(eng.open(perturb_weights(eng, eng.from_public(w), dp, batch=(4,))),
+                          np.broadcast_to(w, (4, dp.d)))
+
+
+def test_perturbation_round_budget():
+    import veiltrain.noise as noise
+
+    assert not hasattr(noise, "secure_sqrt") and not hasattr(noise, "l2_normalize")
+
+    def rounds(d):
+        dp = DpParams(epsilon=1.0, lambda_reg=1.0, n=300, d=d)
+        _, engs = run_both(lambda eng: perturb_weights(eng, eng.zeros(d), dp, batch=(2,)), 20)
+        return engs[0].rt.transcript.n_rounds
+
+    even = {d: rounds(d) for d in (2, 10, 50)}
+    assert set(even.values()) == {64}
+    for d in (3, 11, 51):  # the odd tail's E cos^2 takes one product and one truncation
+        assert rounds(d) <= even[d - 1] + 2
