@@ -4,15 +4,7 @@ perturbation, so the published model satisfies epsilon-DP while no party ever
 sees the data, the intermediate weights, or the noise."""
 
 from .fixedpoint import RingConfig, decode, encode, truncate
-from .sharing import (BeaverTriple, RandomBitShare, Share, ShareVector,
-                      TruncationPair, beaver_mul_pair, local_linear,
-                      reconstruct, share, share_vector)
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "RingConfig", "encode", "decode", "truncate",
-    "Share", "ShareVector", "BeaverTriple", "TruncationPair", "RandomBitShare",
-    "share", "share_vector", "reconstruct", "local_linear", "beaver_mul_pair",
-    "__version__",
-]
+__all__ = ["RingConfig", "encode", "decode", "truncate", "__version__"]

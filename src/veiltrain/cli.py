@@ -17,8 +17,7 @@ import numpy as np
 
 from . import datasets
 from .cleartext import baseline_fl
-from .dealer import with_slack
-from .engine import estimate_counts, run_two_party
+from .engine import run_two_party
 from .errors import VeiltrainError
 from .fixedpoint import decode, encode
 from .harness import (run_experiment, training_config, write_report)
@@ -75,14 +74,6 @@ def cmd_party(args):
         run_party(cfg, int(args.role[-1]))
 
 
-def _run_local(cfg, fn, counts_fn):
-    ring = ring_from_config(cfg)
-    counts = counts_fn()
-    return run_two_party(fn, session_seed=cfg["seed"], counts=counts, cfg=ring,
-                         session_id=cfg["session_id"],
-                         handshake_public=public_section(cfg))
-
-
 def cmd_train(args):
     cfg = _load_cfg(args)
     ring = ring_from_config(cfg)
@@ -92,15 +83,10 @@ def cmd_train(args):
     Xs = [s[2] for s in shares]
     ts = [s[3] for s in shares]
 
-    def fn(eng):
-        return train_pipeline(eng, Xs[eng.party], ts[eng.party], tc)
-
-    def dry(eng):
-        train_pipeline(eng, eng.zeros(Xs[0].shape), eng.zeros(len(ts[0])), tc)
-
-    counts = with_slack(estimate_counts(dry, 0, ring),
-                        cfg.get("provision_slack", 0.10))
-    results, engines = _run_local(cfg, fn, lambda: counts)
+    results, engines = run_two_party(
+        lambda eng: train_pipeline(eng, Xs[eng.party], ts[eng.party], tc),
+        session_seed=cfg["seed"], cfg=ring, session_id=cfg["session_id"],
+        handshake_public=public_section(cfg))
     for party, w in enumerate(results):
         path = f"{args.out_weights}.party{party}.bin"
         write_weights_file(path, session, party, w, ring)
@@ -118,15 +104,9 @@ def cmd_perturb(args):
     dp = DpParams(epsilon=cfg["epsilon"], lambda_reg=cfg["lambda_reg"],
                   n=args.n, d=d)
 
-    def fn(eng):
-        return perturb_weights(eng, ws[eng.party], dp)
-
-    def dry(eng):
-        perturb_weights(eng, eng.zeros(d), dp)
-
-    counts = with_slack(estimate_counts(dry, 0, ring),
-                        cfg.get("provision_slack", 0.10))
-    results, _ = _run_local(cfg, fn, lambda: counts)
+    results, _ = run_two_party(lambda eng: perturb_weights(eng, ws[eng.party], dp),
+                               session_seed=cfg["seed"], cfg=ring, session_id=cfg["session_id"],
+                               handshake_public=public_section(cfg))
     session = int(headers[0]["session"])
     # basic composition: a perturbed input has spent its own budget already
     eps_total = float(headers[0].get("epsilon_total", 0)) + dp.epsilon
@@ -190,9 +170,6 @@ def cmd_kernel_bench(args):
     bm = -2 * np.log(np.append(rng.integers(1, 2 ** ring.frac_bits, n - 1), 2 ** ring.frac_bits)
                      * 2.0 ** -ring.frac_bits)
 
-    def dec(v):
-        return decode(v, ring)
-
     print(f"{'kernel':10s} {'max_err':>12s} {'mean_err':>12s} {'bound':>12s} {'rounds':>7s}")
     for name in cases:
         def fn(eng, name=name):
@@ -226,9 +203,7 @@ def cmd_kernel_bench(args):
                 want = np.sqrt(decode(encode(bm, ring), ring))
             return eng.open(got), want
 
-        counts = estimate_counts(lambda eng: fn(eng), 0, ring)
-        (res0, _), engines = run_two_party(lambda eng: fn(eng), session_seed=cfg["seed"],
-                                           counts=counts, cfg=ring)
+        (res0, _), engines = run_two_party(fn, session_seed=cfg["seed"], cfg=ring)
         got, want = res0
         err = np.abs(decode(got, ring) - want)
         bound = kernels.KERNEL_TOLERANCES[name].bound

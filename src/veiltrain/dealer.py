@@ -13,8 +13,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import Exhausted, ParseError
-from .fixedpoint import DEFAULT_RING, RingConfig, from_signed, to_signed
-from .sharing import BeaverTriple, RandomBitShare, Share, TruncationPair
+from .fixedpoint import DEFAULT_RING, RingConfig, from_signed, to_signed, truncate
 
 _KIND_TAGS = {"triple": 1, "trunc": 2, "bit": 3}
 _GR_TAG = 4
@@ -54,6 +53,12 @@ def check_key(key, cfg: RingConfig) -> None:
     raise ParseError(f"unknown material key {key!r}")
 
 
+def material_order(counts) -> list:
+    """The keys of counts in the order the dealer ships them: by kind, then by
+    integer parameter, so a NumPy-integer shift sorts as its Python twin."""
+    return sorted(counts, key=lambda key: (key[0], *(int(p) for p in key[1:])))
+
+
 class MaterialSource:
     """Generates both parties' halves of any window of dealer material."""
 
@@ -91,7 +96,7 @@ class MaterialSource:
         """Returns (r0, rs0, r1, rs1) with rs = r arithmetically shifted."""
         cfg = self.cfg
         r = self.trunc_plain(shift, start, n)
-        rs = from_signed(to_signed(r, cfg) >> cfg.sdtype(shift), cfg)
+        rs = truncate(r, shift, cfg)
         sp = self._to_ring(self._words("trunc", shift, _SPLIT, start, n))
         r0, rs0 = sp[:, 0], sp[:, 1]
         return r0, rs0, r - r0, rs - rs0
@@ -200,54 +205,6 @@ class MaterialCursor(_Cursor):
 
     def _halves(self, key, at, n):
         return self.source.half(key, self.party, at, n)
-
-
-class Dealer:
-    """Object API over the material source, mirroring the wire-level catalog."""
-
-    def __init__(self, session_seed: int, cfg: RingConfig = DEFAULT_RING,
-                 counts: dict | None = None, session: int = 0):
-        self.source = MaterialSource(session_seed, cfg)
-        self.cfg = cfg
-        self.session = session
-        self.counts = dict(counts) if counts else {}
-        self.pos: dict = {}
-
-    def _advance(self, key, n):
-        at = self.pos.get(key, 0)
-        if self.counts:
-            cap = self.counts.get(key, 0)
-            if at + n > cap:
-                raise Exhausted(f"requested {at + n} of {key!r} but only {cap} provisioned")
-        self.pos[key] = at + n
-        return at
-
-    def issue(self, kind: str, count: int, shift: int | None = None):
-        """Issue `count` items; returns (party0 list, party1 list)."""
-        if kind == "triple":
-            at = self._advance(("triple",), count)
-            u0, v0, w0, u1, v1, w1 = self.source.triples(at, count)
-            p0 = [BeaverTriple(Share(u0[i], 0, self.session), Share(v0[i], 0, self.session),
-                               Share(w0[i], 0, self.session)) for i in range(count)]
-            p1 = [BeaverTriple(Share(u1[i], 1, self.session), Share(v1[i], 1, self.session),
-                               Share(w1[i], 1, self.session)) for i in range(count)]
-            return p0, p1
-        if kind == "trunc_pair":
-            sh = self.cfg.frac_bits if shift is None else shift
-            at = self._advance(("trunc", sh), count)
-            r0, rs0, r1, rs1 = self.source.trunc_pairs(sh, at, count)
-            p0 = [TruncationPair(Share(r0[i], 0, self.session), Share(rs0[i], 0, self.session), sh)
-                  for i in range(count)]
-            p1 = [TruncationPair(Share(r1[i], 1, self.session), Share(rs1[i], 1, self.session), sh)
-                  for i in range(count)]
-            return p0, p1
-        if kind == "bit":
-            at = self._advance(("bit",), count)
-            b0, b1 = self.source.bit_shares(at, count)
-            p0 = [RandomBitShare(Share(b0[i], 0, self.session)) for i in range(count)]
-            p1 = [RandomBitShare(Share(b1[i], 1, self.session)) for i in range(count)]
-            return p0, p1
-        raise ValueError(f"unknown material kind {kind!r}")
 
 
 def with_slack(counts: dict, slack: float = 0.10) -> dict:

@@ -25,7 +25,7 @@ import threading
 import numpy as np
 
 from .dealer import SIGN_BLOCK, MaterialCursor, MaterialSource, bit_key
-from .fixedpoint import DEFAULT_RING, RingConfig, from_signed, to_signed
+from .fixedpoint import DEFAULT_RING, RingConfig, from_signed, to_signed, truncate
 from .session import PartyRuntime, handshake
 from .transport import queue_pair
 
@@ -370,7 +370,7 @@ class MpcEngine(BaseEngine):
             masked = np.asarray(a + r).reshape(shape)
         m = self.open(masked)
         with np.errstate(over="ignore"):
-            t = from_signed(to_signed(m, self.cfg) >> self.cfg.sdtype(shift), self.cfg)
+            t = truncate(m, shift, self.cfg)
             out = self.neg(rs)
             if self.party == 0:
                 out = out + t
@@ -410,8 +410,7 @@ class MpcEngine(BaseEngine):
                 jobs.append((idx, True, a, b, c))
             opened = self.open(np.concatenate([np.ravel(v) for v in sends]))
             parts = np.split(opened, np.cumsum([np.size(v) for v in sends])[:-1])
-            p = from_signed(to_signed(parts[0].reshape(x.shape), self.cfg)
-                            >> self.cfg.sdtype(shift), self.cfg)
+            p = truncate(parts[0].reshape(x.shape), shift, self.cfg)
             out = [p - rs if self.party == 0 else self.neg(rs)]
             for k, (idx, squared, a, b, c) in enumerate(jobs):
                 d = _rows(p, idx) - parts[1 + 2 * k].reshape(a.shape)
@@ -582,14 +581,17 @@ def estimate_counts(fn, session_seed: int = 0, cfg: RingConfig = DEFAULT_RING) -
     return eng.counts()
 
 
-def run_two_party(fn, *, session_seed: int, counts: dict, cfg: RingConfig = DEFAULT_RING,
-                  session_id: int = 1, transport: str = "queue",
+def run_two_party(fn, *, session_seed: int, counts: dict | None = None,
+                  cfg: RingConfig = DEFAULT_RING, session_id: int = 1, transport: str = "queue",
                   handshake_public: dict | None = None):
     """Run fn(engine) on both parties concurrently; returns ([res0, res1], [eng0, eng1]).
 
-    transport "queue" uses in-process channels; "tcp" runs the same lock-step
-    rounds over loopback sockets.
+    Without counts the parties are provisioned exactly, from a dry run of fn
+    (estimate_counts). transport "queue" uses in-process channels; "tcp" runs
+    the same lock-step rounds over loopback sockets.
     """
+    if counts is None:
+        counts = estimate_counts(fn, session_seed, cfg)
     source = MaterialSource(session_seed, cfg)
     if transport == "queue":
         ch0, ch1 = queue_pair()

@@ -10,15 +10,7 @@ class MagnitudeOverflow(VeiltrainError):
 
 
 class SessionMismatch(VeiltrainError):
-    """Shares from different sessions were combined."""
-
-
-class PartyMismatch(VeiltrainError):
-    """Shares from the same party were combined as if they were a full sharing."""
-
-
-class TripleReuse(VeiltrainError):
-    """A multiplication triple was consumed twice."""
+    """A frame arrived tagged with another session's id."""
 
 
 class RoundDesync(VeiltrainError):

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import csv
 import io
+import json
 import os
 import subprocess
 import sys
@@ -170,20 +171,14 @@ def run_mpc_process(owner_datasets, mode: str, cfg: dict, seed: int, draws: int,
     noisy_path = os.path.join(workdir, "noisy.party0.csv")
     if os.path.exists(noisy_path):
         noisy = np.loadtxt(noisy_path, delimiter=",", ndmin=2)
-    report = {}
-    rep_path = os.path.join(workdir, "report.party0.txt")
-    if os.path.exists(rep_path):
-        with open(rep_path, "r", encoding="utf-8") as fh:
-            for line in fh:
-                if "=" in line:
-                    k, v = line.split("=", 1)
-                    report[k.strip()] = v.strip()
+    with open(os.path.join(workdir, "report.party0.json"), encoding="utf-8") as fh:
+        report = json.load(fh)
     return {
         "w_raw": w0 + w1,
         "w_shares": (w0, w1),
         "noisy_models": noisy,
-        "rounds": int(report.get("rounds", 0)),
-        "bytes": int(report.get("bytes_sent", 0)) + int(report.get("bytes_received", 0)),
+        "rounds": report["rounds"],
+        "bytes": report["bytes_sent"] + report["bytes_received"],
         "runtime_s": elapsed,
         "report": report,
     }

@@ -6,9 +6,16 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import LabelDomainError, MagnitudeOverflow, RowNormDomainError
-from .fixedpoint import RingConfig, decode, encode
-from .sharing import split_raw
+from .fixedpoint import DEFAULT_RING, RingConfig, decode, encode
 from .training import row_norm_domain
+
+
+def split_raw(raw: np.ndarray, rng: np.random.Generator, cfg: RingConfig = DEFAULT_RING):
+    """Split ring elements into two additive halves: x0 + x1 = x (mod 2^lam),
+    with x0 uniform, so either half alone is uniform noise."""
+    raw = np.asarray(raw, dtype=cfg.udtype)
+    half0 = rng.integers(0, cfg.modulus, size=raw.shape, dtype=cfg.udtype)
+    return half0, raw - half0
 
 
 def encode_matrix(X, ring: RingConfig) -> np.ndarray:

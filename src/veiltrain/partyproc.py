@@ -8,15 +8,16 @@ public config, and run the staged pipeline on their share files.
 
 from __future__ import annotations
 
+import json
 import os
 
 import numpy as np
 
-from .dealer import _KIND_TAGS, _SPLIT_WORDS, MaterialSource, _Cursor, check_key
+from .dealer import _KIND_TAGS, _SPLIT_WORDS, MaterialSource, _Cursor, check_key, material_order
 from .engine import MpcEngine
 from .errors import ConfigMismatch, ParseError
 from .fixedpoint import decode
-from .session import PartyRuntime, format_report, handshake, run_report
+from .session import PartyRuntime, handshake, run_report
 from .shareio import (check_ring_meta, public_section, read_share_file,
                       ring_from_config, write_weights_file)
 from .transport import (KIND_HELLO, KIND_MATERIAL, KIND_PROVISION, FrameIO,
@@ -25,7 +26,7 @@ from .transport import (KIND_HELLO, KIND_MATERIAL, KIND_PROVISION, FrameIO,
 
 def encode_counts(counts: dict) -> bytes:
     lines = []
-    for key in sorted(counts, key=str):
+    for key in material_order(counts):
         kind = key[0]
         shift = key[1] if len(key) > 1 else ""
         lines.append(f"{kind}:{shift}={counts[key]}")
@@ -91,7 +92,7 @@ def serve_dealer(cfg: dict) -> None:
             raise ConfigMismatch("provisioning", requests.get(0), requests.get(1))
         counts = requests[0]
         for party, io, _chan in conns:
-            for key in sorted(counts, key=str):
+            for key in material_order(counts):
                 half = source.half(key, party, 0, counts[key])
                 io.send(KIND_MATERIAL, _material_payload(key, half))
     finally:
@@ -125,7 +126,7 @@ def provision_from_dealer(cfg: dict, party: int, counts: dict) -> WireMaterial:
     io.send(KIND_HELLO, f"party={party}".encode())
     io.send(KIND_PROVISION, encode_counts(counts))
     material = WireMaterial(MaterialSource(cfg["seed"], ring), party, counts)
-    for key in sorted(counts, key=str):
+    for key in material_order(counts):
         _, _, payload = io.recv(expect_kind=KIND_MATERIAL, timeout=600.0)
         material.load(key, payload)
     chan.close()
@@ -174,7 +175,6 @@ def run_party(cfg: dict, party: int) -> None:
         noisy = decode(out["noisy"], ring)
         np.savetxt(os.path.join(out_dir, f"noisy.party{party}.csv"), noisy,
                    delimiter=",", fmt="%.10g")
-    report = run_report(rt.transcript, party, session)
-    with open(os.path.join(out_dir, f"report.party{party}.txt"), "w",
+    with open(os.path.join(out_dir, f"report.party{party}.json"), "w",
               encoding="utf-8") as fh:
-        fh.write(format_report(report))
+        json.dump(run_report(rt.transcript, party, session), fh)

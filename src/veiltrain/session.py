@@ -167,7 +167,3 @@ def run_report(transcript: Transcript, party_id: int, session_id: int) -> dict:
         report[f"path.{path}.rounds"] = agg["rounds"]
         report[f"path.{path}.bytes_sent"] = agg["bytes_sent"]
     return report
-
-
-def format_report(report: dict) -> str:
-    return "\n".join(f"{k} = {v}" for k, v in report.items()) + "\n"

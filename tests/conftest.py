@@ -1,7 +1,6 @@
-import numpy as np
 import pytest
 
-from veiltrain.engine import estimate_counts, run_two_party
+from veiltrain.engine import run_two_party
 from veiltrain.fixedpoint import RingConfig
 
 RING = RingConfig()
@@ -13,13 +12,7 @@ def ring():
 
 
 def run_both(fn, seed=1, cfg=RING, transport="queue", public=None, counts=None):
-    """Run fn on both parties with exact provisioning from a dry run."""
-    if counts is None:
-        counts = estimate_counts(fn, seed, cfg)
+    """Run fn on both parties, provisioned exactly from a dry run unless
+    counts are given."""
     return run_two_party(fn, session_seed=seed, counts=counts, cfg=cfg,
                          transport=transport, handshake_public=public)
-
-
-@pytest.fixture
-def two_party():
-    return run_both

@@ -13,17 +13,19 @@ from scipy import stats
 
 from veiltrain import kernels
 from veiltrain.cleartext import train_lr_clear
-from veiltrain.dealer import Dealer, MaterialSource
+from veiltrain.dealer import MaterialSource
 from veiltrain.datasets import (evaluate, make_plan, partition,
                                 stratified_folds, synth_data)
-from veiltrain.engine import PlainEngine, estimate_counts, run_two_party
+from veiltrain.engine import PlainEngine
 from veiltrain.fixedpoint import RingConfig, decode, encode
 from veiltrain.harness import run_experiment, run_mpc_threaded
+from veiltrain.ingest import split_raw
 from veiltrain.noise import (DpParams, gaussian_pair_count, gaussian_vector,
                              perturb_weights)
-from veiltrain.sharing import beaver_mul_pair, reconstruct, share, share_vector
 from veiltrain.shareio import DEFAULTS
 from veiltrain.training import TrainingConfig, l2_normalize, train_pipeline
+
+from conftest import run_both
 
 RING = RingConfig()
 
@@ -33,33 +35,28 @@ def gate(name: str, ok: bool, detail: str = ""):
     assert ok, f"{name}: {detail}"
 
 
-def run_both(fn, seed, transport="queue"):
-    counts = estimate_counts(fn, seed, RING)
-    return run_two_party(fn, session_seed=seed, counts=counts, cfg=RING,
-                         transport=transport)
-
-
 # ---------------------------------------------------------------- criterion 1
 
 def test_share_algebra():
     start = time.perf_counter()
     rng = np.random.default_rng(101)
     secrets = rng.integers(0, 2**64, 100_000, dtype=np.uint64)
-    v0, v1 = share_vector(secrets, rng, RING)
-    exact = np.array_equal(reconstruct(v0, v1, RING), secrets)
-
-    dealer = Dealer(102, RING)
     n_pairs = 10_000
     xs = rng.integers(0, 2**64, n_pairs, dtype=np.uint64)
     ys = rng.integers(0, 2**64, n_pairs, dtype=np.uint64)
-    t0s, t1s = dealer.issue("triple", n_pairs)
-    products_ok = True
-    for i in range(n_pairs):
-        z0, z1 = beaver_mul_pair(share(xs[i], rng, RING), share(ys[i], rng, RING),
-                                 (t0s[i], t1s[i]))
-        if int(reconstruct(z0, z1, RING)) != (int(xs[i]) * int(ys[i])) % 2**64:
-            products_ok = False
-            break
+    halves = [split_raw(v, rng, RING) for v in (secrets, xs, ys)]
+
+    def full_ring(eng):
+        mine = [h[eng.party] for h in halves]
+        with eng.phase("products"):
+            z = eng.mul(mine[1], mine[2])
+        return eng.open(mine[0]), eng.open(z)
+
+    ((opened, z), _), engines = run_both(full_ring, seed=102)
+    exact = np.array_equal(opened, secrets)
+    with np.errstate(over="ignore"):
+        products_ok = np.array_equal(z, xs * ys)
+    product_rounds = engines[0].rt.transcript.by_path()["products"]["rounds"]
 
     # fixed-point products for representable operands up to 2^8
     grid = 2.0 ** -10
@@ -75,8 +72,9 @@ def test_share_algebra():
     fp_err = np.abs(decode(r0, RING) - x * y).max()
     elapsed = time.perf_counter() - start
     gate("share-algebra",
-         exact and products_ok and fp_err <= 2 * 2.0**-20 and elapsed < 60,
-         f"fp_err={fp_err:.2e} elapsed={elapsed:.1f}s")
+         exact and products_ok and product_rounds == 1 and fp_err <= 2 * 2.0**-20
+         and elapsed < 60,
+         f"product_rounds={product_rounds} fp_err={fp_err:.2e} elapsed={elapsed:.1f}s")
 
 
 # ---------------------------------------------------------------- criterion 2
@@ -191,9 +189,7 @@ def test_training_oracle_equivalence():
         return eng.open(train_pipeline(eng, eng.from_public(encode(X, RING)),
                                        eng.from_public(encode(t, RING)), tc))
 
-    counts = estimate_counts(fn, 402, RING)
-    (r0, r1), _ = run_two_party(fn, session_seed=402, counts=counts, cfg=RING,
-                                transport="tcp")
+    (r0, r1), _ = run_both(fn, 402, transport="tcp")
     mirror = train_lr_clear(X, t, tc, seed=402, mode="mirror_fixedpoint")
     float_model = train_lr_clear(X, t, tc, seed=402, mode="float_exact")
     bit_exact = (np.array_equal(r0, encode(mirror.weights, RING))

@@ -102,7 +102,7 @@ def test_experiment_cli_thread(tmp_path):
 def test_subprocess_party_trio(tmp_path):
     # end-to-end over OS processes: dealer + two parties on loopback TCP
     from veiltrain.datasets import make_plan, partition, synth_data
-    from veiltrain.harness import run_mpc_process
+    from veiltrain.harness import run_mpc_process, run_mpc_threaded
     from veiltrain.shareio import DEFAULTS
 
     X, t = synth_data(40, 4, seed=10, separability=1.0)
@@ -112,6 +112,14 @@ def test_subprocess_party_trio(tmp_path):
                           workdir=str(tmp_path / "run"))
     assert res["noisy_models"].shape == (2, 4)
     assert res["rounds"] > 0 and res["bytes"] > 0
+    # one report schema: the same keys, types and values as in thread mode,
+    # timings aside
+    threaded = run_mpc_threaded([(X, t)], "horizontal", cfg, seed=15, draws=2)
+
+    def untimed(report):
+        return {k: (type(v), v) for k, v in report.items() if not k.endswith("seconds")}
+
+    assert untimed(res["report"]) == untimed(threaded["report"])
 
 
 def test_cli_module_entrypoint():

@@ -1,46 +1,34 @@
 import numpy as np
 import pytest
 
-from veiltrain.dealer import _SPLIT_WORDS, Dealer, MaterialCursor, MaterialSource, with_slack
+from veiltrain.dealer import (_SPLIT_WORDS, MaterialCursor, MaterialSource, material_order,
+                              with_slack)
 from veiltrain.errors import Exhausted
 from veiltrain.fixedpoint import RingConfig, to_signed
-from veiltrain.sharing import reconstruct
 
 RING = RingConfig()
 
 
+def _summed(key, n, seed):
+    """Both parties' halves of items [0, n) of one key, added up."""
+    h0, h1 = MaterialSource(seed, RING).halves(key, 0, n)
+    return [a + b for a, b in zip(h0, h1)]
+
+
 def test_triple_invariant():
-    dealer = Dealer(1, RING)
-    p0, p1 = dealer.issue("triple", 50)
-    for t0, t1 in zip(p0, p1):
-        u = int(reconstruct(t0.u, t1.u, RING))
-        v = int(reconstruct(t0.v, t1.v, RING))
-        w = int(reconstruct(t0.w, t1.w, RING))
-        assert (u * v) % 2**64 == w
+    u, v, w = _summed(("triple",), 50, 1)
+    assert all(int(x) * int(y) % 2**64 == int(z) for x, y, z in zip(u, v, w))
 
 
 def test_bits_binary_and_balanced():
-    dealer = Dealer(2, RING)
-    p0, p1 = dealer.issue("bit", 10_000)
-    bits = np.array([int(reconstruct(b0.bit, b1.bit, RING)) for b0, b1 in zip(p0, p1)])
+    (bits,) = _summed(("bit",), 10_000, 2)
     assert set(np.unique(bits)) <= {0, 1}
     assert abs(bits.mean() - 0.5) <= 0.02
 
 
 def test_trunc_pair_invariant():
-    dealer = Dealer(3, RING)
-    p0, p1 = dealer.issue("trunc_pair", 20)
-    for t0, t1 in zip(p0, p1):
-        r = reconstruct(t0.r, t1.r, RING)
-        rs = reconstruct(t0.r_shifted, t1.r_shifted, RING)
-        assert to_signed(r, RING) >> RING.frac_bits == to_signed(rs, RING)
-
-
-def test_exhausted():
-    dealer = Dealer(4, RING, counts={("triple",): 5})
-    dealer.issue("triple", 5)
-    with pytest.raises(Exhausted):
-        dealer.issue("triple", 1)
+    r, rs = _summed(("trunc", RING.frac_bits), 20, 3)
+    assert np.array_equal(to_signed(r, RING) >> RING.frac_bits, to_signed(rs, RING))
 
 
 def test_cursor_exhausted():
@@ -149,7 +137,7 @@ def test_every_key_of_a_session_crosses_the_wire():
     assert {key[0] for key in counts} == {"triple", "trunc", "bit"}
     assert decode_counts(encode_counts(counts), RING) == counts
     # the dealer sends in the order of its decoded keys, the party reads in its own
-    assert sorted(decode_counts(encode_counts(counts), RING), key=str) == sorted(counts, key=str)
+    assert material_order(decode_counts(encode_counts(counts), RING)) == material_order(counts)
     src = MaterialSource(15, RING)
     for party in (0, 1):
         wire = WireMaterial(src, party, counts)
@@ -159,6 +147,47 @@ def test_every_key_of_a_session_crosses_the_wire():
             assert len(payload) == 2 + 8 * _SPLIT_WORDS[key[0]] * n  # how dealer_mb is sized
             wire.load(key, payload)
             assert all(np.array_equal(x, y) for x, y in zip(wire._halves(key, 0, n), half))
+
+
+def test_numpy_integer_shift_provisions_like_its_python_twin():
+    import threading
+
+    from veiltrain.harness import _free_port
+    from veiltrain.partyproc import encode_counts, provision_from_dealer, serve_dealer
+    from veiltrain.shareio import DEFAULTS
+
+    twin = {("triple",): 3, ("trunc", 5): 2, ("trunc", 29): 2, ("bit",): 4, ("bit", 3): 7}
+    # one shift a NumPy integer, as a dry run's computed scale shift can be
+    counts = {("trunc", np.int64(29)) if key == ("trunc", 29) else key: n
+              for key, n in twin.items()}
+    assert encode_counts(counts) == encode_counts(twin)
+    assert material_order(counts) == material_order(twin)
+    # the dealer ships in the order of its decoded (Python int) keys; each
+    # party reads in the order of its own NumPy-keyed counts
+    cfg = dict(DEFAULTS, dealer_host="127.0.0.1", dealer_port=_free_port(), connect_deadline=10.0)
+    wires, errors = {}, []
+
+    def role(name, fn, *args):
+        try:
+            wires[name] = fn(cfg, *args)
+        except Exception as exc:  # noqa: BLE001 - reported by the assert below
+            errors.append(exc)
+
+    threads = [threading.Thread(target=role, args=("dealer", serve_dealer))]
+    threads += [threading.Thread(target=role, args=(p, provision_from_dealer, p, counts))
+                for p in (0, 1)]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join(timeout=30)
+    assert not errors and not any(t.is_alive() for t in threads), errors
+    src = MaterialSource(cfg["seed"], RING)
+    for party in (0, 1):
+        cursor = MaterialCursor(src, party, twin)
+        assert all(np.array_equal(x, y) for x, y in zip(wires[party].take_triples(3),
+                                                         cursor.take_triples(3)))
+        assert all(np.array_equal(x, y) for x, y in zip(wires[party].take_trunc(29, 2),
+                                                         cursor.take_trunc(29, 2)))
 
 
 @pytest.mark.parametrize("line", [

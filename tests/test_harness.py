@@ -3,9 +3,12 @@ import pytest
 
 from veiltrain.cleartext import train_lr_clear
 from veiltrain.datasets import evaluate, make_plan, partition, synth_data
-from veiltrain.harness import (ExperimentReport, pipeline_counts,
-                               run_experiment, run_mpc_threaded, write_report)
-from veiltrain.shareio import DEFAULTS
+from veiltrain.dealer import with_slack
+from veiltrain.engine import estimate_counts, run_two_party
+from veiltrain.harness import (ExperimentReport, _dp_params, party_pipeline, pipeline_counts,
+                               run_experiment, run_mpc_threaded, training_config, write_report)
+from veiltrain.ingest import ingest_partitions
+from veiltrain.shareio import DEFAULTS, ring_from_config
 from veiltrain.training import TrainingConfig
 
 
@@ -84,7 +87,6 @@ def test_ingest_reconstruction_partition_invariant():
     # owners split the matrix differently, but the assembled secret dataset
     # reconstructs to the same fixed-point encodings bit for bit
     from veiltrain.fixedpoint import RingConfig, encode
-    from veiltrain.ingest import ingest_partitions
 
     ring = RingConfig()
     X, t = synth_data(40, 6, seed=21, separability=1.0)
@@ -100,11 +102,21 @@ def test_ingest_reconstruction_partition_invariant():
 
 
 def test_pipeline_counts_cover_consumption():
+    # the dry run on zeros is exact: both parties of a session on real shares
+    # consume exactly its counts, and pipeline_counts pads them by the slack
     X, t = synth_data(40, 5, seed=3, separability=1.0)
     cfg = tiny_cfg(epochs=2)
+    ring = ring_from_config(cfg)
+    tc, dp = training_config(cfg), _dp_params(cfg, 40, 5)
+    shares = ingest_partitions([(X, t)], "horizontal", ring, seed=12)
     counts = pipeline_counts(40, 5, cfg, draws=2)
-    res = run_mpc_threaded([(X, t)], "horizontal", cfg, seed=12, draws=2)
-    assert res["rounds"] > 0  # ran to completion under the provisioned counts
+    _, engines = run_two_party(lambda eng: party_pipeline(eng, *shares[eng.party], tc, dp, 2),
+                               session_seed=12, counts=counts, cfg=ring)
+    dry = estimate_counts(lambda eng: party_pipeline(eng, eng.zeros((40, 5)), eng.zeros(40),
+                                                     tc, dp, 2), 0, ring)
+    for eng in engines:
+        assert {k: v for k, v in eng.material.pos.items() if isinstance(k, tuple)} == dry
+    assert counts == with_slack(dry, cfg["provision_slack"])
 
 
 def test_report_contains_traffic():

@@ -1,174 +1,164 @@
+"""The additive share algebra as the engine runs it: owners split secrets with
+split_raw, parties compute on their halves through MpcEngine, and open."""
+
+import threading
+
 import numpy as np
 import pytest
 from scipy import stats
 
-from veiltrain.dealer import Dealer
-from veiltrain.errors import PartyMismatch, SessionMismatch, TripleReuse
+from veiltrain.dealer import MaterialCursor, MaterialSource
+from veiltrain.engine import MpcEngine
+from veiltrain.errors import Exhausted, SessionMismatch
 from veiltrain.fixedpoint import RingConfig, decode, encode
-from veiltrain.sharing import (BeaverTriple, Share, beaver_mul_pair,
-                               beaver_mul_step, local_linear, reconstruct,
-                               share, share_vector)
+from veiltrain.ingest import split_raw
+from veiltrain.session import PartyRuntime
+from veiltrain.transport import queue_pair
+
+from conftest import run_both
 
 RING = RingConfig()
 
 
+def as_ring(v):
+    """Ring elements as they are; small signed integers wrapped into the ring."""
+    v = np.asarray(v)
+    return v if v.dtype == np.uint64 else v.astype(np.int64).view(np.uint64)
+
+
+def joint(fn, *secrets, seed=1):
+    """fn(eng, *shares) on both parties, each holding its split_raw half of
+    every secret; returns both parties' results."""
+    rng = np.random.default_rng(seed)
+    halves = [split_raw(as_ring(s), rng, RING) for s in secrets]
+    results, _ = run_both(lambda eng: fn(eng, *(h[eng.party] for h in halves)), seed=seed)
+    return results
+
+
 def test_share_sums_to_secret():
-    rng = np.random.default_rng(0)
-    s0, s1 = share(np.uint64(42), rng, RING)
-    assert (s0.value + s1.value) == 42
+    s0, s1 = split_raw(np.uint64(42), np.random.default_rng(0), RING)
+    assert s0 + s1 == 42
 
 
 def test_share_zero_halves_negate():
-    rng = np.random.default_rng(1)
-    s0, s1 = share(np.uint64(0), rng, RING)
-    assert s0.value + s1.value == 0
-    assert s1.value == np.uint64(0) - s0.value
+    s0, s1 = split_raw(np.uint64(0), np.random.default_rng(1), RING)
+    assert s0 + s1 == 0
+    assert s1 == np.uint64(0) - s0
 
 
 def test_share_first_half_uniform():
-    rng = np.random.default_rng(2)
-    halves = np.array([share(np.uint64(7), rng, RING)[0].value for _ in range(100_000)])
-    counts, _ = np.histogram(halves.astype(np.float64), bins=64,
-                             range=(0, float(2**64)))
+    halves, _ = split_raw(np.full(100_000, 7, dtype=np.uint64), np.random.default_rng(2), RING)
+    counts, _ = np.histogram(halves.astype(np.float64), bins=64, range=(0, float(2**64)))
     assert stats.chisquare(counts).pvalue > 0.01
 
 
 def test_reconstruct_wraps():
-    s0 = Share(np.uint64(2**64 - 5), 0)
-    s1 = Share(np.uint64(12), 1)
-    assert reconstruct(s0, s1, RING) == 7
+    (r0, r1), _ = run_both(lambda eng: eng.open(as_ring([-5, 12])[eng.party]))
+    assert r0 == r1 == 7
 
 
 def test_reconstruct_round_trip_bulk():
-    rng = np.random.default_rng(3)
-    secrets = rng.integers(0, 2**64, 10_000, dtype=np.uint64)
-    v0, v1 = share_vector(secrets, rng, RING)
-    assert np.array_equal(reconstruct(v0, v1, RING), secrets)
+    secrets = np.random.default_rng(3).integers(0, 2**64, 10_000, dtype=np.uint64)
+    r0, r1 = joint(lambda eng, x: eng.open(x), secrets)
+    assert np.array_equal(r0, secrets) and np.array_equal(r1, secrets)
 
 
 def test_reconstruct_session_mismatch():
-    s0 = Share(np.uint64(1), 0, session=1)
-    s1 = Share(np.uint64(2), 1, session=2)
+    ch0, ch1 = queue_pair()
+    source = MaterialSource(1, RING)
+    eng0, eng1 = (MpcEngine(PartyRuntime(party, session, ch, RING),
+                            MaterialCursor(source, party, {}))
+                  for party, session, ch in ((0, 1, ch0), (1, 2, ch1)))
+    errors = []
+
+    def open0():
+        try:
+            eng0.open(np.uint64(1))
+        except SessionMismatch as exc:
+            errors.append(exc)
+
+    t = threading.Thread(target=open0)
+    t.start()
     with pytest.raises(SessionMismatch):
-        reconstruct(s0, s1, RING)
+        eng1.open(np.uint64(2))
+    t.join(timeout=10)
+    assert not t.is_alive() and len(errors) == 1
 
 
-def test_reconstruct_party_mismatch():
-    with pytest.raises(PartyMismatch):
-        reconstruct(Share(np.uint64(1), 0), Share(np.uint64(2), 0), RING)
+def test_linear_add_sub_neg():
+    r0, _ = joint(lambda eng, x, y: eng.open(eng.stack([eng.add(x, y), eng.sub(x, y),
+                                                        eng.neg(x)])), 30, 12)
+    assert list(r0.view(np.int64)) == [42, 18, -30]
 
 
-def _shared(x, rng, session=0):
-    return share(np.uint64(x), rng, RING, session)
+def test_linear_scale():
+    r0, _ = joint(lambda eng, x: eng.open(eng.mul_public_int(x, [5, -3])), [10, 10])
+    assert list(r0.view(np.int64)) == [50, -30]
 
 
-def test_local_linear_add():
-    rng = np.random.default_rng(4)
-    x0, x1 = _shared(30, rng)
-    y0, y1 = _shared(12, rng)
-    z0 = local_linear([(1, x0), (1, y0)])
-    z1 = local_linear([(1, x1), (1, y1)])
-    assert reconstruct(z0, z1, RING) == 42
+def test_linear_offset_party0_only():
+    def fn(eng, x):
+        y = eng.add_public(x, 7)
+        return x, y, eng.open(y)
 
-
-def test_local_linear_scale():
-    rng = np.random.default_rng(5)
-    x0, x1 = _shared(10, rng)
-    z0 = local_linear([(5, x0)])
-    z1 = local_linear([(5, x1)])
-    assert reconstruct(z0, z1, RING) == 50
-
-
-def test_local_linear_offset_party0_only():
-    rng = np.random.default_rng(6)
-    x0, x1 = _shared(10, rng)
-    z0 = local_linear([(1, x0)], offset=7)
-    z1 = local_linear([(1, x1)], offset=7)
-    assert z1.value == x1.value  # party 1 untouched
-    assert reconstruct(z0, z1, RING) == 17
-
-
-def _triple_from_values(u, v, rng):
-    w = np.uint64(u) * np.uint64(v)
-    u0, u1 = _shared(u, rng)
-    v0, v1 = _shared(v, rng)
-    w0, w1 = share(w, rng, RING)
-    return BeaverTriple(u0, v0, w0), BeaverTriple(u1, v1, w1)
+    (x0, y0, o0), (x1, y1, o1) = joint(fn, 10)
+    assert y0 == x0 + np.uint64(7)
+    assert y1 == x1  # party 1 untouched
+    assert o0 == o1 == 17  # the offset is added once
 
 
 def test_beaver_hand_example():
-    # x=3, y=4 with triple (5, 6, 30): d = -2, e = -2, product 12
-    rng = np.random.default_rng(7)
-    t0, t1 = _triple_from_values(5, 6, rng)
-    x = _shared(3, rng)
-    y = _shared(4, rng)
-    d0, e0 = beaver_mul_step(x[0], y[0], t0)
-    d1, e1 = beaver_mul_step(x[1], y[1], t1)
-    assert (d0 + d1).view(np.int64) == -2
-    assert (e0 + e1).view(np.int64) == -2
-    from veiltrain.sharing import beaver_mul_finish
-    z0 = beaver_mul_finish(t0, d0 + d1, e0 + e1, 0, 0)
-    z1 = beaver_mul_finish(t1, d0 + d1, e0 + e1, 1, 0)
-    assert reconstruct(z0, z1, RING) == 12
+    r0, _ = joint(lambda eng, x, y: eng.open(eng.mul(x, y)), [3, -3], [4, 4])
+    assert list(r0.view(np.int64)) == [12, -12]
 
 
 def test_beaver_zero_operand():
-    rng = np.random.default_rng(8)
-    for y in (0, 5, 123456):
-        t = _triple_from_values(int(rng.integers(1, 100)), int(rng.integers(1, 100)), rng)
-        z0, z1 = beaver_mul_pair(_shared(0, rng), _shared(y, rng), t)
-        assert reconstruct(z0, z1, RING) == 0
+    r0, _ = joint(lambda eng, x, y: eng.open(eng.mul(x, y)), [0, 0, 0], [0, 5, 123456], seed=8)
+    assert not r0.any()
 
 
 def test_beaver_random_products_exact():
     rng = np.random.default_rng(9)
-    xs = rng.integers(0, 2**64, 200, dtype=np.uint64)
-    ys = rng.integers(0, 2**64, 200, dtype=np.uint64)
-    dealer = Dealer(31, RING)
-    t0s, t1s = dealer.issue("triple", 200)
-    for x, y, t0, t1 in zip(xs, ys, t0s, t1s):
-        z0, z1 = beaver_mul_pair(share(x, rng, RING), share(y, rng, RING), (t0, t1))
-        assert int(reconstruct(z0, z1, RING)) == (int(x) * int(y)) % 2**64
+    xs, ys = rng.integers(0, 2**64, (2, 200), dtype=np.uint64)
+    r0, _ = joint(lambda eng, x, y: eng.open(eng.mul(x, y)), xs, ys, seed=31)
+    assert all(int(z) == int(x) * int(y) % 2**64 for x, y, z in zip(xs, ys, r0))
 
 
 def test_beaver_fixed_point_with_truncation():
-    rng = np.random.default_rng(10)
-    dealer = Dealer(32, RING)
-    (t0,), (t1,) = dealer.issue("triple", 1)
-    x = share(encode(1.5, RING), rng, RING)
-    y = share(encode(2.0, RING), rng, RING)
-    z0, z1 = beaver_mul_pair(x, y, (t0, t1))
-    (p0,), (p1,) = dealer.issue("trunc_pair", 1)
-    # open x*y + r, shift publicly, subtract the shifted mask
-    m = reconstruct(Share(z0.value + p0.r.value, 0), Share(z1.value + p1.r.value, 1), RING)
-    t_pub = np.uint64(m).view(np.int64) >> RING.frac_bits
-    out0 = Share(np.uint64(t_pub).view(np.uint64) - p0.r_shifted.value, 0)
-    out1 = Share(np.uint64(0) - p1.r_shifted.value, 1)
-    got = decode(reconstruct(out0, out1, RING), RING)
-    assert abs(got - 3.0) <= 2**-20
+    def fn(eng, x, y):
+        fused = eng.mul(x, y, shift=RING.frac_bits)
+        apart = eng.trunc(eng.mul(x, y), RING.frac_bits)
+        return eng.open(eng.stack([fused, apart]))
+
+    r0, _ = joint(fn, encode(1.5, RING), encode(2.0, RING), seed=32)
+    assert np.all(np.abs(decode(r0, RING) - 3.0) <= 2**-20)
 
 
 def test_triple_reuse_rejected():
-    rng = np.random.default_rng(11)
-    t0, t1 = _triple_from_values(3, 4, rng)
-    beaver_mul_step(_shared(1, rng)[0], _shared(2, rng)[0], t0)
-    with pytest.raises(TripleReuse):
-        beaver_mul_step(_shared(1, rng)[0], _shared(2, rng)[0], t0)
+    # consecutive takes read consecutive windows of the dealer's stream, and a
+    # cursor at its cap raises rather than wrap back to items it handed out
+    source = MaterialSource(33, RING)
+    n = 5
+    for party in (0, 1):
+        cursor = MaterialCursor(source, party, {("triple",): 2 * n})
+        want = source.halves(("triple",), 0, 2 * n)[party]
+        for window in (slice(0, n), slice(n, 2 * n)):
+            got = cursor.take_triples(n)
+            assert all(np.array_equal(a, b[window]) for a, b in zip(got, want))
+        with pytest.raises(Exhausted):
+            cursor.take_triples(1)
 
 
 def test_distributive_law():
-    # beaver_mul composed with local_linear obeys x*(y+z) = x*y + x*z
+    # x*(y+z) = x*y + x*z through MpcEngine.mul on full-ring shares
     rng = np.random.default_rng(12)
-    dealer = Dealer(33, RING)
-    for _ in range(20):
-        x, y, z = (int(v) for v in rng.integers(0, 2**64, 3, dtype=np.uint64))
-        xs, ys, zs = _shared(x, rng), _shared(y, rng), _shared(z, rng)
-        yz0 = local_linear([(1, ys[0]), (1, zs[0])])
-        yz1 = local_linear([(1, ys[1]), (1, zs[1])])
-        t = dealer.issue("triple", 3)
-        lhs = beaver_mul_pair(xs, (yz0, yz1), (t[0][0], t[1][0]))
-        xy = beaver_mul_pair(xs, ys, (t[0][1], t[1][1]))
-        xz = beaver_mul_pair(xs, zs, (t[0][2], t[1][2]))
-        rhs0 = local_linear([(1, xy[0]), (1, xz[0])])
-        rhs1 = local_linear([(1, xy[1]), (1, xz[1])])
-        assert reconstruct(lhs[0], lhs[1], RING) == reconstruct(rhs0, rhs1, RING)
+    x, y, z = rng.integers(0, 2**64, (3, 20), dtype=np.uint64)
+
+    def fn(eng, x, y, z):
+        lhs = eng.mul(x, eng.add(y, z))
+        rhs = eng.add(eng.mul(x, y), eng.mul(x, z))
+        return eng.open(eng.stack([lhs, rhs]))
+
+    r0, _ = joint(fn, x, y, z, seed=33)
+    assert np.array_equal(r0[0], r0[1])
+    assert all(int(v) == int(a) * (int(b) + int(c)) % 2**64 for v, a, b, c in zip(r0[0], x, y, z))
