@@ -10,6 +10,8 @@ regenerate byte-identical material regardless of chunking.
 
 from __future__ import annotations
 
+import copy
+
 import numpy as np
 
 from .errors import Exhausted, ParseError
@@ -158,11 +160,27 @@ class MaterialSource:
         return _stream(self.seed, _INIT_TAG)
 
 
+class Counts(dict):
+    """Material counts by key, as a dry run measures them, and the windows it
+    reserved for parallel branches: per parallel call, in call order, the
+    cursor positions (material keys and "local_bits") at the start of each
+    branch, in branch order, and after the last one."""
+
+    def __init__(self, counts=(), windows=()):
+        super().__init__(counts)
+        self.windows = tuple(windows)
+
+
+def _taken(pos: dict) -> dict:
+    return {k: v for k, v in pos.items() if v}
+
+
 class _Cursor:
     """One party's sequential view over provisioned dealer material.
 
     Subclasses say where the party's halves of a window of material come
-    from (_halves); the take_* methods and the provisioning check are shared.
+    from (_halves); the take_* methods, the provisioning check and the
+    branch windows are shared.
     """
 
     def __init__(self, source: MaterialSource, party: int, counts: dict):
@@ -170,6 +188,7 @@ class _Cursor:
         self.party = party
         self.counts = dict(counts)
         self.pos: dict = {}
+        self.windows = list(getattr(counts, "windows", ()))
 
     def _halves(self, key, at, n):
         raise NotImplementedError
@@ -199,6 +218,28 @@ class _Cursor:
         self.pos["local_bits"] = at + n
         return self.source.party_bit_stream(self.party, at, n)
 
+    def split(self, n: int) -> list:
+        """Cursors over the windows the dry run reserved for the n branches
+        of the next parallel call, in branch order; each may take material
+        only up to the next one's start. This cursor resumes after them."""
+        if self.windows is None:
+            raise ValueError("parallel branches do not nest")
+        if not self.windows:
+            raise Exhausted("no material windows were provisioned for a parallel call")
+        bounds = self.windows.pop(0)
+        if len(bounds) != n + 1 or _taken(bounds[0]) != _taken(self.pos):
+            raise Exhausted("a parallel call does not match the provisioning dry run")
+        views = []
+        for start, end in zip(bounds, bounds[1:]):
+            view = copy.copy(self)
+            view.pos = dict(start)
+            view.counts = {k: min(v, self.counts.get(k, 0)) for k, v in end.items()
+                           if isinstance(k, tuple)}
+            view.windows = None
+            views.append(view)
+        self.pos = dict(bounds[-1])
+        return views
+
 
 class MaterialCursor(_Cursor):
     """A cursor that regenerates the party's halves from the session seed."""
@@ -207,6 +248,7 @@ class MaterialCursor(_Cursor):
         return self.source.half(key, self.party, at, n)
 
 
-def with_slack(counts: dict, slack: float = 0.10) -> dict:
-    """Provisioning counts padded by the configured slack."""
-    return {k: v + int(np.ceil(v * slack - 1e-9)) for k, v in counts.items()}
+def with_slack(counts: dict, slack: float = 0.10) -> Counts:
+    """Provisioning counts padded by the configured slack, with their windows."""
+    return Counts({k: v + int(np.ceil(v * slack - 1e-9)) for k, v in counts.items()},
+                  getattr(counts, "windows", ()))

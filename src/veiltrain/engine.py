@@ -6,7 +6,8 @@ below and can run on either engine:
 * MpcEngine: values are this party's additive shares; multiplications spend
   Beaver triples, truncations spend dealer pairs, and each step is one
   synchronized exchange with the peer. A truncation and the products of its
-  result can share one exchange (tmul).
+  result can share one exchange (tmul). Independent branches run side by
+  side (parallel) and share their rounds.
 * PlainEngine: values are the plain ring elements. It consumes the same
   seeded randomness streams (truncation masks, per-party bit streams) in the
   same order, so its outputs are bit-identical to what the two parties would
@@ -24,7 +25,7 @@ import threading
 
 import numpy as np
 
-from .dealer import SIGN_BLOCK, MaterialCursor, MaterialSource, bit_key
+from .dealer import SIGN_BLOCK, Counts, MaterialCursor, MaterialSource, bit_key
 from .fixedpoint import DEFAULT_RING, RingConfig, from_signed, to_signed, truncate
 from .session import PartyRuntime, handshake
 from .transport import queue_pair
@@ -200,16 +201,35 @@ class PlainEngine(BaseEngine):
         self.source = source
         self.cfg = cfg or source.cfg
         self.pos: dict = {}
-        self.opened = 0
+        self.windows: list = []  # per parallel call: positions at each branch's start, then its end
+        self._branching = False
 
     def _advance(self, key, n):
         at = self.pos.get(key, 0)
         self.pos[key] = at + n
         return at
 
-    def counts(self) -> dict:
-        """Dealer-material consumption so far, keyed like the dealer's catalog."""
-        return {k: v for k, v in self.pos.items() if isinstance(k, tuple)}
+    def counts(self) -> Counts:
+        """Dealer-material consumption so far, keyed like the dealer's catalog,
+        with the windows of the parallel calls so far."""
+        return Counts({k: v for k, v in self.pos.items() if isinstance(k, tuple)}, self.windows)
+
+    def parallel(self, *branches):
+        """Run each branch(engine) in turn and return their results. This
+        fixes the order in which the branches' material windows follow each
+        other; MpcEngine.parallel runs the branches side by side on them."""
+        if self._branching:
+            raise ValueError("parallel branches do not nest")
+        self._branching = True
+        try:
+            bounds, out = [dict(self.pos)], []
+            for branch in branches:
+                out.append(branch(self))
+                bounds.append(dict(self.pos))
+        finally:
+            self._branching = False
+        self.windows.append(tuple(bounds))
+        return Results(out)
 
     def from_public(self, raw):
         return np.asarray(raw, dtype=self.cfg.udtype)
@@ -554,6 +574,47 @@ class MpcEngine(BaseEngine):
             lo = self.add_public(part, c & ((np.uint64(1) << np.uint64(low)) - np.uint64(1)))
         return np.concatenate([lo[None, :], bits]).reshape((3,) + shape)
 
+    def parallel(self, *branches):
+        """Run each branch(engine) side by side and return their results.
+
+        Every round carries the payloads of all branches that have not yet
+        finished, in branch order, in one exchange with the peer; so the
+        call takes as many rounds as its longest branch. Each branch takes
+        material from the window the dry run reserved for it (PlainEngine.
+        parallel), so every value equals that of running the branches in
+        turn. Branch 0 runs in the calling thread, the others in threads of
+        the same name. A failing branch stops the others at their next round
+        and its exception is raised."""
+        cursors = self.material.split(len(branches))
+        rounds = _Rounds(self.rt, len(branches))
+        stack = self.rt.transcript.phase_stack
+        out, failures = [None] * len(branches), []
+
+        def run(i, own_stack=None):
+            if own_stack is not None:
+                self.rt.transcript.adopt(own_stack)
+            try:
+                out[i] = branches[i](MpcEngine(_BranchRuntime(self.rt, rounds, i), cursors[i]))
+                rounds.finish(i)
+            except _Aborted:
+                pass
+            except BaseException as exc:  # noqa: BLE001 - raised by the caller
+                failures.append(exc)
+                rounds.abort()
+
+        name = threading.current_thread().name
+        threads = [threading.Thread(target=run, args=(i, list(stack)), name=name)
+                   for i in range(1, len(branches))]
+        for t in threads:
+            t.start()
+        if branches:
+            run(0)
+        for t in threads:
+            t.join()
+        if failures:
+            raise failures[0]
+        return Results(out)
+
     def joint_uniform(self, shape):
         l = self.cfg.frac_bits
         n = int(np.prod(shape, dtype=np.int64))
@@ -570,8 +631,107 @@ class MpcEngine(BaseEngine):
         return u.reshape(shape)
 
 
-def estimate_counts(fn, session_seed: int = 0, cfg: RingConfig = DEFAULT_RING) -> dict:
-    """Dry-run a pipeline on the plain engine to get exact material counts.
+class _Aborted(Exception):
+    """A sibling parallel branch failed."""
+
+
+class _Rounds:
+    """The round barrier of one parallel call on one party.
+
+    Each branch posts its payload for the next round. The branch whose post
+    or finish leaves every running branch posted sends all payloads, in
+    branch order, in one exchange with the peer, and leaves each branch its
+    part of the reply. It wakes the others only when it blocks (or
+    finishes): the branches share one interpreter lock, so waking them
+    earlier would only make them wait for it. The round is recorded under
+    the phase path of the lowest-numbered branch in it, with the others'
+    paths as its riders."""
+
+    def __init__(self, rt: PartyRuntime, n: int):
+        self.rt = rt
+        self.cond = threading.Condition()
+        self.live = set(range(n))
+        self.posted: dict = {}   # branch -> (payload, phase stack)
+        self.replies: dict = {}
+        self.failed = False
+
+    def exchange(self, branch: int, payload):
+        with self.cond:
+            alone = len(self.live) == 1  # the others have finished
+        if alone:
+            return self.rt.exchange(payload)
+        with self.cond:
+            self.posted[branch] = (payload, self.rt.transcript.phase_stack)
+            sends = self._complete()
+            if sends is None:
+                self.cond.notify_all()
+            while sends is None and branch not in self.replies:
+                if self.failed:
+                    raise _Aborted()
+                self.cond.wait()
+        if sends is not None:
+            self._send(sends)
+        with self.cond:
+            return self.replies.pop(branch)
+
+    def finish(self, branch: int):
+        with self.cond:
+            self.live.discard(branch)
+            sends = self._complete()
+        if sends is not None:
+            self._send(sends)
+        with self.cond:
+            self.cond.notify_all()
+
+    def abort(self):
+        with self.cond:
+            self.failed = True
+            self.cond.notify_all()
+
+    def _complete(self):
+        """The round's posts, in branch order, once every running branch
+        has posted; None before. Called with the lock held."""
+        if self.failed or not self.posted or self.posted.keys() != self.live:
+            return None
+        return [(j, *self.posted.pop(j)) for j in sorted(self.posted)]
+
+    def _send(self, sends):
+        transcript = self.rt.transcript
+        own = transcript.phase_stack
+        transcript.adopt(sends[0][2])
+        try:
+            reply = self.rt.exchange(np.concatenate([np.ravel(p) for _, p, _ in sends]))
+            transcript.rounds[-1].riders = tuple(transcript.path_of(stack)
+                                                 for _, _, stack in sends[1:])
+        except BaseException:
+            self.abort()
+            raise
+        finally:
+            transcript.adopt(own)
+        parts = np.split(reply, np.cumsum([np.size(p) for _, p, _ in sends])[:-1])
+        with self.cond:
+            for (j, p, _), part in zip(sends, parts):
+                self.replies[j] = part.reshape(np.shape(p))
+
+
+class _BranchRuntime:
+    """A parallel branch's end of the session: its rounds go through the
+    call's barrier; phases, ring and party are the session's."""
+
+    def __init__(self, rt: PartyRuntime, rounds: _Rounds, branch: int):
+        self.rt, self.rounds, self.branch = rt, rounds, branch
+        self.cfg, self.party_id, self.transcript = rt.cfg, rt.party_id, rt.transcript
+
+    def exchange(self, payload):
+        return self.rounds.exchange(self.branch, payload)
+
+    def phase(self, name):
+        return self.rt.phase(name)
+
+
+def estimate_counts(fn, session_seed: int = 0, cfg: RingConfig = DEFAULT_RING) -> Counts:
+    """Dry-run a pipeline on the plain engine to get exact material counts
+    and the windows of its parallel branches.
 
     Protocol control flow is data-independent, so counting on zero-filled
     inputs is exact for any inputs of the same shape.
@@ -588,7 +748,9 @@ def run_two_party(fn, *, session_seed: int, counts: dict | None = None,
 
     Without counts the parties are provisioned exactly, from a dry run of fn
     (estimate_counts). transport "queue" uses in-process channels; "tcp" runs
-    the same lock-step rounds over loopback sockets.
+    the same lock-step rounds over loopback sockets. A party that fails
+    closes its channel, so its peer fails at its next receive; the first
+    failure is raised.
     """
     if counts is None:
         counts = estimate_counts(fn, session_seed, cfg)
@@ -614,7 +776,7 @@ def run_two_party(fn, *, session_seed: int, counts: dict | None = None,
 
     results = [None, None]
     engines = [None, None]
-    errors = [None, None]
+    errors = []
 
     def run(party, channel):
         try:
@@ -625,7 +787,8 @@ def run_two_party(fn, *, session_seed: int, counts: dict | None = None,
             engines[party] = eng
             results[party] = fn(eng)
         except BaseException as exc:  # noqa: BLE001 - surfaced to the caller
-            errors[party] = exc
+            errors.append(exc)
+            channel.close()
 
     threads = [threading.Thread(target=run, args=(p, c), name=f"party{p}")
                for p, c in ((0, ch0), (1, ch1))]
@@ -633,7 +796,8 @@ def run_two_party(fn, *, session_seed: int, counts: dict | None = None,
         t.start()
     for t in threads:
         t.join()
-    for exc in errors:
-        if exc is not None:
-            raise exc
+    for ch in (ch0, ch1):
+        ch.close()
+    if errors:
+        raise errors[0]
     return results, engines

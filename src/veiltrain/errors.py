@@ -32,6 +32,10 @@ class ConnectTimeout(VeiltrainError):
     """A peer was unreachable within the configured deadline."""
 
 
+class PeerClosed(ConnectTimeout):
+    """The peer closed the channel while a frame was still due."""
+
+
 class Exhausted(VeiltrainError):
     """The parties requested more correlated randomness than was provisioned."""
 

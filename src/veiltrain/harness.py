@@ -30,7 +30,7 @@ from .engine import estimate_counts, run_two_party
 from .errors import VeiltrainError
 from .fixedpoint import decode
 from .ingest import ingest_partitions
-from .noise import DpParams, perturb_weights
+from .noise import DpParams, sample_noise
 from .session import run_report
 from .shareio import format_config, public_section, ring_from_config, write_share_file
 from .training import TrainingConfig, train_pipeline
@@ -45,18 +45,28 @@ def training_config(cfg: dict) -> TrainingConfig:
 
 
 def party_pipeline(eng, X, t, tc: TrainingConfig, dp: DpParams | None, draws: int):
-    """The staged protocol one computing party executes after ingestion."""
-    w = train_pipeline(eng, X, t, tc)
-    out = {"w_share": w}
-    if dp is not None:
-        noisy = perturb_weights(eng, w, dp, batch=(draws,))
-        out["noisy"] = eng.open(noisy)
-    return out
+    """The staged protocol one computing party executes after ingestion.
+
+    The noise for the draws models needs neither data nor weights, so it is
+    sampled beside training, in training's rounds (eng.parallel); the noisy
+    models are then opened in one round."""
+    if dp is None:
+        return {"w_share": train_pipeline(eng, X, t, tc)}
+    w, eta = eng.parallel(lambda e: train_pipeline(e, X, t, tc),
+                          lambda e: sample_noise(e, dp, batch=(draws,)))
+    return {"w_share": w, "noisy": eng.open(eng.add(w, eta))}
+
+
+def epsilon_total(cfg: dict, draws: int) -> float:
+    """The budget the session's opened models spend: draws noisy copies of
+    one model compose to draws * epsilon; no noise opens no model."""
+    eps = cfg.get("epsilon", 0)
+    return float(draws * eps) if eps and eps > 0 else 0.0
 
 
 def pipeline_counts(n: int, m: int, cfg: dict, draws: int) -> dict:
-    """Exact dealer-material requirements via an oblivious dry run on zeros,
-    padded by the provisioning slack."""
+    """Dealer-material requirements and branch windows via an oblivious dry
+    run on zeros, padded by the provisioning slack (none by default)."""
     ring = ring_from_config(cfg)
     tc = training_config(cfg)
     d = m + (1 if tc.add_bias else 0)
@@ -66,7 +76,7 @@ def pipeline_counts(n: int, m: int, cfg: dict, draws: int) -> dict:
         party_pipeline(eng, eng.zeros((n, m)), eng.zeros(n), tc, dp, draws)
 
     counts = estimate_counts(dry, session_seed=0, cfg=ring)
-    return with_slack(counts, cfg.get("provision_slack", 0.10))
+    return with_slack(counts, cfg.get("provision_slack", 0.0))
 
 
 def _dp_params(cfg: dict, n: int, d: int) -> DpParams | None:
@@ -108,7 +118,7 @@ def run_mpc_threaded(owner_datasets, mode: str, cfg: dict, seed: int, draws: int
         "rounds": tr.n_rounds,
         "bytes": tr.bytes_sent + tr.bytes_received,
         "runtime_s": elapsed,
-        "report": run_report(tr, 0, cfg.get("session_id", 1)),
+        "report": run_report(tr, 0, cfg.get("session_id", 1), epsilon_total(cfg, draws)),
     }
 
 
@@ -279,8 +289,7 @@ def run_experiment(cfg: dict, workdir: str | None = None, log=lambda msg: None):
     report.meta = {
         "n": n, "m": m, "folds": folds, "epochs": cfg["epochs"],
         "epsilon": cfg["epsilon"], "noise_draws": draws, "seed": seed,
-        # the draws opened copies of one model compose: draws * epsilon
-        "epsilon_total": draws * cfg["epsilon"],
+        "epsilon_total": epsilon_total(cfg, draws),
         "data_hash": f"{data_hash:016x}",
         "owners": ",".join(str(k) for k in owners), "modes": ",".join(modes),
     }

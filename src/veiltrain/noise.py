@@ -47,14 +47,6 @@ def gaussian_pair_count(d: int) -> int:
     return (d + 1) // 2 + d % 2
 
 
-def _pair_uniforms(eng, d: int, batch: tuple):
-    """(u, v) of the pairs kept, pair axis first: all for even d; for odd d
-    the first (d-1)/2 and the tail, whose cos is the last coordinate."""
-    k = gaussian_pair_count(d)
-    used = np.r_[0:d // 2, k - 1] if d % 2 else np.arange(k)
-    return joint_uniform(eng, (2, k, *batch))[:, used]
-
-
 def _coordinates(x, d: int, batch: tuple):
     """(2, pairs, *batch) Box-Muller outputs as (*batch, d): cos, sin per pair."""
     return np.ascontiguousarray(np.moveaxis(x, (0, 1), (-1, -2)).reshape(*batch, -1)[..., :d])
@@ -70,7 +62,11 @@ def gaussian_vector(eng, d: int, batch: tuple = ()):
     """Shares of d independent N(0, 1) samples (leading batch axes): pairs
     r (cos theta, sin theta), theta = 2 pi v (v in turns), r^2 = -2 ln u."""
     with eng.phase("gaussian"):
-        u, v = _pair_uniforms(eng, d, batch)
+        # an odd d keeps the first (d-1)/2 pairs and the tail, whose cos is
+        # the last coordinate
+        k = gaussian_pair_count(d)
+        used = np.r_[0:d // 2, k - 1] if d % 2 else np.arange(k)
+        u, v = joint_uniform(eng, (2, k, *batch))[:, used]
         e = eng.mul_public_int(secure_ln(eng, u, _LN_MAGNITUDE_BITS), -2)
         sin, cos = _sin_cos_turns(eng, v)
         _, out = eng.tmul(box_muller_radius(eng, e), eng.frac_bits, eng.stack([cos, sin]))
@@ -86,10 +82,11 @@ def gamma_magnitude(eng, dp: DpParams, batch: tuple = ()):
         return eng.trunc(eng.mul_public_int(eng.neg(eng.sum(ln_u, axis=-1)), code), f)
 
 
-def perturb_weights(eng, w, dp: DpParams, batch: tuple = ()):
-    """w + Gamma * g / ||g||; with a batch shape, each batch row is an
-    independent noise draw added to the same coefficients.
+def sample_noise(eng, dp: DpParams, batch: tuple = ()):
+    """Shares of Gamma * g / ||g||, (*batch, d): one independent draw per
+    batch row. It needs neither data nor weights.
 
+    k = ceil(d/2) Box-Muller pairs; an odd d takes only the last pair's cos.
     One ln gives E_i = -2 ln u_i and the Gamma's logs; ||g||^2 = S = sum E_i
     (odd tail: E (1 + cos 2 theta) / 2). S/4^a, 4^a >= k, and Gamma ride in
     sin/cos; one rsqrt over [E_i, S/4^a] gives R_i = E_i rsqrt(E_i) and K =
@@ -98,7 +95,7 @@ def perturb_weights(eng, w, dp: DpParams, batch: tuple = ()):
     a = ((k - 1).bit_length() + 1) // 2
     code, f = dp.scale_code(eng.cfg)
     with eng.phase("perturb"):
-        u, v = _pair_uniforms(eng, d, batch)
+        u, v = joint_uniform(eng, (2, k, *batch))
         u = np.concatenate([np.moveaxis(u, 0, -1), joint_uniform(eng, (*batch, d))], axis=-1)
         ln_u = secure_ln(eng, u, _LN_MAGNITUDE_BITS)
         e = np.moveaxis(eng.mul_public_int(ln_u[..., :k], -2), -1, 0)  # (k, *batch)
@@ -114,4 +111,10 @@ def perturb_weights(eng, w, dp: DpParams, batch: tuple = ()):
         _, rk = eng.tmul(y, l, np.concatenate([e, gamma[None]]))  # R at 2l, K at l + f
         t, g = eng.tmul(rk, l, eng.stack([cos, sin]), rows=range(k))  # g = R (cos, sin) at 2l
         _, eta = eng.tmul(g, l, t[k])  # eta 2^a at l + f bits
-        return eng.add(w, _coordinates(eng.trunc(eta, f + a), d, batch))
+        return _coordinates(eng.trunc(eta, f + a), d, batch)
+
+
+def perturb_weights(eng, w, dp: DpParams, batch: tuple = ()):
+    """w + sample_noise: with a batch shape, each batch row is an
+    independent noise draw added to the same coefficients."""
+    return eng.add(w, sample_noise(eng, dp, batch))

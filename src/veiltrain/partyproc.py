@@ -143,7 +143,8 @@ def connect_peer(cfg: dict, party: int):
 def run_party(cfg: dict, party: int) -> None:
     """The computing-party main loop: load shares, provision, handshake,
     run the staged pipeline, and write weights, noisy models, and report."""
-    from .harness import _dp_params, party_pipeline, pipeline_counts, training_config
+    from .harness import (_dp_params, epsilon_total, party_pipeline, pipeline_counts,
+                          training_config)
 
     ring = ring_from_config(cfg)
     session = cfg["session_id"]
@@ -177,4 +178,4 @@ def run_party(cfg: dict, party: int) -> None:
                    delimiter=",", fmt="%.10g")
     with open(os.path.join(out_dir, f"report.party{party}.json"), "w",
               encoding="utf-8") as fh:
-        json.dump(run_report(rt.transcript, party, session), fh)
+        json.dump(run_report(rt.transcript, party, session, epsilon_total(cfg, draws)), fh)

@@ -4,12 +4,15 @@ and transcript accounting.
 Rounds are strictly sequenced: every protocol step that communicates does one
 symmetric exchange with the peer, tagged with a round counter that both sides
 verify. Control flow is data-independent, so lock-step blocking receives are
-all the scheduling a session needs.
+all the scheduling a session needs. Independent branches of a protocol
+(engine parallel) share rounds: each round then carries every branch's
+payload and is recorded under one branch's phase path.
 """
 
 from __future__ import annotations
 
 import hashlib
+import threading
 import time
 from dataclasses import dataclass, field
 
@@ -29,18 +32,37 @@ class RoundRecord:
     bytes_received: int
     seconds: float
     path: str  # the enclosing phases, outermost first, "/"-joined ("-" for none)
+    riders: tuple = ()  # paths of the other parallel branches whose payloads it carried
 
 
 @dataclass
 class Transcript:
-    """Per-round and per-phase communication accounting for one party."""
+    """Per-round and per-phase communication accounting for one party.
+
+    Phases nest on a stack per thread: each parallel branch's thread adopts
+    its own, and a round is recorded under the sending thread's stack."""
 
     rounds: list = field(default_factory=list)
-    phase_stack: list = field(default_factory=lambda: ["-"])
+    root_stack: list = field(default_factory=lambda: ["-"])
+    _local: threading.local = field(default_factory=threading.local, repr=False,
+                                    compare=False)
+
+    @property
+    def phase_stack(self) -> list:
+        """The calling thread's phase stack."""
+        return getattr(self._local, "stack", self.root_stack)
+
+    def adopt(self, stack: list):
+        """Give the calling thread its own phase stack."""
+        self._local.stack = stack
+
+    @staticmethod
+    def path_of(stack: list) -> str:
+        return "/".join(stack[1:]) or "-"
 
     def record(self, round_no, sent, received, seconds):
         self.rounds.append(RoundRecord(round_no, sent, received, seconds,
-                                       "/".join(self.phase_stack[1:]) or "-"))
+                                       self.path_of(self.phase_stack)))
 
     @property
     def n_rounds(self):
@@ -64,6 +86,15 @@ class Transcript:
             agg["bytes_sent"] += r.bytes_sent
             agg["bytes_received"] += r.bytes_received
             agg["seconds"] += r.seconds
+        return out
+
+    def by_overlap(self):
+        """Rounds per phase path of the branches that rode in rounds
+        recorded under another branch's path."""
+        out = {}
+        for r in self.rounds:
+            for path in r.riders:
+                out[path] = out.get(path, 0) + 1
         return out
 
     def by_phase(self):
@@ -149,8 +180,13 @@ def handshake(rt: PartyRuntime, public: dict) -> str:
     return config_digest(public)
 
 
-def run_report(transcript: Transcript, party_id: int, session_id: int) -> dict:
-    """Summarize a completed session as a flat report mapping."""
+def run_report(transcript: Transcript, party_id: int, session_id: int,
+               epsilon_total: float = 0.0) -> dict:
+    """Summarize a completed session as a flat report mapping.
+
+    epsilon_total is the privacy budget the session's opened models spend.
+    Every round counts once, under its path; overlap.<path>.rounds counts
+    the rounds a parallel branch rode in under another branch's path."""
     report = {
         "party": party_id,
         "session": session_id,
@@ -158,6 +194,7 @@ def run_report(transcript: Transcript, party_id: int, session_id: int) -> dict:
         "bytes_sent": transcript.bytes_sent,
         "bytes_received": transcript.bytes_received,
         "seconds": round(sum(r.seconds for r in transcript.rounds), 6),
+        "epsilon_total": epsilon_total,
     }
     for phase, agg in sorted(transcript.by_phase().items()):
         report[f"phase.{phase}.rounds"] = agg["rounds"]
@@ -166,4 +203,6 @@ def run_report(transcript: Transcript, party_id: int, session_id: int) -> dict:
     for path, agg in sorted(transcript.by_path().items()):
         report[f"path.{path}.rounds"] = agg["rounds"]
         report[f"path.{path}.bytes_sent"] = agg["bytes_sent"]
+    for path, rounds in sorted(transcript.by_overlap().items()):
+        report[f"overlap.{path}.rounds"] = rounds
     return report

@@ -38,7 +38,7 @@ DEFAULTS = {
     "batch_size": 0, "epsilon": 1.0, "noise_draws": 100, "seed": 1,
     "session_id": 1, "partition": "horizontal", "owners": "2", "folds": 5,
     "modes": "horizontal,vertical", "n": 300, "m": 12, "separability": 1.0,
-    "provision_slack": 0.10, "executor": "process", "connect_deadline": 15.0,
+    "provision_slack": 0.0, "executor": "process", "connect_deadline": 15.0,
 }
 
 

@@ -14,7 +14,7 @@ import struct
 
 import numpy as np
 
-from .errors import ConnectTimeout, RoundDesync, SessionMismatch
+from .errors import ConnectTimeout, PeerClosed, RoundDesync, SessionMismatch
 
 KIND_HELLO = 1
 KIND_OPEN = 2
@@ -24,6 +24,7 @@ KIND_DATA = 5
 KIND_LABELS = 6
 KIND_RESULT = 7
 
+_CLOSED = None  # what a closing QueueChannel leaves in its peer's inbox
 _HEADER = struct.Struct("<IBI")
 _ROUND = struct.Struct("<I")
 
@@ -73,11 +74,14 @@ class QueueChannel:
             data = self._in.get(timeout=timeout)
         except queue.Empty:
             raise ConnectTimeout("peer sent nothing before the deadline")
+        if data is _CLOSED:
+            raise PeerClosed("peer closed the channel")
         self.bytes_received += len(data)
         return data
 
     def close(self) -> None:
-        pass
+        """Wake the peer's pending (or next) receive with PeerClosed."""
+        self._out.put(_CLOSED)
 
 
 def queue_pair():
@@ -103,7 +107,7 @@ class SocketChannel:
         while n:
             chunk = self.sock.recv(min(n, 1 << 20))
             if not chunk:
-                raise ConnectTimeout("peer closed the connection")
+                raise PeerClosed("peer closed the connection")
             chunks.append(chunk)
             n -= len(chunk)
         return b"".join(chunks)

@@ -120,6 +120,8 @@ def test_subprocess_party_trio(tmp_path):
         return {k: (type(v), v) for k, v in report.items() if not k.endswith("seconds")}
 
     assert untimed(res["report"]) == untimed(threaded["report"])
+    # two opened noisy copies at epsilon 1 compose to 2
+    assert res["report"]["epsilon_total"] == 2.0
 
 
 def test_cli_module_entrypoint():

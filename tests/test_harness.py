@@ -103,7 +103,8 @@ def test_ingest_reconstruction_partition_invariant():
 
 def test_pipeline_counts_cover_consumption():
     # the dry run on zeros is exact: both parties of a session on real shares
-    # consume exactly its counts, and pipeline_counts pads them by the slack
+    # consume exactly its counts, which pipeline_counts provisions unpadded
+    # by default, windows of the parallel noise branch included
     X, t = synth_data(40, 5, seed=3, separability=1.0)
     cfg = tiny_cfg(epochs=2)
     ring = ring_from_config(cfg)
@@ -116,7 +117,8 @@ def test_pipeline_counts_cover_consumption():
                                                      tc, dp, 2), 0, ring)
     for eng in engines:
         assert {k: v for k, v in eng.material.pos.items() if isinstance(k, tuple)} == dry
-    assert counts == with_slack(dry, cfg["provision_slack"])
+    assert counts == dry and counts.windows == dry.windows
+    assert with_slack(counts, 0.5).windows == dry.windows
 
 
 def test_report_contains_traffic():

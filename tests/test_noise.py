@@ -63,6 +63,15 @@ def test_gss_odd_path_consumption():
     assert out.shape == (3,)
 
 
+@pytest.mark.parametrize("d", [3, 11, 12])
+def test_perturbation_draws_exactly_its_pairs(d):
+    # ceil(d/2) Box-Muller pairs and d Gamma uniforms per draw, no more
+    dp = DpParams(epsilon=1.0, lambda_reg=1.0, n=100, d=d)
+    eng = plain(5)
+    perturb_weights(eng, eng.zeros(d), dp, batch=(4,))
+    assert eng.pos["local_bits"] == 4 * (2 * ((d + 1) // 2) + d) * RING.frac_bits
+
+
 def test_gss_mirror_equals_mpc():
     def fn(eng):
         return eng.open(gaussian_vector(eng, 7, batch=(4,)))

@@ -3,7 +3,7 @@ import threading
 import numpy as np
 import pytest
 
-from veiltrain.errors import ConnectTimeout, RoundDesync, SessionMismatch
+from veiltrain.errors import ConnectTimeout, PeerClosed, RoundDesync, SessionMismatch
 from veiltrain.transport import (KIND_OPEN, FrameIO, connect, listen_one,
                                  pack_frame, payload_u64, queue_pair,
                                  u64_payload, unpack_frame)
@@ -30,6 +30,26 @@ def test_queue_pair_duplex():
     b.send_bytes(b"pong")
     assert a.recv_bytes() == b"pong"
     assert a.bytes_sent == 4 and a.bytes_received == 4
+
+
+def test_queue_close_wakes_the_peer():
+    a, b = queue_pair()
+    a.send_bytes(b"last")
+    got = []
+
+    def receive():
+        got.append(b.recv_bytes(timeout=10))
+        try:
+            b.recv_bytes(timeout=10)
+        except PeerClosed as exc:
+            got.append(exc)
+
+    t = threading.Thread(target=receive)
+    t.start()
+    a.close()
+    t.join(timeout=5)
+    assert not t.is_alive()
+    assert got[0] == b"last" and isinstance(got[1], PeerClosed)
 
 
 def test_frameio_checks_session():
