@@ -21,6 +21,7 @@ input sizes.
 from __future__ import annotations
 
 import contextlib
+import functools
 import threading
 
 import numpy as np
@@ -143,6 +144,16 @@ class Results(tuple):
 def _rows(a, idx):
     """a's rows (axis 0) at the indices idx, or all of a for None."""
     return a if idx is None else a[np.asarray(idx, dtype=np.intp)]
+
+
+def _summands(x, shift):
+    """tmul's (array, shift) pairs: x and shift themselves, or their
+    matching sequences zipped."""
+    if isinstance(x, (list, tuple)):
+        if not isinstance(shift, (list, tuple)) or len(shift) != len(x) or not x:
+            raise ValueError("tmul takes one shift per summand")
+        return list(zip(x, shift))
+    return [(x, shift)]
 
 
 def _mask_counts(width: int, n: int) -> dict:
@@ -271,11 +282,11 @@ class PlainEngine(BaseEngine):
         return np.asarray(out)
 
     def tmul(self, x, shift, y=None, square=False, rows=None):
-        """t = trunc(x, shift) and, in the same round, the untruncated
-        products of t's rows with y and with themselves (see MpcEngine.tmul).
-        Spends what trunc and mul would."""
-        t = self.trunc(x, shift)
-        out = [t]
+        """The truncations trunc(x_i, shift_i) and, in the same round, the
+        untruncated products of their sum t's rows with y and with
+        themselves (see MpcEngine.tmul). Spends what trunc and mul would."""
+        out = [self.trunc(a, s) for a, s in _summands(x, shift)]
+        t = functools.reduce(self.add, out)
         if y is not None:
             out.append(self.mul(_rows(t, rows), y))
         if square is not False:
@@ -397,24 +408,33 @@ class MpcEngine(BaseEngine):
             return np.asarray(out)
 
     def tmul(self, x, shift, y=None, square=False, rows=None):
-        """t = trunc(x, shift) and, in the same round, untruncated products
-        of t's rows (axis 0): t[rows] * y (all of t when rows is None,
-        broadcast against y), then, if square is set, t * t (square True) or
-        t[square] * t[square] (square a sequence of rows). Returns t and
-        then the products asked for.
+        """Truncations and, in the same round, untruncated products of
+        their sum. x and shift are an array and a shift, or matching
+        sequences of both (the arrays of one shape); t_i = trunc(x_i,
+        shift_i) and t = sum_i t_i. The products are of t's rows (axis 0):
+        t[rows] * y (all of t when rows is None, broadcast against y), then,
+        if square is set, t * t (square True) or t[square] * t[square]
+        (square a sequence of rows). Returns the t_i and then the products
+        asked for.
 
-        It spends what trunc and mul would: a truncation pair (r, rs) per
-        element of x, rs being r arithmetically shifted, and a triple
-        (a, b, c) per product. The parties open m = x + r, with rs + a (and
-        rs + b for a square) or y - b for the second operand, all at once.
-        p = m >> shift is public and t = p - rs, so the Beaver masked value
-        t - a = p - (rs + a) needs no round of its own. rs + a and rs + b
-        are uniform, as a and b are; so each round opens as many words as
-        trunc's and mul's two rounds would, and each x + r once.
+        It spends what the truncations and mul would: a truncation pair
+        (r_i, rs_i) per element of x_i, rs_i being r_i arithmetically
+        shifted, and a triple (a, b, c) per product. With rs = sum_i rs_i,
+        the parties open every m_i = x_i + r_i, with rs + a (and rs + b for
+        a square) or y - b for the second operand, all at once. p_i =
+        m_i >> shift_i is public and t_i = p_i - rs_i, so the Beaver masked
+        value t - a = sum_i p_i - (rs + a) needs no round of its own. rs + a
+        and rs + b are uniform, as a and b are; so each round opens as many
+        words as the truncations' and mul's two rounds would, and each
+        x_i + r_i once.
         """
-        x = np.asarray(x, dtype=self.cfg.udtype)
-        r, rs = (a.reshape(x.shape) for a in self.material.take_trunc(shift, x.size))
-        sends, jobs = [x + r], []
+        terms, sends, jobs = [], [], []  # terms: (shape, shift, rs) per summand
+        for a, s in _summands(x, shift):
+            a = np.asarray(a, dtype=self.cfg.udtype)
+            r, rs = (m.reshape(a.shape) for m in self.material.take_trunc(s, a.size))
+            sends.append(self.add(a, r))
+            terms.append((a.shape, s, rs))
+        rs = functools.reduce(self.add, [rs for _, _, rs in terms])
         with np.errstate(over="ignore"):
             if y is not None:
                 left = _rows(rs, rows)
@@ -430,11 +450,15 @@ class MpcEngine(BaseEngine):
                 jobs.append((idx, True, a, b, c))
             opened = self.open(np.concatenate([np.ravel(v) for v in sends]))
             parts = np.split(opened, np.cumsum([np.size(v) for v in sends])[:-1])
-            p = truncate(parts[0].reshape(x.shape), shift, self.cfg)
-            out = [p - rs if self.party == 0 else self.neg(rs)]
+            ps = [truncate(m.reshape(shape), s, self.cfg)
+                  for m, (shape, s, _) in zip(parts, terms)]
+            out = [p_i - rs_i if self.party == 0 else self.neg(rs_i)
+                   for p_i, (_, _, rs_i) in zip(ps, terms)]
+            p = functools.reduce(self.add, ps)
+            parts = parts[len(terms):]
             for k, (idx, squared, a, b, c) in enumerate(jobs):
-                d = _rows(p, idx) - parts[1 + 2 * k].reshape(a.shape)
-                e = parts[2 + 2 * k].reshape(a.shape)
+                d = _rows(p, idx) - parts[2 * k].reshape(a.shape)
+                e = parts[1 + 2 * k].reshape(a.shape)
                 if squared:
                     e = _rows(p, idx) - e
                 z = c + d * b + e * a

@@ -15,8 +15,10 @@ import csv
 import io
 import json
 import os
+import queue
 import subprocess
 import sys
+import threading
 import time
 from dataclasses import dataclass, field
 
@@ -34,6 +36,9 @@ from .noise import DpParams, sample_noise
 from .session import run_report
 from .shareio import format_config, public_section, ring_from_config, write_share_file
 from .training import TrainingConfig, train_pipeline
+
+
+ROLE_DEADLINE_S = 600.0  # a process-mode session's dealer and parties all end within it
 
 
 def training_config(cfg: dict) -> TrainingConfig:
@@ -132,10 +137,50 @@ def _free_port() -> int:
     return port
 
 
+def _supervise(procs: dict, deadline: float):
+    """Wait for every role process at once. On the first nonzero exit, or
+    when the deadline (seconds) passes, kill the roles still running; reap
+    every role in any case. Raises VeiltrainError naming the failing role
+    first (or the roles still running at the deadline), then every role's
+    exit status and stderr tail."""
+    ended = queue.Queue()
+    errs = {}
+
+    def wait(role, proc):
+        errs[role] = proc.communicate()[1]  # drains both pipes, then reaps
+        ended.put(role)
+
+    waiters = [threading.Thread(target=wait, args=item, daemon=True) for item in procs.items()]
+    for waiter in waiters:
+        waiter.start()
+    end = time.monotonic() + deadline
+    pending, failure = list(procs), None
+    while pending and failure is None:
+        try:
+            role = ended.get(timeout=max(0.0, end - time.monotonic()))
+        except queue.Empty:
+            failure = f"{', '.join(pending)} still running after {deadline:g} s"
+            break
+        pending.remove(role)
+        if procs[role].returncode != 0:
+            failure = f"{role} exited with status {procs[role].returncode}"
+    for proc in procs.values():
+        if proc.poll() is None:
+            proc.kill()
+    for waiter in waiters:
+        waiter.join()
+    if failure is not None:
+        tails = [f"[{role}] exit {proc.returncode}:\n{errs[role].decode()[-2000:]}"
+                 for role, proc in procs.items()]
+        raise VeiltrainError(f"subprocess pipeline failed: {failure}\n" + "\n".join(tails))
+
+
 def run_mpc_process(owner_datasets, mode: str, cfg: dict, seed: int, draws: int,
                     workdir: str):
     """Same pipeline, but supervised as OS processes: a dealer and two party
-    processes over loopback TCP, with file-based share hand-off."""
+    processes over loopback TCP, with file-based share hand-off. A role
+    that fails stops the others at once, and all must end within
+    ROLE_DEADLINE_S (_supervise)."""
     ring = ring_from_config(cfg)
     os.makedirs(workdir, exist_ok=True)
     (X0, t0), (X1, t1) = ingest_partitions(owner_datasets, mode, ring, seed)
@@ -163,14 +208,7 @@ def run_mpc_process(owner_datasets, mode: str, cfg: dict, seed: int, draws: int,
             stdout=subprocess.PIPE, stderr=subprocess.PIPE)
 
     t0_clock = time.perf_counter()
-    procs = {role: spawn(role) for role in ("dealer", "party0", "party1")}
-    failures = []
-    for role, proc in procs.items():
-        out, err = proc.communicate(timeout=600)
-        if proc.returncode != 0:
-            failures.append(f"[{role}] exit {proc.returncode}:\n{err.decode()[-2000:]}")
-    if failures:
-        raise VeiltrainError("subprocess pipeline failed:\n" + "\n".join(failures))
+    _supervise({role: spawn(role) for role in ("dealer", "party0", "party1")}, ROLE_DEADLINE_S)
     elapsed = time.perf_counter() - t0_clock
 
     from .shareio import read_weights_file

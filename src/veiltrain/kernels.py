@@ -360,7 +360,8 @@ def _sin_cos_turns(eng, turns, ride=None):
         return (sin, cos) if ride is None else (sin, cos, ride)
 
 
-def secure_sigmoid(eng, z, magnitude_bits=None, frac_bits=None, ride=None, bound=None):
+def secure_sigmoid(eng, z, magnitude_bits=None, frac_bits=None, ride=None, bound=None,
+                   truncate=True):
     """Logistic function on shares: 1/2 + t q(2 t^2 - 1), t = z/2^k.
 
     With a public bound |z| <= bound <= SIGMOID_BOUND, k = 2 and q is the
@@ -376,7 +377,9 @@ def secure_sigmoid(eng, z, magnitude_bits=None, frac_bits=None, ride=None, bound
     _powers. On either domain every truncated value holds at most 2l
     fractional bits of a number below 4, so the sigmoid works on any ring
     with 2l + 4 <= lambda. ride: values to truncate by l in the last round
-    of the powers; with ride the result is (sigmoid, ride truncated).
+    of the powers; with ride the result is (sigmoid, ride truncated). With
+    truncate False the sigmoid stays at 2l fractional bits (the constant
+    part times 2^l, plus the core), for the caller's next tmul to truncate.
     """
     l = eng.frac_bits
     bounded = bound is not None and bound <= SIGMOID_BOUND
@@ -393,7 +396,10 @@ def secure_sigmoid(eng, z, magnitude_bits=None, frac_bits=None, ride=None, bound
         if ride is not None:
             powers, ride = powers
         _, core = eng.tmul(_poly_2l(eng, powers, coeffs), l, t)
-        out = eng.add(out, eng.trunc(core, l))
+        if truncate:
+            out = eng.add(out, eng.trunc(core, l))
+        else:
+            out = eng.add(eng.mul_public_int(out, 1 << l), core)
         return out if ride is None else (out, ride)
 
 

@@ -10,18 +10,18 @@ from veiltrain.datasets import make_plan, partition, synth_data
 from veiltrain.shareio import DEFAULTS
 
 # 20x4 horizontal, 2 epochs, 3 noise draws, thread executor. The noise
-# (64 rounds) runs beside training (58): each shared round is recorded under
-# training's path, and the 6 rounds the noise takes past training's end
+# (64 rounds) runs beside training (53): each shared round is recorded under
+# training's path, and the 11 rounds the noise takes past training's end
 # under its own.
 ROUNDS_BY_PATH = {
     "-": 1,
-    "normalize": 4, "normalize/rsqrt": 32,
-    "forward": 2, "sigmoid": 14, "backward": 5, "finalize": 1,
-    "perturb": 4, "perturb/rsqrt": 2,
+    "normalize": 4, "normalize/rsqrt": 31,
+    "forward": 2, "sigmoid": 12, "backward": 3, "finalize": 1,
+    "perturb": 4, "perturb/rsqrt": 7,
 }
 # the noise's rounds that rode in training's
 OVERLAP_BY_PATH = {
-    "perturb/uniform": 2, "perturb/ln": 15, "perturb/sin_cos": 12, "perturb/rsqrt": 29,
+    "perturb/uniform": 2, "perturb/ln": 15, "perturb/sin_cos": 12, "perturb/rsqrt": 24,
 }
 WIRE_BYTES = 164_282  # party 0, sent plus received
 

@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+import time
+
 import numpy as np
 import pytest
 
@@ -5,6 +10,7 @@ from veiltrain.cleartext import train_lr_clear
 from veiltrain.datasets import evaluate, make_plan, partition, synth_data
 from veiltrain.dealer import with_slack
 from veiltrain.engine import estimate_counts, run_two_party
+from veiltrain.errors import VeiltrainError
 from veiltrain.harness import (ExperimentReport, _dp_params, party_pipeline, pipeline_counts,
                                run_experiment, run_mpc_threaded, training_config, write_report)
 from veiltrain.ingest import ingest_partitions
@@ -128,3 +134,66 @@ def test_report_contains_traffic():
     assert res["bytes"] > 0
     assert res["report"]["phase.forward.rounds"] > 0
     assert res["report"]["phase.perturb.rounds"] > 0
+
+
+class _RecordingLauncher:
+    """Stands in for the subprocess module inside veiltrain.harness, as the
+    benchmark's launcher does: Popen and PIPE only. Keeps every process it
+    starts; replace(argv) may alter a role's command line first."""
+
+    PIPE = subprocess.PIPE
+
+    def __init__(self, replace=lambda argv: argv):
+        self.procs = []
+        self.replace = replace
+
+    def Popen(self, argv, **kwargs):  # noqa: N802 - mirrors subprocess.Popen
+        proc = subprocess.Popen(self.replace(argv), **kwargs)
+        self.procs.append(proc)
+        return proc
+
+
+def _process_session(monkeypatch, tmp_path, launcher):
+    from veiltrain import harness
+
+    monkeypatch.setattr(harness, "subprocess", launcher)
+    X, t = synth_data(40, 4, seed=10, separability=1.0)
+    cfg = dict(DEFAULTS, epochs=3, noise_draws=2, epsilon=1.0, seed=15)
+    start = time.monotonic()
+    with pytest.raises(VeiltrainError) as err:
+        harness.run_mpc_process([(X, t)], "horizontal", cfg, seed=15, draws=2,
+                                workdir=str(tmp_path / "run"))
+    assert len(launcher.procs) == 3
+    assert all(proc.returncode is not None for proc in launcher.procs)  # all reaped
+    return str(err.value), time.monotonic() - start
+
+
+def test_a_failing_role_stops_the_process_session_at_once(monkeypatch, tmp_path):
+    # party 1 cannot read its share file; the dealer and party 0 would wait
+    # 15 s for it to connect, but are killed once it exits
+    def unreadable(argv):
+        if argv[-1] == "party1":
+            shares = os.path.join(os.path.dirname(argv[argv.index("--config") + 1]),
+                                  "data.party1.shares")
+            os.remove(shares)
+            os.mkdir(shares)
+        return argv
+
+    msg, took = _process_session(monkeypatch, tmp_path, _RecordingLauncher(unreadable))
+    assert took < 10
+    assert msg.startswith("subprocess pipeline failed: party1 exited with status 1\n")
+    assert "IsADirectoryError" in msg
+    assert all(f"[{role}] exit" in msg for role in ("dealer", "party0", "party1"))
+
+
+def test_a_hanging_process_session_is_killed_at_its_deadline(monkeypatch, tmp_path):
+    from veiltrain import harness
+
+    def hang(argv):
+        return [sys.executable, "-c", "import time; time.sleep(60)"]
+
+    monkeypatch.setattr(harness, "ROLE_DEADLINE_S", 1.0)
+    msg, took = _process_session(monkeypatch, tmp_path, _RecordingLauncher(hang))
+    assert took < 10
+    assert msg.startswith("subprocess pipeline failed: dealer, party0, party1 still running "
+                          "after 1 s\n")

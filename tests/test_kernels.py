@@ -317,17 +317,23 @@ class _PeakEngine(PlainEngine):
     inputs included. Truncation masks are uniform on [-2^62, 2^62), so only
     values below 2^62 stay hidden by the masked opening."""
 
-    peak = 0.0
+    def __init__(self, *args):
+        super().__init__(*args)
+        self.peak = 0.0
+        self.shifts = set()
 
     def trunc(self, a, shift):
         if np.size(a):
             top = np.abs(to_signed(a, self.cfg).astype(np.float64)).max()
             self.peak = max(self.peak, float(top))
+            self.shifts.add(shift)
         return super().trunc(a, shift)
 
 
 def test_every_truncated_value_stays_below_the_mask_range():
-    from veiltrain.training import ModelState, forward
+    from veiltrain.datasets import synth_data
+    from veiltrain.training import (ModelState, TrainingConfig, forward, glorot_init, mean_bits,
+                                    train_pipeline)
 
     def peak(fn):
         eng = _PeakEngine(MaterialSource(40, RING), RING)
@@ -352,6 +358,23 @@ def test_every_truncated_value_stays_below_the_mask_range():
         return forward(e, enc_pub(e, np.eye(len(z4))), ModelState(w2l, e.zeros(len(z4))), 4.0)
 
     assert peak(fwd4) < limit
+    # training's other truncation operands, in the mirror: the error at 2l
+    # bits (backward), and the weights at 2l bits summed with the pending
+    # gradient alpha 2^q g at 2l bits (forward, finalize); rows along the
+    # initial weights and constant labels drive the error and the gradient
+    n, m = 40, 6
+    X, _ = synth_data(n, m, seed=42, separability=1.0)
+    init = PlainEngine(MaterialSource(40, RING), RING)
+    aligned = np.tile(decode(init.open(glorot_init(init, m)), RING), (n, 1))
+    for data in (X, aligned, -aligned):
+        for t in (np.zeros(n), np.ones(n)):
+            for batch, bias in ((0, False), (8, False), (1, False), (0, True)):
+                tc = TrainingConfig(epochs=3 if batch == 1 else 20, batch_size=batch,
+                                    add_bias=bias)
+                eng = _PeakEngine(MaterialSource(40, RING), RING)
+                train_pipeline(eng, enc_pub(eng, data), enc_pub(eng, t), tc)
+                assert eng.peak < limit
+                assert RING.frac_bits + mean_bits(batch or n, tc.alpha) in eng.shifts
     b = np.concatenate([_boundaries(2, 42), [2.0 ** 23 - 2.0 ** -20]])
     b = np.concatenate([b, -b])
     q = np.random.default_rng(41).uniform(-2.0 ** 10, 2.0 ** 10, len(b))

@@ -162,3 +162,118 @@ def test_tmul_of_a_shifted_value_is_exact():
     assert np.array_equal(t, x)
     with np.errstate(over="ignore"):
         assert np.array_equal(tt, x * x)
+
+
+# --- summed truncations: x and shift as matching sequences ---
+
+SUMMED = {  # (shifts, x shape, y shape or None)
+    "one": ((SHIFT,), (6,), (6,)),
+    "one, no product": ((SHIFT,), (6,), None),
+    "two": ((SHIFT, SHIFT + 9), (2, 6), (2, 6)),
+    "two, no product": ((SHIFT + 9, SHIFT), (2, 6), None),
+    "three": ((SHIFT, 12, SHIFT + 9), (8,), (8,)),
+    "three, no product": ((SHIFT, 12, SHIFT + 9), (8,), None),
+    "broadcast column": ((SHIFT, SHIFT + 9), (5, 1), (5, 4)),
+}
+
+
+def _summed_fn(xs, shifts, y):
+    def fn(eng):
+        yy = None if y is None else eng.from_public(y)
+        out = eng.tmul([eng.from_public(x) for x in xs], list(shifts), yy)
+        return [eng.open(v) for v in out]
+
+    return fn
+
+
+def _summed_inputs(case, seed):
+    shifts, xs, ys = SUMMED[case]
+    x = [_x(xs, seed + i) for i in range(len(shifts))]
+    return shifts, x, None if ys is None else _y(ys, seed + 10)
+
+
+@pytest.mark.parametrize("case", SUMMED)
+def test_summed_tmul_matches_the_mirror_and_the_truncations(case):
+    shifts, xs, y = _summed_inputs(case, 20)
+    fn = _summed_fn(xs, shifts, y)
+    (r0, r1), _ = run_both(fn, seed=21)
+    mirror = fn(PlainEngine(MaterialSource(21, RING), RING))
+    assert len(mirror) == len(shifts) + (y is not None)
+    for a, b, m in zip(r0, r1, mirror):
+        assert np.array_equal(a, m) and np.array_equal(b, m)
+    ts = mirror[:len(shifts)]
+    for t, x, s in zip(ts, xs, shifts):
+        assert np.abs(to_signed(t, RING) - (to_signed(x, RING) >> s)).max() <= 1
+    if y is not None:
+        with np.errstate(over="ignore"):
+            assert np.array_equal(mirror[-1], sum(ts) * y)
+
+
+def test_summed_tmul_opens_each_x_plus_r_and_the_summed_mask():
+    shifts, x1, x2, y = (SHIFT, SHIFT + 9), _x((4,), 22), _x((4,), 23), _y((3, 4), 24)
+    opened = []
+
+    def fn(eng):
+        real = eng.open
+
+        def record(a):
+            out = real(a)
+            opened.append(out)
+            return out
+
+        eng.open = record
+        eng.tmul([eng.from_public(x1), eng.from_public(x2)], list(shifts), eng.from_public(y))
+
+    run_both(fn, seed=25)
+    source = MaterialSource(25, RING)
+    masks = []
+    for s in shifts:
+        r0, rs0, r1, rs1 = source.trunc_pairs(s, 0, 4)
+        with np.errstate(over="ignore"):
+            masks.append((r0 + r1, rs0 + rs1))
+    u0, v0, _, u1, v1, _ = source.triples(0, 12)
+    with np.errstate(over="ignore"):
+        rs = np.broadcast_to(masks[0][1] + masks[1][1], (3, 4)).ravel()
+        want = np.concatenate([x1 + masks[0][0], x2 + masks[1][0], rs + (u0 + u1),
+                               y.ravel() - (v0 + v1)])
+    assert len(opened) == 2  # one call per party, one exchange each
+    assert all(np.array_equal(o, want) for o in opened)
+
+
+@pytest.mark.parametrize("case", SUMMED)
+def test_summed_tmul_transcript_is_value_independent(case):
+    shifts, xs, y = _summed_inputs(case, 26)
+    _, engines = run_both(_summed_fn(xs, shifts, y), seed=27)
+    zeros = [np.zeros_like(x) for x in xs]
+    _, other = run_both(_summed_fn(zeros, shifts, None if y is None else np.zeros_like(y)),
+                        seed=28)
+    ta, tb = engines[0].rt.transcript, other[0].rt.transcript
+    # one round for the tmul, then one per opened output
+    assert ta.n_rounds == tb.n_rounds == 1 + len(shifts) + (y is not None)
+    assert ta.bytes_sent == tb.bytes_sent
+
+
+@pytest.mark.parametrize("case", SUMMED)
+def test_summed_tmul_consumes_the_dry_run_exactly(case):
+    shifts, xs, y = _summed_inputs(case, 29)
+    fn = _summed_fn(xs, shifts, y)
+    counts = estimate_counts(fn, 30, RING)
+    n = np.size(xs[0])
+    for s in set(shifts):
+        assert counts[("trunc", s)] == n * shifts.count(s)
+    _, engines = run_both(fn, seed=30, counts=counts)
+    for eng in engines:
+        assert {k: v for k, v in eng.material.pos.items() if isinstance(k, tuple)} == counts
+    for key in counts:
+        starved = dict(counts)
+        starved[key] -= 1
+        with pytest.raises(Exhausted):
+            run_both(fn, seed=30, counts=starved)
+
+
+def test_summed_tmul_takes_one_shift_per_summand():
+    eng = PlainEngine(MaterialSource(31, RING), RING)
+    x = eng.zeros(3)
+    for shift in (SHIFT, [SHIFT], [SHIFT, SHIFT, SHIFT]):
+        with pytest.raises(ValueError):
+            eng.tmul([x, x], shift)

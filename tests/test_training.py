@@ -9,8 +9,9 @@ from veiltrain.engine import PlainEngine, estimate_counts
 from veiltrain.fixedpoint import RingConfig, decode, encode, to_signed
 from veiltrain.kernels import KERNEL_TOLERANCES, SIGMOID_BOUND
 from veiltrain.training import (ModelState, TrainingConfig, glorot_init,
-                                glorot_limit, l2_normalize, backward, forward, row_norm_domain,
-                                scale_rows, sigmoid_input_bound, train_pipeline, update)
+                                glorot_limit, l2_normalize, backward, forward, mean_bits,
+                                row_norm_domain, scale_rows, sigmoid_input_bound, train_pipeline,
+                                update)
 
 from conftest import run_both
 
@@ -23,6 +24,15 @@ def plain(seed=1):
 
 def enc_pub(eng, x):
     return eng.from_public(encode(x, eng.cfg))
+
+
+def enc2l(eng, x):
+    """x shared at 2l fractional bits."""
+    return eng.mul_public_int(enc_pub(eng, x), 1 << eng.frac_bits)
+
+
+def dec2l(eng, a):
+    return decode(eng.open(a), RING) / (1 << eng.frac_bits)
 
 
 def test_normalize_3_4_5():
@@ -86,14 +96,14 @@ def test_glorot_deterministic_and_bounded():
 def _state(eng, w, v=None):
     """Model state holding w and v (zeros by default) at 2l fractional bits."""
     v = np.zeros_like(w) if v is None else v
-    return ModelState(*(eng.mul_public_int(enc_pub(eng, a), 1 << eng.frac_bits) for a in (w, v)))
+    return ModelState(*(enc2l(eng, a) for a in (w, v)))
 
 
 def test_forward_zero_weights():
     rng = np.random.default_rng(8)
     X = normalize_rows(rng.uniform(-1, 1, (20, 5)))
     eng = plain(9)
-    p = decode(eng.open(forward(eng, enc_pub(eng, X), _state(eng, np.zeros(5)))[0]), RING)
+    p = dec2l(eng, forward(eng, enc_pub(eng, X), _state(eng, np.zeros(5)))[0])
     assert np.abs(p - 0.5).max() <= 1e-3
 
 
@@ -103,7 +113,7 @@ def test_forward_single_row():
     X[0, 0] = 1.0
     w = np.zeros(4)
     w[0] = 2.0
-    p = decode(eng.open(forward(eng, enc_pub(eng, X), _state(eng, w))[0]), RING)
+    p = dec2l(eng, forward(eng, enc_pub(eng, X), _state(eng, w))[0])
     assert abs(p[0] - sigmoid(2.0)) <= 2e-3
 
 
@@ -111,7 +121,7 @@ def test_forward_returns_the_state_at_working_precision():
     rng = np.random.default_rng(25)
     w, v = rng.uniform(-1, 1, 6), rng.uniform(-0.1, 0.1, 6)
     eng = plain(26)
-    _, w_l, v_l = forward(eng, enc_pub(eng, rng.uniform(-1, 1, (4, 6))), _state(eng, w, v))
+    _, _, w_l, v_l = forward(eng, enc_pub(eng, rng.uniform(-1, 1, (4, 6))), _state(eng, w, v))
     assert np.abs(decode(eng.open(w_l), RING) - w).max() <= 2**-20
     assert np.abs(decode(eng.open(v_l), RING) - v).max() <= 2**-20
 
@@ -129,13 +139,18 @@ def test_forward_matches_mirror_within_tolerance():
     assert np.array_equal(r0, mirror)  # identical arithmetic, bit for bit
 
 
+def _gradient(eng, g_raw, b, alpha=1.0):
+    """backward's output for a batch of b rows as alpha times the mean gradient."""
+    return decode(eng.open(g_raw), RING) / 2.0 ** (eng.frac_bits + mean_bits(b, alpha))
+
+
 def test_backward_zero_when_predictions_match():
     rng = np.random.default_rng(13)
     X = normalize_rows(rng.uniform(-1, 1, (10, 4)))
     t = rng.integers(0, 2, 10).astype(float)
     eng = plain(14)
-    g = decode(eng.open(backward(eng, scale_rows(eng, enc_pub(eng, X), 10), enc_pub(eng, t),
-                                 enc_pub(eng, t))), RING)
+    scaled = scale_rows(eng, enc_pub(eng, X), 10, 1.0)
+    g = _gradient(eng, backward(eng, scaled, enc2l(eng, t), enc_pub(eng, t)), 10)
     assert np.abs(g).max() <= 2**-18
 
 
@@ -145,26 +160,28 @@ def test_backward_single_example():
     X[0, 0] = 1.0
     preds = np.array([0.75])
     t = np.array([0.25])
-    g = decode(eng.open(backward(eng, scale_rows(eng, enc_pub(eng, X), 1),
-                                 enc_pub(eng, preds), enc_pub(eng, t))), RING)
+    scaled = scale_rows(eng, enc_pub(eng, X), 1, 1.0)
+    g = _gradient(eng, backward(eng, scaled, enc2l(eng, preds), enc_pub(eng, t)), 1)
     assert np.abs(g - [0.5, 0.0, 0.0]).max() <= 2**-16
 
 
 def test_backward_is_the_mean_gradient_of_every_batch():
-    # 1/b for batches of 128 and 44 rows is folded into the rows' scale and
-    # the one truncation's shift
+    # alpha / b for batches of 128 and 44 rows is folded into the rows'
+    # scale and the truncation's shift
     rng = np.random.default_rng(27)
     X = normalize_rows(rng.uniform(-1, 1, (300, 5)))
     p = rng.uniform(0, 1, 300)
     t = rng.integers(0, 2, 300).astype(float)
     eng = plain(28)
-    scaled = scale_rows(eng, enc_pub(eng, X), 128)
-    for at in (0, 128, 256):
-        rows = slice(at, at + 128)
-        g = decode(eng.open(backward(eng, scaled[rows], enc_pub(eng, p[rows]),
-                                     enc_pub(eng, t[rows]))), RING)
-        want = X[rows].T @ (p[rows] - t[rows]) / len(t[rows])
-        assert np.abs(g - want).max() <= 2**-17
+    for alpha in (1.0, 0.1):
+        scaled = scale_rows(eng, enc_pub(eng, X), 128, alpha)
+        for at in (0, 128, 256):
+            rows = slice(at, at + 128)
+            b = len(t[rows])
+            g = _gradient(eng, backward(eng, scaled[rows], enc2l(eng, p[rows]),
+                                        enc_pub(eng, t[rows])), b, alpha)
+            want = alpha * X[rows].T @ (p[rows] - t[rows]) / b
+            assert np.abs(g - want).max() <= 2**-17
 
 
 def test_backward_matches_mirror_on_200x20():
@@ -174,21 +191,24 @@ def test_backward_matches_mirror_on_200x20():
     t = rng.integers(0, 2, 200).astype(float)
 
     def fn(eng):
-        return eng.open(backward(eng, scale_rows(eng, enc_pub(eng, X), 200),
-                                 enc_pub(eng, p), enc_pub(eng, t)))
+        return eng.open(backward(eng, scale_rows(eng, enc_pub(eng, X), 200, 0.1),
+                                 enc2l(eng, p), enc_pub(eng, t)))
 
     (r0, _), _ = run_both(fn, seed=17)
     assert np.array_equal(r0, fn(plain(17)))
 
 
 def _run_update(eng, w, v, g, cfg):
+    """The state after one update from w and v with the mean gradient g:
+    alpha g enters at l bits, as the pending gradient the next forward
+    pass truncates."""
     l = eng.frac_bits
     w_l = enc_pub(eng, w)
     v_l = enc_pub(eng, v)
     state = ModelState(eng.mul_public_int(w_l, 1 << l), eng.mul_public_int(v_l, 1 << l))
-    new = update(eng, state, w_l, v_l, enc_pub(eng, g), cfg)
-    return (decode(eng.open(new.w2l), RING) / (1 << l),
-            decode(eng.open(new.v2l), RING) / (1 << l))
+    new = update(eng, state, w_l, v_l, enc_pub(eng, cfg.alpha * g), l, cfg)
+    pending = decode(eng.open(new.grad), RING)
+    return dec2l(eng, new.w2l) + pending, dec2l(eng, new.v2l) + pending
 
 
 def test_update_plain_gd_when_degenerate():
@@ -220,7 +240,7 @@ def test_update_zero_communication():
         v_l = eng.zeros(6)
         state = ModelState(eng.mul_public_int(w_l, 1 << l), eng.zeros(6))
         before = eng.rt.transcript.n_rounds if hasattr(eng, "rt") else 0
-        update(eng, state, w_l, v_l, enc_pub(eng, g), cfg)
+        update(eng, state, w_l, v_l, enc_pub(eng, g), l, cfg)
         return (eng.rt.transcript.n_rounds if hasattr(eng, "rt") else 0) - before
 
     (rounds0, rounds1), engines = run_both(fn, seed=21)
@@ -238,8 +258,8 @@ def test_update_bit_exact_vs_mirror():
         l = eng.frac_bits
         state = ModelState(eng.mul_public_int(enc_pub(eng, w), 1 << l),
                            eng.mul_public_int(enc_pub(eng, v), 1 << l))
-        new = update(eng, state, enc_pub(eng, w), enc_pub(eng, v), enc_pub(eng, g), cfg)
-        return eng.open(new.w2l)
+        new = update(eng, state, enc_pub(eng, w), enc_pub(eng, v), enc_pub(eng, g), l, cfg)
+        return eng.open(eng.stack([new.w2l, new.grad]))
 
     (r0, _), _ = run_both(fn, seed=23)
     assert np.array_equal(r0, fn(plain(23)))
@@ -361,6 +381,30 @@ def test_minibatch_mirror_bit_exact():
     full = train_lr_clear(X, t, TrainingConfig(epochs=4), seed=41,
                           mode="mirror_fixedpoint")
     assert not np.array_equal(mirror.weights, full.weights)
+
+
+@pytest.mark.parametrize("batch, steps", [(0, 1), (4, 3)])
+@pytest.mark.parametrize("alpha, sigmoid_rounds", [(0.1, 6), (2.0, 13)])
+def test_every_step_costs_its_pinned_rounds(batch, steps, alpha, sigmoid_rounds):
+    # an epoch adds per step: forward 1 (the weights' and the last gradient's
+    # truncations with the product), the sigmoid (bounded 6; clamped 13, as
+    # the large step's bound exceeds 4; its output stays at 2l bits),
+    # backward 1 (the error's truncation with the product); nothing else
+    X, t = synth_data(12, 4, seed=46, separability=1.0)
+
+    def rounds(epochs):
+        tc = TrainingConfig(alpha=alpha, epochs=epochs, batch_size=batch)
+        assert (sigmoid_input_bound(tc, 12, 4, RING) <= SIGMOID_BOUND) == (sigmoid_rounds == 6)
+
+        def fn(eng):
+            train_pipeline(eng, enc_pub(eng, X), enc_pub(eng, t), tc)
+
+        _, engines = run_both(fn, seed=47)
+        return {p: v["rounds"] for p, v in engines[0].rt.transcript.by_path().items()}
+
+    one, two = rounds(2), rounds(3)
+    added = {p: two[p] - one.get(p, 0) for p in two if two[p] != one.get(p, 0)}
+    assert added == {"forward": steps, "sigmoid": sigmoid_rounds * steps, "backward": steps}
 
 
 def _largest_sigmoid_input(monkeypatch, X, t, tc, seed):
