@@ -1,10 +1,8 @@
-"""Clear-text oracles and the federated local-DP baseline.
+"""The float reference trainer and the federated local-DP baseline.
 
-Two reference trainers share the protocol's update rule: `float_exact` runs
-in doubles with the true logistic function (the independent numerical
-oracle), while `mirror_fixedpoint` replays the exact fixed-point pipeline on
-plain values, consuming the same seeded randomness streams as a protocol
-session, so its weights match a joint run bit for bit.
+The reference trainer shares the protocol's update rule but runs in doubles
+with the true logistic function: the independent numerical oracle. (The
+bit-exact twin of a session is train_pipeline on the plain engine.)
 
 The baseline is local DP: every owner normalizes, trains, and perturbs its
 own model with the *owner's* example count setting the noise scale; the
@@ -18,11 +16,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .dealer import MaterialSource
-from .engine import PlainEngine
 from .errors import NonFinite, VerticalUnsupported
-from .fixedpoint import DEFAULT_RING, RingConfig, decode, encode
 from .noise import DpParams
-from .training import TrainingConfig, glorot_limit, train_pipeline
+from .training import TrainingConfig, glorot_limit
 
 
 @dataclass
@@ -46,42 +42,18 @@ def sigmoid(z):
     return 1.0 / (1.0 + np.exp(-np.clip(z, -500, 500)))
 
 
-def regularized_loss(w, X, t, lambda_reg):
-    z = X @ w
-    # log(1 + exp(-margin)) stabilized
-    margin = np.where(t > 0.5, z, -z)
-    loss = np.mean(np.logaddexp(0.0, -margin))
-    return loss + 0.5 * lambda_reg * float(w @ w)
-
-
-def train_lr_clear(X, t, cfg: TrainingConfig, seed: int,
-                   mode: str = "float_exact",
-                   ring: RingConfig = DEFAULT_RING) -> ClearModel:
-    """Reference trainer.
-
-    mirror_fixedpoint reproduces the secure pipeline's arithmetic exactly
-    (same encodings, truncation carries, polynomial kernels, update rule);
-    float_exact uses the true sigmoid in doubles. Both take raw feature rows;
-    normalization follows cfg.skip_norm, like the secure pipeline.
-    """
+def train_lr_clear(X, t, cfg: TrainingConfig, seed: int) -> ClearModel:
+    """Reference trainer in doubles with the true sigmoid, from the
+    session's Glorot init. Takes raw feature rows; normalization follows
+    cfg.skip_norm, like the secure pipeline."""
     X = np.asarray(X, dtype=np.float64)
     t = np.asarray(t, dtype=np.float64)
-    if mode == "mirror_fixedpoint":
-        eng = PlainEngine(MaterialSource(seed, ring), ring)
-        w_raw = train_pipeline(eng, encode(X, ring), encode(t, ring), cfg)
-        weights = decode(w_raw, ring)
-        if not np.all(np.isfinite(weights)):
-            raise NonFinite("mirror training produced non-finite weights")
-        return ClearModel(weights, {"mode": mode, "seed": seed, **cfg.public()})
-    if mode != "float_exact":
-        raise ValueError(f"unknown mode {mode!r}")
-
     if not cfg.skip_norm:
         X = normalize_rows(X)
     if cfg.add_bias:
         X = np.hstack([X, np.ones((len(X), 1))])
     n, d = X.shape
-    rng = MaterialSource(seed, ring).init_rng()
+    rng = MaterialSource(seed).init_rng()
     limit = glorot_limit(d)
     w = rng.uniform(-limit, limit, size=d)
     v = np.zeros(d)
@@ -94,7 +66,7 @@ def train_lr_clear(X, t, cfg: TrainingConfig, seed: int,
             w = w + v
         if not np.all(np.isfinite(w)):
             raise NonFinite("training diverged to non-finite weights")
-    return ClearModel(w, {"mode": mode, "seed": seed, **cfg.public()})
+    return ClearModel(w, {"seed": seed, **cfg.public()})
 
 
 def perturb_clear(model: ClearModel, dp: DpParams, rng: np.random.Generator) -> ClearModel:
@@ -119,7 +91,7 @@ def baseline_fl(owner_datasets, cfg: TrainingConfig, epsilon: float,
                                   "baseline needs horizontally partitioned data")
     noisy = []
     for i, (X, t) in enumerate(owner_datasets):
-        model = train_lr_clear(X, t, cfg, seed=seed + i, mode="float_exact")
+        model = train_lr_clear(X, t, cfg, seed=seed + i)
         d = model.d
         dp = DpParams(epsilon=epsilon, lambda_reg=cfg.lambda_reg, n=len(X), d=d)
         noisy.append(perturb_clear(model, dp, rng).weights)

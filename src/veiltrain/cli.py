@@ -18,21 +18,19 @@ import numpy as np
 from . import datasets
 from .cleartext import baseline_fl
 from .engine import run_two_party
-from .errors import VeiltrainError
+from .errors import ConfigMismatch, VeiltrainError
 from .fixedpoint import decode, encode
 from .harness import (run_experiment, training_config, write_report)
 from .ingest import ingest_shares
 from .noise import DpParams, box_muller_radius, perturb_weights
-from .shareio import (DEFAULTS, load_config, public_section, read_share_file,
-                      read_weights_file, ring_from_config, write_share_file,
-                      write_weights_file)
+from .shareio import (DEFAULTS, check_ring_meta, load_config, public_section,
+                      read_share_file, read_weights_file, ring_from_config,
+                      write_share_file, write_weights_file)
 from .training import train_pipeline
 
 
 def _load_cfg(args) -> dict:
-    cfg = dict(DEFAULTS)
-    if getattr(args, "config", None):
-        cfg.update(load_config(args.config))
+    cfg = load_config(args.config) if getattr(args, "config", None) else dict(DEFAULTS)
     for key in ("epochs", "alpha", "lambda_reg", "momentum", "seed", "epsilon",
                 "noise_draws", "n"):
         val = getattr(args, key, None)
@@ -41,6 +39,15 @@ def _load_cfg(args) -> dict:
     if getattr(args, "skip_norm", False):
         cfg["skip_norm"] = 1
     return cfg
+
+
+def _check_inputs(sessions, metas, ring):
+    """Both parties' input files must come from one session and carry the
+    config's ring; ConfigMismatch names the first key that differs."""
+    if sessions[0] != sessions[1]:
+        raise ConfigMismatch("session", sessions[0], sessions[1])
+    for meta in metas:
+        check_ring_meta(meta, ring)
 
 
 def cmd_synth(args):
@@ -78,10 +85,10 @@ def cmd_train(args):
     cfg = _load_cfg(args)
     ring = ring_from_config(cfg)
     tc = training_config(cfg)
-    shares = [read_share_file(f"{args.shares}.party{p}.shares") for p in (0, 1)]
-    session = shares[0][0]
-    Xs = [s[2] for s in shares]
-    ts = [s[3] for s in shares]
+    sessions, metas, Xs, ts = zip(*(read_share_file(f"{args.shares}.party{p}.shares")
+                                    for p in (0, 1)))
+    _check_inputs(sessions, metas, ring)
+    session = sessions[0]
 
     results, engines = run_two_party(
         lambda eng: train_pipeline(eng, Xs[eng.party], ts[eng.party], tc),
@@ -100,6 +107,7 @@ def cmd_perturb(args):
     ring = ring_from_config(cfg)
     headers, ws = zip(*(read_weights_file(f"{args.in_weights}.party{p}.bin")
                         for p in (0, 1)))
+    _check_inputs([h["session"] for h in headers], headers, ring)
     d = len(ws[0])
     dp = DpParams(epsilon=cfg["epsilon"], lambda_reg=cfg["lambda_reg"],
                   n=args.n, d=d)
@@ -121,10 +129,9 @@ def cmd_perturb(args):
 def cmd_open(args):
     cfg = _load_cfg(args)
     ring = ring_from_config(cfg)
-    (h0, w0), (h1, w1) = (read_weights_file(f"{args.in_weights}.party{p}.bin")
-                          for p in (0, 1))
-    if h0["session"] != h1["session"]:
-        raise VeiltrainError("weight shares come from different sessions")
+    headers, (w0, w1) = zip(*(read_weights_file(f"{args.in_weights}.party{p}.bin")
+                              for p in (0, 1)))
+    _check_inputs([h["session"] for h in headers], headers, ring)
     weights = decode(w0 + w1, ring)
     with open(args.out, "w", encoding="utf-8") as fh:
         fh.write("coefficient\n")
@@ -214,9 +221,8 @@ def cmd_kernel_bench(args):
 def cmd_experiment(args):
     cfg = _load_cfg(args)
     out_dir = args.out_dir or cfg.get("out_dir") or "experiment_out"
-    workdir = os.path.join(out_dir, "work") if cfg.get("executor") == "process" else None
     log = (lambda msg: print(msg, flush=True)) if not args.quiet else (lambda msg: None)
-    report = run_experiment(cfg, workdir=workdir, log=log)
+    report = run_experiment(cfg, workdir=os.path.join(out_dir, "work"), log=log)
     write_report(report, out_dir)
     print(report.text())
     print(f"report written to {out_dir}/report.csv")

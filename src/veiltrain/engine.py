@@ -766,37 +766,19 @@ def estimate_counts(fn, session_seed: int = 0, cfg: RingConfig = DEFAULT_RING) -
 
 
 def run_two_party(fn, *, session_seed: int, counts: dict | None = None,
-                  cfg: RingConfig = DEFAULT_RING, session_id: int = 1, transport: str = "queue",
+                  cfg: RingConfig = DEFAULT_RING, session_id: int = 1,
                   handshake_public: dict | None = None):
-    """Run fn(engine) on both parties concurrently; returns ([res0, res1], [eng0, eng1]).
+    """Run fn(engine) on both parties concurrently, over in-process
+    channels; returns ([res0, res1], [eng0, eng1]).
 
     Without counts the parties are provisioned exactly, from a dry run of fn
-    (estimate_counts). transport "queue" uses in-process channels; "tcp" runs
-    the same lock-step rounds over loopback sockets. A party that fails
-    closes its channel, so its peer fails at its next receive; the first
-    failure is raised.
+    (estimate_counts). A party that fails closes its channel, so its peer
+    fails at its next receive; the first failure is raised.
     """
     if counts is None:
         counts = estimate_counts(fn, session_seed, cfg)
     source = MaterialSource(session_seed, cfg)
-    if transport == "queue":
-        ch0, ch1 = queue_pair()
-    elif transport == "tcp":
-        import socket
-
-        from .transport import SocketChannel
-
-        lo = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
-        lo.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
-        lo.bind(("127.0.0.1", 0))
-        lo.listen(1)
-        port = lo.getsockname()[1]
-        cl = socket.create_connection(("127.0.0.1", port))
-        sv, _ = lo.accept()
-        lo.close()
-        ch0, ch1 = SocketChannel(sv), SocketChannel(cl)
-    else:
-        raise ValueError(f"unknown transport {transport!r}")
+    ch0, ch1 = queue_pair()
 
     results = [None, None]
     engines = [None, None]

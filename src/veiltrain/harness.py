@@ -18,6 +18,7 @@ import os
 import queue
 import subprocess
 import sys
+import tempfile
 import threading
 import time
 from dataclasses import dataclass, field
@@ -42,11 +43,7 @@ ROLE_DEADLINE_S = 600.0  # a process-mode session's dealer and parties all end w
 
 
 def training_config(cfg: dict) -> TrainingConfig:
-    return TrainingConfig(alpha=cfg["alpha"], lambda_reg=cfg["lambda_reg"],
-                          momentum=cfg["momentum"], epochs=cfg["epochs"],
-                          add_bias=bool(cfg.get("add_bias", 0)),
-                          skip_norm=bool(cfg.get("skip_norm", 0)),
-                          batch_size=cfg.get("batch_size", 0))
+    return TrainingConfig(**{k: cfg[k] for k in TrainingConfig().public()})
 
 
 def party_pipeline(eng, X, t, tc: TrainingConfig, dp: DpParams | None, draws: int):
@@ -65,30 +62,28 @@ def party_pipeline(eng, X, t, tc: TrainingConfig, dp: DpParams | None, draws: in
 def epsilon_total(cfg: dict, draws: int) -> float:
     """The budget the session's opened models spend: draws noisy copies of
     one model compose to draws * epsilon; no noise opens no model."""
-    eps = cfg.get("epsilon", 0)
-    return float(draws * eps) if eps and eps > 0 else 0.0
+    return float(draws * cfg["epsilon"]) if cfg["epsilon"] > 0 else 0.0
 
 
 def pipeline_counts(n: int, m: int, cfg: dict, draws: int) -> dict:
     """Dealer-material requirements and branch windows via an oblivious dry
     run on zeros, padded by the provisioning slack (none by default)."""
-    ring = ring_from_config(cfg)
-    tc = training_config(cfg)
-    d = m + (1 if tc.add_bias else 0)
-    dp = _dp_params(cfg, n, d)
+    tc, dp = training_config(cfg), dp_params(cfg, n, m)
 
     def dry(eng):
         party_pipeline(eng, eng.zeros((n, m)), eng.zeros(n), tc, dp, draws)
 
-    counts = estimate_counts(dry, session_seed=0, cfg=ring)
-    return with_slack(counts, cfg.get("provision_slack", 0.0))
+    counts = estimate_counts(dry, session_seed=0, cfg=ring_from_config(cfg))
+    return with_slack(counts, cfg["provision_slack"])
 
 
-def _dp_params(cfg: dict, n: int, d: int) -> DpParams | None:
-    eps = cfg.get("epsilon", 0)
-    if not eps or eps <= 0:
+def dp_params(cfg: dict, n: int, m: int) -> DpParams | None:
+    """The noise's parameters for n rows of m features: its dimension is
+    the model's, the bias column included. None without noise (epsilon 0)."""
+    if cfg["epsilon"] <= 0:
         return None
-    return DpParams(epsilon=eps, lambda_reg=cfg["lambda_reg"], n=n, d=d)
+    d = m + bool(cfg["add_bias"])
+    return DpParams(epsilon=cfg["epsilon"], lambda_reg=cfg["lambda_reg"], n=n, d=d)
 
 
 def run_mpc_threaded(owner_datasets, mode: str, cfg: dict, seed: int, draws: int):
@@ -98,8 +93,7 @@ def run_mpc_threaded(owner_datasets, mode: str, cfg: dict, seed: int, draws: int
     tc = training_config(cfg)
     (X0, t0), (X1, t1) = ingest_partitions(owner_datasets, mode, ring, seed)
     n, m = X0.shape
-    d = m + (1 if tc.add_bias else 0)
-    dp = _dp_params(cfg, n, d)
+    dp = dp_params(cfg, n, m)
     counts = pipeline_counts(n, m, cfg, draws)
 
     def fn(eng):
@@ -109,6 +103,7 @@ def run_mpc_threaded(owner_datasets, mode: str, cfg: dict, seed: int, draws: int
 
     t0_clock = time.perf_counter()
     results, engines = run_two_party(fn, session_seed=seed, counts=counts, cfg=ring,
+                                     session_id=cfg["session_id"],
                                      handshake_public=public_section(cfg))
     elapsed = time.perf_counter() - t0_clock
     w_full = results[0]["w_share"] + results[1]["w_share"]
@@ -123,7 +118,7 @@ def run_mpc_threaded(owner_datasets, mode: str, cfg: dict, seed: int, draws: int
         "rounds": tr.n_rounds,
         "bytes": tr.bytes_sent + tr.bytes_received,
         "runtime_s": elapsed,
-        "report": run_report(tr, 0, cfg.get("session_id", 1), epsilon_total(cfg, draws)),
+        "report": run_report(tr, 0, cfg["session_id"], epsilon_total(cfg, draws)),
     }
 
 
@@ -186,7 +181,7 @@ def run_mpc_process(owner_datasets, mode: str, cfg: dict, seed: int, draws: int,
     (X0, t0), (X1, t1) = ingest_partitions(owner_datasets, mode, ring, seed)
     n, m = X0.shape
     prefix = os.path.join(workdir, "data")
-    session = cfg.get("session_id", 1)
+    session = cfg["session_id"]
     write_share_file(prefix + ".party0.shares", session, 0, X0, t0, ring)
     write_share_file(prefix + ".party1.shares", session, 1, X1, t1, ring)
 
@@ -194,7 +189,6 @@ def run_mpc_process(owner_datasets, mode: str, cfg: dict, seed: int, draws: int,
     run_cfg.update({
         "seed": seed, "noise_draws": draws, "shares_prefix": prefix,
         "out_dir": workdir, "party0_host": "127.0.0.1", "party0_port": _free_port(),
-        "party1_host": "127.0.0.1", "party1_port": 0,
         "dealer_host": "127.0.0.1", "dealer_port": _free_port(),
     })
     cfg_path = os.path.join(workdir, "session.cfg")
@@ -234,8 +228,13 @@ def run_mpc_process(owner_datasets, mode: str, cfg: dict, seed: int, draws: int,
 
 def run_mpc_pipeline(owner_datasets, mode: str, cfg: dict, seed: int, draws: int,
                      workdir: str | None = None):
-    if cfg.get("executor", "process") == "thread" or workdir is None:
+    """One session under cfg["executor"]; a process session without a
+    workdir runs in a temporary one."""
+    if cfg["executor"] == "thread":
         return run_mpc_threaded(owner_datasets, mode, cfg, seed, draws)
+    if workdir is None:
+        with tempfile.TemporaryDirectory() as tmp:
+            return run_mpc_process(owner_datasets, mode, cfg, seed, draws, tmp)
     return run_mpc_process(owner_datasets, mode, cfg, seed, draws, workdir)
 
 

@@ -74,7 +74,7 @@ def serve_dealer(cfg: dict) -> None:
     srv.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
     srv.bind((cfg["dealer_host"], cfg["dealer_port"]))
     srv.listen(2)
-    srv.settimeout(cfg.get("connect_deadline", 15.0))
+    srv.settimeout(cfg["connect_deadline"])
     from .transport import SocketChannel
 
     try:
@@ -121,7 +121,7 @@ class WireMaterial(_Cursor):
 def provision_from_dealer(cfg: dict, party: int, counts: dict) -> WireMaterial:
     ring = ring_from_config(cfg)
     chan = connect(cfg["dealer_host"], cfg["dealer_port"],
-                   deadline=cfg.get("connect_deadline", 15.0))
+                   deadline=cfg["connect_deadline"])
     io = FrameIO(chan, cfg["session_id"], with_round=False)
     io.send(KIND_HELLO, f"party={party}".encode())
     io.send(KIND_PROVISION, encode_counts(counts))
@@ -134,7 +134,7 @@ def provision_from_dealer(cfg: dict, party: int, counts: dict) -> WireMaterial:
 
 
 def connect_peer(cfg: dict, party: int):
-    deadline = cfg.get("connect_deadline", 15.0)
+    deadline = cfg["connect_deadline"]
     if party == 0:
         return listen_one(cfg["party0_host"], cfg["party0_port"], timeout=deadline)
     return connect(cfg["party0_host"], cfg["party0_port"], deadline=deadline)
@@ -143,7 +143,7 @@ def connect_peer(cfg: dict, party: int):
 def run_party(cfg: dict, party: int) -> None:
     """The computing-party main loop: load shares, provision, handshake,
     run the staged pipeline, and write weights, noisy models, and report."""
-    from .harness import (_dp_params, epsilon_total, party_pipeline, pipeline_counts,
+    from .harness import (dp_params, epsilon_total, party_pipeline, pipeline_counts,
                           training_config)
 
     ring = ring_from_config(cfg)
@@ -154,8 +154,7 @@ def run_party(cfg: dict, party: int) -> None:
     n, m = X.shape
     tc = training_config(cfg)
     draws = cfg["noise_draws"]
-    d = m + (1 if tc.add_bias else 0)
-    dp = _dp_params(cfg, n, d)
+    dp = dp_params(cfg, n, m)
     counts = pipeline_counts(n, m, cfg, draws)
 
     material = provision_from_dealer(cfg, party, counts)

@@ -11,7 +11,6 @@ payload and is recorded under one branch's phase path.
 
 from __future__ import annotations
 
-import hashlib
 import threading
 import time
 from dataclasses import dataclass, field
@@ -158,11 +157,7 @@ def canonical_config(public: dict) -> bytes:
     return ("\n".join(lines)).encode()
 
 
-def config_digest(public: dict) -> str:
-    return hashlib.sha256(canonical_config(public)).hexdigest()
-
-
-def handshake(rt: PartyRuntime, public: dict) -> str:
+def handshake(rt: PartyRuntime, public: dict) -> None:
     """Exchange canonical public configs; abort naming the differing key."""
     public = dict(public)
     public["protocol_version"] = PROTOCOL_VERSION
@@ -177,7 +172,6 @@ def handshake(rt: PartyRuntime, public: dict) -> str:
             if mine_kv.get(key) != theirs_kv.get(key):
                 raise ConfigMismatch(key, mine_kv.get(key), theirs_kv.get(key))
         raise ConfigMismatch("<ordering>")
-    return config_digest(public)
 
 
 def run_report(transcript: Transcript, party_id: int, session_id: int,

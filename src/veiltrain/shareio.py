@@ -14,32 +14,37 @@ from .training import TrainingConfig
 from .transport import (KIND_DATA, KIND_HELLO, KIND_LABELS, pack_frame,
                         payload_u64, u64_payload, unpack_frame)
 
-CONFIG_KEYS = {
-    # ring
-    "lambda": int, "frac_bits": int,
-    # training
-    "epochs": int, "alpha": float, "lambda_reg": float, "momentum": float,
-    "add_bias": int, "skip_norm": int, "batch_size": int,
+
+def _executor(value: str) -> str:
+    if value not in ("thread", "process"):
+        raise ValueError(value)
+    return value
+
+
+# every default, once: the ring's and training's from their own classes
+DEFAULTS = {
+    **RingConfig().public(), **TrainingConfig().public(),
     # privacy
-    "epsilon": float, "noise_draws": int,
+    "epsilon": 1.0, "noise_draws": 100,
     # session
-    "seed": int, "session_id": int, "partition": str, "owners": str,
-    "party0_host": str, "party0_port": int, "party1_host": str, "party1_port": int,
-    "dealer_host": str, "dealer_port": int,
-    "shares_prefix": str, "out_dir": str, "executor": str,
+    "seed": 1, "session_id": 1, "executor": "process", "provision_slack": 0.0,
+    "connect_deadline": 15.0,
     # experiment
-    "n": int, "m": int, "separability": float, "folds": int, "modes": str,
-    "data_csv": str, "provision_slack": float, "connect_deadline": float,
+    "n": 300, "m": 12, "separability": 1.0, "folds": 5, "owners": "2",
+    "modes": "horizontal,vertical",
 }
 
-DEFAULTS = {
-    "lambda": 64, "frac_bits": 20, "epochs": 40, "alpha": 0.1,
-    "lambda_reg": 1.0, "momentum": 0.9, "add_bias": 0, "skip_norm": 0,
-    "batch_size": 0, "epsilon": 1.0, "noise_draws": 100, "seed": 1,
-    "session_id": 1, "partition": "horizontal", "owners": "2", "folds": 5,
-    "modes": "horizontal,vertical", "n": 300, "m": 12, "separability": 1.0,
-    "provision_slack": 0.0, "executor": "process", "connect_deadline": 15.0,
+# each key's parser: a default's type, or for the keys without one, their own
+CONFIG_KEYS = {
+    **{key: type(value) for key, value in DEFAULTS.items()}, "executor": _executor,
+    "party0_host": str, "party0_port": int, "dealer_host": str, "dealer_port": int,
+    "shares_prefix": str, "out_dir": str, "data_csv": str,
 }
+
+# what both computing parties must agree on: the ring, every training
+# hyperparameter, the privacy parameters, the protocol seed and the session
+PUBLIC_KEYS = (*RingConfig().public(), *TrainingConfig().public(),
+               "epsilon", "noise_draws", "seed", "session_id")
 
 
 def parse_config_text(text: str) -> dict:
@@ -71,16 +76,13 @@ def format_config(cfg: dict) -> str:
 
 
 def ring_from_config(cfg: dict) -> RingConfig:
-    return RingConfig(cfg.get("lambda", 64), cfg.get("frac_bits", 20))
+    return RingConfig(cfg["lambda"], cfg["frac_bits"])
 
 
 def public_section(cfg: dict) -> dict:
-    """The byte-identical public part both computing parties must agree on:
-    the ring, every training hyperparameter, the privacy parameters, the
-    protocol seed and the session."""
-    keys = (*RingConfig().public(), *TrainingConfig().public(),
-            "epsilon", "noise_draws", "seed", "session_id")
-    return {k: cfg[k] for k in keys if k in cfg}
+    """The byte-identical public part of cfg (PUBLIC_KEYS) for the
+    handshake; KeyError for a key cfg lacks."""
+    return {k: cfg[k] for k in PUBLIC_KEYS}
 
 
 def _meta_payload(meta: dict) -> bytes:

@@ -53,7 +53,7 @@ class TrainingConfig:
     alpha: float = 0.1
     lambda_reg: float = 1.0
     momentum: float = 0.9
-    epochs: int = 100
+    epochs: int = 40
     add_bias: bool = False
     skip_norm: bool = False
     batch_size: int = 0
@@ -89,7 +89,6 @@ class ModelState:
     v2l: object
     grad: object = None
     grad_shift: int = 0
-    epoch: int = 0
 
 
 def l2_normalize(eng, x):
@@ -144,7 +143,7 @@ def _weights(eng, state: ModelState, X=None):
         return state, w_l, prods
     w_l, g_l, *prods = eng.tmul([state.w2l, state.grad], [l, state.grad_shift], X)
     g2l = eng.mul_public_int(g_l, 1 << l)
-    landed = ModelState(eng.add(state.w2l, g2l), eng.add(state.v2l, g2l), epoch=state.epoch)
+    landed = ModelState(eng.add(state.w2l, g2l), eng.add(state.v2l, g2l))
     return landed, eng.add(w_l, g_l), prods
 
 
@@ -265,7 +264,7 @@ def update(eng, state: ModelState, w_l, v_l, grad, grad_shift: int,
     c_raw = int(encode(cfg.momentum, ring))
     la_raw = int(encode(cfg.lambda_reg * cfg.alpha, ring))
     v2l = eng.sub(eng.mul_public_int(v_l, c_raw), eng.mul_public_int(w_l, la_raw))
-    return ModelState(eng.add(state.w2l, v2l), v2l, eng.neg(grad), grad_shift, state.epoch + 1)
+    return ModelState(eng.add(state.w2l, v2l), v2l, eng.neg(grad), grad_shift)
 
 
 def train_logreg(eng, X, t, cfg: TrainingConfig):

@@ -25,7 +25,7 @@ from veiltrain.noise import (DpParams, gaussian_pair_count, gaussian_vector,
 from veiltrain.shareio import DEFAULTS
 from veiltrain.training import TrainingConfig, l2_normalize, train_pipeline
 
-from conftest import run_both
+from conftest import mirror_weights, run_both
 
 RING = RingConfig()
 
@@ -180,7 +180,7 @@ def test_norm_protocol():
 
 # ---------------------------------------------------------------- criterion 4
 
-def test_training_oracle_equivalence():
+def test_training_oracle_equivalence(over_tcp):
     start = time.perf_counter()
     X, t = synth_data(200, 20, seed=401, separability=1.0)
     tc = TrainingConfig(epochs=100)
@@ -189,11 +189,12 @@ def test_training_oracle_equivalence():
         return eng.open(train_pipeline(eng, eng.from_public(encode(X, RING)),
                                        eng.from_public(encode(t, RING)), tc))
 
-    (r0, r1), _ = run_both(fn, 402, transport="tcp")
-    mirror = train_lr_clear(X, t, tc, seed=402, mode="mirror_fixedpoint")
-    float_model = train_lr_clear(X, t, tc, seed=402, mode="float_exact")
-    bit_exact = (np.array_equal(r0, encode(mirror.weights, RING))
-                 and np.array_equal(r1, encode(mirror.weights, RING)))
+    over_tcp()
+    (r0, r1), _ = run_both(fn, 402)
+    mirror = mirror_weights(X, t, tc, seed=402)
+    float_model = train_lr_clear(X, t, tc, seed=402)
+    bit_exact = (np.array_equal(r0, encode(mirror, RING))
+                 and np.array_equal(r1, encode(mirror, RING)))
     float_gap = np.abs(decode(r0, RING) - float_model.weights).max()
     elapsed = time.perf_counter() - start
     gate("training-oracle-equivalence",
@@ -290,7 +291,7 @@ def test_baseline_trend():
     X_tr, t_tr, X_te, t_te = X[~te], t[~te], X[te], t[te]
     tc = TrainingConfig(epochs=150)
 
-    central = train_lr_clear(X_tr, t_tr, tc, seed=802, mode="float_exact")
+    central = train_lr_clear(X_tr, t_tr, tc, seed=802)
     central_acc = evaluate(central.weights, X_te, t_te)
 
     cfg = dict(DEFAULTS)

@@ -15,7 +15,7 @@ def test_float_trainer_separable_2d():
     X = rng.normal(size=(n, 2))
     t = (X[:, 0] + X[:, 1] > 0).astype(float)
     tc = TrainingConfig(alpha=0.5, lambda_reg=0.0, epochs=500, skip_norm=True)
-    m = train_lr_clear(X, t, tc, seed=1, mode="float_exact")
+    m = train_lr_clear(X, t, tc, seed=1)
     preds = (X @ m.weights > 0).astype(float)
     assert np.mean(preds == t) == 1.0
 
@@ -25,8 +25,7 @@ def test_strong_regularization_shrinks_weights():
     X, t = synth_data(200, 10, seed=2, separability=1.0)
     norms = []
     for lam in (1.0, 100.0, 1000.0):
-        m = train_lr_clear(X, t, TrainingConfig(alpha=1e-4, lambda_reg=lam, epochs=200),
-                           seed=3, mode="float_exact")
+        m = train_lr_clear(X, t, TrainingConfig(alpha=1e-4, lambda_reg=lam, epochs=200), seed=3)
         norms.append(np.linalg.norm(m.weights))
     assert norms[0] > norms[1] > norms[2]
 
@@ -63,7 +62,7 @@ def test_baseline_single_owner_is_train_plus_perturb():
     tc = TrainingConfig(epochs=30)
     model = baseline_fl([(X, t)], tc, epsilon=1.0,
                         rng=np.random.default_rng(8), seed=9)
-    trained = train_lr_clear(X, t, tc, seed=9, mode="float_exact")
+    trained = train_lr_clear(X, t, tc, seed=9)
     dp = DpParams(epsilon=1.0, lambda_reg=1.0, n=len(X), d=6)
     reference = perturb_clear(trained, dp, np.random.default_rng(8))
     assert np.array_equal(model.weights, reference.weights)
@@ -76,8 +75,8 @@ def test_baseline_identical_owners_infinite_epsilon():
                         rng=np.random.default_rng(11), seed=12)
     # both owners train with different init seeds; with eps -> inf the average
     # equals the average of the two (near-identical) trained models
-    m0 = train_lr_clear(X, t, tc, seed=12, mode="float_exact")
-    m1 = train_lr_clear(X, t, tc, seed=13, mode="float_exact")
+    m0 = train_lr_clear(X, t, tc, seed=12)
+    m1 = train_lr_clear(X, t, tc, seed=13)
     assert np.abs(model.weights - (m0.weights + m1.weights) / 2).max() < 1e-6
 
 
@@ -98,15 +97,10 @@ def test_baseline_noise_uses_owner_counts():
     rng = np.random.default_rng(17)
     deltas = {"big": [], "small": []}
     for name, owner in (("big", big), ("small", small)):
-        trained = train_lr_clear(owner[0], owner[1], tc, seed=18, mode="float_exact")
+        trained = train_lr_clear(owner[0], owner[1], tc, seed=18)
         dp = DpParams(epsilon=1.0, lambda_reg=1.0, n=len(owner[0]), d=6)
         for _ in range(300):
             noisy = perturb_clear(trained, dp, rng)
             deltas[name].append(np.linalg.norm(noisy.weights - trained.weights))
     assert np.mean(deltas["small"]) > 5 * np.mean(deltas["big"])
 
-
-def test_mirror_mode_rejects_unknown():
-    X, t = synth_data(20, 4, seed=19, separability=1.0)
-    with pytest.raises(ValueError):
-        train_lr_clear(X, t, TrainingConfig(epochs=1), seed=20, mode="quantum")

@@ -48,8 +48,9 @@ def test_full_stage_flow(tmp_path):
 
 
 def test_open_without_noise_matches_mirror(tmp_path):
-    from veiltrain.cleartext import train_lr_clear
-    from veiltrain.training import TrainingConfig
+    from conftest import mirror_weights
+    from veiltrain.harness import training_config
+    from veiltrain.shareio import DEFAULTS
 
     data = tmp_path / "data.csv"
     run_cli("synth", "--n", "40", "--m", "4", "--seed", "6", "--out", str(data))
@@ -62,9 +63,32 @@ def test_open_without_noise_matches_mirror(tmp_path):
     run_cli("open", "--in-weights", str(weights), "--out", str(out))
     w = np.array([float(v) for v in out.read_text().splitlines()[1:]])
     X, t = load_csv(data)
-    mirror = train_lr_clear(X, t, TrainingConfig(epochs=4), seed=33,
-                            mode="mirror_fixedpoint")
-    assert np.abs(w - mirror.weights).max() < 1e-12
+    # the session ran the default config with the command line's epochs
+    mirror = mirror_weights(X, t, training_config(dict(DEFAULTS, epochs=4)), seed=33)
+    assert np.abs(w - mirror).max() < 1e-12
+
+
+def test_stages_reject_inputs_of_another_ring(tmp_path, capsys):
+    # shares and weights made on a 16-bit ring must not be read on the
+    # default 20-bit one: train and open stop with exit status 2
+    data = tmp_path / "data.csv"
+    run_cli("synth", "--n", "30", "--m", "4", "--seed", "6", "--out", str(data))
+    cfg = tmp_path / "ring16.cfg"
+    cfg.write_text("frac_bits = 16\n")
+    shares, weights = tmp_path / "s", tmp_path / "w"
+    run_cli("ingest", "--config", str(cfg), "--owner-csv", str(data), "--out", str(shares))
+    run_cli("train", "--config", str(cfg), "--shares", str(shares),
+            "--out-weights", str(weights), "--epochs", "1")
+    capsys.readouterr()
+    assert main(["train", "--shares", str(shares), "--out-weights",
+                 str(tmp_path / "w20"), "--epochs", "1"]) == 2
+    assert "frac_bits" in capsys.readouterr().err
+    assert not (tmp_path / "w20.party0.bin").exists()
+    assert main(["open", "--in-weights", str(weights), "--out", str(tmp_path / "m.csv")]) == 2
+    assert "frac_bits" in capsys.readouterr().err
+    assert not (tmp_path / "m.csv").exists()
+    run_cli("open", "--config", str(cfg), "--in-weights", str(weights),
+            "--out", str(tmp_path / "m.csv"))
 
 
 def test_baseline_cli(tmp_path):

@@ -1,0 +1,47 @@
+import os
+import re
+
+import pytest
+
+from veiltrain.errors import ParseError
+from veiltrain.fixedpoint import RingConfig
+from veiltrain.harness import training_config
+from veiltrain.shareio import (CONFIG_KEYS, DEFAULTS, PUBLIC_KEYS, format_config,
+                               parse_config_text, public_section, ring_from_config)
+from veiltrain.training import TrainingConfig
+
+README = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
+
+
+def test_the_ring_and_training_defaults_are_their_classes():
+    assert training_config(DEFAULTS) == TrainingConfig()
+    assert ring_from_config(DEFAULTS) == RingConfig()
+
+
+def test_formatted_defaults_parse_back():
+    assert parse_config_text(format_config(DEFAULTS)) == DEFAULTS
+
+
+def test_public_section_needs_every_public_key():
+    assert set(public_section(DEFAULTS)) == set(PUBLIC_KEYS)
+    for key in PUBLIC_KEYS:
+        cfg = dict(DEFAULTS)
+        del cfg[key]
+        with pytest.raises(KeyError, match=key):
+            public_section(cfg)
+
+
+@pytest.mark.parametrize("value", ["threads", "proces", ""])
+def test_unknown_executor_is_a_parse_error(value):
+    with pytest.raises(ParseError, match="executor"):
+        parse_config_text(f"executor = {value}\n")
+    assert parse_config_text("executor = thread\n")["executor"] == "thread"
+
+
+def test_readme_table_names_exactly_the_config_keys():
+    with open(README, encoding="utf-8") as fh:
+        text = fh.read()
+    section = text.split("## Config file", 1)[1].split("\n## ", 1)[0]
+    rows = [line for line in section.splitlines() if line.startswith("| `")]
+    named = [key for row in rows for key in re.findall(r"`([a-z0-9_]+)`", row.split("|")[1])]
+    assert sorted(named) == sorted(CONFIG_KEYS)

@@ -6,16 +6,16 @@ import time
 import numpy as np
 import pytest
 
-from veiltrain.cleartext import train_lr_clear
 from veiltrain.datasets import evaluate, make_plan, partition, synth_data
 from veiltrain.dealer import with_slack
 from veiltrain.engine import estimate_counts, run_two_party
 from veiltrain.errors import VeiltrainError
-from veiltrain.harness import (ExperimentReport, _dp_params, party_pipeline, pipeline_counts,
+from veiltrain.harness import (ExperimentReport, dp_params, party_pipeline, pipeline_counts,
                                run_experiment, run_mpc_threaded, training_config, write_report)
 from veiltrain.ingest import ingest_partitions
 from veiltrain.shareio import DEFAULTS, ring_from_config
-from veiltrain.training import TrainingConfig
+
+from conftest import mirror_weights
 
 
 def tiny_cfg(**over):
@@ -33,11 +33,10 @@ def test_mpc_equals_mirror_without_noise():
     X, t = synth_data(60, 5, seed=1, separability=1.0)
     cfg = tiny_cfg(epochs=6, epsilon=0.0)
     res = run_mpc_threaded([(X, t)], "horizontal", cfg, seed=9, draws=0)
-    mirror = train_lr_clear(X, t, TrainingConfig(epochs=6), seed=9,
-                            mode="mirror_fixedpoint")
+    mirror = mirror_weights(X, t, training_config(cfg), seed=9)
     from veiltrain.fixedpoint import decode
 
-    assert np.array_equal(decode(res["w_raw"]), mirror.weights)
+    assert np.array_equal(decode(res["w_raw"]), mirror)
 
 
 def test_partition_modes_identical_coefficients():
@@ -114,7 +113,7 @@ def test_pipeline_counts_cover_consumption():
     X, t = synth_data(40, 5, seed=3, separability=1.0)
     cfg = tiny_cfg(epochs=2)
     ring = ring_from_config(cfg)
-    tc, dp = training_config(cfg), _dp_params(cfg, 40, 5)
+    tc, dp = training_config(cfg), dp_params(cfg, 40, 5)
     shares = ingest_partitions([(X, t)], "horizontal", ring, seed=12)
     counts = pipeline_counts(40, 5, cfg, draws=2)
     _, engines = run_two_party(lambda eng: party_pipeline(eng, *shares[eng.party], tc, dp, 2),

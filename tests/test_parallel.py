@@ -68,10 +68,12 @@ def alone(branch, seed=3):
     return engines[0].rt.transcript
 
 
-def test_parallel_matches_the_mirror_bit_for_bit():
+def test_parallel_matches_the_mirror_bit_for_bit(over_tcp):
     want = mirror(opened, 3)
     for transport in ("queue", "tcp"):
-        results, _ = run_two_party(opened, session_seed=3, cfg=RING, transport=transport)
+        if transport == "tcp":
+            over_tcp()
+        results, _ = run_two_party(opened, session_seed=3, cfg=RING)
         for got in results:
             assert len(got) == len(want)
             for a, b in zip(got, want):
@@ -236,16 +238,18 @@ def _within(seconds, fn):
     return box
 
 
-def _fails_fast(fn, **kw):
+def _fails_fast(fn):
     before = set(threading.enumerate())
-    box = _within(5, lambda: run_two_party(fn, session_seed=3, cfg=RING, **kw))
+    box = _within(5, lambda: run_two_party(fn, session_seed=3, cfg=RING))
     assert isinstance(box.get("exc"), Boom)
     assert set(threading.enumerate()) <= before
 
 
 @pytest.mark.parametrize("transport", ["queue", "tcp"])
-def test_a_failing_party_stops_its_peer_at_once(transport):
-    _fails_fast(_three_rounds_then_fail, transport=transport)
+def test_a_failing_party_stops_its_peer_at_once(transport, over_tcp):
+    if transport == "tcp":
+        over_tcp()
+    _fails_fast(_three_rounds_then_fail)
 
 
 def test_a_failing_branch_stops_its_siblings_and_its_peer():

@@ -243,7 +243,7 @@ def test_masked_openings_look_uniform():
     assert stats.chisquare(counts).pvalue > 0.001
 
 
-def test_tcp_transport_matches_queue():
+def test_tcp_transport_matches_queue(over_tcp):
     rng = np.random.default_rng(9)
     X = rng.uniform(-1, 1, (10, 3))
     t = rng.integers(0, 2, 10).astype(float)
@@ -253,6 +253,7 @@ def test_tcp_transport_matches_queue():
         return eng.open(train_pipeline(eng, eng.from_public(encode(X, RING)),
                                        eng.from_public(encode(t, RING)), tc))
 
-    (q0, _), _ = run_both(fn, seed=10, transport="queue")
-    (t0_, _), _ = run_both(fn, seed=10, transport="tcp")
+    (q0, _), _ = run_both(fn, seed=10)
+    over_tcp()
+    (t0_, _), _ = run_both(fn, seed=10)
     assert np.array_equal(q0, t0_)

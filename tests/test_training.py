@@ -1,8 +1,7 @@
 import numpy as np
 import pytest
 
-from veiltrain.cleartext import (normalize_rows, regularized_loss, sigmoid,
-                                 train_lr_clear)
+from veiltrain.cleartext import normalize_rows, sigmoid, train_lr_clear
 from veiltrain.dealer import MaterialSource
 from veiltrain.datasets import synth_data
 from veiltrain.engine import PlainEngine, estimate_counts
@@ -13,9 +12,17 @@ from veiltrain.training import (ModelState, TrainingConfig, glorot_init,
                                 row_norm_domain, scale_rows, sigmoid_input_bound, train_pipeline,
                                 update)
 
-from conftest import run_both
+from conftest import mirror_weights, run_both
 
 RING = RingConfig()
+
+
+def regularized_loss(w, X, t, lambda_reg):
+    z = X @ w
+    # log(1 + exp(-margin)) stabilized
+    margin = np.where(t > 0.5, z, -z)
+    loss = np.mean(np.logaddexp(0.0, -margin))
+    return loss + 0.5 * lambda_reg * float(w @ w)
 
 
 def plain(seed=1):
@@ -283,7 +290,7 @@ def test_train_separable_sign():
     tc = TrainingConfig(epochs=60, skip_norm=True)
     eng = plain(26)
     w = decode(eng.open(train_pipeline(eng, enc_pub(eng, X), enc_pub(eng, t), tc)), RING)
-    ref = train_lr_clear(X, t, tc, seed=26, mode="float_exact")
+    ref = train_lr_clear(X, t, tc, seed=26)
     assert np.sign(w[0]) == np.sign(ref.weights[0]) == 1.0
 
 
@@ -295,9 +302,9 @@ def test_train_mirror_bit_exact_50x5():
         return eng.open(train_pipeline(eng, enc_pub(eng, X), enc_pub(eng, t), tc))
 
     (r0, r1), _ = run_both(fn, seed=31)
-    mirror = train_lr_clear(X, t, tc, seed=31, mode="mirror_fixedpoint")
-    assert np.array_equal(r0, encode(mirror.weights, RING))
-    assert np.array_equal(r1, encode(mirror.weights, RING))
+    mirror = mirror_weights(X, t, tc, seed=31)
+    assert np.array_equal(r0, encode(mirror, RING))
+    assert np.array_equal(r1, encode(mirror, RING))
 
 
 def test_training_loss_monotone_shadow():
@@ -305,9 +312,8 @@ def test_training_loss_monotone_shadow():
     Xn = normalize_rows(X)
     losses = []
     for epochs in range(0, 51, 10):
-        m = train_lr_clear(X, t, TrainingConfig(epochs=epochs), seed=33,
-                           mode="mirror_fixedpoint")
-        losses.append(regularized_loss(m.weights, Xn, t, 1.0))
+        w = mirror_weights(X, t, TrainingConfig(epochs=epochs), seed=33)
+        losses.append(regularized_loss(w, Xn, t, 1.0))
     assert all(b - a <= 1e-3 for a, b in zip(losses, losses[1:]))
 
 
@@ -375,12 +381,11 @@ def test_minibatch_mirror_bit_exact():
         return eng.open(train_pipeline(eng, enc_pub(eng, X), enc_pub(eng, t), tc))
 
     (r0, _), _ = run_both(fn, seed=41)
-    mirror = train_lr_clear(X, t, tc, seed=41, mode="mirror_fixedpoint")
-    assert np.array_equal(r0, encode(mirror.weights, RING))
+    mirror = mirror_weights(X, t, tc, seed=41)
+    assert np.array_equal(r0, encode(mirror, RING))
     # mini-batch training differs from full batch
-    full = train_lr_clear(X, t, TrainingConfig(epochs=4), seed=41,
-                          mode="mirror_fixedpoint")
-    assert not np.array_equal(mirror.weights, full.weights)
+    full = mirror_weights(X, t, TrainingConfig(epochs=4), seed=41)
+    assert not np.array_equal(mirror, full)
 
 
 @pytest.mark.parametrize("batch, steps", [(0, 1), (4, 3)])
