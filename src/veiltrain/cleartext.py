@@ -15,10 +15,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dealer import MaterialSource
-from .errors import NonFinite, VerticalUnsupported
+from .errors import VerticalUnsupported
 from .noise import DpParams
-from .training import TrainingConfig, glorot_limit
+from .training import TrainingConfig
 
 
 @dataclass
@@ -42,30 +41,18 @@ def sigmoid(z):
     return 1.0 / (1.0 + np.exp(-np.clip(z, -500, 500)))
 
 
-def train_lr_clear(X, t, cfg: TrainingConfig, seed: int) -> ClearModel:
-    """Reference trainer in doubles with the true sigmoid, from the
-    session's Glorot init. Takes raw feature rows; normalization follows
-    cfg.skip_norm, like the secure pipeline."""
-    X = np.asarray(X, dtype=np.float64)
+def train_lr_clear(X, t, cfg: TrainingConfig, seed: int = 0) -> ClearModel:
+    """Reference trainer in doubles with the true sigmoid: the session's
+    schedule (cfg.steps() steps of cfg.alpha from zero) on normalized rows.
+    seed is recorded in the model's meta."""
+    X = normalize_rows(np.asarray(X, dtype=np.float64))
     t = np.asarray(t, dtype=np.float64)
-    if not cfg.skip_norm:
-        X = normalize_rows(X)
     if cfg.add_bias:
         X = np.hstack([X, np.ones((len(X), 1))])
-    n, d = X.shape
-    rng = MaterialSource(seed).init_rng()
-    limit = glorot_limit(d)
-    w = rng.uniform(-limit, limit, size=d)
-    v = np.zeros(d)
-    step = cfg.batch_size if cfg.batch_size else n
-    for _ in range(cfg.epochs):
-        for at in range(0, n, step):
-            Xb, tb = X[at:at + step], t[at:at + step]
-            grad = Xb.T @ (sigmoid(Xb @ w) - tb) / len(tb)
-            v = cfg.momentum * v - cfg.alpha * grad - cfg.lambda_reg * cfg.alpha * w
-            w = w + v
-        if not np.all(np.isfinite(w)):
-            raise NonFinite("training diverged to non-finite weights")
+    w = np.zeros(X.shape[1])
+    for _ in range(cfg.steps()):
+        grad = X.T @ (sigmoid(X @ w) - t) / len(t)
+        w = w - cfg.alpha * (grad + cfg.lambda_reg * w)
     return ClearModel(w, {"seed": seed, **cfg.public()})
 
 
@@ -81,7 +68,7 @@ def perturb_clear(model: ClearModel, dp: DpParams, rng: np.random.Generator) -> 
 
 
 def baseline_fl(owner_datasets, cfg: TrainingConfig, epsilon: float,
-                rng: np.random.Generator, seed: int = 0) -> ClearModel:
+                rng: np.random.Generator) -> ClearModel:
     """Federated baseline: every owner normalizes, trains, and perturbs
     locally (noise scale from its own example count), then the noisy models
     are averaged unweighted."""
@@ -90,10 +77,10 @@ def baseline_fl(owner_datasets, cfg: TrainingConfig, epsilon: float,
         raise VerticalUnsupported("owners hold different feature sets; the "
                                   "baseline needs horizontally partitioned data")
     noisy = []
-    for i, (X, t) in enumerate(owner_datasets):
-        model = train_lr_clear(X, t, cfg, seed=seed + i)
-        d = model.d
-        dp = DpParams(epsilon=epsilon, lambda_reg=cfg.lambda_reg, n=len(X), d=d)
+    for X, t in owner_datasets:
+        model = train_lr_clear(X, t, cfg)
+        dp = DpParams(epsilon=epsilon, lambda_reg=cfg.lambda_reg, n=len(X), d=model.d,
+                      row_norm=cfg.row_norm)
         noisy.append(perturb_clear(model, dp, rng).weights)
     return ClearModel(np.mean(noisy, axis=0),
                       {"method": "baseline_fl", "owners": len(owner_datasets),

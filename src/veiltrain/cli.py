@@ -20,9 +20,9 @@ from .cleartext import baseline_fl
 from .engine import run_two_party
 from .errors import ConfigMismatch, VeiltrainError
 from .fixedpoint import decode, encode
-from .harness import (run_experiment, training_config, write_report)
+from .harness import dp_params, run_experiment, training_config, write_report
 from .ingest import ingest_shares
-from .noise import DpParams, box_muller_radius, perturb_weights
+from .noise import box_muller_radius, perturb_weights
 from .shareio import (DEFAULTS, check_ring_meta, load_config, public_section,
                       read_share_file, read_weights_file, ring_from_config,
                       write_share_file, write_weights_file)
@@ -31,13 +31,10 @@ from .training import train_pipeline
 
 def _load_cfg(args) -> dict:
     cfg = load_config(args.config) if getattr(args, "config", None) else dict(DEFAULTS)
-    for key in ("epochs", "alpha", "lambda_reg", "momentum", "seed", "epsilon",
-                "noise_draws", "n"):
+    for key in ("lambda_reg", "seed", "epsilon", "noise_draws", "n"):
         val = getattr(args, key, None)
         if val is not None:
             cfg[key] = val
-    if getattr(args, "skip_norm", False):
-        cfg["skip_norm"] = 1
     return cfg
 
 
@@ -108,9 +105,9 @@ def cmd_perturb(args):
     headers, ws = zip(*(read_weights_file(f"{args.in_weights}.party{p}.bin")
                         for p in (0, 1)))
     _check_inputs([h["session"] for h in headers], headers, ring)
-    d = len(ws[0])
-    dp = DpParams(epsilon=cfg["epsilon"], lambda_reg=cfg["lambda_reg"],
-                  n=args.n, d=d)
+    dp = dp_params(cfg, args.n, len(ws[0]) - cfg["add_bias"])
+    if dp is None:
+        raise VeiltrainError(f"perturb needs a positive epsilon, got {cfg['epsilon']}")
 
     results, _ = run_two_party(lambda eng: perturb_weights(eng, ws[eng.party], dp),
                                session_seed=cfg["seed"], cfg=ring, session_id=cfg["session_id"],
@@ -122,7 +119,7 @@ def cmd_perturb(args):
         path = f"{args.out_weights}.party{party}.bin"
         write_weights_file(path, session, party, w, ring,
                            meta={"epsilon": dp.epsilon, "epsilon_total": eps_total,
-                                 "noise_n": dp.n})
+                                 "noise_n": dp.n, "noise_scale": dp.scale})
         print(f"wrote {path}")
 
 
@@ -147,7 +144,7 @@ def cmd_baseline(args):
     plan = datasets.make_plan("horizontal", args.owners, len(X), X.shape[1])
     parts = datasets.partition(X, t, plan)
     rng = np.random.default_rng(cfg["seed"])
-    model = baseline_fl(parts, tc, cfg["epsilon"], rng, seed=cfg["seed"])
+    model = baseline_fl(parts, tc, cfg["epsilon"], rng)
     with open(args.out, "w", encoding="utf-8") as fh:
         fh.write("coefficient\n")
         for w in model.weights:
@@ -256,12 +253,8 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--config", default=None)
     s.add_argument("--shares", required=True, help="share-file prefix from ingest")
     s.add_argument("--out-weights", required=True, help="weight-share prefix")
-    s.add_argument("--epochs", type=int, default=None)
-    s.add_argument("--alpha", type=float, default=None)
     s.add_argument("--lambda-reg", dest="lambda_reg", type=float, default=None)
-    s.add_argument("--momentum", type=float, default=None)
     s.add_argument("--seed", type=int, default=None)
-    s.add_argument("--skip-norm", action="store_true")
     s.set_defaults(fn=cmd_train)
 
     s = sub.add_parser("perturb", help="add joint DP noise to trained weights")
@@ -286,7 +279,6 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--config", default=None)
     s.add_argument("--epsilon", type=float, default=None)
     s.add_argument("--lambda-reg", dest="lambda_reg", type=float, default=None)
-    s.add_argument("--epochs", type=int, default=None)
     s.add_argument("--seed", type=int, default=None)
     s.add_argument("--out", required=True)
     s.set_defaults(fn=cmd_baseline)

@@ -19,16 +19,11 @@ from .fixedpoint import DEFAULT_RING, RingConfig, from_signed, to_signed, trunca
 
 _KIND_TAGS = {"triple": 1, "trunc": 2, "bit": 3}
 _GR_TAG = 4
-_INIT_TAG = 5
 _PLAIN, _SPLIT = 0, 1
 
 # 64-bit words drawn per item from each stream
 _PLAIN_WORDS = {"triple": 2, "trunc": 1, "bit": 1}
 _SPLIT_WORDS = {"triple": 3, "trunc": 2, "bit": 1}
-
-
-def _stream(session_seed: int, *tags: int) -> np.random.Generator:
-    return np.random.Generator(np.random.PCG64(np.random.SeedSequence([session_seed, *tags])))
 
 
 def _window(session_seed: int, tags, start_words: int, n_words: int) -> np.ndarray:
@@ -154,10 +149,6 @@ class MaterialSource:
         """Party-local uniform bits used for jointly sampled randomness."""
         words = _window(self.seed, [_GR_TAG, party], start, n)
         return (words & np.uint64(1)).astype(self.cfg.udtype)
-
-    def init_rng(self) -> np.random.Generator:
-        """Public stream for data-independent public draws (weight init)."""
-        return _stream(self.seed, _INIT_TAG)
 
 
 class Counts(dict):

@@ -249,9 +249,6 @@ class PlainEngine(BaseEngine):
         with np.errstate(over="ignore"):
             return np.asarray(a + np.asarray(raw, dtype=self.cfg.udtype))
 
-    def public_rng(self):
-        return self.source.init_rng()
-
     def open(self, a):
         return np.asarray(a, dtype=self.cfg.udtype)
 
@@ -352,9 +349,6 @@ class MpcEngine(BaseEngine):
 
     def phase(self, name):
         return self.rt.phase(name)
-
-    def public_rng(self):
-        return self.material.source.init_rng()
 
     def from_public(self, raw):
         raw = np.asarray(raw, dtype=self.cfg.udtype)

@@ -81,7 +81,3 @@ class DimensionMismatch(VeiltrainError):
 
 class VerticalUnsupported(VeiltrainError):
     """The federated baseline only supports horizontally partitioned data."""
-
-
-class NonFinite(VeiltrainError):
-    """Training diverged to non-finite values."""

@@ -79,11 +79,13 @@ def pipeline_counts(n: int, m: int, cfg: dict, draws: int) -> dict:
 
 def dp_params(cfg: dict, n: int, m: int) -> DpParams | None:
     """The noise's parameters for n rows of m features: its dimension is
-    the model's, the bias column included. None without noise (epsilon 0)."""
+    the model's, and its row bound the training rows', the bias column
+    included. None without noise (epsilon 0)."""
     if cfg["epsilon"] <= 0:
         return None
-    d = m + bool(cfg["add_bias"])
-    return DpParams(epsilon=cfg["epsilon"], lambda_reg=cfg["lambda_reg"], n=n, d=d)
+    tc = training_config(cfg)
+    return DpParams(epsilon=cfg["epsilon"], lambda_reg=tc.lambda_reg, n=n,
+                    d=m + tc.add_bias, row_norm=tc.row_norm)
 
 
 def run_mpc_threaded(owner_datasets, mode: str, cfg: dict, seed: int, draws: int):
@@ -313,8 +315,7 @@ def run_experiment(cfg: dict, workdir: str | None = None, log=lambda msg: None):
                     for draw in range(draws):
                         rng = np.random.default_rng(
                             np.random.SeedSequence([seed, 23, fold, k, draw]))
-                        model = baseline_fl(parts, tc, cfg["epsilon"], rng,
-                                            seed=fold_seed + 1000 * k)
+                        model = baseline_fl(parts, tc, cfg["epsilon"], rng)
                         base_accs.append(evaluate(model.weights, X_te, t_te,
                                                   add_bias=tc.add_bias))
                     cell = cells.setdefault((k, mode, "baseline"),
@@ -324,7 +325,7 @@ def run_experiment(cfg: dict, workdir: str | None = None, log=lambda msg: None):
 
     report = ExperimentReport()
     report.meta = {
-        "n": n, "m": m, "folds": folds, "epochs": cfg["epochs"],
+        "n": n, "m": m, "folds": folds, "lambda_reg": cfg["lambda_reg"],
         "epsilon": cfg["epsilon"], "noise_draws": draws, "seed": seed,
         "epsilon_total": epsilon_total(cfg, draws),
         "data_hash": f"{data_hash:016x}",

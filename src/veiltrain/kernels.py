@@ -360,8 +360,7 @@ def _sin_cos_turns(eng, turns, ride=None):
         return (sin, cos) if ride is None else (sin, cos, ride)
 
 
-def secure_sigmoid(eng, z, magnitude_bits=None, frac_bits=None, ride=None, bound=None,
-                   truncate=True):
+def secure_sigmoid(eng, z, magnitude_bits=None, frac_bits=None, bound=None, truncate=True):
     """Logistic function on shares: 1/2 + t q(2 t^2 - 1), t = z/2^k.
 
     With a public bound |z| <= bound <= SIGMOID_BOUND, k = 2 and q is the
@@ -376,10 +375,9 @@ def secure_sigmoid(eng, z, magnitude_bits=None, frac_bits=None, ride=None, bound
     truncates it to t at l bits and squares it. The powers of v come from
     _powers. On either domain every truncated value holds at most 2l
     fractional bits of a number below 4, so the sigmoid works on any ring
-    with 2l + 4 <= lambda. ride: values to truncate by l in the last round
-    of the powers; with ride the result is (sigmoid, ride truncated). With
-    truncate False the sigmoid stays at 2l fractional bits (the constant
-    part times 2^l, plus the core), for the caller's next tmul to truncate.
+    with 2l + 4 <= lambda. With truncate False the sigmoid stays at 2l
+    fractional bits (the constant part times 2^l, plus the core), for the
+    caller's next tmul to truncate.
     """
     l = eng.frac_bits
     bounded = bound is not None and bound <= SIGMOID_BOUND
@@ -392,15 +390,13 @@ def secure_sigmoid(eng, z, magnitude_bits=None, frac_bits=None, ride=None, bound
         else:
             t, tt, out = _clamp(eng, t, tt, magnitude_bits)
         v = eng.add_public(eng.mul_public_int(tt, 2), _unit(eng, 2 * l, -1))
-        powers = _powers(eng, v, l, len(coeffs) - 1, ride)
-        if ride is not None:
-            powers, ride = powers
+        powers = _powers(eng, v, l, len(coeffs) - 1)
         _, core = eng.tmul(_poly_2l(eng, powers, coeffs), l, t)
         if truncate:
             out = eng.add(out, eng.trunc(core, l))
         else:
             out = eng.add(eng.mul_public_int(out, 1 << l), core)
-        return out if ride is None else (out, ride)
+        return out
 
 
 def _clamp(eng, t, tt, magnitude_bits):

@@ -1,5 +1,5 @@
 """Jointly sampled model perturbation, seen by no party: Gamma * g / ||g||, g a
-Box-Muller Gaussian (a uniform direction), Gamma ~ Gamma(d, 2/(n*epsilon*reg))
+Box-Muller Gaussian (a uniform direction), Gamma ~ Gamma(d, 2R/(n*epsilon*reg))
 the scaled sum of d unit exponentials -ln(u), added to the shared weights."""
 
 from __future__ import annotations
@@ -18,22 +18,25 @@ _SCALE_BITS = 16  # significant bits the encoded noise scale keeps, within 2l fr
 
 @dataclass(frozen=True)
 class DpParams:
-    """Public privacy parameters of the output perturbation."""
+    """Public privacy parameters of the output perturbation; row_norm is
+    the bound R on a training row's norm."""
 
     epsilon: float
     lambda_reg: float
     n: int
     d: int
+    row_norm: float = 1.0
 
     def __post_init__(self):
-        for name in ("epsilon", "lambda_reg", "n", "d"):
+        for name in ("epsilon", "lambda_reg", "n", "d", "row_norm"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be positive")
 
     @property
     def scale(self) -> float:
-        """Noise scale c = 2 / (n * epsilon * lambda_reg)."""
-        return 2.0 / (self.n * self.epsilon * self.lambda_reg)
+        """Noise scale c = 2 R / (n * epsilon * lambda_reg): the L2
+        sensitivity 2R/(n lambda) of the trained weights over epsilon."""
+        return 2.0 * self.row_norm / (self.n * self.epsilon * self.lambda_reg)
 
     def scale_code(self, cfg) -> tuple:
         """(C, f), C / 2^f >= c: c rounded up at f = l bits, or up to 2l while

@@ -150,6 +150,8 @@ def run_party(cfg: dict, party: int) -> None:
     session = cfg["session_id"]
     prefix = cfg["shares_prefix"]
     file_session, meta, X, t = read_share_file(f"{prefix}.party{party}.shares")
+    if file_session != session:
+        raise ConfigMismatch("session", session, file_session)
     check_ring_meta(meta, ring)
     n, m = X.shape
     tc = training_config(cfg)

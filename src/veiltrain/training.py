@@ -1,31 +1,35 @@
 """Secure logistic-regression training on secret-shared data.
 
 The pipeline is: L2-normalize every example row (sum of squared shares, then
-one reciprocal square root, then rescale), initialize weights publicly with a
-Glorot uniform draw, and run full-batch gradient descent with momentum and L2
-weight decay:
+one reciprocal square root, then rescale), start from zero weights, and run
+full-batch gradient descent on the L2-regularized logistic loss:
 
-    velocity <- momentum * velocity - alpha * gradient - reg * alpha * weights
-    weights  <- weights + velocity
+    weights <- (1 - alpha lambda) weights - alpha gradient
 
-A public bound on the sigmoid's input (sigmoid_input_bound) lets the
-sigmoid skip its clamp where the bound is at most 4, as at the defaults.
-The update itself is affine in the shares with public ring constants, so it
-costs zero communication rounds. Weights and velocity are carried at double
-fractional precision between epochs.
+Only lambda is a hyperparameter. The objective is mu = lambda strongly
+convex and L = lambda + R^2 (1/4 + SLOPE_SLACK) smooth for rows of norm at
+most R (1 after normalization, sqrt 2 with the bias column), so the step
+alpha = 2/(L + mu) contracts the distance to the minimizer by
+(L - mu)/(L + mu) per step, and the step count follows from the precision
+(TrainingConfig.steps). At that step every iterate, like the minimizer, has
+L2 sensitivity at most 2R/(n lambda) (Wu et al., SIGMOD 2017), which is
+what the noise is calibrated to.
 
-An epoch (or mini-batch step) is 8 rounds on the bounded sigmoid: forward
-1, sigmoid 6, backward 1. No truncation takes a round of its own; each
-rides in the round of the product it feeds (engine op tmul):
+A public bound on the sigmoid's input (sigmoid_input_bound), about R^2 /
+lambda, lets the sigmoid skip its clamp where it is at most 4. The update
+multiplies by public ring constants only, so it costs no communication.
+
+A step is 8 rounds on the bounded sigmoid: forward 1, sigmoid 6, backward
+1. No truncation takes a round of its own; each rides in the round of the
+product it feeds (engine op tmul):
 
 * forward truncates the weights and the last step's pending gradient
   term, and multiplies their sum by the rows;
 * the sigmoid returns its output at 2l bits (truncate=False), and backward
   truncates the error in its product with the rows;
-* the rows are scaled by alpha 2^q / b once, so backward's sum is alpha
+* the rows are scaled by alpha 2^q / n once, so backward's sum is alpha
   times the mean gradient at l + q extra bits, left for the next forward;
-* the velocity's truncation rides with one of the sigmoid's, and the
-  normalization's reciprocal square root is truncated in its product.
+* the normalization's reciprocal square root is truncated in its product.
 """
 
 from __future__ import annotations
@@ -38,57 +42,59 @@ import numpy as np
 from .fixedpoint import RingConfig, decode, encode
 from .kernels import KERNEL_TOLERANCES, secure_rsqrt, secure_sigmoid
 
-# |x . w| stays far below this during regularized training on unit-norm rows
+# |x . w| <= sigmoid_input_bound, about R^2 / lambda, is below this for
+# lambda above 2^-10
 _FORWARD_MAGNITUDE_BITS = 12
+# slack on the sigmoid's slope 1/4 in the smoothness constant L: it covers
+# the polynomial sigmoid's slope on |z| <= 4 (at most 0.24994) and the
+# normalized rows' norm slack, (1 + 2^-10)^2 / 4 < 1/4 + 2^-10
+SLOPE_SLACK = 2.0 ** -10
 
 
 @dataclass
 class TrainingConfig:
-    """Public hyperparameters agreed by both parties.
+    """Public hyperparameters agreed by both parties: the L2 weight and the
+    bias column. The step, the step count and the row bound follow."""
 
-    batch_size 0 means full-batch; otherwise contiguous slices of that size
-    are visited in order within every epoch.
-    """
-
-    alpha: float = 0.1
     lambda_reg: float = 1.0
-    momentum: float = 0.9
-    epochs: int = 40
     add_bias: bool = False
-    skip_norm: bool = False
-    batch_size: int = 0
 
     def __post_init__(self):
-        if self.alpha <= 0:
-            raise ValueError("alpha must be positive")
-        if self.lambda_reg < 0:
-            raise ValueError("lambda_reg must be nonnegative")
-        if not 0 <= self.momentum < 1:
-            raise ValueError("momentum must be in [0, 1)")
-        if self.epochs < 0:
-            raise ValueError("epochs must be nonnegative")
-        if self.batch_size < 0:
-            raise ValueError("batch_size must be nonnegative")
+        if not self.lambda_reg > 0:
+            raise ValueError("lambda_reg must be positive")
 
     def public(self) -> dict:
-        return {"alpha": self.alpha, "lambda_reg": self.lambda_reg,
-                "momentum": self.momentum, "epochs": self.epochs,
-                "add_bias": int(self.add_bias), "skip_norm": int(self.skip_norm),
-                "batch_size": self.batch_size}
+        return {"lambda_reg": self.lambda_reg, "add_bias": int(self.add_bias)}
+
+    @property
+    def row_norm(self) -> float:
+        """R, the bound on a training row's norm: 1, sqrt 2 with the bias column."""
+        return math.sqrt(2.0) if self.add_bias else 1.0
+
+    @property
+    def alpha(self) -> float:
+        """The step 2/(L + mu), mu = lambda, L = lambda + R^2 (1/4 + SLOPE_SLACK)."""
+        return 2.0 / (2 * self.lambda_reg + self.row_norm ** 2 * (0.25 + SLOPE_SLACK))
+
+    def steps(self, ring: RingConfig = RingConfig()) -> int:
+        """The fewest k with ((L - mu)/(L + mu))^k R / lambda below one ulp
+        of the ring: from zero, the distance to the minimizer (at most
+        R / lambda) shrinks by that rate, 1 - alpha lambda, every step."""
+        rate = 1 - self.alpha * self.lambda_reg
+        target = 2.0 ** -ring.frac_bits * self.lambda_reg / self.row_norm
+        return max(0, math.floor(math.log(target) / math.log(rate)) + 1)
 
 
 @dataclass
 class ModelState:
-    """Secret-shared weights and velocity at 2l fractional bits, short of
-    the last step's gradient term: grad, -alpha times the mean gradient,
-    which a shift by grad_shift takes to l fractional bits (None before the
-    first step), is still to be added to both. The next forward pass
-    truncates it in its product round."""
+    """Secret-shared weights at 2l fractional bits, short of the last
+    step's gradient term: grad, -alpha times the mean gradient, which a
+    shift by grad_shift takes to l fractional bits, is still to be added.
+    The next forward pass truncates both in its product round."""
 
     w2l: object
-    v2l: object
-    grad: object = None
-    grad_shift: int = 0
+    grad: object
+    grad_shift: int
 
 
 def l2_normalize(eng, x):
@@ -118,106 +124,59 @@ def row_norm_domain(ring: RingConfig):
     return 2.0 ** (10 - l), 2.0 ** min(2 * l - 24, ring.int_bits - 1)
 
 
-def glorot_limit(fan_in: int, fan_out: int = 1) -> float:
-    return float(np.sqrt(6.0 / (fan_in + fan_out)))
-
-
-def glorot_init(eng, d: int):
-    """Public Glorot uniform draw from the session's agreed seed, then
-    trivially shared. Init is data-independent, so publishing it leaks
-    nothing, and it keeps the clear-text mirror exactly in step."""
-    rng = eng.public_rng()
-    limit = glorot_limit(d)
-    w = rng.uniform(-limit, limit, size=d)
-    return eng.from_public(encode(w, eng.cfg))
-
-
 def _weights(eng, state: ModelState, X=None):
     """The weights at l bits, with their products by X's rows in the same
     round (tmul): the weights at 2l bits and the pending gradient are
-    truncated together and summed. Returns the state with the gradient
-    added to w and v, the weights at l bits and the products (if X)."""
+    truncated together and summed. Returns the weights and the products."""
     l = eng.frac_bits
-    if state.grad is None:
-        w_l, *prods = eng.tmul(state.w2l, l, X)
-        return state, w_l, prods
     w_l, g_l, *prods = eng.tmul([state.w2l, state.grad], [l, state.grad_shift], X)
-    g2l = eng.mul_public_int(g_l, 1 << l)
-    landed = ModelState(eng.add(state.w2l, g2l), eng.add(state.v2l, g2l))
-    return landed, eng.add(w_l, g_l), prods
+    return eng.add(w_l, g_l), prods
 
 
 def forward(eng, X, state: ModelState, bound=None):
     """Predictions sigmoid(X . w) on shares, at 2l fractional bits, from the
-    state's weights and pending gradient.
+    state's weights and pending gradient, and the weights w at l bits.
 
-    Returns (predictions, state, w, v): the state with the gradient added,
-    and the weights and the velocity truncated to l bits for the update.
-    The product round truncates the weights and the gradient (tmul), and v
-    rides with one of the sigmoid's truncations. bound: a public bound on
-    |X . w| (sigmoid_input_bound), which lets the sigmoid skip its clamp."""
+    The product round truncates the weights and the gradient (tmul). bound:
+    a public bound on |X . w| (sigmoid_input_bound), which lets the sigmoid
+    skip its clamp."""
     l = eng.frac_bits
     with eng.phase("forward"):
-        state, w_l, (xw,) = _weights(eng, state, X)
+        w_l, (xw,) = _weights(eng, state, X)
         z2l = eng.sum(xw, axis=1)
-    predictions, v_l = secure_sigmoid(
-        eng, z2l, magnitude_bits=_FORWARD_MAGNITUDE_BITS, frac_bits=2 * l, ride=state.v2l,
-        bound=bound, truncate=False)
-    return predictions, state, w_l, v_l
+    predictions = secure_sigmoid(eng, z2l, magnitude_bits=_FORWARD_MAGNITUDE_BITS,
+                                 frac_bits=2 * l, bound=bound, truncate=False)
+    return predictions, w_l
 
 
 def sigmoid_input_bound(cfg: TrainingConfig, n: int, d: int, ring: RingConfig) -> float:
     """A bound on |x . w| over every forward pass of train_logreg on n rows
-    of d features (the bias column included), from public values only;
-    inf with skip_norm, whose rows may have any norm.
+    of d features (the bias column included), from public values only.
 
-    The update is linear in (w, v): (w, v) <- A (w, v) + (u, u) for
-    A = [[1 - alpha lambda, momentum], [-alpha lambda, momentum]], at the
-    ring's encodings of the constants, with the drive u = -alpha g plus
-    the truncation errors of w, v and alpha g. So w_k = f_k w_0 +
-    sum_j h_(k-1-j) u_j with the free response f_k = (A^k)_ww and the
-    impulse response h_m = (A^m (1, 1))_w, and |x . w_k| <= R (|f_k| |w_0|
-    + sum_m |h_m| |u|) for a row norm R: 1 + eps after l2_normalize, times
-    sqrt(2) with the bias column. |w_0| is at most the Glorot box's
-    half-diagonal sqrt(6d / (d + 1)). The labels are 0 or 1, so the
-    gradient's data term is at most R (1 + the bounded sigmoid's error);
-    alpha is the largest one scale_rows' rounded factors apply. The row
-    scaling adds at most alpha ulps per coordinate and step, and every
-    truncation (w, v, alpha g, the sigmoid's powers) at most an ulp.
+    The step is w <- c w + u, with c = 1 - alpha lambda at its ring encoding
+    and the drive u = -alpha g plus the truncation errors of w and alpha g.
+    From w = 0 that gives |w| <= |u| / (1 - c), about R / lambda, and
+    |x . w| <= R |w| for a row norm R: 1 + eps after l2_normalize, times
+    sqrt(2) with the bias column. The labels are 0 or 1, so the gradient's
+    data term is at most R (1 + the bounded sigmoid's error); alpha is the
+    one scale_rows' rounded factor applies. The row scaling adds at most
+    alpha ulps per coordinate and step, and each truncation one ulp.
     """
-    if cfg.skip_norm:
-        return float("inf")
     l = ring.frac_bits
     ulp = 2.0 ** -l
-    decay, momentum = (float(decode(encode(c, ring), ring))
-                       for c in (cfg.alpha * cfg.lambda_reg, cfg.momentum))
-    step = min(cfg.batch_size or n, n)
-    alpha = max(_row_factor(b, cfg.alpha, l) * b / 2.0 ** (l + mean_bits(b, cfg.alpha))
-                for b in set(_batch_sizes(n, step)))
-    row = (1 + KERNEL_TOLERANCES["normalize"].bound) * (np.sqrt(2.0) if cfg.add_bias else 1.0)
+    keep = float(decode(encode(1 - cfg.alpha * cfg.lambda_reg, ring), ring))
+    alpha = _row_factor(n, cfg.alpha, l) * n / 2.0 ** (l + mean_bits(n, cfg.alpha))
+    row = (1 + KERNEL_TOLERANCES["normalize"].bound) * cfg.row_norm
     # |sigmoid - label|; the 8 ulps cover the sigmoid's rounding on coarser rings
     err = 1 + KERNEL_TOLERANCES["sigmoid_b4"].bound + 8 * ulp
     spread = np.sqrt(d) * ulp  # one ulp on every coordinate
-    drive = alpha * (row + spread) * err + spread * (1 + momentum + decay)
-    w0 = np.sqrt(6.0 * d / (d + 1)) + spread
-    fw, fv, hw, hv = 1.0, 0.0, 1.0, 1.0  # A^k (1, 0) and A^k (1, 1)
-    summed, bound = 0.0, 0.0
-    for _ in range(cfg.epochs * -(-n // step)):
-        bound = max(bound, row * (abs(fw) * w0 + drive * summed + spread))
-        summed += abs(hw)
-        fw, fv = fw - decay * fw + momentum * fv, momentum * fv - decay * fw
-        hw, hv = hw - decay * hw + momentum * hv, momentum * hv - decay * hw
-    return bound
-
-
-def _batch_sizes(n: int, step: int):
-    """Rows of every step-row batch of n rows; the last may be shorter."""
-    return [min(step, n - at) for at in range(0, n, step)]
+    drive = alpha * (row + spread) * err + 2 * spread
+    return row * drive / (1 - keep)
 
 
 def mean_bits(b: int, alpha: float) -> int:
     """q with alpha 2^q / b in [1, 2): rows scaled by that factor give alpha
-    times a b-row batch's mean gradient as a shift by q."""
+    times a b-row mean gradient as a shift by q."""
     m, e = math.frexp(b / alpha)
     return e - 1 if m == 0.5 else e
 
@@ -227,21 +186,18 @@ def _row_factor(b: int, alpha: float, l: int) -> int:
     return round(alpha * 2.0 ** (l + mean_bits(b, alpha)) / b)
 
 
-def scale_rows(eng, X, step: int, alpha: float):
-    """X with the rows of every step-row batch times alpha 2^q / b at l
-    bits (mean_bits), in one truncation. The backward pass on such rows
-    gives alpha times a batch's mean gradient as a shift by l + q, which
-    the next forward pass's truncation takes, with the product's extra
-    fractional bits."""
+def scale_rows(eng, X, alpha: float):
+    """X's n rows times alpha 2^q / n at l bits (mean_bits), in one
+    truncation. The backward pass on such rows gives alpha times the mean
+    gradient as a shift by l + q, which the next forward pass's truncation
+    takes, with the product's extra fractional bits."""
     l = eng.frac_bits
-    sizes = _batch_sizes(X.shape[0], step)
-    factors = np.repeat([_row_factor(b, alpha, l) for b in sizes], sizes)
-    return eng.trunc(eng.mul_public_int(X, factors[:, None]), l)
+    return eng.trunc(eng.mul_public_int(X, _row_factor(X.shape[0], alpha, l)), l)
 
 
 def backward(eng, scaled, predictions, t):
-    """alpha 2^q times the mean gradient (1/b) X^T (predictions - t) on
-    shares, at 2l fractional bits, from the b rows of X as scale_rows gives
+    """alpha 2^q times the mean gradient (1/n) X^T (predictions - t) on
+    shares, at 2l fractional bits, from the rows of X as scale_rows gives
     them and the predictions at 2l bits: one round, which truncates the
     error and multiplies it by the rows (tmul). The labels' terms are
     multiples of 2^l, so the truncation is the sigmoid's own."""
@@ -252,40 +208,31 @@ def backward(eng, scaled, predictions, t):
         return eng.sum(prods, axis=0)
 
 
-def update(eng, state: ModelState, w_l, v_l, grad, grad_shift: int,
-           cfg: TrainingConfig) -> ModelState:
-    """One momentum step; public ring constants only, zero communication.
+def update(eng, w_l, grad, grad_shift: int, cfg: TrainingConfig) -> ModelState:
+    """One gradient step; public ring constants only, zero communication.
 
-    The momentum term applies to the previous velocity and the decay term
-    to the weights, at 2l fractional bits. The gradient term, alpha times
-    the mean gradient as backward gives it (a shift by grad_shift takes it
-    to l bits), is left pending for the next forward pass to truncate."""
-    ring = eng.cfg
-    c_raw = int(encode(cfg.momentum, ring))
-    la_raw = int(encode(cfg.lambda_reg * cfg.alpha, ring))
-    v2l = eng.sub(eng.mul_public_int(v_l, c_raw), eng.mul_public_int(w_l, la_raw))
-    return ModelState(eng.add(state.w2l, v2l), v2l, eng.neg(grad), grad_shift)
+    The weights at l bits times 1 - alpha lambda give the new weights at 2l
+    bits. The gradient term, alpha times the mean gradient as backward
+    gives it (a shift by grad_shift takes it to l bits), is left pending
+    for the next forward pass to truncate."""
+    keep = int(encode(1 - cfg.alpha * cfg.lambda_reg, eng.cfg))
+    return ModelState(eng.mul_public_int(w_l, keep), eng.neg(grad), grad_shift)
 
 
 def train_logreg(eng, X, t, cfg: TrainingConfig):
-    """Gradient-descent training on normalized shares; returns weight shares."""
-    l = eng.frac_bits
+    """cfg.steps() gradient steps from zero on normalized shares; returns
+    weight shares."""
     n, d = X.shape
-    step = cfg.batch_size if cfg.batch_size else n
-    w0 = glorot_init(eng, d)
-    state = ModelState(eng.mul_public_int(w0, 1 << l), eng.zeros(d))
+    shift = eng.frac_bits + mean_bits(n, cfg.alpha)
     bound = sigmoid_input_bound(cfg, n, d, eng.cfg)
     with eng.phase("backward"):
-        scaled = scale_rows(eng, X, step, cfg.alpha)
-    for _ in range(cfg.epochs):
-        for at in range(0, n, step):
-            rows = slice(at, at + step)
-            predictions, state, w_l, v_l = forward(eng, X[rows], state, bound)
-            grad = backward(eng, scaled[rows], predictions, t[rows])
-            state = update(eng, state, w_l, v_l, grad,
-                           l + mean_bits(min(step, n - at), cfg.alpha), cfg)
+        scaled = scale_rows(eng, X, cfg.alpha)
+    state = ModelState(eng.zeros(d), eng.zeros(d), shift)
+    for _ in range(cfg.steps(eng.cfg)):
+        predictions, w_l = forward(eng, X, state, bound)
+        state = update(eng, w_l, backward(eng, scaled, predictions, t), shift, cfg)
     with eng.phase("finalize"):
-        return _weights(eng, state)[1]
+        return _weights(eng, state)[0]
 
 
 def append_bias(eng, X):
@@ -296,10 +243,9 @@ def append_bias(eng, X):
 
 
 def train_pipeline(eng, X, t, cfg: TrainingConfig):
-    """The full training stage: optional row normalization, optional bias
-    column, then regularized gradient descent. Returns weight shares."""
-    if not cfg.skip_norm:
-        X = l2_normalize(eng, X)
+    """The full training stage: row normalization, optional bias column,
+    then regularized gradient descent. Returns weight shares."""
+    X = l2_normalize(eng, X)
     if cfg.add_bias:
         X = append_bias(eng, X)
     return train_logreg(eng, X, t, cfg)

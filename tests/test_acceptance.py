@@ -183,7 +183,7 @@ def test_norm_protocol():
 def test_training_oracle_equivalence(over_tcp):
     start = time.perf_counter()
     X, t = synth_data(200, 20, seed=401, separability=1.0)
-    tc = TrainingConfig(epochs=100)
+    tc = TrainingConfig()
 
     def fn(eng):
         return eng.open(train_pipeline(eng, eng.from_public(encode(X, RING)),
@@ -265,7 +265,7 @@ def test_partition_invariance():
     X, t = X_all[:240], t_all[:240]
     test_X, test_t = X_all[240:], t_all[240:]
     cfg = dict(DEFAULTS)
-    cfg.update({"epochs": 60, "epsilon": 8.0, "executor": "thread"})
+    cfg.update({"epsilon": 8.0, "executor": "thread"})
     coeffs, accs = [], []
     for mode, k in (("horizontal", 2), ("horizontal", 4), ("horizontal", 8),
                     ("vertical", 2), ("vertical", 4)):
@@ -289,14 +289,13 @@ def test_baseline_trend():
     folds = stratified_folds(t, 5, 801)
     te = folds == 0
     X_tr, t_tr, X_te, t_te = X[~te], t[~te], X[te], t[te]
-    tc = TrainingConfig(epochs=150)
+    tc = TrainingConfig()
 
     central = train_lr_clear(X_tr, t_tr, tc, seed=802)
     central_acc = evaluate(central.weights, X_te, t_te)
 
     cfg = dict(DEFAULTS)
-    cfg.update({"epochs": 150, "epsilon": 1.0, "executor": "thread",
-                "noise_draws": 100})
+    cfg.update({"epsilon": 1.0, "executor": "thread", "noise_draws": 100})
     res = run_mpc_threaded([(X_tr, t_tr)], "horizontal", cfg, seed=803, draws=100)
     mpc_acc = float(np.mean([evaluate(w, X_te, t_te) for w in res["noisy_models"]]))
 
@@ -309,7 +308,7 @@ def test_baseline_trend():
         accs = []
         for draw in range(100):
             rng = np.random.default_rng(np.random.SeedSequence([804, k, draw]))
-            model = baseline_fl(parts, tc, 1.0, rng, seed=805 + k)
+            model = baseline_fl(parts, tc, 1.0, rng)
             accs.append(evaluate(model.weights, X_te, t_te))
         base[k] = float(np.mean(accs))
 
@@ -326,7 +325,7 @@ def test_baseline_trend():
 
 def test_determinism_and_obliviousness():
     cfg = dict(DEFAULTS)
-    cfg.update({"n": 100, "m": 6, "epochs": 4, "noise_draws": 5, "folds": 2,
+    cfg.update({"n": 100, "m": 6, "noise_draws": 5, "folds": 2,
                 "owners": "2", "modes": "horizontal,vertical",
                 "executor": "thread", "epsilon": 1.0, "seed": 901})
     a = run_experiment(cfg)
@@ -345,7 +344,7 @@ def test_determinism_and_obliviousness():
                      and a.meta == b.meta)
 
     # transcript sizes must not depend on the secret values
-    tc = TrainingConfig(epochs=3)
+    tc = TrainingConfig()
 
     def make(data):
         X, t = data

@@ -9,21 +9,20 @@ from veiltrain import harness
 from veiltrain.datasets import make_plan, partition, synth_data
 from veiltrain.shareio import DEFAULTS
 
-# 20x4 horizontal, 2 epochs, 3 noise draws, thread executor. The noise
-# (64 rounds) runs beside training (53): each shared round is recorded under
-# training's path, and the 11 rounds the noise takes past training's end
-# under its own.
+# 20x4 horizontal, the defaults' 7 steps, 3 noise draws, thread executor.
+# The noise (64 rounds) runs beside training (93) and every one of its
+# rounds is recorded under training's path; the last round opens the models.
 ROUNDS_BY_PATH = {
     "-": 1,
     "normalize": 4, "normalize/rsqrt": 31,
-    "forward": 2, "sigmoid": 12, "backward": 3, "finalize": 1,
-    "perturb": 4, "perturb/rsqrt": 7,
+    "forward": 7, "sigmoid": 42, "backward": 8, "finalize": 1,
 }
 # the noise's rounds that rode in training's
 OVERLAP_BY_PATH = {
-    "perturb/uniform": 2, "perturb/ln": 15, "perturb/sin_cos": 12, "perturb/rsqrt": 24,
+    "perturb": 4, "perturb/uniform": 2, "perturb/ln": 15, "perturb/sin_cos": 12,
+    "perturb/rsqrt": 31,
 }
-WIRE_BYTES = 164_282  # party 0, sent plus received
+WIRE_BYTES = 228_012  # party 0, sent plus received
 
 
 def _rows(report, prefix):
@@ -32,7 +31,7 @@ def _rows(report, prefix):
 
 
 def test_tiny_session_budget():
-    cfg = dict(DEFAULTS, epochs=2, executor="thread")
+    cfg = dict(DEFAULTS, executor="thread")
     X, t = synth_data(20, 4, seed=3, separability=1.0)
     parts = partition(X, t, make_plan("horizontal", 2, 20, 4))
     res = harness.run_mpc_threaded(parts, "horizontal", cfg, 1, 3)

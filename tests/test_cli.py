@@ -19,14 +19,15 @@ def test_full_stage_flow(tmp_path):
     shares = tmp_path / "shares"
     run_cli("ingest", "--owner-csv", str(data), "--out", str(shares))
     weights = tmp_path / "weights"
-    run_cli("train", "--shares", str(shares), "--out-weights", str(weights),
-            "--epochs", "5", "--seed", "21")
+    run_cli("train", "--shares", str(shares), "--out-weights", str(weights), "--seed", "21")
     noisy = tmp_path / "noisy"
     run_cli("perturb", "--in-weights", str(weights), "--out-weights", str(noisy),
             "--n", "60", "--epsilon", "1.0", "--seed", "21")
     from veiltrain.shareio import read_weights_file
 
-    assert float(read_weights_file(f"{noisy}.party0.bin")[0]["epsilon_total"]) == 1.0
+    header = read_weights_file(f"{noisy}.party0.bin")[0]
+    assert float(header["epsilon_total"]) == 1.0
+    assert float(header["noise_scale"]) == 2 / 60
     twice = tmp_path / "twice"
     run_cli("perturb", "--in-weights", str(noisy), "--out-weights", str(twice),
             "--n", "60", "--epsilon", "0.5", "--seed", "21")
@@ -58,13 +59,13 @@ def test_open_without_noise_matches_mirror(tmp_path):
     run_cli("ingest", "--owner-csv", str(data), "--out", str(shares))
     weights = tmp_path / "w"
     run_cli("train", "--shares", str(shares), "--out-weights", str(weights),
-            "--epochs", "4", "--seed", "33")
+            "--lambda-reg", "0.5", "--seed", "33")
     out = tmp_path / "model.csv"
     run_cli("open", "--in-weights", str(weights), "--out", str(out))
     w = np.array([float(v) for v in out.read_text().splitlines()[1:]])
     X, t = load_csv(data)
-    # the session ran the default config with the command line's epochs
-    mirror = mirror_weights(X, t, training_config(dict(DEFAULTS, epochs=4)), seed=33)
+    # the session ran the default config with the command line's lambda
+    mirror = mirror_weights(X, t, training_config(dict(DEFAULTS, lambda_reg=0.5)), seed=33)
     assert np.abs(w - mirror).max() < 1e-12
 
 
@@ -78,10 +79,10 @@ def test_stages_reject_inputs_of_another_ring(tmp_path, capsys):
     shares, weights = tmp_path / "s", tmp_path / "w"
     run_cli("ingest", "--config", str(cfg), "--owner-csv", str(data), "--out", str(shares))
     run_cli("train", "--config", str(cfg), "--shares", str(shares),
-            "--out-weights", str(weights), "--epochs", "1")
+            "--out-weights", str(weights))
     capsys.readouterr()
     assert main(["train", "--shares", str(shares), "--out-weights",
-                 str(tmp_path / "w20"), "--epochs", "1"]) == 2
+                 str(tmp_path / "w20")]) == 2
     assert "frac_bits" in capsys.readouterr().err
     assert not (tmp_path / "w20.party0.bin").exists()
     assert main(["open", "--in-weights", str(weights), "--out", str(tmp_path / "m.csv")]) == 2
@@ -91,12 +92,47 @@ def test_stages_reject_inputs_of_another_ring(tmp_path, capsys):
             "--out", str(tmp_path / "m.csv"))
 
 
+def test_perturb_calibrates_to_the_bias_column_row_norm(tmp_path):
+    # with the bias column rows have norm sqrt 2, and perturb scales its
+    # noise as the session does: c = 2 sqrt(2) / (n epsilon lambda)
+    from veiltrain.shareio import read_weights_file
+
+    data = tmp_path / "data.csv"
+    run_cli("synth", "--n", "30", "--m", "4", "--seed", "6", "--out", str(data))
+    cfg = tmp_path / "bias.cfg"
+    cfg.write_text("add_bias = 1\n")
+    shares, weights, noisy = tmp_path / "s", tmp_path / "w", tmp_path / "n"
+    run_cli("ingest", "--config", str(cfg), "--owner-csv", str(data), "--out", str(shares))
+    run_cli("train", "--config", str(cfg), "--shares", str(shares), "--out-weights", str(weights))
+    run_cli("perturb", "--config", str(cfg), "--in-weights", str(weights),
+            "--out-weights", str(noisy), "--n", "30", "--epsilon", "0.5")
+    header = read_weights_file(f"{noisy}.party0.bin")[0]
+    assert int(header["d"]) == 5
+    assert float(header["noise_scale"]) == 2 * np.sqrt(2) / (30 * 0.5 * 1.0)
+
+
+def test_party_refuses_a_share_file_of_another_session(tmp_path, capsys):
+    # the share file's session must be the config's: the party role stops
+    # with exit status 2 before it asks the dealer for anything
+    data = tmp_path / "data.csv"
+    run_cli("synth", "--n", "20", "--m", "4", "--seed", "6", "--out", str(data))
+    other = tmp_path / "other.cfg"
+    other.write_text("session_id = 5\n")
+    run_cli("ingest", "--config", str(other), "--owner-csv", str(data),
+            "--out", str(tmp_path / "s"))
+    cfg = tmp_path / "party.cfg"
+    cfg.write_text(f"session_id = 1\nshares_prefix = {tmp_path / 's'}\n"
+                   "dealer_host = 127.0.0.1\ndealer_port = 9\nconnect_deadline = 1\n")
+    capsys.readouterr()
+    assert main(["party", "--config", str(cfg), "--role", "party0"]) == 2
+    assert "'session'" in capsys.readouterr().err
+
+
 def test_baseline_cli(tmp_path):
     data = tmp_path / "data.csv"
     run_cli("synth", "--n", "80", "--m", "6", "--seed", "9", "--out", str(data))
     out = tmp_path / "base.csv"
-    run_cli("baseline", "--csv", str(data), "--owners", "2", "--epochs", "10",
-            "--out", str(out))
+    run_cli("baseline", "--csv", str(data), "--owners", "2", "--out", str(out))
     w = [float(v) for v in out.read_text().splitlines()[1:]]
     assert len(w) == 6
 
@@ -115,7 +151,7 @@ def test_kernel_bench_runs(capsys):
 
 def test_experiment_cli_thread(tmp_path):
     cfg = tmp_path / "exp.cfg"
-    cfg.write_text("n = 60\nm = 5\nepochs = 3\nnoise_draws = 3\nfolds = 2\n"
+    cfg.write_text("n = 60\nm = 5\nnoise_draws = 3\nfolds = 2\n"
                    "owners = 2\nmodes = horizontal\nexecutor = thread\nseed = 4\n")
     out_dir = tmp_path / "out"
     run_cli("experiment", "--config", str(cfg), "--out-dir", str(out_dir), "--quiet")
@@ -131,7 +167,7 @@ def test_subprocess_party_trio(tmp_path):
 
     X, t = synth_data(40, 4, seed=10, separability=1.0)
     cfg = dict(DEFAULTS)
-    cfg.update({"epochs": 3, "noise_draws": 2, "epsilon": 1.0, "seed": 15})
+    cfg.update({"noise_draws": 2, "epsilon": 1.0, "seed": 15})
     res = run_mpc_process([(X, t)], "horizontal", cfg, seed=15, draws=2,
                           workdir=str(tmp_path / "run"))
     assert res["noisy_models"].shape == (2, 4)

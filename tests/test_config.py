@@ -45,3 +45,16 @@ def test_readme_table_names_exactly_the_config_keys():
     rows = [line for line in section.splitlines() if line.startswith("| `")]
     named = [key for row in rows for key in re.findall(r"`([a-z0-9_]+)`", row.split("|")[1])]
     assert sorted(named) == sorted(CONFIG_KEYS)
+
+
+@pytest.mark.parametrize("key", ["alpha", "momentum", "epochs", "batch_size", "skip_norm"])
+def test_removed_training_keys_are_parse_errors(key):
+    # the schedule follows from lambda_reg and the row bound; a config that
+    # still sets one of its old knobs stops, naming the key
+    with pytest.raises(ParseError, match=key):
+        parse_config_text(f"{key} = 1\n")
+
+
+def test_training_keys_are_lambda_and_the_bias_column():
+    assert TrainingConfig().public() == {"lambda_reg": 1.0, "add_bias": 0}
+    assert len(CONFIG_KEYS) == 24 and len(PUBLIC_KEYS) == 8

@@ -98,14 +98,14 @@ def test_synth_calibration_separable():
     # frozen from the generator calibration run: m=30, seed=1
     X, t = synth_data(2000, 30, seed=1, separability=1.0)
     te = stratified_folds(t, 5, 1) == 0
-    m = train_lr_clear(X[~te], t[~te], TrainingConfig(epochs=150), seed=5)
+    m = train_lr_clear(X[~te], t[~te], TrainingConfig(), seed=5)
     assert evaluate(m.weights, X[te], t[te]) >= 0.95
 
 
 def test_synth_zero_separability_is_noise():
     X, t = synth_data(2000, 30, seed=1, separability=0.0)
     te = stratified_folds(t, 5, 1) == 0
-    m = train_lr_clear(X[~te], t[~te], TrainingConfig(epochs=150), seed=5)
+    m = train_lr_clear(X[~te], t[~te], TrainingConfig(), seed=5)
     assert abs(evaluate(m.weights, X[te], t[te]) - 0.5) <= 0.05
 
 

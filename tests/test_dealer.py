@@ -133,7 +133,7 @@ def test_every_key_of_a_session_crosses_the_wire():
     from veiltrain.partyproc import WireMaterial, _material_payload, decode_counts, encode_counts
     from veiltrain.shareio import DEFAULTS
 
-    counts = pipeline_counts(20, 4, dict(DEFAULTS, epochs=1), 2)
+    counts = pipeline_counts(20, 4, DEFAULTS, 2)
     assert {key[0] for key in counts} == {"triple", "trunc", "bit"}
     assert decode_counts(encode_counts(counts), RING) == counts
     # the dealer sends in the order of its decoded keys, the party reads in its own

@@ -20,7 +20,7 @@ from conftest import mirror_weights
 
 def tiny_cfg(**over):
     cfg = dict(DEFAULTS)
-    cfg.update({"n": 80, "m": 6, "epochs": 4, "noise_draws": 4, "folds": 2,
+    cfg.update({"n": 80, "m": 6, "noise_draws": 4, "folds": 2,
                 "owners": "2", "modes": "horizontal", "executor": "thread",
                 "epsilon": 1.0, "separability": 1.0, "seed": 5})
     cfg.update(over)
@@ -31,7 +31,7 @@ def test_mpc_equals_mirror_without_noise():
     # a single owner and no noise: the opened coefficients equal the
     # clear-text mirror trainer exactly, so accuracy matches exactly
     X, t = synth_data(60, 5, seed=1, separability=1.0)
-    cfg = tiny_cfg(epochs=6, epsilon=0.0)
+    cfg = tiny_cfg(epsilon=0.0)
     res = run_mpc_threaded([(X, t)], "horizontal", cfg, seed=9, draws=0)
     mirror = mirror_weights(X, t, training_config(cfg), seed=9)
     from veiltrain.fixedpoint import decode
@@ -41,7 +41,7 @@ def test_mpc_equals_mirror_without_noise():
 
 def test_partition_modes_identical_coefficients():
     X, t = synth_data(64, 8, seed=2, separability=1.0)
-    cfg = tiny_cfg(epochs=3)
+    cfg = tiny_cfg()
     outs = []
     for mode, k in (("horizontal", 2), ("horizontal", 4), ("vertical", 2)):
         plan = make_plan(mode, k, 64, 8)
@@ -111,7 +111,7 @@ def test_pipeline_counts_cover_consumption():
     # consume exactly its counts, which pipeline_counts provisions unpadded
     # by default, windows of the parallel noise branch included
     X, t = synth_data(40, 5, seed=3, separability=1.0)
-    cfg = tiny_cfg(epochs=2)
+    cfg = tiny_cfg()
     ring = ring_from_config(cfg)
     tc, dp = training_config(cfg), dp_params(cfg, 40, 5)
     shares = ingest_partitions([(X, t)], "horizontal", ring, seed=12)
@@ -128,11 +128,14 @@ def test_pipeline_counts_cover_consumption():
 
 def test_report_contains_traffic():
     X, t = synth_data(40, 5, seed=4, separability=1.0)
-    cfg = tiny_cfg(epochs=2)
+    cfg = tiny_cfg()
     res = run_mpc_threaded([(X, t)], "horizontal", cfg, seed=13, draws=2)
     assert res["bytes"] > 0
     assert res["report"]["phase.forward.rounds"] > 0
-    assert res["report"]["phase.perturb.rounds"] > 0
+    # all 66 of the noise's rounds (odd d) ride in training's, where the
+    # report counts them as overlap rows
+    overlap = {k: v for k, v in res["report"].items() if k.startswith("overlap.perturb")}
+    assert overlap["overlap.perturb.rounds"] > 0 and sum(overlap.values()) == 66
 
 
 class _RecordingLauncher:
@@ -157,7 +160,7 @@ def _process_session(monkeypatch, tmp_path, launcher):
 
     monkeypatch.setattr(harness, "subprocess", launcher)
     X, t = synth_data(40, 4, seed=10, separability=1.0)
-    cfg = dict(DEFAULTS, epochs=3, noise_draws=2, epsilon=1.0, seed=15)
+    cfg = dict(DEFAULTS, noise_draws=2, epsilon=1.0, seed=15)
     start = time.monotonic()
     with pytest.raises(VeiltrainError) as err:
         harness.run_mpc_process([(X, t)], "horizontal", cfg, seed=15, draws=2,

@@ -332,8 +332,7 @@ class _PeakEngine(PlainEngine):
 
 def test_every_truncated_value_stays_below_the_mask_range():
     from veiltrain.datasets import synth_data
-    from veiltrain.training import (ModelState, TrainingConfig, forward, glorot_init, mean_bits,
-                                    train_pipeline)
+    from veiltrain.training import ModelState, TrainingConfig, forward, mean_bits, train_pipeline
 
     def peak(fn):
         eng = _PeakEngine(MaterialSource(40, RING), RING)
@@ -347,7 +346,7 @@ def test_every_truncated_value_stays_below_the_mask_range():
 
     def fwd(e):
         w2l = e.mul_public_int(enc_pub(e, z), 1 << e.frac_bits)
-        return forward(e, enc_pub(e, X), ModelState(w2l, e.zeros(len(z))))
+        return forward(e, enc_pub(e, X), ModelState(w2l, e.zeros(len(z)), e.frac_bits))
 
     assert peak(fwd) < limit
     z4 = np.concatenate([np.linspace(-4, 4, 33), [4.0, -4.0]])  # the bounded path's domain
@@ -355,26 +354,25 @@ def test_every_truncated_value_stays_below_the_mask_range():
 
     def fwd4(e):
         w2l = e.mul_public_int(enc_pub(e, z4), 1 << e.frac_bits)
-        return forward(e, enc_pub(e, np.eye(len(z4))), ModelState(w2l, e.zeros(len(z4))), 4.0)
+        return forward(e, enc_pub(e, np.eye(len(z4))),
+                       ModelState(w2l, e.zeros(len(z4)), e.frac_bits), 4.0)
 
     assert peak(fwd4) < limit
     # training's other truncation operands, in the mirror: the error at 2l
     # bits (backward), and the weights at 2l bits summed with the pending
-    # gradient alpha 2^q g at 2l bits (forward, finalize); rows along the
-    # initial weights and constant labels drive the error and the gradient
+    # gradient alpha 2^q g at 2l bits (forward, finalize); identical rows
+    # and constant labels drive the error and the gradient
     n, m = 40, 6
     X, _ = synth_data(n, m, seed=42, separability=1.0)
-    init = PlainEngine(MaterialSource(40, RING), RING)
-    aligned = np.tile(decode(init.open(glorot_init(init, m)), RING), (n, 1))
+    aligned = np.tile(np.random.default_rng(43).uniform(-1, 1, m), (n, 1))
     for data in (X, aligned, -aligned):
         for t in (np.zeros(n), np.ones(n)):
-            for batch, bias in ((0, False), (8, False), (1, False), (0, True)):
-                tc = TrainingConfig(epochs=3 if batch == 1 else 20, batch_size=batch,
-                                    add_bias=bias)
+            for lam, bias in ((1.0, False), (1.0, True), (0.1, False)):
+                tc = TrainingConfig(lambda_reg=lam, add_bias=bias)
                 eng = _PeakEngine(MaterialSource(40, RING), RING)
                 train_pipeline(eng, enc_pub(eng, data), enc_pub(eng, t), tc)
                 assert eng.peak < limit
-                assert RING.frac_bits + mean_bits(batch or n, tc.alpha) in eng.shifts
+                assert RING.frac_bits + mean_bits(n, tc.alpha) in eng.shifts
     b = np.concatenate([_boundaries(2, 42), [2.0 ** 23 - 2.0 ** -20]])
     b = np.concatenate([b, -b])
     q = np.random.default_rng(41).uniform(-2.0 ** 10, 2.0 ** 10, len(b))

@@ -266,3 +266,17 @@ def test_perturbation_round_budget():
     assert set(even.values()) == {64}
     for d in (3, 11, 51):  # the odd tail's E cos^2 takes one product and one truncation
         assert rounds(d) <= even[d - 1] + 2
+
+
+def test_session_noise_is_calibrated_to_the_row_bound():
+    # without the bias column the session's parameters are the plain ones;
+    # with it the rows have norm sqrt 2 and the scale is 2 sqrt(2)/(n eps lambda)
+    from veiltrain.harness import dp_params
+    from veiltrain.shareio import DEFAULTS
+
+    assert dp_params(DEFAULTS, 300, 12) == DpParams(epsilon=1.0, lambda_reg=1.0, n=300, d=12)
+    dp = dp_params(dict(DEFAULTS, add_bias=1), 300, 12)
+    assert (dp.d, dp.row_norm) == (13, np.sqrt(2))
+    assert dp.scale == 2 * np.sqrt(2) / 300
+    with pytest.raises(ValueError, match="row_norm"):
+        DpParams(epsilon=1.0, lambda_reg=1.0, n=300, d=12, row_norm=0.0)

@@ -58,16 +58,17 @@ def test_handshake_mismatch_names_key():
     assert errors[0].key == "frac_bits"
 
 
-def test_handshake_covers_batch_size():
-    # batch_size shapes the transcript, so the public section must carry it
+def test_handshake_covers_lambda_reg():
+    # lambda_reg sets the step count, which shapes the transcript, so the
+    # public section must carry it
     from veiltrain.shareio import DEFAULTS, public_section
 
-    mine = public_section(dict(DEFAULTS, batch_size=0))
-    theirs = public_section(dict(DEFAULTS, batch_size=50))
+    mine = public_section(dict(DEFAULTS, lambda_reg=1.0))
+    theirs = public_section(dict(DEFAULTS, lambda_reg=0.5))
     errors = _handshake_errors(mine, theirs)
     for exc in errors:
         assert isinstance(exc, ConfigMismatch)
-        assert exc.key == "batch_size"
+        assert exc.key == "lambda_reg"
 
 
 def test_unreachable_peer_times_out():
@@ -156,12 +157,14 @@ def test_single_multiplication_round_and_bytes():
 
 
 def test_bytes_monotone_in_epochs():
+    # every full-batch step is one epoch, and a smaller lambda takes more of
+    # them: 7, 10 and 14
     rng = np.random.default_rng(4)
     X = rng.uniform(-1, 1, (12, 3))
     t = rng.integers(0, 2, 12).astype(float)
     totals = []
-    for epochs in (1, 2, 4):
-        tc = TrainingConfig(epochs=epochs)
+    for lam in (1.0, 0.5, 0.25):
+        tc = TrainingConfig(lambda_reg=lam)
 
         def fn(eng):
             return train_pipeline(eng, eng.from_public(encode(X, RING)),
@@ -176,7 +179,7 @@ def test_per_phase_breakdown_present():
     rng = np.random.default_rng(5)
     X = rng.uniform(-1, 1, (8, 3))
     t = rng.integers(0, 2, 8).astype(float)
-    tc = TrainingConfig(epochs=1)
+    tc = TrainingConfig()
 
     def fn(eng):
         return train_pipeline(eng, eng.from_public(encode(X, RING)),
@@ -192,7 +195,7 @@ def test_deterministic_replay():
     rng = np.random.default_rng(6)
     X = rng.uniform(-1, 1, (10, 4))
     t = rng.integers(0, 2, 10).astype(float)
-    tc = TrainingConfig(epochs=3)
+    tc = TrainingConfig()
 
     def fn(eng):
         return eng.open(train_pipeline(eng, eng.from_public(encode(X, RING)),
@@ -247,7 +250,7 @@ def test_tcp_transport_matches_queue(over_tcp):
     rng = np.random.default_rng(9)
     X = rng.uniform(-1, 1, (10, 3))
     t = rng.integers(0, 2, 10).astype(float)
-    tc = TrainingConfig(epochs=2)
+    tc = TrainingConfig()
 
     def fn(eng):
         return eng.open(train_pipeline(eng, eng.from_public(encode(X, RING)),

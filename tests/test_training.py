@@ -1,3 +1,5 @@
+from dataclasses import fields
+
 import numpy as np
 import pytest
 
@@ -6,11 +8,10 @@ from veiltrain.dealer import MaterialSource
 from veiltrain.datasets import synth_data
 from veiltrain.engine import PlainEngine, estimate_counts
 from veiltrain.fixedpoint import RingConfig, decode, encode, to_signed
-from veiltrain.kernels import KERNEL_TOLERANCES, SIGMOID_BOUND
-from veiltrain.training import (ModelState, TrainingConfig, glorot_init,
-                                glorot_limit, l2_normalize, backward, forward, mean_bits,
-                                row_norm_domain, scale_rows, sigmoid_input_bound, train_pipeline,
-                                update)
+from veiltrain.kernels import KERNEL_TOLERANCES, SIG4_POWER, SIGMOID_BOUND
+from veiltrain.training import (SLOPE_SLACK, ModelState, TrainingConfig, l2_normalize, backward,
+                                forward, mean_bits, row_norm_domain, scale_rows,
+                                sigmoid_input_bound, train_pipeline, update)
 
 from conftest import mirror_weights, run_both
 
@@ -90,20 +91,11 @@ def test_normalize_within_its_tolerance_across_the_ingest_domain(frac_bits):
     assert norms[-1] == 0
 
 
-def test_glorot_deterministic_and_bounded():
-    a = decode(glorot_init(plain(7), 10_000), RING)
-    b = decode(glorot_init(plain(7), 10_000), RING)
-    assert np.array_equal(a, b)
-    limit = glorot_limit(10_000)
-    assert np.abs(a).max() <= limit
-    # draws actually use the range
-    assert np.abs(a).max() > 0.5 * limit
-
-
-def _state(eng, w, v=None):
-    """Model state holding w and v (zeros by default) at 2l fractional bits."""
-    v = np.zeros_like(w) if v is None else v
-    return ModelState(*(enc2l(eng, a) for a in (w, v)))
+def _state(eng, w, g=None):
+    """Model state holding w at 2l fractional bits and the pending gradient
+    term g (zeros by default) at 2l bits."""
+    g = np.zeros_like(w) if g is None else g
+    return ModelState(enc2l(eng, w), enc2l(eng, g), eng.frac_bits)
 
 
 def test_forward_zero_weights():
@@ -125,12 +117,12 @@ def test_forward_single_row():
 
 
 def test_forward_returns_the_state_at_working_precision():
+    # the weights plus the pending gradient term, each truncated once
     rng = np.random.default_rng(25)
-    w, v = rng.uniform(-1, 1, 6), rng.uniform(-0.1, 0.1, 6)
+    w, g = rng.uniform(-1, 1, 6), rng.uniform(-0.1, 0.1, 6)
     eng = plain(26)
-    _, _, w_l, v_l = forward(eng, enc_pub(eng, rng.uniform(-1, 1, (4, 6))), _state(eng, w, v))
-    assert np.abs(decode(eng.open(w_l), RING) - w).max() <= 2**-20
-    assert np.abs(decode(eng.open(v_l), RING) - v).max() <= 2**-20
+    _, w_l = forward(eng, enc_pub(eng, rng.uniform(-1, 1, (4, 6))), _state(eng, w, g))
+    assert np.abs(decode(eng.open(w_l), RING) - (w + g)).max() <= 2**-19
 
 
 def test_forward_matches_mirror_within_tolerance():
@@ -156,7 +148,7 @@ def test_backward_zero_when_predictions_match():
     X = normalize_rows(rng.uniform(-1, 1, (10, 4)))
     t = rng.integers(0, 2, 10).astype(float)
     eng = plain(14)
-    scaled = scale_rows(eng, enc_pub(eng, X), 10, 1.0)
+    scaled = scale_rows(eng, enc_pub(eng, X), 1.0)
     g = _gradient(eng, backward(eng, scaled, enc2l(eng, t), enc_pub(eng, t)), 10)
     assert np.abs(g).max() <= 2**-18
 
@@ -167,25 +159,24 @@ def test_backward_single_example():
     X[0, 0] = 1.0
     preds = np.array([0.75])
     t = np.array([0.25])
-    scaled = scale_rows(eng, enc_pub(eng, X), 1, 1.0)
+    scaled = scale_rows(eng, enc_pub(eng, X), 1.0)
     g = _gradient(eng, backward(eng, scaled, enc2l(eng, preds), enc_pub(eng, t)), 1)
     assert np.abs(g - [0.5, 0.0, 0.0]).max() <= 2**-16
 
 
 def test_backward_is_the_mean_gradient_of_every_batch():
-    # alpha / b for batches of 128 and 44 rows is folded into the rows'
-    # scale and the truncation's shift
+    # alpha / b for 300, 128 and 44 rows is folded into the rows' scale and
+    # the truncation's shift
     rng = np.random.default_rng(27)
     X = normalize_rows(rng.uniform(-1, 1, (300, 5)))
     p = rng.uniform(0, 1, 300)
     t = rng.integers(0, 2, 300).astype(float)
     eng = plain(28)
-    for alpha in (1.0, 0.1):
-        scaled = scale_rows(eng, enc_pub(eng, X), 128, alpha)
-        for at in (0, 128, 256):
-            rows = slice(at, at + 128)
+    for alpha in (1.0, 0.1, TrainingConfig().alpha):
+        for rows in (slice(0, 300), slice(0, 128), slice(256, 300)):
             b = len(t[rows])
-            g = _gradient(eng, backward(eng, scaled[rows], enc2l(eng, p[rows]),
+            scaled = scale_rows(eng, enc_pub(eng, X[rows]), alpha)
+            g = _gradient(eng, backward(eng, scaled, enc2l(eng, p[rows]),
                                         enc_pub(eng, t[rows])), b, alpha)
             want = alpha * X[rows].T @ (p[rows] - t[rows]) / b
             assert np.abs(g - want).max() <= 2**-17
@@ -198,56 +189,51 @@ def test_backward_matches_mirror_on_200x20():
     t = rng.integers(0, 2, 200).astype(float)
 
     def fn(eng):
-        return eng.open(backward(eng, scale_rows(eng, enc_pub(eng, X), 200, 0.1),
+        return eng.open(backward(eng, scale_rows(eng, enc_pub(eng, X), 0.1),
                                  enc2l(eng, p), enc_pub(eng, t)))
 
     (r0, _), _ = run_both(fn, seed=17)
     assert np.array_equal(r0, fn(plain(17)))
 
 
-def _run_update(eng, w, v, g, cfg):
-    """The state after one update from w and v with the mean gradient g:
-    alpha g enters at l bits, as the pending gradient the next forward
-    pass truncates."""
-    l = eng.frac_bits
-    w_l = enc_pub(eng, w)
-    v_l = enc_pub(eng, v)
-    state = ModelState(eng.mul_public_int(w_l, 1 << l), eng.mul_public_int(v_l, 1 << l))
-    new = update(eng, state, w_l, v_l, enc_pub(eng, cfg.alpha * g), l, cfg)
-    pending = decode(eng.open(new.grad), RING)
-    return dec2l(eng, new.w2l) + pending, dec2l(eng, new.v2l) + pending
+def _run_update(eng, w, g, cfg):
+    """The weights after one update from w with the mean gradient g: alpha
+    g enters at l bits, as the pending gradient the next forward pass
+    truncates."""
+    new = update(eng, enc_pub(eng, w), enc_pub(eng, cfg.alpha * g), eng.frac_bits, cfg)
+    return dec2l(eng, new.w2l) + decode(eng.open(new.grad), RING)
 
 
 def test_update_plain_gd_when_degenerate():
-    eng = plain(18)
+    # a plain gradient step on the regularized loss; as lambda vanishes,
+    # the decay does too
     w = np.array([0.5, -0.25])
     g = np.array([0.125, 0.5])
-    cfg = TrainingConfig(alpha=0.125, lambda_reg=0.0, momentum=0.0, epochs=1)
-    w2, v2 = _run_update(eng, w, np.zeros(2), g, cfg)
-    assert np.abs(w2 - (w - 0.125 * g)).max() <= 2**-19
+    for lam in (1.0, 0.1, 2.0 ** -12):
+        cfg = TrainingConfig(lambda_reg=lam)
+        w2 = _run_update(plain(18), w, g, cfg)
+        assert np.abs(w2 - (w - cfg.alpha * (g + lam * w))).max() <= 2**-19 * (1 + cfg.alpha)
 
 
 def test_update_pure_weight_decay():
-    eng = plain(19)
+    # without a gradient the step keeps 1 - alpha lambda of the weights,
+    # the contraction rate (L - mu)/(L + mu): 1/9 at lambda 1 on unit rows
     w = np.array([1.0, -2.0])
-    cfg = TrainingConfig(alpha=0.25, lambda_reg=1.0, momentum=0.0, epochs=1)
-    w2, _ = _run_update(eng, w, np.zeros(2), np.zeros(2), cfg)
-    assert np.abs(w2 - (1 - 0.25) * w).max() <= 2**-19
+    cfg = TrainingConfig()
+    w2 = _run_update(plain(19), w, np.zeros(2), cfg)
+    rate = (0.25 + SLOPE_SLACK) / (2.25 + SLOPE_SLACK)
+    assert np.abs(w2 - rate * w).max() <= 2**-19
 
 
 def test_update_zero_communication():
     rng = np.random.default_rng(20)
     w = rng.uniform(-1, 1, 6)
     g = rng.uniform(-1, 1, 6)
-    cfg = TrainingConfig(epochs=1)
+    cfg = TrainingConfig()
 
     def fn(eng):
-        l = eng.frac_bits
-        w_l = enc_pub(eng, w)
-        v_l = eng.zeros(6)
-        state = ModelState(eng.mul_public_int(w_l, 1 << l), eng.zeros(6))
         before = eng.rt.transcript.n_rounds if hasattr(eng, "rt") else 0
-        update(eng, state, w_l, v_l, enc_pub(eng, g), l, cfg)
+        update(eng, enc_pub(eng, w), enc_pub(eng, g), eng.frac_bits, cfg)
         return (eng.rt.transcript.n_rounds if hasattr(eng, "rt") else 0) - before
 
     (rounds0, rounds1), engines = run_both(fn, seed=21)
@@ -257,15 +243,11 @@ def test_update_zero_communication():
 def test_update_bit_exact_vs_mirror():
     rng = np.random.default_rng(22)
     w = rng.uniform(-1, 1, 5)
-    v = rng.uniform(-0.1, 0.1, 5)
     g = rng.uniform(-1, 1, 5)
     cfg = TrainingConfig()
 
     def fn(eng):
-        l = eng.frac_bits
-        state = ModelState(eng.mul_public_int(enc_pub(eng, w), 1 << l),
-                           eng.mul_public_int(enc_pub(eng, v), 1 << l))
-        new = update(eng, state, enc_pub(eng, w), enc_pub(eng, v), enc_pub(eng, g), l, cfg)
+        new = update(eng, enc_pub(eng, w), enc_pub(eng, g), eng.frac_bits, cfg)
         return eng.open(eng.stack([new.w2l, new.grad]))
 
     (r0, _), _ = run_both(fn, seed=23)
@@ -273,21 +255,23 @@ def test_update_bit_exact_vs_mirror():
 
 
 def test_train_zero_epochs_returns_init():
+    # at a lambda so large that R / lambda is below one ulp no step is
+    # taken, and training returns the zero init
     rng = np.random.default_rng(24)
     X = rng.uniform(-1, 1, (10, 4))
     t = rng.integers(0, 2, 10).astype(float)
-    tc = TrainingConfig(epochs=0, skip_norm=True)
+    tc = TrainingConfig(lambda_reg=2.0 ** 21)
+    assert tc.steps(RING) == 0 and TrainingConfig(lambda_reg=2.0 ** 19).steps(RING) == 1
     eng = plain(25)
-    w = eng.open(train_pipeline(eng, enc_pub(eng, X), enc_pub(eng, t), tc))
-    init = glorot_init(plain(25), 4)
-    assert np.array_equal(w, init)
+    w = decode(eng.open(train_pipeline(eng, enc_pub(eng, X), enc_pub(eng, t), tc)), RING)
+    assert np.abs(w).max() <= 2**-19
 
 
 def test_train_separable_sign():
     # single informative feature: the learned weight sign must match
     X = np.array([[1.0], [1.0], [-1.0], [-1.0]])
     t = np.array([1.0, 1.0, 0.0, 0.0])
-    tc = TrainingConfig(epochs=60, skip_norm=True)
+    tc = TrainingConfig()
     eng = plain(26)
     w = decode(eng.open(train_pipeline(eng, enc_pub(eng, X), enc_pub(eng, t), tc)), RING)
     ref = train_lr_clear(X, t, tc, seed=26)
@@ -296,7 +280,7 @@ def test_train_separable_sign():
 
 def test_train_mirror_bit_exact_50x5():
     X, t = synth_data(50, 5, seed=30, separability=1.0)
-    tc = TrainingConfig(epochs=20)
+    tc = TrainingConfig(lambda_reg=0.1)
 
     def fn(eng):
         return eng.open(train_pipeline(eng, enc_pub(eng, X), enc_pub(eng, t), tc))
@@ -307,14 +291,33 @@ def test_train_mirror_bit_exact_50x5():
     assert np.array_equal(r1, encode(mirror, RING))
 
 
-def test_training_loss_monotone_shadow():
+def _iterates(monkeypatch, X, t, tc, seed):
+    """Mirror training: the weights at l bits of every forward pass, then
+    the final weights."""
+    from veiltrain import training
+
+    seen = []
+    real = training.forward
+
+    def spy(eng, *args):
+        predictions, w_l = real(eng, *args)
+        seen.append(decode(eng.open(w_l), eng.cfg))
+        return predictions, w_l
+
+    monkeypatch.setattr(training, "forward", spy)
+    eng = plain(seed)
+    w = train_pipeline(eng, enc_pub(eng, X), enc_pub(eng, t), tc)
+    return seen + [decode(eng.open(w), RING)]
+
+
+def test_training_loss_monotone_shadow(monkeypatch):
     X, t = synth_data(80, 8, seed=32, separability=1.0)
     Xn = normalize_rows(X)
-    losses = []
-    for epochs in range(0, 51, 10):
-        w = mirror_weights(X, t, TrainingConfig(epochs=epochs), seed=33)
-        losses.append(regularized_loss(w, Xn, t, 1.0))
-    assert all(b - a <= 1e-3 for a, b in zip(losses, losses[1:]))
+    for lam in (1.0, 0.1):
+        iterates = _iterates(monkeypatch, X, t, TrainingConfig(lambda_reg=lam), 33)
+        assert not np.any(iterates[0])  # the zero init
+        losses = [regularized_loss(w, Xn, t, lam) for w in iterates]
+        assert all(b - a <= 1e-6 for a, b in zip(losses, losses[1:]))
 
 
 def test_partition_independence_of_training():
@@ -322,7 +325,7 @@ def test_partition_independence_of_training():
     from veiltrain.ingest import ingest_partitions
 
     X, t = synth_data(48, 8, seed=34, separability=1.0)
-    tc = TrainingConfig(epochs=5)
+    tc = TrainingConfig()
     outputs = []
     for mode, k in (("horizontal", 2), ("horizontal", 4), ("vertical", 2)):
         plan = make_plan(mode, k, 48, 8)
@@ -344,24 +347,37 @@ def test_bias_column_appended_after_normalization():
     rng = np.random.default_rng(37)
     X = rng.uniform(-2, 2, (12, 3))
     t = rng.integers(0, 2, 12).astype(float)
-    tc = TrainingConfig(epochs=0, add_bias=True)
+    tc = TrainingConfig(add_bias=True)
     eng = plain(38)
     w = eng.open(train_pipeline(eng, enc_pub(eng, X), enc_pub(eng, t), tc))
     assert len(w) == 4  # bias coefficient present
 
 
 def test_training_config_validation():
-    with pytest.raises(ValueError):
-        TrainingConfig(alpha=0.0)
-    with pytest.raises(ValueError):
-        TrainingConfig(momentum=1.0)
-    with pytest.raises(ValueError):
-        TrainingConfig(epochs=-1)
+    assert [f.name for f in fields(TrainingConfig)] == ["lambda_reg", "add_bias"]
+    for lam in (0.0, -1.0, float("nan")):
+        with pytest.raises(ValueError, match="lambda_reg"):
+            TrainingConfig(lambda_reg=lam)
+
+
+@pytest.mark.parametrize("lam, bias, alpha, steps", [
+    (1.0, False, 0.8885, 7), (1.0, True, 0.7994, 9), (0.1, False, 4.4348, 28)])
+def test_schedule_follows_from_lambda_and_the_row_bound(lam, bias, alpha, steps):
+    # alpha = 2/(L + mu) with mu = lambda, L = lambda + R^2 (1/4 + slack),
+    # and the fewest steps whose contraction takes R / lambda below an ulp
+    tc = TrainingConfig(lambda_reg=lam, add_bias=bias)
+    R = np.sqrt(2.0) if bias else 1.0
+    assert tc.row_norm == R
+    assert tc.alpha == 2 / (2 * lam + R ** 2 * (0.25 + SLOPE_SLACK))
+    assert round(tc.alpha, 4) == alpha and tc.steps(RING) == steps
+    rate = 1 - tc.alpha * lam
+    assert rate ** steps * R / lam < 2.0 ** -20 <= rate ** (steps - 1) * R / lam
+    assert tc.steps(RingConfig(64, 16)) < steps
 
 
 def test_training_consumes_the_dry_run_exactly():
     X, t = synth_data(20, 4, seed=42, separability=1.0)
-    tc = TrainingConfig(epochs=2, batch_size=8)
+    tc = TrainingConfig()
 
     def fn(eng):
         return eng.open(train_pipeline(eng, enc_pub(eng, X), enc_pub(eng, t), tc))
@@ -373,41 +389,28 @@ def test_training_consumes_the_dry_run_exactly():
         assert {k: v for k, v in eng.material.pos.items() if isinstance(k, tuple)} == counts
 
 
-def test_minibatch_mirror_bit_exact():
-    X, t = synth_data(30, 4, seed=40, separability=1.0)
-    tc = TrainingConfig(epochs=4, batch_size=8)
-
-    def fn(eng):
-        return eng.open(train_pipeline(eng, enc_pub(eng, X), enc_pub(eng, t), tc))
-
-    (r0, _), _ = run_both(fn, seed=41)
-    mirror = mirror_weights(X, t, tc, seed=41)
-    assert np.array_equal(r0, encode(mirror, RING))
-    # mini-batch training differs from full batch
-    full = mirror_weights(X, t, TrainingConfig(epochs=4), seed=41)
-    assert not np.array_equal(mirror, full)
-
-
-@pytest.mark.parametrize("batch, steps", [(0, 1), (4, 3)])
-@pytest.mark.parametrize("alpha, sigmoid_rounds", [(0.1, 6), (2.0, 13)])
-def test_every_step_costs_its_pinned_rounds(batch, steps, alpha, sigmoid_rounds):
-    # an epoch adds per step: forward 1 (the weights' and the last gradient's
-    # truncations with the product), the sigmoid (bounded 6; clamped 13, as
-    # the large step's bound exceeds 4; its output stays at 2l bits),
-    # backward 1 (the error's truncation with the product); nothing else
+@pytest.mark.parametrize("lams, sigmoid_rounds", [((1.0, 0.5), 6), ((0.25, 0.2), 13)],
+                         ids=["bounded", "clamped"])
+def test_every_step_costs_its_pinned_rounds(lams, sigmoid_rounds):
+    # a step adds: forward 1 (the weights' and the last gradient's
+    # truncations with the product), the sigmoid (bounded 6; clamped 13,
+    # where the bound exceeds 4; its output stays at 2l bits), backward 1
+    # (the error's truncation with the product); nothing else
     X, t = synth_data(12, 4, seed=46, separability=1.0)
 
-    def rounds(epochs):
-        tc = TrainingConfig(alpha=alpha, epochs=epochs, batch_size=batch)
+    def rounds(lam):
+        tc = TrainingConfig(lambda_reg=lam)
         assert (sigmoid_input_bound(tc, 12, 4, RING) <= SIGMOID_BOUND) == (sigmoid_rounds == 6)
 
         def fn(eng):
             train_pipeline(eng, enc_pub(eng, X), enc_pub(eng, t), tc)
 
         _, engines = run_both(fn, seed=47)
-        return {p: v["rounds"] for p, v in engines[0].rt.transcript.by_path().items()}
+        return {p: v["rounds"] for p, v in engines[0].rt.transcript.by_path().items()}, tc.steps()
 
-    one, two = rounds(2), rounds(3)
+    (one, k1), (two, k2) = rounds(lams[0]), rounds(lams[1])
+    steps = k2 - k1
+    assert steps > 0
     added = {p: two[p] - one.get(p, 0) for p in two if two[p] != one.get(p, 0)}
     assert added == {"forward": steps, "sigmoid": sigmoid_rounds * steps, "backward": steps}
 
@@ -433,22 +436,66 @@ def _largest_sigmoid_input(monkeypatch, X, t, tc, seed):
 
 
 def test_sigmoid_input_stays_within_its_public_bound(monkeypatch):
+    # from the zero init |w| grows toward the minimizer, at most R / lambda;
+    # identical rows with one label drive it furthest along them
     n, m, seed = 8, 4, 50
     X, _ = synth_data(n, m, seed=51, separability=1.0)
-    aligned = np.tile(decode(glorot_init(plain(seed), m), RING), (n, 1))  # rows along w0
+    aligned = np.tile(np.random.default_rng(52).uniform(-1, 1, m), (n, 1))
     ratios = []
     for data in (X, aligned):
         for t in (np.zeros(n), np.ones(n), np.arange(n) % 2.0):
-            for batch, bias in ((0, False), (4, False), (1, False), (0, True)):
-                tc = TrainingConfig(epochs=40 if batch == 0 else 10, batch_size=batch,
-                                    add_bias=bias)
+            for lam, bias in ((1.0, False), (1.0, True), (0.25, False), (0.1, True)):
+                tc = TrainingConfig(lambda_reg=lam, add_bias=bias)
                 top, bound = _largest_sigmoid_input(monkeypatch, data, t, tc, seed)
                 assert bound == sigmoid_input_bound(tc, n, m + bias, RING)
                 assert top <= bound
                 ratios.append(top / bound)
-    # the bias column's sqrt(2) on the row norms selects the clamped sigmoid
-    assert sigmoid_input_bound(TrainingConfig(epochs=40), n, m, RING) <= SIGMOID_BOUND
-    assert sigmoid_input_bound(TrainingConfig(epochs=40, add_bias=True), n, m + 1,
-                               RING) > SIGMOID_BOUND
-    assert sigmoid_input_bound(TrainingConfig(skip_norm=True), n, m, RING) == np.inf
+    # about R^2 / lambda: 1.002 at the defaults, 2.004 with the bias column,
+    # both bounded; the clamp runs from lambda 1/4 (4.008)
+    assert sigmoid_input_bound(TrainingConfig(), n, m, RING) == pytest.approx(1.002, abs=1e-3)
+    assert sigmoid_input_bound(TrainingConfig(add_bias=True), n, m + 1,
+                               RING) == pytest.approx(2.004, abs=1e-3)
+    assert sigmoid_input_bound(TrainingConfig(lambda_reg=0.25), n, m, RING) > SIGMOID_BOUND
     print(f"largest |z| / B over the sweep: {max(ratios):.3f}")
+
+
+def test_polynomial_sigmoid_slope_stays_in_the_smoothness_constant():
+    # L = lambda + R^2 (1/4 + SLOPE_SLACK) needs the bounded sigmoid's slope
+    # in [0, 1/4 + SLOPE_SLACK] on |z| <= 4, with its coefficients as fitted
+    # and as encoded, on rows up to the normalization's 2^-10 above R
+    z = np.linspace(-4, 4, 80_001)
+    t = z / 4
+    v = 2 * t ** 2 - 1
+    for coeffs in (SIG4_POWER, decode(encode(np.array(SIG4_POWER), RING), RING)):
+        q = np.polynomial.Polynomial(coeffs)
+        slope = (q(v) + 4 * t ** 2 * q.deriv()(v)) / 4
+        assert slope.min() >= 0
+        assert slope.max() * (1 + KERNEL_TOLERANCES["normalize"].bound) ** 2 <= 0.25 + SLOPE_SLACK
+
+
+@pytest.mark.parametrize("bias", [False, True])
+def test_mirror_sensitivity_within_the_calibration(bias):
+    # neighbouring datasets (one row replaced, its label flipped): the
+    # trained weights differ by at most 2R/(n lambda), with the
+    # normalization's slack on R and the sigmoid's error on the labels'
+    # pull, plus the truncations' 2 sqrt(d) ulps per step over the
+    # contraction, 2 sqrt(d) 2^-l / (alpha lambda)
+    n, m = 24, 4
+    tc = TrainingConfig(add_bias=bias)
+    d = m + bias
+    grad_bound = (tc.row_norm * (1 + KERNEL_TOLERANCES["normalize"].bound)
+                  * (1 + KERNEL_TOLERANCES["sigmoid_b4"].bound))
+    slack = 2 * np.sqrt(d) * 2.0 ** -RING.frac_bits / (tc.alpha * tc.lambda_reg)
+    bound = 2 * grad_bound / (n * tc.lambda_reg) + slack
+    rng = np.random.default_rng(60)
+    gaps = []
+    for pair in range(24):
+        X, t = synth_data(n, m, seed=61 + pair, separability=1.0)
+        X2, t2 = X.copy(), t.copy()
+        i = pair % n
+        X2[i] = -X[i] if pair % 2 else rng.uniform(-1, 1, m)
+        t2[i] = 1 - t[i]
+        gap = np.linalg.norm(mirror_weights(X, t, tc, seed=62) - mirror_weights(X2, t2, tc, seed=62))
+        assert gap <= bound
+        gaps.append(gap)
+    print(f"largest gap / (2R/(n lambda)): {max(gaps) * n * tc.lambda_reg / (2 * tc.row_norm):.3f}")
