@@ -161,7 +161,7 @@ def cmd_kernel_bench(args):
     n = args.samples
     cases = {
         "div": None, "sqrt": None, "rsqrt": None, "ln": None, "sin": None, "cos": None,
-        "sigmoid": None, "sigmoid_b4": None, "bm_radius": None,
+        "sigmoid": None, "sigmoid_b4": None, "sigmoid_b1.25": None, "bm_radius": None,
     }
     b = np.exp2(rng.uniform(-8, 8, n)) * np.where(rng.random(n) < 0.5, -1, 1)
     a = rng.uniform(-1, 1, n) * 2.0 ** 10 * b
@@ -169,12 +169,14 @@ def cmd_kernel_bench(args):
     lx = np.exp2(rng.uniform(-ring.frac_bits + 0.01, 10, n))
     th = rng.uniform(0, 2 * np.pi, n)
     z = rng.uniform(-16, 16, n)
-    z4 = rng.uniform(-kernels.SIGMOID_BOUND, kernels.SIGMOID_BOUND, n)
+    bounded = {name: (rng.uniform(-bound, bound, n), bound)
+               for name, bound in (("sigmoid_b4", kernels.SIGMOID_BOUND),
+                                   ("sigmoid_b1.25", kernels.SIGMOID_ODD_BOUND))}
     # E = -2 ln u on the Box-Muller domain: u on the l-bit grid of (0, 1], u = 1 included
     bm = -2 * np.log(np.append(rng.integers(1, 2 ** ring.frac_bits, n - 1), 2 ** ring.frac_bits)
                      * 2.0 ** -ring.frac_bits)
 
-    print(f"{'kernel':10s} {'max_err':>12s} {'mean_err':>12s} {'bound':>12s} {'rounds':>7s}")
+    print(f"{'kernel':13s} {'max_err':>12s} {'mean_err':>12s} {'bound':>12s} {'rounds':>7s}")
     for name in cases:
         def fn(eng, name=name):
             if name == "div":
@@ -197,10 +199,10 @@ def cmd_kernel_bench(args):
             elif name == "sigmoid":
                 got = kernels.secure_sigmoid(eng, eng.from_public(encode(z, ring)))
                 want = np.where(z < -8, 0, np.where(z > 8, 1, 1 / (1 + np.exp(-z))))
-            elif name == "sigmoid_b4":
-                got = kernels.secure_sigmoid(eng, eng.from_public(encode(z4, ring)),
-                                             bound=kernels.SIGMOID_BOUND)
-                want = 1 / (1 + np.exp(-z4))
+            elif name in bounded:
+                zb, bound = bounded[name]
+                got = kernels.secure_sigmoid(eng, eng.from_public(encode(zb, ring)), bound=bound)
+                want = 1 / (1 + np.exp(-zb))
             else:
                 got = eng.trunc(box_muller_radius(eng, eng.from_public(encode(bm, ring))),
                                 ring.frac_bits)
@@ -211,7 +213,7 @@ def cmd_kernel_bench(args):
         got, want = res0
         err = np.abs(decode(got, ring) - want)
         bound = kernels.KERNEL_TOLERANCES[name].bound
-        print(f"{name:10s} {err.max():12.3e} {err.mean():12.3e} {bound:12.3e} "
+        print(f"{name:13s} {err.max():12.3e} {err.mean():12.3e} {bound:12.3e} "
               f"{engines[0].rt.transcript.n_rounds:7d}")
 
 

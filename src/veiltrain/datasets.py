@@ -7,7 +7,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cleartext import normalize_rows, sigmoid
-from .errors import DimensionMismatch, LabelDomainError, ParseError, PlanInvalid
+from .errors import DimensionMismatch, LabelDomainError, ParseError, PlanInvalid, VeiltrainError
 
 
 def load_csv(path):
@@ -60,9 +60,11 @@ def synth_data(n: int, m: int, seed: int, separability: float = 1.0):
     """
     if not 0.0 <= separability <= 1.0:
         raise ValueError("separability must be in [0, 1]")
+    if m < 2:
+        raise VeiltrainError(f"a synthetic dataset needs at least 2 features, got m = {m}")
     rng = np.random.default_rng(seed)
     X = rng.integers(0, 2, size=(n, m)).astype(np.float64)
-    half = max(2, round(m / 5))
+    half = min(max(2, round(m / 5)), m // 2)
     support = rng.choice(m, size=2 * half, replace=False)
     # antisymmetric +/- pairs keep the planted boundary through the feature
     # mean, where a bias-free regularized model can actually find it

@@ -4,16 +4,21 @@ Division, square root, and logarithm first find the leaf (a group of one or
 three bits, see engine.leaf_layout) that holds the operand's top set bit
 with the engine's log-depth lead op, rescale by that leaf's power of two to
 a coarse mantissa in [1/8, 1), then run fixed-count Goldschmidt iterations
-with one residual correction at 2l bits, or a power-basis polynomial. Sine
-and cosine split the angle in turns into its quarter-period fraction and
+with one residual correction at 2l bits, or a power-basis polynomial. The
+square root's iteration tracks e = g h = 2 m h^2 (which tends to 1/2) in
+place of forming g h, so a step is two rounds: r = 3/2 - e is truncated
+while it multiplies the carried values and itself, and e r^2 is (3/2 - r)
+times r^2, taken while r^2 and the carried values are truncated. Sine and
+cosine split the angle in turns into its quarter-period fraction and
 quadrant bits with the engine's split op. Signs alone (the division's sign,
-the sigmoid's clamps) come from the engine's msb op. The sigmoid is an
-odd polynomial: on an input with a public bound |z| <= 4 it needs no clamp,
-otherwise it clamps outside |z| <= 8 with oblivious segment selection.
-Every polynomial is evaluated in the power basis: the powers take one fused
-truncate and multiply round (engine op tmul) per doubling, and the sum is
-local. Iteration counts and degrees are fixed, so transcripts depend only
-on input sizes, never on values.
+the sigmoid's clamps) come from the engine's msb op. The sigmoid is an odd
+polynomial: on an input with a public bound |z| <= 5/4 it is of degree 5
+and takes 3 rounds, on one with |z| <= 4 it needs no clamp, otherwise it
+clamps outside |z| <= 8 with oblivious segment selection. Every polynomial
+is evaluated in the power basis: the powers take one fused truncate and
+multiply round (engine op tmul) per doubling, and the sum is local.
+Iteration counts and degrees are fixed, so transcripts depend only on input
+sizes, never on values.
 
 Polynomial coefficients are Chebyshev series (degree chosen so the
 float-side fit error sits well below each kernel's tolerance, and so that
@@ -28,6 +33,10 @@ round fewer than 8 and 14), converted to the power basis at import:
   SIG4_CHEB: (sigmoid(4t) - 1/2)/t likewise, weighted by t (Lawson
             iterations) so the sigmoid's own error t (q~ - q) is minimax:
             1.7e-5 on |z| <= 4, where the unweighted fit has 3.3e-5
+The degree-5 fit is already in the power basis:
+  SIG5_ODD: sigmoid(2t) - 1/2 = c1 t + c3 t^3 + c5 t^5 on |t| <= 5/8, the
+            minimax fit (a linear program on a 20001-point grid): 1.12e-5
+            on |z| <= 5/4, with the slope in [0.1735, 0.24994]
 """
 
 from __future__ import annotations
@@ -68,6 +77,7 @@ SIG4_CHEB = (
     -0.013198595785737557, 0.0030916296948200533, -0.000705124472112535,
     0.00014117099591461153,
 )
+SIG5_ODD = (0.4998713763046532, -0.1639070067247261, 0.05146248930881692)  # c1, c3, c5
 # the same fits in the power basis of their arguments: sum_k a[k] v^k. The
 # constant of LN_POWER is pinned to ln(1/2) (a shift of 7.6e-6): one is
 # m = 1/2 in its top leaf at the Box-Muller width, so ln(1) is exactly 0
@@ -88,6 +98,7 @@ _MANTISSA_EXTRA = 3  # fractional bits above l on the mantissa and on div's nume
 SIGMOID_CLAMP_BITS = 3  # the sigmoid clamps at |z| = 2^3
 SIGMOID_BOUND_BITS = 2  # with a public bound |z| <= 2^2 it needs no clamp
 SIGMOID_BOUND = 2.0 ** SIGMOID_BOUND_BITS
+SIGMOID_ODD_BOUND = 1.25  # with a public bound |z| <= 5/4 the degree-5 fit runs
 _TURNS_EXTRA = 8        # fractional bits above l on sin_cos's 1/(2 pi)
 
 
@@ -108,7 +119,9 @@ KERNEL_TOLERANCES = {
     "sin": KernelTolerance("sin", 2.0 ** -12, "theta in [0, 2pi]"),
     "cos": KernelTolerance("cos", 2.0 ** -12, "theta in [0, 2pi]"),
     "sigmoid": KernelTolerance("sigmoid", 1e-3, "any z; exact 0/1 beyond |z| = 8"),
+    # sigmoid_b4 also bounds the degree-5 tier's error, for training's analysis
     "sigmoid_b4": KernelTolerance("sigmoid_b4", 3.9e-5, "|z| <= 4 under a public bound"),
+    "sigmoid_b1.25": KernelTolerance("sigmoid_b1.25", 2e-5, "|z| <= 5/4 under a public bound"),
     # noise.box_muller_radius: E rsqrt(E) for sqrt(E), E = -2 ln u
     "bm_radius": KernelTolerance("bm_radius", 2.0 ** -12, "E = -2 ln u, u in (0, 1] at l bits"),
     # | ||row|| - 1 | after training.l2_normalize; the domain scales with the
@@ -261,29 +274,44 @@ def secure_div(eng, a, b, magnitude_bits=None):
         return eng.trunc(eng.add(prods[0], eng.trunc(prods[1], l - _MANTISSA_EXTRA)), wide)
 
 
-def _sqrt_mantissa(eng, a, magnitude_bits):
-    """Normalize a >= 0 and run Goldschmidt on its mantissa m: g -> sqrt(m)
-    and h -> 1/(2 sqrt(m)) from h0 = y0 / 2, the last step truncated and
-    squared in one round. Returns z, tops, prec, m exact at prec bits, m at
-    l + _MANTISSA_EXTRA bits, g and h at l bits, and g^2 and h^2 at 2l."""
+def _sqrt_mantissa(eng, a, magnitude_bits, with_g):
+    """Normalize a >= 0 and run Goldschmidt on its mantissa m: h -> 1/(2
+    sqrt(m)) from h0 = y0 / 2 and, with_g, g = 2 m h -> sqrt(m). The step
+    tracks e = g h = 2 m h^2 -> 1/2: r = 3/2 - e, then h r (g r) and e r^2
+    = (3/2 - r) r^2, in two rounds. The start takes two: h0 and m h0 with
+    one truncation, then e0 from m h0 truncated. The last step squares the
+    first carried value (g, else h) as it truncates. Returns z, tops, prec,
+    m exact at prec bits, m at l + _MANTISSA_EXTRA bits, the carried values
+    at l bits (g and h, or h, stacked) and that square at 2l."""
     l, wide = eng.frac_bits, eng.frac_bits + _MANTISSA_EXTRA
     z, tops, prec, factor = _normalize(eng, a, magnitude_bits)
     m_prec = eng.mul(a, factor)
     m = eng.trunc(m_prec, prec - wide)
-    half = _scale_const(eng, RSQRT_START[0] / 2, RSQRT_START[1] / 2, m, wide)
-    g = eng.mul_public_int(eng.mul(m, half, wide), 2)
+    # h0 = A/2 - (B/2) m at l bits, and m h0 at l + wide bits
+    bm, mbm = eng.tmul(eng.mul_public_int(m, -int(_enc(eng, RSQRT_START[1] / 2))), wide, m)
+    h = eng.add_public(bm, _enc(eng, RSQRT_START[0] / 2))
+    mh = eng.add(mbm, eng.mul_public_int(m, int(_enc(eng, RSQRT_START[0] / 2))))
+    mh, mhh = eng.tmul(mh, wide, h)
+    e = eng.mul_public_int(mhh, 2)  # at 2l bits
+    carry = eng.stack([eng.mul_public_int(mh, 2), h] if with_g else [h])
+    k = len(carry)
+    three_halves = _unit(eng, 2 * l - 1, 3)  # at 2l bits
     for step in range(_RSQRT_STEPS):
-        r = eng.add_public(eng.neg(eng.mul(g, half, l)), _enc(eng, 1.5))
-        g, half = eng.mul(eng.stack([g, half]), r, l if step < _RSQRT_STEPS - 1 else None)
-    (g, half), (gg, hh) = eng.tmul(eng.stack([g, half]), l, square=True)
-    return z, tops, prec, m_prec, m, g, half, gg, hh
+        r, rc, rr = eng.tmul(eng.add_public(eng.neg(e), three_halves), l, carry, square=True)
+        if step == _RSQRT_STEPS - 1:
+            carry, (sq,) = eng.tmul(rc, l, square=[0])
+        else:
+            t, (e,) = eng.tmul(np.concatenate([rc, rr[None]]), l,
+                               eng.add_public(eng.neg(r), _enc(eng, 1.5)), rows=[k])
+            carry = t[:k]
+    return z, tops, prec, m_prec, m, carry, sq
 
 
 def secure_sqrt(eng, a, magnitude_bits=None):
     """sqrt(a) for a >= 0 on shares, within 2^-12 absolute on [2^-10, 2^10]."""
     l = eng.frac_bits
     with eng.phase("sqrt"):
-        z, tops, prec, m_prec, _, g, half, gg, _ = _sqrt_mantissa(eng, a, magnitude_bits)
+        z, tops, prec, m_prec, _, (g, half), gg = _sqrt_mantissa(eng, a, magnitude_bits, True)
         # one correction at 2l bits: sqrt(m) ~ g + h (m - g^2), m - g^2 exact at
         # prec bits; its truncation to 2l and g's exact one ride with the scale
         d = eng.mul(half, eng.sub(m_prec, eng.mul_public_int(gg, 1 << (prec - 2 * l))))
@@ -296,12 +324,14 @@ def secure_sqrt(eng, a, magnitude_bits=None):
 def secure_rsqrt(eng, a, magnitude_bits=None, truncate=True):
     """1/sqrt(a) for a > 0 on shares, within 2^-12 absolute on [2^-10, 2^10],
     from the square root's iteration: its h converges to 1/(2 sqrt(m)).
-    Zero is out of domain, but its result is finite. With truncate False
-    the result stays at 2l fractional bits, for the caller's next tmul to
-    truncate."""
+    Zero is out of domain, but its result is finite. The result is y at 2l
+    bits plus its correction at 3l, which one tmul truncates and adds; with
+    truncate False they are returned as that tmul's summands and shifts,
+    ([y, correction], [l, 2l]), for the caller's next product to take in
+    its round."""
     l, wide = eng.frac_bits, eng.frac_bits + _MANTISSA_EXTRA
     with eng.phase("rsqrt"):
-        z, tops, _, _, m, _, half, _, hh = _sqrt_mantissa(eng, a, magnitude_bits)
+        z, tops, _, _, m, (half,), hh = _sqrt_mantissa(eng, a, magnitude_bits, False)
         scale = _combine_int(eng, z, [int(round(2 ** (l + (l - t) / 2))) for t in tops])
         # one Newton correction at 2l bits for y = 2h: y + h (1 - m y^2). m y^2
         # sits near 2^(3l + 3) at 3l + 3 bits, which may wrap the ring, but
@@ -310,8 +340,8 @@ def secure_rsqrt(eng, a, magnitude_bits=None, truncate=True):
         e = eng.add_public(eng.neg(eng.mul_public_int(m_hh, 4)), _unit(eng, 2 * l + wide))
         _, he = eng.tmul(e, wide, half)  # h (1 - m y^2) at 3l bits
         _, hes = eng.tmul(he, l, scale)
-        y2l = eng.add(ys, eng.trunc(hes, l))
-        return eng.trunc(y2l, l) if truncate else y2l
+        summands = [ys, hes], [l, 2 * l]
+        return eng.add(*eng.tmul(*summands)) if truncate else summands
 
 
 def secure_ln(eng, a, magnitude_bits=None):
@@ -363,25 +393,28 @@ def _sin_cos_turns(eng, turns, ride=None):
 def secure_sigmoid(eng, z, magnitude_bits=None, frac_bits=None, bound=None, truncate=True):
     """Logistic function on shares: 1/2 + t q(2 t^2 - 1), t = z/2^k.
 
-    With a public bound |z| <= bound <= SIGMOID_BOUND, k = 2 and q is the
-    degree-6 fit SIG4_POWER; nothing is clamped. Otherwise k = 3 and q is
-    the degree-12 fit SIG_POWER on |z| <= 8, with exact 0/1 clamps outside,
-    all three segments blended obliviously: both clamp signs come from one
-    msb call on 1 - t and 1 + t, and one product with the middle segment's
-    indicator clamps t and t^2 to zero outside |z| <= 8, before any power
-    is taken.
+    With a public bound |z| <= bound <= SIGMOID_ODD_BOUND, k = 1 and t q is
+    the odd degree-5 fit SIG5_ODD, in 3 rounds (_odd5). With bound <=
+    SIGMOID_BOUND, k = 2 and q is the degree-6 fit SIG4_POWER; nothing is
+    clamped. Otherwise k = 3 and q is the degree-12 fit SIG_POWER on |z| <=
+    8, with exact 0/1 clamps outside, all three segments blended
+    obliviously: both clamp signs come from one msb call on 1 - t and 1 +
+    t, and one product with the middle segment's indicator clamps t and t^2
+    to zero outside |z| <= 8, before any power is taken.
 
     z carries frac_bits fractional bits (l by default); the first round
     truncates it to t at l bits and squares it. The powers of v come from
-    _powers. On either domain every truncated value holds at most 2l
+    _powers. On every domain each truncated value holds at most 2l
     fractional bits of a number below 4, so the sigmoid works on any ring
     with 2l + 4 <= lambda. With truncate False the sigmoid stays at 2l
     fractional bits (the constant part times 2^l, plus the core), for the
     caller's next tmul to truncate.
     """
     l = eng.frac_bits
+    odd = bound is not None and bound <= SIGMOID_ODD_BOUND
     bounded = bound is not None and bound <= SIGMOID_BOUND
-    k, coeffs = (SIGMOID_BOUND_BITS, SIG4_POWER) if bounded else (SIGMOID_CLAMP_BITS, SIG_POWER)
+    k = 1 if odd else SIGMOID_BOUND_BITS if bounded else SIGMOID_CLAMP_BITS
+    coeffs = SIG4_POWER if bounded else SIG_POWER
     shift = (l if frac_bits is None else frac_bits) - l + k
     with eng.phase("sigmoid"):
         t, tt = eng.tmul(z, shift, square=True)  # z/2^k at l bits, its square at 2l
@@ -389,14 +422,29 @@ def secure_sigmoid(eng, z, magnitude_bits=None, frac_bits=None, bound=None, trun
             out = eng.add_public(eng.zeros(np.shape(t)), _enc(eng, 0.5))
         else:
             t, tt, out = _clamp(eng, t, tt, magnitude_bits)
-        v = eng.add_public(eng.mul_public_int(tt, 2), _unit(eng, 2 * l, -1))
-        powers = _powers(eng, v, l, len(coeffs) - 1)
-        _, core = eng.tmul(_poly_2l(eng, powers, coeffs), l, t)
+        if odd:
+            core = _odd5(eng, t, tt)
+        else:
+            v = eng.add_public(eng.mul_public_int(tt, 2), _unit(eng, 2 * l, -1))
+            powers = _powers(eng, v, l, len(coeffs) - 1)
+            _, core = eng.tmul(_poly_2l(eng, powers, coeffs), l, t)
         if truncate:
             out = eng.add(out, eng.trunc(core, l))
         else:
             out = eng.add(eng.mul_public_int(out, 1 << l), core)
         return out
+
+
+def _odd5(eng, t, u):
+    """c1 t + c3 t u + c5 t u^2 at 2l bits (SIG5_ODD), from t at l bits and
+    u = t^2 at 2l, in two rounds: u and c5 t are truncated while u is
+    squared, then u^2 + (c3/c5) u is truncated while it multiplies c5 t."""
+    l = eng.frac_bits
+    c1, c3, c5 = SIG5_ODD
+    c1, ratio, c5 = (to_signed(_enc(eng, c), eng.cfg) for c in (c1, c3 / c5, c5))
+    (u, c5t), (uu,) = eng.tmul(eng.stack([u, eng.mul_public_int(t, c5)]), l, square=[0])
+    _, _, core = eng.tmul([uu, eng.mul_public_int(u, ratio)], [l, l], c5t)
+    return eng.add(core, eng.mul_public_int(t, c1))
 
 
 def _clamp(eng, t, tt, magnitude_bits):

@@ -57,8 +57,7 @@ def _coordinates(x, d: int, batch: tuple):
 
 def box_muller_radius(eng, e):
     """sqrt(E) = E rsqrt(E) at 2l bits, E >= 0 at l bits; exactly 0 at E = 0."""
-    y = secure_rsqrt(eng, e, _BOX_MULLER_BITS, truncate=False)
-    return eng.tmul(y, eng.frac_bits, e)[1]
+    return eng.tmul(*secure_rsqrt(eng, e, _BOX_MULLER_BITS, truncate=False), e)[-1]
 
 
 def gaussian_vector(eng, d: int, batch: tuple = ()):
@@ -111,7 +110,7 @@ def sample_noise(eng, dp: DpParams, batch: tuple = ()):
             s4 = eng.add(s4, eng.trunc(tail, l + 2 * a + 1))
             sin, cos = sin[:k], cos[:k]
         y = secure_rsqrt(eng, np.concatenate([e, s4[None]]), _BOX_MULLER_BITS, truncate=False)
-        _, rk = eng.tmul(y, l, np.concatenate([e, gamma[None]]))  # R at 2l, K at l + f
+        *_, rk = eng.tmul(*y, np.concatenate([e, gamma[None]]))  # R at 2l, K at l + f
         t, g = eng.tmul(rk, l, eng.stack([cos, sin]), rows=range(k))  # g = R (cos, sin) at 2l
         _, eta = eng.tmul(g, l, t[k])  # eta 2^a at l + f bits
         return _coordinates(eng.trunc(eta, f + a), d, batch)

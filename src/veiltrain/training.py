@@ -16,12 +16,15 @@ L2 sensitivity at most 2R/(n lambda) (Wu et al., SIGMOD 2017), which is
 what the noise is calibrated to.
 
 A public bound on the sigmoid's input (sigmoid_input_bound), about R^2 /
-lambda, lets the sigmoid skip its clamp where it is at most 4. The update
-multiplies by public ring constants only, so it costs no communication.
+lambda, lets the sigmoid skip its clamp where it is at most 4, and take
+an odd degree-5 fit where it is at most 5/4 (1.002 at the defaults). The
+update multiplies by public ring constants only, so it costs no
+communication.
 
-A step is 8 rounds on the bounded sigmoid: forward 1, sigmoid 6, backward
-1. No truncation takes a round of its own; each rides in the round of the
-product it feeds (engine op tmul):
+A step is 5 rounds on the degree-5 sigmoid: forward 1, sigmoid 3,
+backward 1 (8 on the degree-6 one, whose sigmoid takes 6). No truncation
+takes a round of its own; each rides in the round of the product it feeds
+(engine op tmul):
 
 * forward truncates the weights and the last step's pending gradient
   term, and multiplies their sum by the rows;
@@ -29,7 +32,8 @@ product it feeds (engine op tmul):
   truncates the error in its product with the rows;
 * the rows are scaled by alpha 2^q / n once, so backward's sum is alpha
   times the mean gradient at l + q extra bits, left for the next forward;
-* the normalization's reciprocal square root is truncated in its product.
+* the normalization's reciprocal square root (two summands) is truncated
+  in its product.
 """
 
 from __future__ import annotations
@@ -39,14 +43,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import VeiltrainError
 from .fixedpoint import RingConfig, decode, encode
 from .kernels import KERNEL_TOLERANCES, secure_rsqrt, secure_sigmoid
 
-# |x . w| <= sigmoid_input_bound, about R^2 / lambda, is below this for
-# lambda above 2^-10
+# the least magnitude width the clamped sigmoid's msb is given for x . w:
+# sigmoid_input_bound, about R^2 / lambda, is below 2^12 for lambda above
+# 2^-12
 _FORWARD_MAGNITUDE_BITS = 12
 # slack on the sigmoid's slope 1/4 in the smoothness constant L: it covers
-# the polynomial sigmoid's slope on |z| <= 4 (at most 0.24994) and the
+# the bounded sigmoids' slope (at most 0.24994, on |z| <= 4 and 5/4) and the
 # normalized rows' norm slack, (1 + 2^-10)^2 / 4 < 1/4 + 2^-10
 SLOPE_SLACK = 2.0 ** -10
 
@@ -108,7 +114,8 @@ def l2_normalize(eng, x):
     l = eng.frac_bits
     with eng.phase("normalize"):
         total = eng.trunc(eng.sum(eng.mul(x, x), axis=-1), l)
-        _, scaled = eng.tmul(secure_rsqrt(eng, total, truncate=False)[..., None], l, x)
+        y, shifts = secure_rsqrt(eng, total, truncate=False)
+        *_, scaled = eng.tmul([v[..., None] for v in y], shifts, x)
         return eng.trunc(scaled, l)
 
 
@@ -139,12 +146,13 @@ def forward(eng, X, state: ModelState, bound=None):
 
     The product round truncates the weights and the gradient (tmul). bound:
     a public bound on |X . w| (sigmoid_input_bound), which lets the sigmoid
-    skip its clamp."""
+    skip its clamp, and sets the clamp's width (forward_magnitude_bits)."""
     l = eng.frac_bits
+    bits = _FORWARD_MAGNITUDE_BITS if bound is None else forward_magnitude_bits(bound, eng.cfg)
     with eng.phase("forward"):
         w_l, (xw,) = _weights(eng, state, X)
         z2l = eng.sum(xw, axis=1)
-    predictions = secure_sigmoid(eng, z2l, magnitude_bits=_FORWARD_MAGNITUDE_BITS,
+    predictions = secure_sigmoid(eng, z2l, magnitude_bits=bits,
                                  frac_bits=2 * l, bound=bound, truncate=False)
     return predictions, w_l
 
@@ -160,7 +168,8 @@ def sigmoid_input_bound(cfg: TrainingConfig, n: int, d: int, ring: RingConfig) -
     sqrt(2) with the bias column. The labels are 0 or 1, so the gradient's
     data term is at most R (1 + the bounded sigmoid's error); alpha is the
     one scale_rows' rounded factor applies. The row scaling adds at most
-    alpha ulps per coordinate and step, and each truncation one ulp.
+    alpha ulps per coordinate and step, and each truncation one ulp. It
+    is infinite where c encodes as 1.
     """
     l = ring.frac_bits
     ulp = 2.0 ** -l
@@ -171,7 +180,18 @@ def sigmoid_input_bound(cfg: TrainingConfig, n: int, d: int, ring: RingConfig) -
     err = 1 + KERNEL_TOLERANCES["sigmoid_b4"].bound + 8 * ulp
     spread = np.sqrt(d) * ulp  # one ulp on every coordinate
     drive = alpha * (row + spread) * err + 2 * spread
-    return row * drive / (1 - keep)
+    return row * drive / (1 - keep) if keep < 1 else math.inf
+
+
+def forward_magnitude_bits(bound: float, ring: RingConfig) -> int:
+    """The clamped sigmoid's magnitude width for |x . w| <= bound: the bits
+    of the bound, and at least _FORWARD_MAGNITUDE_BITS. A bound of 2^(int_bits
+    - 1) or more is refused: x . w at 2l fractional bits would leave the
+    truncation masks' range 2^(lambda - 2), and so would the weights."""
+    if not bound < 2.0 ** (ring.int_bits - 1):
+        raise VeiltrainError(f"lambda_reg is too small: |x . w| may reach {bound:.6g}, beyond "
+                             f"the ring's integer range 2^{ring.int_bits - 1}")
+    return max(_FORWARD_MAGNITUDE_BITS, math.frexp(bound)[1])
 
 
 def mean_bits(b: int, alpha: float) -> int:
@@ -221,10 +241,12 @@ def update(eng, w_l, grad, grad_shift: int, cfg: TrainingConfig) -> ModelState:
 
 def train_logreg(eng, X, t, cfg: TrainingConfig):
     """cfg.steps() gradient steps from zero on normalized shares; returns
-    weight shares."""
+    weight shares. A lambda_reg whose sigmoid_input_bound leaves the ring
+    is refused before any round (forward_magnitude_bits)."""
     n, d = X.shape
     shift = eng.frac_bits + mean_bits(n, cfg.alpha)
     bound = sigmoid_input_bound(cfg, n, d, eng.cfg)
+    forward_magnitude_bits(bound, eng.cfg)  # refuses a bound beyond the ring
     with eng.phase("backward"):
         scaled = scale_rows(eng, X, cfg.alpha)
     state = ModelState(eng.zeros(d), eng.zeros(d), shift)

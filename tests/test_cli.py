@@ -146,7 +146,19 @@ def test_kernel_bench_runs(capsys):
     assert row[4] == "8"  # the kernel's 7 rounds and the opening of its result
     row = next(line.split() for line in out.splitlines() if line.startswith("bm_radius"))
     assert float(row[1]) <= float(row[3])  # E rsqrt(E) against sqrt(E), within its bound
-    assert row[4] == "34"  # rsqrt's 31 rounds, the product, its truncation, the opening
+    assert row[4] == "26"  # rsqrt's 23 rounds, the product, its truncation, the opening
+    row = next(line.split() for line in out.splitlines() if line.startswith("sigmoid_b1.25"))
+    assert float(row[1]) <= float(row[3]) == 2e-5  # max error, within its bound
+    assert row[4] == "5"  # the kernel's 3 rounds, its truncation and the opening
+
+
+def test_synth_with_one_feature_is_an_error_line(tmp_path, capsys):
+    data = tmp_path / "data.csv"
+    assert main(["synth", "--n", "20", "--m", "1", "--out", str(data)]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not data.exists()
+    run_cli("synth", "--n", "20", "--m", "3", "--out", str(data))
+    assert load_csv(data)[0].shape == (20, 3)
 
 
 def test_experiment_cli_thread(tmp_path):

@@ -7,7 +7,7 @@ from veiltrain.cleartext import train_lr_clear
 from veiltrain.datasets import (evaluate, load_csv, make_plan, partition,
                                 save_csv, stratified_folds, synth_data)
 from veiltrain.errors import (DimensionMismatch, LabelDomainError, ParseError,
-                              PlanInvalid)
+                              PlanInvalid, VeiltrainError)
 from veiltrain.harness import hash_array
 from veiltrain.training import TrainingConfig
 
@@ -114,6 +114,25 @@ def test_synth_deterministic_hash():
     X2, t2 = synth_data(100, 10, seed=9, separability=0.8)
     assert hash_array(X1) == hash_array(X2)
     assert np.array_equal(t1, t2)
+
+
+@pytest.mark.parametrize("m", [2, 3])
+def test_synth_few_features_plants_one_pair(m):
+    X, t = synth_data(20, m, seed=3, separability=1.0)
+    assert X.shape == (20, m) and t.sum() == 10
+
+
+def test_synth_refuses_fewer_than_two_features():
+    with pytest.raises(VeiltrainError, match="at least 2 features"):
+        synth_data(20, 1, seed=3)
+
+
+def test_synth_draws_at_the_benchmark_widths_are_pinned():
+    # clamping the planted support to m // 2 pairs moves no draw with m >= 4
+    for (n, m), pins in {(300, 12): (2112435184, 4046896540),
+                         (2000, 50): (2075190931, 2821108387)}.items():
+        X, t = synth_data(n, m, seed=1, separability=1.0)
+        assert (hash_array(X), hash_array(t)) == pins
 
 
 def test_evaluate_zero_model_base_rate():

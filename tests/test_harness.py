@@ -132,10 +132,10 @@ def test_report_contains_traffic():
     res = run_mpc_threaded([(X, t)], "horizontal", cfg, seed=13, draws=2)
     assert res["bytes"] > 0
     assert res["report"]["phase.forward.rounds"] > 0
-    # all 66 of the noise's rounds (odd d) ride in training's, where the
+    # all 58 of the noise's rounds (odd d) ride in training's, where the
     # report counts them as overlap rows
     overlap = {k: v for k, v in res["report"].items() if k.startswith("overlap.perturb")}
-    assert overlap["overlap.perturb.rounds"] > 0 and sum(overlap.values()) == 66
+    assert overlap["overlap.perturb.rounds"] > 0 and sum(overlap.values()) == 58
 
 
 class _RecordingLauncher:

@@ -111,6 +111,18 @@ def test_rsqrt_tolerance_sweep_and_edges():
     assert np.abs(got - want).max() <= kernels.KERNEL_TOLERANCES["rsqrt"].bound
 
 
+@pytest.mark.parametrize("truncate, pairs", [(True, 15), (False, 13)])
+def test_rsqrt_material_per_element_is_pinned(truncate, pairs):
+    # the dealer material rsqrt takes per element; e tracking takes one
+    # triple and one truncation pair fewer than forming g h did (93 and
+    # 16). With truncate False the caller's tmul takes the last two pairs
+    x = np.exp2(np.linspace(-9, 9, 100))
+    counts = estimate_counts(
+        lambda eng: kernels.secure_rsqrt(eng, enc_pub(eng, x), truncate=truncate), 49, RING)
+    assert counts[("triple",)] == 92 * len(x)
+    assert sum(v for k, v in counts.items() if k[0] == "trunc") == pairs * len(x)
+
+
 def test_rsqrt_matches_mirror_bit_exact():
     x = np.exp2(np.linspace(-9, 9, 37))
 
@@ -273,6 +285,38 @@ def test_bounded_sigmoid_matches_mirror_in_half_the_rounds():
     assert clamped[0].rt.transcript.n_rounds == 14 + 1
 
 
+# --- sigmoid under a public bound |z| <= 5/4: the odd degree-5 tier ---
+
+@pytest.mark.parametrize("lam, frac_bits", [(64, 20), (64, 24), (64, 30)])
+def test_odd_sigmoid_tolerance(lam, frac_bits):
+    ring = RingConfig(lam, frac_bits)
+    bound = kernels.SIGMOID_ODD_BOUND
+    z = np.concatenate([np.random.default_rng(50).uniform(-bound, bound, 10_000),
+                        np.linspace(-bound, bound, 1001)])
+    eng = plain(51, ring)
+    got = open_plain(eng, kernels.secure_sigmoid(eng, eng.from_public(encode(z, ring)),
+                                                 bound=bound))
+    want = 1 / (1 + np.exp(-decode(encode(z, ring), ring)))
+    assert np.abs(got - want).max() <= kernels.KERNEL_TOLERANCES["sigmoid_b1.25"].bound
+
+
+def test_odd_sigmoid_matches_mirror_in_three_rounds():
+    # a bound of exactly 5/4 takes the degree-5 tier; one ulp above, the degree-6
+    z = np.linspace(-1.25, 1.25, 41)
+
+    def fn(bound):
+        return lambda eng: eng.open(kernels.secure_sigmoid(eng, enc_pub(eng, z), bound=bound,
+                                                           truncate=False))
+
+    (r0, r1), engines = run_both(fn(1.25), seed=52)
+    mirror = fn(1.25)(plain(52))
+    assert np.array_equal(r0, mirror) and np.array_equal(r1, mirror)
+    (s0, s1), above = run_both(fn(np.nextafter(1.25, 2.0)), seed=52)
+    assert np.array_equal(s0, fn(np.nextafter(1.25, 2.0))(plain(52)))
+    assert engines[0].rt.transcript.n_rounds == 3 + 1  # the last one opens the result
+    assert above[0].rt.transcript.n_rounds == 6 + 1
+
+
 # --- other rings and mask headroom ---
 
 @pytest.mark.parametrize("frac_bits", [16, 24])
@@ -358,6 +402,17 @@ def test_every_truncated_value_stays_below_the_mask_range():
                        ModelState(w2l, e.zeros(len(z4)), e.frac_bits), 4.0)
 
     assert peak(fwd4) < limit
+    z54 = np.concatenate([np.linspace(-1.25, 1.25, 33), [1.25, -1.25]])  # the odd tier's
+
+    def fwd54(e):
+        w2l = e.mul_public_int(enc_pub(e, z54), 1 << e.frac_bits)
+        return forward(e, enc_pub(e, np.eye(len(z54))),
+                       ModelState(w2l, e.zeros(len(z54)), e.frac_bits), 1.25)
+
+    # every value the odd tier truncates is a 2l-bit value below 4
+    below4 = 4 * 2.0 ** (2 * RING.frac_bits)
+    assert peak(lambda e: kernels.secure_sigmoid(e, enc_pub(e, z54), bound=1.25)) < below4
+    assert peak(fwd54) < limit
     # training's other truncation operands, in the mirror: the error at 2l
     # bits (backward), and the weights at 2l bits summed with the pending
     # gradient alpha 2^q g at 2l bits (forward, finalize); identical rows

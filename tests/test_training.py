@@ -7,11 +7,14 @@ from veiltrain.cleartext import normalize_rows, sigmoid, train_lr_clear
 from veiltrain.dealer import MaterialSource
 from veiltrain.datasets import synth_data
 from veiltrain.engine import PlainEngine, estimate_counts
+from veiltrain.errors import VeiltrainError
 from veiltrain.fixedpoint import RingConfig, decode, encode, to_signed
-from veiltrain.kernels import KERNEL_TOLERANCES, SIG4_POWER, SIGMOID_BOUND
+from veiltrain.kernels import (KERNEL_TOLERANCES, SIG4_POWER, SIG5_ODD, SIGMOID_BOUND,
+                               SIGMOID_ODD_BOUND)
 from veiltrain.training import (SLOPE_SLACK, ModelState, TrainingConfig, l2_normalize, backward,
-                                forward, mean_bits, row_norm_domain, scale_rows,
-                                sigmoid_input_bound, train_pipeline, update)
+                                forward, forward_magnitude_bits, mean_bits, row_norm_domain,
+                                scale_rows, sigmoid_input_bound, train_logreg, train_pipeline,
+                                update)
 
 from conftest import mirror_weights, run_both
 
@@ -389,18 +392,22 @@ def test_training_consumes_the_dry_run_exactly():
         assert {k: v for k, v in eng.material.pos.items() if isinstance(k, tuple)} == counts
 
 
-@pytest.mark.parametrize("lams, sigmoid_rounds", [((1.0, 0.5), 6), ((0.25, 0.2), 13)],
-                         ids=["bounded", "clamped"])
+@pytest.mark.parametrize("lams, sigmoid_rounds", [((2.0, 1.0), 3), ((0.5, 0.4), 6),
+                                                   ((0.25, 0.2), 13)],
+                         ids=["odd", "bounded", "clamped"])
 def test_every_step_costs_its_pinned_rounds(lams, sigmoid_rounds):
     # a step adds: forward 1 (the weights' and the last gradient's
-    # truncations with the product), the sigmoid (bounded 6; clamped 13,
-    # where the bound exceeds 4; its output stays at 2l bits), backward 1
-    # (the error's truncation with the product); nothing else
+    # truncations with the product), the sigmoid (3 where the bound is at
+    # most 5/4, 6 where it is at most 4, clamped 13 above; its output stays
+    # at 2l bits), backward 1 (the error's truncation with the product);
+    # nothing else. Both lambdas of a pair fall in one tier
     X, t = synth_data(12, 4, seed=46, separability=1.0)
 
     def rounds(lam):
         tc = TrainingConfig(lambda_reg=lam)
-        assert (sigmoid_input_bound(tc, 12, 4, RING) <= SIGMOID_BOUND) == (sigmoid_rounds == 6)
+        bound = sigmoid_input_bound(tc, 12, 4, RING)
+        tier = 3 if bound <= SIGMOID_ODD_BOUND else 6 if bound <= SIGMOID_BOUND else 13
+        assert tier == sigmoid_rounds
 
         def fn(eng):
             train_pipeline(eng, enc_pub(eng, X), enc_pub(eng, t), tc)
@@ -460,17 +467,55 @@ def test_sigmoid_input_stays_within_its_public_bound(monkeypatch):
 
 
 def test_polynomial_sigmoid_slope_stays_in_the_smoothness_constant():
-    # L = lambda + R^2 (1/4 + SLOPE_SLACK) needs the bounded sigmoid's slope
-    # in [0, 1/4 + SLOPE_SLACK] on |z| <= 4, with its coefficients as fitted
-    # and as encoded, on rows up to the normalization's 2^-10 above R
+    # L = lambda + R^2 (1/4 + SLOPE_SLACK) needs the bounded sigmoids' slope
+    # in [0, 1/4 + SLOPE_SLACK], on |z| <= 4 and on |z| <= 5/4, with their
+    # coefficients as fitted and as encoded, on rows up to the
+    # normalization's 2^-10 above R
+    def within(slope):
+        assert slope.min() >= 0
+        assert slope.max() * (1 + KERNEL_TOLERANCES["normalize"].bound) ** 2 <= 0.25 + SLOPE_SLACK
+
     z = np.linspace(-4, 4, 80_001)
     t = z / 4
     v = 2 * t ** 2 - 1
     for coeffs in (SIG4_POWER, decode(encode(np.array(SIG4_POWER), RING), RING)):
         q = np.polynomial.Polynomial(coeffs)
-        slope = (q(v) + 4 * t ** 2 * q.deriv()(v)) / 4
-        assert slope.min() >= 0
-        assert slope.max() * (1 + KERNEL_TOLERANCES["normalize"].bound) ** 2 <= 0.25 + SLOPE_SLACK
+        within((q(v) + 4 * t ** 2 * q.deriv()(v)) / 4)
+    # the degree-5 tier encodes c1, c3/c5 and c5, so c3 is used as their product
+    c1, c3, c5 = SIG5_ODD
+    e1, ratio, e5 = decode(encode(np.array([c1, c3 / c5, c5]), RING), RING)
+    t = np.linspace(-SIGMOID_ODD_BOUND, SIGMOID_ODD_BOUND, 80_001) / 2
+    for coeffs in ((c1, c3, c5), (e1, ratio * e5, e5)):
+        p = np.polynomial.Polynomial([0, coeffs[0], 0, coeffs[1], 0, coeffs[2]])
+        slope = p.deriv()(t) / 2
+        within(slope)
+        assert 0.17 < slope.min() and slope.max() < 0.24995
+
+
+def test_forward_magnitude_width_follows_the_input_bound():
+    # 12 bits for every lambda whose bound is below 2^12, so no transcript
+    # of today's settings moves; more bits above, up to the ring's integer
+    # range 2^(int_bits - 1), past which the lambda is refused
+    n, d = 300, 12
+    for lam in (1.0, 0.25, 2.0 ** -10):
+        assert forward_magnitude_bits(sigmoid_input_bound(TrainingConfig(lambda_reg=lam), n, d,
+                                                          RING), RING) == 12
+    bound = sigmoid_input_bound(TrainingConfig(lambda_reg=2.0 ** -14), n, d, RING)
+    assert 2.0 ** 14 < bound < 2.0 ** 15
+    assert forward_magnitude_bits(bound, RING) == 15
+    assert forward_magnitude_bits(np.nextafter(2.0 ** 22, 0), RING) == 22
+    for bound in (2.0 ** 22, np.inf):
+        with pytest.raises(VeiltrainError, match="lambda_reg"):
+            forward_magnitude_bits(bound, RING)
+    # the bound passes 2^22 at lambda 2^-23; from 2^-24, 1 - alpha lambda
+    # encodes as 1 and the bound is infinite
+    for lam, bound in ((2.0 ** -23, 8.37e6), (2.0 ** -24, np.inf)):
+        tc = TrainingConfig(lambda_reg=lam)
+        assert sigmoid_input_bound(tc, n, d, RING) == pytest.approx(bound, rel=1e-3)
+        eng = plain(63)
+        with pytest.raises(VeiltrainError, match="lambda_reg"):
+            train_logreg(eng, eng.zeros((n, d)), eng.zeros(n), tc)
+        assert eng.counts() == {}  # refused before any round
 
 
 @pytest.mark.parametrize("bias", [False, True])
