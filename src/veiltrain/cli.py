@@ -159,58 +159,49 @@ def cmd_kernel_bench(args):
     ring = ring_from_config(cfg)
     rng = np.random.default_rng(cfg["seed"])
     n = args.samples
-    cases = {
-        "div": None, "sqrt": None, "rsqrt": None, "ln": None, "sin": None, "cos": None,
-        "sigmoid": None, "sigmoid_b4": None, "sigmoid_b1.25": None, "bm_radius": None,
-    }
     b = np.exp2(rng.uniform(-8, 8, n)) * np.where(rng.random(n) < 0.5, -1, 1)
     a = rng.uniform(-1, 1, n) * 2.0 ** 10 * b
     sq = np.exp2(rng.uniform(-10, 10, n))
     lx = np.exp2(rng.uniform(-ring.frac_bits + 0.01, 10, n))
     th = rng.uniform(0, 2 * np.pi, n)
     z = rng.uniform(-16, 16, n)
-    bounded = {name: (rng.uniform(-bound, bound, n), bound)
-               for name, bound in (("sigmoid_b4", kernels.SIGMOID_BOUND),
-                                   ("sigmoid_b1.25", kernels.SIGMOID_ODD_BOUND))}
+    z4 = rng.uniform(-kernels.SIGMOID_BOUND, kernels.SIGMOID_BOUND, n)
+    z54 = rng.uniform(-kernels.SIGMOID_ODD_BOUND, kernels.SIGMOID_ODD_BOUND, n)
     # E = -2 ln u on the Box-Muller domain: u on the l-bit grid of (0, 1], u = 1 included
     bm = -2 * np.log(np.append(rng.integers(1, 2 ** ring.frac_bits, n - 1), 2 ** ring.frac_bits)
                      * 2.0 ** -ring.frac_bits)
 
-    print(f"{'kernel':13s} {'max_err':>12s} {'mean_err':>12s} {'bound':>12s} {'rounds':>7s}")
-    for name in cases:
-        def fn(eng, name=name):
-            if name == "div":
-                got = kernels.secure_div(eng, eng.from_public(encode(a, ring)),
-                                         eng.from_public(encode(b, ring)))
-                want = decode(encode(a, ring), ring) / decode(encode(b, ring), ring)
-            elif name == "sqrt":
-                got = kernels.secure_sqrt(eng, eng.from_public(encode(sq, ring)))
-                want = np.sqrt(decode(encode(sq, ring), ring))
-            elif name == "rsqrt":
-                got = kernels.secure_rsqrt(eng, eng.from_public(encode(sq, ring)))
-                want = 1 / np.sqrt(decode(encode(sq, ring), ring))
-            elif name == "ln":
-                got = kernels.secure_ln(eng, eng.from_public(encode(lx, ring)))
-                want = np.log(decode(encode(lx, ring), ring))
-            elif name in ("sin", "cos"):
-                s, c = kernels.secure_sin_cos(eng, eng.from_public(encode(th, ring)))
-                got = s if name == "sin" else c
-                want = np.sin(th) if name == "sin" else np.cos(th)
-            elif name == "sigmoid":
-                got = kernels.secure_sigmoid(eng, eng.from_public(encode(z, ring)))
-                want = np.where(z < -8, 0, np.where(z > 8, 1, 1 / (1 + np.exp(-z))))
-            elif name in bounded:
-                zb, bound = bounded[name]
-                got = kernels.secure_sigmoid(eng, eng.from_public(encode(zb, ring)), bound=bound)
-                want = 1 / (1 + np.exp(-zb))
-            else:
-                got = eng.trunc(box_muller_radius(eng, eng.from_public(encode(bm, ring))),
-                                ring.frac_bits)
-                want = np.sqrt(decode(encode(bm, ring), ring))
-            return eng.open(got), want
+    def exact(x):
+        return decode(encode(x, ring), ring)
 
-        (res0, _), engines = run_two_party(fn, session_seed=cfg["seed"], cfg=ring)
-        got, want = res0
+    def sigmoid(x):
+        return 1 / (1 + np.exp(-x))
+
+    # each row: its inputs, its kernel on their shares, and its float reference
+    rows = [
+        ("div", (a, b), kernels.secure_div, exact(a) / exact(b)),
+        ("sqrt", (sq,), kernels.secure_sqrt, np.sqrt(exact(sq))),
+        ("rsqrt", (sq,), kernels.secure_rsqrt, 1 / np.sqrt(exact(sq))),
+        ("ln", (lx,), kernels.secure_ln, np.log(exact(lx))),
+        ("sin", (th,), lambda eng, x: kernels.secure_sin_cos(eng, x)[0], np.sin(th)),
+        ("cos", (th,), lambda eng, x: kernels.secure_sin_cos(eng, x)[1], np.cos(th)),
+        ("sigmoid", (z,), kernels.secure_sigmoid,
+         np.where(z < -8, 0, np.where(z > 8, 1, sigmoid(z)))),
+        ("sigmoid_b4", (z4,),
+         lambda eng, x: kernels.secure_sigmoid(eng, x, bound=kernels.SIGMOID_BOUND), sigmoid(z4)),
+        ("sigmoid_b1.25", (z54,),
+         lambda eng, x: kernels.secure_sigmoid(eng, x, bound=kernels.SIGMOID_ODD_BOUND),
+         sigmoid(z54)),
+        ("bm_radius", (bm,),
+         lambda eng, e: eng.trunc(box_muller_radius(eng, e), ring.frac_bits), np.sqrt(exact(bm))),
+    ]
+
+    print(f"{'kernel':13s} {'max_err':>12s} {'mean_err':>12s} {'bound':>12s} {'rounds':>7s}")
+    for name, inputs, kernel, want in rows:
+        def fn(eng, inputs=inputs, kernel=kernel):
+            return eng.open(kernel(eng, *(eng.from_public(encode(x, ring)) for x in inputs)))
+
+        (got, _), engines = run_two_party(fn, session_seed=cfg["seed"], cfg=ring)
         err = np.abs(decode(got, ring) - want)
         bound = kernels.KERNEL_TOLERANCES[name].bound
         print(f"{name:13s} {err.max():12.3e} {err.mean():12.3e} {bound:12.3e} "

@@ -7,7 +7,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cleartext import normalize_rows, sigmoid
-from .errors import DimensionMismatch, LabelDomainError, ParseError, PlanInvalid, VeiltrainError
+from .errors import (DimensionMismatch, InvalidArgument, LabelDomainError, ParseError,
+                     PlanInvalid)
 
 
 def load_csv(path):
@@ -59,9 +60,9 @@ def synth_data(n: int, m: int, seed: int, separability: float = 1.0):
     labels; separability=0 makes labels independent of the features.
     """
     if not 0.0 <= separability <= 1.0:
-        raise ValueError("separability must be in [0, 1]")
+        raise InvalidArgument(f"separability must be in [0, 1], got {separability}")
     if m < 2:
-        raise VeiltrainError(f"a synthetic dataset needs at least 2 features, got m = {m}")
+        raise InvalidArgument(f"a synthetic dataset needs at least 2 features, got m = {m}")
     rng = np.random.default_rng(seed)
     X = rng.integers(0, 2, size=(n, m)).astype(np.float64)
     half = min(max(2, round(m / 5)), m // 2)

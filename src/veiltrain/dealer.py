@@ -1,5 +1,9 @@
-"""Trusted-dealer correlated randomness: Beaver triples, truncation pairs,
-and random bit shares, all derived from one session seed.
+"""Trusted-dealer correlated randomness, all derived from one session seed.
+
+Three kinds of material, one key each: Beaver triples ("triple",),
+truncation pairs ("trunc", s) for a shift s, and random-bit words ("bit",),
+which come in 3-bit blocks holding the products of every non-empty subset
+of a block's bits (the masks of the msb, lead and split ops).
 
 Every kind of material comes from two PCG64 streams: a *plain* stream that
 fixes the secret values and a *split* stream that fixes how they are shared.
@@ -32,18 +36,13 @@ def _window(session_seed: int, tags, start_words: int, n_words: int) -> np.ndarr
     return np.random.Generator(gen).integers(0, 2**64, size=n_words, dtype=np.uint64)
 
 
-SIGN_BLOCK = 3  # mask bits per monomial block of the msb op's material
-
-
-def bit_key(block: int = 1) -> tuple:
-    """Material key of random-bit words: single bits, or monomials of k-bit blocks."""
-    return ("bit",) if block == 1 else ("bit", block)
+SIGN_BLOCK = 3  # mask bits per monomial block of the msb, lead and split ops' material
 
 
 def check_key(key, cfg: RingConfig) -> None:
     """Raise ParseError unless key names material the dealer generates:
-    ("triple",), ("trunc", s) with 0 < s < lambda, ("bit",) or ("bit", SIGN_BLOCK)."""
-    if key in (("triple",), bit_key(), bit_key(SIGN_BLOCK)):
+    ("triple",), ("trunc", s) with 0 < s < lambda, or ("bit",)."""
+    if key in (("triple",), ("bit",)):
         return
     if len(key) == 2 and key[0] == "trunc" and 0 < key[1] < cfg.lam:
         return
@@ -98,26 +97,24 @@ class MaterialSource:
         r0, rs0 = sp[:, 0], sp[:, 1]
         return r0, rs0, r - r0, rs - rs0
 
-    def bit_shares(self, start: int, n: int, block: int = 1):
+    def bit_shares(self, start: int, n: int):
         """Returns (b0, b1), the halves of random-bit words [start, start+n).
 
-        With block 1 every word is one random bit. With block k > 1 every k
-        random bits fill 2^k - 1 consecutive words with the products of their
-        non-empty subsets, in subset order: word S - 1 holds the product of
-        the bits i with bit i of S set, so words 0, 1, 3 of a 3-bit block are
-        the bits themselves."""
-        per = (1 << block) - 1
-        param = block if block > 1 else None
+        Every SIGN_BLOCK random bits fill 2^SIGN_BLOCK - 1 consecutive words
+        with the products of their non-empty subsets, in subset order: word
+        S - 1 holds the product of the bits i with bit i of S set, so words
+        0, 1, 3 of a block are the bits themselves."""
+        per = (1 << SIGN_BLOCK) - 1
         first, end = start // per, -(-(start + n) // per)
-        words = self._words("bit", param, _PLAIN, first, end - first)[:, 0]
+        words = self._words("bit", None, _PLAIN, first, end - first)[:, 0]
         mono = np.empty((len(words), per), dtype=words.dtype)
-        for i in range(block):  # the subsets holding bit i follow those without it
+        for i in range(SIGN_BLOCK):  # the subsets holding bit i follow those without it
             lo = (1 << i) - 1
             mono[:, lo] = (words >> np.uint64(i)) & np.uint64(1)
             mono[:, lo + 1:2 * lo + 1] = mono[:, :lo] * mono[:, lo:lo + 1]
         at = start - first * per
         b = self._to_ring(mono.ravel()[at:at + n])
-        b0 = self._to_ring(self._words("bit", param, _SPLIT, start, n))[:, 0]
+        b0 = self._to_ring(self._words("bit", None, _SPLIT, start, n))[:, 0]
         return b0, b - b0
 
     def halves(self, key: tuple, start: int, n: int):
@@ -129,7 +126,7 @@ class MaterialSource:
         elif kind == "trunc":
             out = self.trunc_pairs(key[1], start, n)
         elif kind == "bit":
-            out = self.bit_shares(start, n, *key[1:])
+            out = self.bit_shares(start, n)
         else:
             raise ValueError(f"unknown material kind {key!r}")
         half = len(out) // 2
@@ -200,9 +197,9 @@ class _Cursor:
         r, rs = self._take(("trunc", shift), n)
         return r, rs
 
-    def take_bits(self, n: int, block: int = 1):
+    def take_bits(self, n: int):
         """n random-bit words (see MaterialSource.bit_shares)."""
-        return self._take(bit_key(block), n)[0]
+        return self._take(("bit",), n)[0]
 
     def take_local_bits(self, n: int):
         at = self.pos.get("local_bits", 0)

@@ -6,8 +6,11 @@ below and can run on either engine:
 * MpcEngine: values are this party's additive shares; multiplications spend
   Beaver triples, truncations spend dealer pairs, and each step is one
   synchronized exchange with the peer. A truncation and the products of its
-  result can share one exchange (tmul). Independent branches run side by
-  side (parallel) and share their rounds.
+  result share one exchange (tmul; trunc is a tmul without products).
+  Comparisons (msb, lead, split) open the input under a dealer mask whose
+  bits come in 3-bit blocks, the leaves (leaf_layout), and resolve the
+  borrow out of each leaf with a log-depth prefix over them. Independent
+  branches run side by side (parallel) and share their rounds.
 * PlainEngine: values are the plain ring elements. It consumes the same
   seeded randomness streams (truncation masks, per-party bit streams) in the
   same order, so its outputs are bit-identical to what the two parties would
@@ -26,7 +29,7 @@ import threading
 
 import numpy as np
 
-from .dealer import SIGN_BLOCK, Counts, MaterialCursor, MaterialSource, bit_key
+from .dealer import SIGN_BLOCK, Counts, MaterialCursor, MaterialSource
 from .fixedpoint import DEFAULT_RING, RingConfig, from_signed, to_signed, truncate
 from .session import PartyRuntime, handshake
 from .transport import queue_pair
@@ -39,13 +42,13 @@ BORROW, NONZERO, LEAF_BIT = 0, 1, 2
 
 
 def leaf_layout(width: int):
-    """Leaves of a width-bit mask, low to high: (lowest bit, size) of each.
-
-    The mask's low width % 3 bits are single-bit leaves, the rest 3-bit
-    blocks. The msb, lead and split ops all take their leaves from here."""
-    singles = width % SIGN_BLOCK
-    return ([(i, 1) for i in range(singles)]
-            + [(p, SIGN_BLOCK) for p in range(singles, width, SIGN_BLOCK)])
+    """Lowest bits of the leaves of a width-bit mask, low to high: every
+    leaf is a 3-bit block, so the width must be a positive multiple of 3.
+    The msb, lead and split ops all take their leaves from here."""
+    if width <= 0 or width % SIGN_BLOCK:
+        raise ValueError(f"a mask width must be a positive multiple of {SIGN_BLOCK}, "
+                         f"got {width}")
+    return range(0, width, SIGN_BLOCK)
 
 
 def prefix_plan(n: int, want):
@@ -86,17 +89,14 @@ def lead_plan(width: int):
 
 
 def split_plan(width: int):
-    """Borrow-map schedule of split: the leaves below the top one, reduced.
-    The top leaf must be a 3-bit block."""
-    if width < SIGN_BLOCK:
-        raise ValueError(f"split needs a width of at least {SIGN_BLOCK}, got {width}")
+    """Borrow-map schedule of split: the leaves below the top one, reduced."""
     inner = len(leaf_layout(width)) - 1
     return prefix_plan(inner, [inner - 1])
 
 
-def _leaf_maps(k):
-    """Monomial coefficients of a k-bit leaf's maps g -> G + P*g, for every
-    value of the leaf's k bits of c.
+def _leaf_maps():
+    """Monomial coefficients of a leaf's maps g -> G + P*g, for every value
+    of the leaf's k = SIGN_BLOCK bits of c.
 
     A leaf covers k consecutive bits of x = c - r mod 2^width, where c is
     public and r the secret mask. Given borrow-in g, the maps give the
@@ -105,6 +105,7 @@ def _leaf_maps(k):
     each indexed [output, value of c's k bits, monomial]: the coefficient
     of the monomial over the mask-bit subset S sits at index S.
     """
+    k = SIGN_BLOCK
     cb = np.arange(1 << k)[:, None] >> np.arange(k) & 1
     table = np.empty((2, LEAF_BIT + k, 1 << k, 1 << k), dtype=np.int64)
     for g in (0, 1):
@@ -124,7 +125,7 @@ def _leaf_maps(k):
     return table[0], table[1] - table[0]
 
 
-_LEAF_MAPS = {k: _leaf_maps(k) for k in (1, SIGN_BLOCK)}  # single-bit and block leaves
+_LEAF_MAPS = _leaf_maps()
 
 
 def _low_mask(width: int, cfg: RingConfig):
@@ -156,12 +157,6 @@ def _summands(x, shift):
     return [(x, shift)]
 
 
-def _mask_counts(width: int, n: int) -> dict:
-    """Dealer words the leaves of n width-bit masks take, by material key."""
-    sizes = [k for _, k in leaf_layout(width)]
-    counts = {bit_key(): sizes.count(1) * n,
-              bit_key(SIGN_BLOCK): SIGN_WORDS * sizes.count(SIGN_BLOCK) * n}
-    return {key: v for key, v in counts.items() if v}
 
 
 class BaseEngine:
@@ -283,7 +278,8 @@ class PlainEngine(BaseEngine):
         untruncated products of their sum t's rows with y and with
         themselves (see MpcEngine.tmul). Spends what trunc and mul would."""
         out = [self.trunc(a, s) for a, s in _summands(x, shift)]
-        t = functools.reduce(self.add, out)
+        if y is not None or square is not False:
+            t = functools.reduce(self.add, out)
         if y is not None:
             out.append(self.mul(_rows(t, rows), y))
         if square is not False:
@@ -293,8 +289,7 @@ class PlainEngine(BaseEngine):
 
     def _count_leaf_op(self, a, width, products):
         n = int(np.prod(np.shape(a), dtype=np.int64))
-        for key, words in _mask_counts(width, n).items():
-            self._advance(key, words)
+        self._advance(("bit",), SIGN_WORDS * len(leaf_layout(width)) * n)
         self._advance(("triple",), products * n)
         return np.asarray(a, dtype=self.cfg.udtype) & _low_mask(width, self.cfg)
 
@@ -311,7 +306,7 @@ class PlainEngine(BaseEngine):
         leaves = leaf_layout(width)
         x = self._count_leaf_op(
             a, width, _plan_products(plan) + len(leaves) - 1 + sum(map(len, plan)))
-        tops = np.array([p + k for p, k in leaves], dtype=np.uint64)
+        tops = np.array(leaves, dtype=np.uint64) + np.uint64(SIGN_BLOCK)
         above = (x[None, ...] >> tops.reshape((-1,) + (1,) * x.ndim)) != 0
         first = np.ones((1,) + x.shape, dtype=bool)
         return (np.concatenate([first, above[:-1]]) & ~above).astype(self.cfg.udtype)
@@ -388,28 +383,17 @@ class MpcEngine(BaseEngine):
         return z
 
     def trunc(self, a, shift):
-        shape = np.shape(a)
-        n = int(np.prod(shape, dtype=np.int64))
-        r, rs = (x.reshape(shape) for x in self.material.take_trunc(shift, n))
-        with np.errstate(over="ignore"):
-            masked = np.asarray(a + r).reshape(shape)
-        m = self.open(masked)
-        with np.errstate(over="ignore"):
-            t = truncate(m, shift, self.cfg)
-            out = self.neg(rs)
-            if self.party == 0:
-                out = out + t
-            return np.asarray(out)
+        return self.tmul(a, shift)[0]
 
     def tmul(self, x, shift, y=None, square=False, rows=None):
         """Truncations and, in the same round, untruncated products of
         their sum. x and shift are an array and a shift, or matching
-        sequences of both (the arrays of one shape); t_i = trunc(x_i,
-        shift_i) and t = sum_i t_i. The products are of t's rows (axis 0):
-        t[rows] * y (all of t when rows is None, broadcast against y), then,
-        if square is set, t * t (square True) or t[square] * t[square]
-        (square a sequence of rows). Returns the t_i and then the products
-        asked for.
+        sequences of both (the arrays of one shape where a product is asked
+        for); t_i = trunc(x_i, shift_i) and t = sum_i t_i. The products are
+        of t's rows (axis 0): t[rows] * y (all of t when rows is None,
+        broadcast against y), then, if square is set, t * t (square True) or
+        t[square] * t[square] (square a sequence of rows). Returns the t_i
+        and then the products asked for; trunc is tmul without products.
 
         It spends what the truncations and mul would: a truncation pair
         (r_i, rs_i) per element of x_i, rs_i being r_i arithmetically
@@ -428,7 +412,8 @@ class MpcEngine(BaseEngine):
             r, rs = (m.reshape(a.shape) for m in self.material.take_trunc(s, a.size))
             sends.append(self.add(a, r))
             terms.append((a.shape, s, rs))
-        rs = functools.reduce(self.add, [rs for _, _, rs in terms])
+        if y is not None or square is not False:
+            rs = functools.reduce(self.add, [rs for _, _, rs in terms])
         with np.errstate(over="ignore"):
             if y is not None:
                 left = _rows(rs, rows)
@@ -448,7 +433,8 @@ class MpcEngine(BaseEngine):
                   for m, (shape, s, _) in zip(parts, terms)]
             out = [p_i - rs_i if self.party == 0 else self.neg(rs_i)
                    for p_i, (_, _, rs_i) in zip(ps, terms)]
-            p = functools.reduce(self.add, ps)
+            if jobs:
+                p = functools.reduce(self.add, ps)
             parts = parts[len(terms):]
             for k, (idx, squared, a, b, c) in enumerate(jobs):
                 d = _rows(p, idx) - parts[2 * k].reshape(a.shape)
@@ -469,45 +455,35 @@ class MpcEngine(BaseEngine):
         """Take a width-bit mask r in leaves and open c = (a + r) mod 2^width.
 
         Returns c, each leaf's share of its part of r (shifted into place),
-        and the groups of equal-size leaves: (leaf indices, lowest bits,
-        size k, monomial shares indexed [leaf, monomial, element])."""
+        and the leaves' monomial shares, indexed [leaf, monomial, element]."""
         n = int(np.prod(np.shape(a), dtype=np.int64))
-        layout = leaf_layout(width)
-        groups, parts = [], self.zeros((len(layout), n))
-        for k in (1, SIGN_BLOCK):
-            idx = np.array([i for i, (_, size) in enumerate(layout) if size == k], dtype=np.intp)
-            if not len(idx):
-                continue
-            per = (1 << k) - 1
-            words = self.material.take_bits(per * len(idx) * n, block=k)
-            mono = words.reshape(len(idx), n, per).transpose(0, 2, 1)
-            pos = np.array([layout[i][0] for i in idx], dtype=np.uint64)
-            with np.errstate(over="ignore"):
-                for t in range(k):
-                    parts[idx] += mono[:, (1 << t) - 1] << (pos + np.uint64(t))[:, None]
-            groups.append((idx, pos, k, mono))
+        pos = np.array(leaf_layout(width), dtype=np.uint64)
+        words = self.material.take_bits(SIGN_WORDS * len(pos) * n)
+        mono = words.reshape(len(pos), n, SIGN_WORDS).transpose(0, 2, 1)
+        parts = self.zeros((len(pos), n))
+        with np.errstate(over="ignore"):
+            for t in range(SIGN_BLOCK):
+                parts += mono[:, (1 << t) - 1] << (pos + np.uint64(t))[:, None]
         mask = _low_mask(width, self.cfg)
         flat = np.ravel(np.asarray(a, dtype=self.cfg.udtype))
         with np.errstate(over="ignore"):
             c = np.ravel(self.open((flat + self.sum(parts, axis=0)) & mask)) & mask
-        return c, parts, groups
+        return c, parts, mono
 
-    def _maps(self, c, groups, outputs):
+    def _maps(self, c, mono, outputs):
         """Shares (G, P) [leaf, element] of each leaf's map for the output
         named in outputs (one index per leaf, None to skip the leaf), with
         coefficients looked up by the leaf's bits of c (_LEAF_MAPS)."""
         G, P = self.zeros((len(outputs), len(c))), self.zeros((len(outputs), len(c)))
-        for idx, pos, k, mono in groups:
-            rows = [j for j, i in enumerate(idx) if outputs[i] is not None]
-            if not rows:
-                continue
-            out = np.array([outputs[i] for i in idx[rows]], dtype=np.intp)[:, None]
-            val = ((c >> pos[rows, None]) & np.uint64((1 << k) - 1)).astype(np.intp)
-            with np.errstate(over="ignore"):
-                for coef, dst in zip(_LEAF_MAPS[k], (G, P)):
-                    coef = coef.astype(self.cfg.udtype)
-                    share = sum(coef[out, val, s] * mono[rows, s - 1] for s in range(1, 1 << k))
-                    dst[idx[rows]] = self.add_public(share, coef[out, val, 0])
+        rows = [i for i, o in enumerate(outputs) if o is not None]
+        out = np.array([outputs[i] for i in rows], dtype=np.intp)[:, None]
+        pos = np.array(rows, dtype=np.uint64)[:, None] * np.uint64(SIGN_BLOCK)
+        val = ((c >> pos) & np.uint64(SIGN_WORDS)).astype(np.intp)
+        with np.errstate(over="ignore"):
+            for coef, dst in zip(_LEAF_MAPS, (G, P)):
+                coef = coef.astype(self.cfg.udtype)
+                share = sum(coef[out, val, s] * mono[rows, s - 1] for s in range(1, SIGN_WORDS + 1))
+                dst[rows] = self.add_public(share, coef[out, val, 0])
         return G, P
 
     def _compose(self, G, P, plan):
@@ -527,16 +503,15 @@ class MpcEngine(BaseEngine):
     def msb(self, a, width):
         """Sign of a mod 2^width in log depth: one opening, then a tree.
 
-        Opens c = (a + r) mod 2^width for a dealer mask r whose bits come as
-        single bits and as 3-bit blocks with all their monomials. Every leaf's
-        borrow map is then a local affine combination of its monomials, and
-        the maps compose onto the top leaf, whose map gives the sign bit of
-        c - r.
+        Opens c = (a + r) mod 2^width for a dealer mask r whose bits come in
+        3-bit blocks with all their monomials. Every leaf's borrow map is then
+        a local affine combination of its monomials, and the maps compose onto
+        the top leaf, whose map gives the sign bit of c - r.
         """
-        layout = leaf_layout(width)
-        c, _, groups = self._open_leaves(a, width)
-        outputs = [BORROW] * (len(layout) - 1) + [LEAF_BIT + layout[-1][1] - 1]
-        G, P = self._maps(c, groups, outputs)
+        leaves = len(leaf_layout(width))
+        c, _, mono = self._open_leaves(a, width)
+        outputs = [BORROW] * (leaves - 1) + [LEAF_BIT + SIGN_BLOCK - 1]
+        G, P = self._maps(c, mono, outputs)
         return self._compose(G, P, msb_plan(width))[-1].reshape(np.shape(a))
 
     def lead(self, a, width):
@@ -548,14 +523,14 @@ class MpcEngine(BaseEngine):
         of those flags gives S_i, "a has a bit set in leaf i or above". The
         one-hot is S_i - S_(i+1), with S_0 taken as 1.
         """
-        shape, layout = np.shape(a), leaf_layout(width)
-        c, _, groups = self._open_leaves(a, width)
+        shape, leaves = np.shape(a), len(leaf_layout(width))
+        c, _, mono = self._open_leaves(a, width)
         n, plan = len(c), lead_plan(width)
         above = self.zeros((0, n))
-        if len(layout) > 1:
-            G, P = self._maps(c, groups, [BORROW] * (len(layout) - 1) + [None])
+        if leaves > 1:
+            G, P = self._maps(c, mono, [BORROW] * (leaves - 1) + [None])
             g = self._compose(G[:-1], P[:-1], plan)  # g[i]: borrow into leaf i + 1
-            NA, NB = self._maps(c, groups, [None] + [NONZERO] * (len(layout) - 1))
+            NA, NB = self._maps(c, mono, [None] + [NONZERO] * (leaves - 1))
             with np.errstate(over="ignore"):
                 nonzero = NA[1:] + self.mul(NB[1:], g)
             above = nonzero[::-1].copy()
@@ -568,7 +543,7 @@ class MpcEngine(BaseEngine):
         one = self.add_public(self.zeros((1, n)), np.uint64(1))
         ext = np.concatenate([one, above, self.zeros((1, n))])
         with np.errstate(over="ignore"):
-            return (ext[:-1] - ext[1:]).reshape((len(layout),) + shape)
+            return (ext[:-1] - ext[1:]).reshape((leaves,) + shape)
 
     def split(self, a, width):
         """a mod 2^(width-3), then bits width-3 and width-2 of a, stacked; in log depth.
@@ -576,15 +551,15 @@ class MpcEngine(BaseEngine):
         The leaves below the top one reduce to the borrow g into bit
         width - 3, which fixes the low part linearly; one batched product
         evaluates the top leaf's maps for its two low bits."""
-        shape, layout = np.shape(a), leaf_layout(width)
+        shape, leaves = np.shape(a), len(leaf_layout(width))
         plan = split_plan(width)
-        c, parts, groups = self._open_leaves(a, width)
+        c, parts, mono = self._open_leaves(a, width)
         n, low = len(c), width - SIGN_BLOCK
         g = self.zeros(n)
-        if len(layout) > 1:
-            G, P = self._maps(c, groups, [BORROW] * (len(layout) - 1) + [None])
+        if leaves > 1:
+            G, P = self._maps(c, mono, [BORROW] * (leaves - 1) + [None])
             g = self._compose(G[:-1], P[:-1], plan)[-1]
-        A, B = zip(*(self._maps(c, groups, [None] * (len(layout) - 1) + [LEAF_BIT + t])
+        A, B = zip(*(self._maps(c, mono, [None] * (leaves - 1) + [LEAF_BIT + t])
                      for t in (0, 1)))
         with np.errstate(over="ignore"):
             bits = np.stack([x[-1] for x in A]) + self.mul(np.stack([b[-1] for b in B]), g[None, :])

@@ -5,6 +5,10 @@ class VeiltrainError(Exception):
     """Base class for all package errors."""
 
 
+class InvalidArgument(VeiltrainError, ValueError):
+    """A parameter lies outside its domain."""
+
+
 class MagnitudeOverflow(VeiltrainError):
     """A real value does not fit the representable fixed-point range."""
 

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import MagnitudeOverflow
+from .errors import InvalidArgument, MagnitudeOverflow
 
 _DTYPES = {32: (np.uint32, np.int32), 64: (np.uint64, np.int64)}
 
@@ -32,9 +32,9 @@ class RingConfig:
 
     def __post_init__(self):
         if self.lam not in _DTYPES:
-            raise ValueError(f"ring width must be 32 or 64, got {self.lam}")
+            raise InvalidArgument(f"ring width must be 32 or 64, got {self.lam}")
         if 2 * self.frac_bits + 2 > self.lam:
-            raise ValueError(
+            raise InvalidArgument(
                 f"frac_bits={self.frac_bits} leaves no headroom in a {self.lam}-bit ring"
             )
 

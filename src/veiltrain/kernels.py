@@ -1,8 +1,8 @@
 """Secure fixed-point math kernels evaluated on shares.
 
-Division, square root, and logarithm first find the leaf (a group of one or
-three bits, see engine.leaf_layout) that holds the operand's top set bit
-with the engine's log-depth lead op, rescale by that leaf's power of two to
+Division, square root, and logarithm first find the leaf (a block of three
+bits, see engine.leaf_layout) that holds the operand's top set bit with the
+engine's log-depth lead op, rescale by that leaf's power of two to
 a coarse mantissa in [1/8, 1), then run fixed-count Goldschmidt iterations
 with one residual correction at 2l bits, or a power-basis polynomial. The
 square root's iteration tracks e = g h = 2 m h^2 (which tends to 1/2) in
@@ -45,6 +45,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .dealer import SIGN_BLOCK
 from .engine import leaf_layout
 from .fixedpoint import encode, to_signed
 
@@ -157,14 +158,6 @@ def _partners(rows, low, degree):
     return partners
 
 
-def _truncate_all(eng, values, shift):
-    """Truncate arrays of any shapes in one round."""
-    sizes = [np.size(v) for v in values]
-    flat = eng.trunc(np.concatenate([np.ravel(v) for v in values]), shift)
-    parts = np.split(flat, np.cumsum(sizes)[:-1])
-    return [p.reshape(np.shape(v)) for p, v in zip(parts, values)]
-
-
 def _powers(eng, x, shift, degree, ride=None):
     """v .. v^degree at l bits, stacked, from v at l + shift fractional bits.
 
@@ -191,8 +184,8 @@ def _powers(eng, x, shift, degree, ride=None):
             made.update(zip((2 * rows[i] for i in squares), prods[-1]))
         low.update(zip(rows, t))
         high = made
-    extra = [] if ride is None else [ride]
-    done = _truncate_all(eng, [high[k] for k in sorted(high)] + extra, l) if high or extra else []
+    left = [high[k] for k in sorted(high)] + ([] if ride is None else [ride])
+    done = eng.tmul(left, [l] * len(left)) if left else []
     low.update(zip(sorted(high), done))
     powers = eng.stack([low[k] for k in range(1, degree + 1)])
     return powers if ride is None else (powers, done[-1])
@@ -218,17 +211,26 @@ def _width(eng, magnitude_bits):
     return min(eng.cfg.lam, eng.frac_bits + mag + 2)
 
 
-def _normalize(eng, a, magnitude_bits):
-    """Normalization of a > 0 whose top bit lies below _width - 2.
+def _whole_leaves(width):
+    """width rounded up to whole leaves (engine.leaf_layout): the wider mask
+    hides an input of the narrower range as well. A _width of at most
+    lambda - l + 1 bits stays within the ring for l >= 3."""
+    return -(-width // SIGN_BLOCK) * SIGN_BLOCK
 
-    Returns the one-hot z over the leaves of that width, every leaf's top
-    T (so a = m 2^(T - l) with the mantissa m in [1/8, 1)), the mantissa
-    precision p = max(2l, width), and the factor sum_i z_i 2^(p - T_i):
-    a times it is m at p fractional bits, exactly."""
+
+def _normalize(eng, a, magnitude_bits):
+    """Normalization of a > 0 whose top bit lies below width = _width - 2.
+
+    Returns the one-hot z over the leaves of that width rounded up to
+    whole leaves, every leaf's top T, at most width (so a = m 2^(T - l)
+    with the mantissa m in [1/8, 1)), the mantissa precision p = max(2l,
+    width), and the factor sum_i z_i 2^(p - T_i): a times it is m at p
+    fractional bits, exactly."""
     width = _width(eng, magnitude_bits) - 2
     prec = max(2 * eng.frac_bits, width)
-    tops = [p + k for p, k in leaf_layout(width)]
-    z = eng.lead(a, width)
+    leaves = _whole_leaves(width)
+    tops = [min(p + SIGN_BLOCK, width) for p in leaf_layout(leaves)]
+    z = eng.lead(a, leaves)
     return z, tops, prec, _combine_int(eng, z, [1 << (prec - t) for t in tops])
 
 
@@ -261,7 +263,7 @@ def secure_div(eng, a, b, magnitude_bits=None):
     quotients up to 2^10. Out-of-domain inputs produce garbage obliviously."""
     l, wide = eng.frac_bits, eng.frac_bits + _MANTISSA_EXTRA
     with eng.phase("div"):
-        sgn = eng.msb(b, _width(eng, magnitude_bits))
+        sgn = eng.msb(b, _whole_leaves(_width(eng, magnitude_bits)))
         ba = eng.stack(np.broadcast_arrays(b, a))
         ba = eng.sub(ba, eng.mul_public_int(eng.mul(sgn, ba), 2))  # |b|, a sign(b)
         z, tops, prec, factor = _normalize(eng, ba[0], magnitude_bits)
@@ -370,12 +372,16 @@ def secure_sin_cos(eng, theta):
 def _sin_cos_turns(eng, turns, ride=None):
     """(sin, cos) of 2 pi turns, turns at l bits (any value works modulo 1),
     via the split of the angle into its quarter-period fraction and
-    quadrant. ride: values to truncate by l in the last round of the
-    powers; with ride the result is (sin, cos, ride truncated)."""
+    quadrant. The split takes whole leaves, so turns is first shifted left
+    by the bits l + 1 falls short of them. ride: values to truncate by l in
+    the last round of the powers; with ride the result is (sin, cos, ride
+    truncated)."""
     l = eng.frac_bits
+    shift = -(l + 1) % SIGN_BLOCK
     with eng.phase("sin_cos"):
-        f, q0, q1 = eng.split(turns, l + 1)  # turns mod 1/4, quadrant bits
-        x2l = eng.add_public(eng.mul_public_int(f, 8 << l), _unit(eng, 2 * l, -1))  # 8f - 1
+        # turns mod 1/4 at l + shift bits, and the quadrant bits; then 8f - 1
+        f, q0, q1 = eng.split(eng.mul_public_int(turns, 1 << shift), l + 1 + shift)
+        x2l = eng.add_public(eng.mul_public_int(f, 8 << (l - shift)), _unit(eng, 2 * l, -1))
         powers = _powers(eng, x2l, l, len(SIN_POWER) - 1, ride)
         if ride is not None:
             powers, ride = powers
@@ -453,7 +459,7 @@ def _clamp(eng, t, tt, magnitude_bits):
     mag = (eng.cfg.int_bits if magnitude_bits is None else magnitude_bits) - SIGMOID_CLAMP_BITS
     one = _enc(eng, 1.0)
     hi, lo = eng.msb(eng.stack([eng.add_public(eng.neg(t), one), eng.add_public(t, one)]),
-                     _width(eng, mag))  # t > 1, t < -1
+                     _whole_leaves(_width(eng, mag)))  # t > 1, t < -1
     mid = eng.sub(eng.sub(eng.add_public(eng.zeros(np.shape(t)), np.uint64(1)), hi), lo)
     t, tt = eng.mul(mid, eng.stack([t, tt]))
     base = eng.add(eng.mul_public_int(hi, int(one)), eng.mul_public_int(mid, int(_enc(eng, 0.5))))

@@ -8,6 +8,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import InvalidArgument
 from .kernels import _sin_cos_turns, joint_uniform, secure_ln, secure_rsqrt
 
 # uniforms live in (0, 1]; E = -2 ln(u) <= 2 * l * ln 2 < 2^6 at default precision
@@ -30,7 +31,7 @@ class DpParams:
     def __post_init__(self):
         for name in ("epsilon", "lambda_reg", "n", "d", "row_norm"):
             if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be positive")
+                raise InvalidArgument(f"{name} must be positive, got {getattr(self, name)}")
 
     @property
     def scale(self) -> float:

@@ -24,6 +24,14 @@ from .transport import (KIND_HELLO, KIND_MATERIAL, KIND_PROVISION, FrameIO,
                         connect, listen_one, payload_u64, u64_payload)
 
 
+def _require_keys(cfg: dict, role: str, *keys) -> None:
+    """ParseError naming the first of keys, deployment keys with no default
+    (README's config table), that cfg lacks."""
+    for key in keys:
+        if key not in cfg:
+            raise ParseError(f"the {role} needs config key {key!r}, which has no default")
+
+
 def encode_counts(counts: dict) -> bytes:
     lines = []
     for key in material_order(counts):
@@ -64,6 +72,7 @@ def _material_payload(key, arrays) -> bytes:
 def serve_dealer(cfg: dict) -> None:
     """Accept both parties, verify matching provisioning requests, generate
     the session's material from the protocol seed, and ship the halves."""
+    _require_keys(cfg, "dealer", "dealer_host", "dealer_port")
     ring = ring_from_config(cfg)
     session = cfg["session_id"]
     source = MaterialSource(cfg["seed"], ring)
@@ -148,11 +157,13 @@ def run_party(cfg: dict, party: int) -> None:
 
     ring = ring_from_config(cfg)
     session = cfg["session_id"]
-    prefix = cfg["shares_prefix"]
-    file_session, meta, X, t = read_share_file(f"{prefix}.party{party}.shares")
+    _require_keys(cfg, "party", "shares_prefix")
+    file_session, meta, X, t = read_share_file(f"{cfg['shares_prefix']}.party{party}.shares")
     if file_session != session:
         raise ConfigMismatch("session", session, file_session)
     check_ring_meta(meta, ring)
+    _require_keys(cfg, "party", "dealer_host", "dealer_port", "party0_host", "party0_port",
+                 "out_dir")
     n, m = X.shape
     tc = training_config(cfg)
     draws = cfg["noise_draws"]
@@ -169,7 +180,7 @@ def run_party(cfg: dict, party: int) -> None:
     finally:
         chan.close()
 
-    out_dir = cfg.get("out_dir", ".")
+    out_dir = cfg["out_dir"]
     os.makedirs(out_dir, exist_ok=True)
     write_weights_file(os.path.join(out_dir, f"weights.party{party}.bin"),
                        session, party, out["w_share"], ring)

@@ -4,13 +4,14 @@ weight-share files (text header plus little-endian ring elements)."""
 from __future__ import annotations
 
 import io
+import math
 import struct
 
 import numpy as np
 
 from .errors import ConfigMismatch, ParseError
 from .fixedpoint import RingConfig
-from .training import TrainingConfig
+from .training import TrainingConfig, row_norm_domain
 from .transport import (KIND_DATA, KIND_HELLO, KIND_LABELS, pack_frame,
                         payload_u64, u64_payload, unpack_frame)
 
@@ -76,7 +77,17 @@ def format_config(cfg: dict) -> str:
 
 
 def ring_from_config(cfg: dict) -> RingConfig:
-    return RingConfig(cfg["lambda"], cfg["frac_bits"])
+    """The config's ring; ParseError names frac_bits where no session can
+    run: the row-norm domain (training.row_norm_domain) is empty, or ln u,
+    u down to one ulp, leaves the signed ring at 2l fractional bits."""
+    ring = RingConfig(cfg["lambda"], cfg["frac_bits"])
+    l, (floor, cap) = ring.frac_bits, row_norm_domain(ring)
+    if floor > cap:
+        raise ParseError(f"frac_bits = {l} is too coarse: the row-norm floor {floor:g} "
+                         f"lies above its cap {cap:g}")
+    if not l * math.log(2) < 2.0 ** (ring.lam - 1 - 2 * l):
+        raise ParseError(f"frac_bits = {l} is too fine: ln(2^-{l}) leaves the ring at {2 * l} bits")
+    return ring
 
 
 def public_section(cfg: dict) -> dict:

@@ -43,7 +43,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import VeiltrainError
+from .errors import InvalidArgument, VeiltrainError
 from .fixedpoint import RingConfig, decode, encode
 from .kernels import KERNEL_TOLERANCES, secure_rsqrt, secure_sigmoid
 
@@ -67,7 +67,7 @@ class TrainingConfig:
 
     def __post_init__(self):
         if not self.lambda_reg > 0:
-            raise ValueError("lambda_reg must be positive")
+            raise InvalidArgument(f"lambda_reg must be positive, got {self.lambda_reg}")
 
     def public(self) -> dict:
         return {"lambda_reg": self.lambda_reg, "add_bias": int(self.add_bias)}

@@ -146,7 +146,7 @@ def test_kernel_bench_runs(capsys):
     assert row[4] == "8"  # the kernel's 7 rounds and the opening of its result
     row = next(line.split() for line in out.splitlines() if line.startswith("bm_radius"))
     assert float(row[1]) <= float(row[3])  # E rsqrt(E) against sqrt(E), within its bound
-    assert row[4] == "26"  # rsqrt's 23 rounds, the product, its truncation, the opening
+    assert row[4] == "24"  # rsqrt's 21 rounds, the product, its truncation, the opening
     row = next(line.split() for line in out.splitlines() if line.startswith("sigmoid_b1.25"))
     assert float(row[1]) <= float(row[3]) == 2e-5  # max error, within its bound
     assert row[4] == "5"  # the kernel's 3 rounds, its truncation and the opening
@@ -159,6 +159,46 @@ def test_synth_with_one_feature_is_an_error_line(tmp_path, capsys):
     assert not data.exists()
     run_cli("synth", "--n", "20", "--m", "3", "--out", str(data))
     assert load_csv(data)[0].shape == (20, 3)
+
+
+def test_synth_with_a_separability_outside_0_1_is_an_error_line(tmp_path, capsys):
+    data = tmp_path / "data.csv"
+    assert main(["synth", "--separability", "2", "--out", str(data)]) == 2
+    assert capsys.readouterr().err.startswith("error: separability")
+    assert not data.exists()
+
+
+def test_baseline_with_a_nonpositive_lambda_is_an_error_line(tmp_path, capsys):
+    data = tmp_path / "data.csv"
+    run_cli("synth", "--n", "20", "--m", "4", "--out", str(data))
+    capsys.readouterr()
+    assert main(["baseline", "--csv", str(data), "--lambda-reg", "0",
+                 "--out", str(tmp_path / "base.csv")]) == 2
+    assert capsys.readouterr().err.startswith("error: lambda_reg")
+
+
+@pytest.mark.parametrize("role, missing", [("party0", "shares_prefix"),
+                                           ("dealer", "dealer_port")])
+def test_a_role_names_the_deployment_key_it_lacks(tmp_path, capsys, role, missing):
+    cfg = tmp_path / "role.cfg"
+    cfg.write_text("dealer_host = 127.0.0.1\nconnect_deadline = 1\n")
+    assert main(["party", "--config", str(cfg), "--role", role]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and repr(missing) in err
+
+
+@pytest.mark.parametrize("frac_bits", [11, 30])
+def test_a_ring_no_session_can_run_on_is_an_error_line(tmp_path, capsys, frac_bits):
+    # at 11 the row normalization keeps no squared norm accurate, at 30 the
+    # noise's logs leave the ring
+    data = tmp_path / "data.csv"
+    run_cli("synth", "--n", "20", "--m", "4", "--out", str(data))
+    cfg = tmp_path / "ring.cfg"
+    cfg.write_text(f"frac_bits = {frac_bits}\n")
+    capsys.readouterr()
+    assert main(["ingest", "--config", str(cfg), "--owner-csv", str(data),
+                 "--out", str(tmp_path / "s")]) == 2
+    assert capsys.readouterr().err.startswith(f"error: frac_bits = {frac_bits} ")
 
 
 def test_experiment_cli_thread(tmp_path):

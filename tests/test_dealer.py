@@ -21,9 +21,11 @@ def test_triple_invariant():
 
 
 def test_bits_binary_and_balanced():
-    (bits,) = _summed(("bit",), 10_000, 2)
+    # the block words that hold single bits: 0, 1 and 3 of every 7
+    (words,) = _summed(("bit",), 7 * 10_000, 2)
+    bits = words.reshape(10_000, 7)[:, [0, 1, 3]]
     assert set(np.unique(bits)) <= {0, 1}
-    assert abs(bits.mean() - 0.5) <= 0.02
+    assert np.all(np.abs(bits.mean(axis=0) - 0.5) <= 0.02)
 
 
 def test_trunc_pair_invariant():
@@ -85,18 +87,19 @@ def test_local_bit_streams_differ_by_party():
 
 def test_bit_blocks_hold_monomials():
     src = MaterialSource(10, RING)
-    b0, b1 = src.bit_shares(0, 7 * 1000, block=3)
+    b0, b1 = src.bit_shares(0, 7 * 1000)
     words = (b0 + b1).reshape(1000, 7)
     x, y, z = words[:, 0], words[:, 1], words[:, 3]
     assert set(np.unique(words[:, [0, 1, 3]])) == {0, 1}
     assert np.array_equal(words, np.stack([x, y, x * y, z, x * z, y * z, x * y * z], axis=1))
     # windows that cut blocks regenerate the same words
-    a, b = src.bit_shares(0, 10, block=3), src.bit_shares(10, 7 * 1000 - 10, block=3)
+    a, b = src.bit_shares(0, 10), src.bit_shares(10, 7 * 1000 - 10)
     assert np.array_equal(b0, np.concatenate([a[0], b[0]]))
     assert np.array_equal(b1, np.concatenate([a[1], b[1]]))
 
 
-@pytest.mark.parametrize("key", [("triple",), ("trunc", 20), ("trunc", 23), ("bit",), ("bit", 3)])
+@pytest.mark.parametrize("key", [("triple",), ("trunc", 20), ("trunc", 23), ("bit",),
+                                 ("trunc", 63)])
 def test_party_half_equals_its_part_of_halves(key):
     src = MaterialSource(12, RING)
     rng = np.random.default_rng(13)
@@ -113,7 +116,7 @@ def test_wire_material_matches_cursor():
     from veiltrain.partyproc import WireMaterial, _material_payload
 
     src = MaterialSource(11, RING)
-    counts = {("triple",): 5, ("trunc", 20): 4, ("bit",): 3, ("bit", 3): 14}
+    counts = {("triple",): 5, ("trunc", 20): 4, ("bit",): 14}
     for party in (0, 1):
         cursor = MaterialCursor(src, party, counts)
         wire = WireMaterial(src, party, counts)
@@ -122,10 +125,10 @@ def test_wire_material_matches_cursor():
         for a, b in ((cursor.take_triples(5), wire.take_triples(5)),
                      (cursor.take_trunc(20, 4), wire.take_trunc(20, 4)),
                      ((cursor.take_bits(3),), (wire.take_bits(3),)),
-                     ((cursor.take_bits(14, block=3),), (wire.take_bits(14, block=3),))):
+                     ((cursor.take_bits(11),), (wire.take_bits(11),))):
             assert all(np.array_equal(x, y) for x, y in zip(a, b))
     with pytest.raises(ParseError):
-        wire.load(("bit", 3), _material_payload(("bit",), src.halves(("bit",), 0, 14)[1]))
+        wire.load(("trunc", 20), _material_payload(("bit",), src.halves(("bit",), 0, 4)[1]))
 
 
 def test_every_key_of_a_session_crosses_the_wire():
@@ -156,7 +159,7 @@ def test_numpy_integer_shift_provisions_like_its_python_twin():
     from veiltrain.partyproc import encode_counts, provision_from_dealer, serve_dealer
     from veiltrain.shareio import DEFAULTS
 
-    twin = {("triple",): 3, ("trunc", 5): 2, ("trunc", 29): 2, ("bit",): 4, ("bit", 3): 7}
+    twin = {("triple",): 3, ("trunc", 5): 2, ("trunc", 29): 2, ("bit",): 7}
     # one shift a NumPy integer, as a dry run's computed scale shift can be
     counts = {("trunc", np.int64(29)) if key == ("trunc", 29) else key: n
               for key, n in twin.items()}
@@ -198,7 +201,17 @@ def test_provisioning_request_rejects_unknown_keys(line):
     from veiltrain.errors import ParseError
     from veiltrain.partyproc import decode_counts, encode_counts
 
-    counts = {("triple",): 5, ("trunc", 20): 4, ("trunc", 63): 1, ("bit",): 3, ("bit", 3): 14}
+    counts = {("triple",): 5, ("trunc", 20): 4, ("trunc", 63): 1, ("bit",): 14}
     assert decode_counts(encode_counts(counts), RING) == counts
     with pytest.raises(ParseError):
         decode_counts(encode_counts(counts) + b"\n" + line, RING)
+
+
+def test_provisioning_request_rejects_the_removed_block_key():
+    # every bit word is a 3-bit block's monomial under the one key ("bit",)
+    from veiltrain.errors import ParseError
+    from veiltrain.partyproc import decode_counts
+
+    assert decode_counts(b"bit:=21", RING) == {("bit",): 21}
+    with pytest.raises(ParseError):
+        decode_counts(b"bit:3=21", RING)

@@ -39,6 +39,39 @@ def test_mpc_equals_mirror_without_noise():
     assert np.array_equal(decode(res["w_raw"]), mirror)
 
 
+@pytest.mark.parametrize("frac_bits", [12, 22])
+def test_a_session_matches_its_mirror_on_a_coarse_and_a_fine_ring(frac_bits):
+    # 12 is the coarsest ring ring_from_config accepts at lambda 64; 22 the
+    # finest on which secure_rsqrt's correction operand, (1 - m y^2) at
+    # 3l + 3 fractional bits, stays inside the truncation masks' range on
+    # every mantissa. Training and the noise match the mirror bit for bit
+    from veiltrain.dealer import MaterialSource
+    from veiltrain.engine import PlainEngine
+    from veiltrain.fixedpoint import decode, encode
+    from veiltrain.training import row_norm_domain
+
+    cfg = tiny_cfg(frac_bits=frac_bits)
+    ring = ring_from_config(cfg)
+    X, t = synth_data(20, 4, seed=6, separability=1.0)
+    X = X / 2  # squared row norms 0 to 1
+    floor, cap = row_norm_domain(ring)
+    assert all(s == 0 or floor <= s <= cap for s in (X ** 2).sum(axis=1))
+    tc, dp = training_config(cfg), dp_params(cfg, 20, 4)
+
+    def fn(eng):
+        out = party_pipeline(eng, eng.from_public(encode(X, ring)),
+                             eng.from_public(encode(t, ring)), tc, dp, 3)
+        return eng.open(out["w_share"]), out["noisy"]
+
+    (r0, r1), _ = run_two_party(fn, session_seed=7, cfg=ring)
+    mirror = fn(PlainEngine(MaterialSource(7, ring), ring))
+    for got in (r0, r1):
+        assert all(np.array_equal(a, b) for a, b in zip(got, mirror))
+    w, noisy = decode(mirror[0], ring), decode(mirror[1], ring)
+    # the noise's norm is Gamma(4, 2/(20 epsilon lambda)): mean 0.4
+    assert np.all(np.linalg.norm(noisy - w, axis=1) < 4.0) and np.any(w != 0)
+
+
 def test_partition_modes_identical_coefficients():
     X, t = synth_data(64, 8, seed=2, separability=1.0)
     cfg = tiny_cfg()
@@ -132,10 +165,10 @@ def test_report_contains_traffic():
     res = run_mpc_threaded([(X, t)], "horizontal", cfg, seed=13, draws=2)
     assert res["bytes"] > 0
     assert res["report"]["phase.forward.rounds"] > 0
-    # all 58 of the noise's rounds (odd d) ride in training's, where the
+    # all 56 of the noise's rounds (odd d) ride in training's, where the
     # report counts them as overlap rows
     overlap = {k: v for k, v in res["report"].items() if k.startswith("overlap.perturb")}
-    assert overlap["overlap.perturb.rounds"] > 0 and sum(overlap.values()) == 58
+    assert overlap["overlap.perturb.rounds"] > 0 and sum(overlap.values()) == 56
 
 
 class _RecordingLauncher:

@@ -1,11 +1,15 @@
 """Leading-leaf normalization (engine op lead) and the quarter split (engine
 op split): exact against the true bits and the clear-text mirror, oblivious,
-exactly provisioned by the dry run, and at their pinned per-element cost."""
+exactly provisioned by the dry run, and at their pinned per-element cost.
+
+Both ops take whole 3-bit leaves. Values of fewer bits go to lead at the
+width rounded up, and to split shifted up into it, as the kernels give
+them (kernels._normalize, kernels._sin_cos_turns)."""
 
 import numpy as np
 import pytest
 
-from veiltrain.dealer import _SPLIT_WORDS, MaterialSource, bit_key
+from veiltrain.dealer import _SPLIT_WORDS, MaterialSource
 from veiltrain.engine import PlainEngine, estimate_counts, leaf_layout
 from veiltrain.errors import Exhausted
 from veiltrain.fixedpoint import RingConfig
@@ -16,12 +20,16 @@ RING = RingConfig()
 FRAME_BYTES = 13  # length, kind, session and round fields of one round's frame
 
 
+def _whole(bits):
+    return -(-bits // 3) * 3
+
+
 def _inputs(width, seed):
-    """0, every leaf boundary 2^p and the value 2^p - 1 below it, the top
-    value, and random values of every magnitude."""
+    """Values below 2^width: 0, every leaf boundary 2^p and the value 2^p - 1
+    below it, the top value, and random values of every magnitude."""
     rng = np.random.default_rng(seed)
     edge = [0, 1, (1 << width) - 1]
-    for p, _ in leaf_layout(width)[1:]:
+    for p in leaf_layout(_whole(width))[1:]:
         edge += [1 << p, (1 << p) - 1, (1 << p) + 1]
     tops = rng.integers(0, width, 64).astype(np.uint64)
     spread = (np.uint64(1) << tops) | (rng.integers(0, 1 << 62, 64, dtype=np.uint64)
@@ -31,21 +39,24 @@ def _inputs(width, seed):
 
 def _want_lead(values, width):
     top = np.array([int(v).bit_length() - 1 for v in values])
-    rows = [(p <= top) & (top < p + k) for p, k in leaf_layout(width)]
+    rows = [(p <= top) & (top < p + 3) for p in leaf_layout(_whole(width))]
     rows[0] |= top < 0  # a = 0 marks the lowest leaf
     return np.array(rows, dtype=np.uint64)
 
 
 def _lead_fn(values, width):
     def fn(eng):
-        return eng.open(eng.lead(eng.from_public(values), width))
+        return eng.open(eng.lead(eng.from_public(values), _whole(width)))
 
     return fn
 
 
 def _split_fn(values, width):
+    shift = _whole(width) - width
+
     def fn(eng):
-        return eng.open(eng.split(eng.from_public(values), width))
+        return eng.open(eng.split(eng.mul_public_int(eng.from_public(values), 1 << shift),
+                                  width + shift))
 
     return fn
 
@@ -71,8 +82,8 @@ def test_split_exact_and_oblivious(width):
     fn = _split_fn(values, width)
     (r0, r1), engines = run_both(fn, seed=width)
     mirror = fn(PlainEngine(MaterialSource(width, RING), RING))
-    low = np.uint64(width - 3)
-    assert np.array_equal(mirror[0], values & ((np.uint64(1) << low) - np.uint64(1)))
+    low, shift = np.uint64(width - 3), np.uint64(_whole(width) - width)
+    assert np.array_equal(mirror[0], (values & ((np.uint64(1) << low) - np.uint64(1))) << shift)
     assert np.array_equal(mirror[1:], np.stack([values >> low, values >> (low + np.uint64(1))])
                           & np.uint64(1))
     assert np.array_equal(r0, mirror) and np.array_equal(r1, mirror)
@@ -86,6 +97,20 @@ def test_split_exact_and_oblivious(width):
 def test_split_rejects_a_narrow_width():
     with pytest.raises(ValueError):
         PlainEngine(MaterialSource(1, RING), RING).split(np.zeros(2, dtype=np.uint64), 2)
+
+
+@pytest.mark.parametrize("width", [0, 2, 4, 26, 64])
+def test_leaf_ops_refuse_a_width_of_partial_leaves(width):
+    with pytest.raises(ValueError):
+        leaf_layout(width)
+    for op in ("msb", "lead", "split"):
+        def fn(eng, op=op):
+            return getattr(eng, op)(eng.from_public(np.ones(4, dtype=np.uint64)), width)
+
+        with pytest.raises(ValueError):
+            fn(PlainEngine(MaterialSource(1, RING), RING))
+        with pytest.raises(ValueError):
+            run_both(fn, seed=1, counts={})
 
 
 @pytest.mark.parametrize("make", [_lead_fn, _split_fn])
@@ -103,10 +128,10 @@ def test_consumes_the_dry_run_exactly(make):
 
 
 @pytest.mark.parametrize("op, width, rounds, material, wire", [
-    ("lead", 21, 8, {bit_key(3): 49, ("triple",): 22}, 45),
-    ("lead", 26, 10, {bit_key(): 2, bit_key(3): 56, ("triple",): 40}, 81),
-    ("lead", 43, 10, {bit_key(): 1, bit_key(3): 98, ("triple",): 76}, 153),
-    ("split", 21, 5, {bit_key(3): 49, ("triple",): 9}, 19),
+    ("lead", 21, 8, {("bit",): 49, ("triple",): 22}, 45),
+    ("lead", 27, 8, {("bit",): 63, ("triple",): 37}, 75),
+    ("lead", 45, 10, {("bit",): 105, ("triple",): 76}, 153),
+    ("split", 21, 5, {("bit",): 49, ("triple",): 9}, 19),
 ])
 def test_cost_per_element(op, width, rounds, material, wire):
     n = 10
@@ -121,5 +146,5 @@ def test_cost_per_element(op, width, rounds, material, wire):
     assert tr.n_rounds == rounds
     assert tr.bytes_sent - FRAME_BYTES * rounds == 8 * wire * n
     words = sum(_SPLIT_WORDS[k[0]] * v for k, v in material.items())
-    assert words == {("lead", 21): 115, ("lead", 26): 178, ("lead", 43): 327,
+    assert words == {("lead", 21): 115, ("lead", 27): 174, ("lead", 45): 333,
                      ("split", 21): 76}[op, width]
