@@ -39,12 +39,12 @@ def _window(session_seed: int, tags, start_words: int, n_words: int) -> np.ndarr
 SIGN_BLOCK = 3  # mask bits per monomial block of the msb, lead and split ops' material
 
 
-def check_key(key, cfg: RingConfig) -> None:
+def check_key(key) -> None:
     """Raise ParseError unless key names material the dealer generates:
-    ("triple",), ("trunc", s) with 0 < s < lambda, or ("bit",)."""
+    ("triple",), ("trunc", s) with 0 < s < 64, or ("bit",)."""
     if key in (("triple",), ("bit",)):
         return
-    if len(key) == 2 and key[0] == "trunc" and 0 < key[1] < cfg.lam:
+    if len(key) == 2 and key[0] == "trunc" and 0 < key[1] < RingConfig.lam:
         return
     raise ParseError(f"unknown material key {key!r}")
 
@@ -67,33 +67,26 @@ class MaterialSource:
         per = (_PLAIN_WORDS if which == _PLAIN else _SPLIT_WORDS)[kind]
         return _window(self.seed, tags, per * start, per * n).reshape(n, per)
 
-    def _to_ring(self, words):
-        return words.astype(self.cfg.udtype)
-
     def triples(self, start: int, n: int):
         """Returns (u0, v0, w0, u1, v1, w1) for items [start, start+n)."""
-        cfg = self.cfg
-        plain = self._to_ring(self._words("triple", None, _PLAIN, start, n))
+        plain = self._words("triple", None, _PLAIN, start, n)
         u, v = plain[:, 0], plain[:, 1]
         w = u * v
-        sp = self._to_ring(self._words("triple", None, _SPLIT, start, n))
+        sp = self._words("triple", None, _SPLIT, start, n)
         u0, v0, w0 = sp[:, 0], sp[:, 1], sp[:, 2]
         return u0, v0, w0, u - u0, v - v0, w - w0
 
     def trunc_plain(self, shift: int, start: int, n: int):
         """The signed masks r for truncation pairs (what the mirror consumes)."""
-        cfg = self.cfg
         words = self._words("trunc", shift, _PLAIN, start, n)[:, 0]
-        # r uniform on [-2^(lam-2), 2^(lam-2)) so masked opens never wrap
-        r = (words % np.uint64(1 << (cfg.lam - 1))).astype(cfg.udtype)
-        return from_signed(to_signed(r, cfg) - (1 << (cfg.lam - 2)), cfg)
+        # r uniform on [-2^62, 2^62) so masked opens never wrap
+        return from_signed(to_signed(words % np.uint64(1 << 63)) - (1 << 62))
 
     def trunc_pairs(self, shift: int, start: int, n: int):
         """Returns (r0, rs0, r1, rs1) with rs = r arithmetically shifted."""
-        cfg = self.cfg
         r = self.trunc_plain(shift, start, n)
-        rs = truncate(r, shift, cfg)
-        sp = self._to_ring(self._words("trunc", shift, _SPLIT, start, n))
+        rs = truncate(r, shift)
+        sp = self._words("trunc", shift, _SPLIT, start, n)
         r0, rs0 = sp[:, 0], sp[:, 1]
         return r0, rs0, r - r0, rs - rs0
 
@@ -113,8 +106,8 @@ class MaterialSource:
             mono[:, lo] = (words >> np.uint64(i)) & np.uint64(1)
             mono[:, lo + 1:2 * lo + 1] = mono[:, :lo] * mono[:, lo:lo + 1]
         at = start - first * per
-        b = self._to_ring(mono.ravel()[at:at + n])
-        b0 = self._to_ring(self._words("bit", None, _SPLIT, start, n))[:, 0]
+        b = mono.ravel()[at:at + n]
+        b0 = self._words("bit", None, _SPLIT, start, n)[:, 0]
         return b0, b - b0
 
     def halves(self, key: tuple, start: int, n: int):
@@ -138,14 +131,12 @@ class MaterialSource:
         stream alone, so it skips generating the plain values."""
         if party == 1:
             return self.halves(key, start, n)[1]
-        split = self._to_ring(self._words(key[0], key[1] if len(key) > 1 else None,
-                                          _SPLIT, start, n))
+        split = self._words(key[0], key[1] if len(key) > 1 else None, _SPLIT, start, n)
         return tuple(split.T.copy())
 
     def party_bit_stream(self, party: int, start: int, n: int):
         """Party-local uniform bits used for jointly sampled randomness."""
-        words = _window(self.seed, [_GR_TAG, party], start, n)
-        return (words & np.uint64(1)).astype(self.cfg.udtype)
+        return _window(self.seed, [_GR_TAG, party], start, n) & np.uint64(1)
 
 
 class Counts(dict):

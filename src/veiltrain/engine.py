@@ -101,9 +101,9 @@ def _leaf_maps():
     A leaf covers k consecutive bits of x = c - r mod 2^width, where c is
     public and r the secret mask. Given borrow-in g, the maps give the
     leaf's borrow out (BORROW), whether its k bits of x are nonzero
-    (NONZERO) and each of those bits (LEAF_BIT + t). Returns int64 (G, P),
-    each indexed [output, value of c's k bits, monomial]: the coefficient
-    of the monomial over the mask-bit subset S sits at index S.
+    (NONZERO) and each of those bits (LEAF_BIT + t). Returns (G, P) as ring
+    elements, each indexed [output, value of c's k bits, monomial]: the
+    coefficient of the monomial over the mask-bit subset S sits at index S.
     """
     k = SIGN_BLOCK
     cb = np.arange(1 << k)[:, None] >> np.arange(k) & 1
@@ -122,15 +122,14 @@ def _leaf_maps():
         for s in range(1 << k):
             if s >> t & 1:
                 table[..., s] -= table[..., s ^ (1 << t)]
-    return table[0], table[1] - table[0]
+    return table[0].view(np.uint64), (table[1] - table[0]).view(np.uint64)
 
 
 _LEAF_MAPS = _leaf_maps()
 
 
-def _low_mask(width: int, cfg: RingConfig):
-    ones = (1 << width) - 1 if width < cfg.lam else -1
-    return np.asarray(ones).astype(np.int64).astype(cfg.udtype)
+def _low_mask(width: int):
+    return np.uint64((1 << int(width)) - 1)
 
 
 class Results(tuple):
@@ -180,11 +179,11 @@ class BaseEngine:
             return np.asarray(np.uint64(0) - a)
 
     def sum(self, a, axis):
-        return np.sum(a, axis=axis, dtype=self.cfg.udtype)
+        return np.sum(a, axis=axis, dtype=np.uint64)
 
     def mul_public_int(self, a, k):
         """Multiply by public ring constants (exact, no communication)."""
-        k = np.asarray(k).astype(np.int64).view(np.uint64).astype(self.cfg.udtype)
+        k = np.asarray(k).astype(np.int64).view(np.uint64)
         with np.errstate(over="ignore"):
             return np.asarray(a * k)
 
@@ -192,7 +191,7 @@ class BaseEngine:
         return np.stack(values)
 
     def zeros(self, shape):
-        return np.zeros(shape, dtype=self.cfg.udtype)
+        return np.zeros(shape, dtype=np.uint64)
 
     def phase(self, name):
         return contextlib.nullcontext()
@@ -238,21 +237,20 @@ class PlainEngine(BaseEngine):
         return Results(out)
 
     def from_public(self, raw):
-        return np.asarray(raw, dtype=self.cfg.udtype)
+        return np.asarray(raw, dtype=np.uint64)
 
     def add_public(self, a, raw):
         with np.errstate(over="ignore"):
-            return np.asarray(a + np.asarray(raw, dtype=self.cfg.udtype))
+            return np.asarray(a + np.asarray(raw, dtype=np.uint64))
 
     def open(self, a):
-        return np.asarray(a, dtype=self.cfg.udtype)
+        return np.asarray(a, dtype=np.uint64)
 
     def mul(self, a, b, shift=None):
         shape = np.broadcast_shapes(np.shape(a), np.shape(b))
         self._advance(("triple",), int(np.prod(shape, dtype=np.int64)))
         with np.errstate(over="ignore"):
-            p = (np.asarray(a, dtype=self.cfg.udtype)
-                 * np.asarray(b, dtype=self.cfg.udtype))
+            p = np.asarray(a, dtype=np.uint64) * np.asarray(b, dtype=np.uint64)
         p = np.ascontiguousarray(np.broadcast_to(p, shape)).reshape(shape)
         if shift:
             p = self.trunc(p, shift)
@@ -260,17 +258,17 @@ class PlainEngine(BaseEngine):
 
     def trunc(self, a, shift):
         shape = np.shape(a)
-        a = np.ascontiguousarray(a, dtype=self.cfg.udtype).reshape(shape)
+        a = np.ascontiguousarray(a, dtype=np.uint64).reshape(shape)
         n = int(np.prod(shape, dtype=np.int64))
         at = self._advance(("trunc", shift), n)
         r = self.source.trunc_plain(shift, at, n).reshape(shape)
-        s = to_signed(a, self.cfg)
+        s = to_signed(a)
         low = np.uint64(1) << np.uint64(shift)
         lo_x = a & (low - np.uint64(1))
         lo_r = r & (low - np.uint64(1))
         with np.errstate(over="ignore"):
-            carry = ((lo_x + lo_r) >= low).astype(self.cfg.sdtype)
-            out = from_signed((s >> self.cfg.sdtype(shift)) + carry, self.cfg)
+            carry = ((lo_x + lo_r) >= low).astype(np.int64)
+            out = from_signed((s >> np.int64(shift)) + carry)
         return np.asarray(out)
 
     def tmul(self, x, shift, y=None, square=False, rows=None):
@@ -291,12 +289,12 @@ class PlainEngine(BaseEngine):
         n = int(np.prod(np.shape(a), dtype=np.int64))
         self._advance(("bit",), SIGN_WORDS * len(leaf_layout(width)) * n)
         self._advance(("triple",), products * n)
-        return np.asarray(a, dtype=self.cfg.udtype) & _low_mask(width, self.cfg)
+        return np.asarray(a, dtype=np.uint64) & _low_mask(width)
 
     def msb(self, a, width):
         """Two's-complement sign of a mod 2^width, as 0 or 1."""
         x = self._count_leaf_op(a, width, _plan_products(msb_plan(width)))
-        return (x >> np.uint64(width - 1)).astype(self.cfg.udtype)
+        return x >> np.uint64(width - 1)
 
     def lead(self, a, width):
         """One-hot over leaf_layout(width) of the leaf holding the top set
@@ -309,15 +307,14 @@ class PlainEngine(BaseEngine):
         tops = np.array(leaves, dtype=np.uint64) + np.uint64(SIGN_BLOCK)
         above = (x[None, ...] >> tops.reshape((-1,) + (1,) * x.ndim)) != 0
         first = np.ones((1,) + x.shape, dtype=bool)
-        return (np.concatenate([first, above[:-1]]) & ~above).astype(self.cfg.udtype)
+        return (np.concatenate([first, above[:-1]]) & ~above).astype(np.uint64)
 
     def split(self, a, width):
         """a mod 2^(width-3), then bits width-3 and width-2 of a, stacked."""
         x = self._count_leaf_op(a, width, _plan_products(split_plan(width)) + 2)
         low = np.uint64(width - SIGN_BLOCK)
         one = np.uint64(1)
-        return np.stack([x & ((one << low) - one), (x >> low) & one,
-                         (x >> (low + one)) & one]).astype(self.cfg.udtype)
+        return np.stack([x & ((one << low) - one), (x >> low) & one, (x >> (low + one)) & one])
 
     def joint_uniform(self, shape):
         """Uniform fixed-point values on (0, 1]: l jointly-XORed bits plus one ulp."""
@@ -330,7 +327,7 @@ class PlainEngine(BaseEngine):
         bits = (b0 ^ b1).reshape(n, l)  # sample-major, bit-minor
         weights = (np.uint64(1) << np.arange(l, dtype=np.uint64))
         u = (bits * weights).sum(axis=1, dtype=np.uint64) + np.uint64(1)
-        return u.reshape(shape).astype(self.cfg.udtype)
+        return u.reshape(shape)
 
 
 class MpcEngine(BaseEngine):
@@ -346,13 +343,13 @@ class MpcEngine(BaseEngine):
         return self.rt.phase(name)
 
     def from_public(self, raw):
-        raw = np.asarray(raw, dtype=self.cfg.udtype)
+        raw = np.asarray(raw, dtype=np.uint64)
         return raw.copy() if self.party == 0 else np.zeros_like(raw)
 
     def add_public(self, a, raw):
         with np.errstate(over="ignore"):
             if self.party == 0:
-                return np.asarray(a + np.asarray(raw, dtype=self.cfg.udtype))
+                return np.asarray(a + np.asarray(raw, dtype=np.uint64))
             return np.asarray(a + np.uint64(0))
 
     def open(self, a):
@@ -368,7 +365,7 @@ class MpcEngine(BaseEngine):
         with np.errstate(over="ignore"):
             # d = a - u and e = b - v, opened in one round; the buffers are
             # reused in place, as the products can be large
-            packed = np.empty(2 * n, dtype=self.cfg.udtype)
+            packed = np.empty(2 * n, dtype=np.uint64)
             d, e = packed[:n].reshape(shape), packed[n:].reshape(shape)
             np.subtract(np.broadcast_to(a, shape), u, out=d)
             np.subtract(np.broadcast_to(b, shape), v, out=e)
@@ -408,7 +405,7 @@ class MpcEngine(BaseEngine):
         """
         terms, sends, jobs = [], [], []  # terms: (shape, shift, rs) per summand
         for a, s in _summands(x, shift):
-            a = np.asarray(a, dtype=self.cfg.udtype)
+            a = np.asarray(a, dtype=np.uint64)
             r, rs = (m.reshape(a.shape) for m in self.material.take_trunc(s, a.size))
             sends.append(self.add(a, r))
             terms.append((a.shape, s, rs))
@@ -429,7 +426,7 @@ class MpcEngine(BaseEngine):
                 jobs.append((idx, True, a, b, c))
             opened = self.open(np.concatenate([np.ravel(v) for v in sends]))
             parts = np.split(opened, np.cumsum([np.size(v) for v in sends])[:-1])
-            ps = [truncate(m.reshape(shape), s, self.cfg)
+            ps = [truncate(m.reshape(shape), s)
                   for m, (shape, s, _) in zip(parts, terms)]
             out = [p_i - rs_i if self.party == 0 else self.neg(rs_i)
                    for p_i, (_, _, rs_i) in zip(ps, terms)]
@@ -464,8 +461,8 @@ class MpcEngine(BaseEngine):
         with np.errstate(over="ignore"):
             for t in range(SIGN_BLOCK):
                 parts += mono[:, (1 << t) - 1] << (pos + np.uint64(t))[:, None]
-        mask = _low_mask(width, self.cfg)
-        flat = np.ravel(np.asarray(a, dtype=self.cfg.udtype))
+        mask = _low_mask(width)
+        flat = np.ravel(np.asarray(a, dtype=np.uint64))
         with np.errstate(over="ignore"):
             c = np.ravel(self.open((flat + self.sum(parts, axis=0)) & mask)) & mask
         return c, parts, mono
@@ -481,7 +478,6 @@ class MpcEngine(BaseEngine):
         val = ((c >> pos) & np.uint64(SIGN_WORDS)).astype(np.intp)
         with np.errstate(over="ignore"):
             for coef, dst in zip(_LEAF_MAPS, (G, P)):
-                coef = coef.astype(self.cfg.udtype)
                 share = sum(coef[out, val, s] * mono[rows, s - 1] for s in range(1, SIGN_WORDS + 1))
                 dst[rows] = self.add_public(share, coef[out, val, 0])
         return G, P
@@ -619,7 +615,7 @@ class MpcEngine(BaseEngine):
         with np.errstate(over="ignore"):
             ubits = a0 + a1 - np.uint64(2) * prod
             weights = (np.uint64(1) << np.arange(l, dtype=np.uint64))
-            u = (ubits * weights).sum(axis=1, dtype=self.cfg.udtype)
+            u = (ubits * weights).sum(axis=1, dtype=np.uint64)
             u = self.add_public(u, np.uint64(1))
         return u.reshape(shape)
 

@@ -6,15 +6,15 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import LabelDomainError, MagnitudeOverflow, RowNormDomainError
-from .fixedpoint import DEFAULT_RING, RingConfig, decode, encode
+from .fixedpoint import RingConfig, decode, encode
 from .training import row_norm_domain
 
 
-def split_raw(raw: np.ndarray, rng: np.random.Generator, cfg: RingConfig = DEFAULT_RING):
-    """Split ring elements into two additive halves: x0 + x1 = x (mod 2^lam),
+def split_raw(raw: np.ndarray, rng: np.random.Generator):
+    """Split ring elements into two additive halves: x0 + x1 = x (mod 2^64),
     with x0 uniform, so either half alone is uniform noise."""
-    raw = np.asarray(raw, dtype=cfg.udtype)
-    half0 = rng.integers(0, cfg.modulus, size=raw.shape, dtype=cfg.udtype)
+    raw = np.asarray(raw, dtype=np.uint64)
+    half0 = rng.integers(0, RingConfig.modulus, size=raw.shape, dtype=np.uint64)
     return half0, raw - half0
 
 
@@ -59,11 +59,11 @@ def ingest_shares(X, t, ring: RingConfig, rng: np.random.Generator, owners: int 
     """
     X_raw = encode_matrix(X, ring)
     check_domain(X_raw, t, ring, owners)
-    X0, X1 = split_raw(X_raw, rng, ring)
+    X0, X1 = split_raw(X_raw, rng)
     if t is None:
         return (X0, None), (X1, None)
     t_raw = encode_matrix(np.asarray(t, dtype=np.float64), ring)
-    t0, t1 = split_raw(t_raw, rng, ring)
+    t0, t1 = split_raw(t_raw, rng)
     return (X0, t0), (X1, t1)
 
 

@@ -95,6 +95,11 @@ RECIP_START = (5.097, 4.531)   # 1/m, relative error below 0.44
 RSQRT_START = (2.516, 1.689)   # 1/sqrt(m)
 _RECIP_STEPS = 4
 _RSQRT_STEPS = 3
+# after those steps secure_rsqrt's correction operand 1 - m y^2 is below
+# 2^-RSQRT_RESIDUAL_BITS in magnitude for every mantissa m in [1/8, 1) on
+# every accepted ring: rounding makes it largest on the coarsest, 2^-8.4 at
+# l = 12, where the float iteration alone reaches 2^-14.3
+RSQRT_RESIDUAL_BITS = 8
 _MANTISSA_EXTRA = 3  # fractional bits above l on the mantissa and on div's numerator
 SIGMOID_CLAMP_BITS = 3  # the sigmoid clamps at |z| = 2^3
 SIGMOID_BOUND_BITS = 2  # with a public bound |z| <= 2^2 it needs no clamp
@@ -195,7 +200,7 @@ def _poly_2l(eng, powers, coeffs):
     """sum_k coeffs[k] v^k at 2l fractional bits, from the stacked powers
     v .. v^degree at l bits (local)."""
     l = eng.frac_bits
-    q2l = _combine_int(eng, powers, to_signed(_enc(eng, coeffs[1:]), eng.cfg))
+    q2l = _combine_int(eng, powers, to_signed(_enc(eng, coeffs[1:])))
     return eng.add_public(q2l, _enc(eng, coeffs[0] * 2.0 ** l))
 
 
@@ -214,7 +219,7 @@ def _width(eng, magnitude_bits):
 def _whole_leaves(width):
     """width rounded up to whole leaves (engine.leaf_layout): the wider mask
     hides an input of the narrower range as well. A _width of at most
-    lambda - l + 1 bits stays within the ring for l >= 3."""
+    65 - l bits stays within the ring for l >= 3."""
     return -(-width // SIGN_BLOCK) * SIGN_BLOCK
 
 
@@ -236,8 +241,8 @@ def _normalize(eng, a, magnitude_bits):
 
 def _unit(eng, bits, value=1):
     """The integer value at the given fractional bits, as a ring element:
-    value 2^bits mod 2^lambda."""
-    return np.asarray((value << bits) % eng.cfg.modulus).astype(eng.cfg.udtype)
+    value 2^bits mod 2^64."""
+    return np.uint64((value << bits) % eng.cfg.modulus)
 
 
 def _recip_mantissa(eng, m, m_prec, prec):
@@ -323,6 +328,14 @@ def secure_sqrt(eng, a, magnitude_bits=None):
         return eng.trunc(eng.add(prods[0], eng.trunc(prods[1], l)), l)
 
 
+def rsqrt_operand_bits(frac_bits: int) -> int:
+    """Bits the magnitude of secure_rsqrt's correction operand 1 - m y^2
+    stays below as a ring integer: it is under 2^-RSQRT_RESIDUAL_BITS at
+    3l + _MANTISSA_EXTRA fractional bits. Its truncation is exact while
+    this is at most the truncation masks' lam - 2 bits."""
+    return 3 * frac_bits + _MANTISSA_EXTRA - RSQRT_RESIDUAL_BITS
+
+
 def secure_rsqrt(eng, a, magnitude_bits=None, truncate=True):
     """1/sqrt(a) for a > 0 on shares, within 2^-12 absolute on [2^-10, 2^10],
     from the square root's iteration: its h converges to 1/(2 sqrt(m)).
@@ -337,7 +350,7 @@ def secure_rsqrt(eng, a, magnitude_bits=None, truncate=True):
         scale = _combine_int(eng, z, [int(round(2 ** (l + (l - t) / 2))) for t in tops])
         # one Newton correction at 2l bits for y = 2h: y + h (1 - m y^2). m y^2
         # sits near 2^(3l + 3) at 3l + 3 bits, which may wrap the ring, but
-        # 1 - m y^2 is exact and small enough to truncate
+        # 1 - m y^2 is exact and small enough to truncate (rsqrt_operand_bits)
         m_hh, ys = eng.mul(eng.stack([m, eng.mul_public_int(half, 2)]), eng.stack([hh, scale]))
         e = eng.add_public(eng.neg(eng.mul_public_int(m_hh, 4)), _unit(eng, 2 * l + wide))
         _, he = eng.tmul(e, wide, half)  # h (1 - m y^2) at 3l bits
@@ -412,7 +425,7 @@ def secure_sigmoid(eng, z, magnitude_bits=None, frac_bits=None, bound=None, trun
     truncates it to t at l bits and squares it. The powers of v come from
     _powers. On every domain each truncated value holds at most 2l
     fractional bits of a number below 4, so the sigmoid works on any ring
-    with 2l + 4 <= lambda. With truncate False the sigmoid stays at 2l
+    with 2l + 4 <= 64. With truncate False the sigmoid stays at 2l
     fractional bits (the constant part times 2^l, plus the core), for the
     caller's next tmul to truncate.
     """
@@ -447,7 +460,7 @@ def _odd5(eng, t, u):
     squared, then u^2 + (c3/c5) u is truncated while it multiplies c5 t."""
     l = eng.frac_bits
     c1, c3, c5 = SIG5_ODD
-    c1, ratio, c5 = (to_signed(_enc(eng, c), eng.cfg) for c in (c1, c3 / c5, c5))
+    c1, ratio, c5 = (to_signed(_enc(eng, c)) for c in (c1, c3 / c5, c5))
     (u, c5t), (uu,) = eng.tmul(eng.stack([u, eng.mul_public_int(t, c5)]), l, square=[0])
     _, _, core = eng.tmul([uu, eng.mul_public_int(u, ratio)], [l, l], c5t)
     return eng.add(core, eng.mul_public_int(t, c1))

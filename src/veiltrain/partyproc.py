@@ -41,7 +41,7 @@ def encode_counts(counts: dict) -> bytes:
     return "\n".join(lines).encode()
 
 
-def decode_counts(payload: bytes, ring) -> dict:
+def decode_counts(payload: bytes) -> dict:
     """Parse a provisioning request; ParseError for a malformed line, a
     negative count, or a key the dealer does not generate."""
     out = {}
@@ -53,7 +53,7 @@ def decode_counts(payload: bytes, ring) -> dict:
             count = int(value)
         except ValueError:
             raise ParseError(f"malformed provisioning line {line!r}") from None
-        check_key(key, ring)
+        check_key(key)
         if count < 0:
             raise ParseError(f"negative count in provisioning line {line!r}")
         out[key] = count
@@ -95,7 +95,7 @@ def serve_dealer(cfg: dict) -> None:
             _, _, hello = io.recv(expect_kind=KIND_HELLO)
             party = int(hello.decode().split("=")[1])
             _, _, prov = io.recv(expect_kind=KIND_PROVISION)
-            requests[party] = decode_counts(prov, ring)
+            requests[party] = decode_counts(prov)
             conns.append((party, io, chan))
         if requests.get(0) != requests.get(1):
             raise ConfigMismatch("provisioning", requests.get(0), requests.get(1))

@@ -127,7 +127,7 @@ class PartyRuntime:
         self.io.send(KIND_OPEN, u64_payload(payload), self.round_no)
         _, _, body = self.io.recv(expect_kind=KIND_OPEN, expect_round=self.round_no)
         self.round_no += 1
-        out = payload_u64(body).reshape(np.shape(payload)).astype(self.cfg.udtype)
+        out = payload_u64(body).reshape(np.shape(payload))
         self.transcript.record(self.round_no - 1,
                                self.channel.bytes_sent - before_out,
                                self.channel.bytes_received - before_in,

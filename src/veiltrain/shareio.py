@@ -4,13 +4,13 @@ weight-share files (text header plus little-endian ring elements)."""
 from __future__ import annotations
 
 import io
-import math
 import struct
 
 import numpy as np
 
 from .errors import ConfigMismatch, ParseError
 from .fixedpoint import RingConfig
+from .kernels import rsqrt_operand_bits
 from .training import TrainingConfig, row_norm_domain
 from .transport import (KIND_DATA, KIND_HELLO, KIND_LABELS, pack_frame,
                         payload_u64, u64_payload, unpack_frame)
@@ -78,15 +78,17 @@ def format_config(cfg: dict) -> str:
 
 def ring_from_config(cfg: dict) -> RingConfig:
     """The config's ring; ParseError names frac_bits where no session can
-    run: the row-norm domain (training.row_norm_domain) is empty, or ln u,
-    u down to one ulp, leaves the signed ring at 2l fractional bits."""
-    ring = RingConfig(cfg["lambda"], cfg["frac_bits"])
+    run exactly: the row-norm domain (training.row_norm_domain) is empty, or
+    secure_rsqrt's correction operand can leave the truncation masks' range
+    2^(lam - 2) (kernels.rsqrt_operand_bits)."""
+    ring = RingConfig(cfg["frac_bits"])
     l, (floor, cap) = ring.frac_bits, row_norm_domain(ring)
     if floor > cap:
         raise ParseError(f"frac_bits = {l} is too coarse: the row-norm floor {floor:g} "
                          f"lies above its cap {cap:g}")
-    if not l * math.log(2) < 2.0 ** (ring.lam - 1 - 2 * l):
-        raise ParseError(f"frac_bits = {l} is too fine: ln(2^-{l}) leaves the ring at {2 * l} bits")
+    if rsqrt_operand_bits(l) > ring.lam - 2:
+        raise ParseError(f"frac_bits = {l} is too fine: secure_rsqrt's correction operand "
+                         f"may pass the truncation masks' range 2^{ring.lam - 2}")
     return ring
 
 
@@ -113,8 +115,8 @@ def write_share_file(path, session: int, party: int, X_share: np.ndarray,
     """Framed binary: HELLO frame with metadata, DATA frame with the feature
     share grid, LABELS frame with the label shares (may be absent)."""
     n, m = X_share.shape
-    meta = {"party": party, "n": n, "m": m, "lambda": ring.lam,
-            "frac_bits": ring.frac_bits, "has_labels": int(t_share is not None)}
+    meta = {"party": party, "n": n, "m": m, "frac_bits": ring.frac_bits,
+            "has_labels": int(t_share is not None)}
     with open(path, "wb") as fh:
         fh.write(pack_frame(KIND_HELLO, session, _meta_payload(meta)))
         fh.write(pack_frame(KIND_DATA, session, u64_payload(X_share.ravel())))
@@ -162,7 +164,7 @@ WEIGHTS_MAGIC = "veiltrain-weights/1"
 def write_weights_file(path, session: int, party: int, w_share: np.ndarray,
                        ring: RingConfig, meta: dict | None = None):
     header = {"magic": WEIGHTS_MAGIC, "session": session, "party": party,
-              "d": len(w_share), "lambda": ring.lam, "frac_bits": ring.frac_bits}
+              "d": len(w_share), "frac_bits": ring.frac_bits}
     header.update(meta or {})
     head = "\n".join(f"{k}={v}" for k, v in sorted(header.items())).encode() + b"\n\n"
     with open(path, "wb") as fh:
@@ -183,6 +185,5 @@ def read_weights_file(path):
 
 
 def check_ring_meta(meta: dict, ring: RingConfig):
-    for key, mine in (("lambda", ring.lam), ("frac_bits", ring.frac_bits)):
-        if int(meta[key]) != mine:
-            raise ConfigMismatch(key, mine, meta[key])
+    if int(meta["frac_bits"]) != ring.frac_bits:
+        raise ConfigMismatch("frac_bits", ring.frac_bits, meta["frac_bits"])

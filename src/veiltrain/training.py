@@ -187,7 +187,7 @@ def forward_magnitude_bits(bound: float, ring: RingConfig) -> int:
     """The clamped sigmoid's magnitude width for |x . w| <= bound: the bits
     of the bound, and at least _FORWARD_MAGNITUDE_BITS. A bound of 2^(int_bits
     - 1) or more is refused: x . w at 2l fractional bits would leave the
-    truncation masks' range 2^(lambda - 2), and so would the weights."""
+    truncation masks' range 2^62, and so would the weights."""
     if not bound < 2.0 ** (ring.int_bits - 1):
         raise VeiltrainError(f"lambda_reg is too small: |x . w| may reach {bound:.6g}, beyond "
                              f"the ring's integer range 2^{ring.int_bits - 1}")
@@ -260,7 +260,7 @@ def train_logreg(eng, X, t, cfg: TrainingConfig):
 def append_bias(eng, X):
     """Append an always-one feature column (after normalization)."""
     n = X.shape[0]
-    ones = eng.from_public(np.full(n, encode(1.0, eng.cfg), dtype=eng.cfg.udtype))
+    ones = eng.from_public(np.full(n, encode(1.0, eng.cfg), dtype=np.uint64))
     return np.concatenate([X, ones[:, None]], axis=1)
 
 

@@ -10,6 +10,8 @@ from veiltrain.training import train_pipeline
 from veiltrain.transport import SocketChannel
 
 RING = RingConfig()
+# the frac_bits shareio.ring_from_config accepts (test_config pins them)
+ACCEPTED_RINGS = range(12, 23)
 
 
 @pytest.fixture(scope="session")

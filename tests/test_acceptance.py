@@ -44,7 +44,7 @@ def test_share_algebra():
     n_pairs = 10_000
     xs = rng.integers(0, 2**64, n_pairs, dtype=np.uint64)
     ys = rng.integers(0, 2**64, n_pairs, dtype=np.uint64)
-    halves = [split_raw(v, rng, RING) for v in (secrets, xs, ys)]
+    halves = [split_raw(v, rng) for v in (secrets, xs, ys)]
 
     def full_ring(eng):
         mine = [h[eng.party] for h in halves]

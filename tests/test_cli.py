@@ -187,10 +187,10 @@ def test_a_role_names_the_deployment_key_it_lacks(tmp_path, capsys, role, missin
     assert err.startswith("error: ") and repr(missing) in err
 
 
-@pytest.mark.parametrize("frac_bits", [11, 30])
+@pytest.mark.parametrize("frac_bits", [11, 23, 30])
 def test_a_ring_no_session_can_run_on_is_an_error_line(tmp_path, capsys, frac_bits):
-    # at 11 the row normalization keeps no squared norm accurate, at 30 the
-    # noise's logs leave the ring
+    # at 11 the row normalization keeps no squared norm accurate; from 23
+    # secure_rsqrt's correction operand can leave the truncation masks' range
     data = tmp_path / "data.csv"
     run_cli("synth", "--n", "20", "--m", "4", "--out", str(data))
     cfg = tmp_path / "ring.cfg"
@@ -199,6 +199,14 @@ def test_a_ring_no_session_can_run_on_is_an_error_line(tmp_path, capsys, frac_bi
     assert main(["ingest", "--config", str(cfg), "--owner-csv", str(data),
                  "--out", str(tmp_path / "s")]) == 2
     assert capsys.readouterr().err.startswith(f"error: frac_bits = {frac_bits} ")
+
+
+def test_a_config_setting_the_ring_width_is_an_error_line(tmp_path, capsys):
+    cfg = tmp_path / "width.cfg"
+    cfg.write_text("lambda = 64\n")
+    assert main(["ingest", "--config", str(cfg), "--owner-csv", str(tmp_path / "none.csv"),
+                 "--out", str(tmp_path / "s")]) == 2
+    assert capsys.readouterr().err == "error: line 1: unknown config key 'lambda'\n"
 
 
 def test_experiment_cli_thread(tmp_path):

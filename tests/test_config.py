@@ -10,12 +10,25 @@ from veiltrain.shareio import (CONFIG_KEYS, DEFAULTS, PUBLIC_KEYS, format_config
                                parse_config_text, public_section, ring_from_config)
 from veiltrain.training import TrainingConfig
 
+from conftest import ACCEPTED_RINGS
+
 README = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
 
 
 def test_the_ring_and_training_defaults_are_their_classes():
     assert training_config(DEFAULTS) == TrainingConfig()
     assert ring_from_config(DEFAULTS) == RingConfig()
+
+
+def test_accepted_rings_are_the_ones_every_test_sweeps():
+    accepted = []
+    for frac_bits in range(1, 32):
+        try:
+            ring_from_config(dict(DEFAULTS, frac_bits=frac_bits))
+        except ParseError:
+            continue
+        accepted.append(frac_bits)
+    assert accepted == list(ACCEPTED_RINGS)
 
 
 def test_formatted_defaults_parse_back():
@@ -47,14 +60,17 @@ def test_readme_table_names_exactly_the_config_keys():
     assert sorted(named) == sorted(CONFIG_KEYS)
 
 
-@pytest.mark.parametrize("key", ["alpha", "momentum", "epochs", "batch_size", "skip_norm"])
-def test_removed_training_keys_are_parse_errors(key):
-    # the schedule follows from lambda_reg and the row bound; a config that
-    # still sets one of its old knobs stops, naming the key
-    with pytest.raises(ParseError, match=key):
-        parse_config_text(f"{key} = 1\n")
+@pytest.mark.parametrize("key", ["alpha", "momentum", "epochs", "batch_size", "skip_norm",
+                                 "lambda"])
+def test_removed_keys_are_parse_errors(key):
+    # the schedule follows from lambda_reg and the row bound, and the ring
+    # is 2^64 with frac_bits alone; a config that still sets one of the old
+    # keys stops, naming the key
+    with pytest.raises(ParseError, match=f"line 1: unknown config key '{key}'"):
+        parse_config_text(f"{key} = 64\n")
 
 
 def test_training_keys_are_lambda_and_the_bias_column():
     assert TrainingConfig().public() == {"lambda_reg": 1.0, "add_bias": 0}
-    assert len(CONFIG_KEYS) == 24 and len(PUBLIC_KEYS) == 8
+    assert RingConfig().public() == {"frac_bits": 20}
+    assert len(CONFIG_KEYS) == 23 and len(PUBLIC_KEYS) == 7

@@ -30,7 +30,7 @@ def test_bits_binary_and_balanced():
 
 def test_trunc_pair_invariant():
     r, rs = _summed(("trunc", RING.frac_bits), 20, 3)
-    assert np.array_equal(to_signed(r, RING) >> RING.frac_bits, to_signed(rs, RING))
+    assert np.array_equal(to_signed(r) >> RING.frac_bits, to_signed(rs))
 
 
 def test_cursor_exhausted():
@@ -61,9 +61,9 @@ def test_parties_hold_disjoint_consistent_halves():
     r1, rs1 = c1.take_trunc(20, 10)
     r = r0 + r1
     rs = rs0 + rs1
-    assert np.array_equal(to_signed(r, RING) >> 20, to_signed(rs, RING))
+    assert np.array_equal(to_signed(r) >> 20, to_signed(rs))
     # mask magnitudes leave signed headroom (|r| < 2^(lam-2))
-    assert np.all(np.abs(to_signed(r, RING)) <= np.int64(1) << np.int64(RING.lam - 2))
+    assert np.all(np.abs(to_signed(r)) <= np.int64(1) << np.int64(RING.lam - 2))
 
 
 def test_trunc_plain_matches_pair():
@@ -138,9 +138,9 @@ def test_every_key_of_a_session_crosses_the_wire():
 
     counts = pipeline_counts(20, 4, DEFAULTS, 2)
     assert {key[0] for key in counts} == {"triple", "trunc", "bit"}
-    assert decode_counts(encode_counts(counts), RING) == counts
+    assert decode_counts(encode_counts(counts)) == counts
     # the dealer sends in the order of its decoded keys, the party reads in its own
-    assert material_order(decode_counts(encode_counts(counts), RING)) == material_order(counts)
+    assert material_order(decode_counts(encode_counts(counts))) == material_order(counts)
     src = MaterialSource(15, RING)
     for party in (0, 1):
         wire = WireMaterial(src, party, counts)
@@ -202,9 +202,9 @@ def test_provisioning_request_rejects_unknown_keys(line):
     from veiltrain.partyproc import decode_counts, encode_counts
 
     counts = {("triple",): 5, ("trunc", 20): 4, ("trunc", 63): 1, ("bit",): 14}
-    assert decode_counts(encode_counts(counts), RING) == counts
+    assert decode_counts(encode_counts(counts)) == counts
     with pytest.raises(ParseError):
-        decode_counts(encode_counts(counts) + b"\n" + line, RING)
+        decode_counts(encode_counts(counts) + b"\n" + line)
 
 
 def test_provisioning_request_rejects_the_removed_block_key():
@@ -212,6 +212,6 @@ def test_provisioning_request_rejects_the_removed_block_key():
     from veiltrain.errors import ParseError
     from veiltrain.partyproc import decode_counts
 
-    assert decode_counts(b"bit:=21", RING) == {("bit",): 21}
+    assert decode_counts(b"bit:=21") == {("bit",): 21}
     with pytest.raises(ParseError):
-        decode_counts(b"bit:3=21", RING)
+        decode_counts(b"bit:3=21")

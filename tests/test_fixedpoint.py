@@ -1,3 +1,5 @@
+from dataclasses import fields
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -43,18 +45,18 @@ def test_round_trip_bulk():
 def test_truncate_product():
     # raw product of encodings carries 2l fractional bits
     raw = encode(1.5, RING) * encode(2.0, RING)
-    got = to_signed(truncate(raw, RING.frac_bits, RING), RING).astype(np.int64)
+    got = to_signed(truncate(raw, RING.frac_bits)).astype(np.int64)
     want = int(encode(3.0, RING))
     assert abs(got - want) <= 1
 
 
 def test_truncate_zero():
-    assert truncate(np.uint64(0), RING.frac_bits, RING) == 0
+    assert truncate(np.uint64(0), RING.frac_bits) == 0
 
 
 def test_truncate_negative_product():
     raw = encode(-1.0, RING) * encode(1.0, RING)
-    got = truncate(raw, RING.frac_bits, RING)
+    got = truncate(raw, RING.frac_bits)
     diff = int(got.view(np.int64)) - int(encode(-1.0, RING).view(np.int64))
     assert abs(diff) <= 1
 
@@ -66,7 +68,7 @@ def test_product_error_bound():
     x = np.round(rng.uniform(-2**11, 2**11, 5000) / grid) * grid
     y = np.round(rng.uniform(-2**11, 2**11, 5000) / grid) * grid
     raw = encode(x, RING) * encode(y, RING)
-    got = decode(truncate(raw, RING.frac_bits, RING), RING)
+    got = decode(truncate(raw, RING.frac_bits), RING)
     assert np.abs(got - x * y).max() <= 2 * 2.0**-RING.frac_bits
 
 
@@ -81,7 +83,7 @@ def test_addition_exact():
 def test_order_preserving():
     rng = np.random.default_rng(3)
     x = np.sort(rng.uniform(-1e6, 1e6, 1000))
-    signed = to_signed(encode(x, RING), RING)
+    signed = to_signed(encode(x, RING))
     assert np.all(np.diff(signed) >= 0)
 
 
@@ -91,11 +93,14 @@ def test_overflow_raises():
 
 
 def test_config_invariants():
+    # the ring is 2^64: frac_bits is RingConfig's one parameter
+    assert [f.name for f in fields(RingConfig)] == ["frac_bits"]
+    assert (RingConfig.lam, RingConfig.udtype, RingConfig.sdtype) == (64, np.uint64, np.int64)
+    with pytest.raises(TypeError):
+        RingConfig(64, 20)
     with pytest.raises(ValueError):
-        RingConfig(48, 20)
-    with pytest.raises(ValueError):
-        RingConfig(64, 32)
-    assert RingConfig(32, 8).int_bits == 15
+        RingConfig(frac_bits=32)
+    assert RingConfig(frac_bits=8).int_bits == 47
     assert RING.int_bits == 23
 
 

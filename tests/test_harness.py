@@ -15,7 +15,7 @@ from veiltrain.harness import (ExperimentReport, dp_params, party_pipeline, pipe
 from veiltrain.ingest import ingest_partitions
 from veiltrain.shareio import DEFAULTS, ring_from_config
 
-from conftest import mirror_weights
+from conftest import ACCEPTED_RINGS, mirror_weights
 
 
 def tiny_cfg(**over):
@@ -39,12 +39,12 @@ def test_mpc_equals_mirror_without_noise():
     assert np.array_equal(decode(res["w_raw"]), mirror)
 
 
-@pytest.mark.parametrize("frac_bits", [12, 22])
-def test_a_session_matches_its_mirror_on_a_coarse_and_a_fine_ring(frac_bits):
-    # 12 is the coarsest ring ring_from_config accepts at lambda 64; 22 the
-    # finest on which secure_rsqrt's correction operand, (1 - m y^2) at
-    # 3l + 3 fractional bits, stays inside the truncation masks' range on
-    # every mantissa. Training and the noise match the mirror bit for bit
+@pytest.mark.parametrize("frac_bits", ACCEPTED_RINGS)
+def test_a_session_matches_its_mirror_on_every_accepted_ring(frac_bits):
+    # from 12, the coarsest ring ring_from_config accepts, to 22, the finest
+    # on which secure_rsqrt's correction operand, (1 - m y^2) at 3l + 3
+    # fractional bits, stays inside the truncation masks' range on every
+    # mantissa. Training and the noise match the mirror bit for bit
     from veiltrain.dealer import MaterialSource
     from veiltrain.engine import PlainEngine
     from veiltrain.fixedpoint import decode, encode

@@ -3,13 +3,13 @@ import pytest
 from scipy import stats
 
 from veiltrain import kernels
-from veiltrain.dealer import MaterialSource
+from veiltrain.dealer import SIGN_BLOCK, MaterialSource
 from veiltrain.engine import PlainEngine, estimate_counts
 from veiltrain.errors import Exhausted
 from veiltrain.fixedpoint import RingConfig, decode, encode, to_signed
 from veiltrain.noise import DpParams, perturb_weights
 
-from conftest import run_both
+from conftest import ACCEPTED_RINGS, run_both
 
 RING = RingConfig()
 
@@ -134,6 +134,31 @@ def test_rsqrt_matches_mirror_bit_exact():
     assert np.array_equal(r0, mirror) and np.array_equal(r1, mirror)
 
 
+def test_rsqrt_correction_operand_stays_within_its_bound():
+    # secure_rsqrt's Newton correction truncates 1 - m y^2 at 3l + 3
+    # fractional bits, and ring_from_config's fine limit rests on its bound
+    # 2^-RSQRT_RESIDUAL_BITS (kernels.rsqrt_operand_bits). The inputs M
+    # 2^(T - l - 3), T the top of the leaf holding bit l + 2, have the
+    # mantissas M 2^-(l + 3): every one on rings up to 14 bits, about 2^16
+    # spread over [1/8, 1) on finer ones
+    worst = {}
+    for l in ACCEPTED_RINGS:
+        ring = RingConfig(l)
+        wide = l + kernels._MANTISSA_EXTRA
+        grid = np.arange(1 << l, 8 << l, max(1, (7 << l) >> 16), dtype=np.uint64)
+        top = -(-wide // SIGN_BLOCK) * SIGN_BLOCK
+        eng = PlainEngine(MaterialSource(53, ring), ring)
+        *_, m, _, hh = kernels._sqrt_mantissa(
+            eng, eng.from_public(grid << np.uint64(top - wide)), None, False)
+        assert np.array_equal(m, grid)
+        with np.errstate(over="ignore"):
+            operand = to_signed(kernels._unit(eng, 2 * l + wide) - np.uint64(4) * m * hh)
+        worst[l] = float(np.abs(operand).max())
+        assert worst[l] < 2.0 ** kernels.rsqrt_operand_bits(l), l
+    # rounding makes it largest on the coarsest ring, within a bit of the bound
+    assert worst[12] >= 2.0 ** (kernels.rsqrt_operand_bits(12) - 1)
+
+
 # --- natural log ---
 
 def test_ln_examples():
@@ -223,11 +248,16 @@ def test_sigmoid_tolerance_and_clamp():
     assert np.array_equal(got, [1.0, 1.0, 0.0, 0.0])  # exact clamp
 
 
-@pytest.mark.parametrize("lam, frac_bits", [(64, 24), (64, 30), (32, 13)])
-def test_sigmoid_tolerance_on_other_rings(lam, frac_bits):
+def _ring_id(value):
+    """Names a ring parameter as the ring, width-fractional bits: 64-24."""
+    return f"{RingConfig.lam}-{value}" if isinstance(value, int) else None
+
+
+@pytest.mark.parametrize("frac_bits", [24, 30], ids=_ring_id)
+def test_sigmoid_tolerance_on_other_rings(frac_bits):
     # every product keeps at most 2l fractional bits, so the sigmoid holds
-    # its tolerance up to the ring's headroom limit 2l + 4 = lambda
-    ring = RingConfig(lam, frac_bits)
+    # its tolerance up to the ring's headroom limit 2l + 4 = 64
+    ring = RingConfig(frac_bits)
     reach = min(20.0, 2.0 ** ring.int_bits)  # what the sign width covers
     z = np.random.default_rng(25).uniform(-reach, reach, 4000)
     eng = plain(26, ring)
@@ -237,7 +267,7 @@ def test_sigmoid_tolerance_on_other_rings(lam, frac_bits):
 
 
 def test_sigmoid_matches_mirror_on_a_finer_ring():
-    ring = RingConfig(64, 24)
+    ring = RingConfig(frac_bits=24)
     z = np.linspace(-10, 10, 41)
 
     def fn(eng):
@@ -261,10 +291,9 @@ def test_bounded_sigmoid_tolerance():
     assert np.abs(got - want).max() <= kernels.KERNEL_TOLERANCES["sigmoid_b4"].bound
 
 
-@pytest.mark.parametrize("lam, frac_bits, bound", [(64, 24, 3.9e-5), (64, 30, 3.9e-5),
-                                                   (32, 13, 1e-3)])
-def test_bounded_sigmoid_tolerance_on_other_rings(lam, frac_bits, bound):
-    ring = RingConfig(lam, frac_bits)
+@pytest.mark.parametrize("frac_bits, bound", [(24, 3.9e-5), (30, 3.9e-5)], ids=_ring_id)
+def test_bounded_sigmoid_tolerance_on_other_rings(frac_bits, bound):
+    ring = RingConfig(frac_bits)
     z = np.random.default_rng(44).uniform(-4, 4, 4000)
     eng = plain(45, ring)
     got = open_plain(eng, kernels.secure_sigmoid(eng, enc_pub(eng, z), bound=4.0))
@@ -287,9 +316,9 @@ def test_bounded_sigmoid_matches_mirror_in_half_the_rounds():
 
 # --- sigmoid under a public bound |z| <= 5/4: the odd degree-5 tier ---
 
-@pytest.mark.parametrize("lam, frac_bits", [(64, 20), (64, 24), (64, 30)])
-def test_odd_sigmoid_tolerance(lam, frac_bits):
-    ring = RingConfig(lam, frac_bits)
+@pytest.mark.parametrize("frac_bits", [20, 24, 30], ids=_ring_id)
+def test_odd_sigmoid_tolerance(frac_bits):
+    ring = RingConfig(frac_bits)
     bound = kernels.SIGMOID_ODD_BOUND
     z = np.concatenate([np.random.default_rng(50).uniform(-bound, bound, 10_000),
                         np.linspace(-bound, bound, 1001)])
@@ -321,7 +350,7 @@ def test_odd_sigmoid_matches_mirror_in_three_rounds():
 
 @pytest.mark.parametrize("frac_bits", [16, 24])
 def test_div_sqrt_ln_tolerance_on_other_rings(frac_bits):
-    ring = RingConfig(64, frac_bits)
+    ring = RingConfig(frac_bits)
     rng = np.random.default_rng(38)
     n = 2000
     eng = plain(39, ring)
@@ -346,7 +375,7 @@ def test_div_sqrt_ln_tolerance_on_other_rings(frac_bits):
 
 @pytest.mark.parametrize("frac_bits", [16, 24])
 def test_sincos_tolerance_on_other_rings(frac_bits):
-    ring = RingConfig(64, frac_bits)
+    ring = RingConfig(frac_bits)
     th = np.random.default_rng(47).uniform(0, 2 * np.pi, 2000)
     eng = plain(48, ring)
     s, c = kernels.secure_sin_cos(eng, eng.from_public(encode(th, ring)))
@@ -368,7 +397,7 @@ class _PeakEngine(PlainEngine):
 
     def trunc(self, a, shift):
         if np.size(a):
-            top = np.abs(to_signed(a, self.cfg).astype(np.float64)).max()
+            top = np.abs(to_signed(a).astype(np.float64)).max()
             self.peak = max(self.peak, float(top))
             self.shifts.add(shift)
         return super().trunc(a, shift)
@@ -450,7 +479,7 @@ def test_every_truncated_value_stays_below_the_mask_range():
 # --- joint uniforms ---
 
 def test_uniform_small_ring_enumeration():
-    ring = RingConfig(32, 2)
+    ring = RingConfig(frac_bits=2)
     eng = PlainEngine(MaterialSource(18, ring), ring)
     u = decode(eng.open(kernels.joint_uniform(eng, (2000,))), ring)
     assert set(np.unique(u)) == {0.25, 0.5, 0.75, 1.0}

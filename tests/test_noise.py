@@ -7,9 +7,10 @@ from veiltrain.engine import PlainEngine
 from veiltrain.fixedpoint import RingConfig, decode, encode
 from veiltrain.kernels import joint_uniform
 from veiltrain.noise import (DpParams, box_muller_radius, gamma_magnitude,
-                             gaussian_pair_count, gaussian_vector, perturb_weights)
+                             gaussian_pair_count, gaussian_vector, perturb_weights,
+                             sample_noise)
 
-from conftest import run_both
+from conftest import ACCEPTED_RINGS, run_both
 
 RING = RingConfig()
 
@@ -219,6 +220,19 @@ def test_perturbation_magnitude_law_at_odd_d():
     # the direction is uniform: every coordinate, the tail's too, holds 1/d of it
     share = (eta / norms[:, None]) ** 2
     assert np.abs(share.mean(axis=0) * dp.d - 1).max() < 0.1
+
+
+@pytest.mark.parametrize("frac_bits", ACCEPTED_RINGS)
+def test_every_accepted_ring_releases_noise_at_its_scale(frac_bits):
+    # the mirror's noise at 300x12, epsilon 1: no draw vanishes, and the mean
+    # of ||eta|| ~ Gamma(d, c) is within four standard errors of d c, the
+    # benchmark's noise-law bound
+    ring = RingConfig(frac_bits)
+    dp, draws = DpParams(epsilon=1.0, lambda_reg=1.0, n=300, d=12), 400
+    eta = decode(sample_noise(PlainEngine(MaterialSource(9, ring), ring), dp, (draws,)), ring)
+    norms = np.linalg.norm(eta, axis=1)
+    assert norms.min() > 0
+    assert abs(norms.mean() / (dp.d * dp.scale) - 1) <= 4 / np.sqrt(dp.d * draws)
 
 
 def test_box_muller_radius_tolerance():

@@ -19,7 +19,7 @@ def test_handshake_agrees():
     def fn(eng):
         return eng.open(eng.from_public(np.uint64(5)))
 
-    (r0, r1), engines = run_both(fn, public={"lambda": 64, "frac_bits": 20})
+    (r0, r1), engines = run_both(fn, public={"frac_bits": 20, "seed": 1})
     assert r0 == r1 == 5
     assert engines[0].rt.session_id == engines[1].rt.session_id == 1
 
@@ -52,8 +52,7 @@ def _handshake_errors(public0, public1):
 
 def test_handshake_mismatch_names_key():
     # parties loading different fractional precision must abort on that key
-    errors = _handshake_errors({"lambda": 64, "frac_bits": 20},
-                               {"lambda": 64, "frac_bits": 16})
+    errors = _handshake_errors({"frac_bits": 20, "seed": 1}, {"frac_bits": 16, "seed": 1})
     assert isinstance(errors[0], ConfigMismatch)
     assert errors[0].key == "frac_bits"
 

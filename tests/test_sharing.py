@@ -30,24 +30,24 @@ def joint(fn, *secrets, seed=1):
     """fn(eng, *shares) on both parties, each holding its split_raw half of
     every secret; returns both parties' results."""
     rng = np.random.default_rng(seed)
-    halves = [split_raw(as_ring(s), rng, RING) for s in secrets]
+    halves = [split_raw(as_ring(s), rng) for s in secrets]
     results, _ = run_both(lambda eng: fn(eng, *(h[eng.party] for h in halves)), seed=seed)
     return results
 
 
 def test_share_sums_to_secret():
-    s0, s1 = split_raw(np.uint64(42), np.random.default_rng(0), RING)
+    s0, s1 = split_raw(np.uint64(42), np.random.default_rng(0))
     assert s0 + s1 == 42
 
 
 def test_share_zero_halves_negate():
-    s0, s1 = split_raw(np.uint64(0), np.random.default_rng(1), RING)
+    s0, s1 = split_raw(np.uint64(0), np.random.default_rng(1))
     assert s0 + s1 == 0
     assert s1 == np.uint64(0) - s0
 
 
 def test_share_first_half_uniform():
-    halves, _ = split_raw(np.full(100_000, 7, dtype=np.uint64), np.random.default_rng(2), RING)
+    halves, _ = split_raw(np.full(100_000, 7, dtype=np.uint64), np.random.default_rng(2))
     counts, _ = np.histogram(halves.astype(np.float64), bins=64, range=(0, float(2**64)))
     assert stats.chisquare(counts).pvalue > 0.01
 

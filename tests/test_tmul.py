@@ -63,8 +63,8 @@ def test_tmul_matches_the_mirror_and_the_truncation(case):
     for a, b, m in zip(r0, r1, mirror):
         assert np.array_equal(a, m) and np.array_equal(b, m)
     t, *prods = mirror
-    exact = to_signed(x, RING) >> SHIFT
-    assert np.abs(to_signed(t, RING) - exact).max() <= 1  # trunc's one-ulp carry
+    exact = to_signed(x) >> SHIFT
+    assert np.abs(to_signed(t) - exact).max() <= 1  # trunc's one-ulp carry
     with np.errstate(over="ignore"):
         if y is not None:
             assert np.array_equal(prods[0], _rows(t, rows) * y)
@@ -157,7 +157,7 @@ def test_tmul_of_a_shifted_value_is_exact():
     # x with zero low bits truncates without a carry: the kernels lean on
     # this to fold exact rescalings into a tmul round
     x = encode(np.linspace(-3, 3, 25), RING)
-    fn = _tmul_fn(from_signed(to_signed(x, RING) << SHIFT, RING), None, True)
+    fn = _tmul_fn(from_signed(to_signed(x) << SHIFT), None, True)
     ((t, tt), _), _ = run_both(fn, seed=14)
     assert np.array_equal(t, x)
     with np.errstate(over="ignore"):
@@ -203,7 +203,7 @@ def test_summed_tmul_matches_the_mirror_and_the_truncations(case):
         assert np.array_equal(a, m) and np.array_equal(b, m)
     ts = mirror[:len(shifts)]
     for t, x, s in zip(ts, xs, shifts):
-        assert np.abs(to_signed(t, RING) - (to_signed(x, RING) >> s)).max() <= 1
+        assert np.abs(to_signed(t) - (to_signed(x) >> s)).max() <= 1
     if y is not None:
         with np.errstate(over="ignore"):
             assert np.array_equal(mirror[-1], sum(ts) * y)

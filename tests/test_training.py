@@ -78,7 +78,7 @@ def test_normalize_batch_of_rows():
 
 @pytest.mark.parametrize("frac_bits", [16, 20, 24])
 def test_normalize_within_its_tolerance_across_the_ingest_domain(frac_bits):
-    ring = RingConfig(64, frac_bits)
+    ring = RingConfig(frac_bits)
     floor, cap = row_norm_domain(ring)
     rng = np.random.default_rng(44)
     squared = np.exp2(rng.uniform(np.log2(floor), np.log2(cap), 2000))
@@ -375,7 +375,7 @@ def test_schedule_follows_from_lambda_and_the_row_bound(lam, bias, alpha, steps)
     assert round(tc.alpha, 4) == alpha and tc.steps(RING) == steps
     rate = 1 - tc.alpha * lam
     assert rate ** steps * R / lam < 2.0 ** -20 <= rate ** (steps - 1) * R / lam
-    assert tc.steps(RingConfig(64, 16)) < steps
+    assert tc.steps(RingConfig(frac_bits=16)) < steps
 
 
 def test_training_consumes_the_dry_run_exactly():
@@ -430,7 +430,7 @@ def _largest_sigmoid_input(monkeypatch, X, t, tc, seed):
     real = training.secure_sigmoid
 
     def spy(eng, z, **kw):
-        top = float(np.abs(to_signed(z, eng.cfg)).max()) / 2.0 ** kw["frac_bits"]
+        top = float(np.abs(to_signed(z)).max()) / 2.0 ** kw["frac_bits"]
         seen[0] = max(seen[0], top)
         bounds.add(kw["bound"])
         return real(eng, z, **kw)
