@@ -1,10 +1,10 @@
 """Command-line entry points.
 
 Subcommands: synth (make a dataset), ingest (owner-side share splitting),
-party (run one role of a networked session), train / perturb / open
-(stage-by-stage local orchestration over loopback), baseline (federated
-local-DP reference), kernel-bench (kernel accuracy and round counts), and
-experiment (the full k-fold comparison harness).
+party (run one role of a networked session), train (one whole session over
+in-process loopback: training, the noise beside it, one opening), baseline
+(federated local-DP reference), kernel-bench (kernel accuracy and round
+counts), and experiment (the full k-fold comparison harness).
 """
 
 from __future__ import annotations
@@ -18,33 +18,21 @@ import numpy as np
 from . import datasets
 from .cleartext import baseline_fl
 from .engine import run_two_party
-from .errors import ConfigMismatch, VeiltrainError
+from .errors import VeiltrainError
 from .fixedpoint import decode, encode
-from .harness import dp_params, run_experiment, training_config, write_report
+from .harness import run_experiment, run_threaded_session, training_config, write_report
 from .ingest import ingest_shares
-from .noise import box_muller_radius, perturb_weights
-from .shareio import (DEFAULTS, check_ring_meta, load_config, public_section,
-                      read_share_file, read_weights_file, ring_from_config,
-                      write_share_file, write_weights_file)
-from .training import train_pipeline
+from .noise import box_muller_radius
+from .shareio import DEFAULTS, load_config, ring_from_config, write_share_file
 
 
 def _load_cfg(args) -> dict:
     cfg = load_config(args.config) if getattr(args, "config", None) else dict(DEFAULTS)
-    for key in ("lambda_reg", "seed", "epsilon", "noise_draws", "n"):
+    for key in ("lambda_reg", "seed", "epsilon"):
         val = getattr(args, key, None)
         if val is not None:
             cfg[key] = val
     return cfg
-
-
-def _check_inputs(sessions, metas, ring):
-    """Both parties' input files must come from one session and carry the
-    config's ring; ConfigMismatch names the first key that differs."""
-    if sessions[0] != sessions[1]:
-        raise ConfigMismatch("session", sessions[0], sessions[1])
-    for meta in metas:
-        check_ring_meta(meta, ring)
 
 
 def cmd_synth(args):
@@ -57,8 +45,8 @@ def cmd_ingest(args):
     cfg = _load_cfg(args)
     ring = ring_from_config(cfg)
     X, t = datasets.load_csv(args.owner_csv)
-    rng = np.random.default_rng(np.random.SeedSequence([args.share_seed, 90, 0]))
-    (x0, t0), (x1, t1) = ingest_shares(X, t, ring, rng)
+    # the owner's split draws fresh entropy: no seed regenerates either half
+    (x0, t0), (x1, t1) = ingest_shares(X, t, ring, np.random.default_rng())
     session = cfg["session_id"]
     for party, (xs, ts) in enumerate(((x0, t0), (x1, t1))):
         path = f"{args.out}.party{party}.shares"
@@ -79,62 +67,18 @@ def cmd_party(args):
 
 
 def cmd_train(args):
-    cfg = _load_cfg(args)
-    ring = ring_from_config(cfg)
-    tc = training_config(cfg)
-    sessions, metas, Xs, ts = zip(*(read_share_file(f"{args.shares}.party{p}.shares")
-                                    for p in (0, 1)))
-    _check_inputs(sessions, metas, ring)
-    session = sessions[0]
+    from .partyproc import read_party_shares, write_party_outputs
 
-    results, engines = run_two_party(
-        lambda eng: train_pipeline(eng, Xs[eng.party], ts[eng.party], tc),
-        session_seed=cfg["seed"], cfg=ring, session_id=cfg["session_id"],
-        handshake_public=public_section(cfg))
-    for party, w in enumerate(results):
-        path = f"{args.out_weights}.party{party}.bin"
-        write_weights_file(path, session, party, w, ring)
-        print(f"wrote {path} ({len(w)} coefficients)")
-    tr = engines[0].rt.transcript
-    print(f"rounds={tr.n_rounds} bytes={tr.bytes_sent + tr.bytes_received}")
-
-
-def cmd_perturb(args):
-    cfg = _load_cfg(args)
-    ring = ring_from_config(cfg)
-    headers, ws = zip(*(read_weights_file(f"{args.in_weights}.party{p}.bin")
-                        for p in (0, 1)))
-    _check_inputs([h["session"] for h in headers], headers, ring)
-    dp = dp_params(cfg, args.n, len(ws[0]) - cfg["add_bias"])
-    if dp is None:
-        raise VeiltrainError(f"perturb needs a positive epsilon, got {cfg['epsilon']}")
-
-    results, _ = run_two_party(lambda eng: perturb_weights(eng, ws[eng.party], dp),
-                               session_seed=cfg["seed"], cfg=ring, session_id=cfg["session_id"],
-                               handshake_public=public_section(cfg))
-    session = int(headers[0]["session"])
-    # basic composition: a perturbed input has spent its own budget already
-    eps_total = float(headers[0].get("epsilon_total", 0)) + dp.epsilon
-    for party, w in enumerate(results):
-        path = f"{args.out_weights}.party{party}.bin"
-        write_weights_file(path, session, party, w, ring,
-                           meta={"epsilon": dp.epsilon, "epsilon_total": eps_total,
-                                 "noise_n": dp.n, "noise_scale": dp.scale})
-        print(f"wrote {path}")
-
-
-def cmd_open(args):
-    cfg = _load_cfg(args)
-    ring = ring_from_config(cfg)
-    headers, (w0, w1) = zip(*(read_weights_file(f"{args.in_weights}.party{p}.bin")
-                              for p in (0, 1)))
-    _check_inputs([h["session"] for h in headers], headers, ring)
-    weights = decode(w0 + w1, ring)
-    with open(args.out, "w", encoding="utf-8") as fh:
-        fh.write("coefficient\n")
-        for w in weights:
-            fh.write(f"{w:.12g}\n")
-    print(f"wrote {len(weights)} coefficients to {args.out}")
+    cfg = dict(_load_cfg(args), shares_prefix=args.shares, out_dir=args.out_dir)
+    shares = [read_party_shares(cfg, party) for party in (0, 1)]
+    results, reports, _ = run_threaded_session(shares, cfg, cfg["seed"], cfg["noise_draws"])
+    for party in (0, 1):
+        write_party_outputs(cfg, party, results[party], reports[party])
+    report = reports[0]
+    print(f"wrote weight shares, {len(results[0].get('noisy', ()))} noisy model(s) and "
+          f"reports to {args.out_dir}")
+    print(f"rounds={report['rounds']} bytes={report['bytes_sent'] + report['bytes_received']} "
+          f"epsilon_total={report['epsilon_total']:g}")
 
 
 def cmd_baseline(args):
@@ -234,7 +178,6 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--owner-csv", required=True)
     s.add_argument("--config", default=None)
     s.add_argument("--out", required=True, help="share-file prefix")
-    s.add_argument("--share-seed", type=int, default=7)
     s.set_defaults(fn=cmd_ingest)
 
     s = sub.add_parser("party", help="run one networked role of a session")
@@ -242,29 +185,13 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--role", choices=("party0", "party1", "dealer"), required=True)
     s.set_defaults(fn=cmd_party)
 
-    s = sub.add_parser("train", help="train over loopback from share files")
+    s = sub.add_parser("train", help="run one whole session over loopback from share files")
     s.add_argument("--config", default=None)
     s.add_argument("--shares", required=True, help="share-file prefix from ingest")
-    s.add_argument("--out-weights", required=True, help="weight-share prefix")
+    s.add_argument("--out-dir", required=True, help="weights, noisy models and reports")
     s.add_argument("--lambda-reg", dest="lambda_reg", type=float, default=None)
     s.add_argument("--seed", type=int, default=None)
     s.set_defaults(fn=cmd_train)
-
-    s = sub.add_parser("perturb", help="add joint DP noise to trained weights")
-    s.add_argument("--config", default=None)
-    s.add_argument("--epsilon", type=float, default=None)
-    s.add_argument("--lambda-reg", dest="lambda_reg", type=float, default=None)
-    s.add_argument("--n", type=int, required=True, help="training example count")
-    s.add_argument("--in-weights", required=True)
-    s.add_argument("--out-weights", required=True)
-    s.add_argument("--seed", type=int, default=None)
-    s.set_defaults(fn=cmd_perturb)
-
-    s = sub.add_parser("open", help="combine weight shares into a public model")
-    s.add_argument("--config", default=None)
-    s.add_argument("--in-weights", required=True)
-    s.add_argument("--out", required=True)
-    s.set_defaults(fn=cmd_open)
 
     s = sub.add_parser("baseline", help="federated local-DP baseline")
     s.add_argument("--csv", required=True)

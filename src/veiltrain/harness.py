@@ -88,19 +88,19 @@ def dp_params(cfg: dict, n: int, m: int) -> DpParams | None:
                     d=m + tc.add_bias, row_norm=tc.row_norm)
 
 
-def run_mpc_threaded(owner_datasets, mode: str, cfg: dict, seed: int, draws: int):
-    """In-process execution of the full two-party pipeline over loopback
-    channels. Returns pre-noise shares, opened noisy models, and transcripts."""
+def run_threaded_session(shares, cfg: dict, seed: int, draws: int):
+    """One session of party_pipeline on the parties' shares ((X0, t0),
+    (X1, t1)), over in-process loopback channels, with the noise
+    calibrated to the shares' own n. Returns each party's outputs and
+    report, and the session's seconds."""
     ring = ring_from_config(cfg)
     tc = training_config(cfg)
-    (X0, t0), (X1, t1) = ingest_partitions(owner_datasets, mode, ring, seed)
-    n, m = X0.shape
+    n, m = shares[0][0].shape
     dp = dp_params(cfg, n, m)
     counts = pipeline_counts(n, m, cfg, draws)
 
     def fn(eng):
-        X = X0 if eng.party == 0 else X1
-        t = t0 if eng.party == 0 else t1
+        X, t = shares[eng.party]
         return party_pipeline(eng, X, t, tc, dp, draws)
 
     t0_clock = time.perf_counter()
@@ -108,19 +108,27 @@ def run_mpc_threaded(owner_datasets, mode: str, cfg: dict, seed: int, draws: int
                                      session_id=cfg["session_id"],
                                      handshake_public=public_section(cfg))
     elapsed = time.perf_counter() - t0_clock
-    w_full = results[0]["w_share"] + results[1]["w_share"]
-    noisy = None
-    if dp is not None:
-        noisy = decode(results[0]["noisy"], ring)
-    tr = engines[0].rt.transcript
+    reports = [run_report(eng.rt.transcript, eng.party, cfg["session_id"],
+                          epsilon_total(cfg, draws)) for eng in engines]
+    return results, reports, elapsed
+
+
+def run_mpc_threaded(owner_datasets, mode: str, cfg: dict, seed: int, draws: int):
+    """In-process execution of the full two-party pipeline over loopback
+    channels. Returns pre-noise shares, opened noisy models, and transcripts."""
+    ring = ring_from_config(cfg)
+    shares = ingest_partitions(owner_datasets, mode, ring, seed)
+    results, reports, elapsed = run_threaded_session(shares, cfg, seed, draws)
+    w_shares = (results[0]["w_share"], results[1]["w_share"])
+    noisy = decode(results[0]["noisy"], ring) if "noisy" in results[0] else None
     return {
-        "w_raw": w_full,
-        "w_shares": (results[0]["w_share"], results[1]["w_share"]),
+        "w_raw": w_shares[0] + w_shares[1],
+        "w_shares": w_shares,
         "noisy_models": noisy,
-        "rounds": tr.n_rounds,
-        "bytes": tr.bytes_sent + tr.bytes_received,
+        "rounds": reports[0]["rounds"],
+        "bytes": reports[0]["bytes_sent"] + reports[0]["bytes_received"],
         "runtime_s": elapsed,
-        "report": run_report(tr, 0, cfg["session_id"], epsilon_total(cfg, draws)),
+        "report": reports[0],
     }
 
 

@@ -149,6 +149,32 @@ def connect_peer(cfg: dict, party: int):
     return connect(cfg["party0_host"], cfg["party0_port"], deadline=deadline)
 
 
+def read_party_shares(cfg: dict, party: int):
+    """Party's (X, t) from <shares_prefix>.party<party>.shares;
+    ConfigMismatch unless the file carries the config's session and ring."""
+    session, meta, X, t = read_share_file(f"{cfg['shares_prefix']}.party{party}.shares")
+    if session != cfg["session_id"]:
+        raise ConfigMismatch("session", cfg["session_id"], session)
+    check_ring_meta(meta, ring_from_config(cfg))
+    return X, t
+
+
+def write_party_outputs(cfg: dict, party: int, out: dict, report: dict) -> None:
+    """Write a party's weight shares, the opened noisy models (when the
+    session released any) and its report into cfg["out_dir"]."""
+    out_dir = cfg["out_dir"]
+    ring = ring_from_config(cfg)
+    os.makedirs(out_dir, exist_ok=True)
+    write_weights_file(os.path.join(out_dir, f"weights.party{party}.bin"),
+                       cfg["session_id"], party, out["w_share"], ring)
+    if "noisy" in out:
+        np.savetxt(os.path.join(out_dir, f"noisy.party{party}.csv"), decode(out["noisy"], ring),
+                   delimiter=",", fmt="%.10g")
+    with open(os.path.join(out_dir, f"report.party{party}.json"), "w",
+              encoding="utf-8") as fh:
+        json.dump(report, fh)
+
+
 def run_party(cfg: dict, party: int) -> None:
     """The computing-party main loop: load shares, provision, handshake,
     run the staged pipeline, and write weights, noisy models, and report."""
@@ -158,10 +184,7 @@ def run_party(cfg: dict, party: int) -> None:
     ring = ring_from_config(cfg)
     session = cfg["session_id"]
     _require_keys(cfg, "party", "shares_prefix")
-    file_session, meta, X, t = read_share_file(f"{cfg['shares_prefix']}.party{party}.shares")
-    if file_session != session:
-        raise ConfigMismatch("session", session, file_session)
-    check_ring_meta(meta, ring)
+    X, t = read_party_shares(cfg, party)
     _require_keys(cfg, "party", "dealer_host", "dealer_port", "party0_host", "party0_port",
                  "out_dir")
     n, m = X.shape
@@ -180,14 +203,5 @@ def run_party(cfg: dict, party: int) -> None:
     finally:
         chan.close()
 
-    out_dir = cfg["out_dir"]
-    os.makedirs(out_dir, exist_ok=True)
-    write_weights_file(os.path.join(out_dir, f"weights.party{party}.bin"),
-                       session, party, out["w_share"], ring)
-    if "noisy" in out:
-        noisy = decode(out["noisy"], ring)
-        np.savetxt(os.path.join(out_dir, f"noisy.party{party}.csv"), noisy,
-                   delimiter=",", fmt="%.10g")
-    with open(os.path.join(out_dir, f"report.party{party}.json"), "w",
-              encoding="utf-8") as fh:
-        json.dump(run_report(rt.transcript, party, session, epsilon_total(cfg, draws)), fh)
+    write_party_outputs(cfg, party, out,
+                        run_report(rt.transcript, party, session, epsilon_total(cfg, draws)))

@@ -162,10 +162,9 @@ WEIGHTS_MAGIC = "veiltrain-weights/1"
 
 
 def write_weights_file(path, session: int, party: int, w_share: np.ndarray,
-                       ring: RingConfig, meta: dict | None = None):
+                       ring: RingConfig):
     header = {"magic": WEIGHTS_MAGIC, "session": session, "party": party,
               "d": len(w_share), "frac_bits": ring.frac_bits}
-    header.update(meta or {})
     head = "\n".join(f"{k}={v}" for k, v in sorted(header.items())).encode() + b"\n\n"
     with open(path, "wb") as fh:
         fh.write(struct.pack("<I", len(head)))

@@ -1,4 +1,4 @@
-import os
+import json
 import subprocess
 import sys
 
@@ -13,102 +13,151 @@ def run_cli(*args):
     assert main(list(args)) == 0
 
 
-def test_full_stage_flow(tmp_path):
-    data = tmp_path / "data.csv"
-    run_cli("synth", "--n", "60", "--m", "5", "--seed", "3", "--out", str(data))
-    shares = tmp_path / "shares"
-    run_cli("ingest", "--owner-csv", str(data), "--out", str(shares))
-    weights = tmp_path / "weights"
-    run_cli("train", "--shares", str(shares), "--out-weights", str(weights), "--seed", "21")
-    noisy = tmp_path / "noisy"
-    run_cli("perturb", "--in-weights", str(weights), "--out-weights", str(noisy),
-            "--n", "60", "--epsilon", "1.0", "--seed", "21")
+def read_weights(out_dir):
+    """Both parties' weight shares from train's output directory."""
     from veiltrain.shareio import read_weights_file
 
-    header = read_weights_file(f"{noisy}.party0.bin")[0]
-    assert float(header["epsilon_total"]) == 1.0
-    assert float(header["noise_scale"]) == 2 / 60
-    twice = tmp_path / "twice"
-    run_cli("perturb", "--in-weights", str(noisy), "--out-weights", str(twice),
-            "--n", "60", "--epsilon", "0.5", "--seed", "21")
-    assert float(read_weights_file(f"{twice}.party1.bin")[0]["epsilon_total"]) == 1.5
-    model_csv = tmp_path / "model.csv"
-    run_cli("open", "--in-weights", str(noisy), "--out", str(model_csv))
-    lines = model_csv.read_text().strip().splitlines()
-    assert lines[0] == "coefficient"
-    w = np.array([float(v) for v in lines[1:]])
-    assert w.shape == (5,)
-    # the noisy model must equal trained weights plus a plausible noise draw
-    trained = sum(read_weights_file(f"{weights}.party{p}.bin")[1] for p in (0, 1))
-    from veiltrain.fixedpoint import decode
+    return [read_weights_file(out_dir / f"weights.party{p}.bin")[1] for p in (0, 1)]
 
-    eta = w - decode(trained)
-    assert 0 < np.linalg.norm(eta) < 1.0  # scale c*d = 2*5/60 with Gamma tails
+
+def test_full_stage_flow(tmp_path):
+    # synth -> ingest -> train writes what the thread executor returns for
+    # the same data and seed: one session, its noise calibrated to the
+    # shares' own n, the bias column's row bound included
+    from veiltrain.harness import run_mpc_threaded
+    from veiltrain.shareio import load_config
+
+    data = tmp_path / "data.csv"
+    run_cli("synth", "--n", "60", "--m", "5", "--seed", "3", "--out", str(data))
+    cfg = tmp_path / "session.cfg"
+    cfg.write_text("noise_draws = 2\nadd_bias = 1\n")
+    shares, out = tmp_path / "shares", tmp_path / "run"
+    run_cli("ingest", "--config", str(cfg), "--owner-csv", str(data), "--out", str(shares))
+    run_cli("train", "--config", str(cfg), "--shares", str(shares), "--out-dir", str(out),
+            "--seed", "21")
+
     X, t = load_csv(data)
-    assert 0.0 <= evaluate(w, X, t) <= 1.0
+    res = run_mpc_threaded([(X, t)], "horizontal", dict(load_config(cfg), seed=21),
+                           seed=21, draws=2)
+    w0, w1 = read_weights(out)
+    assert np.array_equal(w0 + w1, res["w_raw"])
+    noisy = np.loadtxt(out / "noisy.party0.csv", delimiter=",", ndmin=2)
+    assert noisy.shape == (2, 6)
+    assert np.array_equal(noisy, np.array([[float(f"{v:.10g}") for v in row]
+                                           for row in res["noisy_models"]]))
+    assert np.array_equal(noisy, np.loadtxt(out / "noisy.party1.csv", delimiter=",", ndmin=2))
+
+    def untimed(report):
+        return {k: v for k, v in report.items() if not k.endswith("seconds")}
+
+    report = json.loads((out / "report.party0.json").read_text())
+    assert untimed(report) == untimed(res["report"])
+    assert report["epsilon_total"] == 2.0  # two opened copies at epsilon 1
+    assert json.loads((out / "report.party1.json").read_text())["party"] == 1
+    assert all(0.0 <= evaluate(w, X, t, add_bias=1) <= 1.0 for w in noisy)
 
 
-def test_open_without_noise_matches_mirror(tmp_path):
+def test_train_without_noise_matches_mirror(tmp_path):
     from conftest import mirror_weights
+    from veiltrain.fixedpoint import decode
     from veiltrain.harness import training_config
     from veiltrain.shareio import DEFAULTS
 
     data = tmp_path / "data.csv"
     run_cli("synth", "--n", "40", "--m", "4", "--seed", "6", "--out", str(data))
-    shares = tmp_path / "s"
+    cfg = tmp_path / "plain.cfg"
+    cfg.write_text("epsilon = 0\n")
+    shares, out = tmp_path / "s", tmp_path / "run"
     run_cli("ingest", "--owner-csv", str(data), "--out", str(shares))
-    weights = tmp_path / "w"
-    run_cli("train", "--shares", str(shares), "--out-weights", str(weights),
+    run_cli("train", "--config", str(cfg), "--shares", str(shares), "--out-dir", str(out),
             "--lambda-reg", "0.5", "--seed", "33")
-    out = tmp_path / "model.csv"
-    run_cli("open", "--in-weights", str(weights), "--out", str(out))
-    w = np.array([float(v) for v in out.read_text().splitlines()[1:]])
+    w = decode(sum(read_weights(out)))
     X, t = load_csv(data)
-    # the session ran the default config with the command line's lambda
+    # the session ran the config with the command line's lambda, and
+    # without noise it opens no model and spends no budget
     mirror = mirror_weights(X, t, training_config(dict(DEFAULTS, lambda_reg=0.5)), seed=33)
     assert np.abs(w - mirror).max() < 1e-12
+    assert not (out / "noisy.party0.csv").exists()
+    assert json.loads((out / "report.party0.json").read_text())["epsilon_total"] == 0.0
+
+
+def test_ingest_splits_with_fresh_entropy(tmp_path):
+    # two ingests of one CSV draw different halves of the same encodings,
+    # and train on either releases the same outputs
+    from veiltrain.shareio import read_share_file
+
+    data = tmp_path / "data.csv"
+    run_cli("synth", "--n", "30", "--m", "4", "--seed", "6", "--out", str(data))
+    cfg = tmp_path / "small.cfg"
+    cfg.write_text("noise_draws = 2\n")
+    halves, outs = [], []
+    for k in range(2):
+        shares, out = tmp_path / f"s{k}", tmp_path / f"run{k}"
+        run_cli("ingest", "--owner-csv", str(data), "--out", str(shares))
+        halves.append([read_share_file(f"{shares}.party{p}.shares")[2:] for p in (0, 1)])
+        run_cli("train", "--config", str(cfg), "--shares", str(shares), "--out-dir", str(out))
+        outs.append(out)
+    (a0, a1), (b0, b1) = halves
+    assert not np.array_equal(a0[0], b0[0]) and not np.array_equal(a0[1], b0[1])
+    assert np.array_equal(a0[0] + a1[0], b0[0] + b1[0])
+    assert np.array_equal(a0[1] + a1[1], b0[1] + b1[1])
+    assert np.array_equal(sum(read_weights(outs[0])), sum(read_weights(outs[1])))
+    for name in ("noisy.party0.csv", "noisy.party1.csv"):
+        assert (outs[0] / name).read_text() == (outs[1] / name).read_text()
 
 
 def test_stages_reject_inputs_of_another_ring(tmp_path, capsys):
-    # shares and weights made on a 16-bit ring must not be read on the
-    # default 20-bit one: train and open stop with exit status 2
+    # shares made on a 16-bit ring must not be read on the default 20-bit
+    # one: train stops with exit status 2 and writes nothing
     data = tmp_path / "data.csv"
     run_cli("synth", "--n", "30", "--m", "4", "--seed", "6", "--out", str(data))
     cfg = tmp_path / "ring16.cfg"
-    cfg.write_text("frac_bits = 16\n")
-    shares, weights = tmp_path / "s", tmp_path / "w"
+    cfg.write_text("frac_bits = 16\nepsilon = 0\n")
+    shares = tmp_path / "s"
     run_cli("ingest", "--config", str(cfg), "--owner-csv", str(data), "--out", str(shares))
-    run_cli("train", "--config", str(cfg), "--shares", str(shares),
-            "--out-weights", str(weights))
     capsys.readouterr()
-    assert main(["train", "--shares", str(shares), "--out-weights",
-                 str(tmp_path / "w20")]) == 2
+    assert main(["train", "--shares", str(shares), "--out-dir", str(tmp_path / "w20")]) == 2
     assert "frac_bits" in capsys.readouterr().err
-    assert not (tmp_path / "w20.party0.bin").exists()
-    assert main(["open", "--in-weights", str(weights), "--out", str(tmp_path / "m.csv")]) == 2
-    assert "frac_bits" in capsys.readouterr().err
-    assert not (tmp_path / "m.csv").exists()
-    run_cli("open", "--config", str(cfg), "--in-weights", str(weights),
-            "--out", str(tmp_path / "m.csv"))
+    assert not (tmp_path / "w20").exists()
+    run_cli("train", "--config", str(cfg), "--shares", str(shares),
+            "--out-dir", str(tmp_path / "w16"))
+    assert len(read_weights(tmp_path / "w16")[0]) == 4
 
 
-def test_perturb_calibrates_to_the_bias_column_row_norm(tmp_path):
-    # with the bias column rows have norm sqrt 2, and perturb scales its
-    # noise as the session does: c = 2 sqrt(2) / (n epsilon lambda)
-    from veiltrain.shareio import read_weights_file
-
+def test_train_refuses_a_share_file_of_another_session(tmp_path, capsys):
+    # the share files' session must be the config's: train stops with exit
+    # status 2 before it runs anything
     data = tmp_path / "data.csv"
-    run_cli("synth", "--n", "30", "--m", "4", "--seed", "6", "--out", str(data))
-    cfg = tmp_path / "bias.cfg"
-    cfg.write_text("add_bias = 1\n")
-    shares, weights, noisy = tmp_path / "s", tmp_path / "w", tmp_path / "n"
-    run_cli("ingest", "--config", str(cfg), "--owner-csv", str(data), "--out", str(shares))
-    run_cli("train", "--config", str(cfg), "--shares", str(shares), "--out-weights", str(weights))
-    run_cli("perturb", "--config", str(cfg), "--in-weights", str(weights),
-            "--out-weights", str(noisy), "--n", "30", "--epsilon", "0.5")
-    header = read_weights_file(f"{noisy}.party0.bin")[0]
-    assert int(header["d"]) == 5
-    assert float(header["noise_scale"]) == 2 * np.sqrt(2) / (30 * 0.5 * 1.0)
+    run_cli("synth", "--n", "20", "--m", "4", "--seed", "6", "--out", str(data))
+    other = tmp_path / "other.cfg"
+    other.write_text("session_id = 5\n")
+    run_cli("ingest", "--config", str(other), "--owner-csv", str(data),
+            "--out", str(tmp_path / "s"))
+    capsys.readouterr()
+    assert main(["train", "--shares", str(tmp_path / "s"),
+                 "--out-dir", str(tmp_path / "run")]) == 2
+    assert "'session'" in capsys.readouterr().err
+    assert not (tmp_path / "run").exists()
+
+
+@pytest.mark.parametrize("argv", [["perturb"], ["open"],
+                                  ["ingest", "--owner-csv", "d.csv", "--out", "s",
+                                   "--share-seed", "7"],
+                                  ["train", "--shares", "s", "--out-weights", "w"]],
+                         ids=["perturb", "open", "ingest-share-seed", "train-out-weights"])
+def test_removed_stages_and_options_are_usage_errors(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "usage:" in capsys.readouterr().err
+
+
+def test_the_subcommands_are_one_session_each():
+    from veiltrain.cli import build_parser
+
+    sub = next(a for a in build_parser()._actions if a.dest == "cmd")
+    assert list(sub.choices) == ["synth", "ingest", "party", "train", "baseline",
+                                 "kernel-bench", "experiment"]
 
 
 def test_party_refuses_a_share_file_of_another_session(tmp_path, capsys):

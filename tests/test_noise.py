@@ -123,13 +123,22 @@ def test_perturb_zero_weights_norm_law():
     assert ks.statistic < 0.05
 
 
-def test_direction_uniformity():
+@pytest.mark.parametrize("sampler, d", [("gaussian_vector", 6), ("sample_noise", 6),
+                                        ("sample_noise", 7)])
+def test_direction_uniformity(sampler, d):
+    # the session's noise (sample_noise, even and odd d) points in a
+    # uniform direction, as the Gaussian vector does
     eng = plain(11)
-    s = decode(eng.open(gaussian_vector(eng, 6, batch=(5000,))), RING)
+    if sampler == "gaussian_vector":
+        draws = gaussian_vector(eng, d, batch=(5000,))
+    else:
+        draws = sample_noise(eng, DpParams(epsilon=1.0, lambda_reg=1.0, n=300, d=d),
+                             batch=(5000,))
+    s = decode(eng.open(draws), RING)
     s = s / np.linalg.norm(s, axis=1, keepdims=True)
     assert np.abs(s.mean(axis=0)).max() <= 0.05
     corr = np.corrcoef(s.T)
-    off = corr[~np.eye(6, dtype=bool)]
+    off = corr[~np.eye(d, dtype=bool)]
     assert np.abs(off).max() < 0.05
 
 
