@@ -3,7 +3,7 @@
 Three kinds of material, one key each: Beaver triples ("triple",),
 truncation pairs ("trunc", s) for a shift s, and random-bit words ("bit",),
 which come in 3-bit blocks holding the products of every non-empty subset
-of a block's bits (the masks of the msb, lead and split ops).
+of a block's bits (the masks of the msb and lead ops).
 
 Every kind of material comes from two PCG64 streams: a *plain* stream that
 fixes the secret values and a *split* stream that fixes how they are shared.
@@ -36,7 +36,7 @@ def _window(session_seed: int, tags, start_words: int, n_words: int) -> np.ndarr
     return np.random.Generator(gen).integers(0, 2**64, size=n_words, dtype=np.uint64)
 
 
-SIGN_BLOCK = 3  # mask bits per monomial block of the msb, lead and split ops' material
+SIGN_BLOCK = 3  # mask bits per monomial block of the msb and lead ops' material
 
 
 def check_key(key) -> None:

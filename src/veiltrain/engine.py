@@ -7,7 +7,7 @@ below and can run on either engine:
   Beaver triples, truncations spend dealer pairs, and each step is one
   synchronized exchange with the peer. A truncation and the products of its
   result share one exchange (tmul; trunc is a tmul without products).
-  Comparisons (msb, lead, split) open the input under a dealer mask whose
+  Comparisons (msb, lead) open the input under a dealer mask whose
   bits come in 3-bit blocks, the leaves (leaf_layout), and resolve the
   borrow out of each leaf with a log-depth prefix over them. Independent
   branches run side by side (parallel) and share their rounds.
@@ -44,7 +44,7 @@ BORROW, NONZERO, LEAF_BIT = 0, 1, 2
 def leaf_layout(width: int):
     """Lowest bits of the leaves of a width-bit mask, low to high: every
     leaf is a 3-bit block, so the width must be a positive multiple of 3.
-    The msb, lead and split ops all take their leaves from here."""
+    The msb and lead ops both take their leaves from here."""
     if width <= 0 or width % SIGN_BLOCK:
         raise ValueError(f"a mask width must be a positive multiple of {SIGN_BLOCK}, "
                          f"got {width}")
@@ -86,12 +86,6 @@ def lead_plan(width: int):
     leaves but the lowest one, from the top down."""
     inner = len(leaf_layout(width)) - 1
     return prefix_plan(inner, range(inner))
-
-
-def split_plan(width: int):
-    """Borrow-map schedule of split: the leaves below the top one, reduced."""
-    inner = len(leaf_layout(width)) - 1
-    return prefix_plan(inner, [inner - 1])
 
 
 def _leaf_maps():
@@ -309,13 +303,6 @@ class PlainEngine(BaseEngine):
         first = np.ones((1,) + x.shape, dtype=bool)
         return (np.concatenate([first, above[:-1]]) & ~above).astype(np.uint64)
 
-    def split(self, a, width):
-        """a mod 2^(width-3), then bits width-3 and width-2 of a, stacked."""
-        x = self._count_leaf_op(a, width, _plan_products(split_plan(width)) + 2)
-        low = np.uint64(width - SIGN_BLOCK)
-        one = np.uint64(1)
-        return np.stack([x & ((one << low) - one), (x >> low) & one, (x >> (low + one)) & one])
-
     def joint_uniform(self, shape):
         """Uniform fixed-point values on (0, 1]: l jointly-XORed bits plus one ulp."""
         l = self.cfg.frac_bits
@@ -451,8 +438,8 @@ class MpcEngine(BaseEngine):
     def _open_leaves(self, a, width):
         """Take a width-bit mask r in leaves and open c = (a + r) mod 2^width.
 
-        Returns c, each leaf's share of its part of r (shifted into place),
-        and the leaves' monomial shares, indexed [leaf, monomial, element]."""
+        Returns c and the leaves' monomial shares, indexed [leaf, monomial,
+        element]."""
         n = int(np.prod(np.shape(a), dtype=np.int64))
         pos = np.array(leaf_layout(width), dtype=np.uint64)
         words = self.material.take_bits(SIGN_WORDS * len(pos) * n)
@@ -465,7 +452,7 @@ class MpcEngine(BaseEngine):
         flat = np.ravel(np.asarray(a, dtype=np.uint64))
         with np.errstate(over="ignore"):
             c = np.ravel(self.open((flat + self.sum(parts, axis=0)) & mask)) & mask
-        return c, parts, mono
+        return c, mono
 
     def _maps(self, c, mono, outputs):
         """Shares (G, P) [leaf, element] of each leaf's map for the output
@@ -505,7 +492,7 @@ class MpcEngine(BaseEngine):
         the top leaf, whose map gives the sign bit of c - r.
         """
         leaves = len(leaf_layout(width))
-        c, _, mono = self._open_leaves(a, width)
+        c, mono = self._open_leaves(a, width)
         outputs = [BORROW] * (leaves - 1) + [LEAF_BIT + SIGN_BLOCK - 1]
         G, P = self._maps(c, mono, outputs)
         return self._compose(G, P, msb_plan(width))[-1].reshape(np.shape(a))
@@ -520,7 +507,7 @@ class MpcEngine(BaseEngine):
         one-hot is S_i - S_(i+1), with S_0 taken as 1.
         """
         shape, leaves = np.shape(a), len(leaf_layout(width))
-        c, _, mono = self._open_leaves(a, width)
+        c, mono = self._open_leaves(a, width)
         n, plan = len(c), lead_plan(width)
         above = self.zeros((0, n))
         if leaves > 1:
@@ -540,28 +527,6 @@ class MpcEngine(BaseEngine):
         ext = np.concatenate([one, above, self.zeros((1, n))])
         with np.errstate(over="ignore"):
             return (ext[:-1] - ext[1:]).reshape((leaves,) + shape)
-
-    def split(self, a, width):
-        """a mod 2^(width-3), then bits width-3 and width-2 of a, stacked; in log depth.
-
-        The leaves below the top one reduce to the borrow g into bit
-        width - 3, which fixes the low part linearly; one batched product
-        evaluates the top leaf's maps for its two low bits."""
-        shape, leaves = np.shape(a), len(leaf_layout(width))
-        plan = split_plan(width)
-        c, parts, mono = self._open_leaves(a, width)
-        n, low = len(c), width - SIGN_BLOCK
-        g = self.zeros(n)
-        if leaves > 1:
-            G, P = self._maps(c, mono, [BORROW] * (leaves - 1) + [None])
-            g = self._compose(G[:-1], P[:-1], plan)[-1]
-        A, B = zip(*(self._maps(c, mono, [None] * (leaves - 1) + [LEAF_BIT + t])
-                     for t in (0, 1)))
-        with np.errstate(over="ignore"):
-            bits = np.stack([x[-1] for x in A]) + self.mul(np.stack([b[-1] for b in B]), g[None, :])
-            part = self.sub(self.mul_public_int(g, 1 << low), self.sum(parts[:-1], axis=0))
-            lo = self.add_public(part, c & ((np.uint64(1) << np.uint64(low)) - np.uint64(1)))
-        return np.concatenate([lo[None, :], bits]).reshape((3,) + shape)
 
     def parallel(self, *branches):
         """Run each branch(engine) side by side and return their results.

@@ -117,7 +117,7 @@ def run_mpc_threaded(owner_datasets, mode: str, cfg: dict, seed: int, draws: int
     """In-process execution of the full two-party pipeline over loopback
     channels. Returns pre-noise shares, opened noisy models, and transcripts."""
     ring = ring_from_config(cfg)
-    shares = ingest_partitions(owner_datasets, mode, ring, seed)
+    shares = ingest_partitions(owner_datasets, mode, ring)
     results, reports, elapsed = run_threaded_session(shares, cfg, seed, draws)
     w_shares = (results[0]["w_share"], results[1]["w_share"])
     noisy = decode(results[0]["noisy"], ring) if "noisy" in results[0] else None
@@ -188,7 +188,7 @@ def run_mpc_process(owner_datasets, mode: str, cfg: dict, seed: int, draws: int,
     ROLE_DEADLINE_S (_supervise)."""
     ring = ring_from_config(cfg)
     os.makedirs(workdir, exist_ok=True)
-    (X0, t0), (X1, t1) = ingest_partitions(owner_datasets, mode, ring, seed)
+    (X0, t0), (X1, t1) = ingest_partitions(owner_datasets, mode, ring)
     n, m = X0.shape
     prefix = os.path.join(workdir, "data")
     session = cfg["session_id"]

@@ -67,19 +67,20 @@ def ingest_shares(X, t, ring: RingConfig, rng: np.random.Generator, owners: int 
     return (X0, t0), (X1, t1)
 
 
-def ingest_partitions(owner_datasets, mode: str, ring: RingConfig, seed: int):
-    """Each owner ingests with its own randomness; the parties' halves are
-    then assembled into the global secret-shared matrix.
+def ingest_partitions(owner_datasets, mode: str, ring: RingConfig, seed: int | None = None):
+    """Each owner ingests with fresh entropy, as `veiltrain ingest` does; the
+    parties' halves are then assembled into the global secret-shared matrix.
 
     Returns (X0, t0), (X1, t1) for the assembled dataset. Reconstruction is
     bit-identical to ingesting the unpartitioned matrix, whatever the split.
+    seed is unused: a split seeded from the session seed, which every role
+    reads, would let a party rebuild the other's halves.
     """
     parts0, parts1 = [], []
     labels0, labels1 = [], []
     owners = len(owner_datasets) if mode == "vertical" else 1
-    for i, (X_i, t_i) in enumerate(owner_datasets):
-        rng = np.random.default_rng(np.random.SeedSequence([seed, 90, i]))
-        (x0, t0), (x1, t1) = ingest_shares(X_i, t_i, ring, rng, owners)
+    for X_i, t_i in owner_datasets:
+        (x0, t0), (x1, t1) = ingest_shares(X_i, t_i, ring, np.random.default_rng(), owners)
         parts0.append(x0)
         parts1.append(x1)
         if t0 is not None:

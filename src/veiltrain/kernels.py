@@ -9,12 +9,13 @@ square root's iteration tracks e = g h = 2 m h^2 (which tends to 1/2) in
 place of forming g h, so a step is two rounds: r = 3/2 - e is truncated
 while it multiplies the carried values and itself, and e r^2 is (3/2 - r)
 times r^2, taken while r^2 and the carried values are truncated. Sine and
-cosine split the angle in turns into its quarter-period fraction and
-quadrant bits with the engine's split op. Signs alone (the division's sign,
-the sigmoid's clamps) come from the engine's msb op. The sigmoid is an odd
-polynomial: on an input with a public bound |z| <= 5/4 it is of degree 5
-and takes 3 rounds, on one with |z| <= 4 it needs no clamp, otherwise it
-clamps outside |z| <= 8 with oblivious segment selection. Every polynomial
+cosine need no range reduction: a half-angle polynomial covers the whole
+period, and one squaring round doubles the angle. Signs alone (the
+division's sign, the sigmoid's clamps) come from the engine's msb op. The
+sigmoid is an odd polynomial: on an input with a public bound |z| <= 5/4
+it is of degree 5 and takes 3 rounds, on one with |z| <= 4 it needs no
+clamp, otherwise it clamps outside |z| <= 8 with oblivious segment
+selection. Every polynomial
 is evaluated in the power basis: the powers take one fused truncate and
 multiply round (engine op tmul) per doubling, and the sum is local.
 Iteration counts and degrees are fixed, so transcripts depend only on input
@@ -26,8 +27,8 @@ the fused power chain reaches it in few rounds: degree 6 and 12 take one
 round fewer than 8 and 14), converted to the power basis at import:
   LN_CHEB:  ln(m) on m in [1/8, 1],  argument (16m - 9)/7; LN_POWER in
             powers of u = 2m - 1
-  SIN_CHEB: sin(2 pi f) on f in [0, 0.25], argument 8f - 1
-  COS_CHEB: cos(2 pi f) likewise
+  SIN_CHEB: sin(pi x / 2) on x in [-1, 1] (odd, degree 7)
+  COS_CHEB: cos(pi x / 2) likewise (even, degree 8)
   SIG_CHEB: (sigmoid(8t) - 1/2)/t as a function of u = t^2 on [0, 1],
             argument v = 2u - 1
   SIG4_CHEB: (sigmoid(4t) - 1/2)/t likewise, weighted by t (Lawson
@@ -57,14 +58,12 @@ LN_CHEB = (
     -1.888238927282925e-05,
 )
 SIN_CHEB = (
-    0.6021947012555465, 0.5136251666791071, -0.10354634426296364,
-    -0.013732034234358455, 0.0013586698380907065, 0.00010726309440585774,
-    -7.0462967931116435e-06,
+    0.0, 1.133648177811748, 0.0, -0.13807177658719216, 0.0, 0.004490714246554834,
+    0.0, -6.770127584258697e-05,
 )
 COS_CHEB = (
-    0.6021947012555464, -0.513625166679107, -0.10354634426296369,
-    0.013732034234358668, 0.0013586698380901965, -0.00010726309440573161,
-    -7.046296793789603e-06,
+    0.4720012157682348, 0.0, -0.49940325827040705, 0.0, 0.027992079617547648,
+    0.0, -0.0005966951965487954, 0.0, 6.704394869800126e-06,
 )
 SIG_CHEB = (
     0.9179788279261364, -0.5978454057785887, 0.26131485960880796,
@@ -198,9 +197,9 @@ def _powers(eng, x, shift, degree, ride=None):
 
 def _poly_2l(eng, powers, coeffs):
     """sum_k coeffs[k] v^k at 2l fractional bits, from the stacked powers
-    v .. v^degree at l bits (local)."""
+    v, v^2 .. at l bits, as many as the coefficients need or more (local)."""
     l = eng.frac_bits
-    q2l = _combine_int(eng, powers, to_signed(_enc(eng, coeffs[1:])))
+    q2l = _combine_int(eng, powers[:len(coeffs) - 1], to_signed(_enc(eng, coeffs[1:])))
     return eng.add_public(q2l, _enc(eng, coeffs[0] * 2.0 ** l))
 
 
@@ -373,39 +372,34 @@ def secure_ln(eng, a, magnitude_bits=None):
 
 
 def secure_sin_cos(eng, theta):
-    """(sin, cos) of theta in [0, 2pi] (any theta works modulo 2pi). The
-    angle in turns takes one truncation, with 1/(2 pi) at l + _TURNS_EXTRA
-    bits: at l bits its rounding error grows with theta, to 2.4 ulps of the
-    turns at 2 pi on RingConfig(64, 16)."""
+    """(sin, cos) of theta in [0, 2pi]. The angle in turns takes one
+    truncation, to l + 1 bits, with 1/(2 pi) at l + _TURNS_EXTRA bits: the
+    constant's rounding error at l bits would grow with theta, to 2.4 ulps
+    of the turns at 2 pi with 16 fractional bits."""
     shift = eng.frac_bits + _TURNS_EXTRA
     inv = int(round(2.0 ** shift / (2 * np.pi)))
-    return _sin_cos_turns(eng, eng.trunc(eng.mul_public_int(theta, inv), shift))
+    return _sin_cos_turns(eng, eng.trunc(eng.mul_public_int(theta, inv), shift - 1))
 
 
 def _sin_cos_turns(eng, turns, ride=None):
-    """(sin, cos) of 2 pi turns, turns at l bits (any value works modulo 1),
-    via the split of the angle into its quarter-period fraction and
-    quadrant. The split takes whole leaves, so turns is first shifted left
-    by the bits l + 1 falls short of them. ride: values to truncate by l in
-    the last round of the powers; with ride the result is (sin, cos, ride
-    truncated)."""
+    """(sin, cos) of 2 pi turns for turns in [0, 1] at l + 1 fractional
+    bits: a value v at l bits, as it is, is the half turn count v/2.
+
+    x = 2 turns - 1 is exact at 2l bits and the angle is pi x + pi, so from
+    the half-angle fits s = sin(pi x / 2) and c = cos(pi x / 2), sin = -2 s c
+    = s^2 + c^2 - (s + c)^2 and cos = s^2 - c^2: one tmul truncates and
+    squares s, c and s + c, one truncation follows. ride: values to truncate
+    by l in the last round of the powers; with ride the result is (sin,
+    cos, ride truncated)."""
     l = eng.frac_bits
-    shift = -(l + 1) % SIGN_BLOCK
     with eng.phase("sin_cos"):
-        # turns mod 1/4 at l + shift bits, and the quadrant bits; then 8f - 1
-        f, q0, q1 = eng.split(eng.mul_public_int(turns, 1 << shift), l + 1 + shift)
-        x2l = eng.add_public(eng.mul_public_int(f, 8 << (l - shift)), _unit(eng, 2 * l, -1))
-        powers = _powers(eng, x2l, l, len(SIN_POWER) - 1, ride)
+        x2l = eng.add_public(eng.mul_public_int(turns, 1 << l), _unit(eng, 2 * l, -1))
+        powers = _powers(eng, x2l, l, len(COS_POWER) - 1, ride)
         if ride is not None:
             powers, ride = powers
-        s, c = eng.trunc(eng.stack([_poly_2l(eng, powers, SIN_POWER),
-                                    _poly_2l(eng, powers, COS_POWER)]), l)
-        q0s, q0c, q1q0 = eng.mul(eng.stack([q0, q0, q1]), eng.stack([s, c, q0]))
-        inner_sin = eng.add(eng.sub(s, q0s), q0c)
-        inner_cos = eng.add(eng.sub(c, q0c), q0s)
-        q_xor = eng.sub(eng.add(q1, q0), eng.mul_public_int(q1q0, 2))
-        inner = eng.stack([inner_sin, inner_cos])
-        sin, cos = eng.sub(inner, eng.mul_public_int(eng.mul(eng.stack([q1, q_xor]), inner), 2))
+        s, c = _poly_2l(eng, powers, SIN_POWER), _poly_2l(eng, powers, COS_POWER)
+        _, (ss, cc, both) = eng.tmul(eng.stack([s, c, eng.add(s, c)]), l, square=True)
+        sin, cos = eng.trunc(eng.stack([eng.sub(eng.add(ss, cc), both), eng.sub(ss, cc)]), l)
         return (sin, cos) if ride is None else (sin, cos, ride)
 
 

@@ -71,7 +71,7 @@ def gaussian_vector(eng, d: int, batch: tuple = ()):
         used = np.r_[0:d // 2, k - 1] if d % 2 else np.arange(k)
         u, v = joint_uniform(eng, (2, k, *batch))[:, used]
         e = eng.mul_public_int(secure_ln(eng, u, _LN_MAGNITUDE_BITS), -2)
-        sin, cos = _sin_cos_turns(eng, v)
+        sin, cos = _sin_cos_turns(eng, eng.mul_public_int(v, 2))
         _, out = eng.tmul(box_muller_radius(eng, e), eng.frac_bits, eng.stack([cos, sin]))
         return _coordinates(eng.trunc(out, eng.frac_bits), d, batch)
 
@@ -89,11 +89,13 @@ def sample_noise(eng, dp: DpParams, batch: tuple = ()):
     """Shares of Gamma * g / ||g||, (*batch, d): one independent draw per
     batch row. It needs neither data nor weights.
 
-    k = ceil(d/2) Box-Muller pairs; an odd d takes only the last pair's cos.
-    One ln gives E_i = -2 ln u_i and the Gamma's logs; ||g||^2 = S = sum E_i
-    (odd tail: E (1 + cos 2 theta) / 2). S/4^a, 4^a >= k, and Gamma ride in
-    sin/cos; one rsqrt over [E_i, S/4^a] gives R_i = E_i rsqrt(E_i) and K =
-    Gamma 2^a / ||g||. Two uniform draws: one would double the peak memory."""
+    k = ceil(d/2) Box-Muller pairs; an odd d takes only the last pair's cos,
+    at theta = pi v where the others have 2 pi v, so that 2 theta is within
+    sin/cos's one period (R cos theta keeps its law). One ln gives E_i = -2
+    ln u_i and the Gamma's logs; ||g||^2 = S = sum E_i (odd tail: E (1 +
+    cos 2 theta) / 2). S/4^a, 4^a >= k, and Gamma ride in sin/cos; one
+    rsqrt over [E_i, S/4^a] gives R_i = E_i rsqrt(E_i) and K = Gamma 2^a /
+    ||g||. Two uniform draws: one would double the peak memory."""
     l, d, k = eng.frac_bits, dp.d, (dp.d + 1) // 2
     a = ((k - 1).bit_length() + 1) // 2
     code, f = dp.scale_code(eng.cfg)
@@ -104,7 +106,9 @@ def sample_noise(eng, dp: DpParams, batch: tuple = ()):
         e = np.moveaxis(eng.mul_public_int(ln_u[..., :k], -2), -1, 0)  # (k, *batch)
         gamma = eng.mul_public_int(eng.neg(eng.sum(ln_u[..., k:], axis=-1)), code)
         norm = eng.mul_public_int(eng.sum(e[:k - d % 2], axis=0), 1 << (l - 2 * a))
-        turns = np.concatenate([v, eng.mul_public_int(v[k - 1:], 2)]) if d % 2 else v
+        turns = eng.mul_public_int(v, 2)  # v at l + 1 bits
+        if d % 2:  # the tail's angle is pi v, its double 2 pi v
+            turns = np.insert(turns, k - 1, v[k - 1], axis=0)
         sin, cos, (s4, gamma) = _sin_cos_turns(eng, turns, eng.stack([norm, gamma]))
         if d % 2:
             tail = eng.mul(e[-1], eng.add_public(cos[-1], np.uint64(1 << l)))

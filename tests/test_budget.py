@@ -10,7 +10,7 @@ from veiltrain.datasets import make_plan, partition, synth_data
 from veiltrain.shareio import DEFAULTS
 
 # 20x4 horizontal, the defaults' 7 steps, 3 noise draws, thread executor.
-# The noise (54 rounds) runs beside training (64) and every one of its
+# The noise (49 rounds) runs beside training (64) and every one of its
 # rounds is recorded under training's path; the last round opens the models.
 ROUNDS_BY_PATH = {
     "-": 1,
@@ -19,10 +19,10 @@ ROUNDS_BY_PATH = {
 }
 # the noise's rounds that rode in training's
 OVERLAP_BY_PATH = {
-    "perturb": 4, "perturb/uniform": 2, "perturb/ln": 15, "perturb/sin_cos": 12,
+    "perturb": 4, "perturb/uniform": 2, "perturb/ln": 15, "perturb/sin_cos": 7,
     "perturb/rsqrt": 21,
 }
-WIRE_BYTES = 200_362  # party 0, sent plus received
+WIRE_BYTES = 199_018  # party 0, sent plus received
 
 
 def _rows(report, prefix):

@@ -165,10 +165,10 @@ def test_report_contains_traffic():
     res = run_mpc_threaded([(X, t)], "horizontal", cfg, seed=13, draws=2)
     assert res["bytes"] > 0
     assert res["report"]["phase.forward.rounds"] > 0
-    # all 56 of the noise's rounds (odd d) ride in training's, where the
+    # all 51 of the noise's rounds (odd d) ride in training's, where the
     # report counts them as overlap rows
     overlap = {k: v for k, v in res["report"].items() if k.startswith("overlap.perturb")}
-    assert overlap["overlap.perturb.rounds"] > 0 and sum(overlap.values()) == 56
+    assert overlap["overlap.perturb.rounds"] > 0 and sum(overlap.values()) == 51
 
 
 class _RecordingLauncher:

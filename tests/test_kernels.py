@@ -197,11 +197,25 @@ def test_ln_of_one_is_exactly_zero_at_the_box_muller_width():
 # --- sine / cosine ---
 
 def test_sincos_quarter_points():
+    # 0, pi and 2 pi are x = -1, 0 and 1, the ends and middle of the half-angle fit
     eng = plain(10)
-    th = np.array([0.0, np.pi / 2, np.pi / 4])
+    th = np.array([0.0, np.pi / 2, np.pi / 4, np.pi, 3 * np.pi / 2, 2 * np.pi])
     s, c = kernels.secure_sin_cos(eng, enc_pub(eng, th))
-    assert np.abs(decode(eng.open(s), RING) - [0, 1, np.sqrt(0.5)]).max() <= 2**-12
-    assert np.abs(decode(eng.open(c), RING) - [1, 0, np.sqrt(0.5)]).max() <= 2**-12
+    r = np.sqrt(0.5)
+    assert np.abs(decode(eng.open(s), RING) - [0, 1, r, 0, -1, 0]).max() <= 2**-12
+    assert np.abs(decode(eng.open(c), RING) - [1, 0, r, -1, 0, 1]).max() <= 2**-12
+
+
+def test_sin_cos_turns_at_the_ends_of_the_fit():
+    # turns 0, 1/2 and 1 at l + 1 bits (x = -1, 0, 1), and the half-angle
+    # rows noise.sample_noise gives: v at l bits as it is, the turns v/2
+    l = RING.frac_bits
+    halves = encode(np.array([1.0, 0.5]), RING)  # half a turn and a quarter
+    turns = np.concatenate([np.array([0, 1 << l, 2 << l], dtype=np.uint64), halves])
+    eng = plain(49)
+    s, c = kernels._sin_cos_turns(eng, eng.from_public(turns))
+    assert np.abs(decode(eng.open(s), RING) - [0, 0, 0, 0, 1]).max() <= 2**-12
+    assert np.abs(decode(eng.open(c), RING) - [1, -1, 1, -1, 0]).max() <= 2**-12
 
 
 def test_sincos_tolerance_sweep_and_pythagoras():

@@ -1,10 +1,10 @@
-"""Leading-leaf normalization (engine op lead) and the quarter split (engine
-op split): exact against the true bits and the clear-text mirror, oblivious,
-exactly provisioned by the dry run, and at their pinned per-element cost.
+"""Leading-leaf normalization (engine op lead): exact against the true bits
+and the clear-text mirror, oblivious, exactly provisioned by the dry run,
+and at its pinned per-element cost.
 
-Both ops take whole 3-bit leaves. Values of fewer bits go to lead at the
-width rounded up, and to split shifted up into it, as the kernels give
-them (kernels._normalize, kernels._sin_cos_turns)."""
+The leaf ops (msb and lead) take whole 3-bit leaves. Values of fewer bits
+go to lead at the width rounded up, as the kernels give them
+(kernels._normalize)."""
 
 import numpy as np
 import pytest
@@ -51,16 +51,6 @@ def _lead_fn(values, width):
     return fn
 
 
-def _split_fn(values, width):
-    shift = _whole(width) - width
-
-    def fn(eng):
-        return eng.open(eng.split(eng.mul_public_int(eng.from_public(values), 1 << shift),
-                                  width + shift))
-
-    return fn
-
-
 @pytest.mark.parametrize("width", [1, 2, 3, 4, 5, 21, 26, 43])
 def test_lead_exact_and_oblivious(width):
     values = _inputs(width, width)
@@ -76,34 +66,11 @@ def test_lead_exact_and_oblivious(width):
     assert ta.bytes_sent == tb.bytes_sent
 
 
-@pytest.mark.parametrize("width", [3, 4, 5, 21, 25])
-def test_split_exact_and_oblivious(width):
-    values = _inputs(width, width + 50)
-    fn = _split_fn(values, width)
-    (r0, r1), engines = run_both(fn, seed=width)
-    mirror = fn(PlainEngine(MaterialSource(width, RING), RING))
-    low, shift = np.uint64(width - 3), np.uint64(_whole(width) - width)
-    assert np.array_equal(mirror[0], (values & ((np.uint64(1) << low) - np.uint64(1))) << shift)
-    assert np.array_equal(mirror[1:], np.stack([values >> low, values >> (low + np.uint64(1))])
-                          & np.uint64(1))
-    assert np.array_equal(r0, mirror) and np.array_equal(r1, mirror)
-
-    _, engines_other = run_both(_split_fn(np.zeros_like(values), width), seed=width + 100)
-    ta, tb = engines[0].rt.transcript, engines_other[0].rt.transcript
-    assert ta.n_rounds == tb.n_rounds
-    assert ta.bytes_sent == tb.bytes_sent
-
-
-def test_split_rejects_a_narrow_width():
-    with pytest.raises(ValueError):
-        PlainEngine(MaterialSource(1, RING), RING).split(np.zeros(2, dtype=np.uint64), 2)
-
-
 @pytest.mark.parametrize("width", [0, 2, 4, 26, 64])
 def test_leaf_ops_refuse_a_width_of_partial_leaves(width):
     with pytest.raises(ValueError):
         leaf_layout(width)
-    for op in ("msb", "lead", "split"):
+    for op in ("msb", "lead"):
         def fn(eng, op=op):
             return getattr(eng, op)(eng.from_public(np.ones(4, dtype=np.uint64)), width)
 
@@ -113,7 +80,7 @@ def test_leaf_ops_refuse_a_width_of_partial_leaves(width):
             run_both(fn, seed=1, counts={})
 
 
-@pytest.mark.parametrize("make", [_lead_fn, _split_fn])
+@pytest.mark.parametrize("make", [_lead_fn])
 def test_consumes_the_dry_run_exactly(make):
     fn = make(_inputs(26, 1), 26)
     counts = estimate_counts(fn, 1, RING)
@@ -131,7 +98,6 @@ def test_consumes_the_dry_run_exactly(make):
     ("lead", 21, 8, {("bit",): 49, ("triple",): 22}, 45),
     ("lead", 27, 8, {("bit",): 63, ("triple",): 37}, 75),
     ("lead", 45, 10, {("bit",): 105, ("triple",): 76}, 153),
-    ("split", 21, 5, {("bit",): 49, ("triple",): 9}, 19),
 ])
 def test_cost_per_element(op, width, rounds, material, wire):
     n = 10
@@ -146,5 +112,4 @@ def test_cost_per_element(op, width, rounds, material, wire):
     assert tr.n_rounds == rounds
     assert tr.bytes_sent - FRAME_BYTES * rounds == 8 * wire * n
     words = sum(_SPLIT_WORDS[k[0]] * v for k, v in material.items())
-    assert words == {("lead", 21): 115, ("lead", 27): 174, ("lead", 45): 333,
-                     ("split", 21): 76}[op, width]
+    assert words == {("lead", 21): 115, ("lead", 27): 174, ("lead", 45): 333}[op, width]

@@ -286,7 +286,7 @@ def test_perturbation_round_budget():
         return engs[0].rt.transcript.n_rounds
 
     even = {d: rounds(d) for d in (2, 10, 50)}
-    assert set(even.values()) == {54}
+    assert set(even.values()) == {49}
     for d in (3, 11, 51):  # the odd tail's E cos^2 takes one product and one truncation
         assert rounds(d) <= even[d - 1] + 2
 
@@ -303,3 +303,19 @@ def test_session_noise_is_calibrated_to_the_row_bound():
     assert dp.scale == 2 * np.sqrt(2) / 300
     with pytest.raises(ValueError, match="row_norm"):
         DpParams(epsilon=1.0, lambda_reg=1.0, n=300, d=12, row_norm=0.0)
+
+
+@pytest.mark.parametrize("d", [6, 7, 12, 13])
+def test_every_draw_has_its_gamma_magnitude(d):
+    # ||eta|| = Gamma per draw, not only in the mean: regenerate the uniforms
+    # sample_noise drew (the Box-Muller pairs, then the Gamma's d) and check
+    # each norm against c (-sum ln u). An odd d's tail, whose cos 2 theta
+    # enters ||g||, must agree with its coordinate's angle
+    dp, draws = DpParams(epsilon=1.0, lambda_reg=1.0, n=300, d=d), 500
+    k = (d + 1) // 2
+    eta = decode(sample_noise(plain(23), dp, (draws,)), RING)
+    ref = plain(23)
+    joint_uniform(ref, (2, k, draws))
+    u = decode(ref.open(joint_uniform(ref, (draws, d))), RING)
+    gamma = dp.scale * -np.log(u).sum(axis=1)
+    assert np.abs(np.linalg.norm(eta, axis=1) / gamma - 1).max() < 1e-3

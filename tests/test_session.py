@@ -133,6 +133,22 @@ def test_vertical_pieces_share_the_cap():
         ingest_partitions(owners, "vertical", RING, seed=6)
 
 
+@pytest.mark.parametrize("mode", ["horizontal", "vertical"])
+def test_owner_splits_ignore_the_session_seed(mode):
+    # every role reads the session seed, so no owner's split may derive from
+    # it: two calls with one seed draw different halves of equal sums
+    X = np.random.default_rng(7).uniform(-0.5, 0.5, (6, 4))
+    t = np.array([0.0, 1.0] * 3)
+    owners = ([(X[:3], t[:3]), (X[3:], t[3:])] if mode == "horizontal"
+              else [(X[:, :2], t), (X[:, 2:], None)])
+    (a0, s0), (a1, s1) = ingest_partitions(owners, mode, RING, seed=6)
+    (b0, r0), (b1, r1) = ingest_partitions(owners, mode, RING, seed=6)
+    assert not np.any(a0 == b0) and not np.any(s0 == r0)
+    with np.errstate(over="ignore"):
+        assert np.array_equal(a0 + a1, encode(X, RING)) and np.array_equal(a0 + a1, b0 + b1)
+        assert np.array_equal(s0 + s1, encode(t, RING)) and np.array_equal(s0 + s1, r0 + r1)
+
+
 def test_report_empty_session():
     from veiltrain.session import Transcript
 
