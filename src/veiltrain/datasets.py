@@ -140,8 +140,8 @@ def partition(X, t, plan: PartitionPlan):
 
 
 def evaluate(weights, X_test, t_test, add_bias: bool = False) -> float:
-    """Accuracy of a published model: rows are L2-normalized exactly like the
-    training pipeline, and sigmoid(w . x) >= 0.5 predicts class 1."""
+    """Accuracy of a published model: rows are L2-normalized as one owner
+    scales them for training, and sigmoid(w . x) >= 0.5 predicts class 1."""
     weights = np.asarray(weights, dtype=np.float64)
     X = normalize_rows(np.asarray(X_test, dtype=np.float64))
     if add_bias:

@@ -37,8 +37,8 @@ from .transport import queue_pair
 SIGN_WORDS = (1 << SIGN_BLOCK) - 1  # dealer words per block: its non-empty monomials
 
 # outputs of a leaf's map g -> G + P*g (g: the borrow into the leaf's lowest
-# bit); bit t of the leaf's slice of x sits at LEAF_BIT + t
-BORROW, NONZERO, LEAF_BIT = 0, 1, 2
+# bit): its borrow out, whether its bits of x are nonzero, its top bit of x
+BORROW, NONZERO, TOP_BIT = 0, 1, 2
 
 
 def leaf_layout(width: int):
@@ -95,13 +95,13 @@ def _leaf_maps():
     A leaf covers k consecutive bits of x = c - r mod 2^width, where c is
     public and r the secret mask. Given borrow-in g, the maps give the
     leaf's borrow out (BORROW), whether its k bits of x are nonzero
-    (NONZERO) and each of those bits (LEAF_BIT + t). Returns (G, P) as ring
-    elements, each indexed [output, value of c's k bits, monomial]: the
+    (NONZERO) and the top one of those bits (TOP_BIT). Returns (G, P) as
+    ring elements, each indexed [output, value of c's k bits, monomial]: the
     coefficient of the monomial over the mask-bit subset S sits at index S.
     """
     k = SIGN_BLOCK
     cb = np.arange(1 << k)[:, None] >> np.arange(k) & 1
-    table = np.empty((2, LEAF_BIT + k, 1 << k, 1 << k), dtype=np.int64)
+    table = np.empty((2, 3, 1 << k, 1 << k), dtype=np.int64)
     for g in (0, 1):
         for s in range(1 << k):
             borrow, nonzero = np.full(1 << k, g), 0
@@ -109,9 +109,8 @@ def _leaf_maps():
                 r_t = (s >> t) & 1
                 bit = cb[:, t] ^ r_t ^ borrow
                 borrow = (cb[:, t] < r_t + borrow).astype(np.int64)
-                table[g, LEAF_BIT + t, :, s] = bit
                 nonzero = nonzero | bit
-            table[g, BORROW, :, s], table[g, NONZERO, :, s] = borrow, nonzero
+            table[g, :, :, s] = borrow, nonzero, bit
     for t in range(k):  # values on the 2^k assignments -> monomial coefficients
         for s in range(1 << k):
             if s >> t & 1:
@@ -493,7 +492,7 @@ class MpcEngine(BaseEngine):
         """
         leaves = len(leaf_layout(width))
         c, mono = self._open_leaves(a, width)
-        outputs = [BORROW] * (leaves - 1) + [LEAF_BIT + SIGN_BLOCK - 1]
+        outputs = [BORROW] * (leaves - 1) + [TOP_BIT]
         G, P = self._maps(c, mono, outputs)
         return self._compose(G, P, msb_plan(width))[-1].reshape(np.shape(a))
 

@@ -65,16 +65,6 @@ class LabelDomainError(VeiltrainError):
         super().__init__(f"label value {value!r}{at} is not in {{0, 1}}")
 
 
-class RowNormDomainError(VeiltrainError):
-    """A row's squared norm lies outside what the row normalization keeps
-    accurate (training.row_norm_domain)."""
-
-    def __init__(self, row, squared_norm, floor, cap):
-        self.row = row
-        super().__init__(f"row {row} has squared norm {squared_norm:.6g}, outside 0 and "
-                         f"[{floor:.6g}, {cap:.6g}]; rescale the features")
-
-
 class PlanInvalid(VeiltrainError):
     """A partition plan is inconsistent with the dataset shape."""
 

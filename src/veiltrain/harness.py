@@ -2,8 +2,8 @@
 against the local-DP federated baseline, over horizontal and vertical owner
 partitions, with accuracy/traffic reporting.
 
-The pipeline per fold and partition plan: owners ingest their blocks, the
-parties assemble the global secret-shared matrix, normalize, train, perturb
+The pipeline per fold and partition plan: owners scale and ingest their
+blocks, the parties assemble the global secret-shared matrix, train, perturb
 (one batched run covers all noise draws), open the noisy models, and score
 them on the held-out fold. Folds run sequentially so dealer provisioning
 stays deterministic.

@@ -129,10 +129,6 @@ KERNEL_TOLERANCES = {
     "sigmoid_b1.25": KernelTolerance("sigmoid_b1.25", 2e-5, "|z| <= 5/4 under a public bound"),
     # noise.box_muller_radius: E rsqrt(E) for sqrt(E), E = -2 ln u
     "bm_radius": KernelTolerance("bm_radius", 2.0 ** -12, "E = -2 ln u, u in (0, 1] at l bits"),
-    # | ||row|| - 1 | after training.l2_normalize; the domain scales with the
-    # ring (training.row_norm_domain), the one given is the default ring's
-    "normalize": KernelTolerance("normalize", 2.0 ** -10,
-                                 "squared row norm 0 or in [2^-10, 2^16]"),
 }
 
 

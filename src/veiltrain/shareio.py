@@ -11,7 +11,7 @@ import numpy as np
 from .errors import ConfigMismatch, ParseError
 from .fixedpoint import RingConfig
 from .kernels import rsqrt_operand_bits
-from .training import TrainingConfig, row_norm_domain
+from .training import TrainingConfig
 from .transport import (KIND_DATA, KIND_HELLO, KIND_LABELS, pack_frame,
                         payload_u64, u64_payload, unpack_frame)
 
@@ -76,16 +76,19 @@ def format_config(cfg: dict) -> str:
     return "\n".join(f"{k} = {cfg[k]}" for k in sorted(cfg)) + "\n"
 
 
+# the coarsest ring the test suite covers
+COARSEST_FRAC_BITS = 12
+
+
 def ring_from_config(cfg: dict) -> RingConfig:
-    """The config's ring; ParseError names frac_bits where no session can
-    run exactly: the row-norm domain (training.row_norm_domain) is empty, or
-    secure_rsqrt's correction operand can leave the truncation masks' range
-    2^(lam - 2) (kernels.rsqrt_operand_bits)."""
+    """The config's ring; ParseError names frac_bits below COARSEST_FRAC_BITS,
+    or where secure_rsqrt's correction operand can leave the truncation
+    masks' range 2^(lam - 2) (kernels.rsqrt_operand_bits)."""
     ring = RingConfig(cfg["frac_bits"])
-    l, (floor, cap) = ring.frac_bits, row_norm_domain(ring)
-    if floor > cap:
-        raise ParseError(f"frac_bits = {l} is too coarse: the row-norm floor {floor:g} "
-                         f"lies above its cap {cap:g}")
+    l = ring.frac_bits
+    if l < COARSEST_FRAC_BITS:
+        raise ParseError(f"frac_bits = {l} is too coarse: the coarsest ring the tests "
+                         f"cover has {COARSEST_FRAC_BITS}")
     if rsqrt_operand_bits(l) > ring.lam - 2:
         raise ParseError(f"frac_bits = {l} is too fine: secure_rsqrt's correction operand "
                          f"may pass the truncation masks' range 2^{ring.lam - 2}")

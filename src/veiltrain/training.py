@@ -1,19 +1,20 @@
 """Secure logistic-regression training on secret-shared data.
 
-The pipeline is: L2-normalize every example row (sum of squared shares, then
-one reciprocal square root, then rescale), start from zero weights, and run
-full-batch gradient descent on the L2-regularized logistic loss:
+The owners scale their own rows before they share them (l2_normalize, run
+by ingest): every row's norm is then at most 1, exactly, at the encoded
+values. The parties start from zero weights and run full-batch gradient
+descent on the L2-regularized logistic loss:
 
     weights <- (1 - alpha lambda) weights - alpha gradient
 
 Only lambda is a hyperparameter. The objective is mu = lambda strongly
 convex and L = lambda + R^2 (1/4 + SLOPE_SLACK) smooth for rows of norm at
-most R (1 after normalization, sqrt 2 with the bias column), so the step
-alpha = 2/(L + mu) contracts the distance to the minimizer by
-(L - mu)/(L + mu) per step, and the step count follows from the precision
-(TrainingConfig.steps). At that step every iterate, like the minimizer, has
-L2 sensitivity at most 2R/(n lambda) (Wu et al., SIGMOD 2017), which is
-what the noise is calibrated to.
+most R (1, sqrt 2 with the bias column), so the step alpha = 2/(L + mu)
+contracts the distance to the minimizer by (L - mu)/(L + mu) per step, and
+the step count follows from the precision (TrainingConfig.steps). At that
+step every iterate, like the minimizer, has L2 sensitivity at most
+2R/(n lambda) (Wu et al., SIGMOD 2017), which is what the noise is
+calibrated to.
 
 A public bound on the sigmoid's input (sigmoid_input_bound), about R^2 /
 lambda, lets the sigmoid skip its clamp where it is at most 4, and take
@@ -31,9 +32,7 @@ takes a round of its own; each rides in the round of the product it feeds
 * the sigmoid returns its output at 2l bits (truncate=False), and backward
   truncates the error in its product with the rows;
 * the rows are scaled by alpha 2^q / n once, so backward's sum is alpha
-  times the mean gradient at l + q extra bits, left for the next forward;
-* the normalization's reciprocal square root (two summands) is truncated
-  in its product.
+  times the mean gradient at l + q extra bits, left for the next forward.
 """
 
 from __future__ import annotations
@@ -43,17 +42,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidArgument, VeiltrainError
-from .fixedpoint import RingConfig, decode, encode
-from .kernels import KERNEL_TOLERANCES, secure_rsqrt, secure_sigmoid
+from .errors import InvalidArgument, MagnitudeOverflow, VeiltrainError
+from .fixedpoint import RingConfig, decode, encode, from_signed, to_signed
+from .kernels import KERNEL_TOLERANCES, secure_sigmoid
 
 # the least magnitude width the clamped sigmoid's msb is given for x . w:
 # sigmoid_input_bound, about R^2 / lambda, is below 2^12 for lambda above
 # 2^-12
 _FORWARD_MAGNITUDE_BITS = 12
 # slack on the sigmoid's slope 1/4 in the smoothness constant L: it covers
-# the bounded sigmoids' slope (at most 0.24994, on |z| <= 4 and 5/4) and the
-# normalized rows' norm slack, (1 + 2^-10)^2 / 4 < 1/4 + 2^-10
+# the bounded sigmoids' slope (at most 0.24994, on |z| <= 4 and 5/4)
 SLOPE_SLACK = 2.0 ** -10
 
 
@@ -103,32 +101,34 @@ class ModelState:
     grad_shift: int
 
 
-def l2_normalize(eng, x):
-    """Scale vectors along the last axis to unit L2 norm.
+def l2_normalize(X, ring: RingConfig, owners: int = 1) -> np.ndarray:
+    """An owner's rows, scaled to norm at most 1/sqrt(owners) and encoded.
 
-    Sum of squared products, truncated once, reciprocal square root,
-    rescale. A zero vector stays zero. Within 2^-10 of unit norm
-    (KERNEL_TOLERANCES["normalize"]) on rows whose squared norm lies in
-    row_norm_domain.
+    Each row is divided by its largest |x| (so its norm neither overflows
+    nor underflows), then by its norm times sqrt(owners). Where rounding
+    leaves the encoded row's sum of squares above 2^(2l) / owners, checked
+    exactly in integers, its largest coordinate moves one ulp toward zero
+    until it does not. A zero row stays zero. owners: how many owners hold
+    a block of every row (vertical partitioning); their blocks' squares add
+    up to at most 2^(2l). A non-finite cell raises MagnitudeOverflow.
     """
-    l = eng.frac_bits
-    with eng.phase("normalize"):
-        total = eng.trunc(eng.sum(eng.mul(x, x), axis=-1), l)
-        y, shifts = secure_rsqrt(eng, total, truncate=False)
-        *_, scaled = eng.tmul([v[..., None] for v in y], shifts, x)
-        return eng.trunc(scaled, l)
-
-
-def row_norm_domain(ring: RingConfig):
-    """(floor, cap) of the squared row norms l2_normalize keeps accurate.
-
-    At the floor 2^(10 - l) the squared norm's one-ulp truncation moves the
-    norm by 2^-11 relatively; at the cap 2^(2l - 24) one ulp of the
-    reciprocal square root does so by 2^-12, and the cap also keeps the
-    squares at 2l bits inside the truncation masks' range (below
-    2^(int_bits - 1)). 2^-10 and 2^16 at the default ring."""
-    l = ring.frac_bits
-    return 2.0 ** (10 - l), 2.0 ** min(2 * l - 24, ring.int_bits - 1)
+    X = np.asarray(X, dtype=np.float64)
+    bad = ~np.isfinite(X)
+    if np.any(bad):
+        row, col = np.argwhere(bad)[0]
+        raise MagnitudeOverflow(f"value at row {row}, col {col} is not finite")
+    peak = np.abs(X).max(axis=1, initial=0.0, keepdims=True)
+    X = X / np.where(peak == 0, 1.0, peak)
+    norm = np.linalg.norm(X, axis=1, keepdims=True) * math.sqrt(owners)
+    s = to_signed(encode(X / np.where(norm == 0, 1.0, norm), ring))
+    # a row's squares sum to about 2^(2l), below 2^63 on every ring
+    cap = (1 << 2 * ring.frac_bits) // owners
+    over = np.flatnonzero(np.sum(s * s, axis=1) > cap)
+    while over.size:
+        top = np.abs(s[over]).argmax(axis=1)
+        s[over, top] -= np.sign(s[over, top])
+        over = over[np.sum(s[over] * s[over], axis=1) > cap]
+    return from_signed(s)
 
 
 def _weights(eng, state: ModelState, X=None):
@@ -164,8 +164,8 @@ def sigmoid_input_bound(cfg: TrainingConfig, n: int, d: int, ring: RingConfig) -
     The step is w <- c w + u, with c = 1 - alpha lambda at its ring encoding
     and the drive u = -alpha g plus the truncation errors of w and alpha g.
     From w = 0 that gives |w| <= |u| / (1 - c), about R / lambda, and
-    |x . w| <= R |w| for a row norm R: 1 + eps after l2_normalize, times
-    sqrt(2) with the bias column. The labels are 0 or 1, so the gradient's
+    |x . w| <= R |w| for a row norm R: 1 (l2_normalize), times sqrt(2)
+    with the bias column. The labels are 0 or 1, so the gradient's
     data term is at most R (1 + the bounded sigmoid's error); alpha is the
     one scale_rows' rounded factor applies. The row scaling adds at most
     alpha ulps per coordinate and step, and each truncation one ulp. It
@@ -175,12 +175,11 @@ def sigmoid_input_bound(cfg: TrainingConfig, n: int, d: int, ring: RingConfig) -
     ulp = 2.0 ** -l
     keep = float(decode(encode(1 - cfg.alpha * cfg.lambda_reg, ring), ring))
     alpha = _row_factor(n, cfg.alpha, l) * n / 2.0 ** (l + mean_bits(n, cfg.alpha))
-    row = (1 + KERNEL_TOLERANCES["normalize"].bound) * cfg.row_norm
     # |sigmoid - label|; the 8 ulps cover the sigmoid's rounding on coarser rings
     err = 1 + KERNEL_TOLERANCES["sigmoid_b4"].bound + 8 * ulp
     spread = np.sqrt(d) * ulp  # one ulp on every coordinate
-    drive = alpha * (row + spread) * err + 2 * spread
-    return row * drive / (1 - keep) if keep < 1 else math.inf
+    drive = alpha * (cfg.row_norm + spread) * err + 2 * spread
+    return cfg.row_norm * drive / (1 - keep) if keep < 1 else math.inf
 
 
 def forward_magnitude_bits(bound: float, ring: RingConfig) -> int:
@@ -240,7 +239,7 @@ def update(eng, w_l, grad, grad_shift: int, cfg: TrainingConfig) -> ModelState:
 
 
 def train_logreg(eng, X, t, cfg: TrainingConfig):
-    """cfg.steps() gradient steps from zero on normalized shares; returns
+    """cfg.steps() gradient steps from zero on shares of scaled rows; returns
     weight shares. A lambda_reg whose sigmoid_input_bound leaves the ring
     is refused before any round (forward_magnitude_bits)."""
     n, d = X.shape
@@ -258,16 +257,16 @@ def train_logreg(eng, X, t, cfg: TrainingConfig):
 
 
 def append_bias(eng, X):
-    """Append an always-one feature column (after normalization)."""
+    """Append an always-one feature column."""
     n = X.shape[0]
     ones = eng.from_public(np.full(n, encode(1.0, eng.cfg), dtype=np.uint64))
     return np.concatenate([X, ones[:, None]], axis=1)
 
 
 def train_pipeline(eng, X, t, cfg: TrainingConfig):
-    """The full training stage: row normalization, optional bias column,
-    then regularized gradient descent. Returns weight shares."""
-    X = l2_normalize(eng, X)
+    """The full training stage on the owners' scaled rows (l2_normalize):
+    optional bias column, then regularized gradient descent. Returns weight
+    shares."""
     if cfg.add_bias:
         X = append_bias(eng, X)
     return train_logreg(eng, X, t, cfg)

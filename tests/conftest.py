@@ -1,12 +1,16 @@
 import socket
 
+import numpy as np
 import pytest
 
 from veiltrain import engine
 from veiltrain.dealer import MaterialSource
 from veiltrain.engine import PlainEngine, run_two_party
 from veiltrain.fixedpoint import RingConfig, decode, encode
-from veiltrain.training import train_pipeline
+from veiltrain.harness import run_threaded_session
+from veiltrain.ingest import ingest_partitions, split_raw
+from veiltrain.shareio import ring_from_config
+from veiltrain.training import l2_normalize, train_pipeline
 from veiltrain.transport import SocketChannel
 
 RING = RingConfig()
@@ -44,6 +48,19 @@ def over_tcp(monkeypatch):
 
 def mirror_weights(X, t, tc, seed, ring=RING):
     """The clear-text twin of a training session on X and t: train_pipeline
-    on the plain engine, from the session's seed; the decoded weights."""
+    on the plain engine, on X's rows as the owner scales them
+    (l2_normalize), from the session's seed; the decoded weights."""
     eng = PlainEngine(MaterialSource(seed, ring), ring)
-    return decode(train_pipeline(eng, encode(X, ring), encode(t, ring), tc), ring)
+    return decode(train_pipeline(eng, l2_normalize(X, ring), encode(t, ring), tc), ring)
+
+
+def block_scaled_session(parts, cfg, seed, draws):
+    """The one-owner session on the matrix that vertical owners' scaled
+    blocks assemble to (ingest_partitions), split afresh: its weights as
+    ring elements and its opened noisy models."""
+    ring = ring_from_config(cfg)
+    (X0, t0), (X1, t1) = ingest_partitions(parts, "vertical", ring)
+    rng = np.random.default_rng()
+    (x0, x1), (s0, s1) = split_raw(X0 + X1, rng), split_raw(t0 + t1, rng)
+    results, _, _ = run_threaded_session(((x0, s0), (x1, s1)), cfg, seed, draws)
+    return results[0]["w_share"] + results[1]["w_share"], decode(results[0]["noisy"], ring)

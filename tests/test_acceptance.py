@@ -17,7 +17,7 @@ from veiltrain.dealer import MaterialSource
 from veiltrain.datasets import (evaluate, make_plan, partition,
                                 stratified_folds, synth_data)
 from veiltrain.engine import PlainEngine
-from veiltrain.fixedpoint import RingConfig, decode, encode
+from veiltrain.fixedpoint import RingConfig, decode, encode, to_signed
 from veiltrain.harness import run_experiment, run_mpc_threaded
 from veiltrain.ingest import split_raw
 from veiltrain.noise import (DpParams, gaussian_pair_count, gaussian_vector,
@@ -25,7 +25,7 @@ from veiltrain.noise import (DpParams, gaussian_pair_count, gaussian_vector,
 from veiltrain.shareio import DEFAULTS
 from veiltrain.training import TrainingConfig, l2_normalize, train_pipeline
 
-from conftest import mirror_weights, run_both
+from conftest import block_scaled_session, mirror_weights, run_both
 
 RING = RingConfig()
 
@@ -121,7 +121,8 @@ def test_kernel_suite():
         return eng.open(s), eng.open(c)
 
     (pair, _), _ = run_both(fn_trig, 205)
-    v = np.round(decode(encode(th, RING), RING) / (2 * np.pi) * 2**20) / 2**20
+    turns = 2 ** (RING.frac_bits + 1)  # secure_sin_cos rounds the turns to 2^-(l + 1)
+    v = np.round(decode(encode(th, RING), RING) / (2 * np.pi) * turns) / turns
     results["sin"] = (np.abs(decode(pair[0], RING) - np.sin(2 * np.pi * v)).max(), 2.0**-12)
     results["cos"] = (np.abs(decode(pair[1], RING) - np.cos(2 * np.pi * v)).max(), 2.0**-12)
 
@@ -157,25 +158,21 @@ def test_kernel_suite():
 # ---------------------------------------------------------------- criterion 3
 
 def test_norm_protocol():
+    # owners scale their rows before sharing them: every row's norm within
+    # 1e-3 of 1 and, exactly in integers, never above it
     rng = np.random.default_rng(301)
-
-    def fn(eng):
-        small = eng.open(l2_normalize(eng, eng.from_public(encode(np.array([3.0, 4.0]), RING))))
-        wide_in = rng.integers(0, 2, 1874).astype(float)
-        wide = eng.open(l2_normalize(eng, eng.from_public(encode(wide_in, RING))))
-        mid_in = rng.uniform(-4, 4, (16, 200))
-        mid = eng.open(l2_normalize(eng, eng.from_public(encode(mid_in, RING))))
-        return small, wide, mid
-
-    (out, _), _ = run_both(fn, 302)
-    small = decode(out[0], RING)
-    wide = decode(out[1], RING)
-    mid = decode(out[2], RING)
+    small = l2_normalize(np.array([[3.0, 4.0]]), RING)
+    wide = l2_normalize(rng.integers(0, 2, (1, 1874)).astype(float), RING)
+    mid = l2_normalize(rng.uniform(-4, 4, (16, 200)), RING)
+    squares = [np.sum(to_signed(x) ** 2, axis=1) for x in (small, wide, mid)]
+    at_most_one = all(np.all(s <= 1 << 2 * RING.frac_bits) for s in squares)
+    small, wide, mid = (decode(x, RING) for x in (small, wide, mid))
     ok_small = np.abs(small - [0.6, 0.8]).max() <= 1e-3
     ok_wide = abs(np.linalg.norm(wide) - 1) <= 1e-3
     ok_mid = np.abs(np.linalg.norm(mid, axis=1) - 1).max() <= 1e-3
-    gate("norm-protocol", ok_small and ok_wide and ok_mid,
-         f"[3,4]->{np.round(small, 4)} d1874_norm_err={abs(np.linalg.norm(wide)-1):.1e}")
+    gate("norm-protocol", ok_small and ok_wide and ok_mid and at_most_one,
+         f"[3,4]->{np.round(small[0], 4)} d1874_norm_err={abs(np.linalg.norm(wide)-1):.1e} "
+         f"at_most_one={at_most_one}")
 
 
 # ---------------------------------------------------------------- criterion 4
@@ -186,7 +183,7 @@ def test_training_oracle_equivalence(over_tcp):
     tc = TrainingConfig()
 
     def fn(eng):
-        return eng.open(train_pipeline(eng, eng.from_public(encode(X, RING)),
+        return eng.open(train_pipeline(eng, eng.from_public(l2_normalize(X, RING)),
                                        eng.from_public(encode(t, RING)), tc))
 
     over_tcp()
@@ -261,24 +258,35 @@ def test_perturbation_magnitude_law():
 # ---------------------------------------------------------------- criterion 7
 
 def test_partition_invariance():
+    # horizontal owners scale whole rows: one model whatever their count.
+    # Vertical owners scale their blocks of a row (to norm 1/sqrt(k) each):
+    # each such session is the one-owner session on the matrix of those
+    # blocks, at a small cost in accuracy
     X_all, t_all = synth_data(300, 12, seed=701, separability=1.0)
     X, t = X_all[:240], t_all[:240]
     test_X, test_t = X_all[240:], t_all[240:]
     cfg = dict(DEFAULTS)
     cfg.update({"epsilon": 8.0, "executor": "thread"})
-    coeffs, accs = [], []
+    coeffs, accs, blocks_ok = {}, {}, True
     for mode, k in (("horizontal", 2), ("horizontal", 4), ("horizontal", 8),
                     ("vertical", 2), ("vertical", 4)):
         plan = make_plan(mode, k, 240, 12)
         parts = partition(X, t, plan)
         res = run_mpc_threaded(parts, mode, cfg, seed=703, draws=10)
-        coeffs.append(res["w_raw"])
-        accs.append(np.mean([evaluate(w, test_X, test_t)
-                             for w in res["noisy_models"]]))
-    identical = all(np.array_equal(coeffs[0], c) for c in coeffs[1:])
-    same_acc = len(set(np.round(accs, 12))) == 1
-    gate("partition-invariance", identical and same_acc,
-         f"identical_coeffs={identical} accs={np.round(accs, 4)}")
+        coeffs[mode, k] = res["w_raw"]
+        accs[mode, k] = float(np.mean([evaluate(w, test_X, test_t)
+                                     for w in res["noisy_models"]]))
+        if mode == "vertical":
+            w_raw, noisy = block_scaled_session(parts, cfg, 703, 10)
+            blocks_ok &= (np.array_equal(w_raw, res["w_raw"])
+                          and np.array_equal(noisy, res["noisy_models"]))
+    horizontal = [key for key in coeffs if key[0] == "horizontal"]
+    identical = all(np.array_equal(coeffs[horizontal[0]], coeffs[key]) for key in horizontal)
+    same_acc = len({round(accs[key], 12) for key in horizontal}) == 1
+    gap = max(abs(accs[key] - accs["horizontal", 2]) for key in accs)
+    gate("partition-invariance", identical and same_acc and blocks_ok and gap <= 0.05,
+         f"identical_coeffs={identical} blocks_exact={blocks_ok} "
+         f"accs={ {f'{m}{k}': round(a, 4) for (m, k), a in accs.items()} }")
 
 
 # ---------------------------------------------------------------- criterion 8
@@ -350,7 +358,7 @@ def test_determinism_and_obliviousness():
         X, t = data
 
         def fn(eng):
-            return train_pipeline(eng, eng.from_public(encode(X, RING)),
+            return train_pipeline(eng, eng.from_public(l2_normalize(X, RING)),
                                   eng.from_public(encode(t, RING)), tc)
         return fn
 

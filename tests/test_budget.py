@@ -10,19 +10,19 @@ from veiltrain.datasets import make_plan, partition, synth_data
 from veiltrain.shareio import DEFAULTS
 
 # 20x4 horizontal, the defaults' 7 steps, 3 noise draws, thread executor.
-# The noise (49 rounds) runs beside training (64) and every one of its
-# rounds is recorded under training's path; the last round opens the models.
+# The noise (49 rounds) runs beside training (37), so it sets the length:
+# its first 37 rounds are recorded under training's path, its last 12 under
+# its own; the last round opens the models.
 ROUNDS_BY_PATH = {
     "-": 1,
-    "normalize": 4, "normalize/rsqrt": 23,
     "forward": 7, "sigmoid": 21, "backward": 8, "finalize": 1,
+    "perturb": 4, "perturb/rsqrt": 8,
 }
 # the noise's rounds that rode in training's
 OVERLAP_BY_PATH = {
-    "perturb": 4, "perturb/uniform": 2, "perturb/ln": 15, "perturb/sin_cos": 7,
-    "perturb/rsqrt": 21,
+    "perturb/uniform": 2, "perturb/ln": 15, "perturb/sin_cos": 7, "perturb/rsqrt": 13,
 }
-WIRE_BYTES = 199_018  # party 0, sent plus received
+WIRE_BYTES = 127_908  # party 0, sent plus received
 
 
 def _rows(report, prefix):

@@ -225,7 +225,8 @@ def test_sincos_tolerance_sweep_and_pythagoras():
     s, c = kernels.secure_sin_cos(eng, enc_pub(eng, th))
     sv, cv = decode(eng.open(s), RING), decode(eng.open(c), RING)
     # reference at the angle the kernel actually sees after fixed-point steps
-    v = np.round(decode(encode(th, RING), RING) / (2 * np.pi) * 2**20) / 2**20
+    turns = 2 ** (RING.frac_bits + 1)  # secure_sin_cos rounds the turns to 2^-(l + 1)
+    v = np.round(decode(encode(th, RING), RING) / (2 * np.pi) * turns) / turns
     assert np.abs(sv - np.sin(2 * np.pi * v)).max() <= 2**-12
     assert np.abs(cv - np.cos(2 * np.pi * v)).max() <= 2**-12
     assert np.abs(sv**2 + cv**2 - 1).max() <= 2**-10
@@ -419,7 +420,8 @@ class _PeakEngine(PlainEngine):
 
 def test_every_truncated_value_stays_below_the_mask_range():
     from veiltrain.datasets import synth_data
-    from veiltrain.training import ModelState, TrainingConfig, forward, mean_bits, train_pipeline
+    from veiltrain.training import (ModelState, TrainingConfig, forward, l2_normalize, mean_bits,
+                                    train_pipeline)
 
     def peak(fn):
         eng = _PeakEngine(MaterialSource(40, RING), RING)
@@ -468,7 +470,7 @@ def test_every_truncated_value_stays_below_the_mask_range():
             for lam, bias in ((1.0, False), (1.0, True), (0.1, False)):
                 tc = TrainingConfig(lambda_reg=lam, add_bias=bias)
                 eng = _PeakEngine(MaterialSource(40, RING), RING)
-                train_pipeline(eng, enc_pub(eng, data), enc_pub(eng, t), tc)
+                train_pipeline(eng, eng.from_public(l2_normalize(data, RING)), enc_pub(eng, t), tc)
                 assert eng.peak < limit
                 assert RING.frac_bits + mean_bits(n, tc.alpha) in eng.shifts
     b = np.concatenate([_boundaries(2, 42), [2.0 ** 23 - 2.0 ** -20]])

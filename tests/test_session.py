@@ -4,11 +4,11 @@ from scipy import stats
 
 from veiltrain.engine import MpcEngine, estimate_counts, run_two_party
 from veiltrain.errors import (ConfigMismatch, ConnectTimeout, LabelDomainError,
-                              MagnitudeOverflow, RowNormDomainError)
-from veiltrain.fixedpoint import RingConfig, decode, encode
+                              MagnitudeOverflow)
+from veiltrain.fixedpoint import RingConfig, decode, encode, to_signed
 from veiltrain.ingest import ingest_partitions, ingest_shares
 from veiltrain.session import run_report
-from veiltrain.training import TrainingConfig, row_norm_domain, train_pipeline
+from veiltrain.training import TrainingConfig, l2_normalize, train_pipeline
 
 from conftest import run_both
 
@@ -86,7 +86,8 @@ def test_ingest_zeros():
 def test_ingest_small_row():
     rng = np.random.default_rng(1)
     (x0, _), (x1, _) = ingest_shares(np.array([[3.0, 4.0]]), np.array([1.0]), RING, rng)
-    assert np.array_equal(x0 + x1, encode(np.array([[3.0, 4.0]]), RING))
+    # 0.8 rounds up with 0.6, past norm 1, and gives its ulp back
+    assert np.abs(decode(x0 + x1, RING) - [0.6, 0.8]).max() <= 2**-20
 
 
 def test_ingest_round_trip_200x20():
@@ -94,17 +95,20 @@ def test_ingest_round_trip_200x20():
     X = rng.uniform(-50, 50, (200, 20))
     t = rng.integers(0, 2, 200).astype(float)
     (x0, t0), (x1, t1) = ingest_shares(X, t, RING, rng)
-    err = np.abs(decode(x0 + x1, RING) - X)
-    assert err.max() <= 2**-21
+    unit = X / np.linalg.norm(X, axis=1, keepdims=True)
+    # the rounding's half ulp, and the ulps a row's largest coordinate gives
+    # back where rounding overshot norm 1: about d/2 = 10 at most
+    assert np.abs(decode(x0 + x1, RING) - unit).max() <= 2**-16
     assert np.array_equal(t0 + t1, encode(t, RING))
 
 
 def test_ingest_overflow_reports_cell():
     rng = np.random.default_rng(3)
-    X = np.zeros((3, 4))
-    X[1, 2] = 2.0**50
-    with pytest.raises(MagnitudeOverflow, match="row 1, col 2"):
-        ingest_shares(X, np.zeros(3), RING, rng)
+    for bad in (np.inf, -np.inf, np.nan):
+        X = np.zeros((3, 4))
+        X[1, 2] = bad
+        with pytest.raises(MagnitudeOverflow, match="row 1, col 2"):
+            ingest_shares(X, np.zeros(3), RING, rng)
 
 
 def test_ingest_rejects_labels_outside_0_1():
@@ -114,23 +118,28 @@ def test_ingest_rejects_labels_outside_0_1():
 
 
 def test_ingest_rejects_rows_outside_the_normalization_domain():
-    floor, cap = row_norm_domain(RING)
+    # the owner's scaling takes every finite row, however large or small;
+    # a row with a non-finite cell has no direction to keep
     rng = np.random.default_rng(5)
-    ok = np.array([[0.0, 0.0], [np.sqrt(floor), 0.0], [np.sqrt(cap), 0.0]])
-    ingest_shares(ok, np.zeros(3), RING, rng)
-    for bad in (np.sqrt(floor) / 2, 2 * np.sqrt(cap)):
+    ok = np.array([[0.0, 0.0], [1e-320, 0.0], [1e300, -1e300], [3e-300, 4e-300]])
+    (x0, _), (x1, _) = ingest_shares(ok, np.zeros(4), RING, rng)
+    assert np.array_equal(x0 + x1, l2_normalize(np.array([[0, 0], [1, 0], [1, -1], [3, 4]]), RING))
+    for bad in (np.nan, np.inf):
         X = np.vstack([ok, [[0.0, bad]]])
-        with pytest.raises(RowNormDomainError, match="row 3"):
-            ingest_shares(X, np.zeros(4), RING, rng)
+        with pytest.raises(MagnitudeOverflow, match="row 4, col 1"):
+            ingest_shares(X, np.zeros(5), RING, rng)
 
 
 def test_vertical_pieces_share_the_cap():
-    _, cap = row_norm_domain(RING)
-    X = np.array([[np.sqrt(cap * 0.75), 0.0], [1.0, 1.0]])
-    owners = [(X[:, :1], np.array([0.0, 1.0])), (X[:, 1:], None)]
-    ingest_partitions([(X, np.array([0.0, 1.0]))], "horizontal", RING, seed=6)
-    with pytest.raises(RowNormDomainError, match="row 0"):
-        ingest_partitions(owners, "vertical", RING, seed=6)
+    # each of k vertical owners scales its block of a row to norm 1/sqrt(k),
+    # so the assembled row's squared norm is at most 1, exactly in integers
+    X = np.array([[3.0, 4.0, 0.0], [1.0, 1.0, 1e-9], [0.0, 0.0, 0.0]])
+    t = np.array([0.0, 1.0, 1.0])
+    owners = [(X[:, :1], t), (X[:, 1:], None)]
+    (x0, _), (x1, _) = ingest_partitions(owners, "vertical", RING, seed=6)
+    squared = np.sum(to_signed(x0 + x1) ** 2, axis=1)
+    assert np.all(squared <= 1 << 40) and squared[-1] == 0
+    assert np.abs(decode(x0 + x1, RING)[0] - [2**-0.5, 2**-0.5, 0]).max() <= 2**-20
 
 
 @pytest.mark.parametrize("mode", ["horizontal", "vertical"])
@@ -144,8 +153,10 @@ def test_owner_splits_ignore_the_session_seed(mode):
     (a0, s0), (a1, s1) = ingest_partitions(owners, mode, RING, seed=6)
     (b0, r0), (b1, r1) = ingest_partitions(owners, mode, RING, seed=6)
     assert not np.any(a0 == b0) and not np.any(s0 == r0)
+    scaled = (l2_normalize(X, RING) if mode == "horizontal" else
+              np.hstack([l2_normalize(X[:, :2], RING, 2), l2_normalize(X[:, 2:], RING, 2)]))
     with np.errstate(over="ignore"):
-        assert np.array_equal(a0 + a1, encode(X, RING)) and np.array_equal(a0 + a1, b0 + b1)
+        assert np.array_equal(a0 + a1, scaled) and np.array_equal(a0 + a1, b0 + b1)
         assert np.array_equal(s0 + s1, encode(t, RING)) and np.array_equal(s0 + s1, r0 + r1)
 
 
@@ -182,7 +193,7 @@ def test_bytes_monotone_in_epochs():
         tc = TrainingConfig(lambda_reg=lam)
 
         def fn(eng):
-            return train_pipeline(eng, eng.from_public(encode(X, RING)),
+            return train_pipeline(eng, eng.from_public(l2_normalize(X, RING)),
                                   eng.from_public(encode(t, RING)), tc)
 
         _, engines = run_both(fn)
@@ -197,12 +208,12 @@ def test_per_phase_breakdown_present():
     tc = TrainingConfig()
 
     def fn(eng):
-        return train_pipeline(eng, eng.from_public(encode(X, RING)),
+        return train_pipeline(eng, eng.from_public(l2_normalize(X, RING)),
                               eng.from_public(encode(t, RING)), tc)
 
     _, engines = run_both(fn)
     report = run_report(engines[0].rt.transcript, 0, 1)
-    assert report["phase.normalize.rounds"] > 0
+    assert report["phase.sigmoid.rounds"] > 0
     assert report["phase.forward.rounds"] > 0
 
 
@@ -213,7 +224,7 @@ def test_deterministic_replay():
     tc = TrainingConfig()
 
     def fn(eng):
-        return eng.open(train_pipeline(eng, eng.from_public(encode(X, RING)),
+        return eng.open(train_pipeline(eng, eng.from_public(l2_normalize(X, RING)),
                                        eng.from_public(encode(t, RING)), tc))
 
     (a0, _), eng_a = run_both(fn, seed=55)
@@ -268,7 +279,7 @@ def test_tcp_transport_matches_queue(over_tcp):
     tc = TrainingConfig()
 
     def fn(eng):
-        return eng.open(train_pipeline(eng, eng.from_public(encode(X, RING)),
+        return eng.open(train_pipeline(eng, eng.from_public(l2_normalize(X, RING)),
                                        eng.from_public(encode(t, RING)), tc))
 
     (q0, _), _ = run_both(fn, seed=10)

@@ -12,9 +12,8 @@ from veiltrain.fixedpoint import RingConfig, decode, encode, to_signed
 from veiltrain.kernels import (KERNEL_TOLERANCES, SIG4_POWER, SIG5_ODD, SIGMOID_BOUND,
                                SIGMOID_ODD_BOUND)
 from veiltrain.training import (SLOPE_SLACK, ModelState, TrainingConfig, l2_normalize, backward,
-                                forward, forward_magnitude_bits, mean_bits, row_norm_domain,
-                                scale_rows, sigmoid_input_bound, train_logreg, train_pipeline,
-                                update)
+                                forward, forward_magnitude_bits, mean_bits, scale_rows,
+                                sigmoid_input_bound, train_logreg, train_pipeline, update)
 
 from conftest import mirror_weights, run_both
 
@@ -46,52 +45,68 @@ def dec2l(eng, a):
     return decode(eng.open(a), RING) / (1 << eng.frac_bits)
 
 
+def owner_rows(eng, X):
+    """X's rows as their owner scales and encodes them, shared publicly."""
+    return eng.from_public(l2_normalize(X, eng.cfg))
+
+
+def squared_norms(raw):
+    """Each encoded row's sum of squares, exactly, as Python integers."""
+    return [sum(int(v) ** 2 for v in row) for row in to_signed(raw)]
+
+
 def test_normalize_3_4_5():
-    eng = plain()
-    got = decode(eng.open(l2_normalize(eng, enc_pub(eng, np.array([3.0, 4.0])))), RING)
+    got = decode(l2_normalize(np.array([[3.0, 4.0]]), RING), RING)
     assert np.abs(got - [0.6, 0.8]).max() <= 1e-3
 
 
 def test_normalize_unit_vector_idempotent():
-    eng = plain(2)
-    e1 = np.zeros(8)
-    e1[0] = 1.0
-    got = decode(eng.open(l2_normalize(eng, enc_pub(eng, e1))), RING)
-    assert np.abs(got - e1).max() <= 1e-3
+    e1 = np.zeros((1, 8))
+    e1[0, 0] = 1.0
+    assert np.array_equal(l2_normalize(e1, RING), encode(e1, RING))
+    assert np.array_equal(l2_normalize(decode(l2_normalize(e1, RING), RING), RING),
+                          encode(e1, RING))
 
 
 def test_normalize_wide_binary_vector():
     rng = np.random.default_rng(3)
-    x = rng.integers(0, 2, 1874).astype(float)
-    eng = plain(4)
-    got = decode(eng.open(l2_normalize(eng, enc_pub(eng, x))), RING)
-    assert abs(np.linalg.norm(got) - 1.0) <= 1e-3
+    x = l2_normalize(rng.integers(0, 2, (1, 1874)).astype(float), RING)
+    assert abs(np.linalg.norm(decode(x, RING)) - 1.0) <= 1e-3
+    assert squared_norms(x)[0] <= 1 << 40
 
 
 def test_normalize_batch_of_rows():
     rng = np.random.default_rng(5)
-    X = rng.uniform(-5, 5, (30, 12))
-    eng = plain(6)
-    got = decode(eng.open(l2_normalize(eng, enc_pub(eng, X))), RING)
+    got = decode(l2_normalize(rng.uniform(-5, 5, (30, 12)), RING), RING)
     assert np.abs(np.linalg.norm(got, axis=1) - 1.0).max() <= 1e-3
 
 
 @pytest.mark.parametrize("frac_bits", [16, 20, 24])
 def test_normalize_within_its_tolerance_across_the_ingest_domain(frac_bits):
+    # every finite row, from 1e-300 to 1e300 and subnormal, at d = 12 and
+    # 1874, whole or as one of k = 3 vertical blocks: the encoded squares
+    # sum to at most 2^(2l) / k exactly, and the norm is within 1e-3 of
+    # 1/sqrt(k); zero rows stay zero
     ring = RingConfig(frac_bits)
-    floor, cap = row_norm_domain(ring)
     rng = np.random.default_rng(44)
-    squared = np.exp2(rng.uniform(np.log2(floor), np.log2(cap), 2000))
-    squared[:2] = floor * 1.001, cap * 0.999
-    X = rng.normal(size=(2000, 12))
-    X = encode(X * np.sqrt(squared / np.sum(X ** 2, axis=1))[:, None], ring)
-    X[-1] = 0
-    exact = np.sum(decode(X, ring) ** 2, axis=1)
-    assert np.all((exact == 0) | ((exact >= floor) & (exact <= cap)))
-    eng = PlainEngine(MaterialSource(45, ring), ring)
-    norms = np.linalg.norm(decode(eng.open(l2_normalize(eng, X)), ring), axis=1)
-    assert np.abs(norms[:-1] - 1).max() <= KERNEL_TOLERANCES["normalize"].bound
-    assert norms[-1] == 0
+    for d in (12, 1874):
+        X = rng.normal(size=(40, d)) * 10.0 ** rng.uniform(-300, 300, (40, 1))
+        X[0], X[1, :2], X[2, 1] = 0, [1e200, 1e200], 1e-320
+        for k in (1, 3):
+            x = l2_normalize(X, ring, k)
+            assert max(squared_norms(x)) <= (1 << 2 * frac_bits) // k
+            norms = np.linalg.norm(decode(x, ring), axis=1)
+            assert np.abs(norms[1:] - k ** -0.5).max() <= 1e-3 and norms[0] == 0
+
+
+def test_normalize_moves_the_largest_coordinate_where_rounding_overshoots():
+    # at 4 fractional bits [0.6, 0.8] rounds to [10, 13] sixteenths, whose
+    # squares sum to 269 > 256: the larger coordinate moves one ulp toward
+    # zero, whatever the sign, and nothing else moves
+    ring = RingConfig(4)
+    assert list(to_signed(encode(np.array([0.6, 0.8]), ring))) == [10, 13]
+    got = to_signed(l2_normalize(np.array([[3.0, 4.0, 0.0], [-3.0, -4.0, 0.0]]), ring))
+    assert got.tolist() == [[10, 12, 0], [-10, -12, 0]]
 
 
 def _state(eng, w, g=None):
@@ -266,7 +281,7 @@ def test_train_zero_epochs_returns_init():
     tc = TrainingConfig(lambda_reg=2.0 ** 21)
     assert tc.steps(RING) == 0 and TrainingConfig(lambda_reg=2.0 ** 19).steps(RING) == 1
     eng = plain(25)
-    w = decode(eng.open(train_pipeline(eng, enc_pub(eng, X), enc_pub(eng, t), tc)), RING)
+    w = decode(eng.open(train_pipeline(eng, owner_rows(eng, X), enc_pub(eng, t), tc)), RING)
     assert np.abs(w).max() <= 2**-19
 
 
@@ -276,7 +291,7 @@ def test_train_separable_sign():
     t = np.array([1.0, 1.0, 0.0, 0.0])
     tc = TrainingConfig()
     eng = plain(26)
-    w = decode(eng.open(train_pipeline(eng, enc_pub(eng, X), enc_pub(eng, t), tc)), RING)
+    w = decode(eng.open(train_pipeline(eng, owner_rows(eng, X), enc_pub(eng, t), tc)), RING)
     ref = train_lr_clear(X, t, tc, seed=26)
     assert np.sign(w[0]) == np.sign(ref.weights[0]) == 1.0
 
@@ -286,7 +301,7 @@ def test_train_mirror_bit_exact_50x5():
     tc = TrainingConfig(lambda_reg=0.1)
 
     def fn(eng):
-        return eng.open(train_pipeline(eng, enc_pub(eng, X), enc_pub(eng, t), tc))
+        return eng.open(train_pipeline(eng, owner_rows(eng, X), enc_pub(eng, t), tc))
 
     (r0, r1), _ = run_both(fn, seed=31)
     mirror = mirror_weights(X, t, tc, seed=31)
@@ -309,7 +324,7 @@ def _iterates(monkeypatch, X, t, tc, seed):
 
     monkeypatch.setattr(training, "forward", spy)
     eng = plain(seed)
-    w = train_pipeline(eng, enc_pub(eng, X), enc_pub(eng, t), tc)
+    w = train_pipeline(eng, owner_rows(eng, X), enc_pub(eng, t), tc)
     return seen + [decode(eng.open(w), RING)]
 
 
@@ -343,7 +358,12 @@ def test_partition_independence_of_training():
         (r0, _), _ = run_both(fn, seed=36)
         outputs.append(r0)
     assert np.array_equal(outputs[0], outputs[1])
-    assert np.array_equal(outputs[0], outputs[2])
+    # vertical owners scale their blocks: the session trains on the matrix
+    # those blocks assemble to, as one owner's would
+    blocks = X0 + X1
+    (r0, _), _ = run_both(lambda eng: eng.open(train_pipeline(
+        eng, eng.from_public(blocks), eng.from_public(encode(t, RING)), tc)), seed=36)
+    assert np.array_equal(outputs[2], r0)
 
 
 def test_bias_column_appended_after_normalization():
@@ -352,7 +372,7 @@ def test_bias_column_appended_after_normalization():
     t = rng.integers(0, 2, 12).astype(float)
     tc = TrainingConfig(add_bias=True)
     eng = plain(38)
-    w = eng.open(train_pipeline(eng, enc_pub(eng, X), enc_pub(eng, t), tc))
+    w = eng.open(train_pipeline(eng, owner_rows(eng, X), enc_pub(eng, t), tc))
     assert len(w) == 4  # bias coefficient present
 
 
@@ -379,17 +399,19 @@ def test_schedule_follows_from_lambda_and_the_row_bound(lam, bias, alpha, steps)
 
 
 def test_training_consumes_the_dry_run_exactly():
+    # the degree-5 sigmoid takes no bits, the clamped one (lambda 1/4) does
     X, t = synth_data(20, 4, seed=42, separability=1.0)
-    tc = TrainingConfig()
+    kinds = []
+    for tc in (TrainingConfig(), TrainingConfig(lambda_reg=0.25)):
+        def fn(eng):
+            return eng.open(train_pipeline(eng, owner_rows(eng, X), enc_pub(eng, t), tc))
 
-    def fn(eng):
-        return eng.open(train_pipeline(eng, enc_pub(eng, X), enc_pub(eng, t), tc))
-
-    counts = estimate_counts(fn, 43, RING)
-    assert {key[0] for key in counts} == {"trunc", "triple", "bit"}
-    _, engines = run_both(fn, seed=43, counts=counts)
-    for eng in engines:
-        assert {k: v for k, v in eng.material.pos.items() if isinstance(k, tuple)} == counts
+        counts = estimate_counts(fn, 43, RING)
+        kinds.append({key[0] for key in counts})
+        _, engines = run_both(fn, seed=43, counts=counts)
+        for eng in engines:
+            assert {k: v for k, v in eng.material.pos.items() if isinstance(k, tuple)} == counts
+    assert kinds == [{"trunc", "triple"}, {"trunc", "triple", "bit"}]
 
 
 @pytest.mark.parametrize("lams, sigmoid_rounds", [((2.0, 1.0), 3), ((0.5, 0.4), 6),
@@ -410,7 +432,7 @@ def test_every_step_costs_its_pinned_rounds(lams, sigmoid_rounds):
         assert tier == sigmoid_rounds
 
         def fn(eng):
-            train_pipeline(eng, enc_pub(eng, X), enc_pub(eng, t), tc)
+            train_pipeline(eng, owner_rows(eng, X), enc_pub(eng, t), tc)
 
         _, engines = run_both(fn, seed=47)
         return {p: v["rounds"] for p, v in engines[0].rt.transcript.by_path().items()}, tc.steps()
@@ -437,7 +459,7 @@ def _largest_sigmoid_input(monkeypatch, X, t, tc, seed):
 
     monkeypatch.setattr(training, "secure_sigmoid", spy)
     eng = plain(seed)
-    train_pipeline(eng, enc_pub(eng, X), enc_pub(eng, t), tc)
+    train_pipeline(eng, owner_rows(eng, X), enc_pub(eng, t), tc)
     (bound,) = bounds
     return seen[0], bound
 
@@ -457,11 +479,11 @@ def test_sigmoid_input_stays_within_its_public_bound(monkeypatch):
                 assert bound == sigmoid_input_bound(tc, n, m + bias, RING)
                 assert top <= bound
                 ratios.append(top / bound)
-    # about R^2 / lambda: 1.002 at the defaults, 2.004 with the bias column,
-    # both bounded; the clamp runs from lambda 1/4 (4.008)
-    assert sigmoid_input_bound(TrainingConfig(), n, m, RING) == pytest.approx(1.002, abs=1e-3)
+    # about R^2 / lambda: 1.0001 at the defaults, 2.0001 with the bias
+    # column, both bounded; the clamp runs from lambda 1/4 (4.0002)
+    assert sigmoid_input_bound(TrainingConfig(), n, m, RING) == pytest.approx(1.0, abs=1e-4)
     assert sigmoid_input_bound(TrainingConfig(add_bias=True), n, m + 1,
-                               RING) == pytest.approx(2.004, abs=1e-3)
+                               RING) == pytest.approx(2.0, abs=2e-4)
     assert sigmoid_input_bound(TrainingConfig(lambda_reg=0.25), n, m, RING) > SIGMOID_BOUND
     print(f"largest |z| / B over the sweep: {max(ratios):.3f}")
 
@@ -469,11 +491,10 @@ def test_sigmoid_input_stays_within_its_public_bound(monkeypatch):
 def test_polynomial_sigmoid_slope_stays_in_the_smoothness_constant():
     # L = lambda + R^2 (1/4 + SLOPE_SLACK) needs the bounded sigmoids' slope
     # in [0, 1/4 + SLOPE_SLACK], on |z| <= 4 and on |z| <= 5/4, with their
-    # coefficients as fitted and as encoded, on rows up to the
-    # normalization's 2^-10 above R
+    # coefficients as fitted and as encoded
     def within(slope):
         assert slope.min() >= 0
-        assert slope.max() * (1 + KERNEL_TOLERANCES["normalize"].bound) ** 2 <= 0.25 + SLOPE_SLACK
+        assert slope.max() <= 0.25 + SLOPE_SLACK
 
     z = np.linspace(-4, 4, 80_001)
     t = z / 4
@@ -500,7 +521,7 @@ def test_forward_magnitude_width_follows_the_input_bound():
     for lam in (1.0, 0.25, 2.0 ** -10):
         assert forward_magnitude_bits(sigmoid_input_bound(TrainingConfig(lambda_reg=lam), n, d,
                                                           RING), RING) == 12
-    bound = sigmoid_input_bound(TrainingConfig(lambda_reg=2.0 ** -14), n, d, RING)
+    bound = sigmoid_input_bound(TrainingConfig(lambda_reg=2.0 ** -15), n, d, RING)
     assert 2.0 ** 14 < bound < 2.0 ** 15
     assert forward_magnitude_bits(bound, RING) == 15
     assert forward_magnitude_bits(np.nextafter(2.0 ** 22, 0), RING) == 22
@@ -509,7 +530,7 @@ def test_forward_magnitude_width_follows_the_input_bound():
             forward_magnitude_bits(bound, RING)
     # the bound passes 2^22 at lambda 2^-23; from 2^-24, 1 - alpha lambda
     # encodes as 1 and the bound is infinite
-    for lam, bound in ((2.0 ** -23, 8.37e6), (2.0 ** -24, np.inf)):
+    for lam, bound in ((2.0 ** -23, 8.356e6), (2.0 ** -24, np.inf)):
         tc = TrainingConfig(lambda_reg=lam)
         assert sigmoid_input_bound(tc, n, d, RING) == pytest.approx(bound, rel=1e-3)
         eng = plain(63)
@@ -521,15 +542,13 @@ def test_forward_magnitude_width_follows_the_input_bound():
 @pytest.mark.parametrize("bias", [False, True])
 def test_mirror_sensitivity_within_the_calibration(bias):
     # neighbouring datasets (one row replaced, its label flipped): the
-    # trained weights differ by at most 2R/(n lambda), with the
-    # normalization's slack on R and the sigmoid's error on the labels'
-    # pull, plus the truncations' 2 sqrt(d) ulps per step over the
-    # contraction, 2 sqrt(d) 2^-l / (alpha lambda)
+    # trained weights differ by at most 2R/(n lambda), with the sigmoid's
+    # error on the labels' pull, plus the truncations' 2 sqrt(d) ulps per
+    # step over the contraction, 2 sqrt(d) 2^-l / (alpha lambda)
     n, m = 24, 4
     tc = TrainingConfig(add_bias=bias)
     d = m + bias
-    grad_bound = (tc.row_norm * (1 + KERNEL_TOLERANCES["normalize"].bound)
-                  * (1 + KERNEL_TOLERANCES["sigmoid_b4"].bound))
+    grad_bound = tc.row_norm * (1 + KERNEL_TOLERANCES["sigmoid_b4"].bound)
     slack = 2 * np.sqrt(d) * 2.0 ** -RING.frac_bits / (tc.alpha * tc.lambda_reg)
     bound = 2 * grad_bound / (n * tc.lambda_reg) + slack
     rng = np.random.default_rng(60)
