@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import VerticalUnsupported
 from .noise import DpParams
-from .training import TrainingConfig
+from .training import TrainingConfig, unit_rows
 
 
 @dataclass
@@ -33,8 +33,9 @@ class ClearModel:
 
 
 def normalize_rows(X: np.ndarray) -> np.ndarray:
-    norms = np.linalg.norm(X, axis=1, keepdims=True)
-    return X / np.where(norms == 0, 1.0, norms)
+    """Rows scaled to unit norm as the owners scale them before encoding
+    (training.unit_rows); a zero row stays zero."""
+    return unit_rows(np.asarray(X, dtype=np.float64))
 
 
 def sigmoid(z):

@@ -9,8 +9,10 @@ below and can run on either engine:
   result share one exchange (tmul; trunc is a tmul without products).
   Comparisons (msb, lead) open the input under a dealer mask whose
   bits come in 3-bit blocks, the leaves (leaf_layout), and resolve the
-  borrow out of each leaf with a log-depth prefix over them. Independent
-  branches run side by side (parallel) and share their rounds.
+  borrow out of each leaf with a log-depth prefix over them. Joint
+  uniforms open the parties' local bits under the same kind of dealer bits,
+  one word per uniform (joint_uniform). Independent branches run side by
+  side (parallel) and share their rounds.
 * PlainEngine: values are the plain ring elements. It consumes the same
   seeded randomness streams (truncation masks, per-party bit streams) in the
   same order, so its outputs are bit-identical to what the two parties would
@@ -35,6 +37,7 @@ from .session import PartyRuntime, handshake
 from .transport import queue_pair
 
 SIGN_WORDS = (1 << SIGN_BLOCK) - 1  # dealer words per block: its non-empty monomials
+_BLOCK_BITS = [(1 << t) - 1 for t in range(SIGN_BLOCK)]  # a block's words holding its bits
 
 # outputs of a leaf's map g -> G + P*g (g: the borrow into the leaf's lowest
 # bit): its borrow out, whether its bits of x are nonzero, its top bit of x
@@ -49,6 +52,12 @@ def leaf_layout(width: int):
         raise ValueError(f"a mask width must be a positive multiple of {SIGN_BLOCK}, "
                          f"got {width}")
     return range(0, width, SIGN_BLOCK)
+
+
+def uniform_mask_words(bits: int) -> int:
+    """Bit words that mask `bits` jointly sampled bits: whole blocks, of
+    which joint_uniform reads the bits alone."""
+    return SIGN_WORDS * -(-bits // SIGN_BLOCK)
 
 
 def prefix_plan(n: int, want):
@@ -303,10 +312,11 @@ class PlainEngine(BaseEngine):
         return (np.concatenate([first, above[:-1]]) & ~above).astype(np.uint64)
 
     def joint_uniform(self, shape):
-        """Uniform fixed-point values on (0, 1]: l jointly-XORed bits plus one ulp."""
+        """Uniform fixed-point values on (0, 1]: l jointly-XORed bits plus one
+        ulp. Spends the bit words that mask them (uniform_mask_words)."""
         l = self.cfg.frac_bits
         n = int(np.prod(shape, dtype=np.int64))
-        self._advance(("triple",), l * n)
+        self._advance(("bit",), uniform_mask_words(l * n))
         at = self._advance("local_bits", l * n)
         b0 = self.source.party_bit_stream(0, at, l * n)
         b1 = self.source.party_bit_stream(1, at, l * n)
@@ -445,8 +455,8 @@ class MpcEngine(BaseEngine):
         mono = words.reshape(len(pos), n, SIGN_WORDS).transpose(0, 2, 1)
         parts = self.zeros((len(pos), n))
         with np.errstate(over="ignore"):
-            for t in range(SIGN_BLOCK):
-                parts += mono[:, (1 << t) - 1] << (pos + np.uint64(t))[:, None]
+            for t, word in enumerate(_BLOCK_BITS):
+                parts += mono[:, word] << (pos + np.uint64(t))[:, None]
         mask = _low_mask(width)
         flat = np.ravel(np.asarray(a, dtype=np.uint64))
         with np.errstate(over="ignore"):
@@ -569,18 +579,29 @@ class MpcEngine(BaseEngine):
         return Results(out)
 
     def joint_uniform(self, shape):
+        """Uniform fixed-point values on (0, 1] in one masked XOR opening.
+
+        The j-th bit of uniform i is u_j = b0_j xor b1_j, b_p_j being party
+        p's local bits; the dealer's random bits rho_j (bit words 0, 1 and 3
+        of a block) mask them. A bit shared additively in the ring carries
+        an XOR sharing of itself in its shares' low bits (the daBit
+        observation), so each party sends one word per uniform, sum_j 2^j
+        (b_p_j xor lsb[rho_j]_p), and both XOR the two words into the public
+        z = u xor rho. Then u_j = z_j + (1 - 2 z_j) rho_j is local, and u =
+        sum_j 2^j u_j plus one ulp. The peer sees only z; the dealer, which
+        knows rho, never sees it."""
         l = self.cfg.frac_bits
         n = int(np.prod(shape, dtype=np.int64))
         mine = self.material.take_local_bits(l * n).reshape(n, l)
-        zero = self.zeros(())
-        a0 = mine if self.party == 0 else zero
-        a1 = mine if self.party == 1 else zero
-        prod = self.mul(a0, a1, shift=None)
+        words = self.material.take_bits(uniform_mask_words(l * n))
+        rho = words.reshape(-1, SIGN_WORDS)[:, _BLOCK_BITS].ravel()[:l * n].reshape(n, l)
+        pos, one = np.arange(l, dtype=np.uint64), np.uint64(1)
         with np.errstate(over="ignore"):
-            ubits = a0 + a1 - np.uint64(2) * prod
-            weights = (np.uint64(1) << np.arange(l, dtype=np.uint64))
-            u = (ubits * weights).sum(axis=1, dtype=np.uint64)
-            u = self.add_public(u, np.uint64(1))
+            sent = ((mine ^ (rho & one)) << pos).sum(axis=1, dtype=np.uint64)
+            z = sent ^ self.rt.exchange(sent)
+            sign = one - (((z[:, None] >> pos) & one) << one)  # 1 - 2 z_j
+            u = ((rho * sign) << pos).sum(axis=1, dtype=np.uint64)
+            u = self.add_public(u, z + one)
         return u.reshape(shape)
 
 

@@ -471,6 +471,8 @@ def _clamp(eng, t, tt, magnitude_bits):
 
 def joint_uniform(eng, shape):
     """Jointly sampled uniforms on (0, 1]: each party contributes l local bits
-    per value, the secret value is their bitwise XOR plus one ulp."""
+    per value, the secret value is their bitwise XOR plus one ulp. Dealer
+    bit words mask the bits, so the XOR is one opening of one word per value
+    (MpcEngine.joint_uniform)."""
     with eng.phase("uniform"):
         return eng.joint_uniform(shape)

@@ -101,14 +101,23 @@ class ModelState:
     grad_shift: int
 
 
+def unit_rows(X, owners: int = 1) -> np.ndarray:
+    """Float rows scaled to norm 1/sqrt(owners); a zero row stays zero.
+    Each row is divided by its largest |x| first, so that its norm neither
+    overflows nor underflows."""
+    peak = np.abs(X).max(axis=1, initial=0.0, keepdims=True)
+    X = X / np.where(peak == 0, 1.0, peak)
+    norm = np.linalg.norm(X, axis=1, keepdims=True) * math.sqrt(owners)
+    return X / np.where(norm == 0, 1.0, norm)
+
+
 def l2_normalize(X, ring: RingConfig, owners: int = 1) -> np.ndarray:
     """An owner's rows, scaled to norm at most 1/sqrt(owners) and encoded.
 
-    Each row is divided by its largest |x| (so its norm neither overflows
-    nor underflows), then by its norm times sqrt(owners). Where rounding
-    leaves the encoded row's sum of squares above 2^(2l) / owners, checked
-    exactly in integers, its largest coordinate moves one ulp toward zero
-    until it does not. A zero row stays zero. owners: how many owners hold
+    The float rows are scaled by unit_rows. Where rounding leaves the
+    encoded row's sum of squares above 2^(2l) / owners, checked exactly in
+    integers, its largest coordinate moves one ulp toward zero until it
+    does not. A zero row stays zero. owners: how many owners hold
     a block of every row (vertical partitioning); their blocks' squares add
     up to at most 2^(2l). A non-finite cell raises MagnitudeOverflow.
     """
@@ -117,10 +126,7 @@ def l2_normalize(X, ring: RingConfig, owners: int = 1) -> np.ndarray:
     if np.any(bad):
         row, col = np.argwhere(bad)[0]
         raise MagnitudeOverflow(f"value at row {row}, col {col} is not finite")
-    peak = np.abs(X).max(axis=1, initial=0.0, keepdims=True)
-    X = X / np.where(peak == 0, 1.0, peak)
-    norm = np.linalg.norm(X, axis=1, keepdims=True) * math.sqrt(owners)
-    s = to_signed(encode(X / np.where(norm == 0, 1.0, norm), ring))
+    s = to_signed(encode(unit_rows(X, owners), ring))
     # a row's squares sum to about 2^(2l), below 2^63 on every ring
     cap = (1 << 2 * ring.frac_bits) // owners
     over = np.flatnonzero(np.sum(s * s, axis=1) > cap)

@@ -7,6 +7,8 @@ so in CHANGES.md; a change that raises them has to justify it there.
 
 from veiltrain import harness
 from veiltrain.datasets import make_plan, partition, synth_data
+from veiltrain.engine import run_two_party
+from veiltrain.noise import DpParams, perturb_weights
 from veiltrain.shareio import DEFAULTS
 
 # 20x4 horizontal, the defaults' 7 steps, 3 noise draws, thread executor.
@@ -22,7 +24,12 @@ ROUNDS_BY_PATH = {
 OVERLAP_BY_PATH = {
     "perturb/uniform": 2, "perturb/ln": 15, "perturb/sin_cos": 7, "perturb/rsqrt": 13,
 }
-WIRE_BYTES = 127_908  # party 0, sent plus received
+WIRE_BYTES = 112_932  # party 0, sent plus received
+
+# the noise alone at d = 50 with 100 draws, then the opening of the models:
+# the noise-wide benchmark's shape at a tenth of its batch
+NOISE_ROUNDS = 50
+NOISE_SENT_BYTES = 8_542_250  # party 0
 
 
 def _rows(report, prefix):
@@ -40,3 +47,15 @@ def test_tiny_session_budget():
     assert _rows(report, "overlap.") == OVERLAP_BY_PATH
     assert res["rounds"] == sum(ROUNDS_BY_PATH.values())
     assert res["bytes"] == WIRE_BYTES
+
+
+def test_noise_alone_budget():
+    dp = DpParams(epsilon=1.0, lambda_reg=1.0, n=2000, d=50)
+
+    def fn(eng):
+        return eng.open(perturb_weights(eng, eng.zeros(dp.d), dp, batch=(100,)))
+
+    _, engines = run_two_party(fn, session_seed=1)
+    transcript = engines[0].rt.transcript
+    assert transcript.n_rounds == NOISE_ROUNDS
+    assert transcript.bytes_sent == NOISE_SENT_BYTES

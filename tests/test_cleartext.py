@@ -10,6 +10,13 @@ from veiltrain.noise import DpParams
 from veiltrain.training import TrainingConfig
 
 
+def test_normalize_rows_neither_overflows_nor_underflows():
+    X = np.array([[1e200, 1e200], [1e-320, 0.0], [0.0, 0.0]])
+    with np.errstate(all="raise"):
+        Xn = normalize_rows(X)
+    assert np.allclose(Xn, [[2 ** -0.5, 2 ** -0.5], [1.0, 0.0], [0.0, 0.0]], rtol=0, atol=1e-15)
+
+
 def test_float_trainer_separable_2d():
     rng = np.random.default_rng(0)
     n = 200

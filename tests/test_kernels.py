@@ -4,10 +4,11 @@ from scipy import stats
 
 from veiltrain import kernels
 from veiltrain.dealer import SIGN_BLOCK, MaterialSource
-from veiltrain.engine import PlainEngine, estimate_counts
+from veiltrain.engine import SIGN_WORDS, PlainEngine, estimate_counts
 from veiltrain.errors import Exhausted
 from veiltrain.fixedpoint import RingConfig, decode, encode, to_signed
 from veiltrain.noise import DpParams, perturb_weights
+from veiltrain.session import PartyRuntime
 
 from conftest import ACCEPTED_RINGS, run_both
 
@@ -519,6 +520,59 @@ def test_uniform_ks():
     eng = plain(21)
     u = open_plain(eng, kernels.joint_uniform(eng, (10_000,)))
     assert stats.kstest(u, stats.uniform.cdf).statistic < 0.02
+
+
+def _uniform_openings(monkeypatch, n, seed):
+    """Run joint_uniform on n values on both parties; returns the words each
+    party sent, its share of the values and its engine."""
+    sent = {0: [], 1: []}
+    exchange = PartyRuntime.exchange
+
+    def tap(rt, payload):
+        sent[rt.party_id].append(np.array(payload, dtype=np.uint64))
+        return exchange(rt, payload)
+
+    monkeypatch.setattr(PartyRuntime, "exchange", tap)
+    shares, engines = run_both(lambda e: kernels.joint_uniform(e, (n,)), seed=seed)
+    return sent, shares, engines
+
+
+def _packed_local_bits(seed, party, n):
+    l = RING.frac_bits
+    bits = MaterialSource(seed, RING).party_bit_stream(party, 0, l * n).reshape(n, l)
+    return (bits << np.arange(l, dtype=np.uint64)).sum(axis=1, dtype=np.uint64)
+
+
+def test_uniform_opening_sends_one_masked_word_per_uniform(monkeypatch):
+    n, l, seed = 10_000, RING.frac_bits, 32
+    sent, (s0, s1), engines = _uniform_openings(monkeypatch, n, seed)
+    with np.errstate(over="ignore"):
+        assert np.array_equal(s0 + s1, kernels.joint_uniform(plain(seed), (n,)))
+    se = np.sqrt(0.25 / n)
+    for party in (0, 1):
+        assert engines[party].rt.transcript.n_rounds == 1
+        [words] = sent[party]
+        assert words.shape == (n,)
+        assert not np.any(words >> np.uint64(l))  # no bit at or above l
+        # the dealer's bits mask the party's own: the peer never receives them
+        own = _packed_local_bits(seed, party, n)
+        assert np.count_nonzero(words == own) <= n * 2.0 ** -l * 4
+        freq = ((words[:, None] >> np.arange(l, dtype=np.uint64)) & np.uint64(1)).mean(axis=0)
+        assert np.all(np.abs(freq - 0.5) <= 4 * se)
+
+
+def test_uniform_spends_bit_words_only():
+    n, l = 10_001, RING.frac_bits  # l * n is not a multiple of the block size
+
+    def fn(eng):
+        return kernels.joint_uniform(eng, (n,))
+
+    want = SIGN_WORDS * -(-l * n // SIGN_BLOCK)
+    assert dict(estimate_counts(fn, 33, RING)) == {("bit",): want}
+    _, engines = run_both(fn, seed=33)
+    for eng in engines:
+        assert {k: v for k, v in eng.material.pos.items() if isinstance(k, tuple)} \
+            == {("bit",): want}
 
 
 # --- obliviousness and MPC equivalence ---
