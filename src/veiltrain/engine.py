@@ -248,15 +248,12 @@ class PlainEngine(BaseEngine):
     def open(self, a):
         return np.asarray(a, dtype=np.uint64)
 
-    def mul(self, a, b, shift=None):
+    def mul(self, a, b):
         shape = np.broadcast_shapes(np.shape(a), np.shape(b))
         self._advance(("triple",), int(np.prod(shape, dtype=np.int64)))
         with np.errstate(over="ignore"):
             p = np.asarray(a, dtype=np.uint64) * np.asarray(b, dtype=np.uint64)
-        p = np.ascontiguousarray(np.broadcast_to(p, shape)).reshape(shape)
-        if shift:
-            p = self.trunc(p, shift)
-        return p
+        return np.ascontiguousarray(np.broadcast_to(p, shape)).reshape(shape)
 
     def trunc(self, a, shift):
         shape = np.shape(a)
@@ -354,7 +351,7 @@ class MpcEngine(BaseEngine):
         with np.errstate(over="ignore"):
             return np.asarray(a + theirs).reshape(shape)
 
-    def mul(self, a, b, shift=None):
+    def mul(self, a, b):
         shape = np.broadcast_shapes(np.shape(a), np.shape(b))
         n = int(np.prod(shape, dtype=np.int64))
         u, v, w = (x.reshape(shape) for x in self.material.take_triples(n))
@@ -371,8 +368,6 @@ class MpcEngine(BaseEngine):
             z += e * u
             if self.party == 0:
                 z += d * e
-        if shift:
-            z = self.trunc(z, shift)
         return z
 
     def trunc(self, a, shift):

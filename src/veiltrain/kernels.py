@@ -14,8 +14,7 @@ period, and one squaring round doubles the angle. Signs alone (the
 division's sign, the sigmoid's clamps) come from the engine's msb op. The
 sigmoid is an odd polynomial: on an input with a public bound |z| <= 5/4
 it is of degree 5 and takes 3 rounds, on one with |z| <= 4 it needs no
-clamp, otherwise it clamps outside |z| <= 8 with oblivious segment
-selection. Every polynomial
+clamp, otherwise it clamps its input to |z| <= 8. Every polynomial
 is evaluated in the power basis: the powers take one fused truncate and
 multiply round (engine op tmul) per doubling, and the sum is local.
 Iteration counts and degrees are fixed, so transcripts depend only on input
@@ -123,7 +122,7 @@ KERNEL_TOLERANCES = {
     "ln": KernelTolerance("ln", 2.0 ** -12, "a in [2^-20, 2^10]"),
     "sin": KernelTolerance("sin", 2.0 ** -12, "theta in [0, 2pi]"),
     "cos": KernelTolerance("cos", 2.0 ** -12, "theta in [0, 2pi]"),
-    "sigmoid": KernelTolerance("sigmoid", 1e-3, "any z; exact 0/1 beyond |z| = 8"),
+    "sigmoid": KernelTolerance("sigmoid", 1e-3, "any z; its value at +-8 beyond |z| = 8"),
     # sigmoid_b4 also bounds the degree-5 tier's error, for training's analysis
     "sigmoid_b4": KernelTolerance("sigmoid_b4", 3.9e-5, "|z| <= 4 under a public bound"),
     "sigmoid_b1.25": KernelTolerance("sigmoid_b1.25", 2e-5, "|z| <= 5/4 under a public bound"),
@@ -248,14 +247,14 @@ def _recip_mantissa(eng, m, m_prec, prec):
     l, wide = eng.frac_bits, eng.frac_bits + _MANTISSA_EXTRA
     one = _enc(eng, 1.0)
     y = _scale_const(eng, *RECIP_START, m, wide)
-    e = eng.add_public(eng.neg(eng.mul(m, y, wide)), one)
+    e = eng.add_public(eng.neg(eng.trunc(eng.mul(m, y), wide)), one)
     for _ in range(_RECIP_STEPS - 1):
-        y, e = eng.mul(eng.stack([y, e]), eng.stack([eng.add_public(e, one), e]), l)
-    y = eng.mul(y, eng.add_public(e, one), l)
+        y, e = eng.trunc(eng.mul(eng.stack([y, e]), eng.stack([eng.add_public(e, one), e])), l)
+    y = eng.trunc(eng.mul(y, eng.add_public(e, one)), l)
     # 1 - m y at prec + l bits: m y sits near 2^(prec + l), which may wrap the
     # ring, but the difference is exact and small enough to truncate
     r2l = eng.trunc(eng.add_public(eng.neg(eng.mul(m_prec, y)), _unit(eng, prec + l)), prec - l)
-    return y, eng.mul(y, r2l, wide)
+    return y, eng.trunc(eng.mul(y, r2l), wide)
 
 
 def secure_div(eng, a, b, magnitude_bits=None):
@@ -406,17 +405,17 @@ def secure_sigmoid(eng, z, magnitude_bits=None, frac_bits=None, bound=None, trun
     the odd degree-5 fit SIG5_ODD, in 3 rounds (_odd5). With bound <=
     SIGMOID_BOUND, k = 2 and q is the degree-6 fit SIG4_POWER; nothing is
     clamped. Otherwise k = 3 and q is the degree-12 fit SIG_POWER on |z| <=
-    8, with exact 0/1 clamps outside, all three segments blended
-    obliviously: both clamp signs come from one msb call on 1 - t and 1 +
-    t, and one product with the middle segment's indicator clamps t and t^2
-    to zero outside |z| <= 8, before any power is taken.
+    8, and t is clamped to [-1, 1] before any power is taken (_clamp), so
+    beyond |z| = 8 the sigmoid is its value at +-8: both clamp signs come
+    from one msb call on 1 - t and 1 + t, and one product with the middle
+    segment's indicator clamps t and t^2.
 
     z carries frac_bits fractional bits (l by default); the first round
     truncates it to t at l bits and squares it. The powers of v come from
     _powers. On every domain each truncated value holds at most 2l
     fractional bits of a number below 4, so the sigmoid works on any ring
     with 2l + 4 <= 64. With truncate False the sigmoid stays at 2l
-    fractional bits (the constant part times 2^l, plus the core), for the
+    fractional bits (1/2 at 2l bits plus the core), for the
     caller's next tmul to truncate.
     """
     l = eng.frac_bits
@@ -427,10 +426,8 @@ def secure_sigmoid(eng, z, magnitude_bits=None, frac_bits=None, bound=None, trun
     shift = (l if frac_bits is None else frac_bits) - l + k
     with eng.phase("sigmoid"):
         t, tt = eng.tmul(z, shift, square=True)  # z/2^k at l bits, its square at 2l
-        if bounded:
-            out = eng.add_public(eng.zeros(np.shape(t)), _enc(eng, 0.5))
-        else:
-            t, tt, out = _clamp(eng, t, tt, magnitude_bits)
+        if not bounded:
+            t, tt = _clamp(eng, t, tt, magnitude_bits)
         if odd:
             core = _odd5(eng, t, tt)
         else:
@@ -438,10 +435,8 @@ def secure_sigmoid(eng, z, magnitude_bits=None, frac_bits=None, bound=None, trun
             powers = _powers(eng, v, l, len(coeffs) - 1)
             _, core = eng.tmul(_poly_2l(eng, powers, coeffs), l, t)
         if truncate:
-            out = eng.add(out, eng.trunc(core, l))
-        else:
-            out = eng.add(eng.mul_public_int(out, 1 << l), core)
-        return out
+            return eng.add_public(eng.trunc(core, l), _unit(eng, l - 1))
+        return eng.add_public(core, _unit(eng, 2 * l - 1))
 
 
 def _odd5(eng, t, u):
@@ -457,16 +452,17 @@ def _odd5(eng, t, u):
 
 
 def _clamp(eng, t, tt, magnitude_bits):
-    """t and t^2 zeroed outside |t| <= 1, and the clamped sigmoid's constant
-    part: 1 above, 1/2 inside, 0 below."""
+    """t and t^2 clamped to |t| <= 1: with the middle segment's indicator
+    mid and the signs hi (t > 1) and lo (t < -1), mid t + hi - lo and mid
+    t^2 + hi + lo, from one product."""
     mag = (eng.cfg.int_bits if magnitude_bits is None else magnitude_bits) - SIGMOID_CLAMP_BITS
-    one = _enc(eng, 1.0)
+    l, one = eng.frac_bits, _enc(eng, 1.0)
     hi, lo = eng.msb(eng.stack([eng.add_public(eng.neg(t), one), eng.add_public(t, one)]),
                      _whole_leaves(_width(eng, mag)))  # t > 1, t < -1
     mid = eng.sub(eng.sub(eng.add_public(eng.zeros(np.shape(t)), np.uint64(1)), hi), lo)
     t, tt = eng.mul(mid, eng.stack([t, tt]))
-    base = eng.add(eng.mul_public_int(hi, int(one)), eng.mul_public_int(mid, int(_enc(eng, 0.5))))
-    return t, tt, base
+    return (eng.add(t, eng.mul_public_int(eng.sub(hi, lo), 1 << l)),
+            eng.add(tt, eng.mul_public_int(eng.add(hi, lo), 1 << 2 * l)))
 
 
 def joint_uniform(eng, shape):

@@ -91,23 +91,28 @@ def sample_noise(eng, dp: DpParams, batch: tuple = ()):
 
     k = ceil(d/2) Box-Muller pairs; an odd d takes only the last pair's cos,
     at theta = pi v where the others have 2 pi v, so that 2 theta is within
-    sin/cos's one period (R cos theta keeps its law). One ln gives E_i = -2
-    ln u_i and the Gamma's logs; ||g||^2 = S = sum E_i (odd tail: E (1 +
-    cos 2 theta) / 2). S/4^a, 4^a >= k, and Gamma ride in sin/cos; one
-    rsqrt over [E_i, S/4^a] gives R_i = E_i rsqrt(E_i) and K = Gamma 2^a /
-    ||g||. Two uniform draws, though one would save a round: a draw's
-    material is all generated before its round, so one merged draw raised
-    the peak memory of a two-party run at d = 50 with 1000 draws from 239-246
-    to 277 MB."""
+    sin/cos's one period (R cos theta keeps its law). One ln over the k
+    radii's u_i and d - k fresh uniforms gives E_i = -2 ln u_i and the
+    Gamma, -sum ln u over all d: the radii's -ln u_i = E_i / 2 are unit
+    exponentials, and their sum is ||g||^2 / 2 (plus an odd tail's E sin^2
+    theta / 2), which is independent of g / ||g||. ||g||^2 = S = sum E_i
+    (odd tail: E (1 + cos 2 theta) / 2). S/4^a, 4^a >= k, and Gamma ride
+    in sin/cos; one rsqrt over [E_i, S/4^a] gives R_i = E_i rsqrt(E_i) and
+    K = Gamma 2^a / ||g||. Two uniform draws (one at d = 1), though one
+    would save a round: a draw's material is all generated before its
+    round, so one merged draw raised the peak memory of a two-party run at
+    d = 50 with 1000 draws from 239-246 to 277 MB."""
     l, d, k = eng.frac_bits, dp.d, (dp.d + 1) // 2
     a = ((k - 1).bit_length() + 1) // 2
     code, f = dp.scale_code(eng.cfg)
     with eng.phase("perturb"):
         u, v = joint_uniform(eng, (2, k, *batch))
-        u = np.concatenate([np.moveaxis(u, 0, -1), joint_uniform(eng, (*batch, d))], axis=-1)
+        u = np.moveaxis(u, 0, -1)
+        if d > k:  # the Gamma's d logs: the k radii's and d - k fresh ones
+            u = np.concatenate([u, joint_uniform(eng, (*batch, d - k))], axis=-1)
         ln_u = secure_ln(eng, u, _LN_MAGNITUDE_BITS)
         e = np.moveaxis(eng.mul_public_int(ln_u[..., :k], -2), -1, 0)  # (k, *batch)
-        gamma = eng.mul_public_int(eng.neg(eng.sum(ln_u[..., k:], axis=-1)), code)
+        gamma = eng.mul_public_int(eng.neg(eng.sum(ln_u, axis=-1)), code)
         norm = eng.mul_public_int(eng.sum(e[:k - d % 2], axis=0), 1 << (l - 2 * a))
         turns = eng.mul_public_int(v, 2)  # v at l + 1 bits
         if d % 2:  # the tail's angle is pi v, its double 2 pi v

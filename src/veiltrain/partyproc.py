@@ -20,8 +20,8 @@ from .fixedpoint import decode
 from .session import PartyRuntime, handshake, run_report
 from .shareio import (check_ring_meta, public_section, read_share_file,
                       ring_from_config, write_weights_file)
-from .transport import (KIND_HELLO, KIND_MATERIAL, KIND_PROVISION, FrameIO,
-                        connect, listen_one, payload_u64, u64_payload)
+from .transport import (KIND_HELLO, KIND_MATERIAL, KIND_PROVISION, FrameIO, connect,
+                        decode_kv, encode_kv, listen, payload_u64, u64_payload)
 
 
 def _require_keys(cfg: dict, role: str, *keys) -> None:
@@ -33,29 +33,25 @@ def _require_keys(cfg: dict, role: str, *keys) -> None:
 
 
 def encode_counts(counts: dict) -> bytes:
-    lines = []
-    for key in material_order(counts):
-        kind = key[0]
-        shift = key[1] if len(key) > 1 else ""
-        lines.append(f"{kind}:{shift}={counts[key]}")
-    return "\n".join(lines).encode()
+    """A provisioning request: one `kind:parameter=count` line per key (encode_kv)."""
+    return encode_kv({f"{key[0]}:{key[1] if len(key) > 1 else ''}": n
+                      for key, n in counts.items()})
 
 
 def decode_counts(payload: bytes) -> dict:
     """Parse a provisioning request; ParseError for a malformed line, a
     negative count, or a key the dealer does not generate."""
     out = {}
-    for line in payload.decode(errors="replace").splitlines():
+    for head, value in decode_kv(payload).items():
         try:
-            head, value = line.split("=", 1)
             kind, shift = head.split(":", 1)
             key = (kind, int(shift)) if shift else (kind,)
             count = int(value)
         except ValueError:
-            raise ParseError(f"malformed provisioning line {line!r}") from None
+            raise ParseError(f"malformed provisioning line {head}={value}") from None
         check_key(key)
         if count < 0:
-            raise ParseError(f"negative count in provisioning line {line!r}")
+            raise ParseError(f"negative count in provisioning line {head}={value}")
         out[key] = count
     return out
 
@@ -74,40 +70,25 @@ def serve_dealer(cfg: dict) -> None:
     the session's material from the protocol seed, and ship the halves."""
     _require_keys(cfg, "dealer", "dealer_host", "dealer_port")
     ring = ring_from_config(cfg)
-    session = cfg["session_id"]
     source = MaterialSource(cfg["seed"], ring)
-    conns = []
-    import socket
-
-    srv = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
-    srv.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
-    srv.bind((cfg["dealer_host"], cfg["dealer_port"]))
-    srv.listen(2)
-    srv.settimeout(cfg["connect_deadline"])
-    from .transport import SocketChannel
-
+    chans = listen(cfg["dealer_host"], cfg["dealer_port"], 2, cfg["connect_deadline"])
     try:
-        requests = {}
-        for _ in range(2):
-            conn, _addr = srv.accept()
-            chan = SocketChannel(conn)
-            io = FrameIO(chan, session, with_round=False)
+        requests, ios = {}, {}
+        for chan in chans:
+            io = FrameIO(chan, cfg["session_id"], with_round=False)
             _, _, hello = io.recv(expect_kind=KIND_HELLO)
-            party = int(hello.decode().split("=")[1])
             _, _, prov = io.recv(expect_kind=KIND_PROVISION)
-            requests[party] = decode_counts(prov)
-            conns.append((party, io, chan))
-        if requests.get(0) != requests.get(1):
-            raise ConfigMismatch("provisioning", requests.get(0), requests.get(1))
-        counts = requests[0]
-        for party, io, _chan in conns:
-            for key in material_order(counts):
-                half = source.half(key, party, 0, counts[key])
+            party = decode_kv(hello).get("party")
+            requests[party], ios[party] = decode_counts(prov), io
+        if requests.get("0") != requests.get("1"):
+            raise ConfigMismatch("provisioning", requests.get("0"), requests.get("1"))
+        for party, io in ios.items():
+            for key in material_order(requests[party]):
+                half = source.half(key, int(party), 0, requests[party][key])
                 io.send(KIND_MATERIAL, _material_payload(key, half))
     finally:
-        for _, _, chan in conns:
+        for chan in chans:
             chan.close()
-        srv.close()
 
 
 class WireMaterial(_Cursor):
@@ -132,7 +113,7 @@ def provision_from_dealer(cfg: dict, party: int, counts: dict) -> WireMaterial:
     chan = connect(cfg["dealer_host"], cfg["dealer_port"],
                    deadline=cfg["connect_deadline"])
     io = FrameIO(chan, cfg["session_id"], with_round=False)
-    io.send(KIND_HELLO, f"party={party}".encode())
+    io.send(KIND_HELLO, encode_kv({"party": party}))
     io.send(KIND_PROVISION, encode_counts(counts))
     material = WireMaterial(MaterialSource(cfg["seed"], ring), party, counts)
     for key in material_order(counts):
@@ -145,7 +126,7 @@ def provision_from_dealer(cfg: dict, party: int, counts: dict) -> WireMaterial:
 def connect_peer(cfg: dict, party: int):
     deadline = cfg["connect_deadline"]
     if party == 0:
-        return listen_one(cfg["party0_host"], cfg["party0_port"], timeout=deadline)
+        return listen(cfg["party0_host"], cfg["party0_port"], 1, deadline)[0]
     return connect(cfg["party0_host"], cfg["party0_port"], deadline=deadline)
 
 

@@ -19,7 +19,8 @@ import numpy as np
 
 from .errors import ConfigMismatch
 from .fixedpoint import DEFAULT_RING, RingConfig
-from .transport import KIND_HELLO, KIND_OPEN, FrameIO, payload_u64, u64_payload
+from .transport import (KIND_HELLO, KIND_OPEN, FrameIO, decode_kv, encode_kv, payload_u64,
+                        u64_payload)
 
 PROTOCOL_VERSION = "veiltrain/1"
 
@@ -152,26 +153,16 @@ class _Phase:
         return False
 
 
-def canonical_config(public: dict) -> bytes:
-    lines = [f"{k}={public[k]}" for k in sorted(public)]
-    return ("\n".join(lines)).encode()
-
-
 def handshake(rt: PartyRuntime, public: dict) -> None:
-    """Exchange canonical public configs; abort naming the differing key."""
-    public = dict(public)
-    public["protocol_version"] = PROTOCOL_VERSION
-    mine = canonical_config(public)
-    rt.io.send(KIND_HELLO, mine, rt.round_no)
-    _, _, theirs_raw = rt.io.recv(expect_kind=KIND_HELLO, expect_round=rt.round_no)
+    """Exchange the public configs (encode_kv); abort naming the differing key."""
+    hello = encode_kv(dict(public, protocol_version=PROTOCOL_VERSION))
+    rt.io.send(KIND_HELLO, hello, rt.round_no)
+    _, _, theirs = rt.io.recv(expect_kind=KIND_HELLO, expect_round=rt.round_no)
     rt.round_no += 1
-    if theirs_raw != mine:
-        mine_kv = dict(line.split("=", 1) for line in mine.decode().splitlines())
-        theirs_kv = dict(line.split("=", 1) for line in theirs_raw.decode().splitlines())
-        for key in sorted(set(mine_kv) | set(theirs_kv)):
-            if mine_kv.get(key) != theirs_kv.get(key):
-                raise ConfigMismatch(key, mine_kv.get(key), theirs_kv.get(key))
-        raise ConfigMismatch("<ordering>")
+    mine, theirs = decode_kv(hello), decode_kv(theirs)
+    for key in sorted(set(mine) | set(theirs)):
+        if mine.get(key) != theirs.get(key):
+            raise ConfigMismatch(key, mine.get(key), theirs.get(key))
 
 
 def run_report(transcript: Transcript, party_id: int, session_id: int,

@@ -1,9 +1,9 @@
-"""File formats: flat key-value configs, framed binary share files, and
-weight-share files (text header plus little-endian ring elements)."""
+"""File formats: flat key-value configs, and share and weight-share files,
+both frames (transport): a HELLO frame of key=value metadata, then frames
+of little-endian ring elements."""
 
 from __future__ import annotations
 
-import io
 import struct
 
 import numpy as np
@@ -12,7 +12,7 @@ from .errors import ConfigMismatch, ParseError
 from .fixedpoint import RingConfig
 from .kernels import rsqrt_operand_bits
 from .training import TrainingConfig
-from .transport import (KIND_DATA, KIND_HELLO, KIND_LABELS, pack_frame,
+from .transport import (KIND_DATA, KIND_HELLO, KIND_LABELS, decode_kv, encode_kv, pack_frame,
                         payload_u64, u64_payload, unpack_frame)
 
 
@@ -101,89 +101,74 @@ def public_section(cfg: dict) -> dict:
     return {k: cfg[k] for k in PUBLIC_KEYS}
 
 
-def _meta_payload(meta: dict) -> bytes:
-    return "\n".join(f"{k}={v}" for k, v in sorted(meta.items())).encode()
+def _write_frames(path, session: int, meta: dict, frames):
+    """A HELLO frame with meta (encode_kv), then one frame per (kind, array)."""
+    with open(path, "wb") as fh:
+        fh.write(pack_frame(KIND_HELLO, session, encode_kv(meta)))
+        for kind, arr in frames:
+            fh.write(pack_frame(kind, session, u64_payload(np.ravel(arr))))
 
 
-def _parse_meta(payload: bytes) -> dict:
-    out = {}
-    for line in payload.decode().splitlines():
-        k, v = line.split("=", 1)
-        out[k] = v
-    return out
+def _read_frames(path, what: str, keys):
+    """(session, meta, {kind: words}) of a file _write_frames wrote;
+    ParseError naming path unless it is one whose meta has every key and
+    that has a DATA frame."""
+    frames = []
+    with open(path, "rb") as fh:
+        while head := fh.read(4):
+            length = struct.unpack("<I", head)[0] if len(head) == 4 else 0
+            body = fh.read(length)
+            if length < 5 or len(body) != length:  # a frame holds kind and session
+                raise ParseError(f"{path}: truncated frame")
+            frames.append(unpack_frame(body, with_round=False))
+    if not frames or frames[0][0] != KIND_HELLO:
+        raise ParseError(f"{path}: not a {what}")
+    session = frames[0][1]
+    try:
+        meta = decode_kv(frames[0][3])
+    except ParseError as exc:
+        raise ParseError(f"{path}: {exc}") from None
+    if any(key not in meta for key in keys):
+        raise ParseError(f"{path}: not a {what}")
+    words = {}
+    for kind, fsession, _, payload in frames[1:]:
+        if fsession != session:
+            raise ParseError(f"{path}: mixed sessions in one file")
+        words[kind] = payload_u64(payload)
+    if KIND_DATA not in words:
+        raise ParseError(f"{path}: missing data frame")
+    return session, meta, words
 
 
 def write_share_file(path, session: int, party: int, X_share: np.ndarray,
                      t_share: np.ndarray | None, ring: RingConfig):
-    """Framed binary: HELLO frame with metadata, DATA frame with the feature
-    share grid, LABELS frame with the label shares (may be absent)."""
+    """HELLO frame with metadata, DATA frame with the feature share grid,
+    LABELS frame with the label shares (may be absent)."""
     n, m = X_share.shape
     meta = {"party": party, "n": n, "m": m, "frac_bits": ring.frac_bits,
             "has_labels": int(t_share is not None)}
-    with open(path, "wb") as fh:
-        fh.write(pack_frame(KIND_HELLO, session, _meta_payload(meta)))
-        fh.write(pack_frame(KIND_DATA, session, u64_payload(X_share.ravel())))
-        if t_share is not None:
-            fh.write(pack_frame(KIND_LABELS, session, u64_payload(t_share)))
-
-
-def _read_frames(fh):
-    while True:
-        header = fh.read(4)
-        if not header:
-            return
-        (length,) = struct.unpack("<I", header)
-        body = fh.read(length)
-        if len(body) != length:
-            raise ParseError("truncated frame")
-        yield unpack_frame(body, with_round=False)
+    frames = [(KIND_DATA, X_share)] + ([(KIND_LABELS, t_share)] if t_share is not None else [])
+    _write_frames(path, session, meta, frames)
 
 
 def read_share_file(path):
     """Returns (session, meta, X_share, t_share or None)."""
-    with open(path, "rb") as fh:
-        frames = list(_read_frames(fh))
-    if not frames or frames[0][0] != KIND_HELLO:
-        raise ParseError(f"{path}: not a share file")
-    kind, session, _, payload = frames[0]
-    meta = _parse_meta(payload)
-    n, m = int(meta["n"]), int(meta["m"])
-    X = t = None
-    for kind, fsession, _, payload in frames[1:]:
-        if fsession != session:
-            raise ParseError(f"{path}: mixed sessions in one file")
-        if kind == KIND_DATA:
-            X = payload_u64(payload).reshape(n, m)
-        elif kind == KIND_LABELS:
-            t = payload_u64(payload)
-    if X is None:
-        raise ParseError(f"{path}: missing data frame")
-    return session, meta, X, t
-
-
-WEIGHTS_MAGIC = "veiltrain-weights/1"
+    session, meta, words = _read_frames(path, "share file", ("n", "m", "has_labels"))
+    X = words[KIND_DATA].reshape(int(meta["n"]), int(meta["m"]))
+    return session, meta, X, words.get(KIND_LABELS)
 
 
 def write_weights_file(path, session: int, party: int, w_share: np.ndarray,
                        ring: RingConfig):
-    header = {"magic": WEIGHTS_MAGIC, "session": session, "party": party,
-              "d": len(w_share), "frac_bits": ring.frac_bits}
-    head = "\n".join(f"{k}={v}" for k, v in sorted(header.items())).encode() + b"\n\n"
-    with open(path, "wb") as fh:
-        fh.write(struct.pack("<I", len(head)))
-        fh.write(head)
-        fh.write(np.ascontiguousarray(w_share, dtype="<u8").tobytes())
+    """HELLO frame with metadata, DATA frame with the weight shares."""
+    meta = {"party": party, "d": len(w_share), "frac_bits": ring.frac_bits}
+    _write_frames(path, session, meta, [(KIND_DATA, w_share)])
 
 
 def read_weights_file(path):
-    with open(path, "rb") as fh:
-        (hlen,) = struct.unpack("<I", fh.read(4))
-        header = _parse_meta(fh.read(hlen).strip())
-        if header.get("magic") != WEIGHTS_MAGIC:
-            raise ParseError(f"{path}: not a weights file")
-        d = int(header["d"])
-        w = np.frombuffer(fh.read(8 * d), dtype="<u8").astype(np.uint64)
-    return header, w
+    """Returns (header, w_share); header is the metadata plus the session."""
+    session, meta, words = _read_frames(path, "weights file", ("d",))
+    return dict(meta, session=str(session)), words[KIND_DATA]
 
 
 def check_ring_meta(meta: dict, ring: RingConfig):

@@ -1,9 +1,12 @@
-"""Length-prefixed binary framing and the channels that carry it.
+"""Length-prefixed binary framing, its key=value text payloads, and the
+channels that carry it.
 
 Frame layout: 4-byte little-endian frame length (bytes after this field),
-1-byte message kind, 4-byte session id, then the payload of little-endian
-64-bit ring elements. Party-to-party frames insert a 4-byte round counter
-between the session id and the payload; dealer and file frames do not.
+1-byte message kind, 4-byte session id, then the payload: little-endian
+64-bit ring elements, or for control messages and file metadata the sorted
+`key=value` lines of encode_kv. Party-to-party frames insert a 4-byte round
+counter between the session id and the payload; dealer and file frames do
+not.
 """
 
 from __future__ import annotations
@@ -14,7 +17,7 @@ import struct
 
 import numpy as np
 
-from .errors import ConnectTimeout, PeerClosed, RoundDesync, SessionMismatch
+from .errors import ConnectTimeout, ParseError, PeerClosed, RoundDesync, SessionMismatch
 
 KIND_HELLO = 1
 KIND_OPEN = 2
@@ -45,6 +48,23 @@ def unpack_frame(body: bytes, with_round: bool):
         round_no = struct.unpack_from("<I", body, off)[0]
         off += 4
     return kind, session, round_no, body[off:]
+
+
+def encode_kv(mapping: dict) -> bytes:
+    """One `key=value` line per key, sorted by key, newline-joined."""
+    return "\n".join(f"{k}={mapping[k]}" for k in sorted(mapping)).encode()
+
+
+def decode_kv(payload: bytes) -> dict:
+    """The str-to-str mapping of encode_kv's lines; ParseError for a line
+    without '='."""
+    out = {}
+    for line in payload.decode(errors="replace").splitlines():
+        key, eq, value = line.partition("=")
+        if not eq:
+            raise ParseError(f"expected key=value, got {line!r}")
+        out[key] = value
+    return out
 
 
 def u64_payload(arr: np.ndarray) -> bytes:
@@ -145,20 +165,24 @@ def connect(host: str, port: int, deadline: float = 10.0, retry: float = 0.05) -
     raise ConnectTimeout(f"could not reach {host}:{port} within {deadline}s: {last}")
 
 
-def listen_one(host: str, port: int, timeout: float = 30.0):
-    """Accept a single connection; returns (channel, bound_port)."""
-    srv = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
-    srv.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
-    srv.bind((host, port))
-    srv.listen(1)
-    srv.settimeout(timeout)
-    try:
-        conn, _ = srv.accept()
-    except socket.timeout:
-        raise ConnectTimeout(f"nobody connected to {host}:{port} within {timeout}s")
-    finally:
-        srv.close()
-    return SocketChannel(conn)
+def listen(host: str, port: int, count: int, timeout: float = 30.0) -> list:
+    """Accept count connections on host:port, each within timeout seconds;
+    ConnectTimeout naming the address when one does not come."""
+    chans = []
+    with socket.socket(socket.AF_INET, socket.SOCK_STREAM) as srv:
+        srv.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
+        srv.bind((host, port))
+        srv.listen(count)
+        srv.settimeout(timeout)
+        try:
+            while len(chans) < count:
+                chans.append(SocketChannel(srv.accept()[0]))
+        except socket.timeout:
+            for chan in chans:
+                chan.close()
+            raise ConnectTimeout(f"{count - len(chans)} of {count} peers did not connect to "
+                                 f"{host}:{port} within {timeout}s") from None
+    return chans
 
 
 class FrameIO:

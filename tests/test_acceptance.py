@@ -66,7 +66,7 @@ def test_share_algebra():
     def fn(eng):
         a = eng.from_public(encode(x, RING))
         b = eng.from_public(encode(y, RING))
-        return eng.open(eng.mul(a, b, shift=RING.frac_bits))
+        return eng.open(eng.trunc(eng.mul(a, b), RING.frac_bits))
 
     (r0, _), _ = run_both(fn, seed=103)
     fp_err = np.abs(decode(r0, RING) - x * y).max()

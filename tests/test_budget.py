@@ -24,12 +24,12 @@ ROUNDS_BY_PATH = {
 OVERLAP_BY_PATH = {
     "perturb/uniform": 2, "perturb/ln": 15, "perturb/sin_cos": 7, "perturb/rsqrt": 13,
 }
-WIRE_BYTES = 112_932  # party 0, sent plus received
+WIRE_BYTES = 104_964  # party 0, sent plus received
 
 # the noise alone at d = 50 with 100 draws, then the opening of the models:
 # the noise-wide benchmark's shape at a tenth of its batch
 NOISE_ROUNDS = 50
-NOISE_SENT_BYTES = 8_542_250  # party 0
+NOISE_SENT_BYTES = 6_882_250  # party 0
 
 
 def _rows(report, prefix):

@@ -236,6 +236,17 @@ def test_a_role_names_the_deployment_key_it_lacks(tmp_path, capsys, role, missin
     assert err.startswith("error: ") and repr(missing) in err
 
 
+def test_a_dealer_nobody_dials_is_an_error_line(tmp_path, capsys):
+    from veiltrain.harness import _free_port
+
+    cfg = tmp_path / "dealer.cfg"
+    cfg.write_text(f"dealer_host = 127.0.0.1\ndealer_port = {_free_port()}\n"
+                   "connect_deadline = 0.3\n")
+    assert main(["party", "--config", str(cfg), "--role", "dealer"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: 2 of 2 peers did not connect") and "Traceback" not in err
+
+
 @pytest.mark.parametrize("frac_bits", [11, 23, 30])
 def test_a_ring_no_session_can_run_on_is_an_error_line(tmp_path, capsys, frac_bits):
     # at 11 the row normalization keeps no squared norm accurate; from 23

@@ -193,6 +193,17 @@ def test_numpy_integer_shift_provisions_like_its_python_twin():
                                                          cursor.take_trunc(29, 2)))
 
 
+def test_a_dealer_nobody_dials_times_out():
+    from veiltrain.errors import ConnectTimeout
+    from veiltrain.harness import _free_port
+    from veiltrain.partyproc import serve_dealer
+    from veiltrain.shareio import DEFAULTS
+
+    cfg = dict(DEFAULTS, dealer_host="127.0.0.1", dealer_port=_free_port(), connect_deadline=0.3)
+    with pytest.raises(ConnectTimeout):
+        serve_dealer(cfg)
+
+
 @pytest.mark.parametrize("line", [
     b"bit:0=5", b"bit:70=5", b"bit:2=5", b"trunc:=5", b"trunc:0=5", b"trunc:64=5",
     b"trunc:300=5", b"gadget:=5", b"triple:1=5", b"triple:=x", b"triple=5", b"triple:=-1",

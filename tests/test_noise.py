@@ -66,11 +66,13 @@ def test_gss_odd_path_consumption():
 
 @pytest.mark.parametrize("d", [3, 11, 12])
 def test_perturbation_draws_exactly_its_pairs(d):
-    # ceil(d/2) Box-Muller pairs and d Gamma uniforms per draw, no more
+    # k = ceil(d/2) Box-Muller pairs per draw, whose k radius uniforms are
+    # also k of the Gamma's d, and d - k fresh Gamma uniforms, no more
     dp = DpParams(epsilon=1.0, lambda_reg=1.0, n=100, d=d)
     eng = plain(5)
     perturb_weights(eng, eng.zeros(d), dp, batch=(4,))
-    assert eng.pos["local_bits"] == 4 * (2 * ((d + 1) // 2) + d) * RING.frac_bits
+    k = (d + 1) // 2
+    assert eng.pos["local_bits"] == 4 * (2 * k + d - k) * RING.frac_bits
 
 
 def test_gss_mirror_equals_mpc():
@@ -197,9 +199,15 @@ def _one_ulp(u):
     return np.ones_like(u)  # u = 2^-l: every -ln u is l ln 2
 
 
+def _radii_at_one_ulp(u):
+    u = u.copy()
+    u[0] = 1  # the Gaussian draw is (u|v, pair, *batch): the radii's u at 2^-l
+    return u
+
+
 def _first_pair_at_one(u):
     u = u.copy()
-    u[0, 0] = np.uint64(1 << RING.frac_bits)  # the Gaussian draw is (u|v, pair, *batch)
+    u[0, 0] = np.uint64(1 << RING.frac_bits)
     return u
 
 
@@ -208,10 +216,11 @@ def test_effective_noise_scale_is_never_below_the_calibrated_one(n):
     dp = DpParams(epsilon=1.0, lambda_reg=1.0, n=n, d=50)
     code, f = dp.scale_code(RING)
     assert code / 2.0 ** f >= dp.scale
-    # with every Gamma uniform at one ulp, ||eta|| = c d l ln 2 up to the ln
-    # and rsqrt kernels' relative errors (1e-4 together); at n = 10^6 c is
-    # 2.097 ulps, which rounded to 2 at l bits would show as -4.6 %
-    eng = _ChosenUniforms(15, None, _one_ulp)
+    # with every Gamma uniform (the radii's and the fresh ones) at one ulp,
+    # ||eta|| = c d l ln 2 up to the ln and rsqrt kernels' relative errors
+    # (1e-4 together); at n = 10^6 c is 2.097 ulps, which rounded to 2 at l
+    # bits would show as -4.6 %
+    eng = _ChosenUniforms(15, _radii_at_one_ulp, _one_ulp)
     eta = decode(eng.open(perturb_weights(eng, eng.zeros(dp.d), dp, batch=(50,))), RING)
     effective = np.linalg.norm(eta, axis=1).mean() / (dp.d * RING.frac_bits * np.log(2))
     assert effective >= dp.scale * (1 - 1e-3)
@@ -261,10 +270,11 @@ def test_unit_uniform_gives_zero_radius_and_finite_noise():
     g = decode(eng.open(gaussian_vector(eng, 4, batch=(8,))), RING)
     assert np.all(g[:, :2] == 0) and np.all(g[:, 2:] != 0)
     # E = 0 for the first pair: its coordinates are exactly 0, and the norm
-    # is still the Gamma draw, c d l ln 2 with every Gamma uniform at one ulp
+    # is still the Gamma draw, c (d - 1) l ln 2 with every other Gamma
+    # uniform at one ulp (the first pair's -ln u is 0)
     dp = DpParams(epsilon=1.0, lambda_reg=1.0, n=300, d=5)
-    gamma = dp.scale * dp.d * RING.frac_bits * np.log(2)
-    eng = _ChosenUniforms(18, _first_pair_at_one, _one_ulp)
+    gamma = dp.scale * (dp.d - 1) * RING.frac_bits * np.log(2)
+    eng = _ChosenUniforms(18, lambda u: _first_pair_at_one(_radii_at_one_ulp(u)), _one_ulp)
     eta = decode(eng.open(perturb_weights(eng, eng.zeros(dp.d), dp, batch=(20,))), RING)
     assert np.all(eta[:, :2] == 0)
     assert np.abs(np.linalg.norm(eta, axis=1) / gamma - 1).max() < 1e-3
@@ -308,14 +318,28 @@ def test_session_noise_is_calibrated_to_the_row_bound():
 @pytest.mark.parametrize("d", [6, 7, 12, 13])
 def test_every_draw_has_its_gamma_magnitude(d):
     # ||eta|| = Gamma per draw, not only in the mean: regenerate the uniforms
-    # sample_noise drew (the Box-Muller pairs, then the Gamma's d) and check
-    # each norm against c (-sum ln u). An odd d's tail, whose cos 2 theta
-    # enters ||g||, must agree with its coordinate's angle
+    # sample_noise drew (the Box-Muller pairs, then d - k fresh ones) and
+    # check each norm against c (-sum ln u) over the k radii's u and the
+    # fresh ones. An odd d's tail, whose cos 2 theta enters ||g||, must
+    # agree with its coordinate's angle
     dp, draws = DpParams(epsilon=1.0, lambda_reg=1.0, n=300, d=d), 500
     k = (d + 1) // 2
     eta = decode(sample_noise(plain(23), dp, (draws,)), RING)
     ref = plain(23)
-    joint_uniform(ref, (2, k, draws))
-    u = decode(ref.open(joint_uniform(ref, (draws, d))), RING)
-    gamma = dp.scale * -np.log(u).sum(axis=1)
+    radii = decode(ref.open(joint_uniform(ref, (2, k, draws))), RING)[0].T
+    fresh = decode(ref.open(joint_uniform(ref, (draws, d - k))), RING)
+    gamma = dp.scale * -np.log(np.hstack([radii, fresh])).sum(axis=1)
     assert np.abs(np.linalg.norm(eta, axis=1) / gamma - 1).max() < 1e-3
+
+
+@pytest.mark.parametrize("d", [7, 12])
+def test_first_coordinate_follows_the_float_law(d):
+    # Gamma shares its logs with the Box-Muller radii, yet eta's first
+    # coordinate has the law of Gamma(d, c) times a uniform direction's
+    # first coordinate, sampled in floats
+    dp, draws = DpParams(epsilon=1.0, lambda_reg=1.0, n=300, d=d), 5000
+    eta = decode(sample_noise(plain(24), dp, (draws,)), RING)[:, 0]
+    rng = np.random.default_rng(25)
+    g = rng.standard_normal((200_000, d))
+    ref = rng.gamma(d, dp.scale, len(g)) * g[:, 0] / np.linalg.norm(g, axis=1)
+    assert stats.ks_2samp(eta, ref).pvalue > 0.01

@@ -29,7 +29,7 @@ def long_branch(eng):
     with eng.phase("outer"):
         x = eng.from_public(X)
         with eng.phase("inner"):
-            y = eng.mul(x, x, shift=L)                # 2 rounds
+            y = eng.trunc(eng.mul(x, x), L)           # 2 rounds
             y = eng.mul(y, x)                         # 1 round
         u = joint_uniform(eng, (3,))                  # 1 round
         return eng.stack([eng.trunc(y, L), eng.add(y, np.concatenate([u, u]))])
@@ -39,7 +39,7 @@ def short_branch(eng):
     """Three rounds: a uniform draw and a truncated square."""
     with eng.phase("short"):
         u = joint_uniform(eng, (6,))
-        return eng.mul(u, u, shift=L)
+        return eng.trunc(eng.mul(u, u), L)
 
 
 def local_branch(eng):

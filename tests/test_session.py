@@ -50,6 +50,21 @@ def _handshake_errors(public0, public1):
     return errors
 
 
+def test_handshake_bytes_are_pinned():
+    # the HELLO frame a party sends: length, kind 1, session 1, round 0, then
+    # the public config's sorted key=value lines with the protocol version
+    from veiltrain.session import PartyRuntime, handshake
+    from veiltrain.transport import queue_pair
+
+    hello = (b"9\x00\x00\x00\x01\x01\x00\x00\x00\x00\x00\x00\x00"
+             b"frac_bits=20\nprotocol_version=veiltrain/1\nseed=1")
+    ch0, ch1 = queue_pair()
+    ch1.send_bytes(hello)  # the peer's identical hello, already waiting
+    rt = PartyRuntime(0, 1, ch0, RING)
+    handshake(rt, {"seed": 1, "frac_bits": 20})
+    assert ch1.recv_bytes() == hello and rt.round_no == 1
+
+
 def test_handshake_mismatch_names_key():
     # parties loading different fractional precision must abort on that key
     errors = _handshake_errors({"frac_bits": 20, "seed": 1}, {"frac_bits": 16, "seed": 1})
@@ -246,7 +261,7 @@ def test_masked_openings_look_uniform():
     def fn(eng):
         a = eng.from_public(encode(x, RING))
         b = eng.from_public(encode(y, RING))
-        return eng.mul(a, b, shift=None)  # openings are d, e
+        return eng.mul(a, b)  # openings are d, e
 
     # capture the raw exchanged payload by tapping exchange
     captured = []

@@ -124,16 +124,6 @@ def test_beaver_random_products_exact():
     assert all(int(z) == int(x) * int(y) % 2**64 for x, y, z in zip(xs, ys, r0))
 
 
-def test_beaver_fixed_point_with_truncation():
-    def fn(eng, x, y):
-        fused = eng.mul(x, y, shift=RING.frac_bits)
-        apart = eng.trunc(eng.mul(x, y), RING.frac_bits)
-        return eng.open(eng.stack([fused, apart]))
-
-    r0, _ = joint(fn, encode(1.5, RING), encode(2.0, RING), seed=32)
-    assert np.all(np.abs(decode(r0, RING) - 3.0) <= 2**-20)
-
-
 def test_triple_reuse_rejected():
     # consecutive takes read consecutive windows of the dealer's stream, and a
     # cursor at its cap raises rather than wrap back to items it handed out

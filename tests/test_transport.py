@@ -3,8 +3,10 @@ import threading
 import numpy as np
 import pytest
 
-from veiltrain.errors import ConnectTimeout, PeerClosed, RoundDesync, SessionMismatch
-from veiltrain.transport import (KIND_OPEN, FrameIO, connect, listen_one,
+from veiltrain.errors import (ConnectTimeout, ParseError, PeerClosed, RoundDesync,
+                              SessionMismatch)
+from veiltrain.harness import _free_port
+from veiltrain.transport import (KIND_OPEN, FrameIO, connect, decode_kv, encode_kv, listen,
                                  pack_frame, payload_u64, queue_pair,
                                  u64_payload, unpack_frame)
 
@@ -21,6 +23,15 @@ def test_frame_without_round():
     raw = pack_frame(3, 9, b"abc")
     kind, session, round_no, body = unpack_frame(raw[4:], with_round=False)
     assert (kind, session, round_no, body) == (3, 9, None, b"abc")
+
+
+def test_key_value_codec_round_trip():
+    raw = encode_kv({"seed": 1, "epsilon": 0.5, "name": "a=b", "empty": ""})
+    assert raw == b"empty=\nepsilon=0.5\nname=a=b\nseed=1"  # sorted by key
+    assert decode_kv(raw) == {"seed": "1", "epsilon": "0.5", "name": "a=b", "empty": ""}
+    assert decode_kv(encode_kv({})) == {}
+    with pytest.raises(ParseError):
+        decode_kv(raw + b"\nno equals sign")
 
 
 def test_queue_pair_duplex():
@@ -100,6 +111,27 @@ def test_tcp_channel_round_trip():
     assert body == b"reply"
     _, _, _, sbody = unpack_frame(result["server"][4:], with_round=False)
     assert sbody == b"hello"
+
+
+def test_listen_accepts_each_dialer():
+    port = _free_port()
+    chans = []
+    th = threading.Thread(target=lambda: chans.extend(listen("127.0.0.1", port, 2, 10)))
+    th.start()
+    dialers = [connect("127.0.0.1", port, deadline=5) for _ in range(2)]
+    th.join(timeout=10)
+    assert len(chans) == 2
+    for i, (dialer, chan) in enumerate(zip(dialers, chans)):
+        dialer.send_bytes(pack_frame(KIND_OPEN, 1, bytes([i])))
+        assert unpack_frame(chan.recv_bytes(timeout=5)[4:], with_round=False)[3] == bytes([i])
+    for chan in dialers + chans:
+        chan.close()
+
+
+def test_listen_times_out_naming_the_address():
+    port = _free_port()
+    with pytest.raises(ConnectTimeout, match=f"127.0.0.1:{port}"):
+        listen("127.0.0.1", port, 1, timeout=0.3)
 
 
 def test_connect_timeout():
