@@ -3,8 +3,9 @@
 Three kinds of material, one key each: Beaver triples ("triple",),
 truncation pairs ("trunc", s) for a shift s, and random-bit words ("bit",),
 which come in 3-bit blocks holding the products of every non-empty subset
-of a block's bits (the masks of the msb and lead ops; the bits alone also
-mask the parties' bits in a joint uniform's opening).
+of a block's bits (the masks of the msb and lead ops and of a joint
+geometric's opening; the bits alone also mask the parties' bits in a joint
+uniform's opening).
 
 Every kind of material comes from two PCG64 streams: a *plain* stream that
 fixes the secret values and a *split* stream that fixes how they are shared.

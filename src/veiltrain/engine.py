@@ -11,8 +11,10 @@ below and can run on either engine:
   bits come in 3-bit blocks, the leaves (leaf_layout), and resolve the
   borrow out of each leaf with a log-depth prefix over them. Joint
   uniforms open the parties' local bits under the same kind of dealer bits,
-  one word per uniform (joint_uniform). Independent branches run side by
-  side (parallel) and share their rounds.
+  one word per uniform (joint_uniform); geometric exponents open theirs the
+  same way and count their leading zeros with msb's prefix
+  (joint_geometric). Independent branches run side by side (parallel) and
+  share their rounds.
 * PlainEngine: values are the plain ring elements. It consumes the same
   seeded randomness streams (truncation masks, per-party bit streams) in the
   same order, so its outputs are bit-identical to what the two parties would
@@ -52,6 +54,12 @@ def leaf_layout(width: int):
         raise ValueError(f"a mask width must be a positive multiple of {SIGN_BLOCK}, "
                          f"got {width}")
     return range(0, width, SIGN_BLOCK)
+
+
+def geometric_width(frac_bits: int) -> int:
+    """Jointly sampled bits of a joint_geometric value: frac_bits rounded up
+    to whole leaves."""
+    return SIGN_BLOCK * -(-frac_bits // SIGN_BLOCK)
 
 
 def uniform_mask_words(bits: int) -> int:
@@ -120,14 +128,36 @@ def _leaf_maps():
                 borrow = (cb[:, t] < r_t + borrow).astype(np.int64)
                 nonzero = nonzero | bit
             table[g, :, :, s] = borrow, nonzero, bit
-    for t in range(k):  # values on the 2^k assignments -> monomial coefficients
-        for s in range(1 << k):
-            if s >> t & 1:
-                table[..., s] -= table[..., s ^ (1 << t)]
+    table = _monomials(table)
     return table[0].view(np.uint64), (table[1] - table[0]).view(np.uint64)
 
 
+def _monomials(table):
+    """Monomial coefficients, in place, of functions of a leaf's SIGN_BLOCK
+    mask bits given by their values on every assignment of those bits (last
+    axis, indexed by the subset S of bits set)."""
+    for t in range(SIGN_BLOCK):
+        for s in range(1 << SIGN_BLOCK):
+            if s >> t & 1:
+                table[..., s] -= table[..., s ^ (1 << t)]
+    return table
+
+
+def _zero_count_maps():
+    """Monomial coefficients of a leaf's map C -> lz + Z*C, for the leading
+    zeros of b = z xor rho, z public and rho the leaf's mask bits: lz counts
+    the leading zeros of the leaf's SIGN_BLOCK bits of b, top bit first, and
+    Z says whether all of them are zero. Returns (lz, Z) as ring elements,
+    each indexed like _LEAF_MAPS with its one output: [0, value of z's bits,
+    monomial]."""
+    k = SIGN_BLOCK
+    b = np.arange(1 << k)[:, None] ^ np.arange(1 << k)  # [z's bits, rho's bits S]
+    lz = np.array([k - v.bit_length() for v in range(1 << k)])[b]
+    return tuple(_monomials(t[None].astype(np.int64)).view(np.uint64) for t in (lz, b == 0))
+
+
 _LEAF_MAPS = _leaf_maps()
+_ZERO_COUNT_MAPS = _zero_count_maps()
 
 
 def _low_mask(width: int):
@@ -308,19 +338,32 @@ class PlainEngine(BaseEngine):
         first = np.ones((1,) + x.shape, dtype=bool)
         return (np.concatenate([first, above[:-1]]) & ~above).astype(np.uint64)
 
+    def _joint_bits(self, shape, width):
+        """The values of width jointly-XORed bits each, low bit first, drawn
+        sample-major from both parties' bit streams."""
+        n = int(np.prod(shape, dtype=np.int64))
+        at = self._advance("local_bits", width * n)
+        b0 = self.source.party_bit_stream(0, at, width * n)
+        b1 = self.source.party_bit_stream(1, at, width * n)
+        pos = np.arange(width, dtype=np.uint64)
+        return ((b0 ^ b1).reshape(n, width) << pos).sum(axis=1, dtype=np.uint64)
+
     def joint_uniform(self, shape):
         """Uniform fixed-point values on (0, 1]: l jointly-XORed bits plus one
         ulp. Spends the bit words that mask them (uniform_mask_words)."""
         l = self.cfg.frac_bits
-        n = int(np.prod(shape, dtype=np.int64))
-        self._advance(("bit",), uniform_mask_words(l * n))
-        at = self._advance("local_bits", l * n)
-        b0 = self.source.party_bit_stream(0, at, l * n)
-        b1 = self.source.party_bit_stream(1, at, l * n)
-        bits = (b0 ^ b1).reshape(n, l)  # sample-major, bit-minor
-        weights = (np.uint64(1) << np.arange(l, dtype=np.uint64))
-        u = (bits * weights).sum(axis=1, dtype=np.uint64) + np.uint64(1)
-        return u.reshape(shape)
+        self._advance(("bit",), uniform_mask_words(l * int(np.prod(shape, dtype=np.int64))))
+        return (self._joint_bits(shape, l) + np.uint64(1)).reshape(shape)
+
+    def joint_geometric(self, shape):
+        """Geometric(1/2) integers: the leading zeros of W = geometric_width(l)
+        jointly-XORed bits, W where all are zero. Spends what
+        MpcEngine.joint_geometric does."""
+        width = geometric_width(self.cfg.frac_bits)
+        x = self._count_leaf_op(self._joint_bits(shape, width), width,
+                                _plan_products(msb_plan(width)))
+        top = np.frexp(x.astype(np.float64))[1]  # the bit length; 0 at x = 0
+        return (width - top).astype(np.uint64).reshape(shape)
 
 
 class MpcEngine(BaseEngine):
@@ -458,17 +501,17 @@ class MpcEngine(BaseEngine):
             c = np.ravel(self.open((flat + self.sum(parts, axis=0)) & mask)) & mask
         return c, mono
 
-    def _maps(self, c, mono, outputs):
+    def _maps(self, c, mono, outputs, maps=_LEAF_MAPS):
         """Shares (G, P) [leaf, element] of each leaf's map for the output
         named in outputs (one index per leaf, None to skip the leaf), with
-        coefficients looked up by the leaf's bits of c (_LEAF_MAPS)."""
+        coefficients looked up by the leaf's bits of c in maps."""
         G, P = self.zeros((len(outputs), len(c))), self.zeros((len(outputs), len(c)))
         rows = [i for i, o in enumerate(outputs) if o is not None]
         out = np.array([outputs[i] for i in rows], dtype=np.intp)[:, None]
         pos = np.array(rows, dtype=np.uint64)[:, None] * np.uint64(SIGN_BLOCK)
         val = ((c >> pos) & np.uint64(SIGN_WORDS)).astype(np.intp)
         with np.errstate(over="ignore"):
-            for coef, dst in zip(_LEAF_MAPS, (G, P)):
+            for coef, dst in zip(maps, (G, P)):
                 share = sum(coef[out, val, s] * mono[rows, s - 1] for s in range(1, SIGN_WORDS + 1))
                 dst[rows] = self.add_public(share, coef[out, val, 0])
         return G, P
@@ -590,14 +633,52 @@ class MpcEngine(BaseEngine):
         mine = self.material.take_local_bits(l * n).reshape(n, l)
         words = self.material.take_bits(uniform_mask_words(l * n))
         rho = words.reshape(-1, SIGN_WORDS)[:, _BLOCK_BITS].ravel()[:l * n].reshape(n, l)
+        z = self._xor_open(mine, rho)
         pos, one = np.arange(l, dtype=np.uint64), np.uint64(1)
         with np.errstate(over="ignore"):
-            sent = ((mine ^ (rho & one)) << pos).sum(axis=1, dtype=np.uint64)
-            z = sent ^ self.rt.exchange(sent)
             sign = one - (((z[:, None] >> pos) & one) << one)  # 1 - 2 z_j
             u = ((rho * sign) << pos).sum(axis=1, dtype=np.uint64)
             u = self.add_public(u, z + one)
         return u.reshape(shape)
+
+    def _xor_open(self, mine, rho):
+        """The public z = b xor rho of jointly sampled bits b, the XOR of
+        both parties' local bits mine, under the dealer's bits rho (shares
+        in the ring); both are [value, bit], low bit first. One word per
+        value each way (joint_uniform)."""
+        sent = rho & np.uint64(1)
+        sent ^= mine
+        sent <<= np.arange(mine.shape[1], dtype=np.uint64)
+        sent = sent.sum(axis=1, dtype=np.uint64)
+        return sent ^ self.rt.exchange(sent)
+
+    def joint_geometric(self, shape):
+        """Geometric(1/2) integers in 1 + ceil(log2(W/3)) rounds: the count
+        of leading zeros of W = geometric_width(l) jointly sampled bits,
+        capped at W, so P(e = j) = 2^-(j+1) below the cap.
+
+        The bits are opened as joint_uniform opens them, one word per value,
+        under dealer bits in whole leaves that carry all their monomials.
+        Given the public z = b xor rho, a leaf's leading-zero count lz and
+        its all-zero flag Z are multilinear in its bits of rho, so local
+        combinations of its monomial words (_ZERO_COUNT_MAPS). The maps
+        C -> lz + Z C compose like msb's borrow maps, the top leaf last, and
+        their composition onto the top leaf is e. The peer sees z and Beaver
+        differences only; the dealer, which knows rho, sees neither."""
+        width = geometric_width(self.cfg.frac_bits)
+        G, P = self._open_zero_counts(int(np.prod(shape, dtype=np.int64)), width)
+        return self._compose(G, P, msb_plan(width))[-1].reshape(shape)
+
+    def _open_zero_counts(self, n, width):
+        """joint_geometric's opening and its leaves' maps (G, P) = (lz, Z),
+        [leaf, value]; the bits and their masks are freed on return, before
+        the products."""
+        leaves = width // SIGN_BLOCK
+        mine = self.material.take_local_bits(width * n).reshape(n, width)
+        words = self.material.take_bits(SIGN_WORDS * leaves * n)
+        mono = words.reshape(leaves, n, SIGN_WORDS).transpose(0, 2, 1)  # as _open_leaves
+        rho = mono[:, _BLOCK_BITS].transpose(2, 0, 1).reshape(n, width)  # bit 3i + t: leaf i's t
+        return self._maps(self._xor_open(mine, rho), mono, [0] * leaves, _ZERO_COUNT_MAPS)
 
 
 class _Aborted(Exception):

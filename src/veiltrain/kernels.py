@@ -10,15 +10,17 @@ place of forming g h, so a step is two rounds: r = 3/2 - e is truncated
 while it multiplies the carried values and itself, and e r^2 is (3/2 - r)
 times r^2, taken while r^2 and the carried values are truncated. Sine and
 cosine need no range reduction: a half-angle polynomial covers the whole
-period, and one squaring round doubles the angle. Signs alone (the
-division's sign, the sigmoid's clamps) come from the engine's msb op. The
-sigmoid is an odd polynomial: on an input with a public bound |z| <= 5/4
-it is of degree 5 and takes 3 rounds, on one with |z| <= 4 it needs no
-clamp, otherwise it clamps its input to |z| <= 8. Every polynomial
-is evaluated in the power basis: the powers take one fused truncate and
-multiply round (engine op tmul) per doubling, and the sum is local.
-Iteration counts and degrees are fixed, so transcripts depend only on input
-sizes, never on values.
+period, and one squaring round doubles the angle. Unit exponentials need
+no normalization either: -ln U = e ln 2 - ln m, with the exponent e from
+the engine's joint_geometric and ln m a fit in the mantissa's own uniform.
+Signs alone (the division's sign, the sigmoid's clamps) come from the
+engine's msb op. The sigmoid is an odd polynomial: on an input with a
+public bound |z| <= 5/4 it is of degree 5 and takes 3 rounds, on one with
+|z| <= 4 it needs no clamp, otherwise it clamps its input to |z| <= 8.
+Every polynomial is evaluated in the power basis: the powers take one
+fused truncate and multiply round (engine op tmul) per doubling, and the
+sum is local. Iteration counts and degrees are fixed, so transcripts
+depend only on input sizes, never on values.
 
 Polynomial coefficients are Chebyshev series (degree chosen so the
 float-side fit error sits well below each kernel's tolerance, and so that
@@ -26,6 +28,8 @@ the fused power chain reaches it in few rounds: degree 6 and 12 take one
 round fewer than 8 and 14), converted to the power basis at import:
   LN_CHEB:  ln(m) on m in [1/8, 1],  argument (16m - 9)/7; LN_POWER in
             powers of u = 2m - 1
+  LNM_CHEB: ln((1 + u)/2) on u in [0, 1], argument x = 2u - 1 (degree 8,
+            2^-24.8): the mantissa's log of an exponential (unit_exponentials)
   SIN_CHEB: sin(pi x / 2) on x in [-1, 1] (odd, degree 7)
   COS_CHEB: cos(pi x / 2) likewise (even, degree 8)
   SIG_CHEB: (sigmoid(8t) - 1/2)/t as a function of u = t^2 on [0, 1],
@@ -76,6 +80,11 @@ SIG4_CHEB = (
     -0.013198595785737557, 0.0030916296948200533, -0.000705124472112535,
     0.00014117099591461153,
 )
+LNM_CHEB = (
+    -0.3166943676407499, 0.3431457505076198, -0.02943725152285946, 0.0033670892555644075,
+    -0.0004332758886100403, 5.9470711989546305e-05, -8.502967541137037e-06,
+    1.2504673620643344e-06, -1.8772799545560474e-07,
+)
 SIG5_ODD = (0.4998713763046532, -0.1639070067247261, 0.05146248930881692)  # c1, c3, c5
 # the same fits in the power basis of their arguments: sum_k a[k] v^k. The
 # constant of LN_POWER is pinned to ln(1/2) (a shift of 7.6e-6): one is
@@ -83,6 +92,9 @@ SIG5_ODD = (0.4998713763046532, -0.1639070067247261, 0.05146248930881692)  # c1,
 # and -2 ln(u) never goes negative
 LN_POWER = (-np.log(2.0),) + tuple(np.polynomial.Chebyshev(LN_CHEB, domain=[-0.75, 1.0])
                                    .convert(kind=np.polynomial.Polynomial).coef[1:])
+# LNM_POWER's constant is pinned in ring integers where it is used
+# (_exponentials_2l), so that ln 1 is exactly 0 there too
+LNM_POWER = tuple(np.polynomial.chebyshev.cheb2poly(LNM_CHEB))
 SIN_POWER = tuple(np.polynomial.chebyshev.cheb2poly(SIN_CHEB))
 COS_POWER = tuple(np.polynomial.chebyshev.cheb2poly(COS_CHEB))
 SIG_POWER = tuple(np.polynomial.chebyshev.cheb2poly(SIG_CHEB))
@@ -157,15 +169,14 @@ def _partners(rows, low, degree):
     return partners
 
 
-def _powers(eng, x, shift, degree, ride=None):
+def _powers(eng, x, shift, degree):
     """v .. v^degree at l bits, stacked, from v at l + shift fractional bits.
 
     One tmul truncates v and squares it. Every later round truncates each
     power still at 2l bits and, in the same tmul, takes only the squares
     and the products with a power already at l bits (_partners) that add
     new exponents up to degree: the exponents at hand about double per
-    round. A last round truncates the powers left at 2l bits, and ride with
-    them; with ride the result is (powers, ride truncated)."""
+    round. A last round truncates the powers left at 2l bits."""
     l = eng.frac_bits
     t, sq = eng.tmul(x, shift, square=True)
     low, high = {1: t}, {2: sq}  # powers at l and at 2l fractional bits
@@ -183,11 +194,9 @@ def _powers(eng, x, shift, degree, ride=None):
             made.update(zip((2 * rows[i] for i in squares), prods[-1]))
         low.update(zip(rows, t))
         high = made
-    left = [high[k] for k in sorted(high)] + ([] if ride is None else [ride])
-    done = eng.tmul(left, [l] * len(left)) if left else []
-    low.update(zip(sorted(high), done))
-    powers = eng.stack([low[k] for k in range(1, degree + 1)])
-    return powers if ride is None else (powers, done[-1])
+    left = [high[k] for k in sorted(high)]
+    low.update(zip(sorted(high), eng.tmul(left, [l] * len(left)) if left else []))
+    return eng.stack([low[k] for k in range(1, degree + 1)])
 
 
 def _poly_2l(eng, powers, coeffs):
@@ -376,26 +385,69 @@ def secure_sin_cos(eng, theta):
     return _sin_cos_turns(eng, eng.trunc(eng.mul_public_int(theta, inv), shift - 1))
 
 
-def _sin_cos_turns(eng, turns, ride=None):
+def _sin_cos_turns(eng, turns, exponentials=None, truncate=True):
     """(sin, cos) of 2 pi turns for turns in [0, 1] at l + 1 fractional
     bits: a value v at l bits, as it is, is the half turn count v/2.
 
     x = 2 turns - 1 is exact at 2l bits and the angle is pi x + pi, so from
     the half-angle fits s = sin(pi x / 2) and c = cos(pi x / 2), sin = -2 s c
     = s^2 + c^2 - (s + c)^2 and cos = s^2 - c^2: one tmul truncates and
-    squares s, c and s + c, one truncation follows. ride: values to truncate
-    by l in the last round of the powers; with ride the result is (sin,
-    cos, ride truncated)."""
+    squares s, c and s + c, one truncation follows. With truncate False
+    sin and cos stay at 2l bits, for the caller's next tmul to truncate.
+
+    exponentials: (e, u), geometric exponents (joint_geometric) and
+    uniforms at l bits of one shape, rows on axis 0. The same rounds then
+    also give unit_exponentials(e, u): 2u - 1 joins the angles' rows in the
+    power chain, and the exponentials are truncated in the round that
+    squares s, c and s + c. The result is then (sin, cos, exponentials)."""
     l = eng.frac_bits
     with eng.phase("sin_cos"):
         x2l = eng.add_public(eng.mul_public_int(turns, 1 << l), _unit(eng, 2 * l, -1))
-        powers = _powers(eng, x2l, l, len(COS_POWER) - 1, ride)
-        if ride is not None:
-            powers, ride = powers
-        s, c = _poly_2l(eng, powers, SIN_POWER), _poly_2l(eng, powers, COS_POWER)
-        _, (ss, cc, both) = eng.tmul(eng.stack([s, c, eng.add(s, c)]), l, square=True)
-        sin, cos = eng.trunc(eng.stack([eng.sub(eng.add(ss, cc), both), eng.sub(ss, cc)]), l)
-        return (sin, cos) if ride is None else (sin, cos, ride)
+        k = len(x2l)
+        if exponentials is not None:
+            x2l = np.concatenate([x2l, _mantissa_x(eng, exponentials[1])])
+        powers = _powers(eng, x2l, l, len(COS_POWER) - 1)
+        s, c = (_poly_2l(eng, powers[:, :k], coeffs) for coeffs in (SIN_POWER, COS_POWER))
+        halves = eng.stack([s, c, eng.add(s, c)])
+        rows = [halves.reshape((3 * k,) + halves.shape[2:])]
+        if exponentials is not None:
+            rows.append(_exponentials_2l(eng, exponentials[0], powers[:, k:]))
+        t, squares = eng.tmul(np.concatenate(rows), l, square=range(3 * k))
+        ss, cc, both = squares.reshape(halves.shape)
+        sin_cos = eng.stack([eng.sub(eng.add(ss, cc), both), eng.sub(ss, cc)])
+        sin, cos = eng.trunc(sin_cos, l) if truncate else sin_cos
+        return (sin, cos) if exponentials is None else (sin, cos, t[3 * k:])
+
+
+def _mantissa_x(eng, u):
+    """x = 2u - 1 at 2l bits for u at l bits; exact at l bits, so its
+    truncation to l bits is exact too."""
+    l = eng.frac_bits
+    return eng.add_public(eng.mul_public_int(u, 2 << l), _unit(eng, 2 * l, -1))
+
+
+def _exponentials_2l(eng, e, powers):
+    """e ln 2 - ln((1 + u)/2) at 2l bits, from integer exponents e and the
+    powers of x = 2u - 1 at l bits (LNM_POWER). The fit's constant is
+    pinned in ring integers so that x = 1 gives exactly 0: so e = 0 and
+    u = 1 give exactly 0, and no value is negative."""
+    l = eng.frac_bits
+    coeffs = to_signed(_enc(eng, LNM_POWER[1:]))
+    ln_m = eng.add_public(_combine_int(eng, powers[:len(coeffs)], coeffs),
+                          _unit(eng, l, -int(coeffs.sum())))
+    return eng.sub(eng.mul_public_int(e, int(_enc(eng, np.log(2.0) * 2.0 ** l))), ln_m)
+
+
+def unit_exponentials(eng, e, u):
+    """-ln U = e ln 2 - ln m at l bits, Exp(1) samples cut at (W + 1) ln 2,
+    from geometric exponents e on [0, W] (joint_geometric) and uniforms u at
+    l bits of one shape: U = m 2^-e with m = (1 + u)/2 uniform on [1/2, 1)
+    and independent of e. ln m is a degree-8 fit in x = 2u - 1, which needs
+    no normalization: the power chain, then one truncation."""
+    l = eng.frac_bits
+    with eng.phase("exponential"):
+        powers = _powers(eng, _mantissa_x(eng, u), l, len(LNM_POWER) - 1)
+        return eng.trunc(_exponentials_2l(eng, e, powers), l)
 
 
 def secure_sigmoid(eng, z, magnitude_bits=None, frac_bits=None, bound=None, truncate=True):

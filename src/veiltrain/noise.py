@@ -1,6 +1,8 @@
 """Jointly sampled model perturbation, seen by no party: Gamma * g / ||g||, g a
 Box-Muller Gaussian (a uniform direction), Gamma ~ Gamma(d, 2R/(n*epsilon*reg))
-the scaled sum of d unit exponentials -ln(u), added to the shared weights."""
+the scaled sum of d unit exponentials, added to the shared weights. Each
+exponential is -ln U = e ln 2 - ln m for U = m 2^-e: a geometric exponent e
+and a uniform mantissa m, drawn apart (kernels.unit_exponentials)."""
 
 from __future__ import annotations
 
@@ -9,9 +11,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidArgument
-from .kernels import _sin_cos_turns, joint_uniform, secure_ln, secure_rsqrt
+from .kernels import (_sin_cos_turns, joint_uniform, secure_ln, secure_rsqrt,
+                      unit_exponentials)
 
-# uniforms live in (0, 1]; E = -2 ln(u) <= 2 * l * ln 2 < 2^6 at default precision
+# uniforms live in (0, 1]; -ln u <= l ln 2 (gaussian_vector, gamma_magnitude),
+# and an exponential e ln 2 - ln m < (W + 1) ln 2 with W <= 24 bits, so
+# E = 2 (e ln 2 - ln m) < 2^6
 _LN_MAGNITUDE_BITS = 1
 _BOX_MULLER_BITS = 6
 _SCALE_BITS = 16  # significant bits the encoded noise scale keeps, within 2l fractional bits
@@ -89,41 +94,49 @@ def sample_noise(eng, dp: DpParams, batch: tuple = ()):
     """Shares of Gamma * g / ||g||, (*batch, d): one independent draw per
     batch row. It needs neither data nor weights.
 
-    k = ceil(d/2) Box-Muller pairs; an odd d takes only the last pair's cos,
-    at theta = pi v where the others have 2 pi v, so that 2 theta is within
-    sin/cos's one period (R cos theta keeps its law). One ln over the k
-    radii's u_i and d - k fresh uniforms gives E_i = -2 ln u_i and the
-    Gamma, -sum ln u over all d: the radii's -ln u_i = E_i / 2 are unit
-    exponentials, and their sum is ||g||^2 / 2 (plus an odd tail's E sin^2
-    theta / 2), which is independent of g / ||g||. ||g||^2 = S = sum E_i
-    (odd tail: E (1 + cos 2 theta) / 2). S/4^a, 4^a >= k, and Gamma ride
-    in sin/cos; one rsqrt over [E_i, S/4^a] gives R_i = E_i rsqrt(E_i) and
-    K = Gamma 2^a / ||g||. Two uniform draws (one at d = 1), though one
-    would save a round: a draw's material is all generated before its
-    round, so one merged draw raised the peak memory of a two-party run at
-    d = 50 with 1000 draws from 239-246 to 277 MB."""
+    The d unit exponentials X_i = e_i ln 2 - ln m_i come from d mantissa
+    uniforms and d geometric exponents (kernels.unit_exponentials); the
+    Gamma is c sum X_i. At d = 1 the noise is c (X_1 - X_2), Laplace(c):
+    Gamma(1, c) times a sign, with no Gaussian.
+
+    Otherwise k = ceil(d/2) Box-Muller pairs take the first k of the
+    exponentials as E_i = 2 X_i, so that ||g||^2 / 2 is part of the Gamma's
+    sum, which is independent of g / ||g||. An odd d takes only the last
+    pair's cos, at theta = pi v where the others have 2 pi v, so that 2
+    theta is within sin/cos's one period (R cos theta keeps its law). ln m
+    rides in sin/cos's rounds, and S/4^a (S = ||g||^2 = sum E_i; odd tail: E
+    (1 + cos 2 theta) / 2, 4^a >= k) and the Gamma in its last truncation.
+    One rsqrt over [E_i, S/4^a] gives R_i = E_i rsqrt(E_i) and K = Gamma
+    2^a / ||g||. The angles' and the mantissas' uniforms are two draws,
+    though one would save a round: a draw's material is all generated
+    before its round, so one merged draw raised the peak memory of a
+    two-party run at d = 50 with 1000 draws from about 190 to 234 MB."""
     l, d, k = eng.frac_bits, dp.d, (dp.d + 1) // 2
     a = ((k - 1).bit_length() + 1) // 2
     code, f = dp.scale_code(eng.cfg)
     with eng.phase("perturb"):
-        u, v = joint_uniform(eng, (2, k, *batch))
-        u = np.moveaxis(u, 0, -1)
-        if d > k:  # the Gamma's d logs: the k radii's and d - k fresh ones
-            u = np.concatenate([u, joint_uniform(eng, (*batch, d - k))], axis=-1)
-        ln_u = secure_ln(eng, u, _LN_MAGNITUDE_BITS)
-        e = np.moveaxis(eng.mul_public_int(ln_u[..., :k], -2), -1, 0)  # (k, *batch)
-        gamma = eng.mul_public_int(eng.neg(eng.sum(ln_u, axis=-1)), code)
-        norm = eng.mul_public_int(eng.sum(e[:k - d % 2], axis=0), 1 << (l - 2 * a))
+        v = joint_uniform(eng, (k, *batch)) if d > 1 else None
+        u = joint_uniform(eng, (max(d, 2), *batch))
+        with eng.phase("geometric"):
+            e = eng.joint_geometric(np.shape(u))
+        if d == 1:
+            x = unit_exponentials(eng, e, u)
+            return eng.trunc(eng.mul_public_int(eng.sub(x[0], x[1]), code), f)[..., None]
         turns = eng.mul_public_int(v, 2)  # v at l + 1 bits
         if d % 2:  # the tail's angle is pi v, its double 2 pi v
             turns = np.insert(turns, k - 1, v[k - 1], axis=0)
-        sin, cos, (s4, gamma) = _sin_cos_turns(eng, turns, eng.stack([norm, gamma]))
+        sin, cos, x = _sin_cos_turns(eng, turns, (e, u), truncate=False)
+        r2 = eng.mul_public_int(x[:k], 2)  # the radii squared, E = 2 X, (k, *batch)
+        norm = eng.mul_public_int(eng.sum(r2[:k - d % 2], axis=0), 1 << (l - 2 * a))
+        gamma = eng.mul_public_int(eng.sum(x, axis=0), code)
+        with eng.phase("sin_cos"):
+            (sin, cos), s4, gamma = eng.tmul([eng.stack([sin, cos]), norm, gamma], [l] * 3)
         if d % 2:
-            tail = eng.mul(e[-1], eng.add_public(cos[-1], np.uint64(1 << l)))
+            tail = eng.mul(r2[-1], eng.add_public(cos[-1], np.uint64(1 << l)))
             s4 = eng.add(s4, eng.trunc(tail, l + 2 * a + 1))
             sin, cos = sin[:k], cos[:k]
-        y = secure_rsqrt(eng, np.concatenate([e, s4[None]]), _BOX_MULLER_BITS, truncate=False)
-        *_, rk = eng.tmul(*y, np.concatenate([e, gamma[None]]))  # R at 2l, K at l + f
+        y = secure_rsqrt(eng, np.concatenate([r2, s4[None]]), _BOX_MULLER_BITS, truncate=False)
+        *_, rk = eng.tmul(*y, np.concatenate([r2, gamma[None]]))  # R at 2l, K at l + f
         t, g = eng.tmul(rk, l, eng.stack([cos, sin]), rows=range(k))  # g = R (cos, sin) at 2l
         _, eta = eng.tmul(g, l, t[k])  # eta 2^a at l + f bits
         return _coordinates(eng.trunc(eta, f + a), d, batch)

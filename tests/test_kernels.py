@@ -4,7 +4,7 @@ from scipy import stats
 
 from veiltrain import kernels
 from veiltrain.dealer import SIGN_BLOCK, MaterialSource
-from veiltrain.engine import SIGN_WORDS, PlainEngine, estimate_counts
+from veiltrain.engine import SIGN_WORDS, PlainEngine, estimate_counts, geometric_width
 from veiltrain.errors import Exhausted
 from veiltrain.fixedpoint import RingConfig, decode, encode, to_signed
 from veiltrain.noise import DpParams, perturb_weights
@@ -573,6 +573,106 @@ def test_uniform_spends_bit_words_only():
     for eng in engines:
         assert {k: v for k, v in eng.material.pos.items() if isinstance(k, tuple)} \
             == {("bit",): want}
+
+
+# --- joint geometric exponents ---
+
+FRAME_BYTES = 13  # length, kind, session and round fields of one round's frame
+
+
+def _leading_zeros(seed, ring, n):
+    """The count of leading zeros, top bit first, of each of the n values
+    of geometric_width bits that both parties' bit streams XOR to; the
+    width where all are zero."""
+    width, src = geometric_width(ring.frac_bits), MaterialSource(seed, ring)
+    bits = src.party_bit_stream(0, 0, width * n) ^ src.party_bit_stream(1, 0, width * n)
+    top_first = bits.reshape(n, width)[:, ::-1]
+    return np.where(top_first.any(axis=1), top_first.argmax(axis=1), width)
+
+
+@pytest.mark.parametrize("frac_bits, width", [(12, 12), (20, 21), (22, 24)])
+def test_geometric_counts_the_leading_zeros_of_the_joint_bits(frac_bits, width):
+    ring = RingConfig(frac_bits)
+    assert geometric_width(frac_bits) == width
+    e = plain(34, ring).joint_geometric((2, 10_000))
+    assert np.array_equal(e.ravel(), _leading_zeros(34, ring, 20_000))
+
+
+@pytest.mark.parametrize("frac_bits", [12, 20])
+def test_geometric_matches_its_mirror(frac_bits):
+    ring = RingConfig(frac_bits)
+
+    def fn(eng):
+        return eng.open(eng.joint_geometric((4, 5000)))
+
+    (r0, r1), _ = run_both(fn, seed=35, cfg=ring)
+    mirror = fn(plain(35, ring))
+    assert np.array_equal(r0, mirror) and np.array_equal(r1, mirror)
+    if frac_bits == 12:  # 2^-12 of the draws have every bit zero: the cap
+        assert mirror.max() == geometric_width(frac_bits)
+
+
+@pytest.mark.parametrize("frac_bits", [12, 20])
+def test_geometric_law(frac_bits):
+    # P(e = j) = 2^-(j+1) below the cap W, P(e = W) = 2^-W: the bins j < J
+    # and the tail j >= J, of probability 2^-J, cap included
+    ring, n = RingConfig(frac_bits), 200_000
+    width = geometric_width(frac_bits)
+    top = min(width, 14)
+    e = plain(36, ring).joint_geometric((n,)).astype(np.int64)
+    counts = np.bincount(np.minimum(e, top), minlength=top + 1)
+    assert counts.size == top + 1
+    expected = n * np.exp2(-np.r_[np.arange(1, top + 1), top])
+    assert stats.chisquare(counts, expected).pvalue > 0.01
+
+
+def test_geometric_costs_four_rounds_and_nineteen_words_per_value():
+    # one opening of one word, then a 3-round prefix over 7 leaves with 9
+    # Beaver products: 49 bit words (7 leaves of 7 monomials) and 9 triples
+    n = 1000
+
+    def fn(eng):
+        return eng.joint_geometric((n,))
+
+    counts = estimate_counts(fn, 37, RING)
+    assert dict(counts) == {("bit",): 49 * n, ("triple",): 9 * n}
+    _, engines = run_both(fn, seed=37)
+    for eng in engines:
+        tr = eng.rt.transcript
+        assert tr.n_rounds == 4
+        assert tr.bytes_sent - FRAME_BYTES * tr.n_rounds == 8 * 19 * n
+        assert {k: v for k, v in eng.material.pos.items() if isinstance(k, tuple)} \
+            == dict(counts)
+        assert eng.material.pos["local_bits"] == geometric_width(RING.frac_bits) * n
+
+
+# --- unit exponentials ---
+
+@pytest.mark.parametrize("frac_bits", ACCEPTED_RINGS)
+def test_exponentials_are_never_negative(frac_bits):
+    # at e = 0 the exponential is -ln m, which falls to 0 as u rises to 1:
+    # the 4096 uniforms nearest 1 give no negative value (E = -1 ulp would
+    # leave rsqrt's domain), and u = 1 gives exactly 0. With the fit's float
+    # constant in place of the pinned one, 7 of these 11 rings fail
+    ring = RingConfig(frac_bits)
+    eng = plain(38, ring)
+    raw = np.arange((1 << frac_bits) - 4095, (1 << frac_bits) + 1, dtype=np.uint64)
+    x = to_signed(eng.open(kernels.unit_exponentials(eng, eng.zeros(raw.shape),
+                                                     eng.from_public(raw))))
+    assert x.min() >= 0 and x[-1] == 0
+
+
+def test_exponentials_follow_the_float_identity_and_law():
+    # e ln 2 - ln((1 + u)/2) within 2 ulps of its float value, and Exp(1)
+    # in law, cut at (W + 1) ln 2
+    n, l = 100_000, RING.frac_bits
+    eng = plain(39)
+    e, u = eng.joint_geometric((n,)), kernels.joint_uniform(eng, (n,))
+    x = open_plain(eng, kernels.unit_exponentials(eng, e, u))
+    ref = e * np.log(2) - np.log((1 + decode(u, RING)) / 2)
+    assert np.abs(x - ref).max() <= 2 * 2.0 ** -l
+    assert x.max() < (geometric_width(l) + 1) * np.log(2)
+    assert stats.kstest(x, stats.expon.cdf).pvalue > 0.01
 
 
 # --- obliviousness and MPC equivalence ---

@@ -3,9 +3,9 @@ import pytest
 from scipy import stats
 
 from veiltrain.dealer import MaterialSource
-from veiltrain.engine import PlainEngine
+from veiltrain.engine import PlainEngine, geometric_width
 from veiltrain.fixedpoint import RingConfig, decode, encode
-from veiltrain.kernels import joint_uniform
+from veiltrain.kernels import joint_uniform, unit_exponentials
 from veiltrain.noise import (DpParams, box_muller_radius, gamma_magnitude,
                              gaussian_pair_count, gaussian_vector, perturb_weights,
                              sample_noise)
@@ -66,13 +66,14 @@ def test_gss_odd_path_consumption():
 
 @pytest.mark.parametrize("d", [3, 11, 12])
 def test_perturbation_draws_exactly_its_pairs(d):
-    # k = ceil(d/2) Box-Muller pairs per draw, whose k radius uniforms are
-    # also k of the Gamma's d, and d - k fresh Gamma uniforms, no more
+    # per draw: k = ceil(d/2) Box-Muller angles, and the d exponentials'
+    # mantissa uniforms and geometric exponents, whose first k are also the
+    # radii; no more
     dp = DpParams(epsilon=1.0, lambda_reg=1.0, n=100, d=d)
     eng = plain(5)
     perturb_weights(eng, eng.zeros(d), dp, batch=(4,))
-    k = (d + 1) // 2
-    assert eng.pos["local_bits"] == 4 * (2 * k + d - k) * RING.frac_bits
+    k, l = (d + 1) // 2, RING.frac_bits
+    assert eng.pos["local_bits"] == 4 * (k * l + d * l + d * geometric_width(l))
 
 
 def test_gss_mirror_equals_mpc():
@@ -181,28 +182,29 @@ def test_perturb_batch_rows_are_independent_draws():
 
 
 class _ChosenUniforms(PlainEngine):
-    """The mirror with chosen uniforms: each joint_uniform call draws as
-    usual, consuming the same bits, then passes its raw values through the
-    next of the given edits (None keeps them)."""
+    """The mirror with chosen draws: each joint_uniform call draws as usual,
+    consuming the same bits, then passes its raw values through the next of
+    the given edits (None keeps them); so does each joint_geometric call
+    with the next of the geometric edits."""
 
-    def __init__(self, seed, *edits):
+    def __init__(self, seed, *edits, geometric=()):
         super().__init__(MaterialSource(seed, RING), RING)
-        self.edits = list(edits)
+        self.edits, self.geometric = list(edits), list(geometric)
 
     def joint_uniform(self, shape):
         u = super().joint_uniform(shape)
         edit = self.edits.pop(0)
         return u if edit is None else edit(u)
 
+    def joint_geometric(self, shape):
+        e = super().joint_geometric(shape)
+        edit = self.geometric.pop(0)
+        return e if edit is None else edit(e)
 
-def _one_ulp(u):
-    return np.ones_like(u)  # u = 2^-l: every -ln u is l ln 2
 
-
-def _radii_at_one_ulp(u):
-    u = u.copy()
-    u[0] = 1  # the Gaussian draw is (u|v, pair, *batch): the radii's u at 2^-l
-    return u
+W = geometric_width(RING.frac_bits)
+# the largest exponential: e = W, u = one ulp, so m = (1 + 2^-l)/2
+X_MAX = W * np.log(2) - np.log((1 + 2.0 ** -RING.frac_bits) / 2)
 
 
 def _first_pair_at_one(u):
@@ -211,18 +213,27 @@ def _first_pair_at_one(u):
     return u
 
 
+def _rows_set(rows, value, rest=None):
+    """An edit setting the given rows of a draw (rows on axis 0) to the raw
+    value, and every other row to rest (None keeps them)."""
+    def edit(x):
+        x = x.copy() if rest is None else np.full_like(x, rest)
+        x[rows] = value
+        return x
+    return edit
+
+
 @pytest.mark.parametrize("n", [300, 2000, 10**5, 10**6])
 def test_effective_noise_scale_is_never_below_the_calibrated_one(n):
     dp = DpParams(epsilon=1.0, lambda_reg=1.0, n=n, d=50)
     code, f = dp.scale_code(RING)
     assert code / 2.0 ** f >= dp.scale
-    # with every Gamma uniform (the radii's and the fresh ones) at one ulp,
-    # ||eta|| = c d l ln 2 up to the ln and rsqrt kernels' relative errors
-    # (1e-4 together); at n = 10^6 c is 2.097 ulps, which rounded to 2 at l
-    # bits would show as -4.6 %
-    eng = _ChosenUniforms(15, _radii_at_one_ulp, _one_ulp)
+    # with every exponential at its largest (e = W, u at one ulp), ||eta||
+    # = c d X_MAX up to the ln m fit's and rsqrt's relative errors; at n =
+    # 10^6 c is 2.097 ulps, which rounded to 2 at l bits would show as -4.6 %
+    eng = _ChosenUniforms(15, None, np.ones_like, geometric=[lambda e: np.full_like(e, W)])
     eta = decode(eng.open(perturb_weights(eng, eng.zeros(dp.d), dp, batch=(50,))), RING)
-    effective = np.linalg.norm(eta, axis=1).mean() / (dp.d * RING.frac_bits * np.log(2))
+    effective = np.linalg.norm(eta, axis=1).mean() / (dp.d * X_MAX)
     assert effective >= dp.scale * (1 - 1e-3)
 
 
@@ -269,17 +280,25 @@ def test_unit_uniform_gives_zero_radius_and_finite_noise():
     eng = _ChosenUniforms(17, _first_pair_at_one)
     g = decode(eng.open(gaussian_vector(eng, 4, batch=(8,))), RING)
     assert np.all(g[:, :2] == 0) and np.all(g[:, 2:] != 0)
-    # E = 0 for the first pair: its coordinates are exactly 0, and the norm
-    # is still the Gamma draw, c (d - 1) l ln 2 with every other Gamma
-    # uniform at one ulp (the first pair's -ln u is 0)
+    # e = 0 with u = 1 gives the exponential 0 exactly
+    eng, one = plain(18), 1 << RING.frac_bits
+    x = unit_exponentials(eng, eng.zeros(8), eng.from_public(np.full(8, one)))
+    assert np.all(eng.open(x) == 0)
+    # so E = 0 for the first pair: its coordinates are exactly 0, and the
+    # norm is still the Gamma draw, c (d - 1) X_MAX with every other
+    # exponential at its largest (the first pair's is 0)
     dp = DpParams(epsilon=1.0, lambda_reg=1.0, n=300, d=5)
-    gamma = dp.scale * (dp.d - 1) * RING.frac_bits * np.log(2)
-    eng = _ChosenUniforms(18, lambda u: _first_pair_at_one(_radii_at_one_ulp(u)), _one_ulp)
+    gamma = dp.scale * (dp.d - 1) * X_MAX
+    eng = _ChosenUniforms(18, None, _rows_set(0, one, rest=1),
+                          geometric=[_rows_set(0, 0, rest=W)])
     eta = decode(eng.open(perturb_weights(eng, eng.zeros(dp.d), dp, batch=(20,))), RING)
     assert np.all(eta[:, :2] == 0)
     assert np.abs(np.linalg.norm(eta, axis=1) / gamma - 1).max() < 1e-3
-    # every pair at u = 1: ||g|| = 0, rsqrt(0) stays finite and eta is exactly 0
-    eng = _ChosenUniforms(19, lambda u: np.full_like(u, 1 << RING.frac_bits), None)
+    # every pair's E = 0: ||g|| = 0, rsqrt(0) stays finite and eta is
+    # exactly 0, though the Gamma, from the other d - k exponentials, is not
+    k = (dp.d + 1) // 2
+    eng = _ChosenUniforms(19, None, _rows_set(slice(k), one),
+                          geometric=[_rows_set(slice(k), 0)])
     w = encode(np.linspace(-1, 1, dp.d), RING)
     assert np.array_equal(eng.open(perturb_weights(eng, eng.from_public(w), dp, batch=(4,))),
                           np.broadcast_to(w, (4, dp.d)))
@@ -296,7 +315,7 @@ def test_perturbation_round_budget():
         return engs[0].rt.transcript.n_rounds
 
     even = {d: rounds(d) for d in (2, 10, 50)}
-    assert set(even.values()) == {49}
+    assert set(even.values()) == {38}
     for d in (3, 11, 51):  # the odd tail's E cos^2 takes one product and one truncation
         assert rounds(d) <= even[d - 1] + 2
 
@@ -315,21 +334,69 @@ def test_session_noise_is_calibrated_to_the_row_bound():
         DpParams(epsilon=1.0, lambda_reg=1.0, n=300, d=12, row_norm=0.0)
 
 
+def _exponentials(seed, d, draws):
+    """The unit exponentials e ln 2 - ln m, m = (1 + u)/2, in floats, from
+    the draws sample_noise makes at this seed and dimension: the angles'
+    uniforms (none at d = 1), then the mantissas' uniforms and the
+    exponents of its d exponentials (2 at d = 1); (exponentials, draws)."""
+    ref, rows = plain(seed), max(d, 2)
+    if d > 1:
+        joint_uniform(ref, ((d + 1) // 2, draws))
+    u = decode(joint_uniform(ref, (rows, draws)), RING)
+    return ref.joint_geometric((rows, draws)) * np.log(2) - np.log((1 + u) / 2)
+
+
 @pytest.mark.parametrize("d", [6, 7, 12, 13])
 def test_every_draw_has_its_gamma_magnitude(d):
-    # ||eta|| = Gamma per draw, not only in the mean: regenerate the uniforms
-    # sample_noise drew (the Box-Muller pairs, then d - k fresh ones) and
-    # check each norm against c (-sum ln u) over the k radii's u and the
-    # fresh ones. An odd d's tail, whose cos 2 theta enters ||g||, must
-    # agree with its coordinate's angle
+    # ||eta|| = Gamma per draw, not only in the mean: regenerate the draws
+    # sample_noise made and check each norm against c sum (e ln 2 - ln m)
+    # over all d exponentials, the k radii's among them. An odd d's tail,
+    # whose cos 2 theta enters ||g||, must agree with its coordinate's angle
     dp, draws = DpParams(epsilon=1.0, lambda_reg=1.0, n=300, d=d), 500
-    k = (d + 1) // 2
     eta = decode(sample_noise(plain(23), dp, (draws,)), RING)
-    ref = plain(23)
-    radii = decode(ref.open(joint_uniform(ref, (2, k, draws))), RING)[0].T
-    fresh = decode(ref.open(joint_uniform(ref, (draws, d - k))), RING)
-    gamma = dp.scale * -np.log(np.hstack([radii, fresh])).sum(axis=1)
+    gamma = dp.scale * _exponentials(23, d, draws).sum(axis=0)
     assert np.abs(np.linalg.norm(eta, axis=1) / gamma - 1).max() < 1e-3
+
+
+def test_the_session_noise_takes_no_logarithm(monkeypatch):
+    import veiltrain.kernels as kernels
+    import veiltrain.noise as noise
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("secure_ln ran")
+
+    for module in (noise, kernels):
+        monkeypatch.setattr(module, "secure_ln", refuse)
+    for d in (1, 2, 7):
+        sample_noise(plain(28), DpParams(epsilon=1.0, lambda_reg=1.0, n=300, d=d), (3,))
+
+
+@pytest.mark.parametrize("seed", range(1, 6))
+def test_laplace_at_one_dimension_matches_its_mirror(seed):
+    dp = DpParams(epsilon=1.0, lambda_reg=1.0, n=300, d=1)
+
+    def fn(eng):
+        return eng.open(sample_noise(eng, dp, (4000,)))
+
+    (r0, r1), _ = run_both(fn, seed=seed)
+    mirror = fn(plain(seed))
+    assert np.array_equal(r0, mirror) and np.array_equal(r1, mirror)
+
+
+def test_laplace_at_one_dimension_is_the_difference_of_two_exponentials():
+    # eta = c (X_1 - X_2) per draw: no Box-Muller pair, so no angle near
+    # pi/2 can pull |eta| off the Gamma, as it could by up to 0.66 c
+    dp, draws = DpParams(epsilon=1.0, lambda_reg=1.0, n=300, d=1), 4000
+    eta = decode(sample_noise(plain(26), dp, (draws,)), RING)
+    assert eta.shape == (draws, 1)
+    x = _exponentials(26, 1, draws)
+    assert np.abs(eta[:, 0] - dp.scale * (x[0] - x[1])).max() <= 1e-3 * dp.scale
+
+
+def test_laplace_at_one_dimension_follows_its_law():
+    dp = DpParams(epsilon=1.0, lambda_reg=1.0, n=300, d=1)
+    eta = decode(sample_noise(plain(27), dp, (20_000,)), RING)[:, 0]
+    assert stats.kstest(eta, stats.laplace(scale=dp.scale).cdf).pvalue > 0.01
 
 
 @pytest.mark.parametrize("d", [7, 12])
