@@ -39,6 +39,7 @@ def _window(session_seed: int, tags, start_words: int, n_words: int) -> np.ndarr
 
 
 SIGN_BLOCK = 3  # mask bits per monomial block of the msb and lead ops' material
+_CHUNK = 1 << 16  # items of a material half generated at a time
 
 
 def check_key(key) -> None:
@@ -130,22 +131,40 @@ class MaterialSource:
     def half(self, key: tuple, party: int, start: int, n: int):
         """One party's arrays of items [start, start+n) of one material key,
         equal to halves(key, start, n)[party]. Party 0's half is the split
-        stream alone, so it skips generating the plain values."""
-        if party == 1:
-            return self.halves(key, start, n)[1]
-        split = self._words(key[0], key[1] if len(key) > 1 else None, _SPLIT, start, n)
-        return tuple(split.T.copy())
+        stream alone, so it skips generating the plain values; a one-word
+        half is the stream's own array. Other halves are built _CHUNK items
+        at a time into one array per word, so no whole-window temporary is
+        held beside them."""
+        kind, shift = key[0], (key[1] if len(key) > 1 else None)
+        if party == 0 and _SPLIT_WORDS[kind] == 1:
+            return (self._words(kind, shift, _SPLIT, start, n)[:, 0],)
+        out = [np.empty(n, dtype=np.uint64) for _ in range(_SPLIT_WORDS[kind])]
+        for lo in range(0, n, _CHUNK):
+            m = min(_CHUNK, n - lo)
+            if party == 0:
+                part = self._words(kind, shift, _SPLIT, start + lo, m).T
+            else:
+                part = self.halves(key, start + lo, m)[1]
+            for row, words in zip(out, part):
+                row[lo:lo + m] = words
+        return tuple(out)
 
-    def party_bit_stream(self, party: int, start: int, n: int):
-        """Party-local uniform bits used for jointly sampled randomness."""
-        return _window(self.seed, [_GR_TAG, party], start, n) & np.uint64(1)
+    def party_bit_stream(self, party: int, start: int, n: int, width: int):
+        """Party-local uniform bits for jointly sampled randomness: values
+        [start, start+n) of the party's stream, one word per value masked
+        to its low width bits."""
+        words = _window(self.seed, [_GR_TAG, party], start, n)
+        words &= np.uint64((1 << width) - 1)
+        return words
 
 
 class Counts(dict):
     """Material counts by key, as a dry run measures them, and the windows it
-    reserved for parallel branches: per parallel call, in call order, the
-    cursor positions (material keys and "local_bits") at the start of each
-    branch, in branch order, and after the last one."""
+    reserved for parallel branches: per parallel call, in call order, a pair
+    (bounds, nested). bounds are the cursor positions (material keys and
+    "local_bits") at the start of each branch, in branch order, and after
+    the last one; nested holds, per branch, the windows of the parallel
+    calls made inside that branch, in the same form."""
 
     def __init__(self, counts=(), windows=()):
         super().__init__(counts)
@@ -194,29 +213,31 @@ class _Cursor:
         """n random-bit words (see MaterialSource.bit_shares)."""
         return self._take(("bit",), n)[0]
 
-    def take_local_bits(self, n: int):
+    def take_local_bits(self, width: int, n: int):
+        """n values of width local bits each, one word per value
+        (MaterialSource.party_bit_stream)."""
         at = self.pos.get("local_bits", 0)
         self.pos["local_bits"] = at + n
-        return self.source.party_bit_stream(self.party, at, n)
+        return self.source.party_bit_stream(self.party, at, n, width)
 
     def split(self, n: int) -> list:
         """Cursors over the windows the dry run reserved for the n branches
         of the next parallel call, in branch order; each may take material
-        only up to the next one's start. This cursor resumes after them."""
-        if self.windows is None:
-            raise ValueError("parallel branches do not nest")
+        only up to the next one's start, and holds the windows of the
+        parallel calls nested in its branch. This cursor resumes after
+        them."""
         if not self.windows:
             raise Exhausted("no material windows were provisioned for a parallel call")
-        bounds = self.windows.pop(0)
+        bounds, nested = self.windows.pop(0)
         if len(bounds) != n + 1 or _taken(bounds[0]) != _taken(self.pos):
             raise Exhausted("a parallel call does not match the provisioning dry run")
         views = []
-        for start, end in zip(bounds, bounds[1:]):
+        for start, end, inner in zip(bounds, bounds[1:], nested):
             view = copy.copy(self)
             view.pos = dict(start)
             view.counts = {k: min(v, self.counts.get(k, 0)) for k, v in end.items()
                            if isinstance(k, tuple)}
-            view.windows = None
+            view.windows = list(inner)
             views.append(view)
         self.pos = dict(bounds[-1])
         return views

@@ -13,8 +13,9 @@ below and can run on either engine:
   uniforms open the parties' local bits under the same kind of dealer bits,
   one word per uniform (joint_uniform); geometric exponents open theirs the
   same way and count their leading zeros with msb's prefix
-  (joint_geometric). Independent branches run side by side (parallel) and
-  share their rounds.
+  (joint_geometric). A party's local bits are one word per value.
+  Independent branches run side by side (parallel) and share their rounds;
+  a branch may run branches of its own, whose rounds ride in its.
 * PlainEngine: values are the plain ring elements. It consumes the same
   seeded randomness streams (truncation masks, per-party bit streams) in the
   same order, so its outputs are bit-identical to what the two parties would
@@ -40,6 +41,8 @@ from .transport import queue_pair
 
 SIGN_WORDS = (1 << SIGN_BLOCK) - 1  # dealer words per block: its non-empty monomials
 _BLOCK_BITS = [(1 << t) - 1 for t in range(SIGN_BLOCK)]  # a block's words holding its bits
+
+_MASK_TAKE_WORDS = 1 << 17  # bit words joint_uniform takes at a time
 
 # outputs of a leaf's map g -> G + P*g (g: the borrow into the leaf's lowest
 # bit): its borrow out, whether its bits of x are nonzero, its top bit of x
@@ -238,8 +241,7 @@ class PlainEngine(BaseEngine):
         self.source = source
         self.cfg = cfg or source.cfg
         self.pos: dict = {}
-        self.windows: list = []  # per parallel call: positions at each branch's start, then its end
-        self._branching = False
+        self.windows: list = []  # the parallel calls' windows so far, as Counts holds them
 
     def _advance(self, key, n):
         at = self.pos.get(key, 0)
@@ -254,18 +256,19 @@ class PlainEngine(BaseEngine):
     def parallel(self, *branches):
         """Run each branch(engine) in turn and return their results. This
         fixes the order in which the branches' material windows follow each
-        other; MpcEngine.parallel runs the branches side by side on them."""
-        if self._branching:
-            raise ValueError("parallel branches do not nest")
-        self._branching = True
+        other; MpcEngine.parallel runs the branches side by side on them.
+        The windows of parallel calls inside a branch are recorded under
+        that branch."""
+        outer, bounds, nested, out = self.windows, [dict(self.pos)], [], []
         try:
-            bounds, out = [dict(self.pos)], []
             for branch in branches:
+                self.windows = []
                 out.append(branch(self))
+                nested.append(tuple(self.windows))
                 bounds.append(dict(self.pos))
         finally:
-            self._branching = False
-        self.windows.append(tuple(bounds))
+            self.windows = outer
+        outer.append((tuple(bounds), tuple(nested)))
         return Results(out)
 
     def from_public(self, raw):
@@ -339,14 +342,13 @@ class PlainEngine(BaseEngine):
         return (np.concatenate([first, above[:-1]]) & ~above).astype(np.uint64)
 
     def _joint_bits(self, shape, width):
-        """The values of width jointly-XORed bits each, low bit first, drawn
-        sample-major from both parties' bit streams."""
+        """The values of width jointly-XORed bits each: the XOR of both
+        parties' bit streams, one word per value."""
         n = int(np.prod(shape, dtype=np.int64))
-        at = self._advance("local_bits", width * n)
-        b0 = self.source.party_bit_stream(0, at, width * n)
-        b1 = self.source.party_bit_stream(1, at, width * n)
-        pos = np.arange(width, dtype=np.uint64)
-        return ((b0 ^ b1).reshape(n, width) << pos).sum(axis=1, dtype=np.uint64)
+        at = self._advance("local_bits", n)
+        b = self.source.party_bit_stream(0, at, n, width)
+        b ^= self.source.party_bit_stream(1, at, n, width)
+        return b
 
     def joint_uniform(self, shape):
         """Uniform fixed-point values on (0, 1]: l jointly-XORed bits plus one
@@ -485,35 +487,44 @@ class MpcEngine(BaseEngine):
     def _open_leaves(self, a, width):
         """Take a width-bit mask r in leaves and open c = (a + r) mod 2^width.
 
-        Returns c and the leaves' monomial shares, indexed [leaf, monomial,
-        element]."""
+        Returns c and the leaves' monomial shares (_take_leaves)."""
         n = int(np.prod(np.shape(a), dtype=np.int64))
-        pos = np.array(leaf_layout(width), dtype=np.uint64)
-        words = self.material.take_bits(SIGN_WORDS * len(pos) * n)
-        mono = words.reshape(len(pos), n, SIGN_WORDS).transpose(0, 2, 1)
-        parts = self.zeros((len(pos), n))
+        pos = leaf_layout(width)
+        mono = self._take_leaves(len(pos), n)
+        r = self.zeros(n)
         with np.errstate(over="ignore"):
-            for t, word in enumerate(_BLOCK_BITS):
-                parts += mono[:, word] << (pos + np.uint64(t))[:, None]
+            for p, leaf in zip(pos, mono):
+                for t, word in enumerate(_BLOCK_BITS):
+                    r += leaf[:, word] << np.uint64(p + t)
         mask = _low_mask(width)
         flat = np.ravel(np.asarray(a, dtype=np.uint64))
         with np.errstate(over="ignore"):
-            c = np.ravel(self.open((flat + self.sum(parts, axis=0)) & mask)) & mask
+            c = np.ravel(self.open((flat + r) & mask)) & mask
         return c, mono
+
+    def _take_leaves(self, leaves, n):
+        """The bit words of n values' masks of the given number of leaves:
+        per leaf, in order, one [value, monomial] array, a value's block of
+        SIGN_WORDS words a row. A leaf is one take, so no array holds more
+        than one leaf's words."""
+        return [self.material.take_bits(SIGN_WORDS * n).reshape(n, SIGN_WORDS)
+                for _ in range(leaves)]
 
     def _maps(self, c, mono, outputs, maps=_LEAF_MAPS):
         """Shares (G, P) [leaf, element] of each leaf's map for the output
         named in outputs (one index per leaf, None to skip the leaf), with
-        coefficients looked up by the leaf's bits of c in maps."""
+        coefficients looked up by the leaf's bits of c in maps; mono holds
+        the leaves' monomial shares (_take_leaves)."""
         G, P = self.zeros((len(outputs), len(c))), self.zeros((len(outputs), len(c)))
-        rows = [i for i, o in enumerate(outputs) if o is not None]
-        out = np.array([outputs[i] for i in rows], dtype=np.intp)[:, None]
-        pos = np.array(rows, dtype=np.uint64)[:, None] * np.uint64(SIGN_BLOCK)
-        val = ((c >> pos) & np.uint64(SIGN_WORDS)).astype(np.intp)
         with np.errstate(over="ignore"):
-            for coef, dst in zip(maps, (G, P)):
-                share = sum(coef[out, val, s] * mono[rows, s - 1] for s in range(1, SIGN_WORDS + 1))
-                dst[rows] = self.add_public(share, coef[out, val, 0])
+            for i, (o, words) in enumerate(zip(outputs, mono)):
+                if o is None:
+                    continue
+                val = ((c >> np.uint64(SIGN_BLOCK * i)) & np.uint64(SIGN_WORDS)).astype(np.intp)
+                for coef, dst in zip(maps, (G, P)):
+                    table = coef[o, val]  # [value, monomial], the constant first
+                    share = np.einsum("vm,vm->v", table[:, 1:], words)  # wraps mod 2^64
+                    dst[i] = self.add_public(share, table[:, 0])
         return G, P
 
     def _compose(self, G, P, plan):
@@ -585,11 +596,16 @@ class MpcEngine(BaseEngine):
         parallel), so every value equals that of running the branches in
         turn. Branch 0 runs in the calling thread, the others in threads of
         the same name. A failing branch stops the others at their next round
-        and its exception is raised."""
+        and its exception is raised.
+
+        A branch may call parallel itself: its branches' rounds go through
+        its own, so they ride in this call's rounds, and they take their
+        material from the windows the dry run nested under the branch. A
+        branch stopped by a failure outside it stops its own branches too."""
         cursors = self.material.split(len(branches))
         rounds = _Rounds(self.rt, len(branches))
         stack = self.rt.transcript.phase_stack
-        out, failures = [None] * len(branches), []
+        out, failures, aborted = [None] * len(branches), [], []
 
         def run(i, own_stack=None):
             if own_stack is not None:
@@ -597,8 +613,9 @@ class MpcEngine(BaseEngine):
             try:
                 out[i] = branches[i](MpcEngine(_BranchRuntime(self.rt, rounds, i), cursors[i]))
                 rounds.finish(i)
-            except _Aborted:
-                pass
+            except _Aborted:  # a failure elsewhere stopped the branch
+                aborted.append(i)
+                rounds.abort()
             except BaseException as exc:  # noqa: BLE001 - raised by the caller
                 failures.append(exc)
                 rounds.abort()
@@ -614,6 +631,8 @@ class MpcEngine(BaseEngine):
             t.join()
         if failures:
             raise failures[0]
+        if aborted:
+            raise _Aborted()
         return Results(out)
 
     def joint_uniform(self, shape):
@@ -630,26 +649,44 @@ class MpcEngine(BaseEngine):
         knows rho, never sees it."""
         l = self.cfg.frac_bits
         n = int(np.prod(shape, dtype=np.int64))
-        mine = self.material.take_local_bits(l * n).reshape(n, l)
-        words = self.material.take_bits(uniform_mask_words(l * n))
-        rho = words.reshape(-1, SIGN_WORDS)[:, _BLOCK_BITS].ravel()[:l * n].reshape(n, l)
+        mine = self.material.take_local_bits(l, n)
+        rho = self._uniform_masks(n, l)
         z = self._xor_open(mine, rho)
-        pos, one = np.arange(l, dtype=np.uint64), np.uint64(1)
+        u, one = self.zeros(n), np.uint64(1)
         with np.errstate(over="ignore"):
-            sign = one - (((z[:, None] >> pos) & one) << one)  # 1 - 2 z_j
-            u = ((rho * sign) << pos).sum(axis=1, dtype=np.uint64)
+            for j in range(l):
+                term = one - (((z >> np.uint64(j)) & one) << one)  # 1 - 2 z_j
+                term *= rho[j]
+                term <<= np.uint64(j)
+                u += term
             u = self.add_public(u, z + one)
         return u.reshape(shape)
 
+    def _uniform_masks(self, n, width):
+        """The dealer's bits that mask n values of width jointly sampled
+        bits each, one array per bit: bit j of value i is bit i * width + j of
+        uniform_mask_words(n * width) bit words, a block's bits being its
+        words _BLOCK_BITS. The words are taken _MASK_TAKE_WORDS or fewer at
+        a time, in whole blocks, and only their bits are kept."""
+        rho = [np.empty(n, dtype=np.uint64) for _ in range(width)]
+        step = SIGN_BLOCK * max(1, _MASK_TAKE_WORDS // (SIGN_WORDS * width))  # values per take
+        for lo in range(0, n, step):
+            m = min(step, n - lo)
+            words = self.material.take_bits(uniform_mask_words(m * width))
+            bits = words.reshape(-1, SIGN_WORDS)[:, _BLOCK_BITS].ravel()[:m * width]
+            for row, column in zip(rho, bits.reshape(m, width).T):
+                row[lo:lo + m] = column
+        return rho
+
     def _xor_open(self, mine, rho):
         """The public z = b xor rho of jointly sampled bits b, the XOR of
-        both parties' local bits mine, under the dealer's bits rho (shares
-        in the ring); both are [value, bit], low bit first. One word per
-        value each way (joint_uniform)."""
-        sent = rho & np.uint64(1)
-        sent ^= mine
-        sent <<= np.arange(mine.shape[1], dtype=np.uint64)
-        sent = sent.sum(axis=1, dtype=np.uint64)
+        both parties' local bits, under the dealer's bits rho (shares in the
+        ring). mine holds this party's bits, one word per value, low bit
+        first; rho yields one array over the values per bit, low bit first.
+        One word per value each way (joint_uniform)."""
+        sent, one = mine.copy(), np.uint64(1)
+        for j, bit in enumerate(rho):
+            sent ^= (bit & one) << np.uint64(j)
         return sent ^ self.rt.exchange(sent)
 
     def joint_geometric(self, shape):
@@ -674,15 +711,15 @@ class MpcEngine(BaseEngine):
         [leaf, value]; the bits and their masks are freed on return, before
         the products."""
         leaves = width // SIGN_BLOCK
-        mine = self.material.take_local_bits(width * n).reshape(n, width)
-        words = self.material.take_bits(SIGN_WORDS * leaves * n)
-        mono = words.reshape(leaves, n, SIGN_WORDS).transpose(0, 2, 1)  # as _open_leaves
-        rho = mono[:, _BLOCK_BITS].transpose(2, 0, 1).reshape(n, width)  # bit 3i + t: leaf i's t
+        mine = self.material.take_local_bits(width, n)
+        mono = self._take_leaves(leaves, n)
+        rho = (mono[j // SIGN_BLOCK][:, _BLOCK_BITS[j % SIGN_BLOCK]]  # bit 3i + t: leaf i's t
+               for j in range(width))
         return self._maps(self._xor_open(mine, rho), mono, [0] * leaves, _ZERO_COUNT_MAPS)
 
 
 class _Aborted(Exception):
-    """A sibling parallel branch failed."""
+    """A sibling parallel branch, or one of an enclosing call, failed."""
 
 
 class _Rounds:
@@ -695,7 +732,9 @@ class _Rounds:
     finishes): the branches share one interpreter lock, so waking them
     earlier would only make them wait for it. The round is recorded under
     the phase path of the lowest-numbered branch in it, with the others'
-    paths as its riders."""
+    paths as its riders. In a branch of an enclosing parallel call, rt is
+    that branch's runtime: the exchange goes through the enclosing barrier,
+    and the round carries both calls' riders."""
 
     def __init__(self, rt: PartyRuntime, n: int):
         self.rt = rt
@@ -751,8 +790,9 @@ class _Rounds:
         transcript.adopt(sends[0][2])
         try:
             reply = self.rt.exchange(np.concatenate([np.ravel(p) for _, p, _ in sends]))
-            transcript.rounds[-1].riders = tuple(transcript.path_of(stack)
-                                                 for _, _, stack in sends[1:])
+            # appended: an enclosing call's barrier may have named riders already
+            transcript.rounds[-1].riders += tuple(transcript.path_of(stack)
+                                                  for _, _, stack in sends[1:])
         except BaseException:
             self.abort()
             raise

@@ -382,48 +382,50 @@ def secure_sin_cos(eng, theta):
     of the turns at 2 pi with 16 fractional bits."""
     shift = eng.frac_bits + _TURNS_EXTRA
     inv = int(round(2.0 ** shift / (2 * np.pi)))
-    return _sin_cos_turns(eng, eng.trunc(eng.mul_public_int(theta, inv), shift - 1))
+    turns = eng.trunc(eng.mul_public_int(theta, inv), shift - 1)
+    return _sin_cos_turns(eng, _turn_powers(eng, turns))
 
 
-def _sin_cos_turns(eng, turns, exponentials=None, truncate=True):
-    """(sin, cos) of 2 pi turns for turns in [0, 1] at l + 1 fractional
-    bits: a value v at l bits, as it is, is the half turn count v/2.
-
-    x = 2 turns - 1 is exact at 2l bits and the angle is pi x + pi, so from
-    the half-angle fits s = sin(pi x / 2) and c = cos(pi x / 2), sin = -2 s c
-    = s^2 + c^2 - (s + c)^2 and cos = s^2 - c^2: one tmul truncates and
-    squares s, c and s + c, one truncation follows. With truncate False
-    sin and cos stay at 2l bits, for the caller's next tmul to truncate.
-
-    exponentials: (e, u), geometric exponents (joint_geometric) and
-    uniforms at l bits of one shape, rows on axis 0. The same rounds then
-    also give unit_exponentials(e, u): 2u - 1 joins the angles' rows in the
-    power chain, and the exponentials are truncated in the round that
-    squares s, c and s + c. The result is then (sin, cos, exponentials)."""
+def _turn_powers(eng, turns):
+    """The power chain of sin/cos: x = 2 turns - 1, exact at 2l bits, and
+    its powers 1 .. 8 at l bits, stacked, for turns in [0, 1] at l + 1
+    fractional bits, rows on axis 0 (a value v at l bits, as it is, is the
+    half turn count v/2). For a uniform u at l bits the turns 2u give x =
+    2u - 1, whose powers a unit exponential's mantissa log takes."""
     l = eng.frac_bits
     with eng.phase("sin_cos"):
         x2l = eng.add_public(eng.mul_public_int(turns, 1 << l), _unit(eng, 2 * l, -1))
-        k = len(x2l)
-        if exponentials is not None:
-            x2l = np.concatenate([x2l, _mantissa_x(eng, exponentials[1])])
-        powers = _powers(eng, x2l, l, len(COS_POWER) - 1)
+        return _powers(eng, x2l, l, len(COS_POWER) - 1)
+
+
+def _sin_cos_turns(eng, powers, e=None, truncate=True):
+    """(sin, cos) of 2 pi turns from the powers of x = 2 turns - 1
+    (_turn_powers).
+
+    The angle is pi x + pi, so from the half-angle fits s = sin(pi x / 2)
+    and c = cos(pi x / 2), sin = -2 s c = s^2 + c^2 - (s + c)^2 and cos =
+    s^2 - c^2: one tmul truncates and squares s, c and s + c, one
+    truncation follows. With truncate False sin and cos stay at 2l bits,
+    for the caller's next tmul to truncate.
+
+    e: geometric exponents (joint_geometric), rows on axis 0. The last
+    len(e) rows of the powers are then mantissa rows, the turns 2u of
+    uniforms u of e's shape, and their unit exponentials (e, u) are
+    truncated in the round that squares s, c and s + c; the result is
+    (sin, cos, exponentials)."""
+    l = eng.frac_bits
+    with eng.phase("sin_cos"):
+        k = powers.shape[1] - (0 if e is None else len(e))
         s, c = (_poly_2l(eng, powers[:, :k], coeffs) for coeffs in (SIN_POWER, COS_POWER))
         halves = eng.stack([s, c, eng.add(s, c)])
         rows = [halves.reshape((3 * k,) + halves.shape[2:])]
-        if exponentials is not None:
-            rows.append(_exponentials_2l(eng, exponentials[0], powers[:, k:]))
+        if e is not None:
+            rows.append(_exponentials_2l(eng, e, powers[:, k:]))
         t, squares = eng.tmul(np.concatenate(rows), l, square=range(3 * k))
         ss, cc, both = squares.reshape(halves.shape)
         sin_cos = eng.stack([eng.sub(eng.add(ss, cc), both), eng.sub(ss, cc)])
         sin, cos = eng.trunc(sin_cos, l) if truncate else sin_cos
-        return (sin, cos) if exponentials is None else (sin, cos, t[3 * k:])
-
-
-def _mantissa_x(eng, u):
-    """x = 2u - 1 at 2l bits for u at l bits; exact at l bits, so its
-    truncation to l bits is exact too."""
-    l = eng.frac_bits
-    return eng.add_public(eng.mul_public_int(u, 2 << l), _unit(eng, 2 * l, -1))
+        return (sin, cos) if e is None else (sin, cos, t[3 * k:])
 
 
 def _exponentials_2l(eng, e, powers):
@@ -438,16 +440,15 @@ def _exponentials_2l(eng, e, powers):
     return eng.sub(eng.mul_public_int(e, int(_enc(eng, np.log(2.0) * 2.0 ** l))), ln_m)
 
 
-def unit_exponentials(eng, e, u):
+def unit_exponentials(eng, e, powers):
     """-ln U = e ln 2 - ln m at l bits, Exp(1) samples cut at (W + 1) ln 2,
-    from geometric exponents e on [0, W] (joint_geometric) and uniforms u at
-    l bits of one shape: U = m 2^-e with m = (1 + u)/2 uniform on [1/2, 1)
-    and independent of e. ln m is a degree-8 fit in x = 2u - 1, which needs
-    no normalization: the power chain, then one truncation."""
-    l = eng.frac_bits
+    from geometric exponents e on [0, W] (joint_geometric) and uniforms u
+    at l bits of e's shape, given as the powers _turn_powers takes of the
+    turns 2u: U = m 2^-e with m = (1 + u)/2 uniform on [1/2, 1) and
+    independent of e. ln m is a degree-8 fit in x = 2u - 1, which needs no
+    normalization: after the power chain, one truncation."""
     with eng.phase("exponential"):
-        powers = _powers(eng, _mantissa_x(eng, u), l, len(LNM_POWER) - 1)
-        return eng.trunc(_exponentials_2l(eng, e, powers), l)
+        return eng.trunc(_exponentials_2l(eng, e, powers), eng.frac_bits)
 
 
 def secure_sigmoid(eng, z, magnitude_bits=None, frac_bits=None, bound=None, truncate=True):

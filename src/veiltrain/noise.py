@@ -11,7 +11,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidArgument
-from .kernels import (_sin_cos_turns, joint_uniform, secure_ln, secure_rsqrt,
+from .kernels import (_sin_cos_turns, _turn_powers, joint_uniform, secure_ln, secure_rsqrt,
                       unit_exponentials)
 
 # uniforms live in (0, 1]; -ln u <= l ln 2 (gaussian_vector, gamma_magnitude),
@@ -76,7 +76,7 @@ def gaussian_vector(eng, d: int, batch: tuple = ()):
         used = np.r_[0:d // 2, k - 1] if d % 2 else np.arange(k)
         u, v = joint_uniform(eng, (2, k, *batch))[:, used]
         e = eng.mul_public_int(secure_ln(eng, u, _LN_MAGNITUDE_BITS), -2)
-        sin, cos = _sin_cos_turns(eng, eng.mul_public_int(v, 2))
+        sin, cos = _sin_cos_turns(eng, _turn_powers(eng, eng.mul_public_int(v, 2)))
         _, out = eng.tmul(box_muller_radius(eng, e), eng.frac_bits, eng.stack([cos, sin]))
         return _coordinates(eng.trunc(out, eng.frac_bits), d, batch)
 
@@ -88,6 +88,26 @@ def gamma_magnitude(eng, dp: DpParams, batch: tuple = ()):
     with eng.phase("gamma"):
         ln_u = secure_ln(eng, joint_uniform(eng, (*batch, dp.d)), _LN_MAGNITUDE_BITS)
         return eng.trunc(eng.mul_public_int(eng.neg(eng.sum(ln_u, axis=-1)), code), f)
+
+
+def _exponents(eng, shape):
+    with eng.phase("geometric"):
+        return eng.joint_geometric(shape)
+
+
+def _angles_and_mantissas(eng, d: int, batch: tuple):
+    """The power chain (kernels._turn_powers) of sample_noise's uniforms:
+    the turns of k = ceil(d/2) angles (none at d = 1), then the turns 2u of
+    the max(d, 2) mantissas' uniforms u."""
+    k, rows = (d + 1) // 2, []
+    if d > 1:
+        v = joint_uniform(eng, (k, *batch))
+        turns = eng.mul_public_int(v, 2)  # v at l + 1 bits
+        if d % 2:  # the tail's angle is pi v, its double 2 pi v
+            turns = np.insert(turns, k - 1, v[k - 1], axis=0)
+        rows.append(turns)
+    rows.append(eng.mul_public_int(joint_uniform(eng, (max(d, 2), *batch)), 2))
+    return _turn_powers(eng, np.concatenate(rows))
 
 
 def sample_noise(eng, dp: DpParams, batch: tuple = ()):
@@ -103,29 +123,26 @@ def sample_noise(eng, dp: DpParams, batch: tuple = ()):
     exponentials as E_i = 2 X_i, so that ||g||^2 / 2 is part of the Gamma's
     sum, which is independent of g / ||g||. An odd d takes only the last
     pair's cos, at theta = pi v where the others have 2 pi v, so that 2
-    theta is within sin/cos's one period (R cos theta keeps its law). ln m
-    rides in sin/cos's rounds, and S/4^a (S = ||g||^2 = sum E_i; odd tail: E
-    (1 + cos 2 theta) / 2, 4^a >= k) and the Gamma in its last truncation.
-    One rsqrt over [E_i, S/4^a] gives R_i = E_i rsqrt(E_i) and K = Gamma
-    2^a / ||g||. The angles' and the mantissas' uniforms are two draws,
-    though one would save a round: a draw's material is all generated
-    before its round, so one merged draw raised the peak memory of a
-    two-party run at d = 50 with 1000 draws from about 190 to 234 MB."""
+    theta is within sin/cos's one period (R cos theta keeps its law). The
+    exponents, which only sin/cos's squaring round reads, are drawn beside
+    the uniforms and their power chain (eng.parallel); ln m rides in
+    sin/cos's rounds, and S/4^a (S = ||g||^2 = sum E_i; odd tail: E (1 +
+    cos 2 theta) / 2, 4^a >= k) and the Gamma in its last truncation. One
+    rsqrt over [E_i, S/4^a] gives R_i = E_i rsqrt(E_i) and K = Gamma 2^a /
+    ||g||. The angles' and the mantissas' uniforms are two draws, though
+    one would save a round: a draw's masks are all taken before its round,
+    so one merged draw raised the peak memory of a process running
+    two-party draws at d = 50 with 1000 draws from about 185 to 200 MB."""
     l, d, k = eng.frac_bits, dp.d, (dp.d + 1) // 2
     a = ((k - 1).bit_length() + 1) // 2
     code, f = dp.scale_code(eng.cfg)
     with eng.phase("perturb"):
-        v = joint_uniform(eng, (k, *batch)) if d > 1 else None
-        u = joint_uniform(eng, (max(d, 2), *batch))
-        with eng.phase("geometric"):
-            e = eng.joint_geometric(np.shape(u))
+        e, powers = eng.parallel(lambda eng: _exponents(eng, (max(d, 2), *batch)),
+                                 lambda eng: _angles_and_mantissas(eng, d, batch))
         if d == 1:
-            x = unit_exponentials(eng, e, u)
+            x = unit_exponentials(eng, e, powers)
             return eng.trunc(eng.mul_public_int(eng.sub(x[0], x[1]), code), f)[..., None]
-        turns = eng.mul_public_int(v, 2)  # v at l + 1 bits
-        if d % 2:  # the tail's angle is pi v, its double 2 pi v
-            turns = np.insert(turns, k - 1, v[k - 1], axis=0)
-        sin, cos, x = _sin_cos_turns(eng, turns, (e, u), truncate=False)
+        sin, cos, x = _sin_cos_turns(eng, powers, e, truncate=False)
         r2 = eng.mul_public_int(x[:k], 2)  # the radii squared, E = 2 X, (k, *batch)
         norm = eng.mul_public_int(eng.sum(r2[:k - d % 2], axis=0), 1 << (l - 2 * a))
         gamma = eng.mul_public_int(eng.sum(x, axis=0), code)

@@ -215,7 +215,7 @@ def test_gaussian_sampler():
 
     eng = PlainEngine(MaterialSource(502, RING), RING)
     fn_odd(eng)
-    pairs = eng.pos["local_bits"] // (2 * RING.frac_bits)
+    pairs = eng.pos["local_bits"] // 2  # one local word per uniform
     odd_ok = pairs == gaussian_pair_count(11) == (11 + 1) // 2 + 1
     ok = abs(s.mean()) <= 0.05 and abs(s.var() - 1) <= 0.1 and ks < 0.02 and odd_ok
     gate("gaussian-sampler", ok,

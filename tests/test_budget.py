@@ -12,25 +12,26 @@ from veiltrain.noise import DpParams, perturb_weights
 from veiltrain.shareio import DEFAULTS
 
 # 20x4 horizontal, the defaults' 7 steps, 3 noise draws, thread executor.
-# The noise (38 rounds) runs beside training (37), so it sets the length:
-# its first 37 rounds are recorded under training's path, its last one
-# under its own; the last round opens the models.
+# The noise (34 rounds) runs beside training (37), so training sets the
+# length and every noise round is recorded under training's path; the
+# last round opens the models.
 ROUNDS_BY_PATH = {
     "-": 1,
     "forward": 7, "sigmoid": 21, "backward": 8, "finalize": 1,
-    "perturb": 1,
 }
-# the noise's rounds that rode in training's
+# the noise's rounds that rode in training's: its 34, and in 4 of them
+# both of its own branches (the exponents beside the uniforms and the
+# power chain), so 38 riders
 OVERLAP_BY_PATH = {
     "perturb/uniform": 2, "perturb/geometric": 4, "perturb/sin_cos": 7,
-    "perturb/rsqrt": 21, "perturb": 3,
+    "perturb/rsqrt": 21, "perturb": 4,
 }
-WIRE_BYTES = 96_998  # party 0, sent plus received
+WIRE_BYTES = 96_972  # party 0, sent plus received
 
 # the noise alone at d = 50 with 100 draws, then the opening of the models:
 # the noise-wide benchmark's shape at a tenth of its batch
-NOISE_ROUNDS = 39
-NOISE_SENT_BYTES = 5_282_107  # party 0
+NOISE_ROUNDS = 35
+NOISE_SENT_BYTES = 5_282_055  # party 0
 
 
 def _rows(report, prefix):

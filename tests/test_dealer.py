@@ -78,11 +78,16 @@ def test_with_slack():
 
 
 def test_local_bit_streams_differ_by_party():
+    # one word per value, holding the value's width bits and no more
     src = MaterialSource(9, RING)
-    b0 = src.party_bit_stream(0, 0, 1000)
-    b1 = src.party_bit_stream(1, 0, 1000)
-    assert not np.array_equal(b0, b1)
-    assert set(np.unique(b0)) <= {0, 1}
+    b0 = src.party_bit_stream(0, 0, 1000, 21)
+    b1 = src.party_bit_stream(1, 0, 1000, 21)
+    assert b0.shape == (1000,) and not np.array_equal(b0, b1)
+    assert b0.max() < 1 << 21 and b0.max() >= 1 << 20
+    bits = (b0[:, None] >> np.arange(21, dtype=np.uint64)) & np.uint64(1)
+    assert np.all(np.abs(bits.mean(axis=0) - 0.5) <= 0.07)
+    # a window of the stream is the same values wherever it starts
+    assert np.array_equal(src.party_bit_stream(0, 600, 400, 21), b0[600:])
 
 
 def test_bit_blocks_hold_monomials():
@@ -109,6 +114,27 @@ def test_party_half_equals_its_part_of_halves(key):
             mine = src.half(key, party, int(start), int(n))
             assert len(mine) == len(both[party])
             assert all(np.array_equal(x, y) for x, y in zip(mine, both[party]))
+
+
+@pytest.mark.parametrize("key", [("bit",), ("triple",), ("trunc", 20)])
+@pytest.mark.parametrize("chunk", [5, 7, 64, None])
+def test_halves_built_chunk_by_chunk_equal_halves(monkeypatch, key, chunk):
+    # windows that cut blocks and cross the chunk edges of the in-place
+    # build (None: the module's own chunk) equal halves()
+    import veiltrain.dealer as dealer
+
+    if chunk is not None:
+        monkeypatch.setattr(dealer, "_CHUNK", chunk)
+    chunk = dealer._CHUNK
+    src = MaterialSource(14, RING)
+    for start, n in [(0, chunk), (3, chunk + 1), (chunk - 5, 10), (1, 3 * chunk + 2),
+                     (2 * chunk + 4, 1)]:
+        both = src.halves(key, start, n)
+        for party in (0, 1):
+            mine = src.half(key, party, start, n)
+            assert len(mine) == len(both[party])
+            for x, y in zip(mine, both[party]):
+                assert x.flags.c_contiguous and np.array_equal(x, y)
 
 
 def test_wire_material_matches_cursor():

@@ -173,11 +173,12 @@ def test_report_contains_traffic():
     res = run_mpc_threaded([(X, t)], "horizontal", cfg, seed=13, draws=2)
     assert res["bytes"] > 0
     assert res["report"]["phase.forward.rounds"] > 0
-    # the first 37 of the noise's 40 rounds (odd d) ride in training's 37,
-    # where the report counts them as overlap rows; one more opens the models
+    # the noise's 36 rounds (odd d) ride in training's 37, where the report
+    # counts them as overlap rows, its own branches' 4 shared rounds twice;
+    # one more opens the models
     overlap = {k: v for k, v in res["report"].items() if k.startswith("overlap.perturb")}
-    assert overlap["overlap.perturb.rounds"] > 0 and sum(overlap.values()) == 37
-    assert res["rounds"] == 40 + 1
+    assert overlap["overlap.perturb.rounds"] > 0 and sum(overlap.values()) == 36 + 4
+    assert res["rounds"] == 37 + 1
 
 
 class _RecordingLauncher:

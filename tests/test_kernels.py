@@ -214,7 +214,7 @@ def test_sin_cos_turns_at_the_ends_of_the_fit():
     halves = encode(np.array([1.0, 0.5]), RING)  # half a turn and a quarter
     turns = np.concatenate([np.array([0, 1 << l, 2 << l], dtype=np.uint64), halves])
     eng = plain(49)
-    s, c = kernels._sin_cos_turns(eng, eng.from_public(turns))
+    s, c = kernels._sin_cos_turns(eng, kernels._turn_powers(eng, eng.from_public(turns)))
     assert np.abs(decode(eng.open(s), RING) - [0, 0, 0, 0, 1]).max() <= 2**-12
     assert np.abs(decode(eng.open(c), RING) - [1, -1, 1, -1, 0]).max() <= 2**-12
 
@@ -537,10 +537,8 @@ def _uniform_openings(monkeypatch, n, seed):
     return sent, shares, engines
 
 
-def _packed_local_bits(seed, party, n):
-    l = RING.frac_bits
-    bits = MaterialSource(seed, RING).party_bit_stream(party, 0, l * n).reshape(n, l)
-    return (bits << np.arange(l, dtype=np.uint64)).sum(axis=1, dtype=np.uint64)
+def _local_bits(seed, party, n):
+    return MaterialSource(seed, RING).party_bit_stream(party, 0, n, RING.frac_bits)
 
 
 def test_uniform_opening_sends_one_masked_word_per_uniform(monkeypatch):
@@ -555,7 +553,7 @@ def test_uniform_opening_sends_one_masked_word_per_uniform(monkeypatch):
         assert words.shape == (n,)
         assert not np.any(words >> np.uint64(l))  # no bit at or above l
         # the dealer's bits mask the party's own: the peer never receives them
-        own = _packed_local_bits(seed, party, n)
+        own = _local_bits(seed, party, n)
         assert np.count_nonzero(words == own) <= n * 2.0 ** -l * 4
         freq = ((words[:, None] >> np.arange(l, dtype=np.uint64)) & np.uint64(1)).mean(axis=0)
         assert np.all(np.abs(freq - 0.5) <= 4 * se)
@@ -585,8 +583,8 @@ def _leading_zeros(seed, ring, n):
     of geometric_width bits that both parties' bit streams XOR to; the
     width where all are zero."""
     width, src = geometric_width(ring.frac_bits), MaterialSource(seed, ring)
-    bits = src.party_bit_stream(0, 0, width * n) ^ src.party_bit_stream(1, 0, width * n)
-    top_first = bits.reshape(n, width)[:, ::-1]
+    words = src.party_bit_stream(0, 0, n, width) ^ src.party_bit_stream(1, 0, n, width)
+    top_first = (words[:, None] >> np.arange(width, dtype=np.uint64)[::-1]) & np.uint64(1)
     return np.where(top_first.any(axis=1), top_first.argmax(axis=1), width)
 
 
@@ -643,10 +641,16 @@ def test_geometric_costs_four_rounds_and_nineteen_words_per_value():
         assert tr.bytes_sent - FRAME_BYTES * tr.n_rounds == 8 * 19 * n
         assert {k: v for k, v in eng.material.pos.items() if isinstance(k, tuple)} \
             == dict(counts)
-        assert eng.material.pos["local_bits"] == geometric_width(RING.frac_bits) * n
+        assert eng.material.pos["local_bits"] == n  # one word per value
 
 
 # --- unit exponentials ---
+
+def _exponentials(eng, e, u):
+    """unit_exponentials of exponents e and uniforms u at l bits, whose
+    power chain is that of the turns 2u."""
+    return kernels.unit_exponentials(eng, e, kernels._turn_powers(eng, eng.mul_public_int(u, 2)))
+
 
 @pytest.mark.parametrize("frac_bits", ACCEPTED_RINGS)
 def test_exponentials_are_never_negative(frac_bits):
@@ -657,8 +661,7 @@ def test_exponentials_are_never_negative(frac_bits):
     ring = RingConfig(frac_bits)
     eng = plain(38, ring)
     raw = np.arange((1 << frac_bits) - 4095, (1 << frac_bits) + 1, dtype=np.uint64)
-    x = to_signed(eng.open(kernels.unit_exponentials(eng, eng.zeros(raw.shape),
-                                                     eng.from_public(raw))))
+    x = to_signed(eng.open(_exponentials(eng, eng.zeros(raw.shape), eng.from_public(raw))))
     assert x.min() >= 0 and x[-1] == 0
 
 
@@ -668,7 +671,7 @@ def test_exponentials_follow_the_float_identity_and_law():
     n, l = 100_000, RING.frac_bits
     eng = plain(39)
     e, u = eng.joint_geometric((n,)), kernels.joint_uniform(eng, (n,))
-    x = open_plain(eng, kernels.unit_exponentials(eng, e, u))
+    x = open_plain(eng, _exponentials(eng, e, u))
     ref = e * np.log(2) - np.log((1 + decode(u, RING)) / 2)
     assert np.abs(x - ref).max() <= 2 * 2.0 ** -l
     assert x.max() < (geometric_width(l) + 1) * np.log(2)

@@ -5,7 +5,7 @@ from scipy import stats
 from veiltrain.dealer import MaterialSource
 from veiltrain.engine import PlainEngine, geometric_width
 from veiltrain.fixedpoint import RingConfig, decode, encode
-from veiltrain.kernels import joint_uniform, unit_exponentials
+from veiltrain.kernels import _turn_powers, joint_uniform, unit_exponentials
 from veiltrain.noise import (DpParams, box_muller_radius, gamma_magnitude,
                              gaussian_pair_count, gaussian_vector, perturb_weights,
                              sample_noise)
@@ -43,8 +43,7 @@ def test_gaussian_pair_counts():
 def test_gss_d2_consumes_one_pair_and_matches_box_muller():
     eng = plain(2)
     out = decode(eng.open(gaussian_vector(eng, 2)), RING)
-    l = RING.frac_bits
-    assert eng.pos["local_bits"] == 2 * l  # one (u, v) pair
+    assert eng.pos["local_bits"] == 2  # one (u, v) pair, one local word each
     # regenerate the uniforms the protocol consumed and check the transform
     ref = plain(2)
     u = decode(ref.open(joint_uniform(ref, (1,))), RING)[0]
@@ -58,8 +57,7 @@ def test_gss_d2_consumes_one_pair_and_matches_box_muller():
 def test_gss_odd_path_consumption():
     eng = plain(3)
     out = decode(eng.open(gaussian_vector(eng, 3)), RING)
-    l = RING.frac_bits
-    pairs_consumed = eng.pos["local_bits"] // (2 * l)
+    pairs_consumed = eng.pos["local_bits"] // 2
     assert pairs_consumed == gaussian_pair_count(3) == 3
     assert out.shape == (3,)
 
@@ -68,12 +66,11 @@ def test_gss_odd_path_consumption():
 def test_perturbation_draws_exactly_its_pairs(d):
     # per draw: k = ceil(d/2) Box-Muller angles, and the d exponentials'
     # mantissa uniforms and geometric exponents, whose first k are also the
-    # radii; no more
+    # radii; no more, one local word each
     dp = DpParams(epsilon=1.0, lambda_reg=1.0, n=100, d=d)
     eng = plain(5)
     perturb_weights(eng, eng.zeros(d), dp, batch=(4,))
-    k, l = (d + 1) // 2, RING.frac_bits
-    assert eng.pos["local_bits"] == 4 * (k * l + d * l + d * geometric_width(l))
+    assert eng.pos["local_bits"] == 4 * ((d + 1) // 2 + 2 * d)
 
 
 def test_gss_mirror_equals_mpc():
@@ -282,7 +279,8 @@ def test_unit_uniform_gives_zero_radius_and_finite_noise():
     assert np.all(g[:, :2] == 0) and np.all(g[:, 2:] != 0)
     # e = 0 with u = 1 gives the exponential 0 exactly
     eng, one = plain(18), 1 << RING.frac_bits
-    x = unit_exponentials(eng, eng.zeros(8), eng.from_public(np.full(8, one)))
+    powers = _turn_powers(eng, eng.from_public(np.full(8, 2 * one)))  # the turns 2u
+    x = unit_exponentials(eng, eng.zeros(8), powers)
     assert np.all(eng.open(x) == 0)
     # so E = 0 for the first pair: its coordinates are exactly 0, and the
     # norm is still the Gamma draw, c (d - 1) X_MAX with every other
@@ -315,7 +313,7 @@ def test_perturbation_round_budget():
         return engs[0].rt.transcript.n_rounds
 
     even = {d: rounds(d) for d in (2, 10, 50)}
-    assert set(even.values()) == {38}
+    assert set(even.values()) == {34}
     for d in (3, 11, 51):  # the odd tail's E cos^2 takes one product and one truncation
         assert rounds(d) <= even[d - 1] + 2
 
@@ -336,14 +334,15 @@ def test_session_noise_is_calibrated_to_the_row_bound():
 
 def _exponentials(seed, d, draws):
     """The unit exponentials e ln 2 - ln m, m = (1 + u)/2, in floats, from
-    the draws sample_noise makes at this seed and dimension: the angles'
-    uniforms (none at d = 1), then the mantissas' uniforms and the
-    exponents of its d exponentials (2 at d = 1); (exponentials, draws)."""
+    the draws sample_noise makes at this seed and dimension: the exponents
+    of its d exponentials (2 at d = 1), then the angles' uniforms (none at
+    d = 1), then the mantissas' uniforms; (exponentials, draws)."""
     ref, rows = plain(seed), max(d, 2)
+    e = ref.joint_geometric((rows, draws))
     if d > 1:
         joint_uniform(ref, ((d + 1) // 2, draws))
     u = decode(joint_uniform(ref, (rows, draws)), RING)
-    return ref.joint_geometric((rows, draws)) * np.log(2) - np.log((1 + u) / 2)
+    return e * np.log(2) - np.log((1 + u) / 2)
 
 
 @pytest.mark.parametrize("d", [6, 7, 12, 13])

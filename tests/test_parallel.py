@@ -3,7 +3,8 @@
 PlainEngine runs the branches in turn and reserves their material windows in
 that order; MpcEngine runs them at once, each on its own window, and sends
 every round's payloads in one exchange. So the joint run reproduces the
-mirror bit for bit in as many rounds as its longest branch.
+mirror bit for bit in as many rounds as its longest branch. A branch may
+call parallel itself: its branches' rounds ride in the enclosing call's.
 """
 
 import sys
@@ -48,6 +49,30 @@ def local_branch(eng):
 
 
 BRANCHES = (long_branch, short_branch, local_branch)
+
+
+def two_rounds(eng):
+    """Two rounds of products."""
+    with eng.phase("two"):
+        x = eng.from_public(X)
+        return eng.mul(eng.mul(x, x), x)
+
+
+def nesting(eng):
+    """Four rounds: a parallel call of the short branch (3 rounds) beside
+    two_rounds, whose 2 ride in its first ones, then one product."""
+    with eng.phase("nest"):
+        s, y = eng.parallel(short_branch, two_rounds)
+        return eng.mul(s, y)
+
+
+def nested(eng):
+    """The long branch (5 rounds) beside the nesting one (4)."""
+    return eng.parallel(long_branch, nesting)
+
+
+def opened_nested(eng):
+    return [eng.open(r) for r in nested(eng)]
 
 
 def merged(eng):
@@ -130,6 +155,42 @@ def test_many_branches_under_fast_thread_switching():
     assert engines[0].rt.transcript.n_rounds == 6 + 1
 
 
+def test_nested_branches_under_fast_thread_switching():
+    # calls nested two deep, with the interpreter switching threads every
+    # 10 us: the merged run equals the mirror in as many rounds as its
+    # longest branch
+    def branch(rounds):
+        def run(eng):
+            x = eng.from_public(X)
+            for _ in range(rounds):
+                x = eng.mul(x, x)
+            return x
+        return run
+
+    def inner(eng):
+        return eng.stack(list(eng.parallel(branch(4), branch(2), local_branch)))
+
+    def middle(eng):
+        a, b, c = eng.parallel(branch(6), branch(1), inner)
+        return eng.stack([a, b, *c])
+
+    def fn(eng):
+        a, b, c = eng.parallel(branch(3), middle, branch(5))
+        return eng.open(eng.stack([a, *b, c]))
+
+    want = mirror(fn, 7)
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        box = _within(60, lambda: run_two_party(fn, session_seed=7, cfg=RING))
+    finally:
+        sys.setswitchinterval(old)
+    assert "exc" not in box, box.get("exc")
+    results, engines = box["out"]
+    assert np.array_equal(results[0], want) and np.array_equal(results[1], want)
+    assert engines[0].rt.transcript.n_rounds == 6 + 1
+
+
 def test_report_paths_sum_to_rounds_and_record_the_overlap():
     _, engines = run_two_party(merged, session_seed=3, cfg=RING)
     report = run_report(engines[0].rt.transcript, 0, 1)
@@ -186,15 +247,84 @@ def test_each_branch_starts_in_the_callers_phases():
     assert seen == {0: ["-", "outer"], 1: ["-", "outer"]}
 
 
-def test_parallel_does_not_nest():
-    def nested(eng):
-        return eng.parallel(short_branch, lambda e: e.parallel(short_branch))
+@pytest.mark.parametrize("transport", ["queue", "tcp"])
+def test_nested_parallel_matches_the_mirror(transport, over_tcp):
+    if transport == "tcp":
+        over_tcp()
+    want = mirror(opened_nested, 5)
+    results, engines = run_two_party(opened_nested, session_seed=5, cfg=RING)
+    for got in results:
+        assert all(np.array_equal(a, b) for a, b in zip(got, want))
+    assert [tr.n_rounds for tr in (alone(long_branch, 5), alone(nesting, 5))] == [5, 4]
+    assert engines[0].rt.transcript.n_rounds == 5 + 2  # and one opening per result
 
-    with pytest.raises(ValueError, match="nest"):
-        mirror(nested, 3)
-    counts = estimate_counts(lambda eng: eng.parallel(short_branch, short_branch), 0, RING)
-    with pytest.raises(ValueError, match="nest"):
-        run_two_party(nested, session_seed=3, counts=counts, cfg=RING)
+
+def test_nested_parallel_in_a_process_session_matches_the_mirror(tmp_path):
+    # a session's noise runs its own parallel call inside the branch that
+    # runs beside training; over dealer and party processes, the models
+    # equal the mirror's (the noisy ones as printed, to 10 digits)
+    from veiltrain.datasets import synth_data
+    from veiltrain.fixedpoint import decode
+    from veiltrain.harness import dp_params, party_pipeline, run_mpc_process, training_config
+    from veiltrain.ingest import ingest_partitions
+    from veiltrain.shareio import DEFAULTS, ring_from_config
+
+    X, t = synth_data(40, 4, seed=10, separability=1.0)
+    cfg = dict(DEFAULTS, noise_draws=2, epsilon=1.0, seed=15)
+    res = run_mpc_process([(X, t)], "horizontal", cfg, seed=15, draws=2,
+                          workdir=str(tmp_path / "run"))
+    ring = ring_from_config(cfg)
+    (X0, t0), (X1, t1) = ingest_partitions([(X, t)], "horizontal", ring)
+    with np.errstate(over="ignore"):
+        out = party_pipeline(PlainEngine(MaterialSource(15, ring), ring), X0 + X1, t0 + t1,
+                             training_config(cfg), dp_params(cfg, 40, 4), 2)
+    assert np.array_equal(res["w_raw"], out["w_share"])
+    printed = np.vectorize(lambda v: float(f"{v:.10g}"))(decode(out["noisy"], ring))
+    assert np.array_equal(res["noisy_models"], printed)
+
+
+def test_nested_windows_sit_under_their_branch():
+    counts = estimate_counts(nested, 0, RING)
+    [(bounds, inner)] = counts.windows
+    assert len(bounds) == 3 and inner[0] == ()
+    [(nest_bounds, nest_inner)] = inner[1]
+    # the nested call's windows start where its branch's does
+    assert nest_bounds[0] == bounds[1] and nest_inner == ((), ())
+    _, engines = run_two_party(nested, session_seed=3, counts=counts, cfg=RING)
+    dry = PlainEngine(MaterialSource(0, RING), RING)
+    nested(dry)
+    for eng in engines:
+        assert eng.material.pos == {k: v for k, v in dry.pos.items() if v}
+
+
+def test_a_nested_call_must_match_the_dry_run():
+    from veiltrain.errors import Exhausted
+
+    def three(eng):
+        with eng.phase("nest"):
+            return eng.parallel(short_branch, two_rounds, local_branch)
+
+    counts = estimate_counts(nested, 0, RING)
+    flat = estimate_counts(lambda eng: eng.parallel(long_branch, short_branch), 0, RING)
+    for fn, provisioned in ((lambda eng: eng.parallel(long_branch, three), counts),
+                            (nested, flat)):
+        box = _within(10, lambda: run_two_party(fn, session_seed=3, counts=provisioned,
+                                                cfg=RING))
+        assert isinstance(box.get("exc"), Exhausted)
+
+
+def test_report_counts_every_branch_that_rode():
+    _, engines = run_two_party(nested, session_seed=3, cfg=RING)
+    report = run_report(engines[0].rt.transcript, 0, 1)
+    paths = {k: v for k, v in report.items()
+             if k.startswith("path.") and k.endswith(".rounds")}
+    assert paths == {"path.outer/inner.rounds": 3, "path.outer/uniform.rounds": 1,
+                     "path.outer.rounds": 1}
+    # the nesting branch's 4 rounds ride, and in its inner call's first 2
+    # the two_rounds branch rides beside the short one
+    assert {k: v for k, v in report.items() if k.startswith("overlap.")} == {
+        "overlap.nest/short/uniform.rounds": 1, "overlap.nest/short.rounds": 2,
+        "overlap.nest/two.rounds": 2, "overlap.nest.rounds": 1}
 
 
 def test_parallel_call_must_match_the_dry_run():
@@ -253,10 +383,21 @@ def test_a_failing_party_stops_its_peer_at_once(transport, over_tcp):
 
 
 def test_a_failing_branch_stops_its_siblings_and_its_peer():
-    def long_rounds(eng):
-        x = eng.from_public(X)
-        for _ in range(8):
-            x = eng.mul(x, x)
-        return x
+    _fails_fast(lambda eng: eng.parallel(_long_rounds, _three_rounds_then_fail, local_branch))
 
-    _fails_fast(lambda eng: eng.parallel(long_rounds, _three_rounds_then_fail, local_branch))
+
+def _long_rounds(eng):
+    x = eng.from_public(X)
+    for _ in range(8):
+        x = eng.mul(x, x)
+    return x
+
+
+def test_a_failing_inner_branch_stops_the_session():
+    _fails_fast(lambda eng: eng.parallel(
+        _long_rounds, lambda e: e.parallel(_long_rounds, _three_rounds_then_fail)))
+
+
+def test_a_failing_outer_branch_stops_the_nested_ones():
+    _fails_fast(lambda eng: eng.parallel(
+        _three_rounds_then_fail, lambda e: e.parallel(_long_rounds, two_rounds, local_branch)))
