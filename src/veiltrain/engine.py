@@ -35,7 +35,7 @@ import threading
 import numpy as np
 
 from .dealer import SIGN_BLOCK, Counts, MaterialCursor, MaterialSource
-from .fixedpoint import DEFAULT_RING, RingConfig, from_signed, to_signed, truncate
+from .fixedpoint import DEFAULT_RING, RingConfig, truncate
 from .session import PartyRuntime, handshake
 from .transport import queue_pair
 
@@ -59,10 +59,11 @@ def leaf_layout(width: int):
     return range(0, width, SIGN_BLOCK)
 
 
-def geometric_width(frac_bits: int) -> int:
-    """Jointly sampled bits of a joint_geometric value: frac_bits rounded up
-    to whole leaves."""
-    return SIGN_BLOCK * -(-frac_bits // SIGN_BLOCK)
+def whole_leaves(bits: int) -> int:
+    """bits rounded up to whole leaves (leaf_layout): the narrowest mask
+    width that covers them. A joint_geometric value has whole_leaves(l)
+    jointly sampled bits."""
+    return SIGN_BLOCK * -(-bits // SIGN_BLOCK)
 
 
 def uniform_mask_words(bits: int) -> int:
@@ -191,8 +192,6 @@ def _summands(x, shift):
     return [(x, shift)]
 
 
-
-
 class BaseEngine:
     cfg: RingConfig
 
@@ -289,19 +288,15 @@ class PlainEngine(BaseEngine):
         return np.ascontiguousarray(np.broadcast_to(p, shape)).reshape(shape)
 
     def trunc(self, a, shift):
+        """truncate(a + r) - truncate(r) for the dealer's mask r: what the
+        parties open and subtract (MpcEngine.tmul), on the whole ring."""
         shape = np.shape(a)
-        a = np.ascontiguousarray(a, dtype=np.uint64).reshape(shape)
         n = int(np.prod(shape, dtype=np.int64))
         at = self._advance(("trunc", shift), n)
         r = self.source.trunc_plain(shift, at, n).reshape(shape)
-        s = to_signed(a)
-        low = np.uint64(1) << np.uint64(shift)
-        lo_x = a & (low - np.uint64(1))
-        lo_r = r & (low - np.uint64(1))
         with np.errstate(over="ignore"):
-            carry = ((lo_x + lo_r) >= low).astype(np.int64)
-            out = from_signed((s >> np.int64(shift)) + carry)
-        return np.asarray(out)
+            return np.asarray(truncate(np.asarray(a, dtype=np.uint64) + r, shift)
+                              - truncate(r, shift))
 
     def tmul(self, x, shift, y=None, square=False, rows=None):
         """The truncations trunc(x_i, shift_i) and, in the same round, the
@@ -358,10 +353,10 @@ class PlainEngine(BaseEngine):
         return (self._joint_bits(shape, l) + np.uint64(1)).reshape(shape)
 
     def joint_geometric(self, shape):
-        """Geometric(1/2) integers: the leading zeros of W = geometric_width(l)
+        """Geometric(1/2) integers: the leading zeros of W = whole_leaves(l)
         jointly-XORed bits, W where all are zero. Spends what
         MpcEngine.joint_geometric does."""
-        width = geometric_width(self.cfg.frac_bits)
+        width = whole_leaves(self.cfg.frac_bits)
         x = self._count_leaf_op(self._joint_bits(shape, width), width,
                                 _plan_products(msb_plan(width)))
         top = np.frexp(x.astype(np.float64))[1]  # the bit length; 0 at x = 0
@@ -691,7 +686,7 @@ class MpcEngine(BaseEngine):
 
     def joint_geometric(self, shape):
         """Geometric(1/2) integers in 1 + ceil(log2(W/3)) rounds: the count
-        of leading zeros of W = geometric_width(l) jointly sampled bits,
+        of leading zeros of W = whole_leaves(l) jointly sampled bits,
         capped at W, so P(e = j) = 2^-(j+1) below the cap.
 
         The bits are opened as joint_uniform opens them, one word per value,
@@ -702,7 +697,7 @@ class MpcEngine(BaseEngine):
         C -> lz + Z C compose like msb's borrow maps, the top leaf last, and
         their composition onto the top leaf is e. The peer sees z and Beaver
         differences only; the dealer, which knows rho, sees neither."""
-        width = geometric_width(self.cfg.frac_bits)
+        width = whole_leaves(self.cfg.frac_bits)
         G, P = self._open_zero_counts(int(np.prod(shape, dtype=np.int64)), width)
         return self._compose(G, P, msb_plan(width))[-1].reshape(shape)
 
@@ -731,10 +726,10 @@ class _Rounds:
     part of the reply. It wakes the others only when it blocks (or
     finishes): the branches share one interpreter lock, so waking them
     earlier would only make them wait for it. The round is recorded under
-    the phase path of the lowest-numbered branch in it, with the others'
-    paths as its riders. In a branch of an enclosing parallel call, rt is
-    that branch's runtime: the exchange goes through the enclosing barrier,
-    and the round carries both calls' riders."""
+    the phase path of the lowest-numbered branch in it, and the others ride
+    in it (Transcript.ride). In a branch of an enclosing parallel call, rt
+    is that branch's runtime: the exchange goes through the enclosing
+    barrier, and both calls' other branches ride."""
 
     def __init__(self, rt: PartyRuntime, n: int):
         self.rt = rt
@@ -790,9 +785,7 @@ class _Rounds:
         transcript.adopt(sends[0][2])
         try:
             reply = self.rt.exchange(np.concatenate([np.ravel(p) for _, p, _ in sends]))
-            # appended: an enclosing call's barrier may have named riders already
-            transcript.rounds[-1].riders += tuple(transcript.path_of(stack)
-                                                  for _, _, stack in sends[1:])
+            transcript.ride(stack for _, _, stack in sends[1:])
         except BaseException:
             self.abort()
             raise

@@ -50,7 +50,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dealer import SIGN_BLOCK
-from .engine import leaf_layout
+from .engine import leaf_layout, whole_leaves
 from .fixedpoint import encode, to_signed
 
 LN_CHEB = (
@@ -215,15 +215,12 @@ def _scale_const(eng, a, b, x, frac_bits):
 
 
 def _width(eng, magnitude_bits):
+    """Bits of an input of magnitude_bits integer bits with headroom. A mask
+    of it rounded up to whole leaves (engine.whole_leaves) hides an input of
+    the narrower range as well, and at most 65 - l bits stays within the
+    ring for l >= 3."""
     mag = eng.cfg.int_bits if magnitude_bits is None else magnitude_bits
     return min(eng.cfg.lam, eng.frac_bits + mag + 2)
-
-
-def _whole_leaves(width):
-    """width rounded up to whole leaves (engine.leaf_layout): the wider mask
-    hides an input of the narrower range as well. A _width of at most
-    65 - l bits stays within the ring for l >= 3."""
-    return -(-width // SIGN_BLOCK) * SIGN_BLOCK
 
 
 def _normalize(eng, a, magnitude_bits):
@@ -236,7 +233,7 @@ def _normalize(eng, a, magnitude_bits):
     fractional bits, exactly."""
     width = _width(eng, magnitude_bits) - 2
     prec = max(2 * eng.frac_bits, width)
-    leaves = _whole_leaves(width)
+    leaves = whole_leaves(width)
     tops = [min(p + SIGN_BLOCK, width) for p in leaf_layout(leaves)]
     z = eng.lead(a, leaves)
     return z, tops, prec, _combine_int(eng, z, [1 << (prec - t) for t in tops])
@@ -271,7 +268,7 @@ def secure_div(eng, a, b, magnitude_bits=None):
     quotients up to 2^10. Out-of-domain inputs produce garbage obliviously."""
     l, wide = eng.frac_bits, eng.frac_bits + _MANTISSA_EXTRA
     with eng.phase("div"):
-        sgn = eng.msb(b, _whole_leaves(_width(eng, magnitude_bits)))
+        sgn = eng.msb(b, whole_leaves(_width(eng, magnitude_bits)))
         ba = eng.stack(np.broadcast_arrays(b, a))
         ba = eng.sub(ba, eng.mul_public_int(eng.mul(sgn, ba), 2))  # |b|, a sign(b)
         z, tops, prec, factor = _normalize(eng, ba[0], magnitude_bits)
@@ -511,7 +508,7 @@ def _clamp(eng, t, tt, magnitude_bits):
     mag = (eng.cfg.int_bits if magnitude_bits is None else magnitude_bits) - SIGMOID_CLAMP_BITS
     l, one = eng.frac_bits, _enc(eng, 1.0)
     hi, lo = eng.msb(eng.stack([eng.add_public(eng.neg(t), one), eng.add_public(t, one)]),
-                     _whole_leaves(_width(eng, mag)))  # t > 1, t < -1
+                     whole_leaves(_width(eng, mag)))  # t > 1, t < -1
     mid = eng.sub(eng.sub(eng.add_public(eng.zeros(np.shape(t)), np.uint64(1)), hi), lo)
     t, tt = eng.mul(mid, eng.stack([t, tt]))
     return (eng.add(t, eng.mul_public_int(eng.sub(hi, lo), 1 << l)),

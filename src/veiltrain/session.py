@@ -6,11 +6,13 @@ symmetric exchange with the peer, tagged with a round counter that both sides
 verify. Control flow is data-independent, so lock-step blocking receives are
 all the scheduling a session needs. Independent branches of a protocol
 (engine parallel) share rounds: each round then carries every branch's
-payload and is recorded under one branch's phase path.
+payload, is recorded under one branch's phase path, and counts as ridden
+for the others'.
 """
 
 from __future__ import annotations
 
+import contextlib
 import threading
 import time
 from dataclasses import dataclass, field
@@ -26,23 +28,18 @@ PROTOCOL_VERSION = "veiltrain/1"
 
 
 @dataclass
-class RoundRecord:
-    round_no: int
-    bytes_sent: int
-    bytes_received: int
-    seconds: float
-    path: str  # the enclosing phases, outermost first, "/"-joined ("-" for none)
-    riders: tuple = ()  # paths of the other parallel branches whose payloads it carried
-
-
-@dataclass
 class Transcript:
-    """Per-round and per-phase communication accounting for one party.
+    """One party's communication accounting: a row per phase path.
 
-    Phases nest on a stack per thread: each parallel branch's thread adopts
-    its own, and a round is recorded under the sending thread's stack."""
+    A path is the enclosing phases, outermost first, "/"-joined ("-" for
+    none). Its row holds the rounds recorded under it with their bytes and
+    seconds, and rode, the rounds its branch rode in under another branch's
+    path. Phases nest on a stack per thread: each parallel branch's thread
+    adopts its own, and a round is recorded under the sending thread's
+    stack. Rounds are sequenced, so one thread at a time records a round
+    and the rides in it."""
 
-    rounds: list = field(default_factory=list)
+    paths: dict = field(default_factory=dict)
     root_stack: list = field(default_factory=lambda: ["-"])
     _local: threading.local = field(default_factory=threading.local, repr=False,
                                     compare=False)
@@ -56,55 +53,39 @@ class Transcript:
         """Give the calling thread its own phase stack."""
         self._local.stack = stack
 
-    @staticmethod
-    def path_of(stack: list) -> str:
-        return "/".join(stack[1:]) or "-"
+    def _row(self, stack: list) -> dict:
+        path = "/".join(stack[1:]) or "-"
+        return self.paths.setdefault(path, {"rounds": 0, "bytes_sent": 0, "bytes_received": 0,
+                                            "seconds": 0.0, "rode": 0})
 
-    def record(self, round_no, sent, received, seconds):
-        self.rounds.append(RoundRecord(round_no, sent, received, seconds,
-                                       self.path_of(self.phase_stack)))
+    def record(self, sent, received, seconds):
+        """One round under the calling thread's phase path."""
+        row = self._row(self.phase_stack)
+        row["rounds"] += 1
+        row["bytes_sent"] += sent
+        row["bytes_received"] += received
+        row["seconds"] += seconds
+
+    def ride(self, stacks):
+        """One ridden round for the branch of each phase stack."""
+        for stack in stacks:
+            self._row(stack)["rode"] += 1
+
+    def total(self, column: str):
+        """The column's sum over the rows."""
+        return sum(row[column] for row in self.paths.values())
 
     @property
     def n_rounds(self):
-        return len(self.rounds)
+        return self.total("rounds")
 
     @property
     def bytes_sent(self):
-        return sum(r.bytes_sent for r in self.rounds)
+        return self.total("bytes_sent")
 
     @property
     def bytes_received(self):
-        return sum(r.bytes_received for r in self.rounds)
-
-    def by_path(self):
-        """Rounds, bytes and seconds per phase path."""
-        out = {}
-        for r in self.rounds:
-            agg = out.setdefault(r.path, {"rounds": 0, "bytes_sent": 0, "bytes_received": 0,
-                                          "seconds": 0.0})
-            agg["rounds"] += 1
-            agg["bytes_sent"] += r.bytes_sent
-            agg["bytes_received"] += r.bytes_received
-            agg["seconds"] += r.seconds
-        return out
-
-    def by_overlap(self):
-        """Rounds per phase path of the branches that rode in rounds
-        recorded under another branch's path."""
-        out = {}
-        for r in self.rounds:
-            for path in r.riders:
-                out[path] = out.get(path, 0) + 1
-        return out
-
-    def by_phase(self):
-        """The same totals per innermost phase."""
-        out = {}
-        for path, agg in self.by_path().items():
-            into = out.setdefault(path.rsplit("/", 1)[-1], dict.fromkeys(agg, 0))
-            for k, v in agg.items():
-                into[k] += v
-        return out
+        return self.total("bytes_received")
 
 
 class PartyRuntime:
@@ -129,28 +110,20 @@ class PartyRuntime:
         _, _, body = self.io.recv(expect_kind=KIND_OPEN, expect_round=self.round_no)
         self.round_no += 1
         out = payload_u64(body).reshape(np.shape(payload))
-        self.transcript.record(self.round_no - 1,
-                               self.channel.bytes_sent - before_out,
+        self.transcript.record(self.channel.bytes_sent - before_out,
                                self.channel.bytes_received - before_in,
                                time.perf_counter() - t0)
         return out
 
+    @contextlib.contextmanager
     def phase(self, name: str):
-        return _Phase(self.transcript, name)
-
-
-class _Phase:
-    def __init__(self, transcript, name):
-        self.transcript = transcript
-        self.name = name
-
-    def __enter__(self):
-        self.transcript.phase_stack.append(self.name)
-        return self
-
-    def __exit__(self, *exc):
-        self.transcript.phase_stack.pop()
-        return False
+        """Nest the calling thread's rounds under name."""
+        stack = self.transcript.phase_stack
+        stack.append(name)
+        try:
+            yield
+        finally:
+            stack.pop()
 
 
 def handshake(rt: PartyRuntime, public: dict) -> None:
@@ -167,27 +140,18 @@ def handshake(rt: PartyRuntime, public: dict) -> None:
 
 def run_report(transcript: Transcript, party_id: int, session_id: int,
                epsilon_total: float = 0.0) -> dict:
-    """Summarize a completed session as a flat report mapping.
+    """Summarize a completed session as the party report: its totals, and
+    the transcript's rows by path under "paths", which sum to them.
 
-    epsilon_total is the privacy budget the session's opened models spend.
-    Every round counts once, under its path; overlap.<path>.rounds counts
-    the rounds a parallel branch rode in under another branch's path."""
-    report = {
+    epsilon_total is the privacy budget the session's opened models spend."""
+    return {
         "party": party_id,
         "session": session_id,
         "rounds": transcript.n_rounds,
         "bytes_sent": transcript.bytes_sent,
         "bytes_received": transcript.bytes_received,
-        "seconds": round(sum(r.seconds for r in transcript.rounds), 6),
+        "seconds": round(transcript.total("seconds"), 6),
         "epsilon_total": epsilon_total,
+        "paths": {path: dict(row, seconds=round(row["seconds"], 6))
+                  for path, row in sorted(transcript.paths.items())},
     }
-    for phase, agg in sorted(transcript.by_phase().items()):
-        report[f"phase.{phase}.rounds"] = agg["rounds"]
-        report[f"phase.{phase}.bytes_sent"] = agg["bytes_sent"]
-        report[f"phase.{phase}.seconds"] = round(agg["seconds"], 6)
-    for path, agg in sorted(transcript.by_path().items()):
-        report[f"path.{path}.rounds"] = agg["rounds"]
-        report[f"path.{path}.bytes_sent"] = agg["bytes_sent"]
-    for path, rounds in sorted(transcript.by_overlap().items()):
-        report[f"overlap.{path}.rounds"] = rounds
-    return report

@@ -56,7 +56,7 @@ def test_share_algebra():
     exact = np.array_equal(opened, secrets)
     with np.errstate(over="ignore"):
         products_ok = np.array_equal(z, xs * ys)
-    product_rounds = engines[0].rt.transcript.by_path()["products"]["rounds"]
+    product_rounds = engines[0].rt.transcript.paths["products"]["rounds"]
 
     # fixed-point products for representable operands up to 2^8
     grid = 2.0 ** -10

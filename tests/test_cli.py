@@ -48,7 +48,9 @@ def test_full_stage_flow(tmp_path):
     assert np.array_equal(noisy, np.loadtxt(out / "noisy.party1.csv", delimiter=",", ndmin=2))
 
     def untimed(report):
-        return {k: v for k, v in report.items() if not k.endswith("seconds")}
+        paths = {p: {k: v for k, v in row.items() if k != "seconds"}
+                 for p, row in report["paths"].items()}
+        return dict({k: v for k, v in report.items() if k != "seconds"}, paths=paths)
 
     report = json.loads((out / "report.party0.json").read_text())
     assert untimed(report) == untimed(res["report"])
@@ -297,7 +299,10 @@ def test_subprocess_party_trio(tmp_path):
     threaded = run_mpc_threaded([(X, t)], "horizontal", cfg, seed=15, draws=2)
 
     def untimed(report):
-        return {k: (type(v), v) for k, v in report.items() if not k.endswith("seconds")}
+        paths = {p: {k: (type(v), v) for k, v in row.items() if k != "seconds"}
+                 for p, row in report["paths"].items()}
+        return dict({k: (type(v), v) for k, v in report.items() if k != "seconds"},
+                    paths=paths)
 
     assert untimed(res["report"]) == untimed(threaded["report"])
     # two opened noisy copies at epsilon 1 compose to 2

@@ -172,12 +172,13 @@ def test_report_contains_traffic():
     cfg = tiny_cfg()
     res = run_mpc_threaded([(X, t)], "horizontal", cfg, seed=13, draws=2)
     assert res["bytes"] > 0
-    assert res["report"]["phase.forward.rounds"] > 0
+    rows = res["report"]["paths"]
+    assert rows["forward"]["rounds"] > 0
     # the noise's 36 rounds (odd d) ride in training's 37, where the report
-    # counts them as overlap rows, its own branches' 4 shared rounds twice;
+    # counts them in its rows' rode, its own branches' 4 shared rounds twice;
     # one more opens the models
-    overlap = {k: v for k, v in res["report"].items() if k.startswith("overlap.perturb")}
-    assert overlap["overlap.perturb.rounds"] > 0 and sum(overlap.values()) == 36 + 4
+    rode = {path: row["rode"] for path, row in rows.items() if path.startswith("perturb")}
+    assert rode["perturb"] > 0 and sum(rode.values()) == 36 + 4
     assert res["rounds"] == 37 + 1
 
 

@@ -3,7 +3,7 @@ import pytest
 from scipy import stats
 
 from veiltrain.dealer import MaterialSource
-from veiltrain.engine import PlainEngine, geometric_width
+from veiltrain.engine import PlainEngine, whole_leaves
 from veiltrain.fixedpoint import RingConfig, decode, encode
 from veiltrain.kernels import _turn_powers, joint_uniform, unit_exponentials
 from veiltrain.noise import (DpParams, box_muller_radius, gamma_magnitude,
@@ -199,7 +199,7 @@ class _ChosenUniforms(PlainEngine):
         return e if edit is None else edit(e)
 
 
-W = geometric_width(RING.frac_bits)
+W = whole_leaves(RING.frac_bits)
 # the largest exponential: e = W, u = one ulp, so m = (1 + 2^-l)/2
 X_MAX = W * np.log(2) - np.log((1 + 2.0 ** -RING.frac_bits) / 2)
 

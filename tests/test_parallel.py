@@ -93,6 +93,11 @@ def alone(branch, seed=3):
     return engines[0].rt.transcript
 
 
+def _column(rows, column):
+    """A column of a report's path rows, at the rows where it is nonzero."""
+    return {path: row[column] for path, row in rows.items() if row[column]}
+
+
 def test_parallel_matches_the_mirror_bit_for_bit(over_tcp):
     want = mirror(opened, 3)
     for transport in ("queue", "tcp"):
@@ -194,14 +199,11 @@ def test_nested_branches_under_fast_thread_switching():
 def test_report_paths_sum_to_rounds_and_record_the_overlap():
     _, engines = run_two_party(merged, session_seed=3, cfg=RING)
     report = run_report(engines[0].rt.transcript, 0, 1)
-    paths = {k: v for k, v in report.items()
-             if k.startswith("path.") and k.endswith(".rounds")}
-    assert sum(paths.values()) == report["rounds"] == 5
+    rows = report["paths"]
+    assert sum(row["rounds"] for row in rows.values()) == report["rounds"] == 5
     # rounds go under the long branch's nested phases, the short one rides
-    assert paths == {"path.outer/inner.rounds": 3, "path.outer/uniform.rounds": 1,
-                     "path.outer.rounds": 1}
-    assert {k: v for k, v in report.items() if k.startswith("overlap.")} == {
-        "overlap.short/uniform.rounds": 1, "overlap.short.rounds": 2}
+    assert _column(rows, "rounds") == {"outer/inner": 3, "outer/uniform": 1, "outer": 1}
+    assert _column(rows, "rode") == {"short/uniform": 1, "short": 2}
 
 
 def test_cursors_end_exactly_at_the_dry_run_counts():
@@ -315,16 +317,12 @@ def test_a_nested_call_must_match_the_dry_run():
 
 def test_report_counts_every_branch_that_rode():
     _, engines = run_two_party(nested, session_seed=3, cfg=RING)
-    report = run_report(engines[0].rt.transcript, 0, 1)
-    paths = {k: v for k, v in report.items()
-             if k.startswith("path.") and k.endswith(".rounds")}
-    assert paths == {"path.outer/inner.rounds": 3, "path.outer/uniform.rounds": 1,
-                     "path.outer.rounds": 1}
+    rows = run_report(engines[0].rt.transcript, 0, 1)["paths"]
+    assert _column(rows, "rounds") == {"outer/inner": 3, "outer/uniform": 1, "outer": 1}
     # the nesting branch's 4 rounds ride, and in its inner call's first 2
     # the two_rounds branch rides beside the short one
-    assert {k: v for k, v in report.items() if k.startswith("overlap.")} == {
-        "overlap.nest/short/uniform.rounds": 1, "overlap.nest/short.rounds": 2,
-        "overlap.nest/two.rounds": 2, "overlap.nest.rounds": 1}
+    assert _column(rows, "rode") == {"nest/short/uniform": 1, "nest/short": 2,
+                                     "nest/two": 2, "nest": 1}
 
 
 def test_parallel_call_must_match_the_dry_run():

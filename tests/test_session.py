@@ -183,6 +183,24 @@ def test_report_empty_session():
     assert report["bytes_sent"] == 0
 
 
+def test_thread_report_survives_json_and_its_rows_sum_to_its_totals():
+    import json
+
+    from veiltrain.datasets import synth_data
+    from veiltrain.harness import run_mpc_threaded
+    from veiltrain.shareio import DEFAULTS
+
+    X, t = synth_data(20, 4, seed=3, separability=1.0)
+    report = run_mpc_threaded([(X, t)], "horizontal", DEFAULTS, 1, 3)["report"]
+    assert json.loads(json.dumps(report)) == report
+    rows = report["paths"].values()
+    for column in ("rounds", "bytes_sent", "bytes_received"):
+        assert sum(row[column] for row in rows) == report[column] > 0
+    assert abs(sum(row["seconds"] for row in rows) - report["seconds"]) <= 1e-6 * len(rows)
+    assert sum(row["rode"] for row in rows) > 0  # the noise rode in training's rounds
+    assert not any(k.startswith(("phase.", "path.", "overlap.")) for k in report)
+
+
 def test_single_multiplication_round_and_bytes():
     def fn(eng):
         a = eng.from_public(encode(np.float64(3.0), RING))
@@ -227,9 +245,9 @@ def test_per_phase_breakdown_present():
                               eng.from_public(encode(t, RING)), tc)
 
     _, engines = run_both(fn)
-    report = run_report(engines[0].rt.transcript, 0, 1)
-    assert report["phase.sigmoid.rounds"] > 0
-    assert report["phase.forward.rounds"] > 0
+    rows = run_report(engines[0].rt.transcript, 0, 1)["paths"]
+    assert rows["sigmoid"]["rounds"] > 0
+    assert rows["forward"]["rounds"] > 0
 
 
 def test_deterministic_replay():

@@ -164,6 +164,20 @@ def test_tmul_of_a_shifted_value_is_exact():
         assert np.array_equal(tt, x * x)
 
 
+@pytest.mark.parametrize("shift", [20, 40])
+def test_trunc_mirror_matches_the_parties_on_the_whole_ring(shift):
+    # words anywhere in the ring, where x + r wraps: the mirror truncates
+    # x + r and subtracts the truncated mask, as the parties do
+    x = np.random.default_rng(3).integers(0, 2**64, 20_000, dtype=np.uint64)
+
+    def fn(eng):
+        return eng.open(eng.trunc(eng.from_public(x), shift))
+
+    (r0, r1), _ = run_both(fn, seed=3)
+    want = fn(PlainEngine(MaterialSource(3, RING), RING))
+    assert np.array_equal(r0, want) and np.array_equal(r1, want)
+
+
 # --- summed truncations: x and shift as matching sequences ---
 
 SUMMED = {  # (shifts, x shape, y shape or None)

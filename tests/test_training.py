@@ -435,7 +435,7 @@ def test_every_step_costs_its_pinned_rounds(lams, sigmoid_rounds):
             train_pipeline(eng, owner_rows(eng, X), enc_pub(eng, t), tc)
 
         _, engines = run_both(fn, seed=47)
-        return {p: v["rounds"] for p, v in engines[0].rt.transcript.by_path().items()}, tc.steps()
+        return {p: v["rounds"] for p, v in engines[0].rt.transcript.paths.items()}, tc.steps()
 
     (one, k1), (two, k2) = rounds(lams[0]), rounds(lams[1])
     steps = k2 - k1
