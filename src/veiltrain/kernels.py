@@ -50,7 +50,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dealer import SIGN_BLOCK
-from .engine import leaf_layout, whole_leaves
+from .engine import Results, leaf_layout, whole_leaves
 from .fixedpoint import encode, to_signed
 
 LN_CHEB = (
@@ -100,15 +100,17 @@ COS_POWER = tuple(np.polynomial.chebyshev.cheb2poly(COS_CHEB))
 SIG_POWER = tuple(np.polynomial.chebyshev.cheb2poly(SIG_CHEB))
 SIG4_POWER = tuple(np.polynomial.chebyshev.cheb2poly(SIG4_CHEB))
 
-# linear starts on the coarse mantissa m in [1/8, 1): y0 = a - b m
-RECIP_START = (5.097, 4.531)   # 1/m, relative error below 0.44
-RSQRT_START = (2.516, 1.689)   # 1/sqrt(m)
+# starts on the coarse mantissa m in [1/8, 1): 1/m ~ a - b m, with relative
+# error below 0.44; 1/sqrt(m) ~ a0 + a1 m + a2 m^2, the minimax fit of
+# |1 - m y0^2| (0.147 on a 200001-point grid)
+RECIP_START = (5.097, 4.531)
+RSQRT_START = (3.188401186, -4.964418283, 2.846981376)
 _RECIP_STEPS = 4
-_RSQRT_STEPS = 3
+_RSQRT_STEPS = 2
 # after those steps secure_rsqrt's correction operand 1 - m y^2 is below
 # 2^-RSQRT_RESIDUAL_BITS in magnitude for every mantissa m in [1/8, 1) on
-# every accepted ring: rounding makes it largest on the coarsest, 2^-8.4 at
-# l = 12, where the float iteration alone reaches 2^-14.3
+# every accepted ring: rounding makes it largest on the coarsest, 2^-8.8 at
+# l = 12, where the float iteration alone reaches 2^-12.2
 RSQRT_RESIDUAL_BITS = 8
 _MANTISSA_EXTRA = 3  # fractional bits above l on the mantissa and on div's numerator
 SIGMOID_CLAMP_BITS = 3  # the sigmoid clamps at |z| = 2^3
@@ -286,18 +288,25 @@ def _sqrt_mantissa(eng, a, magnitude_bits, with_g):
     sqrt(m)) from h0 = y0 / 2 and, with_g, g = 2 m h -> sqrt(m). The step
     tracks e = g h = 2 m h^2 -> 1/2: r = 3/2 - e, then h r (g r) and e r^2
     = (3/2 - r) r^2, in two rounds. The start takes two: h0 and m h0 with
-    one truncation, then e0 from m h0 truncated. The last step squares the
-    first carried value (g, else h) as it truncates. Returns z, tops, prec,
-    m exact at prec bits, m at l + _MANTISSA_EXTRA bits, the carried values
+    one truncation, then e0 from m h0 truncated; m^2, which h0 needs, is
+    taken in the round that truncates m. The last step squares the first
+    carried value (g, else h) as it truncates. Returns z, tops, prec, m
+    exact at prec bits, m at l + _MANTISSA_EXTRA bits, the carried values
     at l bits (g and h, or h, stacked) and that square at 2l."""
     l, wide = eng.frac_bits, eng.frac_bits + _MANTISSA_EXTRA
     z, tops, prec, factor = _normalize(eng, a, magnitude_bits)
     m_prec = eng.mul(a, factor)
-    m = eng.trunc(m_prec, prec - wide)
-    # h0 = A/2 - (B/2) m at l bits, and m h0 at l + wide bits
-    bm, mbm = eng.tmul(eng.mul_public_int(m, -int(_enc(eng, RSQRT_START[1] / 2))), wide, m)
-    h = eng.add_public(bm, _enc(eng, RSQRT_START[0] / 2))
-    mh = eng.add(mbm, eng.mul_public_int(m, int(_enc(eng, RSQRT_START[0] / 2))))
+    m, mm = eng.tmul(m_prec, prec - wide, square=True)  # m at wide bits, m^2 at 2 wide
+    # h0 = b0 + b1 m + b2 m^2 (b = RSQRT_START / 2) at l bits, and m h0 at l +
+    # wide bits. b2 < 2 at c bits keeps b2 m^2 below 2^(2 wide + c + 1),
+    # within the truncation masks' range 2^(lam - 2)
+    b0, b1, b2 = (x / 2 for x in RSQRT_START)
+    c = min(l, eng.cfg.lam - 4 - 2 * wide)
+    *bm, mbm = eng.tmul([eng.mul_public_int(m, to_signed(_enc(eng, b1))),
+                         eng.mul_public_int(mm, int(round(b2 * 2.0 ** c)))],
+                        [wide, 2 * wide + c - l], m)
+    h = eng.add_public(eng.add(*bm), _enc(eng, b0))
+    mh = eng.add(mbm, eng.mul_public_int(m, int(_enc(eng, b0))))
     mh, mhh = eng.tmul(mh, wide, h)
     e = eng.mul_public_int(mhh, 2)  # at 2l bits
     carry = eng.stack([eng.mul_public_int(mh, 2), h] if with_g else [h])
@@ -340,10 +349,10 @@ def secure_rsqrt(eng, a, magnitude_bits=None, truncate=True):
     """1/sqrt(a) for a > 0 on shares, within 2^-12 absolute on [2^-10, 2^10],
     from the square root's iteration: its h converges to 1/(2 sqrt(m)).
     Zero is out of domain, but its result is finite. The result is y at 2l
-    bits plus its correction at 3l, which one tmul truncates and adds; with
-    truncate False they are returned as that tmul's summands and shifts,
-    ([y, correction], [l, 2l]), for the caller's next product to take in
-    its round."""
+    bits plus its correction at 3l, which one tmul truncates (by l and by
+    2l) and adds; with truncate False they are returned as Results (y,
+    correction), that tmul's summands, for the caller's next product to
+    take in its round."""
     l, wide = eng.frac_bits, eng.frac_bits + _MANTISSA_EXTRA
     with eng.phase("rsqrt"):
         z, tops, _, _, m, (half,), hh = _sqrt_mantissa(eng, a, magnitude_bits, False)
@@ -355,8 +364,7 @@ def secure_rsqrt(eng, a, magnitude_bits=None, truncate=True):
         e = eng.add_public(eng.neg(eng.mul_public_int(m_hh, 4)), _unit(eng, 2 * l + wide))
         _, he = eng.tmul(e, wide, half)  # h (1 - m y^2) at 3l bits
         _, hes = eng.tmul(he, l, scale)
-        summands = [ys, hes], [l, 2 * l]
-        return eng.add(*eng.tmul(*summands)) if truncate else summands
+        return eng.add(*eng.tmul([ys, hes], [l, 2 * l])) if truncate else Results((ys, hes))
 
 
 def secure_ln(eng, a, magnitude_bits=None):
@@ -395,7 +403,7 @@ def _turn_powers(eng, turns):
         return _powers(eng, x2l, l, len(COS_POWER) - 1)
 
 
-def _sin_cos_turns(eng, powers, e=None, truncate=True):
+def _sin_cos_turns(eng, powers, rows=None, truncate=True):
     """(sin, cos) of 2 pi turns from the powers of x = 2 turns - 1
     (_turn_powers).
 
@@ -405,24 +413,22 @@ def _sin_cos_turns(eng, powers, e=None, truncate=True):
     truncation follows. With truncate False sin and cos stay at 2l bits,
     for the caller's next tmul to truncate.
 
-    e: geometric exponents (joint_geometric), rows on axis 0. The last
-    len(e) rows of the powers are then mantissa rows, the turns 2u of
-    uniforms u of e's shape, and their unit exponentials (e, u) are
-    truncated in the round that squares s, c and s + c; the result is
-    (sin, cos, exponentials)."""
+    rows: values at 2l bits, rows on axis 0, such as unit exponentials
+    (_exponentials_2l), truncated in the round that squares s, c and s + c;
+    the result is then (sin, cos, rows at l bits)."""
     l = eng.frac_bits
     with eng.phase("sin_cos"):
-        k = powers.shape[1] - (0 if e is None else len(e))
-        s, c = (_poly_2l(eng, powers[:, :k], coeffs) for coeffs in (SIN_POWER, COS_POWER))
+        k = powers.shape[1]
+        s, c = (_poly_2l(eng, powers, coeffs) for coeffs in (SIN_POWER, COS_POWER))
         halves = eng.stack([s, c, eng.add(s, c)])
-        rows = [halves.reshape((3 * k,) + halves.shape[2:])]
-        if e is not None:
-            rows.append(_exponentials_2l(eng, e, powers[:, k:]))
-        t, squares = eng.tmul(np.concatenate(rows), l, square=range(3 * k))
+        x = halves.reshape((3 * k,) + halves.shape[2:])
+        if rows is not None:
+            x = np.concatenate([x, rows])
+        t, squares = eng.tmul(x, l, square=range(3 * k))
         ss, cc, both = squares.reshape(halves.shape)
         sin_cos = eng.stack([eng.sub(eng.add(ss, cc), both), eng.sub(ss, cc)])
         sin, cos = eng.trunc(sin_cos, l) if truncate else sin_cos
-        return (sin, cos) if e is None else (sin, cos, t[3 * k:])
+        return Results((sin, cos) if rows is None else (sin, cos, t[3 * k:]))
 
 
 def _exponentials_2l(eng, e, powers):

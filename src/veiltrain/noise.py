@@ -11,8 +11,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidArgument
-from .kernels import (_sin_cos_turns, _turn_powers, joint_uniform, secure_ln, secure_rsqrt,
-                      unit_exponentials)
+from .kernels import (_exponentials_2l, _sin_cos_turns, _turn_powers, joint_uniform, secure_ln,
+                      secure_rsqrt, unit_exponentials)
 
 # uniforms live in (0, 1]; -ln u <= l ln 2 (gaussian_vector, gamma_magnitude),
 # and an exponential e ln 2 - ln m < (W + 1) ln 2 with W <= 24 bits, so
@@ -63,7 +63,8 @@ def _coordinates(x, d: int, batch: tuple):
 
 def box_muller_radius(eng, e):
     """sqrt(E) = E rsqrt(E) at 2l bits, E >= 0 at l bits; exactly 0 at E = 0."""
-    return eng.tmul(*secure_rsqrt(eng, e, _BOX_MULLER_BITS, truncate=False), e)[-1]
+    l = eng.frac_bits
+    return eng.tmul(secure_rsqrt(eng, e, _BOX_MULLER_BITS, truncate=False), [l, 2 * l], e)[-1]
 
 
 def gaussian_vector(eng, d: int, batch: tuple = ()):
@@ -123,16 +124,20 @@ def sample_noise(eng, dp: DpParams, batch: tuple = ()):
     exponentials as E_i = 2 X_i, so that ||g||^2 / 2 is part of the Gamma's
     sum, which is independent of g / ||g||. An odd d takes only the last
     pair's cos, at theta = pi v where the others have 2 pi v, so that 2
-    theta is within sin/cos's one period (R cos theta keeps its law). The
-    exponents, which only sin/cos's squaring round reads, are drawn beside
-    the uniforms and their power chain (eng.parallel); ln m rides in
-    sin/cos's rounds, and S/4^a (S = ||g||^2 = sum E_i; odd tail: E (1 +
-    cos 2 theta) / 2, 4^a >= k) and the Gamma in its last truncation. One
-    rsqrt over [E_i, S/4^a] gives R_i = E_i rsqrt(E_i) and K = Gamma 2^a /
-    ||g||. The angles' and the mantissas' uniforms are two draws, though
-    one would save a round: a draw's masks are all taken before its round,
-    so one merged draw raised the peak memory of a process running
-    two-party draws at d = 50 with 1000 draws from about 185 to 200 MB."""
+    theta is within sin/cos's one period (R cos theta keeps its law).
+
+    The schedule: the exponents, which only sin/cos's squaring round reads,
+    are drawn beside the uniforms and their power chain (eng.parallel); ln
+    m rides in sin/cos's rounds, and S/4^a (S = ||g||^2 = sum E_i, 4^a >=
+    k) is truncated from the exponentials at 2l bits beside sin/cos's
+    squaring round. One rsqrt over [E_i, S/4^a] then gives R_i = E_i
+    rsqrt(E_i) and K = Gamma 2^a / ||g||, while sin, cos and the Gamma are
+    truncated beside it. At odd d the tail's E (1 + cos 2 theta) / 2 joins
+    S first: E cos 2 theta rides in the round that truncates sin and cos,
+    and one truncation follows, so odd d takes two rounds more than even.
+    The angles' and the mantissas' uniforms are two draws, though one would
+    save a round: measured on the benchmark's noise-wide (d = 50, 1000
+    draws), one merged draw raised the setup time from 0.033 to 0.047 s."""
     l, d, k = eng.frac_bits, dp.d, (dp.d + 1) // 2
     a = ((k - 1).bit_length() + 1) // 2
     code, f = dp.scale_code(eng.cfg)
@@ -142,18 +147,33 @@ def sample_noise(eng, dp: DpParams, batch: tuple = ()):
         if d == 1:
             x = unit_exponentials(eng, e, powers)
             return eng.trunc(eng.mul_public_int(eng.sub(x[0], x[1]), code), f)[..., None]
-        sin, cos, x = _sin_cos_turns(eng, powers, e, truncate=False)
+        angles = k + d % 2  # the power chain's angle rows
+        x2l = _exponentials_2l(eng, e, powers[:, angles:])
+        norm = eng.mul_public_int(eng.sum(x2l[:k - d % 2], axis=0), 2)  # S at 2l, odd tail aside
+        (sin, cos, x), s4 = eng.parallel(
+            lambda eng: _sin_cos_turns(eng, powers[:, :angles], x2l, truncate=False),
+            lambda eng: eng.trunc(norm, l + 2 * a))
         r2 = eng.mul_public_int(x[:k], 2)  # the radii squared, E = 2 X, (k, *batch)
-        norm = eng.mul_public_int(eng.sum(r2[:k - d % 2], axis=0), 1 << (l - 2 * a))
         gamma = eng.mul_public_int(eng.sum(x, axis=0), code)
-        with eng.phase("sin_cos"):
-            (sin, cos), s4, gamma = eng.tmul([eng.stack([sin, cos]), norm, gamma], [l] * 3)
-        if d % 2:
-            tail = eng.mul(r2[-1], eng.add_public(cos[-1], np.uint64(1 << l)))
+        beside = [gamma, eng.stack([sin, cos])]  # truncated beside rsqrt
+        if d % 2:  # E cos 2 theta rides in the round that truncates sin and cos
+            with eng.phase("sin_cos"):
+                t, (tail,) = eng.tmul(np.concatenate([sin, cos]), l, r2[-1], rows=[2 * k + 1])
+            beside, sin, cos = beside[:1], t[:k], t[k + 1:-1]
+            tail = eng.add(eng.mul_public_int(r2[-1], 1 << l), tail)  # E (1 + cos 2 theta)
             s4 = eng.add(s4, eng.trunc(tail, l + 2 * a + 1))
-            sin, cos = sin[:k], cos[:k]
-        y = secure_rsqrt(eng, np.concatenate([r2, s4[None]]), _BOX_MULLER_BITS, truncate=False)
-        *_, rk = eng.tmul(*y, np.concatenate([r2, gamma[None]]))  # R at 2l, K at l + f
+
+        def truncate_beside(eng):
+            with eng.phase("sin_cos"):
+                return eng.tmul(beside, [l] * len(beside))
+
+        y, (gamma, *trig) = eng.parallel(
+            lambda eng: secure_rsqrt(eng, np.concatenate([r2, s4[None]]), _BOX_MULLER_BITS,
+                                     truncate=False),
+            truncate_beside)
+        if trig:
+            sin, cos = trig[0]
+        *_, rk = eng.tmul(y, [l, 2 * l], np.concatenate([r2, gamma[None]]))  # R at 2l, K at l + f
         t, g = eng.tmul(rk, l, eng.stack([cos, sin]), rows=range(k))  # g = R (cos, sin) at 2l
         _, eta = eng.tmul(g, l, t[k])  # eta 2^a at l + f bits
         return _coordinates(eng.trunc(eta, f + a), d, batch)

@@ -12,26 +12,27 @@ from veiltrain.noise import DpParams, perturb_weights
 from veiltrain.shareio import DEFAULTS
 
 # 20x4 horizontal, the defaults' 7 steps, 3 noise draws, thread executor.
-# The noise (34 rounds) runs beside training (37), so training sets the
+# The noise (31 rounds) runs beside training (37), so training sets the
 # length and every noise round is recorded under training's path; the
 # last round opens the models.
 ROUNDS_BY_PATH = {
     "-": 1,
     "forward": 7, "sigmoid": 21, "backward": 8, "finalize": 1,
 }
-# the noise's rounds that rode in training's: its 34, and in 4 of them
-# both of its own branches (the exponents beside the uniforms and the
-# power chain), so 38 riders
+# the noise's rounds that rode in training's: its 31, and in 6 of them
+# both of its own branches (4 with the exponents beside the uniforms and
+# the power chain, 1 with S/4^a's truncation beside sin/cos's squaring, 1
+# with sin, cos and the Gamma truncated beside rsqrt), so 37 riders
 OVERLAP_BY_PATH = {
     "perturb/uniform": 2, "perturb/geometric": 4, "perturb/sin_cos": 7,
-    "perturb/rsqrt": 21, "perturb": 4,
+    "perturb/rsqrt": 19, "perturb": 5,
 }
-WIRE_BYTES = 96_972  # party 0, sent plus received
+WIRE_BYTES = 96_108  # party 0, sent plus received
 
 # the noise alone at d = 50 with 100 draws, then the opening of the models:
 # the noise-wide benchmark's shape at a tenth of its batch
-NOISE_ROUNDS = 35
-NOISE_SENT_BYTES = 5_282_055  # party 0
+NOISE_ROUNDS = 32
+NOISE_SENT_BYTES = 5_157_216  # party 0
 
 
 def _column(report, column):

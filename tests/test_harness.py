@@ -174,11 +174,11 @@ def test_report_contains_traffic():
     assert res["bytes"] > 0
     rows = res["report"]["paths"]
     assert rows["forward"]["rounds"] > 0
-    # the noise's 36 rounds (odd d) ride in training's 37, where the report
-    # counts them in its rows' rode, its own branches' 4 shared rounds twice;
+    # the noise's 33 rounds (odd d) ride in training's 37, where the report
+    # counts them in its rows' rode, its own branches' 6 shared rounds twice;
     # one more opens the models
     rode = {path: row["rode"] for path, row in rows.items() if path.startswith("perturb")}
-    assert rode["perturb"] > 0 and sum(rode.values()) == 36 + 4
+    assert rode["perturb"] > 0 and sum(rode.values()) == 33 + 6
     assert res["rounds"] == 37 + 1
 
 

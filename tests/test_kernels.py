@@ -112,15 +112,16 @@ def test_rsqrt_tolerance_sweep_and_edges():
     assert np.abs(got - want).max() <= kernels.KERNEL_TOLERANCES["rsqrt"].bound
 
 
-@pytest.mark.parametrize("truncate, pairs", [(True, 15), (False, 13)])
+@pytest.mark.parametrize("truncate, pairs", [(True, 13), (False, 11)])
 def test_rsqrt_material_per_element_is_pinned(truncate, pairs):
-    # the dealer material rsqrt takes per element; e tracking takes one
-    # triple and one truncation pair fewer than forming g h did (93 and
-    # 16). With truncate False the caller's tmul takes the last two pairs
+    # the dealer material rsqrt takes per element. The quadratic start's m^2
+    # and its summand take one triple and one truncation pair, and the
+    # Goldschmidt step it saves three of each (92 and 15 with the linear
+    # start). With truncate False the caller's tmul takes the last two pairs
     x = np.exp2(np.linspace(-9, 9, 100))
     counts = estimate_counts(
         lambda eng: kernels.secure_rsqrt(eng, enc_pub(eng, x), truncate=truncate), 49, RING)
-    assert counts[("triple",)] == 92 * len(x)
+    assert counts[("triple",)] == 90 * len(x)
     assert sum(v for k, v in counts.items() if k[0] == "trunc") == pairs * len(x)
 
 
@@ -133,6 +134,19 @@ def test_rsqrt_matches_mirror_bit_exact():
     (r0, r1), _ = run_both(fn, seed=37)
     mirror = fn(plain(37))
     assert np.array_equal(r0, mirror) and np.array_equal(r1, mirror)
+
+
+def test_rsqrt_start_and_steps_on_the_mantissa_range():
+    # the quadratic start y0 = a0 + a1 m + a2 m^2 in floats: its residual
+    # 1 - m y0^2 on [1/8, 1), then after the Goldschmidt steps, each a
+    # Newton step y <- y (3 - m y^2)/2
+    m = np.linspace(1 / 8, 1, 1_000_001, endpoint=False)
+    a0, a1, a2 = kernels.RSQRT_START
+    y = a0 + a1 * m + a2 * m * m
+    assert np.abs(1 - m * y * y).max() <= 0.15
+    for _ in range(kernels._RSQRT_STEPS):
+        y = y * (3 - m * y * y) / 2
+    assert np.abs(1 - m * y * y).max() < 2.0 ** -12
 
 
 def test_rsqrt_correction_operand_stays_within_its_bound():
