@@ -23,16 +23,17 @@ update multiplies by public ring constants only, so it costs no
 communication.
 
 A step is 5 rounds on the degree-5 sigmoid: forward 1, sigmoid 3,
-backward 1 (8 on the degree-6 one, whose sigmoid takes 6). No truncation
-takes a round of its own; each rides in the round of the product it feeds
-(engine op tmul):
+backward 1 (8 on the degree-6 one, whose sigmoid takes 6). The first step
+is backward alone: at the zero weights every sigmoid tier gives exactly
+the public 1/2. No truncation takes a round of its own; each rides in the
+round of the product it feeds (engine op tmul):
 
 * forward truncates the weights and the last step's pending gradient
   term, and multiplies their sum by the rows;
 * the sigmoid returns its output at 2l bits (truncate=False), and backward
-  truncates the error in its product with the rows;
-* the rows are scaled by alpha 2^q / n once, so backward's sum is alpha
-  times the mean gradient at l + q extra bits, left for the next forward.
+  multiplies the error by the public alpha 2^q / n, truncates it in its
+  product with the rows, and so gives alpha times the mean gradient at
+  l + q extra bits, left for the next forward.
 """
 
 from __future__ import annotations
@@ -164,7 +165,7 @@ def forward(eng, X, state: ModelState, bound=None):
 
 
 def sigmoid_input_bound(cfg: TrainingConfig, n: int, d: int, ring: RingConfig) -> float:
-    """A bound on |x . w| over every forward pass of train_logreg on n rows
+    """A bound on |x . w| over every forward pass of train_pipeline on n rows
     of d features (the bias column included), from public values only.
 
     The step is w <- c w + u, with c = 1 - alpha lambda at its ring encoding
@@ -173,18 +174,18 @@ def sigmoid_input_bound(cfg: TrainingConfig, n: int, d: int, ring: RingConfig) -
     |x . w| <= R |w| for a row norm R: 1 (l2_normalize), times sqrt(2)
     with the bias column. The labels are 0 or 1, so the gradient's
     data term is at most R (1 + the bounded sigmoid's error); alpha is the
-    one scale_rows' rounded factor applies. The row scaling adds at most
-    alpha ulps per coordinate and step, and each truncation one ulp. It
-    is infinite where c encodes as 1.
+    one backward's rounded factor applies, and the error's truncation
+    there is within its ulps. The weights' and the gradient's truncations
+    add one ulp per coordinate each. It is infinite where c encodes as 1.
     """
     l = ring.frac_bits
     ulp = 2.0 ** -l
     keep = float(decode(encode(1 - cfg.alpha * cfg.lambda_reg, ring), ring))
-    alpha = _row_factor(n, cfg.alpha, l) * n / 2.0 ** (l + mean_bits(n, cfg.alpha))
+    alpha = _row_factor(n, cfg.alpha, l) * n / 2.0 ** (_factor_bits(l) + mean_bits(n, cfg.alpha))
     # |sigmoid - label|; the 8 ulps cover the sigmoid's rounding on coarser rings
     err = 1 + KERNEL_TOLERANCES["sigmoid_b4"].bound + 8 * ulp
     spread = np.sqrt(d) * ulp  # one ulp on every coordinate
-    drive = alpha * (cfg.row_norm + spread) * err + 2 * spread
+    drive = alpha * cfg.row_norm * err + 2 * spread
     return cfg.row_norm * drive / (1 - keep) if keep < 1 else math.inf
 
 
@@ -200,36 +201,36 @@ def forward_magnitude_bits(bound: float, ring: RingConfig) -> int:
 
 
 def mean_bits(b: int, alpha: float) -> int:
-    """q with alpha 2^q / b in [1, 2): rows scaled by that factor give alpha
-    times a b-row mean gradient as a shift by q."""
+    """q with alpha 2^q / b in [1, 2): the error scaled by that factor gives
+    alpha times a b-row mean gradient as a shift by q."""
     m, e = math.frexp(b / alpha)
     return e - 1 if m == 0.5 else e
 
 
+def _factor_bits(l: int) -> int:
+    """The fractional bits of backward's factor: l, and fewer from 20 bits
+    on, so that the error at 2l bits (about 1) times the factor (below 2)
+    stays below 2^61."""
+    return min(l, 59 - 2 * l)
+
+
 def _row_factor(b: int, alpha: float, l: int) -> int:
-    """alpha 2^q / b at l fractional bits, rounded (mean_bits)."""
-    return round(alpha * 2.0 ** (l + mean_bits(b, alpha)) / b)
+    """alpha 2^q / b at _factor_bits(l) fractional bits, rounded (mean_bits)."""
+    return round(alpha * 2.0 ** (_factor_bits(l) + mean_bits(b, alpha)) / b)
 
 
-def scale_rows(eng, X, alpha: float):
-    """X's n rows times alpha 2^q / n at l bits (mean_bits), in one
-    truncation. The backward pass on such rows gives alpha times the mean
-    gradient as a shift by l + q, which the next forward pass's truncation
-    takes, with the product's extra fractional bits."""
-    l = eng.frac_bits
-    return eng.trunc(eng.mul_public_int(X, _row_factor(X.shape[0], alpha, l)), l)
-
-
-def backward(eng, scaled, predictions, t):
+def backward(eng, X, predictions, t, alpha: float):
     """alpha 2^q times the mean gradient (1/n) X^T (predictions - t) on
-    shares, at 2l fractional bits, from the rows of X as scale_rows gives
-    them and the predictions at 2l bits: one round, which truncates the
-    error and multiplies it by the rows (tmul). The labels' terms are
-    multiples of 2^l, so the truncation is the sigmoid's own."""
+    shares, at 2l fractional bits, from X's n rows and the predictions at
+    2l bits: one round, which truncates the error times alpha 2^q / n
+    (_row_factor) and multiplies it by the rows (tmul). The labels' terms
+    stay multiples of the shift, 2^(l + _factor_bits(l)), so the
+    truncation is the sigmoid's own."""
     l = eng.frac_bits
     with eng.phase("backward"):
         err = eng.sub(predictions, eng.mul_public_int(t, 1 << l))
-        _, prods = eng.tmul(err[:, None], l, scaled)
+        scaled = eng.mul_public_int(err, _row_factor(X.shape[0], alpha, l))
+        _, prods = eng.tmul(scaled[:, None], l + _factor_bits(l), X)
         return eng.sum(prods, axis=0)
 
 
@@ -244,24 +245,6 @@ def update(eng, w_l, grad, grad_shift: int, cfg: TrainingConfig) -> ModelState:
     return ModelState(eng.mul_public_int(w_l, keep), eng.neg(grad), grad_shift)
 
 
-def train_logreg(eng, X, t, cfg: TrainingConfig):
-    """cfg.steps() gradient steps from zero on shares of scaled rows; returns
-    weight shares. A lambda_reg whose sigmoid_input_bound leaves the ring
-    is refused before any round (forward_magnitude_bits)."""
-    n, d = X.shape
-    shift = eng.frac_bits + mean_bits(n, cfg.alpha)
-    bound = sigmoid_input_bound(cfg, n, d, eng.cfg)
-    forward_magnitude_bits(bound, eng.cfg)  # refuses a bound beyond the ring
-    with eng.phase("backward"):
-        scaled = scale_rows(eng, X, cfg.alpha)
-    state = ModelState(eng.zeros(d), eng.zeros(d), shift)
-    for _ in range(cfg.steps(eng.cfg)):
-        predictions, w_l = forward(eng, X, state, bound)
-        state = update(eng, w_l, backward(eng, scaled, predictions, t), shift, cfg)
-    with eng.phase("finalize"):
-        return _weights(eng, state)[0]
-
-
 def append_bias(eng, X):
     """Append an always-one feature column."""
     n = X.shape[0]
@@ -271,8 +254,22 @@ def append_bias(eng, X):
 
 def train_pipeline(eng, X, t, cfg: TrainingConfig):
     """The full training stage on the owners' scaled rows (l2_normalize):
-    optional bias column, then regularized gradient descent. Returns weight
-    shares."""
+    optional bias column, then cfg.steps() gradient steps from zero.
+    Returns weight shares. A lambda_reg whose sigmoid_input_bound leaves
+    the ring is refused before any round (forward_magnitude_bits)."""
     if cfg.add_bias:
         X = append_bias(eng, X)
-    return train_logreg(eng, X, t, cfg)
+    n, d = X.shape
+    l = eng.frac_bits
+    shift = l + mean_bits(n, cfg.alpha)
+    bound = sigmoid_input_bound(cfg, n, d, eng.cfg)
+    forward_magnitude_bits(bound, eng.cfg)  # refuses a bound beyond the ring
+    state = ModelState(eng.zeros(d), eng.zeros(d), shift)
+    # at the zero weights every sigmoid tier gives exactly 1/2, at 2l bits
+    predictions, w_l = eng.from_public(np.full(n, 1 << 2 * l - 1, dtype=np.uint64)), eng.zeros(d)
+    for step in range(cfg.steps(eng.cfg)):
+        if step:
+            predictions, w_l = forward(eng, X, state, bound)
+        state = update(eng, w_l, backward(eng, X, predictions, t, cfg.alpha), shift, cfg)
+    with eng.phase("finalize"):
+        return _weights(eng, state)[0]

@@ -12,12 +12,12 @@ from veiltrain.noise import DpParams, perturb_weights
 from veiltrain.shareio import DEFAULTS
 
 # 20x4 horizontal, the defaults' 7 steps, 3 noise draws, thread executor.
-# The noise (31 rounds) runs beside training (37), so training sets the
-# length and every noise round is recorded under training's path; the
-# last round opens the models.
+# The noise (31 rounds) runs beside training (32: the first step is
+# backward alone), so training sets the length and every noise round is
+# recorded under training's path; the last round opens the models.
 ROUNDS_BY_PATH = {
     "-": 1,
-    "forward": 7, "sigmoid": 21, "backward": 8, "finalize": 1,
+    "forward": 6, "sigmoid": 18, "backward": 7, "finalize": 1,
 }
 # the noise's rounds that rode in training's: its 31, and in 6 of them
 # both of its own branches (4 with the exponents beside the uniforms and
@@ -27,7 +27,7 @@ OVERLAP_BY_PATH = {
     "perturb/uniform": 2, "perturb/geometric": 4, "perturb/sin_cos": 7,
     "perturb/rsqrt": 19, "perturb": 5,
 }
-WIRE_BYTES = 96_108  # party 0, sent plus received
+WIRE_BYTES = 88_490  # party 0, sent plus received
 
 # the noise alone at d = 50 with 100 draws, then the opening of the models:
 # the noise-wide benchmark's shape at a tenth of its batch

@@ -1,3 +1,4 @@
+import math
 from dataclasses import fields
 
 import numpy as np
@@ -7,13 +8,14 @@ from veiltrain.cleartext import normalize_rows, sigmoid, train_lr_clear
 from veiltrain.dealer import MaterialSource
 from veiltrain.datasets import synth_data
 from veiltrain.engine import PlainEngine, estimate_counts
-from veiltrain.errors import VeiltrainError
+from veiltrain.errors import ParseError, VeiltrainError
 from veiltrain.fixedpoint import RingConfig, decode, encode, to_signed
 from veiltrain.kernels import (KERNEL_TOLERANCES, SIG4_POWER, SIG5_ODD, SIGMOID_BOUND,
                                SIGMOID_ODD_BOUND)
-from veiltrain.training import (SLOPE_SLACK, ModelState, TrainingConfig, l2_normalize, backward,
-                                forward, forward_magnitude_bits, mean_bits, scale_rows,
-                                sigmoid_input_bound, train_logreg, train_pipeline, update)
+from veiltrain.shareio import DEFAULTS, ring_from_config
+from veiltrain.training import (SLOPE_SLACK, ModelState, TrainingConfig, _row_factor,
+                                l2_normalize, backward, forward, forward_magnitude_bits,
+                                mean_bits, sigmoid_input_bound, train_pipeline, update)
 
 from conftest import mirror_weights, run_both
 
@@ -166,8 +168,7 @@ def test_backward_zero_when_predictions_match():
     X = normalize_rows(rng.uniform(-1, 1, (10, 4)))
     t = rng.integers(0, 2, 10).astype(float)
     eng = plain(14)
-    scaled = scale_rows(eng, enc_pub(eng, X), 1.0)
-    g = _gradient(eng, backward(eng, scaled, enc2l(eng, t), enc_pub(eng, t)), 10)
+    g = _gradient(eng, backward(eng, enc_pub(eng, X), enc2l(eng, t), enc_pub(eng, t), 1.0), 10)
     assert np.abs(g).max() <= 2**-18
 
 
@@ -177,14 +178,13 @@ def test_backward_single_example():
     X[0, 0] = 1.0
     preds = np.array([0.75])
     t = np.array([0.25])
-    scaled = scale_rows(eng, enc_pub(eng, X), 1.0)
-    g = _gradient(eng, backward(eng, scaled, enc2l(eng, preds), enc_pub(eng, t)), 1)
+    g = _gradient(eng, backward(eng, enc_pub(eng, X), enc2l(eng, preds), enc_pub(eng, t), 1.0), 1)
     assert np.abs(g - [0.5, 0.0, 0.0]).max() <= 2**-16
 
 
 def test_backward_is_the_mean_gradient_of_every_batch():
-    # alpha / b for 300, 128 and 44 rows is folded into the rows' scale and
-    # the truncation's shift
+    # alpha / b for 300, 128 and 44 rows is folded into the error's scale
+    # and the truncation's shift
     rng = np.random.default_rng(27)
     X = normalize_rows(rng.uniform(-1, 1, (300, 5)))
     p = rng.uniform(0, 1, 300)
@@ -193,9 +193,8 @@ def test_backward_is_the_mean_gradient_of_every_batch():
     for alpha in (1.0, 0.1, TrainingConfig().alpha):
         for rows in (slice(0, 300), slice(0, 128), slice(256, 300)):
             b = len(t[rows])
-            scaled = scale_rows(eng, enc_pub(eng, X[rows]), alpha)
-            g = _gradient(eng, backward(eng, scaled, enc2l(eng, p[rows]),
-                                        enc_pub(eng, t[rows])), b, alpha)
+            g = _gradient(eng, backward(eng, enc_pub(eng, X[rows]), enc2l(eng, p[rows]),
+                                        enc_pub(eng, t[rows]), alpha), b, alpha)
             want = alpha * X[rows].T @ (p[rows] - t[rows]) / b
             assert np.abs(g - want).max() <= 2**-17
 
@@ -207,11 +206,29 @@ def test_backward_matches_mirror_on_200x20():
     t = rng.integers(0, 2, 200).astype(float)
 
     def fn(eng):
-        return eng.open(backward(eng, scale_rows(eng, enc_pub(eng, X), 0.1),
-                                 enc2l(eng, p), enc_pub(eng, t)))
+        return eng.open(backward(eng, enc_pub(eng, X), enc2l(eng, p), enc_pub(eng, t), 0.1))
 
     (r0, _), _ = run_both(fn, seed=17)
     assert np.array_equal(r0, fn(plain(17)))
+
+
+def test_backward_scaled_error_stays_below_2_61_on_every_ring():
+    # backward truncates the error at 2l bits, |p - t| <= 1 + the sigmoid's
+    # error and 8 ulps, times alpha 2^q / n at _factor_bits(l) bits. Within
+    # an octave of n (one q) the factor falls as n grows, so over n from 1
+    # to 2^20 it peaks at each octave's first n, floor(alpha 2^k) + 1
+    for bad in (11, 23):
+        with pytest.raises(ParseError, match="frac_bits"):
+            ring_from_config(dict(DEFAULTS, frac_bits=bad))
+    for lam, bias in ((1.0, False), (1.0, True), (0.25, False), (0.1, True), (2.0 ** -10, False)):
+        alpha = TrainingConfig(lambda_reg=lam, add_bias=bias).alpha
+        firsts = {math.floor(alpha * 2.0 ** k) + 1 for k in range(-4, 21)}
+        ns = sorted(n for n in firsts | set(range(1, 1025)) if n <= 2 ** 20)
+        for l in range(12, 23):
+            ring_from_config(dict(DEFAULTS, frac_bits=l))
+            err = math.ceil((1 + KERNEL_TOLERANCES["sigmoid_b4"].bound + 8 * 2.0 ** -l)
+                            * 2.0 ** (2 * l))
+            assert max(_row_factor(n, alpha, l) for n in ns) * err < 2 ** 61
 
 
 def _run_update(eng, w, g, cfg):
@@ -310,8 +327,8 @@ def test_train_mirror_bit_exact_50x5():
 
 
 def _iterates(monkeypatch, X, t, tc, seed):
-    """Mirror training: the weights at l bits of every forward pass, then
-    the final weights."""
+    """Mirror training: the weights at l bits of every forward pass (from
+    the second step on), then the final weights."""
     from veiltrain import training
 
     seen = []
@@ -332,10 +349,28 @@ def test_training_loss_monotone_shadow(monkeypatch):
     X, t = synth_data(80, 8, seed=32, separability=1.0)
     Xn = normalize_rows(X)
     for lam in (1.0, 0.1):
-        iterates = _iterates(monkeypatch, X, t, TrainingConfig(lambda_reg=lam), 33)
-        assert not np.any(iterates[0])  # the zero init
+        # the zero init, which no forward pass sees
+        iterates = [np.zeros(8)] + _iterates(monkeypatch, X, t, TrainingConfig(lambda_reg=lam), 33)
         losses = [regularized_loss(w, Xn, t, lam) for w in iterates]
         assert all(b - a <= 1e-6 for a, b in zip(losses, losses[1:]))
+
+
+def test_first_step_runs_backward_alone(monkeypatch):
+    # step 1 starts from the public predictions 1/2 of the zero weights, so
+    # a run of k steps calls forward k - 1 times; one step is one backward
+    X, t = synth_data(30, 4, seed=39, separability=1.0)
+    one = TrainingConfig(lambda_reg=2.0 ** 19)
+    assert one.steps(RING) == 1
+    for tc in (one, TrainingConfig(), TrainingConfig(lambda_reg=0.1)):
+        forward_passes = len(_iterates(monkeypatch, X, t, tc, 40)) - 1
+        assert forward_passes == tc.steps(RING) - 1
+
+    def fn(eng):
+        train_pipeline(eng, owner_rows(eng, X), enc_pub(eng, t), one)
+
+    _, engines = run_both(fn, seed=41)
+    rounds = {p: v["rounds"] for p, v in engines[0].rt.transcript.paths.items() if v["rounds"]}
+    assert rounds == {"backward": 1, "finalize": 1}
 
 
 def test_partition_independence_of_training():
@@ -444,7 +479,7 @@ def test_every_step_costs_its_pinned_rounds(lams, sigmoid_rounds):
     assert added == {"forward": steps, "sigmoid": sigmoid_rounds * steps, "backward": steps}
 
 
-def _largest_sigmoid_input(monkeypatch, X, t, tc, seed):
+def _largest_sigmoid_input(monkeypatch, X, t, tc, seed, ring=RING):
     """Mirror training: the largest |z| the sigmoid sees, and the bound it is given."""
     from veiltrain import training
 
@@ -458,7 +493,7 @@ def _largest_sigmoid_input(monkeypatch, X, t, tc, seed):
         return real(eng, z, **kw)
 
     monkeypatch.setattr(training, "secure_sigmoid", spy)
-    eng = plain(seed)
+    eng = PlainEngine(MaterialSource(seed, ring), ring)
     train_pipeline(eng, owner_rows(eng, X), enc_pub(eng, t), tc)
     (bound,) = bounds
     return seen[0], bound
@@ -466,25 +501,27 @@ def _largest_sigmoid_input(monkeypatch, X, t, tc, seed):
 
 def test_sigmoid_input_stays_within_its_public_bound(monkeypatch):
     # from the zero init |w| grows toward the minimizer, at most R / lambda;
-    # identical rows with one label drive it furthest along them
+    # identical rows with one label drive it furthest along them. At 22
+    # bits backward's factor keeps only 15 fractional bits
     n, m, seed = 8, 4, 50
     X, _ = synth_data(n, m, seed=51, separability=1.0)
     aligned = np.tile(np.random.default_rng(52).uniform(-1, 1, m), (n, 1))
     ratios = []
-    for data in (X, aligned):
-        for t in (np.zeros(n), np.ones(n), np.arange(n) % 2.0):
-            for lam, bias in ((1.0, False), (1.0, True), (0.25, False), (0.1, True)):
-                tc = TrainingConfig(lambda_reg=lam, add_bias=bias)
-                top, bound = _largest_sigmoid_input(monkeypatch, data, t, tc, seed)
-                assert bound == sigmoid_input_bound(tc, n, m + bias, RING)
-                assert top <= bound
-                ratios.append(top / bound)
-    # about R^2 / lambda: 1.0001 at the defaults, 2.0001 with the bias
-    # column, both bounded; the clamp runs from lambda 1/4 (4.0002)
-    assert sigmoid_input_bound(TrainingConfig(), n, m, RING) == pytest.approx(1.0, abs=1e-4)
-    assert sigmoid_input_bound(TrainingConfig(add_bias=True), n, m + 1,
-                               RING) == pytest.approx(2.0, abs=2e-4)
-    assert sigmoid_input_bound(TrainingConfig(lambda_reg=0.25), n, m, RING) > SIGMOID_BOUND
+    for ring in (RING, RingConfig(22)):
+        for data in (X, aligned):
+            for t in (np.zeros(n), np.ones(n), np.arange(n) % 2.0):
+                for lam, bias in ((1.0, False), (1.0, True), (0.25, False), (0.1, True)):
+                    tc = TrainingConfig(lambda_reg=lam, add_bias=bias)
+                    top, bound = _largest_sigmoid_input(monkeypatch, data, t, tc, seed, ring)
+                    assert bound == sigmoid_input_bound(tc, n, m + bias, ring)
+                    assert top <= bound
+                    ratios.append(top / bound)
+        # about R^2 / lambda: 1.0001 at the defaults, 2.0001 with the bias
+        # column, both bounded; the clamp runs from lambda 1/4 (4.0002)
+        assert sigmoid_input_bound(TrainingConfig(), n, m, ring) == pytest.approx(1.0, abs=1e-4)
+        assert sigmoid_input_bound(TrainingConfig(add_bias=True), n, m + 1,
+                                   ring) == pytest.approx(2.0, abs=2e-4)
+        assert sigmoid_input_bound(TrainingConfig(lambda_reg=0.25), n, m, ring) > SIGMOID_BOUND
     print(f"largest |z| / B over the sweep: {max(ratios):.3f}")
 
 
@@ -535,7 +572,7 @@ def test_forward_magnitude_width_follows_the_input_bound():
         assert sigmoid_input_bound(tc, n, d, RING) == pytest.approx(bound, rel=1e-3)
         eng = plain(63)
         with pytest.raises(VeiltrainError, match="lambda_reg"):
-            train_logreg(eng, eng.zeros((n, d)), eng.zeros(n), tc)
+            train_pipeline(eng, eng.zeros((n, d)), eng.zeros(n), tc)
         assert eng.counts() == {}  # refused before any round
 
 
