@@ -31,9 +31,10 @@ round of the product it feeds (engine op tmul):
 * forward truncates the weights and the last step's pending gradient
   term, and multiplies their sum by the rows;
 * the sigmoid returns its output at 2l bits (truncate=False), and backward
-  multiplies the error by the public alpha 2^q / n, truncates it in its
-  product with the rows, and so gives alpha times the mean gradient at
-  l + q extra bits, left for the next forward.
+  truncates the error in its product with the rows;
+* the first backward scales the rows by alpha 2^q / n, truncated in its
+  product with the exact error 1/2 - t, so every backward's sum is alpha
+  times the mean gradient at l + q extra bits, left for the next forward.
 """
 
 from __future__ import annotations
@@ -174,18 +175,18 @@ def sigmoid_input_bound(cfg: TrainingConfig, n: int, d: int, ring: RingConfig) -
     |x . w| <= R |w| for a row norm R: 1 (l2_normalize), times sqrt(2)
     with the bias column. The labels are 0 or 1, so the gradient's
     data term is at most R (1 + the bounded sigmoid's error); alpha is the
-    one backward's rounded factor applies, and the error's truncation
-    there is within its ulps. The weights' and the gradient's truncations
-    add one ulp per coordinate each. It is infinite where c encodes as 1.
+    one backward's rounded row factor applies. The row scaling adds at most
+    alpha ulps per coordinate and step, and each truncation one ulp. It
+    is infinite where c encodes as 1.
     """
     l = ring.frac_bits
     ulp = 2.0 ** -l
     keep = float(decode(encode(1 - cfg.alpha * cfg.lambda_reg, ring), ring))
-    alpha = _row_factor(n, cfg.alpha, l) * n / 2.0 ** (_factor_bits(l) + mean_bits(n, cfg.alpha))
+    alpha = _row_factor(n, cfg.alpha, l) * n / 2.0 ** (l + mean_bits(n, cfg.alpha))
     # |sigmoid - label|; the 8 ulps cover the sigmoid's rounding on coarser rings
     err = 1 + KERNEL_TOLERANCES["sigmoid_b4"].bound + 8 * ulp
     spread = np.sqrt(d) * ulp  # one ulp on every coordinate
-    drive = alpha * cfg.row_norm * err + 2 * spread
+    drive = alpha * (cfg.row_norm + spread) * err + 2 * spread
     return cfg.row_norm * drive / (1 - keep) if keep < 1 else math.inf
 
 
@@ -201,37 +202,38 @@ def forward_magnitude_bits(bound: float, ring: RingConfig) -> int:
 
 
 def mean_bits(b: int, alpha: float) -> int:
-    """q with alpha 2^q / b in [1, 2): the error scaled by that factor gives
-    alpha times a b-row mean gradient as a shift by q."""
+    """q with alpha 2^q / b in [1, 2): rows scaled by that factor give alpha
+    times a b-row mean gradient as a shift by q."""
     m, e = math.frexp(b / alpha)
     return e - 1 if m == 0.5 else e
 
 
-def _factor_bits(l: int) -> int:
-    """The fractional bits of backward's factor: l, and fewer from 20 bits
-    on, so that the error at 2l bits (about 1) times the factor (below 2)
-    stays below 2^61."""
-    return min(l, 59 - 2 * l)
-
-
 def _row_factor(b: int, alpha: float, l: int) -> int:
-    """alpha 2^q / b at _factor_bits(l) fractional bits, rounded (mean_bits)."""
-    return round(alpha * 2.0 ** (_factor_bits(l) + mean_bits(b, alpha)) / b)
+    """alpha 2^q / b at l fractional bits, rounded (mean_bits)."""
+    return round(alpha * 2.0 ** (l + mean_bits(b, alpha)) / b)
 
 
-def backward(eng, X, predictions, t, alpha: float):
+def backward(eng, rows, predictions, t, alpha=None):
     """alpha 2^q times the mean gradient (1/n) X^T (predictions - t) on
-    shares, at 2l fractional bits, from X's n rows and the predictions at
-    2l bits: one round, which truncates the error times alpha 2^q / n
-    (_row_factor) and multiplies it by the rows (tmul). The labels' terms
-    stay multiples of the shift, 2^(l + _factor_bits(l)), so the
-    truncation is the sigmoid's own."""
+    shares, at 2l fractional bits, and the rows of X scaled by alpha 2^q /
+    n at l bits (mean_bits) that it multiplied, in one round (tmul).
+
+    The first step passes X's rows and alpha, and no predictions: at the
+    zero weights they are the public 1/2, so the error 1/2 - t is exact at
+    l bits, and the round truncates the scaled rows. Later steps pass
+    those rows and the predictions at 2l bits, and the round truncates the
+    error; the labels' terms are multiples of 2^l, so that truncation is
+    the sigmoid's own. Both truncated values are at most 2^(2l + 1)."""
     l = eng.frac_bits
     with eng.phase("backward"):
-        err = eng.sub(predictions, eng.mul_public_int(t, 1 << l))
-        scaled = eng.mul_public_int(err, _row_factor(X.shape[0], alpha, l))
-        _, prods = eng.tmul(scaled[:, None], l + _factor_bits(l), X)
-        return eng.sum(prods, axis=0)
+        if predictions is None:
+            err = eng.add_public(eng.neg(t), 1 << l - 1)
+            factor = _row_factor(rows.shape[0], alpha, l)
+            rows, prods = eng.tmul(eng.mul_public_int(rows, factor), l, err[:, None])
+        else:
+            err = eng.sub(predictions, eng.mul_public_int(t, 1 << l))
+            _, prods = eng.tmul(err[:, None], l, rows)
+        return eng.sum(prods, axis=0), rows
 
 
 def update(eng, w_l, grad, grad_shift: int, cfg: TrainingConfig) -> ModelState:
@@ -260,16 +262,15 @@ def train_pipeline(eng, X, t, cfg: TrainingConfig):
     if cfg.add_bias:
         X = append_bias(eng, X)
     n, d = X.shape
-    l = eng.frac_bits
-    shift = l + mean_bits(n, cfg.alpha)
+    shift = eng.frac_bits + mean_bits(n, cfg.alpha)
     bound = sigmoid_input_bound(cfg, n, d, eng.cfg)
     forward_magnitude_bits(bound, eng.cfg)  # refuses a bound beyond the ring
-    state = ModelState(eng.zeros(d), eng.zeros(d), shift)
-    # at the zero weights every sigmoid tier gives exactly 1/2, at 2l bits
-    predictions, w_l = eng.from_public(np.full(n, 1 << 2 * l - 1, dtype=np.uint64)), eng.zeros(d)
-    for step in range(cfg.steps(eng.cfg)):
-        if step:
-            predictions, w_l = forward(eng, X, state, bound)
-        state = update(eng, w_l, backward(eng, X, predictions, t, cfg.alpha), shift, cfg)
+    state, steps = ModelState(eng.zeros(d), eng.zeros(d), shift), cfg.steps(eng.cfg)
+    if steps:
+        grad, rows = backward(eng, X, None, t, cfg.alpha)
+        state = update(eng, eng.zeros(d), grad, shift, cfg)
+    for _ in range(steps - 1):
+        predictions, w_l = forward(eng, X, state, bound)
+        state = update(eng, w_l, backward(eng, rows, predictions, t)[0], shift, cfg)
     with eng.phase("finalize"):
         return _weights(eng, state)[0]

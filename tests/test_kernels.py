@@ -476,7 +476,7 @@ def test_every_truncated_value_stays_below_the_mask_range():
     assert peak(lambda e: kernels.secure_sigmoid(e, enc_pub(e, z54), bound=1.25)) < below4
     assert peak(fwd54) < limit
     # training's other truncation operands, in the mirror: the error at 2l
-    # bits times alpha 2^q / n (backward), and the weights at 2l bits summed with the pending
+    # bits (backward), and the weights at 2l bits summed with the pending
     # gradient alpha 2^q g at 2l bits (forward, finalize); identical rows
     # and constant labels drive the error and the gradient
     n, m = 40, 6

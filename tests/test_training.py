@@ -1,4 +1,4 @@
-import math
+import contextlib
 from dataclasses import fields
 
 import numpy as np
@@ -8,14 +8,13 @@ from veiltrain.cleartext import normalize_rows, sigmoid, train_lr_clear
 from veiltrain.dealer import MaterialSource
 from veiltrain.datasets import synth_data
 from veiltrain.engine import PlainEngine, estimate_counts
-from veiltrain.errors import ParseError, VeiltrainError
+from veiltrain.errors import VeiltrainError
 from veiltrain.fixedpoint import RingConfig, decode, encode, to_signed
 from veiltrain.kernels import (KERNEL_TOLERANCES, SIG4_POWER, SIG5_ODD, SIGMOID_BOUND,
                                SIGMOID_ODD_BOUND)
-from veiltrain.shareio import DEFAULTS, ring_from_config
-from veiltrain.training import (SLOPE_SLACK, ModelState, TrainingConfig, _row_factor,
-                                l2_normalize, backward, forward, forward_magnitude_bits,
-                                mean_bits, sigmoid_input_bound, train_pipeline, update)
+from veiltrain.training import (SLOPE_SLACK, ModelState, TrainingConfig, l2_normalize, backward,
+                                forward, forward_magnitude_bits, mean_bits, sigmoid_input_bound,
+                                train_pipeline, update)
 
 from conftest import mirror_weights, run_both
 
@@ -163,12 +162,17 @@ def _gradient(eng, g_raw, b, alpha=1.0):
     return decode(eng.open(g_raw), RING) / 2.0 ** (eng.frac_bits + mean_bits(b, alpha))
 
 
+def _scaled(eng, X, alpha=1.0):
+    """X's rows as the first step's backward scales them, by alpha 2^q / n."""
+    return backward(eng, enc_pub(eng, X), None, eng.zeros(len(X)), alpha)[1]
+
+
 def test_backward_zero_when_predictions_match():
     rng = np.random.default_rng(13)
     X = normalize_rows(rng.uniform(-1, 1, (10, 4)))
     t = rng.integers(0, 2, 10).astype(float)
     eng = plain(14)
-    g = _gradient(eng, backward(eng, enc_pub(eng, X), enc2l(eng, t), enc_pub(eng, t), 1.0), 10)
+    g = _gradient(eng, backward(eng, _scaled(eng, X), enc2l(eng, t), enc_pub(eng, t))[0], 10)
     assert np.abs(g).max() <= 2**-18
 
 
@@ -178,13 +182,13 @@ def test_backward_single_example():
     X[0, 0] = 1.0
     preds = np.array([0.75])
     t = np.array([0.25])
-    g = _gradient(eng, backward(eng, enc_pub(eng, X), enc2l(eng, preds), enc_pub(eng, t), 1.0), 1)
+    g = _gradient(eng, backward(eng, _scaled(eng, X), enc2l(eng, preds), enc_pub(eng, t))[0], 1)
     assert np.abs(g - [0.5, 0.0, 0.0]).max() <= 2**-16
 
 
 def test_backward_is_the_mean_gradient_of_every_batch():
-    # alpha / b for 300, 128 and 44 rows is folded into the error's scale
-    # and the truncation's shift
+    # alpha / b for 300, 128 and 44 rows is folded into the rows' scale and
+    # the truncation's shift; the first step's predictions are 1/2
     rng = np.random.default_rng(27)
     X = normalize_rows(rng.uniform(-1, 1, (300, 5)))
     p = rng.uniform(0, 1, 300)
@@ -193,10 +197,14 @@ def test_backward_is_the_mean_gradient_of_every_batch():
     for alpha in (1.0, 0.1, TrainingConfig().alpha):
         for rows in (slice(0, 300), slice(0, 128), slice(256, 300)):
             b = len(t[rows])
-            g = _gradient(eng, backward(eng, enc_pub(eng, X[rows]), enc2l(eng, p[rows]),
-                                        enc_pub(eng, t[rows]), alpha), b, alpha)
+            first, scaled = backward(eng, enc_pub(eng, X[rows]), None, enc_pub(eng, t[rows]),
+                                     alpha)
+            g = _gradient(eng, backward(eng, scaled, enc2l(eng, p[rows]),
+                                        enc_pub(eng, t[rows]))[0], b, alpha)
             want = alpha * X[rows].T @ (p[rows] - t[rows]) / b
             assert np.abs(g - want).max() <= 2**-17
+            want = alpha * X[rows].T @ (0.5 - t[rows]) / b
+            assert np.abs(_gradient(eng, first, b, alpha) - want).max() <= 2**-17
 
 
 def test_backward_matches_mirror_on_200x20():
@@ -206,29 +214,50 @@ def test_backward_matches_mirror_on_200x20():
     t = rng.integers(0, 2, 200).astype(float)
 
     def fn(eng):
-        return eng.open(backward(eng, enc_pub(eng, X), enc2l(eng, p), enc_pub(eng, t), 0.1))
+        first, scaled = backward(eng, enc_pub(eng, X), None, enc_pub(eng, t), 0.1)
+        grad, _ = backward(eng, scaled, enc2l(eng, p), enc_pub(eng, t))
+        return eng.open(np.concatenate([first, grad]))
 
     (r0, _), _ = run_both(fn, seed=17)
     assert np.array_equal(r0, fn(plain(17)))
 
 
-def test_backward_scaled_error_stays_below_2_61_on_every_ring():
-    # backward truncates the error at 2l bits, |p - t| <= 1 + the sigmoid's
-    # error and 8 ulps, times alpha 2^q / n at _factor_bits(l) bits. Within
-    # an octave of n (one q) the factor falls as n grows, so over n from 1
-    # to 2^20 it peaks at each octave's first n, floor(alpha 2^k) + 1
-    for bad in (11, 23):
-        with pytest.raises(ParseError, match="frac_bits"):
-            ring_from_config(dict(DEFAULTS, frac_bits=bad))
-    for lam, bias in ((1.0, False), (1.0, True), (0.25, False), (0.1, True), (2.0 ** -10, False)):
-        alpha = TrainingConfig(lambda_reg=lam, add_bias=bias).alpha
-        firsts = {math.floor(alpha * 2.0 ** k) + 1 for k in range(-4, 21)}
-        ns = sorted(n for n in firsts | set(range(1, 1025)) if n <= 2 ** 20)
-        for l in range(12, 23):
-            ring_from_config(dict(DEFAULTS, frac_bits=l))
-            err = math.ceil((1 + KERNEL_TOLERANCES["sigmoid_b4"].bound + 8 * 2.0 ** -l)
-                            * 2.0 ** (2 * l))
-            assert max(_row_factor(n, alpha, l) for n in ns) * err < 2 ** 61
+class _BackwardPeak(PlainEngine):
+    """The mirror, recording the largest |value| that backward truncates."""
+
+    def __init__(self, *args):
+        super().__init__(*args)
+        self.peak, self.at = 0, []
+
+    @contextlib.contextmanager
+    def phase(self, name):
+        self.at.append(name)
+        try:
+            yield
+        finally:
+            self.at.pop()
+
+    def trunc(self, a, shift):
+        if "backward" in self.at and np.size(a):
+            self.peak = max(self.peak, int(np.abs(to_signed(a)).max()))
+        return super().trunc(a, shift)
+
+
+def test_backward_truncates_values_below_2_to_the_2l_plus_2():
+    # the truncation masks are uniform on [-2^62, 2^62): a value x opened
+    # under them keeps about 62 - log2 |x| bits hidden. backward truncates
+    # the rows times alpha 2^q / n (first step) and the error sigma - t at
+    # 2l bits, both at most 2^(2l + 1); identical rows with one label drive
+    # the error furthest
+    n, m = 300, 6
+    aligned = np.tile(np.random.default_rng(53).uniform(-1, 1, m), (n, 1))
+    for ring in (RingConfig(12), RING, RingConfig(22)):
+        for t in (np.zeros(n), np.ones(n)):
+            for lam, bias in ((1.0, False), (1.0, True), (0.1, False)):
+                eng = _BackwardPeak(MaterialSource(54, ring), ring)
+                train_pipeline(eng, owner_rows(eng, aligned), enc_pub(eng, t),
+                               TrainingConfig(lambda_reg=lam, add_bias=bias))
+                assert 2 ** (2 * ring.frac_bits - 2) <= eng.peak < 2 ** (2 * ring.frac_bits + 2)
 
 
 def _run_update(eng, w, g, cfg):
@@ -501,8 +530,8 @@ def _largest_sigmoid_input(monkeypatch, X, t, tc, seed, ring=RING):
 
 def test_sigmoid_input_stays_within_its_public_bound(monkeypatch):
     # from the zero init |w| grows toward the minimizer, at most R / lambda;
-    # identical rows with one label drive it furthest along them. At 22
-    # bits backward's factor keeps only 15 fractional bits
+    # identical rows with one label drive it furthest along them, on the
+    # default ring and the finest
     n, m, seed = 8, 4, 50
     X, _ = synth_data(n, m, seed=51, separability=1.0)
     aligned = np.tile(np.random.default_rng(52).uniform(-1, 1, m), (n, 1))
