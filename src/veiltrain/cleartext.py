@@ -44,8 +44,9 @@ def sigmoid(z):
 
 def train_lr_clear(X, t, cfg: TrainingConfig, seed: int = 0) -> ClearModel:
     """Reference trainer in doubles with the true sigmoid: the session's
-    schedule (cfg.steps() steps of cfg.alpha from zero) on normalized rows.
-    seed is recorded in the model's meta."""
+    schedule (cfg.steps() steps of cfg.alpha from zero; the session's
+    recurrence rounds them up to a power of two) on normalized rows. seed
+    is recorded in the model's meta."""
     X = normalize_rows(np.asarray(X, dtype=np.float64))
     t = np.asarray(t, dtype=np.float64)
     if cfg.add_bias:

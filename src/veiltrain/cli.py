@@ -110,7 +110,6 @@ def cmd_kernel_bench(args):
     th = rng.uniform(0, 2 * np.pi, n)
     z = rng.uniform(-16, 16, n)
     z4 = rng.uniform(-kernels.SIGMOID_BOUND, kernels.SIGMOID_BOUND, n)
-    z54 = rng.uniform(-kernels.SIGMOID_ODD_BOUND, kernels.SIGMOID_ODD_BOUND, n)
     # E = -2 ln u on the Box-Muller domain: u on the l-bit grid of (0, 1], u = 1 included
     bm = -2 * np.log(np.append(rng.integers(1, 2 ** ring.frac_bits, n - 1), 2 ** ring.frac_bits)
                      * 2.0 ** -ring.frac_bits)
@@ -133,9 +132,6 @@ def cmd_kernel_bench(args):
          np.where(z < -8, 0, np.where(z > 8, 1, sigmoid(z)))),
         ("sigmoid_b4", (z4,),
          lambda eng, x: kernels.secure_sigmoid(eng, x, bound=kernels.SIGMOID_BOUND), sigmoid(z4)),
-        ("sigmoid_b1.25", (z54,),
-         lambda eng, x: kernels.secure_sigmoid(eng, x, bound=kernels.SIGMOID_ODD_BOUND),
-         sigmoid(z54)),
         ("bm_radius", (bm,),
          lambda eng, e: eng.trunc(box_muller_radius(eng, e), ring.frac_bits), np.sqrt(exact(bm))),
     ]

@@ -182,6 +182,16 @@ def _rows(a, idx):
     return a if idx is None else a[np.asarray(idx, dtype=np.intp)]
 
 
+def _pairs(square):
+    """tmul's square as a pair (i, j) of row indices (None: all rows): True,
+    a sequence s of rows (i = j = s), or the pair itself, a tuple."""
+    if square is True:
+        return None, None
+    if isinstance(square, tuple):
+        return square
+    return square, square
+
+
 def _summands(x, shift):
     """tmul's (array, shift) pairs: x and shift themselves, or their
     matching sequences zipped."""
@@ -308,8 +318,8 @@ class PlainEngine(BaseEngine):
         if y is not None:
             out.append(self.mul(_rows(t, rows), y))
         if square is not False:
-            s = _rows(t, None if square is True else square)
-            out.append(self.mul(s, s))
+            i, j = _pairs(square)
+            out.append(self.mul(_rows(t, i), _rows(t, j)))
         return Results(out)
 
     def _count_leaf_op(self, a, width, products):
@@ -419,20 +429,22 @@ class MpcEngine(BaseEngine):
         sequences of both (the arrays of one shape where a product is asked
         for); t_i = trunc(x_i, shift_i) and t = sum_i t_i. The products are
         of t's rows (axis 0): t[rows] * y (all of t when rows is None,
-        broadcast against y), then, if square is set, t * t (square True) or
-        t[square] * t[square] (square a sequence of rows). Returns the t_i
-        and then the products asked for; trunc is tmul without products.
+        broadcast against y), then, if square is set, t * t (square True),
+        t[square] * t[square] (square a sequence of rows) or t[i] * t[j]
+        (square a tuple (i, j) of index arrays of one length, repeats
+        allowed). Returns the t_i and then the products asked for; trunc is
+        tmul without products.
 
         It spends what the truncations and mul would: a truncation pair
         (r_i, rs_i) per element of x_i, rs_i being r_i arithmetically
         shifted, and a triple (a, b, c) per product. With rs = sum_i rs_i,
-        the parties open every m_i = x_i + r_i, with rs + a (and rs + b for
-        a square) or y - b for the second operand, all at once. p_i =
-        m_i >> shift_i is public and t_i = p_i - rs_i, so the Beaver masked
-        value t - a = sum_i p_i - (rs + a) needs no round of its own. rs + a
-        and rs + b are uniform, as a and b are; so each round opens as many
-        words as the truncations' and mul's two rounds would, and each
-        x_i + r_i once.
+        the parties open every m_i = x_i + r_i, with rs + a (rs[i] + a and
+        rs[j] + b for a square) or y - b for the second operand, all at
+        once. p_i = m_i >> shift_i is public and t_i = p_i - rs_i, so the
+        Beaver masked value t - a = sum_i p_i - (rs + a) needs no round of
+        its own. rs + a and rs + b are uniform, as a and b are; so each
+        round opens as many words as the truncations' and mul's two rounds
+        would, and each x_i + r_i once.
         """
         terms, sends, jobs = [], [], []  # terms: (shape, shift, rs) per summand
         for a, s in _summands(x, shift):
@@ -448,13 +460,13 @@ class MpcEngine(BaseEngine):
                 shape = np.broadcast_shapes(left.shape, np.shape(y))
                 a, b, c = self._triples(shape)
                 sends += [left + a, np.asarray(y) - b]
-                jobs.append((rows, False, a, b, c))
+                jobs.append((rows, a, b, c))
             if square is not False:
-                idx = None if square is True else square
-                half = _rows(rs, idx)
-                a, b, c = self._triples(half.shape)
-                sends += [half + a, half + b]
-                jobs.append((idx, True, a, b, c))
+                i, j = _pairs(square)
+                left = _rows(rs, i)
+                a, b, c = self._triples(left.shape)
+                sends += [left + a, _rows(rs, j) + b]
+                jobs.append((i, a, b, c))
             opened = self.open(np.concatenate([np.ravel(v) for v in sends]))
             parts = np.split(opened, np.cumsum([np.size(v) for v in sends])[:-1])
             ps = [truncate(m.reshape(shape), s)
@@ -464,11 +476,11 @@ class MpcEngine(BaseEngine):
             if jobs:
                 p = functools.reduce(self.add, ps)
             parts = parts[len(terms):]
-            for k, (idx, squared, a, b, c) in enumerate(jobs):
-                d = _rows(p, idx) - parts[2 * k].reshape(a.shape)
+            for k, (i, a, b, c) in enumerate(jobs):
+                d = _rows(p, i) - parts[2 * k].reshape(a.shape)
                 e = parts[1 + 2 * k].reshape(a.shape)
-                if squared:
-                    e = _rows(p, idx) - e
+                if k == len(jobs) - 1 and square is not False:  # the square's
+                    e = _rows(p, _pairs(square)[1]) - e
                 z = c + d * b + e * a
                 if self.party == 0:
                     z += d * e

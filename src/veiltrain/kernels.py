@@ -15,8 +15,8 @@ no normalization either: -ln U = e ln 2 - ln m, with the exponent e from
 the engine's joint_geometric and ln m a fit in the mantissa's own uniform.
 Signs alone (the division's sign, the sigmoid's clamps) come from the
 engine's msb op. The sigmoid is an odd polynomial: on an input with a
-public bound |z| <= 5/4 it is of degree 5 and takes 3 rounds, on one with
-|z| <= 4 it needs no clamp, otherwise it clamps its input to |z| <= 8.
+public bound |z| <= 4 it needs no clamp, otherwise it clamps its input to
+|z| <= 8.
 Every polynomial is evaluated in the power basis: the powers take one
 fused truncate and multiply round (engine op tmul) per doubling, and the
 sum is local. Iteration counts and degrees are fixed, so transcripts
@@ -37,10 +37,6 @@ round fewer than 8 and 14), converted to the power basis at import:
   SIG4_CHEB: (sigmoid(4t) - 1/2)/t likewise, weighted by t (Lawson
             iterations) so the sigmoid's own error t (q~ - q) is minimax:
             1.7e-5 on |z| <= 4, where the unweighted fit has 3.3e-5
-The degree-5 fit is already in the power basis:
-  SIG5_ODD: sigmoid(2t) - 1/2 = c1 t + c3 t^3 + c5 t^5 on |t| <= 5/8, the
-            minimax fit (a linear program on a 20001-point grid): 1.12e-5
-            on |z| <= 5/4, with the slope in [0.1735, 0.24994]
 """
 
 from __future__ import annotations
@@ -85,7 +81,6 @@ LNM_CHEB = (
     -0.0004332758886100403, 5.9470711989546305e-05, -8.502967541137037e-06,
     1.2504673620643344e-06, -1.8772799545560474e-07,
 )
-SIG5_ODD = (0.4998713763046532, -0.1639070067247261, 0.05146248930881692)  # c1, c3, c5
 # the same fits in the power basis of their arguments: sum_k a[k] v^k. The
 # constant of LN_POWER is pinned to ln(1/2) (a shift of 7.6e-6): one is
 # m = 1/2 in its top leaf at the Box-Muller width, so ln(1) is exactly 0
@@ -112,11 +107,11 @@ _RSQRT_STEPS = 2
 # every accepted ring: rounding makes it largest on the coarsest, 2^-8.8 at
 # l = 12, where the float iteration alone reaches 2^-12.2
 RSQRT_RESIDUAL_BITS = 8
+RSQRT_START_BITS = 56  # the quadratic start's b2 m^2 summand stays below 2^56
 _MANTISSA_EXTRA = 3  # fractional bits above l on the mantissa and on div's numerator
 SIGMOID_CLAMP_BITS = 3  # the sigmoid clamps at |z| = 2^3
 SIGMOID_BOUND_BITS = 2  # with a public bound |z| <= 2^2 it needs no clamp
 SIGMOID_BOUND = 2.0 ** SIGMOID_BOUND_BITS
-SIGMOID_ODD_BOUND = 1.25  # with a public bound |z| <= 5/4 the degree-5 fit runs
 _TURNS_EXTRA = 8        # fractional bits above l on sin_cos's 1/(2 pi)
 
 
@@ -137,9 +132,7 @@ KERNEL_TOLERANCES = {
     "sin": KernelTolerance("sin", 2.0 ** -12, "theta in [0, 2pi]"),
     "cos": KernelTolerance("cos", 2.0 ** -12, "theta in [0, 2pi]"),
     "sigmoid": KernelTolerance("sigmoid", 1e-3, "any z; its value at +-8 beyond |z| = 8"),
-    # sigmoid_b4 also bounds the degree-5 tier's error, for training's analysis
     "sigmoid_b4": KernelTolerance("sigmoid_b4", 3.9e-5, "|z| <= 4 under a public bound"),
-    "sigmoid_b1.25": KernelTolerance("sigmoid_b1.25", 2e-5, "|z| <= 5/4 under a public bound"),
     # noise.box_muller_radius: E rsqrt(E) for sqrt(E), E = -2 ln u
     "bm_radius": KernelTolerance("bm_radius", 2.0 ** -12, "E = -2 ln u, u in (0, 1] at l bits"),
 }
@@ -298,10 +291,10 @@ def _sqrt_mantissa(eng, a, magnitude_bits, with_g):
     m_prec = eng.mul(a, factor)
     m, mm = eng.tmul(m_prec, prec - wide, square=True)  # m at wide bits, m^2 at 2 wide
     # h0 = b0 + b1 m + b2 m^2 (b = RSQRT_START / 2) at l bits, and m h0 at l +
-    # wide bits. b2 < 2 at c bits keeps b2 m^2 below 2^(2 wide + c + 1),
-    # within the truncation masks' range 2^(lam - 2)
+    # wide bits. b2 < 2^0.52 at c bits times m^2 < 1 at 2 wide bits keeps
+    # the summand b2 m^2 below 2^RSQRT_START_BITS (rsqrt_start_bits)
     b0, b1, b2 = (x / 2 for x in RSQRT_START)
-    c = min(l, eng.cfg.lam - 4 - 2 * wide)
+    c = rsqrt_start_bits(l)
     *bm, mbm = eng.tmul([eng.mul_public_int(m, to_signed(_enc(eng, b1))),
                          eng.mul_public_int(mm, int(round(b2 * 2.0 ** c)))],
                         [wide, 2 * wide + c - l], m)
@@ -335,6 +328,15 @@ def secure_sqrt(eng, a, magnitude_bits=None):
         _, prods = eng.tmul(eng.stack([eng.mul_public_int(g, 1 << (prec - l)), d]),
                             prec - l, scale)
         return eng.trunc(eng.add(prods[0], eng.trunc(prods[1], l)), l)
+
+
+def rsqrt_start_bits(frac_bits: int) -> int:
+    """Fractional bits of the quadratic start's b2 (_sqrt_mantissa): l, or
+    fewer where b2 m^2 at 2 (l + _MANTISSA_EXTRA) + c bits would reach
+    2^RSQRT_START_BITS. A value opened under the truncation masks, uniform
+    on [-2^62, 2^62), keeps about 62 - log2 |x| bits hidden; the start's
+    residual, 0.147, needs few of b2's bits (at least 5, at l = 22)."""
+    return min(frac_bits, RSQRT_START_BITS - 1 - 2 * (frac_bits + _MANTISSA_EXTRA))
 
 
 def rsqrt_operand_bits(frac_bits: int) -> int:
@@ -457,14 +459,13 @@ def unit_exponentials(eng, e, powers):
 def secure_sigmoid(eng, z, magnitude_bits=None, frac_bits=None, bound=None, truncate=True):
     """Logistic function on shares: 1/2 + t q(2 t^2 - 1), t = z/2^k.
 
-    With a public bound |z| <= bound <= SIGMOID_ODD_BOUND, k = 1 and t q is
-    the odd degree-5 fit SIG5_ODD, in 3 rounds (_odd5). With bound <=
-    SIGMOID_BOUND, k = 2 and q is the degree-6 fit SIG4_POWER; nothing is
-    clamped. Otherwise k = 3 and q is the degree-12 fit SIG_POWER on |z| <=
-    8, and t is clamped to [-1, 1] before any power is taken (_clamp), so
-    beyond |z| = 8 the sigmoid is its value at +-8: both clamp signs come
-    from one msb call on 1 - t and 1 + t, and one product with the middle
-    segment's indicator clamps t and t^2.
+    With a public bound |z| <= bound <= SIGMOID_BOUND, k = 2 and q is the
+    degree-6 fit SIG4_POWER; nothing is clamped. Otherwise k = 3 and q is
+    the degree-12 fit SIG_POWER on |z| <= 8, and t is clamped to [-1, 1]
+    before any power is taken (_clamp), so beyond |z| = 8 the sigmoid is
+    its value at +-8: both clamp signs come from one msb call on 1 - t and
+    1 + t, and one product with the middle segment's indicator clamps t
+    and t^2.
 
     z carries frac_bits fractional bits (l by default); the first round
     truncates it to t at l bits and squares it. The powers of v come from
@@ -475,36 +476,20 @@ def secure_sigmoid(eng, z, magnitude_bits=None, frac_bits=None, bound=None, trun
     caller's next tmul to truncate.
     """
     l = eng.frac_bits
-    odd = bound is not None and bound <= SIGMOID_ODD_BOUND
     bounded = bound is not None and bound <= SIGMOID_BOUND
-    k = 1 if odd else SIGMOID_BOUND_BITS if bounded else SIGMOID_CLAMP_BITS
+    k = SIGMOID_BOUND_BITS if bounded else SIGMOID_CLAMP_BITS
     coeffs = SIG4_POWER if bounded else SIG_POWER
     shift = (l if frac_bits is None else frac_bits) - l + k
     with eng.phase("sigmoid"):
         t, tt = eng.tmul(z, shift, square=True)  # z/2^k at l bits, its square at 2l
         if not bounded:
             t, tt = _clamp(eng, t, tt, magnitude_bits)
-        if odd:
-            core = _odd5(eng, t, tt)
-        else:
-            v = eng.add_public(eng.mul_public_int(tt, 2), _unit(eng, 2 * l, -1))
-            powers = _powers(eng, v, l, len(coeffs) - 1)
-            _, core = eng.tmul(_poly_2l(eng, powers, coeffs), l, t)
+        v = eng.add_public(eng.mul_public_int(tt, 2), _unit(eng, 2 * l, -1))
+        powers = _powers(eng, v, l, len(coeffs) - 1)
+        _, core = eng.tmul(_poly_2l(eng, powers, coeffs), l, t)
         if truncate:
             return eng.add_public(eng.trunc(core, l), _unit(eng, l - 1))
         return eng.add_public(core, _unit(eng, 2 * l - 1))
-
-
-def _odd5(eng, t, u):
-    """c1 t + c3 t u + c5 t u^2 at 2l bits (SIG5_ODD), from t at l bits and
-    u = t^2 at 2l, in two rounds: u and c5 t are truncated while u is
-    squared, then u^2 + (c3/c5) u is truncated while it multiplies c5 t."""
-    l = eng.frac_bits
-    c1, c3, c5 = SIG5_ODD
-    c1, ratio, c5 = (to_signed(_enc(eng, c)) for c in (c1, c3 / c5, c5))
-    (u, c5t), (uu,) = eng.tmul(eng.stack([u, eng.mul_public_int(t, c5)]), l, square=[0])
-    _, _, core = eng.tmul([uu, eng.mul_public_int(u, ratio)], [l, l], c5t)
-    return eng.add(core, eng.mul_public_int(t, c1))
 
 
 def _clamp(eng, t, tt, magnitude_bits):

@@ -132,9 +132,12 @@ def sample_noise(eng, dp: DpParams, batch: tuple = ()):
     k) is truncated from the exponentials at 2l bits beside sin/cos's
     squaring round. One rsqrt over [E_i, S/4^a] then gives R_i = E_i
     rsqrt(E_i) and K = Gamma 2^a / ||g||, while sin, cos and the Gamma are
-    truncated beside it. At odd d the tail's E (1 + cos 2 theta) / 2 joins
-    S first: E cos 2 theta rides in the round that truncates sin and cos,
-    and one truncation follows, so odd d takes two rounds more than even.
+    truncated beside it. R_i K is formed first, as tmul's pairs, and
+    truncated while it multiplies (cos, sin): k products a draw, not the
+    2k of scaling R_i (cos, sin) by K. At odd d the tail's E (1 + cos 2
+    theta) / 2 joins S first: E cos 2 theta rides in the round that truncates sin
+    and cos, and one truncation follows, so odd d takes two rounds more
+    than even.
     The angles' and the mantissas' uniforms are two draws, though one would
     save a round: measured on the benchmark's noise-wide (d = 50, 1000
     draws), one merged draw raised the setup time from 0.033 to 0.047 s."""
@@ -174,9 +177,9 @@ def sample_noise(eng, dp: DpParams, batch: tuple = ()):
         if trig:
             sin, cos = trig[0]
         *_, rk = eng.tmul(y, [l, 2 * l], np.concatenate([r2, gamma[None]]))  # R at 2l, K at l + f
-        t, g = eng.tmul(rk, l, eng.stack([cos, sin]), rows=range(k))  # g = R (cos, sin) at 2l
-        _, eta = eng.tmul(g, l, t[k])  # eta 2^a at l + f bits
-        return _coordinates(eng.trunc(eta, f + a), d, batch)
+        _, rk = eng.tmul(rk, l, square=(range(k), [k] * k))  # R K at l + f bits
+        _, eta = eng.tmul(rk, f, eng.stack([cos, sin]))  # eta 2^a at 2l bits
+        return _coordinates(eng.trunc(eta, l + a), d, batch)
 
 
 def perturb_weights(eng, w, dp: DpParams, batch: tuple = ()):

@@ -3,30 +3,39 @@
 The owners scale their own rows before they share them (l2_normalize, run
 by ingest): every row's norm is then at most 1, exactly, at the encoded
 values. The parties start from zero weights and run full-batch gradient
-descent on the L2-regularized logistic loss:
+descent on an L2-regularized loss:
 
     weights <- (1 - alpha lambda) weights - alpha gradient
 
-Only lambda is a hyperparameter. The objective is mu = lambda strongly
-convex and L = lambda + R^2 (1/4 + SLOPE_SLACK) smooth for rows of norm at
-most R (1, sqrt 2 with the bias column), so the step alpha = 2/(L + mu)
-contracts the distance to the minimizer by (L - mu)/(L + mu) per step, and
-the step count follows from the precision (TrainingConfig.steps). At that
-step every iterate, like the minimizer, has L2 sensitivity at most
-2R/(n lambda) (Wu et al., SIGMOD 2017), which is what the noise is
-calibrated to.
+Only lambda is a hyperparameter. For rows of norm at most R (1, sqrt 2
+with the bias column) the loss is mu = lambda strongly convex and L
+smooth, so the step alpha = 2/(L + mu) contracts the distance to the
+minimizer by 1 - alpha lambda per step, and the step count follows from
+the precision (TrainingConfig.steps). At every step the iterate, like the
+minimizer, has L2 sensitivity at most 2R/(n lambda) while the loss's
+derivative in x . w is at most 1 (Wu et al., SIGMOD 2017): that is what
+the noise is calibrated to.
 
-A public bound on the sigmoid's input (sigmoid_input_bound), about R^2 /
-lambda, lets the sigmoid skip its clamp where it is at most 4, and take
-an odd degree-5 fit where it is at most 5/4 (1.002 at the defaults). The
-update multiplies by public ring constants only, so it costs no
-communication.
+The linear tier (lambda >= R^2/2, TrainingConfig.linear) replaces the
+sigmoid by 1/2 + z/4: gradient descent on the logistic loss's
+second-order surrogate z^2/8 + (1/2 - t) z, as the functional mechanism
+(Zhang et al., PVLDB 2012) approximates it. It is L = lambda + R^2/4
+smooth, and its derivative z/4 + 1/2 - t is at most 1/2 + B/4 <= 1 for
+|z| <= B = 2R^2/(4 lambda - R^2) <= 2. The gradient is then affine in the
+weights, w <- M w + c with M = (1 - alpha lambda) I - (alpha/4) X^T X / n
+and c = alpha X^T (t - 1/2) / n, so 2^k steps (recurrence) take k + 2
+rounds: one forms X^T X and X^T (t - 1/2), k square (P, v) -> (P^2,
+P v + v) from (M, c), and one truncates w. Where d is so wide that the
+Gram deals more triples, the tier runs the step loop with the local
+prediction 1/2 + z/4 (takes_recurrence): 2 rounds a step.
 
-A step is 5 rounds on the degree-5 sigmoid: forward 1, sigmoid 3,
-backward 1 (8 on the degree-6 one, whose sigmoid takes 6). The first step
-is backward alone: at the zero weights every sigmoid tier gives exactly
-the public 1/2. No truncation takes a round of its own; each rides in the
-round of the product it feeds (engine op tmul):
+Below R^2/2 the loop runs the sigmoid, under a public bound on its input
+(sigmoid_input_bound, about R^2 / lambda) that lets it skip its clamp
+where it is at most 4: a step is then 8 rounds, forward 1, sigmoid 6,
+backward 1. On either loop the first step is backward alone: at the zero
+weights every prediction is exactly the public 1/2. No truncation takes a
+round of its own; each rides in the round of the product it feeds (engine
+op tmul):
 
 * forward truncates the weights and the last step's pending gradient
   term, and multiplies their sum by the rows;
@@ -52,8 +61,9 @@ from .kernels import KERNEL_TOLERANCES, secure_sigmoid
 # sigmoid_input_bound, about R^2 / lambda, is below 2^12 for lambda above
 # 2^-12
 _FORWARD_MAGNITUDE_BITS = 12
-# slack on the sigmoid's slope 1/4 in the smoothness constant L: it covers
-# the bounded sigmoids' slope (at most 0.24994, on |z| <= 4 and 5/4)
+# slack on the sigmoid's slope 1/4 in the smoothness constant L of the
+# sigmoid tiers: it covers the bounded sigmoid's slope (at most 0.24994 on
+# |z| <= 4)
 SLOPE_SLACK = 2.0 ** -10
 
 
@@ -78,9 +88,18 @@ class TrainingConfig:
         return math.sqrt(2.0) if self.add_bias else 1.0
 
     @property
+    def linear(self) -> bool:
+        """Whether the linear-sigmoid tier trains: lambda >= R^2/2, so that
+        its public bound B = 2R^2/(4 lambda - R^2) on |x . w| is at most 2.
+        R^2 = 1 + add_bias is exact, where sqrt(2)^2 rounds above 2."""
+        return 2 * self.lambda_reg >= 1 + self.add_bias
+
+    @property
     def alpha(self) -> float:
-        """The step 2/(L + mu), mu = lambda, L = lambda + R^2 (1/4 + SLOPE_SLACK)."""
-        return 2.0 / (2 * self.lambda_reg + self.row_norm ** 2 * (0.25 + SLOPE_SLACK))
+        """The step 2/(L + mu), mu = lambda: L = lambda + R^2/4 on the linear
+        tier, lambda + R^2 (1/4 + SLOPE_SLACK) on the sigmoid ones."""
+        slope = 0.25 if self.linear else 0.25 + SLOPE_SLACK
+        return 2.0 / (2 * self.lambda_reg + (1 + self.add_bias) * slope)
 
     def steps(self, ring: RingConfig = RingConfig()) -> int:
         """The fewest k with ((L - mu)/(L + mu))^k R / lambda below one ulp
@@ -148,26 +167,30 @@ def _weights(eng, state: ModelState, X=None):
     return eng.add(w_l, g_l), prods
 
 
-def forward(eng, X, state: ModelState, bound=None):
-    """Predictions sigmoid(X . w) on shares, at 2l fractional bits, from the
-    state's weights and pending gradient, and the weights w at l bits.
+def forward(eng, X, state: ModelState, bound=None, linear=False):
+    """Predictions on shares from the state's weights and pending gradient,
+    and the weights w at l bits: sigmoid(X . w) at 2l fractional bits, or
+    with linear 1/2 + X . w / 4, local, at 2l + 2.
 
     The product round truncates the weights and the gradient (tmul). bound:
     a public bound on |X . w| (sigmoid_input_bound), which lets the sigmoid
     skip its clamp, and sets the clamp's width (forward_magnitude_bits)."""
     l = eng.frac_bits
-    bits = _FORWARD_MAGNITUDE_BITS if bound is None else forward_magnitude_bits(bound, eng.cfg)
     with eng.phase("forward"):
         w_l, (xw,) = _weights(eng, state, X)
         z2l = eng.sum(xw, axis=1)
+        if linear:
+            return eng.add_public(z2l, np.uint64(1 << 2 * l + 1)), w_l
+    bits = _FORWARD_MAGNITUDE_BITS if bound is None else forward_magnitude_bits(bound, eng.cfg)
     predictions = secure_sigmoid(eng, z2l, magnitude_bits=bits,
                                  frac_bits=2 * l, bound=bound, truncate=False)
     return predictions, w_l
 
 
 def sigmoid_input_bound(cfg: TrainingConfig, n: int, d: int, ring: RingConfig) -> float:
-    """A bound on |x . w| over every forward pass of train_pipeline on n rows
-    of d features (the bias column included), from public values only.
+    """A bound on |x . w| over every forward pass of train_pipeline's
+    sigmoid tiers on n rows of d features (the bias column included), from
+    public values only.
 
     The step is w <- c w + u, with c = 1 - alpha lambda at its ring encoding
     and the drive u = -alpha g plus the truncation errors of w and alpha g.
@@ -213,7 +236,7 @@ def _row_factor(b: int, alpha: float, l: int) -> int:
     return round(alpha * 2.0 ** (l + mean_bits(b, alpha)) / b)
 
 
-def backward(eng, rows, predictions, t, alpha=None):
+def backward(eng, rows, predictions, t, alpha=None, frac_bits=None):
     """alpha 2^q times the mean gradient (1/n) X^T (predictions - t) on
     shares, at 2l fractional bits, and the rows of X scaled by alpha 2^q /
     n at l bits (mean_bits) that it multiplied, in one round (tmul).
@@ -221,9 +244,10 @@ def backward(eng, rows, predictions, t, alpha=None):
     The first step passes X's rows and alpha, and no predictions: at the
     zero weights they are the public 1/2, so the error 1/2 - t is exact at
     l bits, and the round truncates the scaled rows. Later steps pass
-    those rows and the predictions at 2l bits, and the round truncates the
-    error; the labels' terms are multiples of 2^l, so that truncation is
-    the sigmoid's own. Both truncated values are at most 2^(2l + 1)."""
+    those rows and the predictions at frac_bits (2l by default), and the
+    round truncates the error to l bits; the labels' terms are multiples
+    of the shift, so that truncation is the prediction's own. The scaled
+    rows are at most 2^(2l + 1), and the error at 2l bits is as well."""
     l = eng.frac_bits
     with eng.phase("backward"):
         if predictions is None:
@@ -231,8 +255,9 @@ def backward(eng, rows, predictions, t, alpha=None):
             factor = _row_factor(rows.shape[0], alpha, l)
             rows, prods = eng.tmul(eng.mul_public_int(rows, factor), l, err[:, None])
         else:
-            err = eng.sub(predictions, eng.mul_public_int(t, 1 << l))
-            _, prods = eng.tmul(err[:, None], l, rows)
+            shift = (2 * l if frac_bits is None else frac_bits) - l
+            err = eng.sub(predictions, eng.mul_public_int(t, 1 << shift))
+            _, prods = eng.tmul(err[:, None], shift, rows)
         return eng.sum(prods, axis=0), rows
 
 
@@ -254,23 +279,116 @@ def append_bias(eng, X):
     return np.concatenate([X, ones[:, None]], axis=1)
 
 
+def doublings(steps: int) -> int:
+    """k = ceil(log2 steps): the recurrence runs 2^k >= steps steps."""
+    return (steps - 1).bit_length()
+
+
+def takes_recurrence(n: int, d: int, steps: int) -> bool:
+    """Whether the linear tier trains n rows of d features (the bias column
+    included) by the recurrence rather than the step loop: the one that
+    deals fewer triples, from public values only.
+
+    The loop's T steps take n d products in each backward and each
+    forward but the first step's: n d (2T - 1). The recurrence's Gram takes
+    n d (d + 3)/2 (the upper triangle of X^T X, and X^T (t - 1/2)), each
+    doubling d^2 (d + 3)/2 more (P^2's upper triangle and P v) and the last
+    one d^2 (P v alone). Under 2 steps there is nothing to double."""
+    if steps < 2:
+        return False
+    pairs = d * (d + 3) // 2
+    recurrence = n * pairs + (doublings(steps) - 1) * d * pairs + d * d
+    return recurrence <= n * d * (2 * steps - 1)
+
+
+def _pair_products(d: int):
+    """The upper triangle's indices of a symmetric d x d matrix P
+    (np.triu_indices), and tmul's pairs on the vector [P's upper triangle,
+    v] for a d-vector v: those of P^2's upper triangle (P_am P_mb,
+    m-minor) and those of P v (P_am v_m)."""
+    upper = np.triu_indices(d)
+    at = np.empty((d, d), dtype=np.intp)  # at[a, b]: P_ab's index
+    at[upper] = at[upper[::-1]] = np.arange(len(upper[0]))
+    a, b = (u[:, None] for u in upper)
+    m = np.arange(d)
+    square = (at[a, m].ravel(), at[m, b].ravel())
+    times_v = (at.ravel(), np.tile(len(upper[0]) + m, d))
+    return upper, square, times_v
+
+
+def recurrence(eng, X, t, cfg: TrainingConfig, k: int):
+    """The weights after 2^k >= 1 steps of gradient descent on the linear
+    tier's surrogate, w <- M w + c from w = 0, in k + 2 rounds (tmul).
+
+    Round 1 (gram): the rows scaled by F = alpha 2^q / n are truncated
+    while their columns multiply X's and t - 1/2: the upper triangle of A
+    = alpha 2^q X^T X / n and 2^q c at 2l bits. Each doubling (P, v) ->
+    (P^2, P v + v) truncates P's upper triangle and v and forms the
+    products of both in one round (tmul's pairs). The first truncates A
+    and 2^q c at one shift, l + q, and forms 16 M^2 = 16 K^2 - 8 K A + A^2
+    and 16 (M c + c) = 16 (K + 1) c - 4 A c at 2l bits, with K = 1 - alpha
+    lambda public; its truncation shift is l + 4. The last doubling forms
+    P v alone, and a final round truncates v, which is w at l bits. The
+    Gram's truncated values are below 2^(2l + q + 1) (|A_ab| <= alpha 2^q),
+    the later ones below 2^(2l + 5): |P_ab| <= |M|^2 <= 1/25 and |v| <=
+    R (1/2 + B/4) / lambda <= 2, at most 16 times at 2l bits."""
+    l = eng.frac_bits
+    n, d = X.shape
+    keep = int(encode(1 - cfg.alpha * cfg.lambda_reg, eng.cfg))
+    upper, square, times_v = _pair_products(d)
+    size = len(upper[0])
+    diagonal = np.where(upper[0] == upper[1], np.uint64(16 * keep * keep), np.uint64(0))
+    with eng.phase("gram"):
+        err = eng.add_public(t, encode(-0.5, eng.cfg))  # t - 1/2 at l bits
+        y = np.concatenate([X.T[upper[1]], np.broadcast_to(err, (d, n))])
+        rows = np.concatenate([upper[0], np.arange(d)])
+        scaled = eng.mul_public_int(X, _row_factor(n, cfg.alpha, l)).T
+        _, prods = eng.tmul(scaled, l, y, rows=rows)
+        x, shift = eng.sum(prods, axis=1), l + mean_bits(n, cfg.alpha)
+    for j in range(k):
+        last = j == k - 1
+        pairs = times_v if last else tuple(map(np.concatenate, zip(square, times_v)))
+        with eng.phase("doubling"):
+            p_v, prods = eng.tmul(x, shift, square=pairs)
+        p, v = p_v[:size], p_v[size:]
+        pv = eng.sum(prods[-d * d:].reshape(d, d), axis=1)
+        pp = None if last else eng.sum(prods[:size * d].reshape(size, d), axis=1)
+        if j == 0:  # p is A and v is c, at l bits
+            v = eng.sub(eng.mul_public_int(v, 16 * (keep + (1 << l))), eng.mul_public_int(pv, 4))
+            if not last:
+                pp = eng.add_public(eng.sub(pp, eng.mul_public_int(p, 8 * keep)), diagonal)
+            shift = l + 4
+        else:
+            v, shift = eng.add(pv, eng.mul_public_int(v, 1 << l)), l
+        x = v if last else np.concatenate([pp, v])
+    with eng.phase("finalize"):
+        return eng.trunc(x, shift)
+
+
 def train_pipeline(eng, X, t, cfg: TrainingConfig):
     """The full training stage on the owners' scaled rows (l2_normalize):
-    optional bias column, then cfg.steps() gradient steps from zero.
-    Returns weight shares. A lambda_reg whose sigmoid_input_bound leaves
-    the ring is refused before any round (forward_magnitude_bits)."""
+    optional bias column, then cfg.steps() gradient steps from zero, 2^k
+    of them on the recurrence (takes_recurrence). Returns weight shares. A
+    lambda_reg whose sigmoid_input_bound leaves the ring is refused before
+    any round (forward_magnitude_bits)."""
     if cfg.add_bias:
         X = append_bias(eng, X)
     n, d = X.shape
-    shift = eng.frac_bits + mean_bits(n, cfg.alpha)
-    bound = sigmoid_input_bound(cfg, n, d, eng.cfg)
-    forward_magnitude_bits(bound, eng.cfg)  # refuses a bound beyond the ring
-    state, steps = ModelState(eng.zeros(d), eng.zeros(d), shift), cfg.steps(eng.cfg)
+    l, steps = eng.frac_bits, cfg.steps(eng.cfg)
+    if cfg.linear and takes_recurrence(n, d, steps):
+        return recurrence(eng, X, t, cfg, doublings(steps))
+    bound = None
+    if not cfg.linear:
+        bound = sigmoid_input_bound(cfg, n, d, eng.cfg)
+        forward_magnitude_bits(bound, eng.cfg)  # refuses a bound beyond the ring
+    shift, frac_bits = l + mean_bits(n, cfg.alpha), 2 * l + 2 * cfg.linear
+    state = ModelState(eng.zeros(d), eng.zeros(d), shift)
     if steps:
         grad, rows = backward(eng, X, None, t, cfg.alpha)
         state = update(eng, eng.zeros(d), grad, shift, cfg)
     for _ in range(steps - 1):
-        predictions, w_l = forward(eng, X, state, bound)
-        state = update(eng, w_l, backward(eng, rows, predictions, t)[0], shift, cfg)
+        predictions, w_l = forward(eng, X, state, bound, cfg.linear)
+        grad = backward(eng, rows, predictions, t, frac_bits=frac_bits)[0]
+        state = update(eng, w_l, grad, shift, cfg)
     with eng.phase("finalize"):
         return _weights(eng, state)[0]

@@ -11,28 +11,32 @@ from veiltrain.engine import run_two_party
 from veiltrain.noise import DpParams, perturb_weights
 from veiltrain.shareio import DEFAULTS
 
-# 20x4 horizontal, the defaults' 7 steps, 3 noise draws, thread executor.
-# The noise (31 rounds) runs beside training (32: the first step is
-# backward alone), so training sets the length and every noise round is
-# recorded under training's path; the last round opens the models.
+# 20x4 horizontal, the defaults' linear tier, 3 noise draws, thread
+# executor. Training is the recurrence: the Gram, 3 doublings (7 steps
+# round up to 8) and the final truncation, 5 rounds; the noise (31 rounds)
+# runs beside it, so the noise sets the length, its first 5 rounds ride in
+# training's and the other 26 are recorded under its own paths; the last
+# round opens the models.
 ROUNDS_BY_PATH = {
     "-": 1,
-    "forward": 6, "sigmoid": 18, "backward": 7, "finalize": 1,
+    "gram": 1, "doubling": 3, "finalize": 1,
+    "perturb/sin_cos": 3, "perturb/rsqrt": 19, "perturb": 4,
 }
-# the noise's rounds that rode in training's: its 31, and in 6 of them
-# both of its own branches (4 with the exponents beside the uniforms and
-# the power chain, 1 with S/4^a's truncation beside sin/cos's squaring, 1
-# with sin, cos and the Gamma truncated beside rsqrt), so 37 riders
+# the noise's rounds that rode in another branch's: its first 5 in
+# training's (its 2 uniform draws and 3 of sin/cos's power chain), and
+# the 6 in which both of its own branches ran (4 with the exponents beside
+# the uniforms and the power chain, 1 with S/4^a's truncation beside
+# sin/cos's squaring, 1 with sin, cos and the Gamma truncated beside
+# rsqrt), so 11 riders
 OVERLAP_BY_PATH = {
-    "perturb/uniform": 2, "perturb/geometric": 4, "perturb/sin_cos": 7,
-    "perturb/rsqrt": 19, "perturb": 5,
+    "perturb/uniform": 2, "perturb/geometric": 4, "perturb/sin_cos": 4, "perturb": 1,
 }
-WIRE_BYTES = 89_450  # party 0, sent plus received
+WIRE_BYTES = 45_712  # party 0, sent plus received
 
 # the noise alone at d = 50 with 100 draws, then the opening of the models:
 # the noise-wide benchmark's shape at a tenth of its batch
 NOISE_ROUNDS = 32
-NOISE_SENT_BYTES = 5_157_216  # party 0
+NOISE_SENT_BYTES = 5_097_216  # party 0
 
 
 def _column(report, column):

@@ -198,9 +198,6 @@ def test_kernel_bench_runs(capsys):
     row = next(line.split() for line in out.splitlines() if line.startswith("bm_radius"))
     assert float(row[1]) <= float(row[3])  # E rsqrt(E) against sqrt(E), within its bound
     assert row[4] == "22"  # rsqrt's 19 rounds, the product, its truncation, the opening
-    row = next(line.split() for line in out.splitlines() if line.startswith("sigmoid_b1.25"))
-    assert float(row[1]) <= float(row[3]) == 2e-5  # max error, within its bound
-    assert row[4] == "5"  # the kernel's 3 rounds, its truncation and the opening
 
 
 def test_synth_with_one_feature_is_an_error_line(tmp_path, capsys):

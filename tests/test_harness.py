@@ -1,3 +1,4 @@
+import contextlib
 import os
 import subprocess
 import sys
@@ -6,10 +7,14 @@ import time
 import numpy as np
 import pytest
 
+from veiltrain import kernels
 from veiltrain.datasets import evaluate, make_plan, partition, synth_data
-from veiltrain.dealer import with_slack
-from veiltrain.engine import estimate_counts, run_two_party
+from veiltrain.dealer import MaterialSource, with_slack
+from veiltrain.engine import PlainEngine, estimate_counts, run_two_party
 from veiltrain.errors import VeiltrainError
+from veiltrain.fixedpoint import RingConfig, encode, to_signed
+from veiltrain.noise import DpParams
+from veiltrain.training import TrainingConfig, l2_normalize, mean_bits
 from veiltrain.harness import (ExperimentReport, dp_params, party_pipeline, pipeline_counts,
                                run_experiment, run_mpc_threaded, training_config, write_report)
 from veiltrain.ingest import ingest_partitions
@@ -168,19 +173,20 @@ def test_pipeline_counts_cover_consumption():
 
 
 def test_report_contains_traffic():
+    # at lambda 0.4, below the linear tier, training is the sigmoid's step
+    # loop: 10 steps after the first of 8 rounds each, 82 rounds
     X, t = synth_data(40, 5, seed=4, separability=1.0)
-    cfg = tiny_cfg()
+    cfg = tiny_cfg(lambda_reg=0.4)
     res = run_mpc_threaded([(X, t)], "horizontal", cfg, seed=13, draws=2)
     assert res["bytes"] > 0
     rows = res["report"]["paths"]
     assert rows["forward"]["rounds"] > 0
-    # the noise's 33 rounds (odd d) outlast training's 32: 32 of them ride
-    # in training's, where the report counts them in its rows' rode, its own
-    # branches' 6 shared rounds twice; the noise's last round and one more
-    # that opens the models follow
+    # all of the noise's 33 rounds (odd d) ride in training's, where the
+    # report counts them in its rows' rode, its own branches' 6 shared
+    # rounds twice; one more round opens the models
     rode = {path: row["rode"] for path, row in rows.items() if path.startswith("perturb")}
-    assert rode["perturb"] > 0 and sum(rode.values()) == 32 + 6
-    assert res["rounds"] == 33 + 1
+    assert rode["perturb"] > 0 and sum(rode.values()) == 33 + 6
+    assert res["rounds"] == 82 + 1
 
 
 class _RecordingLauncher:
@@ -244,3 +250,56 @@ def test_a_hanging_process_session_is_killed_at_its_deadline(monkeypatch, tmp_pa
     assert took < 10
     assert msg.startswith("subprocess pipeline failed: dealer, party0, party1 still running "
                           "after 1 s\n")
+
+
+class _TruncationPeaks(PlainEngine):
+    """The mirror, recording the largest |x| it truncates per phase path
+    and shift."""
+
+    def __init__(self, *args):
+        super().__init__(*args)
+        self.at, self.peaks = [], {}
+
+    @contextlib.contextmanager
+    def phase(self, name):
+        self.at.append(name)
+        try:
+            yield
+        finally:
+            self.at.pop()
+
+    def trunc(self, a, shift):
+        if np.size(a):
+            key = ("/".join(self.at), shift)
+            top = float(np.abs(to_signed(a).astype(np.float64)).max())
+            self.peaks[key] = max(self.peaks.get(key, 0.0), top)
+        return super().trunc(a, shift)
+
+
+@pytest.mark.parametrize("frac_bits", [12, 20, 22])
+def test_every_session_truncation_keeps_its_hiding_floor(frac_bits):
+    # a value x opened under the truncation masks, uniform on [-2^62,
+    # 2^62), keeps about 62 - log2 |x| bits hidden. Over a whole session
+    # on worst-case rows (one-hot, or all alike, with constant labels),
+    # training's operands stay below 2^(2l + q + 1): the Gram entries are
+    # at most alpha 2^q at 2l bits. rsqrt's quadratic start b2 m^2 stays
+    # below 2^56 (kernels.rsqrt_start_bits). 300 x 30 takes the step loop
+    ring, l = RingConfig(frac_bits), frac_bits
+    start = 2 * (l + kernels._MANTISSA_EXTRA) + kernels.rsqrt_start_bits(l) - l
+    for n, m in ((300, 12), (2000, 12), (300, 30)):
+        rows = {"one-hot": np.eye(m)[np.arange(n) % m], "alike": np.tile(np.eye(m)[0], (n, 1)),
+                "aligned": np.tile(np.random.default_rng(80).uniform(-1, 1, m), (n, 1))}
+        for X in rows.values():
+            for label in (0.0, 1.0):
+                for bias in (False, True):
+                    tc = TrainingConfig(add_bias=bias)
+                    dp = DpParams(1.0, tc.lambda_reg, n, m + bias, tc.row_norm)
+                    eng = _TruncationPeaks(MaterialSource(81, ring), ring)
+                    party_pipeline(eng, eng.from_public(l2_normalize(X, ring)),
+                                   eng.from_public(encode(np.full(n, label), ring)), tc, dp, 1)
+                    floor = 2.0 ** (2 * l + mean_bits(n, tc.alpha) + 1)
+                    training = [v for (path, _), v in eng.peaks.items()
+                                if not path.startswith("perturb")]
+                    assert training and max(training) < floor
+                    assert 0 < eng.peaks[("perturb/rsqrt", start)] < 2.0 ** 56
+

@@ -344,38 +344,6 @@ def test_bounded_sigmoid_matches_mirror_in_half_the_rounds():
     assert clamped[0].rt.transcript.n_rounds == 14 + 1
 
 
-# --- sigmoid under a public bound |z| <= 5/4: the odd degree-5 tier ---
-
-@pytest.mark.parametrize("frac_bits", [20, 24, 30], ids=_ring_id)
-def test_odd_sigmoid_tolerance(frac_bits):
-    ring = RingConfig(frac_bits)
-    bound = kernels.SIGMOID_ODD_BOUND
-    z = np.concatenate([np.random.default_rng(50).uniform(-bound, bound, 10_000),
-                        np.linspace(-bound, bound, 1001)])
-    eng = plain(51, ring)
-    got = open_plain(eng, kernels.secure_sigmoid(eng, eng.from_public(encode(z, ring)),
-                                                 bound=bound))
-    want = 1 / (1 + np.exp(-decode(encode(z, ring), ring)))
-    assert np.abs(got - want).max() <= kernels.KERNEL_TOLERANCES["sigmoid_b1.25"].bound
-
-
-def test_odd_sigmoid_matches_mirror_in_three_rounds():
-    # a bound of exactly 5/4 takes the degree-5 tier; one ulp above, the degree-6
-    z = np.linspace(-1.25, 1.25, 41)
-
-    def fn(bound):
-        return lambda eng: eng.open(kernels.secure_sigmoid(eng, enc_pub(eng, z), bound=bound,
-                                                           truncate=False))
-
-    (r0, r1), engines = run_both(fn(1.25), seed=52)
-    mirror = fn(1.25)(plain(52))
-    assert np.array_equal(r0, mirror) and np.array_equal(r1, mirror)
-    (s0, s1), above = run_both(fn(np.nextafter(1.25, 2.0)), seed=52)
-    assert np.array_equal(s0, fn(np.nextafter(1.25, 2.0))(plain(52)))
-    assert engines[0].rt.transcript.n_rounds == 3 + 1  # the last one opens the result
-    assert above[0].rt.transcript.n_rounds == 6 + 1
-
-
 # --- other rings and mask headroom ---
 
 # 22 is the finest ring ring_from_config accepts; at 24 the division's
@@ -464,17 +432,6 @@ def test_every_truncated_value_stays_below_the_mask_range():
                        ModelState(w2l, e.zeros(len(z4)), e.frac_bits), 4.0)
 
     assert peak(fwd4) < limit
-    z54 = np.concatenate([np.linspace(-1.25, 1.25, 33), [1.25, -1.25]])  # the odd tier's
-
-    def fwd54(e):
-        w2l = e.mul_public_int(enc_pub(e, z54), 1 << e.frac_bits)
-        return forward(e, enc_pub(e, np.eye(len(z54))),
-                       ModelState(w2l, e.zeros(len(z54)), e.frac_bits), 1.25)
-
-    # every value the odd tier truncates is a 2l-bit value below 4
-    below4 = 4 * 2.0 ** (2 * RING.frac_bits)
-    assert peak(lambda e: kernels.secure_sigmoid(e, enc_pub(e, z54), bound=1.25)) < below4
-    assert peak(fwd54) < limit
     # training's other truncation operands, in the mirror: the error at 2l
     # bits (backward), and the weights at 2l bits summed with the pending
     # gradient alpha 2^q g at 2l bits (forward, finalize); identical rows

@@ -235,10 +235,11 @@ def test_bytes_monotone_in_epochs():
 
 
 def test_per_phase_breakdown_present():
+    # lambda 0.4 is below the linear tier: the step loop runs the sigmoid
     rng = np.random.default_rng(5)
     X = rng.uniform(-1, 1, (8, 3))
     t = rng.integers(0, 2, 8).astype(float)
-    tc = TrainingConfig()
+    tc = TrainingConfig(lambda_reg=0.4)
 
     def fn(eng):
         return train_pipeline(eng, eng.from_public(l2_normalize(X, RING)),

@@ -45,6 +45,9 @@ CASES = {  # (x shape, y shape or None, square, rows)
     "both": ((2, 12), (2, 12), True, None),
     "some rows": ((4, 5), (2, 5), [0, 3], [1, 3]),
     "truncation only": ((7,), None, False, None),
+    # pairs t[i] * t[j]: equal indices and indices repeated across pairs
+    "pairs": ((6, 3), (2, 3), ([0, 2, 2, 5, 1], [2, 2, 0, 5, 5]), [1, 4]),
+    "pairs alone": ((9,), None, (np.array([0, 0, 3, 8]), np.array([4, 0, 3, 0])), None),
 }
 
 
@@ -69,8 +72,9 @@ def test_tmul_matches_the_mirror_and_the_truncation(case):
         if y is not None:
             assert np.array_equal(prods[0], _rows(t, rows) * y)
         if square is not False:
-            s = _rows(t, None if square is True else square)
-            assert np.array_equal(prods[-1], s * s)
+            i, j = (square if isinstance(square, tuple)
+                    else (None, None) if square is True else (square, square))
+            assert np.array_equal(prods[-1], _rows(t, i) * _rows(t, j))
 
 
 def test_tmul_opens_x_plus_r_and_uniformly_masked_words():

@@ -10,11 +10,10 @@ from veiltrain.datasets import synth_data
 from veiltrain.engine import PlainEngine, estimate_counts
 from veiltrain.errors import VeiltrainError
 from veiltrain.fixedpoint import RingConfig, decode, encode, to_signed
-from veiltrain.kernels import (KERNEL_TOLERANCES, SIG4_POWER, SIG5_ODD, SIGMOID_BOUND,
-                               SIGMOID_ODD_BOUND)
+from veiltrain.kernels import SIG4_POWER, SIGMOID_BOUND
 from veiltrain.training import (SLOPE_SLACK, ModelState, TrainingConfig, l2_normalize, backward,
-                                forward, forward_magnitude_bits, mean_bits, sigmoid_input_bound,
-                                train_pipeline, update)
+                                doublings, forward, forward_magnitude_bits, mean_bits,
+                                sigmoid_input_bound, takes_recurrence, train_pipeline, update)
 
 from conftest import mirror_weights, run_both
 
@@ -248,12 +247,13 @@ def test_backward_truncates_values_below_2_to_the_2l_plus_2():
     # under them keeps about 62 - log2 |x| bits hidden. backward truncates
     # the rows times alpha 2^q / n (first step) and the error sigma - t at
     # 2l bits, both at most 2^(2l + 1); identical rows with one label drive
-    # the error furthest
+    # the error furthest. The lambdas are below the linear tier, whose
+    # recurrence has no backward pass
     n, m = 300, 6
     aligned = np.tile(np.random.default_rng(53).uniform(-1, 1, m), (n, 1))
     for ring in (RingConfig(12), RING, RingConfig(22)):
         for t in (np.zeros(n), np.ones(n)):
-            for lam, bias in ((1.0, False), (1.0, True), (0.1, False)):
+            for lam, bias in ((0.45, False), (0.9, True), (0.1, False)):
                 eng = _BackwardPeak(MaterialSource(54, ring), ring)
                 train_pipeline(eng, owner_rows(eng, aligned), enc_pub(eng, t),
                                TrainingConfig(lambda_reg=lam, add_bias=bias))
@@ -281,12 +281,11 @@ def test_update_plain_gd_when_degenerate():
 
 def test_update_pure_weight_decay():
     # without a gradient the step keeps 1 - alpha lambda of the weights,
-    # the contraction rate (L - mu)/(L + mu): 1/9 at lambda 1 on unit rows
+    # the contraction rate (L - mu)/(L + mu): 1/9 at lambda 1 on unit rows,
+    # where L = lambda + 1/4
     w = np.array([1.0, -2.0])
-    cfg = TrainingConfig()
-    w2 = _run_update(plain(19), w, np.zeros(2), cfg)
-    rate = (0.25 + SLOPE_SLACK) / (2.25 + SLOPE_SLACK)
-    assert np.abs(w2 - rate * w).max() <= 2**-19
+    w2 = _run_update(plain(19), w, np.zeros(2), TrainingConfig())
+    assert np.abs(w2 - w / 9).max() <= 2**-19
 
 
 def test_update_zero_communication():
@@ -377,7 +376,7 @@ def _iterates(monkeypatch, X, t, tc, seed):
 def test_training_loss_monotone_shadow(monkeypatch):
     X, t = synth_data(80, 8, seed=32, separability=1.0)
     Xn = normalize_rows(X)
-    for lam in (1.0, 0.1):
+    for lam in (0.4, 0.1):  # below the linear tier: the step loop
         # the zero init, which no forward pass sees
         iterates = [np.zeros(8)] + _iterates(monkeypatch, X, t, TrainingConfig(lambda_reg=lam), 33)
         losses = [regularized_loss(w, Xn, t, lam) for w in iterates]
@@ -386,11 +385,13 @@ def test_training_loss_monotone_shadow(monkeypatch):
 
 def test_first_step_runs_backward_alone(monkeypatch):
     # step 1 starts from the public predictions 1/2 of the zero weights, so
-    # a run of k steps calls forward k - 1 times; one step is one backward
+    # a run of k steps calls forward k - 1 times; one step is one backward.
+    # One step has nothing to double, so the linear tier runs it as the
+    # loop; the other lambdas are below the linear tier
     X, t = synth_data(30, 4, seed=39, separability=1.0)
     one = TrainingConfig(lambda_reg=2.0 ** 19)
-    assert one.steps(RING) == 1
-    for tc in (one, TrainingConfig(), TrainingConfig(lambda_reg=0.1)):
+    assert one.steps(RING) == 1 and one.linear
+    for tc in (one, TrainingConfig(lambda_reg=0.4), TrainingConfig(lambda_reg=0.1)):
         forward_passes = len(_iterates(monkeypatch, X, t, tc, 40)) - 1
         assert forward_passes == tc.steps(RING) - 1
 
@@ -448,22 +449,36 @@ def test_training_config_validation():
 
 
 @pytest.mark.parametrize("lam, bias, alpha, steps", [
-    (1.0, False, 0.8885, 7), (1.0, True, 0.7994, 9), (0.1, False, 4.4348, 28)])
+    (1.0, False, 0.8889, 7), (1.0, True, 0.8, 9), (0.5, False, 1.6, 10), (0.1, False, 4.4348, 28)])
 def test_schedule_follows_from_lambda_and_the_row_bound(lam, bias, alpha, steps):
-    # alpha = 2/(L + mu) with mu = lambda, L = lambda + R^2 (1/4 + slack),
-    # and the fewest steps whose contraction takes R / lambda below an ulp
+    # alpha = 2/(L + mu) with mu = lambda, and the fewest steps whose
+    # contraction takes R / lambda below an ulp. From lambda = R^2/2 the
+    # linear tier trains, with L = lambda + R^2/4 and the bound B =
+    # 2R^2/(4 lambda - R^2) <= 2 on |x . w|; below it the sigmoid tiers,
+    # with L = lambda + R^2 (1/4 + slack). The bias column at lambda 1 and
+    # lambda 1/2 without it sit at the edge, B = 2 exactly, and are inside
     tc = TrainingConfig(lambda_reg=lam, add_bias=bias)
     R = np.sqrt(2.0) if bias else 1.0
     assert tc.row_norm == R
-    assert tc.alpha == 2 / (2 * lam + R ** 2 * (0.25 + SLOPE_SLACK))
+    r2 = 1 + bias  # R^2, exactly
+    linear = lam >= r2 / 2
+    assert tc.linear == linear
+    if linear:
+        assert tc.alpha == 2 / (2 * lam + r2 / 4)
+        assert 2 * r2 / (4 * lam - r2) == (2 / 3 if lam == 1 and not bias else 2)
+    else:
+        assert tc.alpha == 2 / (2 * lam + r2 * (0.25 + SLOPE_SLACK))
     assert round(tc.alpha, 4) == alpha and tc.steps(RING) == steps
     rate = 1 - tc.alpha * lam
     assert rate ** steps * R / lam < 2.0 ** -20 <= rate ** (steps - 1) * R / lam
     assert tc.steps(RingConfig(frac_bits=16)) < steps
+    # the recurrence rounds the steps up to the next power of two, 2^k
+    assert 2 ** doublings(steps) // 2 < steps <= 2 ** doublings(steps)
 
 
 def test_training_consumes_the_dry_run_exactly():
-    # the degree-5 sigmoid takes no bits, the clamped one (lambda 1/4) does
+    # the linear tier's recurrence takes no bits, the clamped sigmoid
+    # (lambda 1/4) does
     X, t = synth_data(20, 4, seed=42, separability=1.0)
     kinds = []
     for tc in (TrainingConfig(), TrainingConfig(lambda_reg=0.25)):
@@ -478,22 +493,25 @@ def test_training_consumes_the_dry_run_exactly():
     assert kinds == [{"trunc", "triple"}, {"trunc", "triple", "bit"}]
 
 
-@pytest.mark.parametrize("lams, sigmoid_rounds", [((2.0, 1.0), 3), ((0.5, 0.4), 6),
+@pytest.mark.parametrize("lams, sigmoid_rounds", [((2.0, 1.0), 0), ((0.45, 0.4), 6),
                                                    ((0.25, 0.2), 13)],
-                         ids=["odd", "bounded", "clamped"])
+                         ids=["linear", "bounded", "clamped"])
 def test_every_step_costs_its_pinned_rounds(lams, sigmoid_rounds):
-    # a step adds: forward 1 (the weights' and the last gradient's
-    # truncations with the product), the sigmoid (3 where the bound is at
-    # most 5/4, 6 where it is at most 4, clamped 13 above; its output stays
-    # at 2l bits), backward 1 (the error's truncation with the product);
-    # nothing else. Both lambdas of a pair fall in one tier
-    X, t = synth_data(12, 4, seed=46, separability=1.0)
+    # a step of the loop adds: forward 1 (the weights' and the last
+    # gradient's truncations with the product), the sigmoid (none on the
+    # linear tier, whose prediction 1/2 + z/4 is local; 6 where the bound is
+    # at most 4, clamped 13 above; its output stays at 2l bits), backward 1
+    # (the error's truncation with the product); nothing else. Both lambdas
+    # of a pair fall in one tier. 12 rows of 8 features are wide enough for
+    # the linear tier to take the loop
+    X, t = synth_data(12, 8, seed=46, separability=1.0)
 
     def rounds(lam):
         tc = TrainingConfig(lambda_reg=lam)
-        bound = sigmoid_input_bound(tc, 12, 4, RING)
-        tier = 3 if bound <= SIGMOID_ODD_BOUND else 6 if bound <= SIGMOID_BOUND else 13
+        bound = sigmoid_input_bound(tc, 12, 8, RING)
+        tier = 0 if tc.linear else 6 if bound <= SIGMOID_BOUND else 13
         assert tier == sigmoid_rounds
+        assert not (tc.linear and takes_recurrence(12, 8, tc.steps()))
 
         def fn(eng):
             train_pipeline(eng, owner_rows(eng, X), enc_pub(eng, t), tc)
@@ -505,7 +523,8 @@ def test_every_step_costs_its_pinned_rounds(lams, sigmoid_rounds):
     steps = k2 - k1
     assert steps > 0
     added = {p: two[p] - one.get(p, 0) for p in two if two[p] != one.get(p, 0)}
-    assert added == {"forward": steps, "sigmoid": sigmoid_rounds * steps, "backward": steps}
+    want = {"forward": steps, "sigmoid": sigmoid_rounds * steps, "backward": steps}
+    assert added == {p: v for p, v in want.items() if v}
 
 
 def _largest_sigmoid_input(monkeypatch, X, t, tc, seed, ring=RING):
@@ -539,25 +558,27 @@ def test_sigmoid_input_stays_within_its_public_bound(monkeypatch):
     for ring in (RING, RingConfig(22)):
         for data in (X, aligned):
             for t in (np.zeros(n), np.ones(n), np.arange(n) % 2.0):
-                for lam, bias in ((1.0, False), (1.0, True), (0.25, False), (0.1, True)):
+                for lam, bias in ((0.45, False), (0.9, True), (0.25, False), (0.1, True)):
                     tc = TrainingConfig(lambda_reg=lam, add_bias=bias)
                     top, bound = _largest_sigmoid_input(monkeypatch, data, t, tc, seed, ring)
                     assert bound == sigmoid_input_bound(tc, n, m + bias, ring)
                     assert top <= bound
                     ratios.append(top / bound)
-        # about R^2 / lambda: 1.0001 at the defaults, 2.0001 with the bias
-        # column, both bounded; the clamp runs from lambda 1/4 (4.0002)
-        assert sigmoid_input_bound(TrainingConfig(), n, m, ring) == pytest.approx(1.0, abs=1e-4)
-        assert sigmoid_input_bound(TrainingConfig(add_bias=True), n, m + 1,
-                                   ring) == pytest.approx(2.0, abs=2e-4)
+        # about R^2 / lambda: 2.2223 at lambda 0.45, just below the linear
+        # tier, and with the bias column at 0.9, both bounded; the clamp
+        # runs from lambda 1/4 (4.0002)
+        assert sigmoid_input_bound(TrainingConfig(lambda_reg=0.45), n, m,
+                                   ring) == pytest.approx(1 / 0.45, abs=2e-4)
+        assert sigmoid_input_bound(TrainingConfig(lambda_reg=0.9, add_bias=True), n, m + 1,
+                                   ring) == pytest.approx(2 / 0.9, abs=2e-4)
         assert sigmoid_input_bound(TrainingConfig(lambda_reg=0.25), n, m, ring) > SIGMOID_BOUND
     print(f"largest |z| / B over the sweep: {max(ratios):.3f}")
 
 
 def test_polynomial_sigmoid_slope_stays_in_the_smoothness_constant():
-    # L = lambda + R^2 (1/4 + SLOPE_SLACK) needs the bounded sigmoids' slope
-    # in [0, 1/4 + SLOPE_SLACK], on |z| <= 4 and on |z| <= 5/4, with their
-    # coefficients as fitted and as encoded
+    # L = lambda + R^2 (1/4 + SLOPE_SLACK) needs the bounded sigmoid's slope
+    # in [0, 1/4 + SLOPE_SLACK] on |z| <= 4, with its coefficients as fitted
+    # and as encoded
     def within(slope):
         assert slope.min() >= 0
         assert slope.max() <= 0.25 + SLOPE_SLACK
@@ -568,15 +589,6 @@ def test_polynomial_sigmoid_slope_stays_in_the_smoothness_constant():
     for coeffs in (SIG4_POWER, decode(encode(np.array(SIG4_POWER), RING), RING)):
         q = np.polynomial.Polynomial(coeffs)
         within((q(v) + 4 * t ** 2 * q.deriv()(v)) / 4)
-    # the degree-5 tier encodes c1, c3/c5 and c5, so c3 is used as their product
-    c1, c3, c5 = SIG5_ODD
-    e1, ratio, e5 = decode(encode(np.array([c1, c3 / c5, c5]), RING), RING)
-    t = np.linspace(-SIGMOID_ODD_BOUND, SIGMOID_ODD_BOUND, 80_001) / 2
-    for coeffs in ((c1, c3, c5), (e1, ratio * e5, e5)):
-        p = np.polynomial.Polynomial([0, coeffs[0], 0, coeffs[1], 0, coeffs[2]])
-        slope = p.deriv()(t) / 2
-        within(slope)
-        assert 0.17 < slope.min() and slope.max() < 0.24995
 
 
 def test_forward_magnitude_width_follows_the_input_bound():
@@ -608,15 +620,28 @@ def test_forward_magnitude_width_follows_the_input_bound():
 @pytest.mark.parametrize("bias", [False, True])
 def test_mirror_sensitivity_within_the_calibration(bias):
     # neighbouring datasets (one row replaced, its label flipped): the
-    # trained weights differ by at most 2R/(n lambda), with the sigmoid's
-    # error on the labels' pull, plus the truncations' 2 sqrt(d) ulps per
-    # step over the contraction, 2 sqrt(d) 2^-l / (alpha lambda)
+    # trained weights differ by at most 2R/(n lambda), plus each run's
+    # fixed-point error. On the linear tier (lambda 1; the bias column sits
+    # at its edge, B = 2) the surrogate's derivative is at most 1, so the
+    # gradient moves by at most 2R/n, and the recurrence runs 2^k steps.
+    # Its fixed-point term: each of its k + 2 rounds truncates P and v once,
+    # an ulp per entry, and the row scaling adds at most alpha ulps to each
+    # entry of the Gram's; an error in v is at most sqrt(d) ulps, one in P
+    # reaches w through |v| <= V = R (1/2 + B/4) / lambda and is at most d
+    # ulps, and the doublings left, like the contraction, amplify either by
+    # at most 1/(1 - rate) = 1/(alpha lambda). So a run errs by at most
+    # (k + 2)(1 + alpha)(sqrt(d) + d V) ulps / (alpha lambda), and the pair
+    # by twice that
     n, m = 24, 4
     tc = TrainingConfig(add_bias=bias)
-    d = m + bias
-    grad_bound = tc.row_norm * (1 + KERNEL_TOLERANCES["sigmoid_b4"].bound)
-    slack = 2 * np.sqrt(d) * 2.0 ** -RING.frac_bits / (tc.alpha * tc.lambda_reg)
-    bound = 2 * grad_bound / (n * tc.lambda_reg) + slack
+    d, r2 = m + bias, 1 + bias
+    k = doublings(tc.steps(RING))
+    assert tc.linear and takes_recurrence(n, d, tc.steps(RING))
+    big_b = 2 * r2 / (4 * tc.lambda_reg - r2)
+    v = tc.row_norm * (0.5 + big_b / 4) / tc.lambda_reg
+    run = ((k + 2) * (1 + tc.alpha) * (np.sqrt(d) + d * v) * 2.0 ** -RING.frac_bits
+           / (tc.alpha * tc.lambda_reg))
+    bound = 2 * tc.row_norm / (n * tc.lambda_reg) + 2 * run
     rng = np.random.default_rng(60)
     gaps = []
     for pair in range(24):
@@ -629,3 +654,52 @@ def test_mirror_sensitivity_within_the_calibration(bias):
         assert gap <= bound
         gaps.append(gap)
     print(f"largest gap / (2R/(n lambda)): {max(gaps) * n * tc.lambda_reg / (2 * tc.row_norm):.3f}")
+
+
+def _surrogate_descent(X, t, tc, steps):
+    """Gradient descent in doubles on the linear tier's surrogate, from zero,
+    on X's rows as their owner encodes them (l2_normalize)."""
+    X = decode(l2_normalize(X, RING), RING)
+    if tc.add_bias:
+        X = np.hstack([X, np.ones((len(X), 1))])
+    w = np.zeros(X.shape[1])
+    for _ in range(steps):
+        w = w - tc.alpha * (X.T @ (X @ w / 4 + 0.5 - t) / len(t) + tc.lambda_reg * w)
+    return w
+
+
+def test_linear_tier_lands_within_4_ulps_of_surrogate_descent():
+    # the recurrence's 2^k steps, and the loop's T, against as many steps
+    # in doubles: over these shapes and seeds the largest distance is 3.1
+    # ulps (the fixed-point term bounding it is derived in
+    # test_mirror_sensitivity_within_the_calibration)
+    shapes = ((300, 12, 1.0, False), (300, 12, 1.0, True), (2000, 12, 1.0, False),
+              (300, 12, 0.5, False), (60, 30, 1.0, False))
+    for seed in range(4):
+        for n, m, lam, bias in shapes:
+            X, t = synth_data(n, m, seed=70 + seed, separability=1.0)
+            tc = TrainingConfig(lambda_reg=lam, add_bias=bias)
+            steps = tc.steps(RING)
+            gram = takes_recurrence(n, m + bias, steps)
+            assert gram == (m < 30)
+            want = _surrogate_descent(X, t, tc, 2 ** doublings(steps) if gram else steps)
+            gap = np.abs(mirror_weights(X, t, tc, seed=71) - want).max()
+            assert gap <= 4 * 2.0 ** -RING.frac_bits
+
+
+def test_the_linear_tier_takes_the_recurrence_where_it_deals_fewer_triples():
+    # the Gram's n d (d + 3)/2 products and the doublings' against the
+    # loop's n d (2T - 1): at T = 7 and 2000 rows the crossover is at d = 23
+    assert takes_recurrence(2000, 22, 7) and not takes_recurrence(2000, 23, 7)
+    assert takes_recurrence(300, 12, 7) and not takes_recurrence(2000, 50, 7)
+    assert not takes_recurrence(300, 12, 1)  # one step: nothing to double
+    # the rule's counts are the dry run's triples
+    tc = TrainingConfig()
+    steps = tc.steps(RING)
+    for n, d in ((40, 6), (40, 20)):
+        gram = takes_recurrence(n, d, steps)
+        pairs, k = d * (d + 3) // 2, doublings(steps)
+        want = n * pairs + (k - 1) * d * pairs + d * d if gram else n * d * (2 * steps - 1)
+        counts = estimate_counts(lambda eng: train_pipeline(eng, eng.zeros((n, d)), eng.zeros(n),
+                                                            tc), 0, RING)
+        assert gram == (d == 6) and counts[("triple",)] == want
