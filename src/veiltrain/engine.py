@@ -202,6 +202,14 @@ def _summands(x, shift):
     return [(x, shift)]
 
 
+def _shifted(opened, terms):
+    """p_i = (x_i + r_i) >> shift_i for the masked summands' terms
+    (MpcEngine._masked), from their openings, in order; 0 for a summand
+    taken as it is."""
+    opened = iter(opened)
+    return [np.uint64(0) if s is None else truncate(next(opened), s) for _, s, _ in terms]
+
+
 class BaseEngine:
     cfg: RingConfig
 
@@ -287,8 +295,18 @@ class PlainEngine(BaseEngine):
         with np.errstate(over="ignore"):
             return np.asarray(a + np.asarray(raw, dtype=np.uint64))
 
-    def open(self, a):
-        return np.asarray(a, dtype=np.uint64)
+    def open(self, x, shift=None):
+        """The sum of tmul-style summands, opened (MpcEngine.open); each
+        truncated summand goes through trunc. x alone is opened as is."""
+        if shift is None:
+            return np.asarray(x, dtype=np.uint64)
+        return functools.reduce(self.add, self._truncated(x, shift))
+
+    def _truncated(self, x, shift):
+        """trunc(x_i, shift_i) for tmul's summands, x_i itself where the
+        shift is None."""
+        return [np.asarray(a, dtype=np.uint64) if s is None else self.trunc(a, s)
+                for a, s in _summands(x, shift)]
 
     def mul(self, a, b):
         shape = np.broadcast_shapes(np.shape(a), np.shape(b))
@@ -312,7 +330,7 @@ class PlainEngine(BaseEngine):
         """The truncations trunc(x_i, shift_i) and, in the same round, the
         untruncated products of their sum t's rows with y and with
         themselves (see MpcEngine.tmul). Spends what trunc and mul would."""
-        out = [self.trunc(a, s) for a, s in _summands(x, shift)]
+        out = self._truncated(x, shift)
         if y is not None or square is not False:
             t = functools.reduce(self.add, out)
         if y is not None:
@@ -395,11 +413,46 @@ class MpcEngine(BaseEngine):
                 return np.asarray(a + np.asarray(raw, dtype=np.uint64))
             return np.asarray(a + np.uint64(0))
 
-    def open(self, a):
-        shape = np.shape(a)
-        theirs = self.rt.exchange(np.ascontiguousarray(a))
+    def open(self, x, shift=None):
+        """x opened; or, with shifts, the sum of tmul-style summands
+        trunc(x_i, shift_i) (x_i as it is where shift_i is None, broadcast
+        against the others), opened in the same one round as the
+        truncations. Each x_i + r_i is opened with w - rs, w the sum of the
+        summands taken as they are and rs = sum_i rs_i: the output is sum_i
+        p_i + (w - rs), p_i = (x_i + r_i) >> shift_i. It sends a word per
+        truncated element and one per output element."""
+        if shift is None:
+            shape = np.shape(x)
+            theirs = self.rt.exchange(np.ascontiguousarray(x))
+            with np.errstate(over="ignore"):
+                return np.asarray(x + theirs).reshape(shape)
+        sends, terms = self._masked(x, shift)
+        rest = self.neg(functools.reduce(self.add, [rs for _, _, rs in terms]))  # w - rs
+        opened = self._open_all(sends + [rest])
         with np.errstate(over="ignore"):
-            return np.asarray(a + theirs).reshape(shape)
+            return functools.reduce(self.add, _shifted(opened[:-1], terms), opened[-1])
+
+    def _masked(self, x, shift):
+        """tmul's summands, masked: the arrays x_i + r_i to open, for the
+        truncated ones, and a (shape, shift, rs_i) term per summand, where
+        rs_i is r_i shifted; a summand taken as it is has shift None and
+        rs_i = -x_i, so that t = sum_i p_i - rs holds for every summand."""
+        sends, terms = [], []
+        for a, s in _summands(x, shift):
+            a = np.asarray(a, dtype=np.uint64)
+            if s is None:
+                terms.append((a.shape, None, self.neg(a)))
+                continue
+            r, rs = (m.reshape(a.shape) for m in self.material.take_trunc(s, a.size))
+            sends.append(self.add(a, r))
+            terms.append((a.shape, s, rs))
+        return sends, terms
+
+    def _open_all(self, sends):
+        """The arrays sends, opened in one round, each in its shape."""
+        opened = self.open(np.concatenate([np.ravel(v) for v in sends]))
+        parts = np.split(opened, np.cumsum([np.size(v) for v in sends])[:-1])
+        return [m.reshape(np.shape(v)) for m, v in zip(parts, sends)]
 
     def mul(self, a, b):
         shape = np.broadcast_shapes(np.shape(a), np.shape(b))
@@ -432,8 +485,9 @@ class MpcEngine(BaseEngine):
         broadcast against y), then, if square is set, t * t (square True),
         t[square] * t[square] (square a sequence of rows) or t[i] * t[j]
         (square a tuple (i, j) of index arrays of one length, repeats
-        allowed). Returns the t_i and then the products asked for; trunc is
-        tmul without products.
+        allowed). A summand whose shift is None is taken as it is, t_i =
+        x_i, and opens nothing. Returns the t_i and then the products asked
+        for; trunc is tmul without products.
 
         It spends what the truncations and mul would: a truncation pair
         (r_i, rs_i) per element of x_i, rs_i being r_i arithmetically
@@ -444,14 +498,11 @@ class MpcEngine(BaseEngine):
         Beaver masked value t - a = sum_i p_i - (rs + a) needs no round of
         its own. rs + a and rs + b are uniform, as a and b are; so each
         round opens as many words as the truncations' and mul's two rounds
-        would, and each x_i + r_i once.
+        would, and each x_i + r_i once. A summand taken as it is enters rs
+        as -x_i (MpcEngine._masked).
         """
-        terms, sends, jobs = [], [], []  # terms: (shape, shift, rs) per summand
-        for a, s in _summands(x, shift):
-            a = np.asarray(a, dtype=np.uint64)
-            r, rs = (m.reshape(a.shape) for m in self.material.take_trunc(s, a.size))
-            sends.append(self.add(a, r))
-            terms.append((a.shape, s, rs))
+        sends, terms = self._masked(x, shift)
+        masked, jobs = len(sends), []
         if y is not None or square is not False:
             rs = functools.reduce(self.add, [rs for _, _, rs in terms])
         with np.errstate(over="ignore"):
@@ -467,15 +518,13 @@ class MpcEngine(BaseEngine):
                 a, b, c = self._triples(left.shape)
                 sends += [left + a, _rows(rs, j) + b]
                 jobs.append((i, a, b, c))
-            opened = self.open(np.concatenate([np.ravel(v) for v in sends]))
-            parts = np.split(opened, np.cumsum([np.size(v) for v in sends])[:-1])
-            ps = [truncate(m.reshape(shape), s)
-                  for m, (shape, s, _) in zip(parts, terms)]
+            parts = self._open_all(sends)
+            ps = _shifted(parts, terms)
             out = [p_i - rs_i if self.party == 0 else self.neg(rs_i)
                    for p_i, (_, _, rs_i) in zip(ps, terms)]
             if jobs:
                 p = functools.reduce(self.add, ps)
-            parts = parts[len(terms):]
+            parts = parts[masked:]
             for k, (i, a, b, c) in enumerate(jobs):
                 d = _rows(p, i) - parts[2 * k].reshape(a.shape)
                 e = parts[1 + 2 * k].reshape(a.shape)

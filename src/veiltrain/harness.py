@@ -33,7 +33,7 @@ from .engine import estimate_counts, run_two_party
 from .errors import VeiltrainError
 from .fixedpoint import decode
 from .ingest import ingest_partitions
-from .noise import DpParams, sample_noise
+from .noise import DpParams, noise_shift, sample_noise
 from .session import run_report
 from .shareio import format_config, public_section, ring_from_config, write_share_file
 from .training import TrainingConfig, train_pipeline
@@ -50,13 +50,15 @@ def party_pipeline(eng, X, t, tc: TrainingConfig, dp: DpParams | None, draws: in
     """The staged protocol one computing party executes after ingestion.
 
     The noise for the draws models needs neither data nor weights, so it is
-    sampled beside training, in training's rounds (eng.parallel); the noisy
-    models are then opened in one round."""
+    sampled beside training, in training's rounds (eng.parallel). The noisy
+    models are then opened in one round, which also takes the noise's last
+    truncation: eng.open opens eta 2^a + r with w - rs, whose sum is the
+    model w + eta (see README, "The release")."""
     if dp is None:
         return {"w_share": train_pipeline(eng, X, t, tc)}
     w, eta = eng.parallel(lambda e: train_pipeline(e, X, t, tc),
-                          lambda e: sample_noise(e, dp, batch=(draws,)))
-    return {"w_share": w, "noisy": eng.open(eng.add(w, eta))}
+                          lambda e: sample_noise(e, dp, batch=(draws,), truncate=False))
+    return {"w_share": w, "noisy": eng.open([w, eta], [None, noise_shift(dp, eng.cfg)])}
 
 
 def epsilon_total(cfg: dict, draws: int) -> float:

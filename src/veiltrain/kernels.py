@@ -23,9 +23,9 @@ sum is local. Iteration counts and degrees are fixed, so transcripts
 depend only on input sizes, never on values.
 
 Polynomial coefficients are Chebyshev series (degree chosen so the
-float-side fit error sits well below each kernel's tolerance, and so that
-the fused power chain reaches it in few rounds: degree 6 and 12 take one
-round fewer than 8 and 14), converted to the power basis at import:
+float-side fit error sits well below each kernel's tolerance; the fused
+power chain takes j + 1 rounds to degree 2^j: 4 for degrees 5 to 8, 5 for
+9 to 16), converted to the power basis at import:
   LN_CHEB:  ln(m) on m in [1/8, 1],  argument (16m - 9)/7; LN_POWER in
             powers of u = 2m - 1
   LNM_CHEB: ln((1 + u)/2) on u in [0, 1], argument x = 2u - 1 (degree 8,
@@ -109,6 +109,8 @@ _RSQRT_STEPS = 2
 RSQRT_RESIDUAL_BITS = 8
 RSQRT_START_BITS = 56  # the quadratic start's b2 m^2 summand stays below 2^56
 _MANTISSA_EXTRA = 3  # fractional bits above l on the mantissa and on div's numerator
+# fractional bits above l on rsqrt's (1 - m y^2)/2, below 2^-(RSQRT_RESIDUAL_BITS + 1)
+_CORRECTION_BITS = RSQRT_RESIDUAL_BITS + 1
 SIGMOID_CLAMP_BITS = 3  # the sigmoid clamps at |z| = 2^3
 SIGMOID_BOUND_BITS = 2  # with a public bound |z| <= 2^2 it needs no clamp
 SIGMOID_BOUND = 2.0 ** SIGMOID_BOUND_BITS
@@ -148,49 +150,33 @@ def _combine_int(eng, z, weights):
     return eng.sum(eng.mul_public_int(z, w), axis=0)
 
 
-def _partners(rows, low, degree):
-    """For the exponents in rows (powers at 2l bits, squared this round
-    where the square is new and at most degree), the exponent of a power in
-    low (at l bits) to multiply each by, chosen so that the products add as
-    many new exponents up to degree as they can. Returns {row: partner} for
-    the rows whose product adds one; the others take no product."""
-    have = set(low) | set(rows) | {2 * h for h in rows}
-    partners = {}
-    for h in sorted(rows, reverse=True):
-        new = [h + j for j in low if h + j <= degree and h + j not in have]
-        if new:
-            have.add(max(new))
-            partners[h] = max(new) - h
-    return partners
-
-
 def _powers(eng, x, shift, degree):
     """v .. v^degree at l bits, stacked, from v at l + shift fractional bits.
 
-    One tmul truncates v and squares it. Every later round truncates each
-    power still at 2l bits and, in the same tmul, takes only the squares
-    and the products with a power already at l bits (_partners) that add
-    new exponents up to degree: the exponents at hand about double per
-    round. A last round truncates the powers left at 2l bits."""
+    One tmul truncates v and squares it. Every later round truncates the
+    powers at 2l bits and, in the same tmul, forms each new exponent up to
+    degree once: the top power v^M times v^b, b <= M, as a pair product
+    with a power truncated in this round (tmul's square=(i, j)) or a
+    product with one already at l bits. The powers at hand are always v ..
+    v^M, and M doubles every round, so degree <= 2^j takes j + 1 rounds,
+    the last a truncation alone: degree - 1 products and degree
+    truncations an element."""
     l = eng.frac_bits
     t, sq = eng.tmul(x, shift, square=True)
     low, high = {1: t}, {2: sq}  # powers at l and at 2l fractional bits
-    while len(low) + len(high) < degree:
+    while high:
         rows = sorted(high)
-        partners = _partners(rows, low, degree)
-        times = [i for i, h in enumerate(rows) if h in partners]
-        squares = [i for i, h in enumerate(rows)
-                   if 2 * h <= degree and 2 * h not in low and 2 * h not in high]
-        y = eng.stack([low[partners[rows[i]]] for i in times]) if times else None
+        top, at = rows[-1], len(rows) - 1
+        new = range(1, min(top, degree - top) + 1)  # the exponents top + b
+        ones = [b for b in new if b in low]
+        pairs = [rows.index(b) for b in new if b in high]
+        y = eng.stack([low[b] for b in ones]) if ones else None
         t, *prods = eng.tmul(eng.stack([high[h] for h in rows]), l, y,
-                             square=squares or False, rows=times)
-        made = dict(zip((rows[i] + partners[rows[i]] for i in times), prods[0])) if times else {}
-        if squares:
-            made.update(zip((2 * rows[i] for i in squares), prods[-1]))
+                             square=(pairs, [at] * len(pairs)) if pairs else False,
+                             rows=[at] * len(ones))
         low.update(zip(rows, t))
-        high = made
-    left = [high[k] for k in sorted(high)]
-    low.update(zip(sorted(high), eng.tmul(left, [l] * len(left)) if left else []))
+        high = dict(zip([top + b for b in ones] + [top + rows[i] for i in pairs],
+                        [p for prod in prods for p in prod]))
     return eng.stack([low[k] for k in range(1, degree + 1)])
 
 
@@ -276,16 +262,18 @@ def secure_div(eng, a, b, magnitude_bits=None):
         return eng.trunc(eng.add(prods[0], eng.trunc(prods[1], l - _MANTISSA_EXTRA)), wide)
 
 
-def _sqrt_mantissa(eng, a, magnitude_bits, with_g):
+def _sqrt_mantissa(eng, a, magnitude_bits, with_g, scale=None):
     """Normalize a >= 0 and run Goldschmidt on its mantissa m: h -> 1/(2
     sqrt(m)) from h0 = y0 / 2 and, with_g, g = 2 m h -> sqrt(m). The step
     tracks e = g h = 2 m h^2 -> 1/2: r = 3/2 - e, then h r (g r) and e r^2
     = (3/2 - r) r^2, in two rounds. The start takes two: h0 and m h0 with
     one truncation, then e0 from m h0 truncated; m^2, which h0 needs, is
     taken in the round that truncates m. The last step squares the first
-    carried value (g, else h) as it truncates. Returns z, tops, prec, m
-    exact at prec bits, m at l + _MANTISSA_EXTRA bits, the carried values
-    at l bits (g and h, or h, stacked) and that square at 2l."""
+    carried value (g, else h) as it truncates; with scale, a map from a
+    leaf's top to a public integer, it also multiplies that value by
+    sum_i z_i scale(T_i). Returns z, tops, prec, m exact at prec bits, m at
+    l + _MANTISSA_EXTRA bits, the carried values at l bits (g and h, or h,
+    stacked), with scale that product, and that square, both at 2l."""
     l, wide = eng.frac_bits, eng.frac_bits + _MANTISSA_EXTRA
     z, tops, prec, factor = _normalize(eng, a, magnitude_bits)
     m_prec = eng.mul(a, factor)
@@ -307,13 +295,13 @@ def _sqrt_mantissa(eng, a, magnitude_bits, with_g):
     three_halves = _unit(eng, 2 * l - 1, 3)  # at 2l bits
     for step in range(_RSQRT_STEPS):
         r, rc, rr = eng.tmul(eng.add_public(eng.neg(e), three_halves), l, carry, square=True)
-        if step == _RSQRT_STEPS - 1:
-            carry, (sq,) = eng.tmul(rc, l, square=[0])
-        else:
+        if step < _RSQRT_STEPS - 1:
             t, (e,) = eng.tmul(np.concatenate([rc, rr[None]]), l,
                                eng.add_public(eng.neg(r), _enc(eng, 1.5)), rows=[k])
             carry = t[:k]
-    return z, tops, prec, m_prec, m, carry, sq
+    times = None if scale is None else _combine_int(eng, z, [scale(t) for t in tops])
+    carry, *prods = eng.tmul(rc, l, times, square=[0], rows=[0])
+    return (z, tops, prec, m_prec, m, carry, *(p[0] for p in prods))
 
 
 def secure_sqrt(eng, a, magnitude_bits=None):
@@ -342,31 +330,45 @@ def rsqrt_start_bits(frac_bits: int) -> int:
 def rsqrt_operand_bits(frac_bits: int) -> int:
     """Bits the magnitude of secure_rsqrt's correction operand 1 - m y^2
     stays below as a ring integer: it is under 2^-RSQRT_RESIDUAL_BITS at
-    3l + _MANTISSA_EXTRA fractional bits. Its truncation is exact while
-    this is at most the truncation masks' lam - 2 bits."""
+    3l + _MANTISSA_EXTRA fractional bits (the half of it at one bit more).
+    Its truncation is exact while this is at most the truncation masks'
+    lam - 2 bits."""
     return 3 * frac_bits + _MANTISSA_EXTRA - RSQRT_RESIDUAL_BITS
+
+
+def rsqrt_shifts(frac_bits: int) -> list:
+    """The shifts of secure_rsqrt's summands with truncate False, for the
+    caller's tmul: y at l bits as it is, the correction from 2l +
+    _CORRECTION_BITS bits."""
+    return [None, frac_bits + _CORRECTION_BITS]
 
 
 def secure_rsqrt(eng, a, magnitude_bits=None, truncate=True):
     """1/sqrt(a) for a > 0 on shares, within 2^-12 absolute on [2^-10, 2^10],
     from the square root's iteration: its h converges to 1/(2 sqrt(m)).
-    Zero is out of domain, but its result is finite. The result is y at 2l
-    bits plus its correction at 3l, which one tmul truncates (by l and by
-    2l) and adds; with truncate False they are returned as Results (y,
-    correction), that tmul's summands, for the caller's next product to
-    take in its round."""
+    Zero is out of domain, but its result is finite.
+
+    One Newton correction follows for y = 2h, scaled: y + y (1 - m y^2)/2.
+    The last Goldschmidt round forms y at 2l bits beside h^2; one round
+    truncates y to l bits while m h^2 is formed (eng.parallel); the next
+    truncates (1 - m y^2)/2 to l + _CORRECTION_BITS bits, l significant
+    ones, while it multiplies it by y. The result is y plus that
+    correction truncated by l + _CORRECTION_BITS; with truncate False the
+    two are returned as Results (y, correction), summands for the caller's
+    next tmul to take in its round (rsqrt_shifts)."""
     l, wide = eng.frac_bits, eng.frac_bits + _MANTISSA_EXTRA
     with eng.phase("rsqrt"):
-        z, tops, _, _, m, (half,), hh = _sqrt_mantissa(eng, a, magnitude_bits, False)
-        scale = _combine_int(eng, z, [int(round(2 ** (l + (l - t) / 2))) for t in tops])
-        # one Newton correction at 2l bits for y = 2h: y + h (1 - m y^2). m y^2
-        # sits near 2^(3l + 3) at 3l + 3 bits, which may wrap the ring, but
-        # 1 - m y^2 is exact and small enough to truncate (rsqrt_operand_bits)
-        m_hh, ys = eng.mul(eng.stack([m, eng.mul_public_int(half, 2)]), eng.stack([hh, scale]))
+        *_, m, _, ys, hh = _sqrt_mantissa(eng, a, magnitude_bits, False,
+                                          lambda t: 2 * int(round(2 ** (l + (l - t) / 2))))
+        ys, m_hh = eng.parallel(lambda eng: eng.trunc(ys, l), lambda eng: eng.mul(m, hh))
+        # m y^2 sits near 2^(3l + 3) at 3l + 3 bits, which may wrap the ring,
+        # but 1 - m y^2 is exact and small enough to truncate
+        # (rsqrt_operand_bits); at one bit more it is (1 - m y^2)/2
         e = eng.add_public(eng.neg(eng.mul_public_int(m_hh, 4)), _unit(eng, 2 * l + wide))
-        _, he = eng.tmul(e, wide, half)  # h (1 - m y^2) at 3l bits
-        _, hes = eng.tmul(he, l, scale)
-        return eng.add(*eng.tmul([ys, hes], [l, 2 * l])) if truncate else Results((ys, hes))
+        _, fix = eng.tmul(e, l + wide + 1 - _CORRECTION_BITS, ys)
+        if truncate:
+            return eng.add(ys, eng.trunc(fix, l + _CORRECTION_BITS))
+        return Results((ys, fix))
 
 
 def secure_ln(eng, a, magnitude_bits=None):

@@ -11,8 +11,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidArgument
-from .kernels import (_exponentials_2l, _sin_cos_turns, _turn_powers, joint_uniform, secure_ln,
-                      secure_rsqrt, unit_exponentials)
+from .kernels import (_exponentials_2l, _sin_cos_turns, _turn_powers, joint_uniform,
+                      rsqrt_shifts, secure_ln, secure_rsqrt, unit_exponentials)
 
 # uniforms live in (0, 1]; -ln u <= l ln 2 (gaussian_vector, gamma_magnitude),
 # and an exponential e ln 2 - ln m < (W + 1) ln 2 with W <= 24 bits, so
@@ -63,8 +63,8 @@ def _coordinates(x, d: int, batch: tuple):
 
 def box_muller_radius(eng, e):
     """sqrt(E) = E rsqrt(E) at 2l bits, E >= 0 at l bits; exactly 0 at E = 0."""
-    l = eng.frac_bits
-    return eng.tmul(secure_rsqrt(eng, e, _BOX_MULLER_BITS, truncate=False), [l, 2 * l], e)[-1]
+    y = secure_rsqrt(eng, e, _BOX_MULLER_BITS, truncate=False)
+    return eng.tmul(y, rsqrt_shifts(eng.frac_bits), e)[-1]
 
 
 def gaussian_vector(eng, d: int, batch: tuple = ()):
@@ -96,6 +96,18 @@ def _exponents(eng, shape):
         return eng.joint_geometric(shape)
 
 
+def _pair_bits(d: int) -> int:
+    """a with 4^a >= k = ceil(d/2): S/4^a, S the sum of the k Box-Muller
+    radii squared, is the sample's rsqrt operand."""
+    return ((((d + 1) // 2) - 1).bit_length() + 1) // 2
+
+
+def noise_shift(dp: DpParams, cfg) -> int:
+    """The shift sample_noise(..., truncate=False) leaves to its caller:
+    its draws come at l + noise_shift fractional bits."""
+    return dp.scale_code(cfg)[1] if dp.d == 1 else cfg.frac_bits + _pair_bits(dp.d)
+
+
 def _angles_and_mantissas(eng, d: int, batch: tuple):
     """The power chain (kernels._turn_powers) of sample_noise's uniforms:
     the turns of k = ceil(d/2) angles (none at d = 1), then the turns 2u of
@@ -111,9 +123,11 @@ def _angles_and_mantissas(eng, d: int, batch: tuple):
     return _turn_powers(eng, np.concatenate(rows))
 
 
-def sample_noise(eng, dp: DpParams, batch: tuple = ()):
+def sample_noise(eng, dp: DpParams, batch: tuple = (), truncate=True):
     """Shares of Gamma * g / ||g||, (*batch, d): one independent draw per
-    batch row. It needs neither data nor weights.
+    batch row. It needs neither data nor weights. With truncate False the
+    draws are left at l + noise_shift fractional bits, for the caller's
+    opening to truncate in its round (eng.open with shifts).
 
     The d unit exponentials X_i = e_i ln 2 - ln m_i come from d mantissa
     uniforms and d geometric exponents (kernels.unit_exponentials); the
@@ -138,18 +152,21 @@ def sample_noise(eng, dp: DpParams, batch: tuple = ()):
     theta) / 2 joins S first: E cos 2 theta rides in the round that truncates sin
     and cos, and one truncation follows, so odd d takes two rounds more
     than even.
+    The last round truncates eta 2^a by l + a (by f at d = 1), or the
+    caller does (truncate False).
     The angles' and the mantissas' uniforms are two draws, though one would
     save a round: measured on the benchmark's noise-wide (d = 50, 1000
     draws), one merged draw raised the setup time from 0.033 to 0.047 s."""
     l, d, k = eng.frac_bits, dp.d, (dp.d + 1) // 2
-    a = ((k - 1).bit_length() + 1) // 2
+    a, shift = _pair_bits(d), noise_shift(dp, eng.cfg)
     code, f = dp.scale_code(eng.cfg)
     with eng.phase("perturb"):
         e, powers = eng.parallel(lambda eng: _exponents(eng, (max(d, 2), *batch)),
                                  lambda eng: _angles_and_mantissas(eng, d, batch))
         if d == 1:
             x = unit_exponentials(eng, e, powers)
-            return eng.trunc(eng.mul_public_int(eng.sub(x[0], x[1]), code), f)[..., None]
+            eta = eng.mul_public_int(eng.sub(x[0], x[1]), code)[..., None]  # at l + f bits
+            return eng.trunc(eta, shift) if truncate else eta
         angles = k + d % 2  # the power chain's angle rows
         x2l = _exponentials_2l(eng, e, powers[:, angles:])
         norm = eng.mul_public_int(eng.sum(x2l[:k - d % 2], axis=0), 2)  # S at 2l, odd tail aside
@@ -176,10 +193,11 @@ def sample_noise(eng, dp: DpParams, batch: tuple = ()):
             truncate_beside)
         if trig:
             sin, cos = trig[0]
-        *_, rk = eng.tmul(y, [l, 2 * l], np.concatenate([r2, gamma[None]]))  # R at 2l, K at l + f
+        *_, rk = eng.tmul(y, rsqrt_shifts(l), np.concatenate([r2, gamma[None]]))  # R at 2l, K at l + f
         _, rk = eng.tmul(rk, l, square=(range(k), [k] * k))  # R K at l + f bits
         _, eta = eng.tmul(rk, f, eng.stack([cos, sin]))  # eta 2^a at 2l bits
-        return _coordinates(eng.trunc(eta, l + a), d, batch)
+        eta = _coordinates(eta, d, batch)
+        return eng.trunc(eta, shift) if truncate else eta
 
 
 def perturb_weights(eng, w, dp: DpParams, batch: tuple = ()):

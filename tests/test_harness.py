@@ -13,7 +13,7 @@ from veiltrain.dealer import MaterialSource, with_slack
 from veiltrain.engine import PlainEngine, estimate_counts, run_two_party
 from veiltrain.errors import VeiltrainError
 from veiltrain.fixedpoint import RingConfig, encode, to_signed
-from veiltrain.noise import DpParams
+from veiltrain.noise import DpParams, sample_noise
 from veiltrain.training import TrainingConfig, l2_normalize, mean_bits
 from veiltrain.harness import (ExperimentReport, dp_params, party_pipeline, pipeline_counts,
                                run_experiment, run_mpc_threaded, training_config, write_report)
@@ -181,11 +181,12 @@ def test_report_contains_traffic():
     assert res["bytes"] > 0
     rows = res["report"]["paths"]
     assert rows["forward"]["rounds"] > 0
-    # all of the noise's 33 rounds (odd d) ride in training's, where the
-    # report counts them in its rows' rode, its own branches' 6 shared
-    # rounds twice; one more round opens the models
+    # all of the noise's 30 rounds (odd d; its last truncation is left to
+    # the opening) ride in training's, where the report counts them in its
+    # rows' rode, its own branches' 7 shared rounds twice; one more round
+    # opens the models
     rode = {path: row["rode"] for path, row in rows.items() if path.startswith("perturb")}
-    assert rode["perturb"] > 0 and sum(rode.values()) == 33 + 6
+    assert rode["perturb"] > 0 and sum(rode.values()) == 30 + 7
     assert res["rounds"] == 82 + 1
 
 
@@ -283,9 +284,13 @@ def test_every_session_truncation_keeps_its_hiding_floor(frac_bits):
     # on worst-case rows (one-hot, or all alike, with constant labels),
     # training's operands stay below 2^(2l + q + 1): the Gram entries are
     # at most alpha 2^q at 2l bits. rsqrt's quadratic start b2 m^2 stays
-    # below 2^56 (kernels.rsqrt_start_bits). 300 x 30 takes the step loop
+    # below 2^56 (kernels.rsqrt_start_bits), and so do its scaled y,
+    # truncated by l in rsqrt, and its correction, truncated in the tmul
+    # that forms R and K (kernels.rsqrt_shifts); the noise alone at 2000
+    # draws checks those two on more radii. 300 x 30 takes the step loop
     ring, l = RingConfig(frac_bits), frac_bits
     start = 2 * (l + kernels._MANTISSA_EXTRA) + kernels.rsqrt_start_bits(l) - l
+    correction = ("perturb", kernels.rsqrt_shifts(l)[1])
     for n, m in ((300, 12), (2000, 12), (300, 30)):
         rows = {"one-hot": np.eye(m)[np.arange(n) % m], "alike": np.tile(np.eye(m)[0], (n, 1)),
                 "aligned": np.tile(np.random.default_rng(80).uniform(-1, 1, m), (n, 1))}
@@ -302,4 +307,11 @@ def test_every_session_truncation_keeps_its_hiding_floor(frac_bits):
                                 if not path.startswith("perturb")]
                     assert training and max(training) < floor
                     assert 0 < eng.peaks[("perturb/rsqrt", start)] < 2.0 ** 56
+                    assert 0 < eng.peaks[("perturb/rsqrt", l)] < 2.0 ** 56
+                    assert 0 < eng.peaks[correction] < 2.0 ** 56
+    for d in (12, 50):
+        eng = _TruncationPeaks(MaterialSource(82, ring), ring)
+        sample_noise(eng, DpParams(1.0, 1.0, 300, d), (2000,))
+        assert 0 < eng.peaks[("perturb/rsqrt", l)] < 2.0 ** 56
+        assert 0 < eng.peaks[correction] < 2.0 ** 56
 

@@ -112,16 +112,18 @@ def test_rsqrt_tolerance_sweep_and_edges():
     assert np.abs(got - want).max() <= kernels.KERNEL_TOLERANCES["rsqrt"].bound
 
 
-@pytest.mark.parametrize("truncate, pairs", [(True, 13), (False, 11)])
+@pytest.mark.parametrize("truncate, pairs", [(True, 12), (False, 11)])
 def test_rsqrt_material_per_element_is_pinned(truncate, pairs):
     # the dealer material rsqrt takes per element. The quadratic start's m^2
     # and its summand take one triple and one truncation pair, and the
     # Goldschmidt step it saves three of each (92 and 15 with the linear
-    # start). With truncate False the caller's tmul takes the last two pairs
+    # start). The correction, formed from y beside h^2, takes three triples
+    # and three pairs (four of each when y was scaled after the steps); with
+    # truncate False the caller's tmul takes the correction's last pair
     x = np.exp2(np.linspace(-9, 9, 100))
     counts = estimate_counts(
         lambda eng: kernels.secure_rsqrt(eng, enc_pub(eng, x), truncate=truncate), 49, RING)
-    assert counts[("triple",)] == 90 * len(x)
+    assert counts[("triple",)] == 89 * len(x)
     assert sum(v for k, v in counts.items() if k[0] == "trunc") == pairs * len(x)
 
 
@@ -207,6 +209,48 @@ def test_ln_of_one_is_exactly_zero_at_the_box_muller_width():
     eng = plain(34)
     got = eng.open(kernels.secure_ln(eng, enc_pub(eng, np.ones(500)), magnitude_bits=1))
     assert not got.any()
+
+
+# --- power chain ---
+
+def _power_chain(v, degree):
+    """kernels._powers of v, given exactly at 2l bits (shift l), opened."""
+    l = RING.frac_bits
+
+    def fn(eng):
+        x = eng.mul_public_int(eng.from_public(encode(v, RING)), 1 << l)
+        return eng.open(kernels._powers(eng, x, l, degree))
+
+    return fn
+
+
+@pytest.mark.parametrize("degree", range(2, 17))
+def test_power_chain_doubles_its_top_exponent_every_round(degree):
+    # degree <= 2^j takes j + 1 rounds, degree - 1 products and degree
+    # truncations an element; the parties match the mirror bit for bit
+    v = np.random.default_rng(degree).uniform(-1, 1, 50)
+    fn = _power_chain(v, degree)
+    counts = estimate_counts(fn, 60, RING)
+    assert counts == {("triple",): (degree - 1) * v.size, ("trunc", RING.frac_bits): degree * v.size}
+    (r0, r1), engines = run_both(fn, seed=60, counts=counts)
+    mirror = fn(plain(60))
+    assert np.array_equal(r0, mirror) and np.array_equal(r1, mirror)
+    for eng in engines:  # the chain's rounds and the opening's
+        assert eng.rt.transcript.n_rounds == (degree - 1).bit_length() + 1 + 1
+        assert {k: n for k, n in eng.material.pos.items() if isinstance(k, tuple)} == counts
+
+
+def test_power_chain_values_against_float_powers():
+    # each power is a product of two truncated ones, truncated: on |v| <=
+    # 1/2 within 2 ulps of the float power of v, and on [-1, 1] v^k within
+    # k - 1 ulps (the errors of v^M and v^b add, plus the truncation's)
+    v = np.concatenate([np.random.default_rng(61).uniform(-1, 1, 20_000), [-1, 1, 0.5, -0.5]])
+    v = decode(encode(v, RING), RING)
+    got = decode(_power_chain(v, 16)(plain(62)), RING)
+    k = np.arange(1, 17)[:, None]
+    err = np.abs(got - v ** k) * 2.0 ** RING.frac_bits
+    assert np.all(err <= np.maximum(k - 1, 0))
+    assert err[:, np.abs(v) <= 0.5].max() <= 2
 
 
 # --- sine / cosine ---

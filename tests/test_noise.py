@@ -7,8 +7,8 @@ from veiltrain.engine import PlainEngine, whole_leaves
 from veiltrain.fixedpoint import RingConfig, decode, encode
 from veiltrain.kernels import _turn_powers, joint_uniform, unit_exponentials
 from veiltrain.noise import (DpParams, box_muller_radius, gamma_magnitude,
-                             gaussian_pair_count, gaussian_vector, perturb_weights,
-                             sample_noise)
+                             gaussian_pair_count, gaussian_vector, noise_shift,
+                             perturb_weights, sample_noise)
 
 from conftest import ACCEPTED_RINGS, run_both
 
@@ -313,9 +313,33 @@ def test_perturbation_round_budget():
         return engs[0].rt.transcript.n_rounds
 
     even = {d: rounds(d) for d in (2, 10, 50)}
-    assert set(even.values()) == {31}
+    assert set(even.values()) == {29}
     for d in (3, 11, 51):  # the odd tail's E cos^2 takes one product and one truncation
         assert rounds(d) <= even[d - 1] + 2
+
+
+@pytest.mark.parametrize("d", [1, 6, 7])
+def test_the_release_truncates_the_noise_in_the_opening(d):
+    # the noise left at l + noise_shift bits and opened with the model
+    # (eng.open with shifts) gives, on the mirror, exactly w plus the noise
+    # that sample_noise truncates itself, in one round fewer; the parties
+    # match the mirror
+    dp = DpParams(epsilon=1.0, lambda_reg=1.0, n=300, d=d)
+    w = encode(np.linspace(-1, 1, d), RING)
+
+    def release(eng):
+        eta = sample_noise(eng, dp, (5,), truncate=False)
+        return eng.open([eng.from_public(w), eta], [None, noise_shift(dp, eng.cfg)])
+
+    def truncated(eng):
+        return eng.open(eng.add(eng.from_public(w), sample_noise(eng, dp, (5,))))
+
+    mirror = release(plain(70))
+    assert mirror.shape == (5, d) and np.array_equal(mirror, truncated(plain(70)))
+    (r0, r1), engs = run_both(release, 70)
+    assert np.array_equal(r0, mirror) and np.array_equal(r1, mirror)
+    _, other = run_both(truncated, 70)
+    assert engs[0].rt.transcript.n_rounds == other[0].rt.transcript.n_rounds - 1
 
 
 def test_session_noise_is_calibrated_to_the_row_bound():

@@ -192,6 +192,9 @@ SUMMED = {  # (shifts, x shape, y shape or None)
     "three": ((SHIFT, 12, SHIFT + 9), (8,), (8,)),
     "three, no product": ((SHIFT, 12, SHIFT + 9), (8,), None),
     "broadcast column": ((SHIFT, SHIFT + 9), (5, 1), (5, 4)),
+    # a summand with shift None is taken as it is, and opens nothing
+    "as is": ((None, SHIFT), (2, 6), (2, 6)),
+    "as is, no product": ((SHIFT, None), (6,), None),
 }
 
 
@@ -221,7 +224,10 @@ def test_summed_tmul_matches_the_mirror_and_the_truncations(case):
         assert np.array_equal(a, m) and np.array_equal(b, m)
     ts = mirror[:len(shifts)]
     for t, x, s in zip(ts, xs, shifts):
-        assert np.abs(to_signed(t) - (to_signed(x) >> s)).max() <= 1
+        if s is None:  # taken as it is
+            assert np.array_equal(t, x)
+        else:
+            assert np.abs(to_signed(t) - (to_signed(x) >> s)).max() <= 1
     if y is not None:
         with np.errstate(over="ignore"):
             assert np.array_equal(mirror[-1], sum(ts) * y)
@@ -277,8 +283,9 @@ def test_summed_tmul_consumes_the_dry_run_exactly(case):
     fn = _summed_fn(xs, shifts, y)
     counts = estimate_counts(fn, 30, RING)
     n = np.size(xs[0])
-    for s in set(shifts):
+    for s in set(shifts) - {None}:
         assert counts[("trunc", s)] == n * shifts.count(s)
+    assert ("trunc", None) not in counts
     _, engines = run_both(fn, seed=30, counts=counts)
     for eng in engines:
         assert {k: v for k, v in eng.material.pos.items() if isinstance(k, tuple)} == counts
@@ -295,3 +302,81 @@ def test_summed_tmul_takes_one_shift_per_summand():
     for shift in (SHIFT, [SHIFT], [SHIFT, SHIFT, SHIFT]):
         with pytest.raises(ValueError):
             eng.tmul([x, x], shift)
+
+
+# --- open with shifts: tmul-style summands released in one round ---
+
+def _release(w, xs, shifts):
+    """w as it is plus the truncated xs, opened in one call."""
+    def fn(eng):
+        return eng.open([eng.from_public(w)] + [eng.from_public(x) for x in xs],
+                        [None] + list(shifts))
+
+    return fn
+
+
+# w broadcast against the (5, 4) output; the second summand broadcast too
+RELEASE = (_y((4,), 40), [_x((5, 4), 41), _x((5, 1), 42)], (SHIFT, SHIFT + 9))
+
+
+def test_open_with_shifts_matches_the_mirror_in_one_round():
+    w, xs, shifts = RELEASE
+    fn = _release(w, xs, shifts)
+    (r0, r1), engines = run_both(fn, seed=43)
+    mirror = fn(PlainEngine(MaterialSource(43, RING), RING))
+    assert mirror.shape == (5, 4)
+    assert np.array_equal(r0, mirror) and np.array_equal(r1, mirror)
+    exact = sum(to_signed(x) >> s for x, s in zip(xs, shifts))
+    with np.errstate(over="ignore"):
+        assert np.abs(to_signed(mirror - w) - exact).max() <= 2  # a carry a truncation
+    tr = engines[0].rt.transcript
+    assert tr.n_rounds == 1
+    # a word per truncated element and one per output element
+    assert tr.bytes_sent - FRAME_BYTES == 8 * (20 + 5 + 20)
+
+
+def test_open_with_shifts_opens_each_x_plus_r_and_w_minus_the_masks():
+    w, xs, shifts = RELEASE
+    opened = []
+
+    def fn(eng):
+        real = eng.open
+
+        def record(a, shift=None):
+            out = real(a, shift)
+            if shift is None:  # the one exchange
+                opened.append(out)
+            return out
+
+        eng.open = record
+        _release(w, xs, shifts)(eng)
+
+    run_both(fn, seed=44)
+    source = MaterialSource(44, RING)
+    masks = []
+    for x, s in zip(xs, shifts):
+        r0, rs0, r1, rs1 = source.trunc_pairs(s, 0, x.size)
+        with np.errstate(over="ignore"):
+            masks.append(((r0 + r1).reshape(x.shape), (rs0 + rs1).reshape(x.shape)))
+    with np.errstate(over="ignore"):
+        rest = w - masks[0][1] - masks[1][1]
+        want = np.concatenate([(xs[0] + masks[0][0]).ravel(), (xs[1] + masks[1][0]).ravel(),
+                               rest.ravel()])
+    assert len(opened) == 2  # one call per party, one exchange each
+    assert all(np.array_equal(o, want) for o in opened)
+
+
+def test_open_with_shifts_consumes_the_dry_run_exactly():
+    # the mirror's open truncates through its trunc, so the dry run counts
+    # the pairs the parties take
+    fn = _release(*RELEASE)
+    counts = estimate_counts(fn, 45, RING)
+    assert counts == {("trunc", SHIFT): 20, ("trunc", SHIFT + 9): 5}
+    _, engines = run_both(fn, seed=45, counts=counts)
+    for eng in engines:
+        assert {k: v for k, v in eng.material.pos.items() if isinstance(k, tuple)} == counts
+    for key in counts:
+        starved = dict(counts)
+        starved[key] -= 1
+        with pytest.raises(Exhausted):
+            run_both(fn, seed=45, counts=starved)
