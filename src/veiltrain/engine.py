@@ -9,7 +9,8 @@ below and can run on either engine:
   result share one exchange (tmul; trunc is a tmul without products).
   Comparisons (msb, lead) open the input under a dealer mask whose
   bits come in 3-bit blocks, the leaves (leaf_layout), and resolve the
-  borrow out of each leaf with a log-depth prefix over them. Joint
+  borrow out of each leaf with a log-depth prefix over them; lead may
+  truncate its input in that opening's round. Joint
   uniforms open the parties' local bits under the same kind of dealer bits,
   one word per uniform (joint_uniform); geometric exponents open theirs the
   same way and count their leading zeros with msb's prefix
@@ -202,12 +203,40 @@ def _summands(x, shift):
     return [(x, shift)]
 
 
+def _runs(a, shift):
+    """A summand's (rows, shift) runs: all of a under one shift (None: a
+    as it is), or, where shift is a sequence, one shift per row of a (axis
+    0), consecutive rows of one shift in one run."""
+    if shift is None or np.ndim(shift) == 0:
+        return [(slice(None), shift)]
+    rows = np.shape(a)[0]
+    if len(shift) != rows:
+        raise ValueError("a summand takes one shift per row")
+    runs, start = [], 0
+    for j in range(1, rows + 1):
+        if j == rows or shift[j] != shift[start]:
+            runs.append((slice(start, j), shift[start]))
+            start = j
+    return runs
+
+
 def _shifted(opened, terms):
     """p_i = (x_i + r_i) >> shift_i for the masked summands' terms
-    (MpcEngine._masked), from their openings, in order; 0 for a summand
-    taken as it is."""
-    opened = iter(opened)
-    return [np.uint64(0) if s is None else truncate(next(opened), s) for _, s, _ in terms]
+    (MpcEngine._masked), from their openings, in order, run by run; 0 for
+    a summand, or rows of one, taken as it is."""
+    opened, out = iter(opened), []
+    for runs, rs in terms:
+        if all(s is None for _, s in runs):
+            out.append(np.uint64(0))
+        elif len(runs) == 1:
+            out.append(truncate(next(opened), runs[0][1]))
+        else:
+            p = np.zeros(np.shape(rs), dtype=np.uint64)
+            for at, s in runs:
+                if s is not None:
+                    p[at] = truncate(next(opened), s)
+            out.append(p)
+    return out
 
 
 class BaseEngine:
@@ -304,9 +333,21 @@ class PlainEngine(BaseEngine):
 
     def _truncated(self, x, shift):
         """trunc(x_i, shift_i) for tmul's summands, x_i itself where the
-        shift is None."""
-        return [np.asarray(a, dtype=np.uint64) if s is None else self.trunc(a, s)
-                for a, s in _summands(x, shift)]
+        shift is None; a summand with one shift per row goes through trunc
+        run by run (engine._runs)."""
+        out = []
+        for a, s in _summands(x, shift):
+            a, runs = np.asarray(a, dtype=np.uint64), _runs(a, s)
+            if len(runs) == 1:
+                s = runs[0][1]
+                out.append(a if s is None else self.trunc(a, s))
+                continue
+            t = a.copy()
+            for at, si in runs:
+                if si is not None:
+                    t[at] = self.trunc(a[at], si)
+            out.append(t)
+        return out
 
     def mul(self, a, b):
         shape = np.broadcast_shapes(np.shape(a), np.shape(b))
@@ -351,10 +392,15 @@ class PlainEngine(BaseEngine):
         x = self._count_leaf_op(a, width, _plan_products(msb_plan(width)))
         return x >> np.uint64(width - 1)
 
-    def lead(self, a, width):
+    def lead(self, a, width, shift=None):
         """One-hot over leaf_layout(width) of the leaf holding the top set
         bit of a mod 2^width, leaves stacked on a new first axis; a = 0
-        marks the lowest leaf."""
+        marks the lowest leaf. With shift, a is the sum of tmul-style
+        summands, each truncated through trunc, and the result is Results
+        (a, one-hot) (see MpcEngine.lead)."""
+        if shift is not None:
+            a = functools.reduce(self.add, self._truncated(a, shift))
+            return Results((a, self.lead(a, width)))
         plan = lead_plan(width)
         leaves = leaf_layout(width)
         x = self._count_leaf_op(
@@ -427,26 +473,43 @@ class MpcEngine(BaseEngine):
             with np.errstate(over="ignore"):
                 return np.asarray(x + theirs).reshape(shape)
         sends, terms = self._masked(x, shift)
-        rest = self.neg(functools.reduce(self.add, [rs for _, _, rs in terms]))  # w - rs
+        rest = self.neg(functools.reduce(self.add, [rs for _, rs in terms]))  # w - rs
         opened = self._open_all(sends + [rest])
         with np.errstate(over="ignore"):
             return functools.reduce(self.add, _shifted(opened[:-1], terms), opened[-1])
 
     def _masked(self, x, shift):
         """tmul's summands, masked: the arrays x_i + r_i to open, for the
-        truncated ones, and a (shape, shift, rs_i) term per summand, where
-        rs_i is r_i shifted; a summand taken as it is has shift None and
-        rs_i = -x_i, so that t = sum_i p_i - rs holds for every summand."""
+        truncated ones (run by run, engine._runs), and a (runs, rs_i) term
+        per summand, where rs_i is r_i shifted; a summand (or row) taken as
+        it is has shift None and rs_i = -x_i, so that t = sum_i p_i - rs
+        holds for every summand."""
         sends, terms = [], []
         for a, s in _summands(x, shift):
-            a = np.asarray(a, dtype=np.uint64)
-            if s is None:
-                terms.append((a.shape, None, self.neg(a)))
-                continue
-            r, rs = (m.reshape(a.shape) for m in self.material.take_trunc(s, a.size))
-            sends.append(self.add(a, r))
-            terms.append((a.shape, s, rs))
+            a, runs = np.asarray(a, dtype=np.uint64), _runs(a, s)
+            if len(runs) == 1:  # a in one piece
+                s = runs[0][1]
+                rs = self.neg(a) if s is None else self._mask_run(a, s, sends)
+            else:
+                rs = self.neg(a)
+                for at, si in runs:
+                    if si is not None:
+                        rs[at] = self._mask_run(a[at], si, sends)
+            terms.append((runs, rs))
         return sends, terms
+
+    def _mask_run(self, a, shift, sends):
+        """Append a + r to sends for a truncation pair (r, rs) per element
+        of a; returns rs."""
+        r, rs = (m.reshape(a.shape) for m in self.material.take_trunc(shift, a.size))
+        sends.append(self.add(a, r))
+        return rs
+
+    def _unmasked(self, ps, terms):
+        """This party's shares t_i = p_i - rs_i of the masked summands
+        (_masked), from their public p_i (_shifted)."""
+        return [p_i - rs_i if self.party == 0 else self.neg(rs_i)
+                for p_i, (_, rs_i) in zip(ps, terms)]
 
     def _open_all(self, sends):
         """The arrays sends, opened in one round, each in its shape."""
@@ -486,8 +549,11 @@ class MpcEngine(BaseEngine):
         t[square] * t[square] (square a sequence of rows) or t[i] * t[j]
         (square a tuple (i, j) of index arrays of one length, repeats
         allowed). A summand whose shift is None is taken as it is, t_i =
-        x_i, and opens nothing. Returns the t_i and then the products asked
-        for; trunc is tmul without products.
+        x_i, and opens nothing. A summand's shift may also be a sequence,
+        one per row (axis 0), so that rows of one array are truncated by
+        different shifts, or taken as they are (None), at no cost beyond
+        their own (engine._runs). Returns the t_i and then the products
+        asked for; trunc is tmul without products.
 
         It spends what the truncations and mul would: a truncation pair
         (r_i, rs_i) per element of x_i, rs_i being r_i arithmetically
@@ -504,7 +570,7 @@ class MpcEngine(BaseEngine):
         sends, terms = self._masked(x, shift)
         masked, jobs = len(sends), []
         if y is not None or square is not False:
-            rs = functools.reduce(self.add, [rs for _, _, rs in terms])
+            rs = functools.reduce(self.add, [rs for _, rs in terms])
         with np.errstate(over="ignore"):
             if y is not None:
                 left = _rows(rs, rows)
@@ -520,8 +586,7 @@ class MpcEngine(BaseEngine):
                 jobs.append((i, a, b, c))
             parts = self._open_all(sends)
             ps = _shifted(parts, terms)
-            out = [p_i - rs_i if self.party == 0 else self.neg(rs_i)
-                   for p_i, (_, _, rs_i) in zip(ps, terms)]
+            out = self._unmasked(ps, terms)
             if jobs:
                 p = functools.reduce(self.add, ps)
             parts = parts[masked:]
@@ -540,23 +605,35 @@ class MpcEngine(BaseEngine):
         n = int(np.prod(shape, dtype=np.int64))
         return (m.reshape(shape) for m in self.material.take_triples(n))
 
-    def _open_leaves(self, a, width):
+    def _open_leaves(self, a, width, shift=None):
         """Take a width-bit mask r in leaves and open c = (a + r) mod 2^width.
 
-        Returns c and the leaves' monomial shares (_take_leaves)."""
-        n = int(np.prod(np.shape(a), dtype=np.int64))
+        With shift, a is the sum of tmul-style summands, truncated in the
+        same round: every x_i + r_i is opened, and with them the low width
+        bits of r - rs, rs = sum_i rs_i (_masked), so c = (sum_i p_i + r -
+        rs) mod 2^width. The full word r - rs would show rs's high bits, and
+        with them bits of the x_i; its low width bits are uniform, as r's
+        are. Returns c, the leaves' monomial shares (_take_leaves) and this
+        party's share of a."""
+        if shift is None:  # a itself, taken as it is
+            a = np.asarray(a, dtype=np.uint64)
+            sends, terms = [], [(_runs(a, None), self.neg(a))]
+        else:
+            sends, terms = self._masked(a, shift)
+        rs = functools.reduce(self.add, [rs for _, rs in terms])
+        n = int(np.size(rs))
         pos = leaf_layout(width)
         mono = self._take_leaves(len(pos), n)
         r = self.zeros(n)
+        mask = _low_mask(width)
         with np.errstate(over="ignore"):
             for p, leaf in zip(pos, mono):
                 for t, word in enumerate(_BLOCK_BITS):
                     r += leaf[:, word] << np.uint64(p + t)
-        mask = _low_mask(width)
-        flat = np.ravel(np.asarray(a, dtype=np.uint64))
-        with np.errstate(over="ignore"):
-            c = np.ravel(self.open((flat + r) & mask)) & mask
-        return c, mono
+            opened = self._open_all(sends + [(r - np.ravel(rs)) & mask])
+            ps = _shifted(opened[:-1], terms)
+            c = np.ravel(functools.reduce(self.add, ps, opened[-1].reshape(np.shape(rs)))) & mask
+        return c, mono, functools.reduce(self.add, self._unmasked(ps, terms))
 
     def _take_leaves(self, leaves, n):
         """The bit words of n values' masks of the given number of leaves:
@@ -606,12 +683,12 @@ class MpcEngine(BaseEngine):
         the top leaf, whose map gives the sign bit of c - r.
         """
         leaves = len(leaf_layout(width))
-        c, mono = self._open_leaves(a, width)
+        c, mono, _ = self._open_leaves(a, width)
         outputs = [BORROW] * (leaves - 1) + [TOP_BIT]
         G, P = self._maps(c, mono, outputs)
         return self._compose(G, P, msb_plan(width))[-1].reshape(np.shape(a))
 
-    def lead(self, a, width):
+    def lead(self, a, width, shift=None):
         """One-hot of the leaf holding a's top set bit, for 0 <= a < 2^width.
 
         After one opening, a Sklansky prefix of the borrow maps gives every
@@ -619,9 +696,14 @@ class MpcEngine(BaseEngine):
         "my bits of x are nonzero" map NA + NB*g, and a Sklansky suffix OR
         of those flags gives S_i, "a has a bit set in leaf i or above". The
         one-hot is S_i - S_(i+1), with S_0 taken as 1.
+
+        With shift, a is the sum of tmul-style summands (x_i, shift_i),
+        truncated in the opening's round (_open_leaves), and the result is
+        Results (a, one-hot): a truncation followed by lead takes one round
+        fewer, and as many words, as the two would apart.
         """
-        shape, leaves = np.shape(a), len(leaf_layout(width))
-        c, mono = self._open_leaves(a, width)
+        c, mono, t = self._open_leaves(a, width, shift)
+        shape, leaves = np.shape(t), len(leaf_layout(width))
         n, plan = len(c), lead_plan(width)
         above = self.zeros((0, n))
         if leaves > 1:
@@ -640,7 +722,8 @@ class MpcEngine(BaseEngine):
         one = self.add_public(self.zeros((1, n)), np.uint64(1))
         ext = np.concatenate([one, above, self.zeros((1, n))])
         with np.errstate(over="ignore"):
-            return (ext[:-1] - ext[1:]).reshape((leaves,) + shape)
+            hot = (ext[:-1] - ext[1:]).reshape((leaves,) + shape)
+        return hot if shift is None else Results((t, hot))
 
     def parallel(self, *branches):
         """Run each branch(engine) side by side and return their results.

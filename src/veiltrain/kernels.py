@@ -18,14 +18,16 @@ engine's msb op. The sigmoid is an odd polynomial: on an input with a
 public bound |z| <= 4 it needs no clamp, otherwise it clamps its input to
 |z| <= 8.
 Every polynomial is evaluated in the power basis: the powers take one
-fused truncate and multiply round (engine op tmul) per doubling, and the
-sum is local. Iteration counts and degrees are fixed, so transcripts
-depend only on input sizes, never on values.
+fused truncate and multiply round (engine op tmul) per doubling, the top
+ones are left at 2l bits, and the sum is local, its top powers' part a
+second summand the consumer's tmul truncates. Iteration counts and
+degrees are fixed, so transcripts depend only on input sizes, never on
+values.
 
 Polynomial coefficients are Chebyshev series (degree chosen so the
 float-side fit error sits well below each kernel's tolerance; the fused
-power chain takes j + 1 rounds to degree 2^j: 4 for degrees 5 to 8, 5 for
-9 to 16), converted to the power basis at import:
+power chain takes j rounds to degree 2^j: 3 for degrees 5 to 8, 4 for 9
+to 16), converted to the power basis at import:
   LN_CHEB:  ln(m) on m in [1/8, 1],  argument (16m - 9)/7; LN_POWER in
             powers of u = 2m - 1
   LNM_CHEB: ln((1 + u)/2) on u in [0, 1], argument x = 2u - 1 (degree 8,
@@ -41,7 +43,9 @@ power chain takes j + 1 rounds to degree 2^j: 4 for degrees 5 to 8, 5 for
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -94,6 +98,9 @@ SIN_POWER = tuple(np.polynomial.chebyshev.cheb2poly(SIN_CHEB))
 COS_POWER = tuple(np.polynomial.chebyshev.cheb2poly(COS_CHEB))
 SIG_POWER = tuple(np.polynomial.chebyshev.cheb2poly(SIG_CHEB))
 SIG4_POWER = tuple(np.polynomial.chebyshev.cheb2poly(SIG4_CHEB))
+SIN_COS_POWER = tuple(np.polynomial.polynomial.polyadd(SIN_POWER, COS_POWER))  # s + c
+# the fits sin/cos's power chain feeds (_turn_powers)
+_TURN_FITS = (SIN_POWER, COS_POWER, SIN_COS_POWER, LNM_POWER)
 
 # starts on the coarse mantissa m in [1/8, 1): 1/m ~ a - b m, with relative
 # error below 0.44; 1/sqrt(m) ~ a0 + a1 m + a2 m^2, the minimax fit of
@@ -108,6 +115,11 @@ _RSQRT_STEPS = 2
 # l = 12, where the float iteration alone reaches 2^-12.2
 RSQRT_RESIDUAL_BITS = 8
 RSQRT_START_BITS = 56  # the quadratic start's b2 m^2 summand stays below 2^56
+TOP_SUMMAND_BITS = 56  # a fit's summand of its top powers stays below 2^56 (top_bits)
+# the fewest fractional bits (or l, if fewer) a fit's top coefficients may
+# keep for its power chain to leave the top powers at 2l bits: at most four
+# of them then add at most 2^-14 to the fit, within every kernel's bound
+TOP_COEFF_BITS = 14
 _MANTISSA_EXTRA = 3  # fractional bits above l on the mantissa and on div's numerator
 # fractional bits above l on rsqrt's (1 - m y^2)/2, below 2^-(RSQRT_RESIDUAL_BITS + 1)
 _CORRECTION_BITS = RSQRT_RESIDUAL_BITS + 1
@@ -150,24 +162,59 @@ def _combine_int(eng, z, weights):
     return eng.sum(eng.mul_public_int(z, w), axis=0)
 
 
-def _powers(eng, x, shift, degree):
-    """v .. v^degree at l bits, stacked, from v at l + shift fractional bits.
+class Powers(NamedTuple):
+    """A power chain's output (_powers): v .. v^M at l fractional bits
+    (low) and v^(M+1) .. v^degree at 2l (top; none where the chain
+    truncated them too), each stacked on axis 0."""
+
+    low: np.ndarray
+    top: np.ndarray
+
+    def rows(self, idx):
+        """The powers of the chain's rows idx (axis 1)."""
+        return Powers(self.low[:, idx], self.top[:, idx])
+
+
+def top_bits(frac_bits: int, coeffs) -> int:
+    """Fractional bits of a fit's top coefficients, those of the powers a
+    chain leaves at 2l bits (_powers): 2l, or fewer where their summand
+    sum_k a_k v^k, |v| <= 1, at 2l + c bits would reach 2^TOP_SUMMAND_BITS.
+    A value opened under the truncation masks, uniform on [-2^62, 2^62),
+    keeps about 62 - log2 |x| bits hidden (rsqrt_start_bits)."""
+    c = 2 * frac_bits
+    while c > 0 and (sum(abs(int(round(float(a) * 2.0 ** c))) for a in coeffs)
+                     << 2 * frac_bits) >= 1 << TOP_SUMMAND_BITS:
+        c -= 1
+    return c
+
+
+def _powers(eng, x, shift, fits):
+    """The powers of v from v at l + shift fractional bits, up to the
+    degree of the longest of fits (coefficient tuples), as Powers.
 
     One tmul truncates v and squares it. Every later round truncates the
     powers at 2l bits and, in the same tmul, forms each new exponent up to
-    degree once: the top power v^M times v^b, b <= M, as a pair product
+    the degree once: the top power v^M times v^b, b <= M, as a pair product
     with a power truncated in this round (tmul's square=(i, j)) or a
     product with one already at l bits. The powers at hand are always v ..
-    v^M, and M doubles every round, so degree <= 2^j takes j + 1 rounds,
-    the last a truncation alone: degree - 1 products and degree
-    truncations an element."""
+    v^M, and M doubles every round, so degree <= 2^j takes j rounds: degree
+    - 1 products and M truncations an element, M the largest power of two
+    below the degree. The chain leaves v^(M+1) .. v^degree at 2l bits for
+    the consumer's tmul (_poly_2l), unless a fit's top coefficients would
+    keep fewer than min(l, TOP_COEFF_BITS) bits (top_bits); then one more
+    round truncates them too, degree truncations an element."""
     l = eng.frac_bits
+    degree = max(map(len, fits)) - 1
+    top = 1 << (degree - 1).bit_length() - 1  # M
+    keep = all(top_bits(l, fit[top + 1:]) >= min(l, TOP_COEFF_BITS) for fit in fits)
     t, sq = eng.tmul(x, shift, square=True)
     low, high = {1: t}, {2: sq}  # powers at l and at 2l fractional bits
     while high:
         rows = sorted(high)
         top, at = rows[-1], len(rows) - 1
         new = range(1, min(top, degree - top) + 1)  # the exponents top + b
+        if keep and not new:
+            break
         ones = [b for b in new if b in low]
         pairs = [rows.index(b) for b in new if b in high]
         y = eng.stack([low[b] for b in ones]) if ones else None
@@ -177,15 +224,52 @@ def _powers(eng, x, shift, degree):
         low.update(zip(rows, t))
         high = dict(zip([top + b for b in ones] + [top + rows[i] for i in pairs],
                         [p for prod in prods for p in prod]))
-    return eng.stack([low[k] for k in range(1, degree + 1)])
+    none = np.zeros((0,) + np.shape(low[1]), dtype=np.uint64)
+    return Powers(*(eng.stack([v[k] for k in sorted(v)]) if v else none for v in (low, high)))
 
 
-def _poly_2l(eng, powers, coeffs):
-    """sum_k coeffs[k] v^k at 2l fractional bits, from the stacked powers
-    v, v^2 .. at l bits, as many as the coefficients need or more (local)."""
+def _poly_2l(eng, powers, coeffs, scale=1, total=False, extra=0, pin=False):
+    """scale sum_k coeffs[k] v^k as tmul-style summands (arrays, shifts),
+    the shifts taking each to l bits: over v .. v^M (Powers.low) at 2l +
+    extra fractional bits, with the constant, and, where the chain left the
+    top powers at 2l bits, over those at 2l + c bits, c their coefficients'
+    top_bits. With total, the sum over the rows (axis 1 of the powers), as
+    one row; c then keeps the sum of the rows' summands below
+    2^TOP_SUMMAND_BITS. With pin, each summand gets a constant, in ring
+    integers, that makes it exactly 0 at v = 1: the sum is then 0 there
+    once truncated, and its constant is minus that of the coefficients as
+    encoded."""
     l = eng.frac_bits
-    q2l = _combine_int(eng, powers[:len(coeffs) - 1], to_signed(_enc(eng, coeffs[1:])))
-    return eng.add_public(q2l, _enc(eng, coeffs[0] * 2.0 ** l))
+    low, top = powers
+    rows = 1
+    if total:
+        rows = low.shape[1]
+        low, top = (eng.sum(p, axis=1)[:, None] for p in (low, top))
+    a = np.asarray(coeffs, dtype=np.float64) * scale
+    codes = [int(round(v * 2.0 ** (l + extra))) for v in a[1:len(low) + 1]]
+    xs, shifts = [_combine_int(eng, low[:len(codes)], codes)], [l + extra]
+    pins = [-rows * sum(codes) << l]  # minus the low summand at v = 1
+    if len(a) > len(low) + 1:
+        c = top_bits(l, rows * a[len(low) + 1:])
+        tops = [int(round(v * 2.0 ** c)) for v in a[len(low) + 1:]]
+        xs.append(_combine_int(eng, top[:len(tops)], tops))
+        shifts.append(l + c)
+        pins.append(-rows * sum(tops) << 2 * l)
+    if not pin:  # the fit's constant, in the low summand
+        pins = [int(round(a[0] * rows * 2.0 ** (2 * l + extra)))]
+    for i, const in enumerate(pins):
+        xs[i] = eng.add_public(xs[i], _unit(eng, 0, const))
+    return xs, shifts
+
+
+def _stack_rows(parts):
+    """One tmul summand list from parts, (arrays, shifts) pairs of one
+    summand count (as _poly_2l gives) with rows on axis 0: each summand's
+    arrays concatenated, with one shift per row."""
+    xs = [np.concatenate(arrays) for arrays in zip(*(p[0] for p in parts))]
+    shifts = [[s for arrays, ss in parts for s in [ss[i]] * len(arrays[i])]
+              for i in range(len(xs))]
+    return xs, shifts
 
 
 def _scale_const(eng, a, b, x, frac_bits):
@@ -204,20 +288,24 @@ def _width(eng, magnitude_bits):
     return min(eng.cfg.lam, eng.frac_bits + mag + 2)
 
 
-def _normalize(eng, a, magnitude_bits):
+def _normalize(eng, a, magnitude_bits, shift=None):
     """Normalization of a > 0 whose top bit lies below width = _width - 2.
 
-    Returns the one-hot z over the leaves of that width rounded up to
+    Returns a, the one-hot z over the leaves of that width rounded up to
     whole leaves, every leaf's top T, at most width (so a = m 2^(T - l)
     with the mantissa m in [1/8, 1)), the mantissa precision p = max(2l,
     width), and the factor sum_i z_i 2^(p - T_i): a times it is m at p
-    fractional bits, exactly."""
+    fractional bits, exactly. With shift, a is the sum of tmul-style
+    summands, truncated in lead's opening round (engine lead)."""
     width = _width(eng, magnitude_bits) - 2
     prec = max(2 * eng.frac_bits, width)
     leaves = whole_leaves(width)
     tops = [min(p + SIGN_BLOCK, width) for p in leaf_layout(leaves)]
-    z = eng.lead(a, leaves)
-    return z, tops, prec, _combine_int(eng, z, [1 << (prec - t) for t in tops])
+    if shift is None:
+        z = eng.lead(a, leaves)
+    else:
+        a, z = eng.lead(a, leaves, shift)
+    return a, z, tops, prec, _combine_int(eng, z, [1 << (prec - t) for t in tops])
 
 
 def _unit(eng, bits, value=1):
@@ -252,7 +340,7 @@ def secure_div(eng, a, b, magnitude_bits=None):
         sgn = eng.msb(b, whole_leaves(_width(eng, magnitude_bits)))
         ba = eng.stack(np.broadcast_arrays(b, a))
         ba = eng.sub(ba, eng.mul_public_int(eng.mul(sgn, ba), 2))  # |b|, a sign(b)
-        z, tops, prec, factor = _normalize(eng, ba[0], magnitude_bits)
+        _, z, tops, prec, factor = _normalize(eng, ba[0], magnitude_bits)
         # |b|'s mantissa m and a2 = a sign(b) 2^(l - T), exact at prec bits, then
         # at l + 3: the quotient a2 / m multiplies a2's error by up to 8
         scaled = eng.mul(ba, factor)
@@ -262,8 +350,9 @@ def secure_div(eng, a, b, magnitude_bits=None):
         return eng.trunc(eng.add(prods[0], eng.trunc(prods[1], l - _MANTISSA_EXTRA)), wide)
 
 
-def _sqrt_mantissa(eng, a, magnitude_bits, with_g, scale=None):
-    """Normalize a >= 0 and run Goldschmidt on its mantissa m: h -> 1/(2
+def _sqrt_mantissa(eng, normal, with_g, scale=None):
+    """Given a's normalization (_normalize), a >= 0, run Goldschmidt on
+    its mantissa m: h -> 1/(2
     sqrt(m)) from h0 = y0 / 2 and, with_g, g = 2 m h -> sqrt(m). The step
     tracks e = g h = 2 m h^2 -> 1/2: r = 3/2 - e, then h r (g r) and e r^2
     = (3/2 - r) r^2, in two rounds. The start takes two: h0 and m h0 with
@@ -275,7 +364,7 @@ def _sqrt_mantissa(eng, a, magnitude_bits, with_g, scale=None):
     l + _MANTISSA_EXTRA bits, the carried values at l bits (g and h, or h,
     stacked), with scale that product, and that square, both at 2l."""
     l, wide = eng.frac_bits, eng.frac_bits + _MANTISSA_EXTRA
-    z, tops, prec, factor = _normalize(eng, a, magnitude_bits)
+    a, z, tops, prec, factor = normal
     m_prec = eng.mul(a, factor)
     m, mm = eng.tmul(m_prec, prec - wide, square=True)  # m at wide bits, m^2 at 2 wide
     # h0 = b0 + b1 m + b2 m^2 (b = RSQRT_START / 2) at l bits, and m h0 at l +
@@ -308,7 +397,8 @@ def secure_sqrt(eng, a, magnitude_bits=None):
     """sqrt(a) for a >= 0 on shares, within 2^-12 absolute on [2^-10, 2^10]."""
     l = eng.frac_bits
     with eng.phase("sqrt"):
-        z, tops, prec, m_prec, _, (g, half), gg = _sqrt_mantissa(eng, a, magnitude_bits, True)
+        z, tops, prec, m_prec, _, (g, half), gg = _sqrt_mantissa(
+            eng, _normalize(eng, a, magnitude_bits), True)
         # one correction at 2l bits: sqrt(m) ~ g + h (m - g^2), m - g^2 exact at
         # prec bits; its truncation to 2l and g's exact one ride with the scale
         d = eng.mul(half, eng.sub(m_prec, eng.mul_public_int(gg, 1 << (prec - 2 * l))))
@@ -338,50 +428,69 @@ def rsqrt_operand_bits(frac_bits: int) -> int:
 
 def rsqrt_shifts(frac_bits: int) -> list:
     """The shifts of secure_rsqrt's summands with truncate False, for the
-    caller's tmul: y at l bits as it is, the correction from 2l +
-    _CORRECTION_BITS bits."""
+    caller's tmul: y (or y times) as it is, the correction from
+    _CORRECTION_BITS bits above it."""
     return [None, frac_bits + _CORRECTION_BITS]
 
 
-def secure_rsqrt(eng, a, magnitude_bits=None, truncate=True):
+def secure_rsqrt(eng, a, magnitude_bits=None, truncate=True, times=None):
     """1/sqrt(a) for a > 0 on shares, within 2^-12 absolute on [2^-10, 2^10],
     from the square root's iteration: its h converges to 1/(2 sqrt(m)).
-    Zero is out of domain, but its result is finite.
+    Zero is out of domain, but its result is finite. With times, an array
+    at l bits of a's shape (or one at l + f bits, f <= l), the result is
+    y times it, as a times rsqrt(a) = sqrt(a) where times is a (see
+    _rsqrt)."""
+    with eng.phase("rsqrt"):
+        return _rsqrt(eng, _normalize(eng, a, magnitude_bits), times, truncate)
+
+
+def _rsqrt(eng, normal, times, truncate):
+    """secure_rsqrt from a's normalization (_normalize), which a caller
+    may have taken in a round of its own (engine lead with shifts).
 
     One Newton correction follows for y = 2h, scaled: y + y (1 - m y^2)/2.
     The last Goldschmidt round forms y at 2l bits beside h^2; one round
-    truncates y to l bits while m h^2 is formed (eng.parallel); the next
-    truncates (1 - m y^2)/2 to l + _CORRECTION_BITS bits, l significant
-    ones, while it multiplies it by y. The result is y plus that
-    correction truncated by l + _CORRECTION_BITS; with truncate False the
-    two are returned as Results (y, correction), summands for the caller's
-    next tmul to take in its round (rsqrt_shifts)."""
+    truncates y to l bits while m h^2 is formed (eng.parallel), and forms
+    y times, where times is given; the next truncates (1 - m y^2)/2 to l +
+    _CORRECTION_BITS bits, l significant ones, and the product with times
+    to l bits, while it multiplies the two (pair products). The correction
+    thus applies to the products the caller wants, with no round of their
+    own. The result is y (or y times) plus that correction truncated by l +
+    _CORRECTION_BITS; with truncate False the two are returned as Results
+    (y, correction), summands for the caller's next tmul to take in its
+    round (rsqrt_shifts)."""
     l, wide = eng.frac_bits, eng.frac_bits + _MANTISSA_EXTRA
-    with eng.phase("rsqrt"):
-        *_, m, _, ys, hh = _sqrt_mantissa(eng, a, magnitude_bits, False,
-                                          lambda t: 2 * int(round(2 ** (l + (l - t) / 2))))
+    *_, m, _, ys, hh = _sqrt_mantissa(eng, normal, False,
+                                      lambda t: 2 * int(round(2 ** (l + (l - t) / 2))))
+    if times is None:
         ys, m_hh = eng.parallel(lambda eng: eng.trunc(ys, l), lambda eng: eng.mul(m, hh))
-        # m y^2 sits near 2^(3l + 3) at 3l + 3 bits, which may wrap the ring,
-        # but 1 - m y^2 is exact and small enough to truncate
-        # (rsqrt_operand_bits); at one bit more it is (1 - m y^2)/2
-        e = eng.add_public(eng.neg(eng.mul_public_int(m_hh, 4)), _unit(eng, 2 * l + wide))
-        _, fix = eng.tmul(e, l + wide + 1 - _CORRECTION_BITS, ys)
-        if truncate:
-            return eng.add(ys, eng.trunc(fix, l + _CORRECTION_BITS))
-        return Results((ys, fix))
+        y, y_shift = ys, None
+    else:
+        (ys, y), m_hh = eng.parallel(lambda eng: eng.tmul(ys, l, times),
+                                     lambda eng: eng.mul(m, hh))
+        y_shift = l
+    # m y^2 sits near 2^(3l + 3) at 3l + 3 bits, which may wrap the ring,
+    # but 1 - m y^2 is exact and small enough to truncate
+    # (rsqrt_operand_bits); at one bit more it is (1 - m y^2)/2
+    e = eng.add_public(eng.neg(eng.mul_public_int(m_hh, 4)), _unit(eng, 2 * l + wide))
+    t, fix = eng.tmul(eng.stack([e, y]), [l + wide + 1 - _CORRECTION_BITS, y_shift],
+                      square=([0], [1]))
+    if truncate:
+        return eng.add(t[1], eng.trunc(fix[0], l + _CORRECTION_BITS))
+    return Results((t[1], fix[0]))
 
 
 def secure_ln(eng, a, magnitude_bits=None):
     """ln(a) for a > 0 on shares, within 2^-12 absolute down to one ulp."""
     l = eng.frac_bits
     with eng.phase("ln"):
-        z, tops, prec, factor = _normalize(eng, a, magnitude_bits)
+        a, z, tops, prec, factor = _normalize(eng, a, magnitude_bits)
         # u = 2m - 1, exact at prec bits; the powers' first round truncates it
         u = eng.add_public(eng.mul_public_int(eng.mul(a, factor), 2), _unit(eng, prec, -1))
-        q2l = _poly_2l(eng, _powers(eng, u, prec - l, len(LN_POWER) - 1), LN_POWER)
+        q, shifts = _poly_2l(eng, _powers(eng, u, prec - l, (LN_POWER,)), LN_POWER)
         ln2 = int(_enc(eng, np.log(2.0) * 2.0 ** l))  # at 2l bits
-        q2l = eng.add(q2l, _combine_int(eng, z, [(t - l) * ln2 for t in tops]))
-        return eng.trunc(q2l, l)
+        q[0] = eng.add(q[0], _combine_int(eng, z, [(t - l) * ln2 for t in tops]))
+        return functools.reduce(eng.add, eng.tmul(q, shifts))
 
 
 def secure_sin_cos(eng, theta):
@@ -397,54 +506,61 @@ def secure_sin_cos(eng, theta):
 
 def _turn_powers(eng, turns):
     """The power chain of sin/cos: x = 2 turns - 1, exact at 2l bits, and
-    its powers 1 .. 8 at l bits, stacked, for turns in [0, 1] at l + 1
-    fractional bits, rows on axis 0 (a value v at l bits, as it is, is the
-    half turn count v/2). For a uniform u at l bits the turns 2u give x =
-    2u - 1, whose powers a unit exponential's mantissa log takes."""
+    its powers 1 .. 8 (Powers, for the fits _TURN_FITS), for turns in [0,
+    1] at l + 1 fractional bits, rows on axis 0 (a value v at l bits, as it
+    is, is the half turn count v/2). For a uniform u at l bits the turns 2u
+    give x = 2u - 1, whose powers a unit exponential's mantissa log takes."""
     l = eng.frac_bits
     with eng.phase("sin_cos"):
         x2l = eng.add_public(eng.mul_public_int(turns, 1 << l), _unit(eng, 2 * l, -1))
-        return _powers(eng, x2l, l, len(COS_POWER) - 1)
+        return _powers(eng, x2l, l, _TURN_FITS)
 
 
-def _sin_cos_turns(eng, powers, rows=None, truncate=True):
+def _sin_cos_turns(eng, powers, rows=(), truncate=True):
     """(sin, cos) of 2 pi turns from the powers of x = 2 turns - 1
     (_turn_powers).
 
     The angle is pi x + pi, so from the half-angle fits s = sin(pi x / 2)
     and c = cos(pi x / 2), sin = -2 s c = s^2 + c^2 - (s + c)^2 and cos =
-    s^2 - c^2: one tmul truncates and squares s, c and s + c, one
-    truncation follows. With truncate False sin and cos stay at 2l bits,
-    for the caller's next tmul to truncate.
+    s^2 - c^2: one tmul truncates and squares s, c and s + c (each fit's
+    summands, _poly_2l), one truncation follows. With truncate False sin
+    and cos stay at 2l bits, for the caller's next tmul to truncate.
 
-    rows: values at 2l bits, rows on axis 0, such as unit exponentials
-    (_exponentials_2l), truncated in the round that squares s, c and s + c;
-    the result is then (sin, cos, rows at l bits)."""
+    rows: more summands of that tmul, (arrays, shifts) pairs like
+    _poly_2l's with rows on axis 0, such as unit exponentials
+    (_exponentials_2l); the result is then (sin, cos, their rows at l
+    bits)."""
     l = eng.frac_bits
     with eng.phase("sin_cos"):
-        k = powers.shape[1]
-        s, c = (_poly_2l(eng, powers, coeffs) for coeffs in (SIN_POWER, COS_POWER))
-        halves = eng.stack([s, c, eng.add(s, c)])
-        x = halves.reshape((3 * k,) + halves.shape[2:])
-        if rows is not None:
-            x = np.concatenate([x, rows])
-        t, squares = eng.tmul(x, l, square=range(3 * k))
-        ss, cc, both = squares.reshape(halves.shape)
+        k = powers.low.shape[1]
+        halves = [_poly_2l(eng, powers, fit) for fit in (SIN_POWER, COS_POWER, SIN_COS_POWER)]
+        *t, squares = eng.tmul(*_stack_rows(halves + list(rows)), square=range(3 * k))
+        ss, cc, both = squares.reshape((3, k) + squares.shape[1:])
         sin_cos = eng.stack([eng.sub(eng.add(ss, cc), both), eng.sub(ss, cc)])
         sin, cos = eng.trunc(sin_cos, l) if truncate else sin_cos
-        return Results((sin, cos) if rows is None else (sin, cos, t[3 * k:]))
+        if not rows:
+            return Results((sin, cos))
+        return Results((sin, cos, functools.reduce(eng.add, t)[3 * k:]))
 
 
-def _exponentials_2l(eng, e, powers):
-    """e ln 2 - ln((1 + u)/2) at 2l bits, from integer exponents e and the
-    powers of x = 2u - 1 at l bits (LNM_POWER). The fit's constant is
-    pinned in ring integers so that x = 1 gives exactly 0: so e = 0 and
-    u = 1 give exactly 0, and no value is negative."""
+def _exponentials_2l(eng, e, powers, scale=1, total=False):
+    """scale (e ln 2 - ln((1 + u)/2)) as tmul-style summands (_poly_2l),
+    from integer exponents e and the powers of x = 2u - 1 (LNM_POWER), rows
+    on axis 0 (Powers: axis 1); with total, their sum, as one row. An
+    exponential is below (W + 1) ln 2 (joint_geometric), so the low
+    summand takes the extra bits that keep it below 2^TOP_SUMMAND_BITS. The
+    fit's constant is pinned in ring integers so that x = 1 gives exactly 0
+    once truncated: so e = 0 and u = 1 give exactly 0, and no value is
+    negative."""
     l = eng.frac_bits
-    coeffs = to_signed(_enc(eng, LNM_POWER[1:]))
-    ln_m = eng.add_public(_combine_int(eng, powers[:len(coeffs)], coeffs),
-                          _unit(eng, l, -int(coeffs.sum())))
-    return eng.sub(eng.mul_public_int(e, int(_enc(eng, np.log(2.0) * 2.0 ** l))), ln_m)
+    rows = np.shape(e)[0] if total else 1
+    bound = rows * scale * (whole_leaves(l) + 1) * np.log(2.0)
+    extra = int(np.clip(np.ceil(TOP_SUMMAND_BITS - 2 * l - np.log2(bound)) - 1, 0, l))
+    xs, shifts = _poly_2l(eng, powers, LNM_POWER, -scale, total, extra, pin=True)
+    e = eng.sum(e, axis=0)[None] if total else e
+    ln2 = scale * int(round(np.log(2.0) * 2.0 ** (2 * l + extra)))
+    xs[0] = eng.add(xs[0], eng.mul_public_int(e, ln2))
+    return xs, shifts
 
 
 def unit_exponentials(eng, e, powers):
@@ -453,9 +569,9 @@ def unit_exponentials(eng, e, powers):
     at l bits of e's shape, given as the powers _turn_powers takes of the
     turns 2u: U = m 2^-e with m = (1 + u)/2 uniform on [1/2, 1) and
     independent of e. ln m is a degree-8 fit in x = 2u - 1, which needs no
-    normalization: after the power chain, one truncation."""
+    normalization: after the power chain, one truncation round."""
     with eng.phase("exponential"):
-        return eng.trunc(_exponentials_2l(eng, e, powers), eng.frac_bits)
+        return functools.reduce(eng.add, eng.tmul(*_exponentials_2l(eng, e, powers)))
 
 
 def secure_sigmoid(eng, z, magnitude_bits=None, frac_bits=None, bound=None, truncate=True):
@@ -487,8 +603,7 @@ def secure_sigmoid(eng, z, magnitude_bits=None, frac_bits=None, bound=None, trun
         if not bounded:
             t, tt = _clamp(eng, t, tt, magnitude_bits)
         v = eng.add_public(eng.mul_public_int(tt, 2), _unit(eng, 2 * l, -1))
-        powers = _powers(eng, v, l, len(coeffs) - 1)
-        _, core = eng.tmul(_poly_2l(eng, powers, coeffs), l, t)
+        *_, core = eng.tmul(*_poly_2l(eng, _powers(eng, v, l, (coeffs,)), coeffs), t)
         if truncate:
             return eng.add_public(eng.trunc(core, l), _unit(eng, l - 1))
         return eng.add_public(core, _unit(eng, 2 * l - 1))

@@ -10,9 +10,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .engine import Results
 from .errors import InvalidArgument
-from .kernels import (_exponentials_2l, _sin_cos_turns, _turn_powers, joint_uniform,
-                      rsqrt_shifts, secure_ln, secure_rsqrt, unit_exponentials)
+from .kernels import (_exponentials_2l, _normalize, _rsqrt, _sin_cos_turns,
+                      _stack_rows, _turn_powers, joint_uniform, rsqrt_shifts, secure_ln,
+                      secure_rsqrt, unit_exponentials)
 
 # uniforms live in (0, 1]; -ln u <= l ln 2 (gaussian_vector, gamma_magnitude),
 # and an exponential e ln 2 - ln m < (W + 1) ln 2 with W <= 24 bits, so
@@ -62,9 +64,8 @@ def _coordinates(x, d: int, batch: tuple):
 
 
 def box_muller_radius(eng, e):
-    """sqrt(E) = E rsqrt(E) at 2l bits, E >= 0 at l bits; exactly 0 at E = 0."""
-    y = secure_rsqrt(eng, e, _BOX_MULLER_BITS, truncate=False)
-    return eng.tmul(y, rsqrt_shifts(eng.frac_bits), e)[-1]
+    """sqrt(E) = E rsqrt(E) at l bits, E >= 0 at l bits; exactly 0 at E = 0."""
+    return secure_rsqrt(eng, e, _BOX_MULLER_BITS, times=e)
 
 
 def gaussian_vector(eng, d: int, batch: tuple = ()):
@@ -78,7 +79,8 @@ def gaussian_vector(eng, d: int, batch: tuple = ()):
         u, v = joint_uniform(eng, (2, k, *batch))[:, used]
         e = eng.mul_public_int(secure_ln(eng, u, _LN_MAGNITUDE_BITS), -2)
         sin, cos = _sin_cos_turns(eng, _turn_powers(eng, eng.mul_public_int(v, 2)))
-        _, out = eng.tmul(box_muller_radius(eng, e), eng.frac_bits, eng.stack([cos, sin]))
+        radius = secure_rsqrt(eng, e, _BOX_MULLER_BITS, False, times=e)  # box_muller_radius
+        *_, out = eng.tmul(radius, rsqrt_shifts(eng.frac_bits), eng.stack([cos, sin]))
         return _coordinates(eng.trunc(out, eng.frac_bits), d, batch)
 
 
@@ -141,17 +143,23 @@ def sample_noise(eng, dp: DpParams, batch: tuple = (), truncate=True):
     theta is within sin/cos's one period (R cos theta keeps its law).
 
     The schedule: the exponents, which only sin/cos's squaring round reads,
-    are drawn beside the uniforms and their power chain (eng.parallel); ln
-    m rides in sin/cos's rounds, and S/4^a (S = ||g||^2 = sum E_i, 4^a >=
-    k) is truncated from the exponentials at 2l bits beside sin/cos's
-    squaring round. One rsqrt over [E_i, S/4^a] then gives R_i = E_i
-    rsqrt(E_i) and K = Gamma 2^a / ||g||, while sin, cos and the Gamma are
-    truncated beside it. R_i K is formed first, as tmul's pairs, and
-    truncated while it multiplies (cos, sin): k products a draw, not the
-    2k of scaling R_i (cos, sin) by K. At odd d the tail's E (1 + cos 2
-    theta) / 2 joins S first: E cos 2 theta rides in the round that truncates sin
-    and cos, and one truncation follows, so odd d takes two rounds more
-    than even.
+    are drawn beside the uniforms and their power chain (eng.parallel),
+    which leaves its top powers at 2l bits (kernels._powers); ln m rides in
+    sin/cos's rounds. At even d, rsqrt's normalization (its lead) opens in
+    sin/cos's squaring round, which also truncates the sum of all d
+    exponentials at 2l bits: the lead's summands are E_i = 2 X_i and S/4^a
+    (S = ||g||^2 = sum E_i, 4^a >= k) at 2l bits, truncated in its opening
+    round (engine lead with shifts). The next round truncates sin, cos and
+    the Gamma, c times that sum, while the lead runs on. The rest of rsqrt
+    then gives R_i = E_i rsqrt(E_i) and K = Gamma 2^a / ||g|| as its
+    products with [E; Gamma], its correction applied to them, as summands
+    that the round forming R_i K, tmul's pairs, takes; R_i K is truncated
+    while it multiplies (cos, sin): k products a draw, not the 2k of
+    scaling R_i (cos, sin) by K. At odd d the tail's E (1 + cos 2 theta) /
+    2 joins S: its exponential is truncated in the squaring round, E cos 2
+    theta rides in the round that truncates sin and cos, and the lead opens
+    in the next, truncating that term, so odd d takes two rounds more than
+    even.
     The last round truncates eta 2^a by l + a (by f at d = 1), or the
     caller does (truncate False).
     The angles' and the mantissas' uniforms are two draws, though one would
@@ -167,34 +175,47 @@ def sample_noise(eng, dp: DpParams, batch: tuple = (), truncate=True):
             x = unit_exponentials(eng, e, powers)
             eta = eng.mul_public_int(eng.sub(x[0], x[1]), code)[..., None]  # at l + f bits
             return eng.trunc(eta, shift) if truncate else eta
-        angles = k + d % 2  # the power chain's angle rows
-        x2l = _exponentials_2l(eng, e, powers[:, angles:])
-        norm = eng.mul_public_int(eng.sum(x2l[:k - d % 2], axis=0), 2)  # S at 2l, odd tail aside
-        (sin, cos, x), s4 = eng.parallel(
-            lambda eng: _sin_cos_turns(eng, powers[:, :angles], x2l, truncate=False),
-            lambda eng: eng.trunc(norm, l + 2 * a))
-        r2 = eng.mul_public_int(x[:k], 2)  # the radii squared, E = 2 X, (k, *batch)
-        gamma = eng.mul_public_int(eng.sum(x, axis=0), code)
-        beside = [gamma, eng.stack([sin, cos])]  # truncated beside rsqrt
-        if d % 2:  # E cos 2 theta rides in the round that truncates sin and cos
-            with eng.phase("sin_cos"):
-                t, (tail,) = eng.tmul(np.concatenate([sin, cos]), l, r2[-1], rows=[2 * k + 1])
-            beside, sin, cos = beside[:1], t[:k], t[k + 1:-1]
-            tail = eng.add(eng.mul_public_int(r2[-1], 1 << l), tail)  # E (1 + cos 2 theta)
-            s4 = eng.add(s4, eng.trunc(tail, l + 2 * a + 1))
+        angles, pairs = k + d % 2, d // 2  # the chain's angle rows; the E_i that join S whole
+        turns, mant = powers.rows(slice(angles)), powers.rows(slice(angles, None))
+        # rsqrt's operand [E_i, the odd tail's E, S/4^a]: E_i and S at 2l bits,
+        # with their shifts to l bits, truncated in the lead's opening round
+        radii = _exponentials_2l(eng, e[:pairs], mant.rows(slice(pairs)), 2)
+        norm = _exponentials_2l(eng, e[:pairs], mant.rows(slice(pairs)), 2, total=True)
+        norm = norm[0], [s + 2 * a for s in norm[1]]
+        squared = [_exponentials_2l(eng, e, mant, total=True)]  # the Gamma's sum
+        if d % 2:
+            squared.append(_exponentials_2l(eng, e[pairs:k], mant.rows(slice(pairs, k))))
 
-        def truncate_beside(eng):
-            with eng.phase("sin_cos"):
-                return eng.tmul(beside, [l] * len(beside))
+        def scaled_angles(eng):
+            sin, cos, x = _sin_cos_turns(eng, turns, squared, truncate=False)
+            gamma = eng.mul_public_int(x[0], code)  # at l + f bits
+            with eng.phase("sin_cos"):  # at odd d E cos 2 theta rides here
+                tail = dict(y=x[1:], rows=[1 + angles + k]) if d % 2 else {}
+                return Results((eng.tmul(np.concatenate([gamma[None], sin, cos]), l, **tail),
+                                x[1:]))
 
-        y, (gamma, *trig) = eng.parallel(
-            lambda eng: secure_rsqrt(eng, np.concatenate([r2, s4[None]]), _BOX_MULLER_BITS,
-                                     truncate=False),
-            truncate_beside)
-        if trig:
-            sin, cos = trig[0]
-        *_, rk = eng.tmul(y, rsqrt_shifts(l), np.concatenate([r2, gamma[None]]))  # R at 2l, K at l + f
-        _, rk = eng.tmul(rk, l, square=(range(k), [k] * k))  # R K at l + f bits
+        def normalize(eng, tail=None):
+            parts, summands, shifts = [radii, norm], [], []
+            if tail is not None:  # the odd tail's X and X cos 2 theta, at l and 2l bits
+                (x, prod), count = tail, len(radii[0])
+                parts.insert(1, ([eng.mul_public_int(x, 2)] + [eng.zeros(x.shape)] * (count - 1),
+                                 [None] * count))
+                term = eng.zeros((k + 1, *batch))  # S's X (1 + cos 2 theta), by l + 2a
+                term[k] = eng.add(eng.mul_public_int(x[0], 1 << l), prod[0])
+                summands, shifts = [term], [[None] * k + [l + 2 * a]]
+            xs, ss = _stack_rows(parts)
+            with eng.phase("rsqrt"):  # a branch returns an array or Results
+                return Results(_normalize(eng, xs + summands, _BOX_MULLER_BITS, ss + shifts))
+
+        if d % 2:
+            (t, prod), x = scaled_angles(eng)
+            normal = normalize(eng, (x, prod))
+        else:
+            ((t,), _), normal = eng.parallel(scaled_angles, normalize)
+        gamma, sin, cos = t[0], t[1:1 + k], t[1 + angles:1 + angles + k]
+        with eng.phase("rsqrt"):  # R_i and K with their correction
+            y = _rsqrt(eng, normal, np.concatenate([normal[0][:k], gamma[None]]), False)
+        *_, rk = eng.tmul(y, rsqrt_shifts(l), square=(range(k), [k] * k))  # R K at l + f bits
         _, eta = eng.tmul(rk, f, eng.stack([cos, sin]))  # eta 2^a at 2l bits
         eta = _coordinates(eta, d, batch)
         return eng.trunc(eta, shift) if truncate else eta

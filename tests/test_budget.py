@@ -13,33 +13,31 @@ from veiltrain.shareio import DEFAULTS
 
 # 20x4 horizontal, the defaults' linear tier, 3 noise draws, thread
 # executor. Training is the recurrence: the Gram, 3 doublings (7 steps
-# round up to 8) and the final truncation, 5 rounds; the noise (28 rounds,
+# round up to 8) and the final truncation, 5 rounds; the noise (25 rounds,
 # its last truncation left to the opening) runs beside it, so the noise
-# sets the length, its first 5 rounds ride in training's and the other 23
+# sets the length, its first 5 rounds ride in training's and the other 20
 # are recorded under its own paths; the last round opens the models and
 # truncates the noise.
 ROUNDS_BY_PATH = {
     "-": 1,
     "gram": 1, "doubling": 3, "finalize": 1,
-    "perturb/sin_cos": 2, "perturb/rsqrt": 18, "perturb": 3,
+    "perturb/sin_cos": 2, "perturb/rsqrt": 16, "perturb": 2,
 }
 # the noise's rounds that rode in another branch's: its first 5 in
-# training's (its 2 uniform draws and 3 of sin/cos's power chain), and
-# the 7 in which two of its own branches ran (4 with the exponents beside
-# the uniforms and the power chain, 1 with S/4^a's truncation beside
-# sin/cos's squaring, 1 with sin, cos and the Gamma truncated beside
-# rsqrt, 1 with rsqrt's m h^2 beside the truncation of its y), so 12
-# riders
+# training's (its 2 uniform draws and the 3 rounds of sin/cos's power
+# chain), and the 7 in which two of its own branches ran (4 with the
+# exponents beside the uniforms and the power chain, 2 with rsqrt's lead
+# beside sin/cos's squaring and the truncation of sin, cos and the Gamma,
+# 1 with rsqrt's m h^2 beside the truncation of its y), so 12 riders
 OVERLAP_BY_PATH = {
-    "perturb/uniform": 2, "perturb/geometric": 4, "perturb/sin_cos": 4, "perturb": 1,
-    "perturb/rsqrt": 1,
+    "perturb/uniform": 2, "perturb/geometric": 4, "perturb/sin_cos": 3, "perturb/rsqrt": 3,
 }
-WIRE_BYTES = 45_202  # party 0, sent plus received
+WIRE_BYTES = 44_404  # party 0, sent plus received
 
 # the noise alone at d = 50 with 100 draws, then the opening of the models:
 # the noise-wide benchmark's shape at a tenth of its batch
-NOISE_ROUNDS = 30
-NOISE_SENT_BYTES = 5_034_790  # party 0
+NOISE_ROUNDS = 27
+NOISE_SENT_BYTES = 4_857_151  # party 0
 
 
 def _column(report, column):

@@ -194,10 +194,10 @@ def test_kernel_bench_runs(capsys):
     assert "sigmoid" in out and "sqrt" in out
     row = next(line.split() for line in out.splitlines() if line.startswith("sigmoid_b4"))
     assert float(row[1]) <= 3.9e-5  # max error
-    assert row[4] == "8"  # the kernel's 7 rounds and the opening of its result
+    assert row[4] == "7"  # the kernel's 6 rounds and the opening of its result
     row = next(line.split() for line in out.splitlines() if line.startswith("bm_radius"))
     assert float(row[1]) <= float(row[3])  # E rsqrt(E) against sqrt(E), within its bound
-    assert row[4] == "21"  # rsqrt's 18 rounds, the product, its truncation, the opening
+    assert row[4] == "20"  # rsqrt's 18 rounds, the product in them, its truncation, the opening
 
 
 def test_synth_with_one_feature_is_an_error_line(tmp_path, capsys):

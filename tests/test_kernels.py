@@ -127,6 +127,30 @@ def test_rsqrt_material_per_element_is_pinned(truncate, pairs):
     assert sum(v for k, v in counts.items() if k[0] == "trunc") == pairs * len(x)
 
 
+def test_rsqrt_applies_its_correction_to_the_products_it_is_given():
+    # with times, rsqrt forms y times in the round that truncates y and
+    # corrects that product, as E rsqrt(E) = sqrt(E) where times is E: one
+    # triple and one pair an element more than rsqrt alone, what the
+    # caller's own product and its truncation would take, in no round of
+    # their own. The parties match the mirror
+    x = np.exp2(np.linspace(-9, 9, 100))
+
+    def fn(eng, truncate=True):
+        a = enc_pub(eng, x)
+        return kernels.secure_rsqrt(eng, a, truncate=truncate, times=a)
+
+    for truncate, pairs in ((True, 13), (False, 12)):
+        counts = estimate_counts(lambda eng: fn(eng, truncate), 49, RING)
+        assert counts[("triple",)] == 90 * len(x)
+        assert sum(v for k, v in counts.items() if k[0] == "trunc") == pairs * len(x)
+    (r0, r1), engines = run_both(lambda eng: eng.open(fn(eng)), seed=50)
+    assert np.array_equal(r0, fn(plain(50))) and np.array_equal(r1, r0)
+    got = decode(r0, RING)
+    assert np.abs(got - np.sqrt(decode(encode(x, RING), RING))).max() <= 2.0 ** -12
+    _, alone = run_both(lambda eng: eng.open(kernels.secure_rsqrt(eng, enc_pub(eng, x))), seed=50)
+    assert engines[0].rt.transcript.n_rounds == alone[0].rt.transcript.n_rounds
+
+
 def test_rsqrt_matches_mirror_bit_exact():
     x = np.exp2(np.linspace(-9, 9, 37))
 
@@ -166,7 +190,8 @@ def test_rsqrt_correction_operand_stays_within_its_bound():
         top = -(-wide // SIGN_BLOCK) * SIGN_BLOCK
         eng = PlainEngine(MaterialSource(53, ring), ring)
         *_, m, _, hh = kernels._sqrt_mantissa(
-            eng, eng.from_public(grid << np.uint64(top - wide)), None, False)
+            eng, kernels._normalize(eng, eng.from_public(grid << np.uint64(top - wide)), None),
+            False)
         assert np.array_equal(m, grid)
         with np.errstate(over="ignore"):
             operand = to_signed(kernels._unit(eng, 2 * l + wide) - np.uint64(4) * m * hh)
@@ -213,43 +238,92 @@ def test_ln_of_one_is_exactly_zero_at_the_box_muller_width():
 
 # --- power chain ---
 
-def _power_chain(v, degree):
-    """kernels._powers of v, given exactly at 2l bits (shift l), opened."""
+def _small_fit(degree):
+    """A fit of the given degree whose one top coefficient keeps the chain's
+    top powers at 2l bits (kernels.top_bits)."""
+    return (0.0,) * degree + (2.0 ** -8,)
+
+
+def _power_chain(v, degree, fit=None):
+    """kernels._powers of v, given exactly at 2l bits (shift l), for a fit
+    of the degree (_small_fit by default), opened in one round: the powers
+    at l bits, then those at 2l."""
     l = RING.frac_bits
 
     def fn(eng):
         x = eng.mul_public_int(eng.from_public(encode(v, RING)), 1 << l)
-        return eng.open(kernels._powers(eng, x, l, degree))
+        powers = kernels._powers(eng, x, l, (fit or _small_fit(degree),))
+        return eng.open(np.concatenate(powers)), len(powers.low)
 
     return fn
 
 
+def _power_values(opened):
+    """The float powers from _power_chain's opening."""
+    raw, low = opened
+    top = to_signed(raw[low:]).astype(np.float64) * 2.0 ** (-2 * RING.frac_bits)
+    return np.concatenate([decode(raw[:low], RING), top])
+
+
 @pytest.mark.parametrize("degree", range(2, 17))
 def test_power_chain_doubles_its_top_exponent_every_round(degree):
-    # degree <= 2^j takes j + 1 rounds, degree - 1 products and degree
-    # truncations an element; the parties match the mirror bit for bit
+    # degree <= 2^j takes j rounds, degree - 1 products and M truncations
+    # an element, M the largest power of two below the degree: the chain
+    # leaves v^(M+1) .. v^degree at 2l bits. The parties match the mirror
+    # bit for bit
     v = np.random.default_rng(degree).uniform(-1, 1, 50)
     fn = _power_chain(v, degree)
+    top = 1 << (degree - 1).bit_length() - 1
     counts = estimate_counts(fn, 60, RING)
-    assert counts == {("triple",): (degree - 1) * v.size, ("trunc", RING.frac_bits): degree * v.size}
+    assert counts == {("triple",): (degree - 1) * v.size, ("trunc", RING.frac_bits): top * v.size}
     (r0, r1), engines = run_both(fn, seed=60, counts=counts)
     mirror = fn(plain(60))
-    assert np.array_equal(r0, mirror) and np.array_equal(r1, mirror)
+    assert mirror[1] == top and mirror[0].shape == (degree, v.size)
+    assert np.array_equal(r0[0], mirror[0]) and np.array_equal(r1[0], mirror[0])
     for eng in engines:  # the chain's rounds and the opening's
-        assert eng.rt.transcript.n_rounds == (degree - 1).bit_length() + 1 + 1
+        assert eng.rt.transcript.n_rounds == (degree - 1).bit_length() + 1
         assert {k: n for k, n in eng.material.pos.items() if isinstance(k, tuple)} == counts
 
 
+@pytest.mark.parametrize("frac_bits", [12, 20, 22])
+def test_power_chain_truncates_the_top_powers_a_fit_would_outgrow(frac_bits):
+    # where a fit's top coefficients, kept below 2^56 at 2l + c bits, would
+    # keep fewer than min(l, 14) bits, one more round truncates the top
+    # powers as well: degree truncations an element. Of the kernels' fits
+    # only the degree-12 ones (ln, the clamped sigmoid) do so, at 22 bits
+    ring, l = RingConfig(frac_bits), frac_bits
+    keeps = {name: kernels.top_bits(l, fit[9 if len(fit) > 9 else 5:]) >= min(l, 14)
+             for name, fit in (("ln", kernels.LN_POWER), ("sigmoid", kernels.SIG_POWER),
+                               ("sigmoid_b4", kernels.SIG4_POWER))}
+    keeps["sin_cos"] = all(kernels.top_bits(l, fit[5:]) >= min(l, 14)
+                           for fit in kernels._TURN_FITS)
+    assert keeps == {"ln": l < 22, "sigmoid": l < 22, "sigmoid_b4": True, "sin_cos": True}
+    v = np.random.default_rng(63).uniform(-1, 1, 40)
+
+    def fn(eng):
+        x = eng.mul_public_int(eng.from_public(encode(v, ring)), 1 << l)
+        powers = kernels._powers(eng, x, l, (kernels.LN_POWER,))
+        return eng.open(np.concatenate(powers)), len(powers.low)
+
+    counts = estimate_counts(fn, 64, ring)
+    truncations = 12 if l == 22 else 8
+    assert counts[("trunc", l)] == truncations * v.size
+    (r0, _), engines = run_both(fn, seed=64, cfg=ring, counts=counts)
+    assert r0[1] == truncations and np.array_equal(r0[0], fn(plain(64, ring))[0])
+    assert engines[0].rt.transcript.n_rounds == 4 + (l == 22) + 1
+
+
 def test_power_chain_values_against_float_powers():
-    # each power is a product of two truncated ones, truncated: on |v| <=
-    # 1/2 within 2 ulps of the float power of v, and on [-1, 1] v^k within
-    # k - 1 ulps (the errors of v^M and v^b add, plus the truncation's)
+    # each power at l bits is a product of two truncated ones, truncated:
+    # on |v| <= 1/2 within 2 ulps of the float power of v, and on [-1, 1]
+    # v^k within k - 1 ulps (the errors of v^M and v^b add, plus the
+    # truncation's); the top powers, left at 2l bits, within k - 2
     v = np.concatenate([np.random.default_rng(61).uniform(-1, 1, 20_000), [-1, 1, 0.5, -0.5]])
     v = decode(encode(v, RING), RING)
-    got = decode(_power_chain(v, 16)(plain(62)), RING)
+    got = _power_values(_power_chain(v, 16)(plain(62)))
     k = np.arange(1, 17)[:, None]
     err = np.abs(got - v ** k) * 2.0 ** RING.frac_bits
-    assert np.all(err <= np.maximum(k - 1, 0))
+    assert np.all(err <= np.maximum(k - 1 - (k > 8), 0))
     assert err[:, np.abs(v) <= 0.5].max() <= 2
 
 
@@ -384,8 +458,8 @@ def test_bounded_sigmoid_matches_mirror_in_half_the_rounds():
     mirror = fn(4.0)(plain(46))
     assert np.array_equal(r0, mirror) and np.array_equal(r1, mirror)
     _, clamped = run_both(fn(4.01), seed=46)  # above 4 the clamped kernel runs
-    assert engines[0].rt.transcript.n_rounds == 7 + 1  # the last one opens the result
-    assert clamped[0].rt.transcript.n_rounds == 14 + 1
+    assert engines[0].rt.transcript.n_rounds == 6 + 1  # the last one opens the result
+    assert clamped[0].rt.transcript.n_rounds == 13 + 1
 
 
 # --- other rings and mask headroom ---

@@ -493,14 +493,14 @@ def test_training_consumes_the_dry_run_exactly():
     assert kinds == [{"trunc", "triple"}, {"trunc", "triple", "bit"}]
 
 
-@pytest.mark.parametrize("lams, sigmoid_rounds", [((2.0, 1.0), 0), ((0.45, 0.4), 6),
-                                                   ((0.25, 0.2), 13)],
+@pytest.mark.parametrize("lams, sigmoid_rounds", [((2.0, 1.0), 0), ((0.45, 0.4), 5),
+                                                   ((0.25, 0.2), 12)],
                          ids=["linear", "bounded", "clamped"])
 def test_every_step_costs_its_pinned_rounds(lams, sigmoid_rounds):
     # a step of the loop adds: forward 1 (the weights' and the last
     # gradient's truncations with the product), the sigmoid (none on the
-    # linear tier, whose prediction 1/2 + z/4 is local; 6 where the bound is
-    # at most 4, clamped 13 above; its output stays at 2l bits), backward 1
+    # linear tier, whose prediction 1/2 + z/4 is local; 5 where the bound is
+    # at most 4, clamped 12 above; its output stays at 2l bits), backward 1
     # (the error's truncation with the product); nothing else. Both lambdas
     # of a pair fall in one tier. 12 rows of 8 features are wide enough for
     # the linear tier to take the loop
@@ -509,7 +509,7 @@ def test_every_step_costs_its_pinned_rounds(lams, sigmoid_rounds):
     def rounds(lam):
         tc = TrainingConfig(lambda_reg=lam)
         bound = sigmoid_input_bound(tc, 12, 8, RING)
-        tier = 0 if tc.linear else 6 if bound <= SIGMOID_BOUND else 13
+        tier = 0 if tc.linear else 5 if bound <= SIGMOID_BOUND else 12
         assert tier == sigmoid_rounds
         assert not (tc.linear and takes_recurrence(12, 8, tc.steps()))
 
