@@ -23,7 +23,9 @@ from .fixedpoint import decode, encode
 from .harness import run_experiment, run_threaded_session, training_config, write_report
 from .ingest import ingest_shares
 from .noise import box_muller_radius
-from .shareio import DEFAULTS, load_config, ring_from_config, write_share_file
+from .partyproc import (read_party_shares, run_party, serve_dealer, write_party_outputs,
+                        write_party_shares)
+from .shareio import DEFAULTS, load_config, ring_from_config
 
 
 def _load_cfg(args) -> dict:
@@ -47,35 +49,27 @@ def cmd_ingest(args):
     X, t = datasets.load_csv(args.owner_csv)
     # the owner's split draws fresh entropy: no seed regenerates either half
     (x0, t0), (x1, t1) = ingest_shares(X, t, ring, np.random.default_rng())
-    session = cfg["session_id"]
     for party, (xs, ts) in enumerate(((x0, t0), (x1, t1))):
-        path = f"{args.out}.party{party}.shares"
-        write_share_file(path, session, party, xs, ts, ring)
+        path = write_party_shares(args.out, cfg["session_id"], party, xs, ts, ring)
         print(f"wrote {path} ({X.shape[0]}x{X.shape[1]})")
 
 
 def cmd_party(args):
     cfg = load_config(args.config)
     if args.role == "dealer":
-        from .partyproc import serve_dealer
-
         serve_dealer(cfg)
     else:
-        from .partyproc import run_party
-
         run_party(cfg, int(args.role[-1]))
 
 
 def cmd_train(args):
-    from .partyproc import read_party_shares, write_party_outputs
-
     cfg = dict(_load_cfg(args), shares_prefix=args.shares, out_dir=args.out_dir)
     shares = [read_party_shares(cfg, party) for party in (0, 1)]
-    results, reports, _ = run_threaded_session(shares, cfg, cfg["seed"], cfg["noise_draws"])
-    for party in (0, 1):
-        write_party_outputs(cfg, party, results[party], reports[party])
-    report = reports[0]
-    print(f"wrote weight shares, {len(results[0].get('noisy', ()))} noisy model(s) and "
+    results, _ = run_threaded_session(shares, cfg, cfg["seed"], cfg["noise_draws"])
+    for party, (out, report) in enumerate(results):
+        write_party_outputs(cfg, party, out, report)
+    out, report = results[0]
+    print(f"wrote weight shares, {len(out.get('noisy', ()))} noisy model(s) and "
           f"reports to {args.out_dir}")
     print(f"rounds={report['rounds']} bytes={report['bytes_sent'] + report['bytes_received']} "
           f"epsilon_total={report['epsilon_total']:g}")

@@ -327,8 +327,6 @@ class PlainEngine(BaseEngine):
     def open(self, x, shift=None):
         """The sum of tmul-style summands, opened (MpcEngine.open); each
         truncated summand goes through trunc. x alone is opened as is."""
-        if shift is None:
-            return np.asarray(x, dtype=np.uint64)
         return functools.reduce(self.add, self._truncated(x, shift))
 
     def _truncated(self, x, shift):
@@ -615,11 +613,7 @@ class MpcEngine(BaseEngine):
         with them bits of the x_i; its low width bits are uniform, as r's
         are. Returns c, the leaves' monomial shares (_take_leaves) and this
         party's share of a."""
-        if shift is None:  # a itself, taken as it is
-            a = np.asarray(a, dtype=np.uint64)
-            sends, terms = [], [(_runs(a, None), self.neg(a))]
-        else:
-            sends, terms = self._masked(a, shift)
+        sends, terms = self._masked(a, shift)  # shift None: a as it is
         rs = functools.reduce(self.add, [rs for _, rs in terms])
         n = int(np.size(rs))
         pos = leaf_layout(width)

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import csv
 import io
-import json
 import os
 import queue
 import subprocess
@@ -21,6 +20,7 @@ import sys
 import tempfile
 import threading
 import time
+import zlib
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -34,8 +34,9 @@ from .errors import VeiltrainError
 from .fixedpoint import decode
 from .ingest import ingest_partitions
 from .noise import DpParams, noise_shift, sample_noise
+from .partyproc import read_party_outputs, write_party_shares
 from .session import run_report
-from .shareio import format_config, public_section, ring_from_config, write_share_file
+from .shareio import format_config, public_section, ring_from_config
 from .training import TrainingConfig, train_pipeline
 
 
@@ -90,29 +91,48 @@ def dp_params(cfg: dict, n: int, m: int) -> DpParams | None:
                     d=m + tc.add_bias, row_norm=tc.row_norm)
 
 
-def run_threaded_session(shares, cfg: dict, seed: int, draws: int):
-    """One session of party_pipeline on the parties' shares ((X0, t0),
-    (X1, t1)), over in-process loopback channels, with the noise
-    calibrated to the shares' own n. Returns each party's outputs and
-    report, and the session's seconds."""
-    ring = ring_from_config(cfg)
-    tc = training_config(cfg)
-    n, m = shares[0][0].shape
-    dp = dp_params(cfg, n, m)
+def party_session(cfg: dict, n: int, m: int, draws: int):
+    """One computing party's session on n rows of m features, under either
+    executor: the dealer material it takes (pipeline_counts), and run(eng,
+    X, t), which runs party_pipeline on the party's shares and returns its
+    outputs with the party's report (session.run_report)."""
+    tc, dp = training_config(cfg), dp_params(cfg, n, m)
     counts = pipeline_counts(n, m, cfg, draws)
 
-    def fn(eng):
-        X, t = shares[eng.party]
-        return party_pipeline(eng, X, t, tc, dp, draws)
+    def run(eng, X, t):
+        out = party_pipeline(eng, X, t, tc, dp, draws)
+        return out, run_report(eng.rt.transcript, eng.party, cfg["session_id"],
+                               epsilon_total(cfg, draws))
 
+    return counts, run
+
+
+def run_threaded_session(shares, cfg: dict, seed: int, draws: int):
+    """One session (party_session) on the parties' shares ((X0, t0), (X1,
+    t1)), over in-process loopback channels, with the noise calibrated to
+    the shares' own n. Returns each party's (outputs, report), and the
+    session's seconds."""
+    counts, run = party_session(cfg, *shares[0][0].shape, draws)
     t0_clock = time.perf_counter()
-    results, engines = run_two_party(fn, session_seed=seed, counts=counts, cfg=ring,
-                                     session_id=cfg["session_id"],
-                                     handshake_public=public_section(cfg))
-    elapsed = time.perf_counter() - t0_clock
-    reports = [run_report(eng.rt.transcript, eng.party, cfg["session_id"],
-                          epsilon_total(cfg, draws)) for eng in engines]
-    return results, reports, elapsed
+    results, _ = run_two_party(lambda eng: run(eng, *shares[eng.party]), session_seed=seed,
+                               counts=counts, cfg=ring_from_config(cfg),
+                               session_id=cfg["session_id"], handshake_public=public_section(cfg))
+    return results, time.perf_counter() - t0_clock
+
+
+def _result(w_shares, noisy, report: dict, elapsed: float) -> dict:
+    """A session's result under either executor: the pre-noise weights as
+    ring elements and their shares, the opened noisy models (None without
+    noise), party 0's report and its totals, and the session's seconds."""
+    return {
+        "w_raw": w_shares[0] + w_shares[1],
+        "w_shares": w_shares,
+        "noisy_models": noisy,
+        "rounds": report["rounds"],
+        "bytes": report["bytes_sent"] + report["bytes_received"],
+        "runtime_s": elapsed,
+        "report": report,
+    }
 
 
 def run_mpc_threaded(owner_datasets, mode: str, cfg: dict, seed: int, draws: int):
@@ -120,18 +140,9 @@ def run_mpc_threaded(owner_datasets, mode: str, cfg: dict, seed: int, draws: int
     channels. Returns pre-noise shares, opened noisy models, and transcripts."""
     ring = ring_from_config(cfg)
     shares = ingest_partitions(owner_datasets, mode, ring)
-    results, reports, elapsed = run_threaded_session(shares, cfg, seed, draws)
-    w_shares = (results[0]["w_share"], results[1]["w_share"])
-    noisy = decode(results[0]["noisy"], ring) if "noisy" in results[0] else None
-    return {
-        "w_raw": w_shares[0] + w_shares[1],
-        "w_shares": w_shares,
-        "noisy_models": noisy,
-        "rounds": reports[0]["rounds"],
-        "bytes": reports[0]["bytes_sent"] + reports[0]["bytes_received"],
-        "runtime_s": elapsed,
-        "report": reports[0],
-    }
+    ((out0, report), (out1, _)), elapsed = run_threaded_session(shares, cfg, seed, draws)
+    noisy = decode(out0["noisy"], ring) if "noisy" in out0 else None
+    return _result((out0["w_share"], out1["w_share"]), noisy, report, elapsed)
 
 
 def _free_port() -> int:
@@ -190,12 +201,9 @@ def run_mpc_process(owner_datasets, mode: str, cfg: dict, seed: int, draws: int,
     ROLE_DEADLINE_S (_supervise)."""
     ring = ring_from_config(cfg)
     os.makedirs(workdir, exist_ok=True)
-    (X0, t0), (X1, t1) = ingest_partitions(owner_datasets, mode, ring)
-    n, m = X0.shape
     prefix = os.path.join(workdir, "data")
-    session = cfg["session_id"]
-    write_share_file(prefix + ".party0.shares", session, 0, X0, t0, ring)
-    write_share_file(prefix + ".party1.shares", session, 1, X1, t1, ring)
+    for party, (X, t) in enumerate(ingest_partitions(owner_datasets, mode, ring)):
+        write_party_shares(prefix, cfg["session_id"], party, X, t, ring)
 
     run_cfg = dict(cfg)
     run_cfg.update({
@@ -217,25 +225,8 @@ def run_mpc_process(owner_datasets, mode: str, cfg: dict, seed: int, draws: int,
     _supervise({role: spawn(role) for role in ("dealer", "party0", "party1")}, ROLE_DEADLINE_S)
     elapsed = time.perf_counter() - t0_clock
 
-    from .shareio import read_weights_file
-
-    _, w0 = read_weights_file(os.path.join(workdir, "weights.party0.bin"))
-    _, w1 = read_weights_file(os.path.join(workdir, "weights.party1.bin"))
-    noisy = None
-    noisy_path = os.path.join(workdir, "noisy.party0.csv")
-    if os.path.exists(noisy_path):
-        noisy = np.loadtxt(noisy_path, delimiter=",", ndmin=2)
-    with open(os.path.join(workdir, "report.party0.json"), encoding="utf-8") as fh:
-        report = json.load(fh)
-    return {
-        "w_raw": w0 + w1,
-        "w_shares": (w0, w1),
-        "noisy_models": noisy,
-        "rounds": report["rounds"],
-        "bytes": report["bytes_sent"] + report["bytes_received"],
-        "runtime_s": elapsed,
-        "report": report,
-    }
+    (w0, noisy, report), (w1, _, _) = (read_party_outputs(workdir, party) for party in (0, 1))
+    return _result((w0, w1), noisy, report, elapsed)
 
 
 def run_mpc_pipeline(owner_datasets, mode: str, cfg: dict, seed: int, draws: int,
@@ -261,20 +252,15 @@ class ExperimentReport:
         writer.writerow(["owners", "mode", "method", "mean_acc", "std_acc",
                          "runtime_s", "bytes"])
         for row in self.rows:
-            if np.isnan(row["mean_acc"]):
-                writer.writerow([row["owners"], row["mode"], row["method"],
-                                 "-", "-", "-", "-"])
-            else:
-                writer.writerow([row["owners"], row["mode"], row["method"],
-                                 f"{row['mean_acc']:.6f}", f"{row['std_acc']:.6f}",
-                                 f"{row['runtime_s']:.3f}", row["bytes"]])
+            figures = ["-"] * 4 if np.isnan(row["mean_acc"]) else [
+                f"{row['mean_acc']:.6f}", f"{row['std_acc']:.6f}", f"{row['runtime_s']:.3f}",
+                row["bytes"]]
+            writer.writerow([row["owners"], row["mode"], row["method"], *figures])
         return out.getvalue()
 
     def text(self) -> str:
         lines = [f"{k} = {v}" for k, v in sorted(self.meta.items())]
-        lines.append("")
-        lines.append(self.csv_text().rstrip("\n"))
-        return "\n".join(lines) + "\n"
+        return "\n".join(lines + ["", self.csv_text()])
 
 
 def run_experiment(cfg: dict, workdir: str | None = None, log=lambda msg: None):
@@ -293,45 +279,36 @@ def run_experiment(cfg: dict, workdir: str | None = None, log=lambda msg: None):
     fold_of = stratified_folds(t, folds, seed)
     tc = training_config(cfg)
 
-    cells: dict = {}
+    # one cell per report row, in row order; vertical partitions have no
+    # baseline, so theirs stays empty and reads "-"
+    grid = [(k, mode) for mode in modes for k in owners if mode != "vertical" or k <= m]
+    cells = {(k, mode, method): {"accs": [], "runtime": 0.0, "bytes": 0}
+             for k, mode in grid for method in ("baseline", "mpc_dp")}
     data_hash = hash_array(X) ^ hash_array(t)
     for fold in range(folds):
         test_mask = fold_of == fold
         X_tr, t_tr = X[~test_mask], t[~test_mask]
         X_te, t_te = X[test_mask], t[test_mask]
         fold_seed = int(np.random.SeedSequence([seed, 17, fold]).generate_state(1)[0])
-        for mode in modes:
-            for k in owners:
-                if mode == "vertical" and k > m:
-                    continue
-                plan = make_plan(mode, k, len(X_tr), m)
-                parts = partition(X_tr, t_tr, plan)
-                sub = None
-                if workdir is not None:
-                    sub = os.path.join(workdir, f"fold{fold}_{mode}{k}")
-                log(f"fold {fold} {mode} k={k}: mpc pipeline")
-                res = run_mpc_pipeline(parts, mode, cfg, fold_seed, draws, sub)
-                accs = [evaluate(wn, X_te, t_te, add_bias=tc.add_bias)
-                        for wn in res["noisy_models"]]
-                cell = cells.setdefault((k, mode, "mpc_dp"), {"accs": [], "runtime": 0.0,
-                                                              "bytes": 0})
-                cell["accs"].extend(accs)
-                cell["runtime"] += res["runtime_s"]
-                cell["bytes"] += res["bytes"]
-                if mode == "horizontal":
-                    log(f"fold {fold} horizontal k={k}: baseline")
-                    t0_clock = time.perf_counter()
-                    base_accs = []
-                    for draw in range(draws):
-                        rng = np.random.default_rng(
-                            np.random.SeedSequence([seed, 23, fold, k, draw]))
-                        model = baseline_fl(parts, tc, cfg["epsilon"], rng)
-                        base_accs.append(evaluate(model.weights, X_te, t_te,
-                                                  add_bias=tc.add_bias))
-                    cell = cells.setdefault((k, mode, "baseline"),
-                                            {"accs": [], "runtime": 0.0, "bytes": 0})
-                    cell["accs"].extend(base_accs)
-                    cell["runtime"] += time.perf_counter() - t0_clock
+        for k, mode in grid:
+            parts = partition(X_tr, t_tr, make_plan(mode, k, len(X_tr), m))
+            sub = None if workdir is None else os.path.join(workdir, f"fold{fold}_{mode}{k}")
+            log(f"fold {fold} {mode} k={k}: mpc pipeline")
+            res = run_mpc_pipeline(parts, mode, cfg, fold_seed, draws, sub)
+            cell = cells[(k, mode, "mpc_dp")]
+            cell["accs"] += [evaluate(wn, X_te, t_te, add_bias=tc.add_bias)
+                             for wn in res["noisy_models"]]
+            cell["runtime"] += res["runtime_s"]
+            cell["bytes"] += res["bytes"]
+            if mode == "horizontal":
+                log(f"fold {fold} horizontal k={k}: baseline")
+                t0_clock = time.perf_counter()
+                cell = cells[(k, mode, "baseline")]
+                for draw in range(draws):
+                    rng = np.random.default_rng(np.random.SeedSequence([seed, 23, fold, k, draw]))
+                    w = baseline_fl(parts, tc, cfg["epsilon"], rng).weights
+                    cell["accs"].append(evaluate(w, X_te, t_te, add_bias=tc.add_bias))
+                cell["runtime"] += time.perf_counter() - t0_clock
 
     report = ExperimentReport()
     report.meta = {
@@ -341,29 +318,16 @@ def run_experiment(cfg: dict, workdir: str | None = None, log=lambda msg: None):
         "data_hash": f"{data_hash:016x}",
         "owners": ",".join(str(k) for k in owners), "modes": ",".join(modes),
     }
-    for mode in modes:
-        for k in owners:
-            if mode == "vertical" and k > m:
-                continue
-            for method in ("baseline", "mpc_dp"):
-                if method == "baseline" and mode == "vertical":
-                    report.rows.append({"owners": k, "mode": mode, "method": method,
-                                        "mean_acc": float("nan"), "std_acc": float("nan"),
-                                        "runtime_s": 0.0, "bytes": 0})
-                    continue
-                cell = cells[(k, mode, method)]
-                accs = np.asarray(cell["accs"])
-                report.rows.append({"owners": k, "mode": mode, "method": method,
-                                    "mean_acc": float(accs.mean()),
-                                    "std_acc": float(accs.std()),
-                                    "runtime_s": cell["runtime"],
-                                    "bytes": cell["bytes"]})
+    for (k, mode, method), cell in cells.items():
+        accs = np.asarray(cell["accs"])
+        mean, std = (float(accs.mean()), float(accs.std())) if accs.size else (np.nan, np.nan)
+        report.rows.append({"owners": k, "mode": mode, "method": method, "mean_acc": mean,
+                            "std_acc": std, "runtime_s": cell["runtime"],
+                            "bytes": cell["bytes"]})
     return report
 
 
 def hash_array(a) -> int:
-    import zlib
-
     return zlib.crc32(np.ascontiguousarray(a).tobytes())
 
 

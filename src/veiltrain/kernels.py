@@ -35,7 +35,16 @@ to 16), converted to the power basis at import:
   SIN_CHEB: sin(pi x / 2) on x in [-1, 1] (odd, degree 7)
   COS_CHEB: cos(pi x / 2) likewise (even, degree 8)
   SIG_CHEB: (sigmoid(8t) - 1/2)/t as a function of u = t^2 on [0, 1],
-            argument v = 2u - 1
+            argument v = 2u - 1 (degree 12): the minimax fit of the
+            sigmoid's own error t (q~ - q) (a linear program on 4001 points
+            of t) with its slope (q + 4 t^2 q')/8 held in [6e-5, 1/4 -
+            6e-5], so it is monotone as encoded from 13 fractional bits;
+            2.5e-5 in float. In SIG_POWER its constant is a multiple of
+            2^-12 and its top coefficients (of v^9 .. v^12) multiples of
+            2^-14, which every ring that keeps them at top_bits encodes
+            exactly; from 14 fractional bits every summand of q(1) is then
+            a whole ulp, its truncations are exact, and the clamped sigmoid
+            beyond |z| = 8 is one value
   SIG4_CHEB: (sigmoid(4t) - 1/2)/t likewise, weighted by t (Lawson
             iterations) so the sigmoid's own error t (q~ - q) is minimax:
             1.7e-5 on |z| <= 4, where the unweighted fit has 3.3e-5
@@ -69,11 +78,10 @@ COS_CHEB = (
     0.0, -0.0005966951965487954, 0.0, 6.704394869800126e-06,
 )
 SIG_CHEB = (
-    0.9179788279261364, -0.5978454057785887, 0.26131485960880796,
-    -0.11957835605318305, 0.05532870227597527, -0.025677346204693134,
-    0.011926600586948034, -0.005540988206614879, 0.002574437375242915,
-    -0.0011960771705892565, 0.0005555374662430875, -0.0002576838921734763,
-    0.00011878306069975032,
+    0.9179527895841594, -0.5977974244007902, 0.26126620611988477, -0.11953016081706487,
+    0.055277098182194596, -0.025626228207259967, 0.01188503832377676,
+    -0.005487432351072706, 0.0025184383385319278, -0.0011549592018127441,
+    0.0005137920379638672, -0.00019282102584838867, 6.514787673950195e-05,
 )
 SIG4_CHEB = (
     0.681443716932279, -0.24494559652438352, 0.05620327175379739,
@@ -114,8 +122,11 @@ _RSQRT_STEPS = 2
 # every accepted ring: rounding makes it largest on the coarsest, 2^-8.8 at
 # l = 12, where the float iteration alone reaches 2^-12.2
 RSQRT_RESIDUAL_BITS = 8
-RSQRT_START_BITS = 56  # the quadratic start's b2 m^2 summand stays below 2^56
-TOP_SUMMAND_BITS = 56  # a fit's summand of its top powers stays below 2^56 (top_bits)
+# the summands this module bounds by its encodings (rsqrt's quadratic start
+# b2 m^2, rsqrt_start_bits; a fit's top powers, top_bits; the mantissa log,
+# _exponentials_2l) stay below 2^HIDING_FLOOR_BITS: a value opened under the
+# truncation masks, uniform on [-2^62, 2^62), keeps 62 - log2 |x| bits hidden
+HIDING_FLOOR_BITS = 56
 # the fewest fractional bits (or l, if fewer) a fit's top coefficients may
 # keep for its power chain to leave the top powers at 2l bits: at most four
 # of them then add at most 2^-14 to the fit, within every kernel's bound
@@ -178,12 +189,10 @@ class Powers(NamedTuple):
 def top_bits(frac_bits: int, coeffs) -> int:
     """Fractional bits of a fit's top coefficients, those of the powers a
     chain leaves at 2l bits (_powers): 2l, or fewer where their summand
-    sum_k a_k v^k, |v| <= 1, at 2l + c bits would reach 2^TOP_SUMMAND_BITS.
-    A value opened under the truncation masks, uniform on [-2^62, 2^62),
-    keeps about 62 - log2 |x| bits hidden (rsqrt_start_bits)."""
+    sum_k a_k v^k, |v| <= 1, at 2l + c bits would reach 2^HIDING_FLOOR_BITS."""
     c = 2 * frac_bits
     while c > 0 and (sum(abs(int(round(float(a) * 2.0 ** c))) for a in coeffs)
-                     << 2 * frac_bits) >= 1 << TOP_SUMMAND_BITS:
+                     << 2 * frac_bits) >= 1 << HIDING_FLOOR_BITS:
         c -= 1
     return c
 
@@ -235,7 +244,7 @@ def _poly_2l(eng, powers, coeffs, scale=1, total=False, extra=0, pin=False):
     top powers at 2l bits, over those at 2l + c bits, c their coefficients'
     top_bits. With total, the sum over the rows (axis 1 of the powers), as
     one row; c then keeps the sum of the rows' summands below
-    2^TOP_SUMMAND_BITS. With pin, each summand gets a constant, in ring
+    2^HIDING_FLOOR_BITS. With pin, each summand gets a constant, in ring
     integers, that makes it exactly 0 at v = 1: the sum is then 0 there
     once truncated, and its constant is minus that of the coefficients as
     encoded."""
@@ -369,7 +378,7 @@ def _sqrt_mantissa(eng, normal, with_g, scale=None):
     m, mm = eng.tmul(m_prec, prec - wide, square=True)  # m at wide bits, m^2 at 2 wide
     # h0 = b0 + b1 m + b2 m^2 (b = RSQRT_START / 2) at l bits, and m h0 at l +
     # wide bits. b2 < 2^0.52 at c bits times m^2 < 1 at 2 wide bits keeps
-    # the summand b2 m^2 below 2^RSQRT_START_BITS (rsqrt_start_bits)
+    # the summand b2 m^2 below 2^HIDING_FLOOR_BITS (rsqrt_start_bits)
     b0, b1, b2 = (x / 2 for x in RSQRT_START)
     c = rsqrt_start_bits(l)
     *bm, mbm = eng.tmul([eng.mul_public_int(m, to_signed(_enc(eng, b1))),
@@ -411,10 +420,9 @@ def secure_sqrt(eng, a, magnitude_bits=None):
 def rsqrt_start_bits(frac_bits: int) -> int:
     """Fractional bits of the quadratic start's b2 (_sqrt_mantissa): l, or
     fewer where b2 m^2 at 2 (l + _MANTISSA_EXTRA) + c bits would reach
-    2^RSQRT_START_BITS. A value opened under the truncation masks, uniform
-    on [-2^62, 2^62), keeps about 62 - log2 |x| bits hidden; the start's
-    residual, 0.147, needs few of b2's bits (at least 5, at l = 22)."""
-    return min(frac_bits, RSQRT_START_BITS - 1 - 2 * (frac_bits + _MANTISSA_EXTRA))
+    2^HIDING_FLOOR_BITS. The start's residual, 0.147, needs few of b2's
+    bits (at least 5, at l = 22)."""
+    return min(frac_bits, HIDING_FLOOR_BITS - 1 - 2 * (frac_bits + _MANTISSA_EXTRA))
 
 
 def rsqrt_operand_bits(frac_bits: int) -> int:
@@ -449,26 +457,23 @@ def _rsqrt(eng, normal, times, truncate):
     may have taken in a round of its own (engine lead with shifts).
 
     One Newton correction follows for y = 2h, scaled: y + y (1 - m y^2)/2.
-    The last Goldschmidt round forms y at 2l bits beside h^2; one round
-    truncates y to l bits while m h^2 is formed (eng.parallel), and forms
-    y times, where times is given; the next truncates (1 - m y^2)/2 to l +
-    _CORRECTION_BITS bits, l significant ones, and the product with times
-    to l bits, while it multiplies the two (pair products). The correction
-    thus applies to the products the caller wants, with no round of their
-    own. The result is y (or y times) plus that correction truncated by l +
-    _CORRECTION_BITS; with truncate False the two are returned as Results
-    (y, correction), summands for the caller's next tmul to take in its
-    round (rsqrt_shifts)."""
+    The last Goldschmidt round forms y at 2l bits beside h^2; one tmul
+    truncates y to l bits and forms y times, where times is given, and m
+    h^2, a pair product of m and h^2 taken as they are; the next truncates
+    (1 - m y^2)/2 to l + _CORRECTION_BITS bits, l significant ones, and
+    the product with times to l bits, while it multiplies the two (pair
+    products). The correction thus applies to the products the caller
+    wants, with no round of their own. The result is y (or y times) plus
+    that correction truncated by l + _CORRECTION_BITS; with truncate False
+    the two are returned as Results (y, correction), summands for the
+    caller's next tmul to take in its round (rsqrt_shifts)."""
     l, wide = eng.frac_bits, eng.frac_bits + _MANTISSA_EXTRA
     *_, m, _, ys, hh = _sqrt_mantissa(eng, normal, False,
                                       lambda t: 2 * int(round(2 ** (l + (l - t) / 2))))
-    if times is None:
-        ys, m_hh = eng.parallel(lambda eng: eng.trunc(ys, l), lambda eng: eng.mul(m, hh))
-        y, y_shift = ys, None
-    else:
-        (ys, y), m_hh = eng.parallel(lambda eng: eng.tmul(ys, l, times),
-                                     lambda eng: eng.mul(m, hh))
-        y_shift = l
+    t, *prods = eng.tmul(eng.stack([ys, m, hh]), [l, None, None], times, square=([1], [2]),
+                         rows=[0])
+    y, y_shift = (t[0], None) if times is None else (prods[0][0], l)
+    m_hh = prods[-1][0]
     # m y^2 sits near 2^(3l + 3) at 3l + 3 bits, which may wrap the ring,
     # but 1 - m y^2 is exact and small enough to truncate
     # (rsqrt_operand_bits); at one bit more it is (1 - m y^2)/2
@@ -548,14 +553,14 @@ def _exponentials_2l(eng, e, powers, scale=1, total=False):
     from integer exponents e and the powers of x = 2u - 1 (LNM_POWER), rows
     on axis 0 (Powers: axis 1); with total, their sum, as one row. An
     exponential is below (W + 1) ln 2 (joint_geometric), so the low
-    summand takes the extra bits that keep it below 2^TOP_SUMMAND_BITS. The
+    summand takes the extra bits that keep it below 2^HIDING_FLOOR_BITS. The
     fit's constant is pinned in ring integers so that x = 1 gives exactly 0
     once truncated: so e = 0 and u = 1 give exactly 0, and no value is
     negative."""
     l = eng.frac_bits
     rows = np.shape(e)[0] if total else 1
     bound = rows * scale * (whole_leaves(l) + 1) * np.log(2.0)
-    extra = int(np.clip(np.ceil(TOP_SUMMAND_BITS - 2 * l - np.log2(bound)) - 1, 0, l))
+    extra = int(np.clip(np.ceil(HIDING_FLOOR_BITS - 2 * l - np.log2(bound)) - 1, 0, l))
     xs, shifts = _poly_2l(eng, powers, LNM_POWER, -scale, total, extra, pin=True)
     e = eng.sum(e, axis=0)[None] if total else e
     ln2 = scale * int(round(np.log(2.0) * 2.0 ** (2 * l + extra)))

@@ -3,7 +3,8 @@
 The dealer listens for both parties, checks that they request identical
 provisioning, and ships each its half of the correlated randomness as framed
 binary. Parties then meet over the configured peer address, handshake on the
-public config, and run the staged pipeline on their share files.
+public config, and run the staged pipeline on their share files. Every
+party file is named here alone, each writer beside its reader.
 """
 
 from __future__ import annotations
@@ -17,9 +18,9 @@ from .dealer import _KIND_TAGS, _SPLIT_WORDS, MaterialSource, _Cursor, check_key
 from .engine import MpcEngine
 from .errors import ConfigMismatch, ParseError
 from .fixedpoint import decode
-from .session import PartyRuntime, handshake, run_report
-from .shareio import (check_ring_meta, public_section, read_share_file,
-                      ring_from_config, write_weights_file)
+from .session import PartyRuntime, handshake
+from .shareio import (check_ring_meta, public_section, read_share_file, read_weights_file,
+                      ring_from_config, write_share_file, write_weights_file)
 from .transport import (KIND_HELLO, KIND_MATERIAL, KIND_PROVISION, FrameIO, connect,
                         decode_kv, encode_kv, listen, payload_u64, u64_payload)
 
@@ -130,6 +131,14 @@ def connect_peer(cfg: dict, party: int):
     return connect(cfg["party0_host"], cfg["party0_port"], deadline=deadline)
 
 
+def write_party_shares(prefix: str, session: int, party: int, X, t, ring) -> str:
+    """Write a party's shares (X, t) to <prefix>.party<party>.shares, the
+    file read_party_shares reads; returns its path."""
+    path = f"{prefix}.party{party}.shares"
+    write_share_file(path, session, party, X, t, ring)
+    return path
+
+
 def read_party_shares(cfg: dict, party: int):
     """Party's (X, t) from <shares_prefix>.party<party>.shares;
     ConfigMismatch unless the file carries the config's session and ring."""
@@ -140,49 +149,51 @@ def read_party_shares(cfg: dict, party: int):
     return X, t
 
 
+def _outputs(out_dir: str, party: int) -> list:
+    """A party's weights, noisy-model and report files in out_dir."""
+    return [os.path.join(out_dir, f"{kind}.party{party}.{ext}")
+            for kind, ext in (("weights", "bin"), ("noisy", "csv"), ("report", "json"))]
+
+
 def write_party_outputs(cfg: dict, party: int, out: dict, report: dict) -> None:
     """Write a party's weight shares, the opened noisy models (when the
     session released any) and its report into cfg["out_dir"]."""
-    out_dir = cfg["out_dir"]
     ring = ring_from_config(cfg)
-    os.makedirs(out_dir, exist_ok=True)
-    write_weights_file(os.path.join(out_dir, f"weights.party{party}.bin"),
-                       cfg["session_id"], party, out["w_share"], ring)
+    os.makedirs(cfg["out_dir"], exist_ok=True)
+    weights, noisy, report_path = _outputs(cfg["out_dir"], party)
+    write_weights_file(weights, cfg["session_id"], party, out["w_share"], ring)
     if "noisy" in out:
-        np.savetxt(os.path.join(out_dir, f"noisy.party{party}.csv"), decode(out["noisy"], ring),
-                   delimiter=",", fmt="%.10g")
-    with open(os.path.join(out_dir, f"report.party{party}.json"), "w",
-              encoding="utf-8") as fh:
+        np.savetxt(noisy, decode(out["noisy"], ring), delimiter=",", fmt="%.10g")
+    with open(report_path, "w", encoding="utf-8") as fh:
         json.dump(report, fh)
+
+
+def read_party_outputs(out_dir: str, party: int):
+    """What write_party_outputs wrote for the party: its weight share, the
+    noisy models (None if the session released none) and its report."""
+    weights, noisy, report = _outputs(out_dir, party)
+    noisy = np.loadtxt(noisy, delimiter=",", ndmin=2) if os.path.exists(noisy) else None
+    with open(report, encoding="utf-8") as fh:
+        return read_weights_file(weights)[1], noisy, json.load(fh)
 
 
 def run_party(cfg: dict, party: int) -> None:
     """The computing-party main loop: load shares, provision, handshake,
-    run the staged pipeline, and write weights, noisy models, and report."""
-    from .harness import (dp_params, epsilon_total, party_pipeline, pipeline_counts,
-                          training_config)
+    run the session (harness.party_session), and write weights, noisy
+    models, and report."""
+    from .harness import party_session
 
-    ring = ring_from_config(cfg)
-    session = cfg["session_id"]
     _require_keys(cfg, "party", "shares_prefix")
     X, t = read_party_shares(cfg, party)
     _require_keys(cfg, "party", "dealer_host", "dealer_port", "party0_host", "party0_port",
-                 "out_dir")
-    n, m = X.shape
-    tc = training_config(cfg)
-    draws = cfg["noise_draws"]
-    dp = dp_params(cfg, n, m)
-    counts = pipeline_counts(n, m, cfg, draws)
-
+                  "out_dir")
+    counts, run = party_session(cfg, *X.shape, cfg["noise_draws"])
     material = provision_from_dealer(cfg, party, counts)
     chan = connect_peer(cfg, party)
     try:
-        rt = PartyRuntime(party, session, chan, ring)
+        rt = PartyRuntime(party, cfg["session_id"], chan, ring_from_config(cfg))
         handshake(rt, public_section(cfg))
-        eng = MpcEngine(rt, material)
-        out = party_pipeline(eng, X, t, tc, dp, draws)
+        out, report = run(MpcEngine(rt, material), X, t)
     finally:
         chan.close()
-
-    write_party_outputs(cfg, party, out,
-                        run_report(rt.transcript, party, session, epsilon_total(cfg, draws)))
+    write_party_outputs(cfg, party, out, report)

@@ -62,5 +62,5 @@ def block_scaled_session(parts, cfg, seed, draws):
     (X0, t0), (X1, t1) = ingest_partitions(parts, "vertical", ring)
     rng = np.random.default_rng()
     (x0, x1), (s0, s1) = split_raw(X0 + X1, rng), split_raw(t0 + t1, rng)
-    results, _, _ = run_threaded_session(((x0, s0), (x1, s1)), cfg, seed, draws)
-    return results[0]["w_share"] + results[1]["w_share"], decode(results[0]["noisy"], ring)
+    ((out0, _), (out1, _)), _ = run_threaded_session(((x0, s0), (x1, s1)), cfg, seed, draws)
+    return out0["w_share"] + out1["w_share"], decode(out0["noisy"], ring)

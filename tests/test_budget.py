@@ -25,12 +25,12 @@ ROUNDS_BY_PATH = {
 }
 # the noise's rounds that rode in another branch's: its first 5 in
 # training's (its 2 uniform draws and the 3 rounds of sin/cos's power
-# chain), and the 7 in which two of its own branches ran (4 with the
+# chain), and the 6 in which two of its own branches ran (4 with the
 # exponents beside the uniforms and the power chain, 2 with rsqrt's lead
-# beside sin/cos's squaring and the truncation of sin, cos and the Gamma,
-# 1 with rsqrt's m h^2 beside the truncation of its y), so 12 riders
+# beside sin/cos's squaring and the truncation of sin, cos and the Gamma),
+# so 11 riders
 OVERLAP_BY_PATH = {
-    "perturb/uniform": 2, "perturb/geometric": 4, "perturb/sin_cos": 3, "perturb/rsqrt": 3,
+    "perturb/uniform": 2, "perturb/geometric": 4, "perturb/sin_cos": 3, "perturb/rsqrt": 2,
 }
 WIRE_BYTES = 44_404  # party 0, sent plus received
 

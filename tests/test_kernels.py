@@ -396,6 +396,17 @@ def test_sigmoid_tolerance_and_clamp():
     assert np.array_equal(got[:4], got[[4, 4, 5, 5]])  # the input clamps: no jump at |z| = 8
 
 
+@pytest.mark.parametrize("frac_bits", range(14, 23))
+def test_clamped_sigmoid_is_one_value_beyond_the_clamp(frac_bits):
+    # from 14 fractional bits every summand of q(1) is a whole ulp
+    # (kernels.SIG_CHEB), so its truncations at the clamped input are exact
+    # and no mask's carry moves an output
+    eng = plain(17, RingConfig(frac_bits))
+    big = np.repeat([8.0, 9.0, 500.0], 100)
+    got = open_plain(eng, kernels.secure_sigmoid(eng, enc_pub(eng, np.concatenate([big, -big]))))
+    assert len(set(got[:300])) == len(set(got[300:])) == 1
+
+
 def _ring_id(value):
     """Names a ring parameter as the ring, width-fractional bits: 64-24."""
     return f"{RingConfig.lam}-{value}" if isinstance(value, int) else None

@@ -4,13 +4,14 @@ from dataclasses import fields
 import numpy as np
 import pytest
 
+from veiltrain import kernels
 from veiltrain.cleartext import normalize_rows, sigmoid, train_lr_clear
 from veiltrain.dealer import MaterialSource
 from veiltrain.datasets import synth_data
 from veiltrain.engine import PlainEngine, estimate_counts
 from veiltrain.errors import VeiltrainError
 from veiltrain.fixedpoint import RingConfig, decode, encode, to_signed
-from veiltrain.kernels import SIG4_POWER, SIGMOID_BOUND
+from veiltrain.kernels import SIG4_POWER, SIG_POWER, SIGMOID_BOUND
 from veiltrain.training import (SLOPE_SLACK, ModelState, TrainingConfig, l2_normalize, backward,
                                 doublings, forward, forward_magnitude_bits, mean_bits,
                                 sigmoid_input_bound, takes_recurrence, train_pipeline, update)
@@ -576,19 +577,28 @@ def test_sigmoid_input_stays_within_its_public_bound(monkeypatch):
 
 
 def test_polynomial_sigmoid_slope_stays_in_the_smoothness_constant():
-    # L = lambda + R^2 (1/4 + SLOPE_SLACK) needs the bounded sigmoid's slope
-    # in [0, 1/4 + SLOPE_SLACK] on |z| <= 4, with its coefficients as fitted
-    # and as encoded
-    def within(slope):
+    # L = lambda + R^2 (1/4 + SLOPE_SLACK) needs each sigmoid's slope in
+    # [0, 1/4 + SLOPE_SLACK], with its coefficients as fitted and as
+    # encoded: the bounded one on |z| <= 4 (t = z/4); the clamped one on
+    # |z| <= 8 (t = z/8; beyond, the clamp holds its value), on every ring
+    # from 13 fractional bits, as _poly_2l encodes it there (the top
+    # coefficients at top_bits where the power chain keeps them at 2l
+    # bits); at 12, rounding its coefficients to 2^-13 breaks it
+    def within(coeffs, bound):
+        t = np.linspace(-1, 1, 80_001)
+        v = 2 * t ** 2 - 1
+        q = np.polynomial.Polynomial(coeffs)
+        slope = (q(v) + 4 * t ** 2 * q.deriv()(v)) / bound
         assert slope.min() >= 0
         assert slope.max() <= 0.25 + SLOPE_SLACK
 
-    z = np.linspace(-4, 4, 80_001)
-    t = z / 4
-    v = 2 * t ** 2 - 1
-    for coeffs in (SIG4_POWER, decode(encode(np.array(SIG4_POWER), RING), RING)):
-        q = np.polynomial.Polynomial(coeffs)
-        within((q(v) + 4 * t ** 2 * q.deriv()(v)) / 4)
+    within(SIG4_POWER, 4)
+    within(decode(encode(np.array(SIG4_POWER), RING), RING), 4)
+    within(SIG_POWER, 8)
+    for l in range(13, 23):
+        top = kernels.top_bits(l, SIG_POWER[9:])
+        bits = [l] * 9 + [top if top >= min(l, kernels.TOP_COEFF_BITS) else l] * 4
+        within([round(a * 2.0 ** b) / 2.0 ** b for a, b in zip(SIG_POWER, bits)], 8)
 
 
 def test_forward_magnitude_width_follows_the_input_bound():
