@@ -178,6 +178,15 @@ class Results(tuple):
         return sum(int(np.size(a)) for a in self)
 
 
+def _branch_result(i, branch, result):
+    """A parallel branch's result, an array or Results, whose elements the
+    callers count (np.size); TypeError naming the branch otherwise."""
+    if not isinstance(result, (np.ndarray, Results)):
+        raise TypeError(f"parallel branch {i} ({getattr(branch, '__qualname__', branch)}) "
+                        f"returned {type(result).__name__}, not an array or engine.Results")
+    return result
+
+
 def _rows(a, idx):
     """a's rows (axis 0) at the indices idx, or all of a for None."""
     return a if idx is None else a[np.asarray(idx, dtype=np.intp)]
@@ -300,16 +309,17 @@ class PlainEngine(BaseEngine):
         return Counts({k: v for k, v in self.pos.items() if isinstance(k, tuple)}, self.windows)
 
     def parallel(self, *branches):
-        """Run each branch(engine) in turn and return their results. This
+        """Run each branch(engine) in turn and return their results, each an
+        array or Results (TypeError naming the branch otherwise). This
         fixes the order in which the branches' material windows follow each
         other; MpcEngine.parallel runs the branches side by side on them.
         The windows of parallel calls inside a branch are recorded under
         that branch."""
         outer, bounds, nested, out = self.windows, [dict(self.pos)], [], []
         try:
-            for branch in branches:
+            for i, branch in enumerate(branches):
                 self.windows = []
-                out.append(branch(self))
+                out.append(_branch_result(i, branch, branch(self)))
                 nested.append(tuple(self.windows))
                 bounds.append(dict(self.pos))
         finally:
@@ -720,7 +730,8 @@ class MpcEngine(BaseEngine):
         return hot if shift is None else Results((t, hot))
 
     def parallel(self, *branches):
-        """Run each branch(engine) side by side and return their results.
+        """Run each branch(engine) side by side and return their results,
+        each an array or Results (TypeError naming the branch otherwise).
 
         Every round carries the payloads of all branches that have not yet
         finished, in branch order, in one exchange with the peer; so the
@@ -744,7 +755,8 @@ class MpcEngine(BaseEngine):
             if own_stack is not None:
                 self.rt.transcript.adopt(own_stack)
             try:
-                out[i] = branches[i](MpcEngine(_BranchRuntime(self.rt, rounds, i), cursors[i]))
+                out[i] = _branch_result(i, branches[i], branches[i](
+                    MpcEngine(_BranchRuntime(self.rt, rounds, i), cursors[i])))
                 rounds.finish(i)
             except _Aborted:  # a failure elsewhere stopped the branch
                 aborted.append(i)

@@ -1,14 +1,14 @@
 """Secure fixed-point math kernels evaluated on shares.
 
-Division, square root, and logarithm first find the leaf (a block of three
-bits, see engine.leaf_layout) that holds the operand's top set bit with the
-engine's log-depth lead op, rescale by that leaf's power of two to
-a coarse mantissa in [1/8, 1), then run fixed-count Goldschmidt iterations
-with one residual correction at 2l bits, or a power-basis polynomial. The
-square root's iteration tracks e = g h = 2 m h^2 (which tends to 1/2) in
-place of forming g h, so a step is two rounds: r = 3/2 - e is truncated
-while it multiplies the carried values and itself, and e r^2 is (3/2 - r)
-times r^2, taken while r^2 and the carried values are truncated. Sine and
+Division, the (reciprocal) square root and the logarithm first find the
+leaf (a block of three bits, see engine.leaf_layout) that holds the
+operand's top set bit with the engine's log-depth lead op, and rescale by
+that leaf's power of two to a coarse mantissa m in [1/8, 1). Division then
+runs fixed-count Goldschmidt iterations with one residual correction at 2l
+bits, the logarithm a power-basis polynomial. The reciprocal square root
+starts from a power-basis polynomial too, accurate enough (2^-9.87 in 1 -
+m y0^2) that one Newton correction, applied to the products the caller
+wants, finishes it; the square root is that kernel times m. Sine and
 cosine need no range reduction: a half-angle polynomial covers the whole
 period, and one squaring round doubles the angle. Unit exponentials need
 no normalization either: -ln U = e ln 2 - ln m, with the exponent e from
@@ -30,6 +30,10 @@ power chain takes j rounds to degree 2^j: 3 for degrees 5 to 8, 4 for 9
 to 16), converted to the power basis at import:
   LN_CHEB:  ln(m) on m in [1/8, 1],  argument (16m - 9)/7; LN_POWER in
             powers of u = 2m - 1
+  RSQRT_CHEB: 1/sqrt(m) on m in [1/8, 1] likewise (degree 8): the minimax
+            fit of its relative error sqrt(m) y0 - 1 (a linear program on
+            20001 points), 2^-10.87, so |1 - m y0^2| <= 2^-9.87; RSQRT_POWER
+            in powers of u
   LNM_CHEB: ln((1 + u)/2) on u in [0, 1], argument x = 2u - 1 (degree 8,
             2^-24.8): the mantissa's log of an exponential (unit_exponentials)
   SIN_CHEB: sin(pi x / 2) on x in [-1, 1] (odd, degree 7)
@@ -54,13 +58,12 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
 from .dealer import SIGN_BLOCK
 from .engine import Results, leaf_layout, whole_leaves
-from .fixedpoint import encode, to_signed
+from .fixedpoint import encode
 
 LN_CHEB = (
     -0.7808278095447015, 0.9551844992272576, -0.22809435560293073,
@@ -88,6 +91,11 @@ SIG4_CHEB = (
     -0.013198595785737557, 0.0030916296948200533, -0.000705124472112535,
     0.00014117099591461153,
 )
+RSQRT_CHEB = (
+    1.5747401897060282, -0.7764010671977427, 0.28114641742520363, -0.11251762253330802,
+    0.04717902624451542, -0.020323807537239145, 0.008908622447857574,
+    -0.003947496641446554, 0.001750458183973482,
+)
 LNM_CHEB = (
     -0.3166943676407499, 0.3431457505076198, -0.02943725152285946, 0.0033670892555644075,
     -0.0004332758886100403, 5.9470711989546305e-05, -8.502967541137037e-06,
@@ -99,6 +107,8 @@ LNM_CHEB = (
 # and -2 ln(u) never goes negative
 LN_POWER = (-np.log(2.0),) + tuple(np.polynomial.Chebyshev(LN_CHEB, domain=[-0.75, 1.0])
                                    .convert(kind=np.polynomial.Polynomial).coef[1:])
+RSQRT_POWER = tuple(np.polynomial.Chebyshev(RSQRT_CHEB, domain=[-0.75, 1.0])
+                    .convert(kind=np.polynomial.Polynomial).coef)
 # LNM_POWER's constant is pinned in ring integers where it is used
 # (_exponentials_2l), so that ln 1 is exactly 0 there too
 LNM_POWER = tuple(np.polynomial.chebyshev.cheb2poly(LNM_CHEB))
@@ -110,22 +120,20 @@ SIN_COS_POWER = tuple(np.polynomial.polynomial.polyadd(SIN_POWER, COS_POWER))  #
 # the fits sin/cos's power chain feeds (_turn_powers)
 _TURN_FITS = (SIN_POWER, COS_POWER, SIN_COS_POWER, LNM_POWER)
 
-# starts on the coarse mantissa m in [1/8, 1): 1/m ~ a - b m, with relative
-# error below 0.44; 1/sqrt(m) ~ a0 + a1 m + a2 m^2, the minimax fit of
-# |1 - m y0^2| (0.147 on a 200001-point grid)
+# the reciprocal's start on the coarse mantissa m in [1/8, 1): 1/m ~ a - b m,
+# with relative error below 0.44
 RECIP_START = (5.097, 4.531)
-RSQRT_START = (3.188401186, -4.964418283, 2.846981376)
 _RECIP_STEPS = 4
-_RSQRT_STEPS = 2
-# after those steps secure_rsqrt's correction operand 1 - m y^2 is below
-# 2^-RSQRT_RESIDUAL_BITS in magnitude for every mantissa m in [1/8, 1) on
-# every accepted ring: rounding makes it largest on the coarsest, 2^-8.8 at
-# l = 12, where the float iteration alone reaches 2^-12.2
+# after the start (RSQRT_POWER) secure_rsqrt's correction operand 1 - m y^2
+# is below 2^-RSQRT_RESIDUAL_BITS in magnitude for every mantissa m in [1/8,
+# 1) on every accepted ring: rounding makes it largest on the coarsest,
+# 2^-8.79 at l = 12 and 2^-9.83 at 20, where the float fit alone reaches
+# 2^-9.87
 RSQRT_RESIDUAL_BITS = 8
-# the summands this module bounds by its encodings (rsqrt's quadratic start
-# b2 m^2, rsqrt_start_bits; a fit's top powers, top_bits; the mantissa log,
-# _exponentials_2l) stay below 2^HIDING_FLOOR_BITS: a value opened under the
-# truncation masks, uniform on [-2^62, 2^62), keeps 62 - log2 |x| bits hidden
+# the summands this module bounds by its encodings (a fit's top powers,
+# top_bits; the mantissa log, _exponentials_2l) stay below
+# 2^HIDING_FLOOR_BITS: a value opened under the truncation masks, uniform
+# on [-2^62, 2^62), keeps 62 - log2 |x| bits hidden
 HIDING_FLOOR_BITS = 56
 # the fewest fractional bits (or l, if fewer) a fit's top coefficients may
 # keep for its power chain to leave the top powers at 2l bits: at most four
@@ -134,6 +142,12 @@ TOP_COEFF_BITS = 14
 _MANTISSA_EXTRA = 3  # fractional bits above l on the mantissa and on div's numerator
 # fractional bits above l on rsqrt's (1 - m y^2)/2, below 2^-(RSQRT_RESIDUAL_BITS + 1)
 _CORRECTION_BITS = RSQRT_RESIDUAL_BITS + 1
+# fractional bits above l on rsqrt's y^2 as the correction operand reads it:
+# with m at l + _MANTISSA_EXTRA, m y^2 lands at 2l + _CORRECTION_BITS
+_SQUARE_EXTRA = _CORRECTION_BITS - _MANTISSA_EXTRA
+# fractional bits above l on rsqrt's scaled y where it multiplies times:
+# its quantization, times |times|, stays below 2^-12 at times 2^9
+_TIMES_EXTRA = 2
 SIGMOID_CLAMP_BITS = 3  # the sigmoid clamps at |z| = 2^3
 SIGMOID_BOUND_BITS = 2  # with a public bound |z| <= 2^2 it needs no clamp
 SIGMOID_BOUND = 2.0 ** SIGMOID_BOUND_BITS
@@ -173,17 +187,23 @@ def _combine_int(eng, z, weights):
     return eng.sum(eng.mul_public_int(z, w), axis=0)
 
 
-class Powers(NamedTuple):
+class Powers(Results):
     """A power chain's output (_powers): v .. v^M at l fractional bits
     (low) and v^(M+1) .. v^degree at 2l (top; none where the chain
-    truncated them too), each stacked on axis 0."""
+    truncated them too), each stacked on axis 0. As Results, it is what an
+    eng.parallel branch may return."""
 
-    low: np.ndarray
-    top: np.ndarray
+    @property
+    def low(self):
+        return self[0]
+
+    @property
+    def top(self):
+        return self[1]
 
     def rows(self, idx):
         """The powers of the chain's rows idx (axis 1)."""
-        return Powers(self.low[:, idx], self.top[:, idx])
+        return Powers((self.low[:, idx], self.top[:, idx]))
 
 
 def top_bits(frac_bits: int, coeffs) -> int:
@@ -234,7 +254,7 @@ def _powers(eng, x, shift, fits):
         high = dict(zip([top + b for b in ones] + [top + rows[i] for i in pairs],
                         [p for prod in prods for p in prod]))
     none = np.zeros((0,) + np.shape(low[1]), dtype=np.uint64)
-    return Powers(*(eng.stack([v[k] for k in sorted(v)]) if v else none for v in (low, high)))
+    return Powers(eng.stack([v[k] for k in sorted(v)]) if v else none for v in (low, high))
 
 
 def _poly_2l(eng, powers, coeffs, scale=1, total=False, extra=0, pin=False):
@@ -359,79 +379,12 @@ def secure_div(eng, a, b, magnitude_bits=None):
         return eng.trunc(eng.add(prods[0], eng.trunc(prods[1], l - _MANTISSA_EXTRA)), wide)
 
 
-def _sqrt_mantissa(eng, normal, with_g, scale=None):
-    """Given a's normalization (_normalize), a >= 0, run Goldschmidt on
-    its mantissa m: h -> 1/(2
-    sqrt(m)) from h0 = y0 / 2 and, with_g, g = 2 m h -> sqrt(m). The step
-    tracks e = g h = 2 m h^2 -> 1/2: r = 3/2 - e, then h r (g r) and e r^2
-    = (3/2 - r) r^2, in two rounds. The start takes two: h0 and m h0 with
-    one truncation, then e0 from m h0 truncated; m^2, which h0 needs, is
-    taken in the round that truncates m. The last step squares the first
-    carried value (g, else h) as it truncates; with scale, a map from a
-    leaf's top to a public integer, it also multiplies that value by
-    sum_i z_i scale(T_i). Returns z, tops, prec, m exact at prec bits, m at
-    l + _MANTISSA_EXTRA bits, the carried values at l bits (g and h, or h,
-    stacked), with scale that product, and that square, both at 2l."""
-    l, wide = eng.frac_bits, eng.frac_bits + _MANTISSA_EXTRA
-    a, z, tops, prec, factor = normal
-    m_prec = eng.mul(a, factor)
-    m, mm = eng.tmul(m_prec, prec - wide, square=True)  # m at wide bits, m^2 at 2 wide
-    # h0 = b0 + b1 m + b2 m^2 (b = RSQRT_START / 2) at l bits, and m h0 at l +
-    # wide bits. b2 < 2^0.52 at c bits times m^2 < 1 at 2 wide bits keeps
-    # the summand b2 m^2 below 2^HIDING_FLOOR_BITS (rsqrt_start_bits)
-    b0, b1, b2 = (x / 2 for x in RSQRT_START)
-    c = rsqrt_start_bits(l)
-    *bm, mbm = eng.tmul([eng.mul_public_int(m, to_signed(_enc(eng, b1))),
-                         eng.mul_public_int(mm, int(round(b2 * 2.0 ** c)))],
-                        [wide, 2 * wide + c - l], m)
-    h = eng.add_public(eng.add(*bm), _enc(eng, b0))
-    mh = eng.add(mbm, eng.mul_public_int(m, int(_enc(eng, b0))))
-    mh, mhh = eng.tmul(mh, wide, h)
-    e = eng.mul_public_int(mhh, 2)  # at 2l bits
-    carry = eng.stack([eng.mul_public_int(mh, 2), h] if with_g else [h])
-    k = len(carry)
-    three_halves = _unit(eng, 2 * l - 1, 3)  # at 2l bits
-    for step in range(_RSQRT_STEPS):
-        r, rc, rr = eng.tmul(eng.add_public(eng.neg(e), three_halves), l, carry, square=True)
-        if step < _RSQRT_STEPS - 1:
-            t, (e,) = eng.tmul(np.concatenate([rc, rr[None]]), l,
-                               eng.add_public(eng.neg(r), _enc(eng, 1.5)), rows=[k])
-            carry = t[:k]
-    times = None if scale is None else _combine_int(eng, z, [scale(t) for t in tops])
-    carry, *prods = eng.tmul(rc, l, times, square=[0], rows=[0])
-    return (z, tops, prec, m_prec, m, carry, *(p[0] for p in prods))
-
-
 def secure_sqrt(eng, a, magnitude_bits=None):
-    """sqrt(a) for a >= 0 on shares, within 2^-12 absolute on [2^-10, 2^10]."""
-    l = eng.frac_bits
+    """sqrt(a) for a >= 0 on shares, within 2^-12 absolute on [2^-10, 2^10];
+    exactly 0 at a = 0: the reciprocal square root's kernel (_rsqrt) on the
+    mantissa m times m, scaled by the leaf's 2^((T - l)/2)."""
     with eng.phase("sqrt"):
-        z, tops, prec, m_prec, _, (g, half), gg = _sqrt_mantissa(
-            eng, _normalize(eng, a, magnitude_bits), True)
-        # one correction at 2l bits: sqrt(m) ~ g + h (m - g^2), m - g^2 exact at
-        # prec bits; its truncation to 2l and g's exact one ride with the scale
-        d = eng.mul(half, eng.sub(m_prec, eng.mul_public_int(gg, 1 << (prec - 2 * l))))
-        scale = _combine_int(eng, z, [int(round(2 ** (l + (t - l) / 2))) for t in tops])
-        _, prods = eng.tmul(eng.stack([eng.mul_public_int(g, 1 << (prec - l)), d]),
-                            prec - l, scale)
-        return eng.trunc(eng.add(prods[0], eng.trunc(prods[1], l)), l)
-
-
-def rsqrt_start_bits(frac_bits: int) -> int:
-    """Fractional bits of the quadratic start's b2 (_sqrt_mantissa): l, or
-    fewer where b2 m^2 at 2 (l + _MANTISSA_EXTRA) + c bits would reach
-    2^HIDING_FLOOR_BITS. The start's residual, 0.147, needs few of b2's
-    bits (at least 5, at l = 22)."""
-    return min(frac_bits, HIDING_FLOOR_BITS - 1 - 2 * (frac_bits + _MANTISSA_EXTRA))
-
-
-def rsqrt_operand_bits(frac_bits: int) -> int:
-    """Bits the magnitude of secure_rsqrt's correction operand 1 - m y^2
-    stays below as a ring integer: it is under 2^-RSQRT_RESIDUAL_BITS at
-    3l + _MANTISSA_EXTRA fractional bits (the half of it at one bit more).
-    Its truncation is exact while this is at most the truncation masks'
-    lam - 2 bits."""
-    return 3 * frac_bits + _MANTISSA_EXTRA - RSQRT_RESIDUAL_BITS
+        return _rsqrt(eng, _normalize(eng, a, magnitude_bits), None, True, root=True)
 
 
 def rsqrt_shifts(frac_bits: int) -> list:
@@ -442,8 +395,7 @@ def rsqrt_shifts(frac_bits: int) -> list:
 
 
 def secure_rsqrt(eng, a, magnitude_bits=None, truncate=True, times=None):
-    """1/sqrt(a) for a > 0 on shares, within 2^-12 absolute on [2^-10, 2^10],
-    from the square root's iteration: its h converges to 1/(2 sqrt(m)).
+    """1/sqrt(a) for a > 0 on shares, within 2^-12 absolute on [2^-10, 2^10].
     Zero is out of domain, but its result is finite. With times, an array
     at l bits of a's shape (or one at l + f bits, f <= l), the result is
     y times it, as a times rsqrt(a) = sqrt(a) where times is a (see
@@ -452,34 +404,56 @@ def secure_rsqrt(eng, a, magnitude_bits=None, truncate=True, times=None):
         return _rsqrt(eng, _normalize(eng, a, magnitude_bits), times, truncate)
 
 
-def _rsqrt(eng, normal, times, truncate):
+def _rsqrt(eng, normal, times, truncate, root=False):
     """secure_rsqrt from a's normalization (_normalize), which a caller
     may have taken in a round of its own (engine lead with shifts).
 
-    One Newton correction follows for y = 2h, scaled: y + y (1 - m y^2)/2.
-    The last Goldschmidt round forms y at 2l bits beside h^2; one tmul
-    truncates y to l bits and forms y times, where times is given, and m
-    h^2, a pair product of m and h^2 taken as they are; the next truncates
-    (1 - m y^2)/2 to l + _CORRECTION_BITS bits, l significant ones, and
-    the product with times to l bits, while it multiplies the two (pair
-    products). The correction thus applies to the products the caller
-    wants, with no round of their own. The result is y (or y times) plus
-    that correction truncated by l + _CORRECTION_BITS; with truncate False
-    the two are returned as Results (y, correction), summands for the
-    caller's next tmul to take in its round (rsqrt_shifts)."""
+    The mantissa product gives m exact at prec bits and u = 2m - 1; the
+    start y0 ~ 1/sqrt(m) is the degree-8 fit RSQRT_POWER in u, from its
+    power chain (_powers, 3 rounds while the top powers stay at 2l bits).
+    One tmul truncates y0 and m (to l + _MANTISSA_EXTRA bits), rows of its
+    summands, while it forms y0 times the leaf's scale 2^((l - T)/2) and
+    y0^2. The next truncates that scaled y to l bits (l + _TIMES_EXTRA
+    where times is given) and y0^2 to l + _SQUARE_EXTRA, while it forms y
+    times, where times is given, and m y0^2 (pair products with m, taken
+    as it is). The last truncates (1 - m y0^2)/2 to l + _CORRECTION_BITS
+    bits and the product with times to l, while it multiplies the two: the
+    Newton correction y + y (1 - m y0^2)/2 applies to the products the
+    caller wants, with no round of their own. The result is y (or y times)
+    plus that correction truncated by l + _CORRECTION_BITS; with truncate
+    False the two are returned as Results (y, correction), summands for
+    the caller's next tmul to take in its round (rsqrt_shifts).
+
+    With root, the scale is 2^((T - l)/2) and times is m itself: y m =
+    sqrt(m) 2^((T - l)/2) = sqrt(a), whose quantization, unlike that of y
+    a, does not grow with a (secure_sqrt)."""
     l, wide = eng.frac_bits, eng.frac_bits + _MANTISSA_EXTRA
-    *_, m, _, ys, hh = _sqrt_mantissa(eng, normal, False,
-                                      lambda t: 2 * int(round(2 ** (l + (l - t) / 2))))
-    t, *prods = eng.tmul(eng.stack([ys, m, hh]), [l, None, None], times, square=([1], [2]),
-                         rows=[0])
-    y, y_shift = (t[0], None) if times is None else (prods[0][0], l)
-    m_hh = prods[-1][0]
-    # m y^2 sits near 2^(3l + 3) at 3l + 3 bits, which may wrap the ring,
-    # but 1 - m y^2 is exact and small enough to truncate
-    # (rsqrt_operand_bits); at one bit more it is (1 - m y^2)/2
-    e = eng.add_public(eng.neg(eng.mul_public_int(m_hh, 4)), _unit(eng, 2 * l + wide))
-    t, fix = eng.tmul(eng.stack([e, y]), [l + wide + 1 - _CORRECTION_BITS, y_shift],
-                      square=([0], [1]))
+    a, z, tops, prec, factor = normal
+    m = eng.mul(a, factor)
+    u = eng.add_public(eng.mul_public_int(m, 2), _unit(eng, prec, -1))
+    q, shifts = _poly_2l(eng, _powers(eng, u, prec - l, (RSQRT_POWER,)), RSQRT_POWER)
+    # m at wide bits as a second row of the start's summands (none of the rest)
+    rest = [eng.zeros((1,) + np.shape(m))] * (len(q) - 1)
+    xs, ss = _stack_rows([([x[None] for x in q], shifts),
+                          ([m[None]] + rest, [prec - wide] + [None] * len(rest))])
+    sign = 1 if root else -1
+    scale = _combine_int(eng, z, [int(round(2 ** (l + sign * (t - l) / 2))) for t in tops])
+    *t, (ys,), (yy,) = eng.tmul(xs, ss, scale, square=[0], rows=[0])
+    m = functools.reduce(eng.add, t)[1]
+    # y (scaled) at l bits, y0^2 at l + _SQUARE_EXTRA; with root y m, else
+    # y times, and m y0^2 at 2l + _CORRECTION_BITS
+    pairs = ([0, 2], [2, 1]) if root else ([2], [1])
+    extra = 0 if times is None else _TIMES_EXTRA
+    t, *prods = eng.tmul(eng.stack([ys, yy, m]), [l - extra, l - _SQUARE_EXTRA, None], times,
+                         square=pairs, rows=[0])
+    y, y_shift = t[0], None
+    if root:
+        y, y_shift = prods[-1][0], wide
+    elif times is not None:
+        y, y_shift = prods[0][0], l + extra
+    e = eng.add_public(eng.neg(prods[-1][-1]), _unit(eng, 2 * l + _CORRECTION_BITS))
+    # at one bit more e is (1 - m y^2)/2, truncated to l + _CORRECTION_BITS
+    t, fix = eng.tmul(eng.stack([e, y]), [l + 1, y_shift], square=([0], [1]))
     if truncate:
         return eng.add(t[1], eng.trunc(fix[0], l + _CORRECTION_BITS))
     return Results((t[1], fix[0]))

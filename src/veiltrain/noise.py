@@ -151,8 +151,10 @@ def sample_noise(eng, dp: DpParams, batch: tuple = (), truncate=True):
     (S = ||g||^2 = sum E_i, 4^a >= k) at 2l bits, truncated in its opening
     round (engine lead with shifts). The next round truncates sin, cos and
     the Gamma, c times that sum, while the lead runs on. The rest of rsqrt
-    then gives R_i = E_i rsqrt(E_i) and K = Gamma 2^a / ||g|| as its
-    products with [E; Gamma], its correction applied to them, as summands
+    (kernels._rsqrt: the mantissa product, its degree-8 start's power chain
+    in 3 rounds, then 3 product rounds) then gives R_i = E_i rsqrt(E_i) and
+    K = Gamma 2^a / ||g|| as its products with [E; Gamma], its one Newton
+    correction applied to them, as summands
     that the round forming R_i K, tmul's pairs, takes; R_i K is truncated
     while it multiplies (cos, sin): k products a draw, not the 2k of
     scaling R_i (cos, sin) by K. At odd d the tail's E (1 + cos 2 theta) /

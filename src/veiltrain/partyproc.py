@@ -21,8 +21,8 @@ from .fixedpoint import decode
 from .session import PartyRuntime, handshake
 from .shareio import (check_ring_meta, public_section, read_share_file, read_weights_file,
                       ring_from_config, write_share_file, write_weights_file)
-from .transport import (KIND_HELLO, KIND_MATERIAL, KIND_PROVISION, FrameIO, connect,
-                        decode_kv, encode_kv, listen, payload_u64, u64_payload)
+from .transport import (KIND_HELLO, KIND_MATERIAL, KIND_PROVISION, FrameIO, accept, bind,
+                        connect, decode_kv, encode_kv, listen, payload_u64, u64_payload)
 
 
 def _require_keys(cfg: dict, role: str, *keys) -> None:
@@ -124,10 +124,13 @@ def provision_from_dealer(cfg: dict, party: int, counts: dict) -> WireMaterial:
     return material
 
 
-def connect_peer(cfg: dict, party: int):
+def connect_peer(cfg: dict, party: int, server):
+    """The channel to the peer: party 0 accepts it on server, its socket
+    bound to the peer address (transport.bind); party 1 dials that
+    address."""
     deadline = cfg["connect_deadline"]
     if party == 0:
-        return listen(cfg["party0_host"], cfg["party0_port"], 1, deadline)[0]
+        return accept(server, 1, deadline)[0]
     return connect(cfg["party0_host"], cfg["party0_port"], deadline=deadline)
 
 
@@ -188,8 +191,15 @@ def run_party(cfg: dict, party: int) -> None:
     _require_keys(cfg, "party", "dealer_host", "dealer_port", "party0_host", "party0_port",
                   "out_dir")
     counts, run = party_session(cfg, *X.shape, cfg["noise_draws"])
-    material = provision_from_dealer(cfg, party, counts)
-    chan = connect_peer(cfg, party)
+    # party 0 binds the peer address before it provisions, so party 1's
+    # dial succeeds as soon as its own provisioning ends, with no retry wait
+    server = bind(cfg["party0_host"], cfg["party0_port"], 1) if party == 0 else None
+    try:
+        material = provision_from_dealer(cfg, party, counts)
+        chan = connect_peer(cfg, party, server)
+    finally:
+        if server is not None:
+            server.close()
     try:
         rt = PartyRuntime(party, cfg["session_id"], chan, ring_from_config(cfg))
         handshake(rt, public_section(cfg))

@@ -10,7 +10,6 @@ import numpy as np
 
 from .errors import ConfigMismatch, ParseError
 from .fixedpoint import RingConfig
-from .kernels import rsqrt_operand_bits
 from .training import TrainingConfig
 from .transport import (KIND_DATA, KIND_HELLO, KIND_LABELS, decode_kv, encode_kv, pack_frame,
                         payload_u64, u64_payload, unpack_frame)
@@ -76,22 +75,24 @@ def format_config(cfg: dict) -> str:
     return "\n".join(f"{k} = {cfg[k]}" for k in sorted(cfg)) + "\n"
 
 
-# the coarsest ring the test suite covers
+# the coarsest ring the test suite covers, and the finest: from 23 bits
+# secure_div's error passes its bound (3.9e-3 at 24), and at 22 the noise's
+# largest truncation operands already reach 2^59.95 at d = 1874
 COARSEST_FRAC_BITS = 12
+FINEST_FRAC_BITS = 22
 
 
 def ring_from_config(cfg: dict) -> RingConfig:
-    """The config's ring; ParseError names frac_bits below COARSEST_FRAC_BITS,
-    or where secure_rsqrt's correction operand can leave the truncation
-    masks' range 2^(lam - 2) (kernels.rsqrt_operand_bits)."""
+    """The config's ring; ParseError names frac_bits outside
+    COARSEST_FRAC_BITS .. FINEST_FRAC_BITS."""
     ring = RingConfig(cfg["frac_bits"])
     l = ring.frac_bits
     if l < COARSEST_FRAC_BITS:
         raise ParseError(f"frac_bits = {l} is too coarse: the coarsest ring the tests "
                          f"cover has {COARSEST_FRAC_BITS}")
-    if rsqrt_operand_bits(l) > ring.lam - 2:
-        raise ParseError(f"frac_bits = {l} is too fine: secure_rsqrt's correction operand "
-                         f"may pass the truncation masks' range 2^{ring.lam - 2}")
+    if l > FINEST_FRAC_BITS:
+        raise ParseError(f"frac_bits = {l} is too fine: the finest ring the tests "
+                         f"cover has {FINEST_FRAC_BITS}")
     return ring
 
 

@@ -165,14 +165,27 @@ def connect(host: str, port: int, deadline: float = 10.0, retry: float = 0.05) -
     raise ConnectTimeout(f"could not reach {host}:{port} within {deadline}s: {last}")
 
 
-def listen(host: str, port: int, count: int, timeout: float = 30.0) -> list:
-    """Accept count connections on host:port, each within timeout seconds;
-    ConnectTimeout naming the address when one does not come."""
-    chans = []
-    with socket.socket(socket.AF_INET, socket.SOCK_STREAM) as srv:
+def bind(host: str, port: int, count: int) -> socket.socket:
+    """A socket bound to host:port that queues up to count dialers until
+    accept takes them: a peer's connect succeeds from here on."""
+    srv = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
+    try:
         srv.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
         srv.bind((host, port))
         srv.listen(count)
+    except OSError:
+        srv.close()
+        raise
+    return srv
+
+
+def accept(srv: socket.socket, count: int, timeout: float = 30.0) -> list:
+    """Accept count connections on the bound socket srv, each within
+    timeout seconds, then close it; ConnectTimeout naming the address when
+    one does not come."""
+    chans = []
+    with srv:
+        host, port = srv.getsockname()[:2]
         srv.settimeout(timeout)
         try:
             while len(chans) < count:
@@ -183,6 +196,11 @@ def listen(host: str, port: int, count: int, timeout: float = 30.0) -> list:
             raise ConnectTimeout(f"{count - len(chans)} of {count} peers did not connect to "
                                  f"{host}:{port} within {timeout}s") from None
     return chans
+
+
+def listen(host: str, port: int, count: int, timeout: float = 30.0) -> list:
+    """Accept count connections on host:port (bind, then accept)."""
+    return accept(bind(host, port, count), count, timeout)
 
 
 class FrameIO:

@@ -13,15 +13,15 @@ from veiltrain.shareio import DEFAULTS
 
 # 20x4 horizontal, the defaults' linear tier, 3 noise draws, thread
 # executor. Training is the recurrence: the Gram, 3 doublings (7 steps
-# round up to 8) and the final truncation, 5 rounds; the noise (25 rounds,
+# round up to 8) and the final truncation, 5 rounds; the noise (22 rounds,
 # its last truncation left to the opening) runs beside it, so the noise
-# sets the length, its first 5 rounds ride in training's and the other 20
+# sets the length, its first 5 rounds ride in training's and the other 17
 # are recorded under its own paths; the last round opens the models and
 # truncates the noise.
 ROUNDS_BY_PATH = {
     "-": 1,
     "gram": 1, "doubling": 3, "finalize": 1,
-    "perturb/sin_cos": 2, "perturb/rsqrt": 16, "perturb": 2,
+    "perturb/sin_cos": 2, "perturb/rsqrt": 13, "perturb": 2,
 }
 # the noise's rounds that rode in another branch's: its first 5 in
 # training's (its 2 uniform draws and the 3 rounds of sin/cos's power
@@ -32,12 +32,12 @@ ROUNDS_BY_PATH = {
 OVERLAP_BY_PATH = {
     "perturb/uniform": 2, "perturb/geometric": 4, "perturb/sin_cos": 3, "perturb/rsqrt": 2,
 }
-WIRE_BYTES = 44_404  # party 0, sent plus received
+WIRE_BYTES = 43_894  # party 0, sent plus received
 
 # the noise alone at d = 50 with 100 draws, then the opening of the models:
 # the noise-wide benchmark's shape at a tenth of its batch
-NOISE_ROUNDS = 27
-NOISE_SENT_BYTES = 4_857_151  # party 0
+NOISE_ROUNDS = 24
+NOISE_SENT_BYTES = 4_794_712  # party 0
 
 
 def _column(report, column):

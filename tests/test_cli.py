@@ -197,7 +197,7 @@ def test_kernel_bench_runs(capsys):
     assert row[4] == "7"  # the kernel's 6 rounds and the opening of its result
     row = next(line.split() for line in out.splitlines() if line.startswith("bm_radius"))
     assert float(row[1]) <= float(row[3])  # E rsqrt(E) against sqrt(E), within its bound
-    assert row[4] == "20"  # rsqrt's 18 rounds, the product in them, its truncation, the opening
+    assert row[4] == "17"  # rsqrt's 15 rounds, the product in them, its truncation, the opening
 
 
 def test_synth_with_one_feature_is_an_error_line(tmp_path, capsys):
@@ -249,7 +249,7 @@ def test_a_dealer_nobody_dials_is_an_error_line(tmp_path, capsys):
 @pytest.mark.parametrize("frac_bits", [11, 23, 30])
 def test_a_ring_no_session_can_run_on_is_an_error_line(tmp_path, capsys, frac_bits):
     # at 11 the row normalization keeps no squared norm accurate; from 23
-    # secure_rsqrt's correction operand can leave the truncation masks' range
+    # secure_div's error passes its bound
     data = tmp_path / "data.csv"
     run_cli("synth", "--n", "20", "--m", "4", "--out", str(data))
     cfg = tmp_path / "ring.cfg"

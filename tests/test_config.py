@@ -6,8 +6,9 @@ import pytest
 from veiltrain.errors import ParseError
 from veiltrain.fixedpoint import RingConfig
 from veiltrain.harness import training_config
-from veiltrain.shareio import (CONFIG_KEYS, DEFAULTS, PUBLIC_KEYS, format_config,
-                               parse_config_text, public_section, ring_from_config)
+from veiltrain.shareio import (CONFIG_KEYS, DEFAULTS, FINEST_FRAC_BITS, PUBLIC_KEYS,
+                               format_config, parse_config_text, public_section,
+                               ring_from_config)
 from veiltrain.training import TrainingConfig
 
 from conftest import ACCEPTED_RINGS
@@ -29,6 +30,14 @@ def test_accepted_rings_are_the_ones_every_test_sweeps():
             continue
         accepted.append(frac_bits)
     assert accepted == list(ACCEPTED_RINGS)
+
+
+def test_a_ring_finer_than_the_finest_is_refused_naming_the_limit():
+    # from 23 bits secure_div's error passes its bound (3.9e-3 at 24), and
+    # at 22 the noise's largest operands already pass 2^56
+    assert FINEST_FRAC_BITS == max(ACCEPTED_RINGS) == 22
+    with pytest.raises(ParseError, match="^frac_bits = 23 is too fine: .* has 22$"):
+        ring_from_config(dict(DEFAULTS, frac_bits=23))
 
 
 def test_formatted_defaults_parse_back():

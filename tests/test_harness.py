@@ -13,7 +13,7 @@ from veiltrain.dealer import MaterialSource, with_slack
 from veiltrain.engine import PlainEngine, estimate_counts, run_two_party
 from veiltrain.errors import VeiltrainError
 from veiltrain.fixedpoint import RingConfig, encode, to_signed
-from veiltrain.noise import DpParams, sample_noise
+from veiltrain.noise import DpParams, noise_shift, sample_noise
 from veiltrain.training import TrainingConfig, l2_normalize, mean_bits
 from veiltrain.harness import (ExperimentReport, dp_params, party_pipeline, pipeline_counts,
                                run_experiment, run_mpc_threaded, training_config, write_report)
@@ -46,10 +46,9 @@ def test_mpc_equals_mirror_without_noise():
 
 @pytest.mark.parametrize("frac_bits", ACCEPTED_RINGS)
 def test_a_session_matches_its_mirror_on_every_accepted_ring(frac_bits):
-    # from 12, the coarsest ring ring_from_config accepts, to 22, the finest
-    # on which secure_rsqrt's correction operand, (1 - m y^2) at 3l + 3
-    # fractional bits, stays inside the truncation masks' range on every
-    # mantissa. Training and the noise match the mirror bit for bit
+    # from 12 to 22, the coarsest and the finest rings ring_from_config
+    # accepts (shareio.COARSEST_FRAC_BITS, FINEST_FRAC_BITS). Training and
+    # the noise match the mirror bit for bit
     from veiltrain.dealer import MaterialSource
     from veiltrain.engine import PlainEngine
     from veiltrain.fixedpoint import decode, encode
@@ -195,12 +194,12 @@ def test_report_contains_traffic():
     assert res["bytes"] > 0
     rows = res["report"]["paths"]
     assert rows["forward"]["rounds"] > 0
-    # all of the noise's 27 rounds (odd d; its last truncation is left to
+    # all of the noise's 24 rounds (odd d; its last truncation is left to
     # the opening) ride in training's, where the report counts them in its
     # rows' rode, its own branches' 4 shared rounds twice; one more round
     # opens the models
     rode = {path: row["rode"] for path, row in rows.items() if path.startswith("perturb")}
-    assert rode["perturb"] > 0 and sum(rode.values()) == 27 + 4
+    assert rode["perturb"] > 0 and sum(rode.values()) == 24 + 4
     assert res["rounds"] == 72 + 1
 
 
@@ -303,40 +302,30 @@ class _TruncationPeaks(PlainEngine):
                     if at == path or at.startswith(path + "/")], default=0.0)
 
 
-# rsqrt's Newton operand (1 - m y^2)/2, truncated by 2l - 5, at its largest
-# in the mirror over the noise below (2^39.0, 2^55.51 and 2^58.49): it is
-# pinned there, not held below 2^56, so that it cannot grow unnoticed
-NEWTON_PEAK_BITS = {12: 39.1, 20: 55.6, 22: 58.6}
-
-
 @pytest.mark.parametrize("frac_bits", [12, 20, 22])
 def test_every_session_truncation_keeps_its_hiding_floor(frac_bits):
     # a value x opened under the truncation masks, uniform on [-2^62,
     # 2^62), keeps about 62 - log2 |x| bits hidden. Over a whole session
     # on worst-case rows (one-hot, or all alike, with constant labels),
     # training's operands stay below 2^(2l + q + 1): the Gram entries are
-    # at most alpha 2^q at 2l bits. rsqrt's quadratic start b2 m^2 stays
-    # below 2^56 (kernels.rsqrt_start_bits), and so do its scaled y and
-    # its products with [E; Gamma], truncated by l in rsqrt, and its
-    # correction, truncated in the tmul that forms R K
-    # (kernels.rsqrt_shifts); so do the summands of the power chain's top
-    # powers, truncated in sin/cos's rounds (kernels.top_bits), and the
-    # truncations rsqrt's lead opens in its first round. The noise alone
-    # at 2000 draws checks those on more radii, and pins rsqrt's Newton
-    # operand. 300 x 30 takes the step loop
+    # at most alpha 2^q at 2l bits. Every truncation of rsqrt stays below
+    # 2^56: its lead's, which opens in its first round, its power chain's
+    # and start's (kernels.top_bits), its scaled y and products with [E;
+    # Gamma], and its Newton operand 1 - m y0^2 (at 2l + 9 bits, 2^(2l +
+    # 9) at m = 0); so do its correction, truncated in the tmul that forms
+    # R K (kernels.rsqrt_shifts), and the summands of the power chain's top
+    # powers, truncated in sin/cos's rounds. The noise alone at 2000 draws
+    # checks those on more radii. 300 x 30 takes the step loop
     ring, l = RingConfig(frac_bits), frac_bits
-    start = 2 * (l + kernels._MANTISSA_EXTRA) + kernels.rsqrt_start_bits(l) - l
     correction = ("perturb", kernels.rsqrt_shifts(l)[1])
-    newton = ("perturb/rsqrt", 2 * l + kernels._MANTISSA_EXTRA + 1 - kernels._CORRECTION_BITS)
+    newton = ("perturb/rsqrt", l + 1)
 
     def check_noise(eng):
         floor = 2.0 ** kernels.HIDING_FLOOR_BITS
-        assert 0 < eng.peaks[("perturb/rsqrt", start)] < floor
-        assert 0 < eng.peaks[("perturb/rsqrt", l)] < floor
+        assert 0 < eng.peaks[newton] and 0 < eng.below("perturb/rsqrt/lead")
+        assert eng.below("perturb/rsqrt") < floor
         assert 0 < eng.peaks[correction] < floor
         assert 0 < eng.below("perturb/sin_cos") < floor
-        assert 0 < eng.below("perturb/rsqrt/lead") < floor
-        assert 0 < eng.peaks[newton] < 2.0 ** NEWTON_PEAK_BITS[l]
 
     for n, m in ((300, 12), (2000, 12), (300, 30)):
         rows = {"one-hot": np.eye(m)[np.arange(n) % m], "alike": np.tile(np.eye(m)[0], (n, 1)),
@@ -358,3 +347,23 @@ def test_every_session_truncation_keeps_its_hiding_floor(frac_bits):
         eng = _TruncationPeaks(MaterialSource(82, ring), ring)
         sample_noise(eng, DpParams(1.0, 1.0, 300, d), (2000,))
         check_noise(eng)
+
+
+# the noise's largest truncation operands on the finest ring, at d = 1874
+# and c = 10 (n = 2, epsilon 0.1), in the mirror over the draws below: R_i
+# K (truncated by f), eta 2^a (by l + a), the Gamma (beside sin and cos)
+# and K (in rsqrt, by l + 2), at 2^59.95, 2^59.70, 2^58.22 and 2^59.80.
+# They pass 2^56 and are pinned here, so that they cannot grow unnoticed
+LARGE_D_PEAK_BITS = {"R K": 60.0, "eta": 59.8, "gamma": 58.3, "K": 59.9}
+
+
+def test_the_noise_largest_operands_on_the_finest_ring_are_pinned():
+    ring, l, d = RingConfig(22), 22, 1874
+    dp = DpParams(0.1, 1.0, 2, d)
+    f, a = dp.scale_code(ring)[1], noise_shift(dp, ring) - l
+    eng = _TruncationPeaks(MaterialSource(82, ring), ring)
+    sample_noise(eng, dp, (4,))
+    keys = {"R K": ("perturb", f), "eta": ("perturb", l + a), "gamma": ("perturb/sin_cos", l),
+            "K": ("perturb/rsqrt", l + kernels._TIMES_EXTRA)}
+    for name, key in keys.items():
+        assert 2.0 ** 56 < eng.peaks[key] < 2.0 ** LARGE_D_PEAK_BITS[name], name

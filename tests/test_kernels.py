@@ -112,18 +112,19 @@ def test_rsqrt_tolerance_sweep_and_edges():
     assert np.abs(got - want).max() <= kernels.KERNEL_TOLERANCES["rsqrt"].bound
 
 
-@pytest.mark.parametrize("truncate, pairs", [(True, 12), (False, 11)])
+@pytest.mark.parametrize("truncate, pairs", [(True, 11), (False, 10)])
 def test_rsqrt_material_per_element_is_pinned(truncate, pairs):
-    # the dealer material rsqrt takes per element. The quadratic start's m^2
-    # and its summand take one triple and one truncation pair, and the
-    # Goldschmidt step it saves three of each (92 and 15 with the linear
-    # start). The correction, formed from y beside h^2, takes three triples
-    # and three pairs (four of each when y was scaled after the steps); with
-    # truncate False the caller's tmul takes the correction's last pair
+    # the dealer material rsqrt takes per element. After the lead and the
+    # mantissa product the start's power chain takes 7 triples and 4 pairs,
+    # the start's sum 2 pairs and m's truncation beside it 1; y0 times the
+    # scale and y0^2 take 2 triples, then the scaled y and y0^2 2 pairs, m
+    # y0^2 a triple, and the correction a triple and a pair, with one more
+    # pair for its last truncation unless the caller's tmul takes it (89
+    # triples and 12 pairs with the quadratic start and two Goldschmidt steps)
     x = np.exp2(np.linspace(-9, 9, 100))
     counts = estimate_counts(
         lambda eng: kernels.secure_rsqrt(eng, enc_pub(eng, x), truncate=truncate), 49, RING)
-    assert counts[("triple",)] == 89 * len(x)
+    assert counts[("triple",)] == 88 * len(x)
     assert sum(v for k, v in counts.items() if k[0] == "trunc") == pairs * len(x)
 
 
@@ -139,9 +140,9 @@ def test_rsqrt_applies_its_correction_to_the_products_it_is_given():
         a = enc_pub(eng, x)
         return kernels.secure_rsqrt(eng, a, truncate=truncate, times=a)
 
-    for truncate, pairs in ((True, 13), (False, 12)):
+    for truncate, pairs in ((True, 12), (False, 11)):
         counts = estimate_counts(lambda eng: fn(eng, truncate), 49, RING)
-        assert counts[("triple",)] == 90 * len(x)
+        assert counts[("triple",)] == 89 * len(x)
         assert sum(v for k, v in counts.items() if k[0] == "trunc") == pairs * len(x)
     (r0, r1), engines = run_both(lambda eng: eng.open(fn(eng)), seed=50)
     assert np.array_equal(r0, fn(plain(50))) and np.array_equal(r1, r0)
@@ -163,42 +164,36 @@ def test_rsqrt_matches_mirror_bit_exact():
 
 
 def test_rsqrt_start_and_steps_on_the_mantissa_range():
-    # the quadratic start y0 = a0 + a1 m + a2 m^2 in floats: its residual
-    # 1 - m y0^2 on [1/8, 1), then after the Goldschmidt steps, each a
-    # Newton step y <- y (3 - m y^2)/2
+    # the degree-8 start y0 = RSQRT_POWER in u = 2m - 1, in floats: its
+    # residual 1 - m y0^2 on [1/8, 1) (2^-9.87), then after the one Newton
+    # step y <- y (3 - m y^2)/2 that secure_rsqrt applies
     m = np.linspace(1 / 8, 1, 1_000_001, endpoint=False)
-    a0, a1, a2 = kernels.RSQRT_START
-    y = a0 + a1 * m + a2 * m * m
-    assert np.abs(1 - m * y * y).max() <= 0.15
-    for _ in range(kernels._RSQRT_STEPS):
-        y = y * (3 - m * y * y) / 2
-    assert np.abs(1 - m * y * y).max() < 2.0 ** -12
+    y = np.polynomial.polynomial.polyval(2 * m - 1, kernels.RSQRT_POWER)
+    assert np.abs(1 - m * y * y).max() <= 2.0 ** -9.85
+    y = y * (3 - m * y * y) / 2
+    assert np.abs(1 - m * y * y).max() < 2.0 ** -19
 
 
 def test_rsqrt_correction_operand_stays_within_its_bound():
-    # secure_rsqrt's Newton correction truncates 1 - m y^2 at 3l + 3
-    # fractional bits, and ring_from_config's fine limit rests on its bound
-    # 2^-RSQRT_RESIDUAL_BITS (kernels.rsqrt_operand_bits). The inputs M
-    # 2^(T - l - 3), T the top of the leaf holding bit l + 2, have the
-    # mantissas M 2^-(l + 3): every one on rings up to 14 bits, about 2^16
-    # spread over [1/8, 1) on finer ones
+    # secure_rsqrt's Newton correction truncates 1 - m y0^2, at 2l +
+    # _CORRECTION_BITS fractional bits, by l + 1: (1 - m y0^2)/2 at l +
+    # _CORRECTION_BITS bits keeps l significant bits while the residual is
+    # below 2^-RSQRT_RESIDUAL_BITS. The inputs M 2^(T - l - 3), T the top
+    # of the leaf holding bit l + 2, have the mantissas M 2^-(l + 3): every
+    # one on rings up to 14 bits, about 2^16 spread over [1/8, 1) on finer
+    # ones. No other truncation of rsqrt has the shift l + 1
     worst = {}
     for l in ACCEPTED_RINGS:
         ring = RingConfig(l)
         wide = l + kernels._MANTISSA_EXTRA
         grid = np.arange(1 << l, 8 << l, max(1, (7 << l) >> 16), dtype=np.uint64)
         top = -(-wide // SIGN_BLOCK) * SIGN_BLOCK
-        eng = PlainEngine(MaterialSource(53, ring), ring)
-        *_, m, _, hh = kernels._sqrt_mantissa(
-            eng, kernels._normalize(eng, eng.from_public(grid << np.uint64(top - wide)), None),
-            False)
-        assert np.array_equal(m, grid)
-        with np.errstate(over="ignore"):
-            operand = to_signed(kernels._unit(eng, 2 * l + wide) - np.uint64(4) * m * hh)
-        worst[l] = float(np.abs(operand).max())
-        assert worst[l] < 2.0 ** kernels.rsqrt_operand_bits(l), l
+        eng = _PeakEngine(MaterialSource(53, ring), ring)
+        kernels.secure_rsqrt(eng, eng.from_public(grid << np.uint64(top - wide)))
+        worst[l] = eng.peaks[l + 1] * 2.0 ** -(2 * l + kernels._CORRECTION_BITS)
+        assert worst[l] < 2.0 ** -kernels.RSQRT_RESIDUAL_BITS, l
     # rounding makes it largest on the coarsest ring, within a bit of the bound
-    assert worst[12] >= 2.0 ** (kernels.rsqrt_operand_bits(12) - 1)
+    assert worst[12] >= 2.0 ** -(kernels.RSQRT_RESIDUAL_BITS + 1)
 
 
 # --- natural log ---
@@ -521,14 +516,16 @@ class _PeakEngine(PlainEngine):
 
     def __init__(self, *args):
         super().__init__(*args)
-        self.peak = 0.0
-        self.shifts = set()
+        self.peaks = {}  # the largest |value| truncated, by shift
+
+    @property
+    def peak(self):
+        return max(self.peaks.values(), default=0.0)
 
     def trunc(self, a, shift):
         if np.size(a):
-            top = np.abs(to_signed(a).astype(np.float64)).max()
-            self.peak = max(self.peak, float(top))
-            self.shifts.add(shift)
+            top = float(np.abs(to_signed(a).astype(np.float64)).max())
+            self.peaks[shift] = max(self.peaks.get(shift, 0.0), top)
         return super().trunc(a, shift)
 
 
@@ -575,7 +572,7 @@ def test_every_truncated_value_stays_below_the_mask_range():
                 eng = _PeakEngine(MaterialSource(40, RING), RING)
                 train_pipeline(eng, eng.from_public(l2_normalize(data, RING)), enc_pub(eng, t), tc)
                 assert eng.peak < limit
-                assert RING.frac_bits + mean_bits(n, tc.alpha) in eng.shifts
+                assert RING.frac_bits + mean_bits(n, tc.alpha) in eng.peaks
     b = np.concatenate([_boundaries(2, 42), [2.0 ** 23 - 2.0 ** -20]])
     b = np.concatenate([b, -b])
     q = np.random.default_rng(41).uniform(-2.0 ** 10, 2.0 ** 10, len(b))

@@ -313,7 +313,7 @@ def test_perturbation_round_budget():
         return engs[0].rt.transcript.n_rounds
 
     even = {d: rounds(d) for d in (2, 10, 50)}
-    assert set(even.values()) == {26}
+    assert set(even.values()) == {23}
     for d in (3, 11, 51):  # the odd tail's E cos^2 takes one product and one truncation
         assert rounds(d) <= even[d - 1] + 2
 

@@ -7,6 +7,7 @@ mirror bit for bit in as many rounds as its longest branch. A branch may
 call parallel itself: its branches' rounds ride in the enclosing call's.
 """
 
+import re
 import sys
 import threading
 import time
@@ -399,3 +400,25 @@ def test_a_failing_inner_branch_stops_the_session():
 def test_a_failing_outer_branch_stops_the_nested_ones():
     _fails_fast(lambda eng: eng.parallel(
         _three_rounds_then_fail, lambda e: e.parallel(_long_rounds, two_rounds, local_branch)))
+
+
+def _in_a_dict(eng):
+    """The short branch's rounds, its result in a dict."""
+    return {"u": short_branch(eng)}
+
+
+@pytest.mark.parametrize("engine", ["mirror", "parties"])
+def test_a_branch_that_returns_neither_an_array_nor_results_is_named(engine):
+    # what the callers count (np.size) must be an array or engine.Results;
+    # the parties run on the material of a branch that returns its array
+    def fn(eng):
+        return eng.parallel(long_branch, _in_a_dict)
+
+    match = r"^parallel branch 1 \(_in_a_dict\) returned dict, not an array"
+    if engine == "mirror":
+        with pytest.raises(TypeError, match=match):
+            mirror(fn, 3)
+        return
+    counts = estimate_counts(lambda eng: eng.parallel(long_branch, short_branch), 3, RING)
+    box = _within(5, lambda: run_two_party(fn, session_seed=3, counts=counts, cfg=RING))
+    assert isinstance(box.get("exc"), TypeError) and re.match(match, str(box["exc"]))

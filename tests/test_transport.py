@@ -6,9 +6,9 @@ import pytest
 from veiltrain.errors import (ConnectTimeout, ParseError, PeerClosed, RoundDesync,
                               SessionMismatch)
 from veiltrain.harness import _free_port
-from veiltrain.transport import (KIND_OPEN, FrameIO, connect, decode_kv, encode_kv, listen,
-                                 pack_frame, payload_u64, queue_pair,
-                                 u64_payload, unpack_frame)
+from veiltrain.transport import (KIND_OPEN, FrameIO, accept, bind, connect, decode_kv, encode_kv,
+                                 listen, pack_frame, payload_u64, queue_pair, u64_payload,
+                                 unpack_frame)
 
 
 def test_frame_round_trip():
@@ -132,6 +132,21 @@ def test_listen_times_out_naming_the_address():
     port = _free_port()
     with pytest.raises(ConnectTimeout, match=f"127.0.0.1:{port}"):
         listen("127.0.0.1", port, 1, timeout=0.3)
+
+
+def test_a_dialer_reaches_a_bound_address_before_it_is_accepted():
+    # party 0 binds the peer address before it provisions: party 1's
+    # connect succeeds at once and waits in the backlog until accept takes
+    # it, which then closes the bound socket
+    port = _free_port()
+    srv = bind("127.0.0.1", port, 1)
+    dialer = connect("127.0.0.1", port, deadline=1, retry=5.0)
+    dialer.send_bytes(pack_frame(KIND_OPEN, 1, b"early"))
+    [chan] = accept(srv, 1, timeout=5)
+    assert unpack_frame(chan.recv_bytes(timeout=5)[4:], with_round=False)[3] == b"early"
+    assert srv.fileno() == -1
+    for c in (dialer, chan):
+        c.close()
 
 
 def test_connect_timeout():
