@@ -156,10 +156,8 @@ def build_parser() -> argparse.ArgumentParser:
     sub = p.add_subparsers(dest="cmd", required=True)
 
     s = sub.add_parser("synth", help="generate a synthetic binary-feature dataset")
-    s.add_argument("--n", type=int, default=400)
-    s.add_argument("--m", type=int, default=20)
-    s.add_argument("--seed", type=int, default=1)
-    s.add_argument("--separability", type=float, default=0.95)
+    for key in ("n", "m", "seed", "separability"):
+        s.add_argument(f"--{key}", type=type(DEFAULTS[key]), default=DEFAULTS[key])
     s.add_argument("--out", required=True)
     s.set_defaults(fn=cmd_synth)
 

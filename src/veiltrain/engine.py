@@ -6,7 +6,9 @@ below and can run on either engine:
 * MpcEngine: values are this party's additive shares; multiplications spend
   Beaver triples, truncations spend dealer pairs, and each step is one
   synchronized exchange with the peer. A truncation and the products of its
-  result share one exchange (tmul; trunc is a tmul without products).
+  result share one exchange (tmul: trunc is a tmul without products, mul a
+  tmul of one summand taken as it is). Every opening of a masked, truncated
+  sum, open's and the leaf ops', goes through one method (_open_sum).
   Comparisons (msb, lead) open the input under a dealer mask whose
   bits come in 3-bit blocks, the leaves (leaf_layout), and resolve the
   borrow out of each leaf with a log-depth prefix over them; lead may
@@ -401,14 +403,12 @@ class PlainEngine(BaseEngine):
         return x >> np.uint64(width - 1)
 
     def lead(self, a, width, shift=None):
-        """One-hot over leaf_layout(width) of the leaf holding the top set
-        bit of a mod 2^width, leaves stacked on a new first axis; a = 0
-        marks the lowest leaf. With shift, a is the sum of tmul-style
-        summands, each truncated through trunc, and the result is Results
-        (a, one-hot) (see MpcEngine.lead)."""
-        if shift is not None:
-            a = functools.reduce(self.add, self._truncated(a, shift))
-            return Results((a, self.lead(a, width)))
+        """Results (a, one-hot): the one-hot over leaf_layout(width) of the
+        leaf holding the top set bit of a mod 2^width, leaves stacked on a
+        new first axis; a = 0 marks the lowest leaf. With shift, a is the
+        sum of tmul-style summands, each truncated through trunc (see
+        MpcEngine.lead); without, a as it is."""
+        a = functools.reduce(self.add, self._truncated(a, shift))
         plan = lead_plan(width)
         leaves = leaf_layout(width)
         x = self._count_leaf_op(
@@ -416,7 +416,7 @@ class PlainEngine(BaseEngine):
         tops = np.array(leaves, dtype=np.uint64) + np.uint64(SIGN_BLOCK)
         above = (x[None, ...] >> tops.reshape((-1,) + (1,) * x.ndim)) != 0
         first = np.ones((1,) + x.shape, dtype=bool)
-        return (np.concatenate([first, above[:-1]]) & ~above).astype(np.uint64)
+        return Results((a, (np.concatenate([first, above[:-1]]) & ~above).astype(np.uint64)))
 
     def _joint_bits(self, shape, width):
         """The values of width jointly-XORed bits each: the XOR of both
@@ -471,20 +471,37 @@ class MpcEngine(BaseEngine):
         """x opened; or, with shifts, the sum of tmul-style summands
         trunc(x_i, shift_i) (x_i as it is where shift_i is None, broadcast
         against the others), opened in the same one round as the
-        truncations. Each x_i + r_i is opened with w - rs, w the sum of the
-        summands taken as they are and rs = sum_i rs_i: the output is sum_i
-        p_i + (w - rs), p_i = (x_i + r_i) >> shift_i. It sends a word per
+        truncations (_open_sum at 64 bits, r = 0). It sends a word per
         truncated element and one per output element."""
         if shift is None:
             shape = np.shape(x)
             theirs = self.rt.exchange(np.ascontiguousarray(x))
             with np.errstate(over="ignore"):
                 return np.asarray(x + theirs).reshape(shape)
+        return self._open_sum(x, shift)[0]
+
+    def _open_sum(self, x, shift, r=np.uint64(0), width=64):
+        """(sum_i trunc(x_i, shift_i) + r) mod 2^width for tmul-style
+        summands (x_i as it is where shift_i is None, broadcast against the
+        others) and a mask r shared in the ring, opened in one round; and
+        this party's share of the sum.
+
+        Every x_i + r_i is opened (_masked), and with them the low width
+        bits of r - rs, rs = sum_i rs_i; the output is (sum_i p_i + r - rs)
+        mod 2^width, p_i = (x_i + r_i) >> shift_i. A summand taken as it is
+        enters rs as -x_i, so with r = 0 the word -rs is the sum of those
+        summands less the truncated ones' rs_i: the output less the public
+        p_i, so it shows nothing more. Below 64 bits
+        the full word would show rs's high bits, and with them bits of the
+        x_i; its low width bits are uniform where r's are."""
         sends, terms = self._masked(x, shift)
-        rest = self.neg(functools.reduce(self.add, [rs for _, rs in terms]))  # w - rs
-        opened = self._open_all(sends + [rest])
+        mask = _low_mask(width)
         with np.errstate(over="ignore"):
-            return functools.reduce(self.add, _shifted(opened[:-1], terms), opened[-1])
+            rest = (r - functools.reduce(self.add, [rs for _, rs in terms])) & mask
+            opened = self._open_all(sends + [rest])
+            ps = _shifted(opened[:-1], terms)
+            c = functools.reduce(self.add, ps, opened[-1]) & mask
+        return c, functools.reduce(self.add, self._unmasked(ps, terms))
 
     def _masked(self, x, shift):
         """tmul's summands, masked: the arrays x_i + r_i to open, for the
@@ -520,29 +537,16 @@ class MpcEngine(BaseEngine):
                 for p_i, (_, rs_i) in zip(ps, terms)]
 
     def _open_all(self, sends):
-        """The arrays sends, opened in one round, each in its shape."""
-        opened = self.open(np.concatenate([np.ravel(v) for v in sends]))
+        """The arrays sends, opened in one round, each in its shape; a
+        single send is opened as it is, with no packed copy."""
+        flat = [np.ravel(v) for v in sends]
+        opened = self.open(flat[0] if len(flat) == 1 else np.concatenate(flat))
         parts = np.split(opened, np.cumsum([np.size(v) for v in sends])[:-1])
         return [m.reshape(np.shape(v)) for m, v in zip(parts, sends)]
 
     def mul(self, a, b):
-        shape = np.broadcast_shapes(np.shape(a), np.shape(b))
-        n = int(np.prod(shape, dtype=np.int64))
-        u, v, w = (x.reshape(shape) for x in self.material.take_triples(n))
-        with np.errstate(over="ignore"):
-            # d = a - u and e = b - v, opened in one round; the buffers are
-            # reused in place, as the products can be large
-            packed = np.empty(2 * n, dtype=np.uint64)
-            d, e = packed[:n].reshape(shape), packed[n:].reshape(shape)
-            np.subtract(np.broadcast_to(a, shape), u, out=d)
-            np.subtract(np.broadcast_to(b, shape), v, out=e)
-            packed += self.rt.exchange(packed)
-            z = np.asarray(d * v)
-            z += w
-            z += e * u
-            if self.party == 0:
-                z += d * e
-        return z
+        """a * b: tmul's one product, of a summand taken as it is."""
+        return self.tmul(a, None, b)[-1]
 
     def trunc(self, a, shift):
         return self.tmul(a, shift)[0]
@@ -582,28 +586,31 @@ class MpcEngine(BaseEngine):
         with np.errstate(over="ignore"):
             if y is not None:
                 left = _rows(rs, rows)
-                shape = np.broadcast_shapes(left.shape, np.shape(y))
-                a, b, c = self._triples(shape)
-                sends += [left + a, np.asarray(y) - b]
+                a, b, c = self._triples(np.broadcast_shapes(left.shape, np.shape(y)))
+                words = np.empty((2,) + a.shape, dtype=np.uint64)  # one send, formed in
+                np.add(left, a, out=words[0, ...])  # place: mul's two words
+                np.subtract(y, b, out=words[1, ...])
+                sends.append(words)
                 jobs.append((rows, a, b, c))
             if square is not False:
                 i, j = _pairs(square)
                 left = _rows(rs, i)
                 a, b, c = self._triples(left.shape)
-                sends += [left + a, _rows(rs, j) + b]
+                sends.append(np.stack([left + a, _rows(rs, j) + b]))
                 jobs.append((i, a, b, c))
-            parts = self._open_all(sends)
+            parts = self._open_all(sends) if sends else []  # nothing to open: no round
             ps = _shifted(parts, terms)
             out = self._unmasked(ps, terms)
-            if jobs:
-                p = functools.reduce(self.add, ps)
-            parts = parts[masked:]
+            if jobs:  # sum_i p_i, 0 where every summand is taken as it is
+                p = np.broadcast_to(functools.reduce(self.add, ps), rs.shape)
             for k, (i, a, b, c) in enumerate(jobs):
-                d = _rows(p, i) - parts[2 * k].reshape(a.shape)
-                e = parts[1 + 2 * k].reshape(a.shape)
+                d = _rows(p, i) - parts[masked + k][0]
+                e = parts[masked + k][1]
                 if k == len(jobs) - 1 and square is not False:  # the square's
                     e = _rows(p, _pairs(square)[1]) - e
-                z = c + d * b + e * a
+                z = d * b
+                z += c
+                z += e * a
                 if self.party == 0:
                     z += d * e
                 out.append(z)
@@ -614,30 +621,21 @@ class MpcEngine(BaseEngine):
         return (m.reshape(shape) for m in self.material.take_triples(n))
 
     def _open_leaves(self, a, width, shift=None):
-        """Take a width-bit mask r in leaves and open c = (a + r) mod 2^width.
-
-        With shift, a is the sum of tmul-style summands, truncated in the
-        same round: every x_i + r_i is opened, and with them the low width
-        bits of r - rs, rs = sum_i rs_i (_masked), so c = (sum_i p_i + r -
-        rs) mod 2^width. The full word r - rs would show rs's high bits, and
-        with them bits of the x_i; its low width bits are uniform, as r's
-        are. Returns c, the leaves' monomial shares (_take_leaves) and this
-        party's share of a."""
-        sends, terms = self._masked(a, shift)  # shift None: a as it is
-        rs = functools.reduce(self.add, [rs for _, rs in terms])
-        n = int(np.size(rs))
+        """Take a width-bit mask r in leaves and open c = (a + r) mod 2^width
+        (_open_sum), a the sum of tmul-style summands truncated in the same
+        round; a as it is for shift None. Returns c, flat, the leaves'
+        monomial shares (_take_leaves) and this party's share of a."""
+        shape = np.broadcast_shapes(*(np.shape(x) for x, _ in _summands(a, shift)))
+        n = int(np.prod(shape, dtype=np.int64))
         pos = leaf_layout(width)
         mono = self._take_leaves(len(pos), n)
         r = self.zeros(n)
-        mask = _low_mask(width)
         with np.errstate(over="ignore"):
             for p, leaf in zip(pos, mono):
                 for t, word in enumerate(_BLOCK_BITS):
                     r += leaf[:, word] << np.uint64(p + t)
-            opened = self._open_all(sends + [(r - np.ravel(rs)) & mask])
-            ps = _shifted(opened[:-1], terms)
-            c = np.ravel(functools.reduce(self.add, ps, opened[-1].reshape(np.shape(rs)))) & mask
-        return c, mono, functools.reduce(self.add, self._unmasked(ps, terms))
+        c, t = self._open_sum(a, shift, r.reshape(shape), width)
+        return np.ravel(c), mono, t
 
     def _take_leaves(self, leaves, n):
         """The bit words of n values' masks of the given number of leaves:
@@ -701,10 +699,11 @@ class MpcEngine(BaseEngine):
         of those flags gives S_i, "a has a bit set in leaf i or above". The
         one-hot is S_i - S_(i+1), with S_0 taken as 1.
 
+        Returns Results (a, one-hot), a this party's share of the input.
         With shift, a is the sum of tmul-style summands (x_i, shift_i),
-        truncated in the opening's round (_open_leaves), and the result is
-        Results (a, one-hot): a truncation followed by lead takes one round
-        fewer, and as many words, as the two would apart.
+        truncated in the opening's round (_open_leaves): a truncation
+        followed by lead takes one round fewer, and as many words, as the
+        two would apart.
         """
         c, mono, t = self._open_leaves(a, width, shift)
         shape, leaves = np.shape(t), len(leaf_layout(width))
@@ -727,7 +726,7 @@ class MpcEngine(BaseEngine):
         ext = np.concatenate([one, above, self.zeros((1, n))])
         with np.errstate(over="ignore"):
             hot = (ext[:-1] - ext[1:]).reshape((leaves,) + shape)
-        return hot if shift is None else Results((t, hot))
+        return Results((t, hot))
 
     def parallel(self, *branches):
         """Run each branch(engine) side by side and return their results,

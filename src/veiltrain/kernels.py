@@ -267,7 +267,8 @@ def _poly_2l(eng, powers, coeffs, scale=1, total=False, extra=0, pin=False):
     2^HIDING_FLOOR_BITS. With pin, each summand gets a constant, in ring
     integers, that makes it exactly 0 at v = 1: the sum is then 0 there
     once truncated, and its constant is minus that of the coefficients as
-    encoded."""
+    encoded. At v = -1 a pinned top summand reaches twice its powers' sum,
+    so c is budgeted for twice their coefficients."""
     l = eng.frac_bits
     low, top = powers
     rows = 1
@@ -279,7 +280,7 @@ def _poly_2l(eng, powers, coeffs, scale=1, total=False, extra=0, pin=False):
     xs, shifts = [_combine_int(eng, low[:len(codes)], codes)], [l + extra]
     pins = [-rows * sum(codes) << l]  # minus the low summand at v = 1
     if len(a) > len(low) + 1:
-        c = top_bits(l, rows * a[len(low) + 1:])
+        c = top_bits(l, (1 + pin) * rows * a[len(low) + 1:])
         tops = [int(round(v * 2.0 ** c)) for v in a[len(low) + 1:]]
         xs.append(_combine_int(eng, top[:len(tops)], tops))
         shifts.append(l + c)
@@ -330,10 +331,7 @@ def _normalize(eng, a, magnitude_bits, shift=None):
     prec = max(2 * eng.frac_bits, width)
     leaves = whole_leaves(width)
     tops = [min(p + SIGN_BLOCK, width) for p in leaf_layout(leaves)]
-    if shift is None:
-        z = eng.lead(a, leaves)
-    else:
-        a, z = eng.lead(a, leaves, shift)
+    a, z = eng.lead(a, leaves, shift)
     return a, z, tops, prec, _combine_int(eng, z, [1 << (prec - t) for t in tops])
 
 

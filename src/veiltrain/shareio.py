@@ -142,21 +142,22 @@ def _read_frames(path, what: str, keys):
 
 
 def write_share_file(path, session: int, party: int, X_share: np.ndarray,
-                     t_share: np.ndarray | None, ring: RingConfig):
+                     t_share: np.ndarray, ring: RingConfig):
     """HELLO frame with metadata, DATA frame with the feature share grid,
-    LABELS frame with the label shares (may be absent)."""
+    LABELS frame with the label shares."""
     n, m = X_share.shape
-    meta = {"party": party, "n": n, "m": m, "frac_bits": ring.frac_bits,
-            "has_labels": int(t_share is not None)}
-    frames = [(KIND_DATA, X_share)] + ([(KIND_LABELS, t_share)] if t_share is not None else [])
-    _write_frames(path, session, meta, frames)
+    meta = {"party": party, "n": n, "m": m, "frac_bits": ring.frac_bits}
+    _write_frames(path, session, meta, [(KIND_DATA, X_share), (KIND_LABELS, t_share)])
 
 
 def read_share_file(path):
-    """Returns (session, meta, X_share, t_share or None)."""
-    session, meta, words = _read_frames(path, "share file", ("n", "m", "has_labels"))
+    """Returns (session, meta, X_share, t_share); ParseError naming path
+    for a file without its LABELS frame."""
+    session, meta, words = _read_frames(path, "share file", ("n", "m"))
+    if KIND_LABELS not in words:
+        raise ParseError(f"{path}: missing labels frame")
     X = words[KIND_DATA].reshape(int(meta["n"]), int(meta["m"]))
-    return session, meta, X, words.get(KIND_LABELS)
+    return session, meta, X, words[KIND_LABELS]
 
 
 def write_weights_file(path, session: int, party: int, w_share: np.ndarray,

@@ -2,7 +2,10 @@
 
 Each test prints one PASS/FAIL line (run with -s to see them live). The
 heavier artifacts (the 200x20 training run, the 10^4-draw perturbation batch)
-are computed once per session and shared.
+are computed once per session and shared. The Gaussian criterion runs
+gaussian_vector, which no session runs; the noise criteria (its direction
+and its magnitude) run the session's sampler, sample_noise, through
+perturb_weights or directly.
 """
 
 import time
@@ -21,7 +24,7 @@ from veiltrain.fixedpoint import RingConfig, decode, encode, to_signed
 from veiltrain.harness import run_experiment, run_mpc_threaded
 from veiltrain.ingest import split_raw
 from veiltrain.noise import (DpParams, gaussian_pair_count, gaussian_vector,
-                             perturb_weights)
+                             perturb_weights, sample_noise)
 from veiltrain.shareio import DEFAULTS
 from veiltrain.training import TrainingConfig, l2_normalize, train_pipeline
 
@@ -220,6 +223,25 @@ def test_gaussian_sampler():
     ok = abs(s.mean()) <= 0.05 and abs(s.var() - 1) <= 0.1 and ks < 0.02 and odd_ok
     gate("gaussian-sampler", ok,
          f"mean={s.mean():.3f} var={s.var():.3f} ks={ks:.4f} odd_pairs={pairs}")
+
+
+@pytest.mark.parametrize("d", [12, 13])
+def test_noise_direction_law(d):
+    # the session's sampler: each squared coordinate of eta / ||eta|| of a
+    # uniform direction in d dimensions is Beta(1/2, (d - 1)/2)
+    dp = DpParams(epsilon=1.0, lambda_reg=1.0, n=300, d=d)
+
+    def fn(eng):
+        return eng.open(sample_noise(eng, dp, (10_000,)))
+
+    (r0, _), _ = run_both(fn, 701 + d)
+    eta = decode(r0, RING)
+    u2 = (eta / np.linalg.norm(eta, axis=1, keepdims=True)) ** 2
+    law = stats.beta(0.5, (d - 1) / 2).cdf
+    pooled = stats.kstest(u2.ravel(), law).statistic
+    worst = max(stats.kstest(u2[:, j], law).statistic for j in range(d))
+    gate(f"noise-direction-law d={d}", pooled < 0.01 and worst < 0.025,
+         f"ks_pooled={pooled:.4f} ks_worst_coordinate={worst:.4f}")
 
 
 # ---------------------------------------------------------------- criterion 6

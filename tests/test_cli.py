@@ -216,6 +216,29 @@ def test_synth_with_a_separability_outside_0_1_is_an_error_line(tmp_path, capsys
     assert not data.exists()
 
 
+def test_synth_defaults_are_the_config_defaults(tmp_path):
+    from veiltrain.datasets import synth_data
+    from veiltrain.shareio import DEFAULTS
+
+    data = tmp_path / "data.csv"
+    run_cli("synth", "--out", str(data))
+    X, t = load_csv(data)
+    want = synth_data(DEFAULTS["n"], DEFAULTS["m"], DEFAULTS["seed"], DEFAULTS["separability"])
+    assert np.array_equal(X, want[0]) and np.array_equal(t, want[1])
+
+
+def test_train_from_a_share_file_without_labels_is_an_error_line(tmp_path, capsys):
+    data, prefix = tmp_path / "data.csv", tmp_path / "s"
+    run_cli("synth", "--n", "20", "--m", "4", "--out", str(data))
+    run_cli("ingest", "--owner-csv", str(data), "--out", str(prefix))
+    shares = tmp_path / "s.party1.shares"
+    shares.write_bytes(shares.read_bytes()[:-(9 + 8 * 20)])  # its LABELS frame cut
+    capsys.readouterr()
+    assert main(["train", "--shares", str(prefix), "--out-dir", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err == f"error: {shares}: missing labels frame\n"
+
+
 def test_baseline_with_a_nonpositive_lambda_is_an_error_line(tmp_path, capsys):
     data = tmp_path / "data.csv"
     run_cli("synth", "--n", "20", "--m", "4", "--out", str(data))

@@ -347,6 +347,18 @@ def test_every_session_truncation_keeps_its_hiding_floor(frac_bits):
         eng = _TruncationPeaks(MaterialSource(82, ring), ring)
         sample_noise(eng, DpParams(1.0, 1.0, 300, d), (2000,))
         check_noise(eng)
+    # every path of the noise, at every scale c = 2/epsilon (n = 2): the
+    # exponentials' pinned sums (kernels._poly_2l) reach twice their
+    # powers' sum at v = -1, and stay below the floor too
+    seen = set()
+    for d in (1, 2, 3, 12, 13, 50):
+        for c in (10, 1 / 150, 2.0 ** -30):
+            eng = _TruncationPeaks(MaterialSource(82, ring), ring)
+            sample_noise(eng, DpParams(2 / c, 1.0, 2, d), (200,))
+            for (path, _), v in eng.peaks.items():
+                assert v < 2.0 ** kernels.HIDING_FLOOR_BITS, (path, d, c)
+                seen.add("/".join(path.split("/")[:2]))
+    assert seen == {"perturb", "perturb/exponential", "perturb/rsqrt", "perturb/sin_cos"}
 
 
 # the noise's largest truncation operands on the finest ring, at d = 1874

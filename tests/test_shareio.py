@@ -12,8 +12,8 @@ RING = RingConfig()
 X = np.array([[1, 2], [3, 2**64 - 1]], dtype=np.uint64)
 T = np.array([0, 1], dtype=np.uint64)
 
-# frame length, kind, session 7, payload: the layout share files have always had
-SHARE_FILE = (b".\x00\x00\x00\x01\x07\x00\x00\x00frac_bits=20\nhas_labels=1\nm=2\nn=2\nparty=1"
+# frame length, kind, session 7, payload: HELLO, DATA and LABELS frames
+SHARE_FILE = (b"!\x00\x00\x00\x01\x07\x00\x00\x00frac_bits=20\nm=2\nn=2\nparty=1"
               b"%\x00\x00\x00\x05\x07\x00\x00\x00"
               b"\x01\x00\x00\x00\x00\x00\x00\x00\x02\x00\x00\x00\x00\x00\x00\x00"
               b"\x03\x00\x00\x00\x00\x00\x00\x00\xff\xff\xff\xff\xff\xff\xff\xff"
@@ -30,13 +30,11 @@ def test_share_file_bytes_are_pinned(tmp_path):
     assert np.array_equal(x, X) and np.array_equal(t, T)
 
 
-def test_share_file_without_labels(tmp_path):
+def test_a_share_file_without_labels_is_refused_naming_its_path(tmp_path):
     path = tmp_path / "s.party0.shares"
-    write_share_file(path, 7, 0, X, None, RING)
-    no_labels = SHARE_FILE[:-25]  # without the 25-byte LABELS frame
-    assert path.read_bytes() == no_labels.replace(b"has_labels=1\nm=2\nn=2\nparty=1",
-                                                  b"has_labels=0\nm=2\nn=2\nparty=0")
-    assert read_share_file(path)[3] is None
+    path.write_bytes(SHARE_FILE[:-25])  # without the 25-byte LABELS frame
+    with pytest.raises(ParseError, match="s.party0.shares: missing labels frame"):
+        read_share_file(path)
 
 
 def test_weights_file_round_trip(tmp_path):
