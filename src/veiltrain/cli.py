@@ -5,6 +5,9 @@ party (run one role of a networked session), train (one whole session over
 in-process loopback: training, the noise beside it, one opening), baseline
 (federated local-DP reference), kernel-bench (kernel accuracy and round
 counts), and experiment (the full k-fold comparison harness).
+
+Each command imports the modules it runs, so a role loads only its own:
+the dealer (party --role dealer) no protocol module at all.
 """
 
 from __future__ import annotations
@@ -15,16 +18,7 @@ import sys
 
 import numpy as np
 
-from . import datasets
-from .cleartext import baseline_fl
-from .engine import run_two_party
 from .errors import VeiltrainError
-from .fixedpoint import decode, encode
-from .harness import run_experiment, run_threaded_session, training_config, write_report
-from .ingest import ingest_shares
-from .noise import box_muller_radius
-from .partyproc import (read_party_shares, run_party, serve_dealer, write_party_outputs,
-                        write_party_shares)
 from .shareio import DEFAULTS, load_config, ring_from_config
 
 
@@ -38,12 +32,18 @@ def _load_cfg(args) -> dict:
 
 
 def cmd_synth(args):
+    from . import datasets
+
     X, t = datasets.synth_data(args.n, args.m, args.seed, args.separability)
     datasets.save_csv(args.out, X, t)
     print(f"wrote {args.n}x{args.m} dataset to {args.out}")
 
 
 def cmd_ingest(args):
+    from . import datasets
+    from .ingest import ingest_shares
+    from .partyproc import write_party_shares
+
     cfg = _load_cfg(args)
     ring = ring_from_config(cfg)
     X, t = datasets.load_csv(args.owner_csv)
@@ -55,6 +55,8 @@ def cmd_ingest(args):
 
 
 def cmd_party(args):
+    from .partyproc import run_party, serve_dealer
+
     cfg = load_config(args.config)
     if args.role == "dealer":
         serve_dealer(cfg)
@@ -63,6 +65,9 @@ def cmd_party(args):
 
 
 def cmd_train(args):
+    from .harness import run_threaded_session
+    from .partyproc import read_party_shares, write_party_outputs
+
     cfg = dict(_load_cfg(args), shares_prefix=args.shares, out_dir=args.out_dir)
     shares = [read_party_shares(cfg, party) for party in (0, 1)]
     results, _ = run_threaded_session(shares, cfg, cfg["seed"], cfg["noise_draws"])
@@ -76,6 +81,10 @@ def cmd_train(args):
 
 
 def cmd_baseline(args):
+    from . import datasets
+    from .cleartext import baseline_fl
+    from .harness import training_config
+
     cfg = _load_cfg(args)
     tc = training_config(cfg)
     X, t = datasets.load_csv(args.csv)
@@ -92,6 +101,9 @@ def cmd_baseline(args):
 
 def cmd_kernel_bench(args):
     from . import kernels
+    from .engine import run_two_party
+    from .fixedpoint import decode, encode
+    from .noise import box_muller_radius
 
     cfg = _load_cfg(args)
     ring = ring_from_config(cfg)
@@ -142,6 +154,8 @@ def cmd_kernel_bench(args):
 
 
 def cmd_experiment(args):
+    from .harness import run_experiment, write_report
+
     cfg = _load_cfg(args)
     out_dir = args.out_dir or cfg.get("out_dir") or "experiment_out"
     log = (lambda msg: print(msg, flush=True)) if not args.quiet else (lambda msg: None)

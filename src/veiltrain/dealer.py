@@ -1,17 +1,28 @@
-"""Trusted-dealer correlated randomness, all derived from one session seed.
+"""Trusted-dealer correlated randomness and the parties' local bits, each
+from the seeds of the role that reads it.
 
-Three kinds of material, one key each: Beaver triples ("triple",),
-truncation pairs ("trunc", s) for a shift s, and random-bit words ("bit",),
+Four kinds of material under one key each: Beaver triples ("triple",),
+truncation pairs ("trunc", s) for a shift s, random-bit words ("bit",),
 which come in 3-bit blocks holding the products of every non-empty subset
 of a block's bits (the masks of the msb and lead ops and of a joint
-geometric's opening; the bits alone also mask the parties' bits in a joint
-uniform's opening).
+geometric's opening), and single random bits ("bit", 1), one word per bit
+(the masks of a joint uniform's opening).
 
 Every kind of material comes from two PCG64 streams: a *plain* stream that
-fixes the secret values and a *split* stream that fixes how they are shared.
-Streams are addressed by (kind, parameter) tags and support random access via
-PCG64.advance, so a party, the dealer process, and the clear-text mirror all
-regenerate byte-identical material regardless of chunking.
+fixes the secret values and a *split* stream that fixes party 0's half of
+them; party 1's half is the difference. Streams are addressed by (kind,
+parameter) tags and support random access via PCG64.advance, so a party,
+the dealer process, and the clear-text mirror all regenerate byte-identical
+material regardless of chunking.
+
+Three kinds of seed key the streams. The dealer's seed keys the plain
+streams, and the split seed, which the dealer derives from it
+(split_seed), keys the split streams: the dealer sends party 0 the split
+seed and party 1 its half's words. Each party's local bits come from a bit
+seed of its own, which no other role holds. MaterialSource(seed) derives
+all of them from one session seed (role_seeds), for the in-process
+sessions, the mirror and dry runs; a role's own source holds only the
+seeds that role is given.
 """
 
 from __future__ import annotations
@@ -24,18 +35,41 @@ from .errors import Exhausted, ParseError
 from .fixedpoint import DEFAULT_RING, RingConfig, from_signed, to_signed, truncate
 
 _KIND_TAGS = {"triple": 1, "trunc": 2, "bit": 3}
-_GR_TAG = 4
+_GR_TAG, _DEALER_TAG = 4, 5
 _PLAIN, _SPLIT = 0, 1
 
 # 64-bit words drawn per item from each stream
 _PLAIN_WORDS = {"triple": 2, "trunc": 1, "bit": 1}
 _SPLIT_WORDS = {"triple": 3, "trunc": 2, "bit": 1}
 
+SINGLE_BITS = ("bit", 1)  # one random bit per word, with no monomials
 
-def _window(session_seed: int, tags, start_words: int, n_words: int) -> np.ndarray:
-    gen = np.random.PCG64(np.random.SeedSequence([session_seed, *tags]))
+
+def _window(seed, tags, start_words: int, n_words: int) -> np.ndarray:
+    if seed is None:
+        raise Exhausted("this role holds no seed for the stream it asked for")
+    gen = np.random.PCG64(np.random.SeedSequence([seed, *tags]))
     gen.advance(start_words)
     return np.random.Generator(gen).integers(0, 2**64, size=n_words, dtype=np.uint64)
+
+
+def _seed(*entropy) -> int:
+    """A 128-bit seed hashed from entropy (SeedSequence)."""
+    lo, hi = np.random.SeedSequence(list(entropy)).generate_state(2, np.uint64)
+    return int(hi) << 64 | int(lo)
+
+
+def role_seeds(session_seed: int) -> dict:
+    """The seeds one session seed stands for, by role: the dealer's
+    ("dealer") and each party's bit seed ("party0", "party1")."""
+    return {"dealer": _seed(session_seed, _DEALER_TAG),
+            **{f"party{p}": _seed(session_seed, _GR_TAG, p) for p in (0, 1)}}
+
+
+def split_seed(dealer_seed: int) -> int:
+    """The seed of the split streams, party 0's half of the material: the
+    dealer derives it from its own seed and sends it to party 0."""
+    return _seed(dealer_seed, _SPLIT)
 
 
 SIGN_BLOCK = 3  # mask bits per monomial block of the msb and lead ops' material
@@ -44,8 +78,8 @@ _CHUNK = 1 << 16  # items of a material half generated at a time
 
 def check_key(key) -> None:
     """Raise ParseError unless key names material the dealer generates:
-    ("triple",), ("trunc", s) with 0 < s < 64, or ("bit",)."""
-    if key in (("triple",), ("bit",)):
+    ("triple",), ("trunc", s) with 0 < s < 64, ("bit",) or ("bit", 1)."""
+    if key in (("triple",), ("bit",), SINGLE_BITS):
         return
     if len(key) == 2 and key[0] == "trunc" and 0 < key[1] < RingConfig.lam:
         return
@@ -59,16 +93,30 @@ def material_order(counts) -> list:
 
 
 class MaterialSource:
-    """Generates both parties' halves of any window of dealer material."""
+    """Generates the halves of any window of dealer material, and the
+    parties' local bits, from the seeds it holds.
 
-    def __init__(self, session_seed: int, cfg: RingConfig = DEFAULT_RING):
-        self.seed = session_seed
+    MaterialSource(session_seed) holds every role's seed (role_seeds).
+    With session_seed None it holds only the seeds given: the dealer's
+    (dealer, from which it derives the split seed), the split seed alone
+    (split, party 0's half) and bit seeds by party (bits). Asking for a
+    stream it holds no seed for raises Exhausted."""
+
+    def __init__(self, session_seed: int | None, cfg: RingConfig = DEFAULT_RING, *,
+                 dealer: int | None = None, split: int | None = None,
+                 bits: dict | None = None):
+        if session_seed is not None:
+            seeds = role_seeds(session_seed)
+            dealer, bits = seeds["dealer"], {p: seeds[f"party{p}"] for p in (0, 1)}
         self.cfg = cfg
+        self.split_seed = split_seed(dealer) if dealer is not None else split
+        self._stream_seeds = {_PLAIN: dealer, _SPLIT: self.split_seed}
+        self._bit_seeds = dict(bits or {})
 
     def _words(self, kind, shift, which, start, n):
         tags = [_KIND_TAGS[kind], shift if shift is not None else 0, which]
         per = (_PLAIN_WORDS if which == _PLAIN else _SPLIT_WORDS)[kind]
-        return _window(self.seed, tags, per * start, per * n).reshape(n, per)
+        return _window(self._stream_seeds[which], tags, per * start, per * n).reshape(n, per)
 
     def triples(self, start: int, n: int):
         """Returns (u0, v0, w0, u1, v1, w1) for items [start, start+n)."""
@@ -113,6 +161,13 @@ class MaterialSource:
         b0 = self._words("bit", None, _SPLIT, start, n)[:, 0]
         return b0, b - b0
 
+    def single_bits(self, start: int, n: int):
+        """Returns (b0, b1), the halves of single random bits [start,
+        start+n) (key SINGLE_BITS), one word per bit."""
+        b = self._words("bit", 1, _PLAIN, start, n)[:, 0] & np.uint64(1)
+        b0 = self._words("bit", 1, _SPLIT, start, n)[:, 0]
+        return b0, b - b0
+
     def halves(self, key: tuple, start: int, n: int):
         """(party 0's arrays, party 1's arrays) of items [start, start+n) of one
         material key; each party gets _SPLIT_WORDS[kind] arrays of n words."""
@@ -121,8 +176,10 @@ class MaterialSource:
             out = self.triples(start, n)
         elif kind == "trunc":
             out = self.trunc_pairs(key[1], start, n)
-        elif kind == "bit":
+        elif key == ("bit",):
             out = self.bit_shares(start, n)
+        elif key == SINGLE_BITS:
+            out = self.single_bits(start, n)
         else:
             raise ValueError(f"unknown material kind {key!r}")
         half = len(out) // 2
@@ -131,10 +188,10 @@ class MaterialSource:
     def half(self, key: tuple, party: int, start: int, n: int):
         """One party's arrays of items [start, start+n) of one material key,
         equal to halves(key, start, n)[party]. Party 0's half is the split
-        stream alone, so it skips generating the plain values; a one-word
-        half is the stream's own array. Other halves are built _CHUNK items
-        at a time into one array per word, so no whole-window temporary is
-        held beside them."""
+        stream alone, so it needs the split seed only; a one-word half is
+        the stream's own array. Other halves are built _CHUNK items at a
+        time into one array per word, so no whole-window temporary is held
+        beside them."""
         kind, shift = key[0], (key[1] if len(key) > 1 else None)
         if party == 0 and _SPLIT_WORDS[kind] == 1:
             return (self._words(kind, shift, _SPLIT, start, n)[:, 0],)
@@ -151,9 +208,9 @@ class MaterialSource:
 
     def party_bit_stream(self, party: int, start: int, n: int, width: int):
         """Party-local uniform bits for jointly sampled randomness: values
-        [start, start+n) of the party's stream, one word per value masked
-        to its low width bits."""
-        words = _window(self.seed, [_GR_TAG, party], start, n)
+        [start, start+n) of the party's stream, from its bit seed, one word
+        per value masked to its low width bits."""
+        words = _window(self._bit_seeds.get(party), [_GR_TAG], start, n)
         words &= np.uint64((1 << width) - 1)
         return words
 
@@ -209,9 +266,11 @@ class _Cursor:
         r, rs = self._take(("trunc", shift), n)
         return r, rs
 
-    def take_bits(self, n: int):
-        """n random-bit words (see MaterialSource.bit_shares)."""
-        return self._take(("bit",), n)[0]
+    def take_bits(self, n: int, single: bool = False):
+        """n random-bit words: with single, n single bits (SINGLE_BITS,
+        MaterialSource.single_bits); else block monomials (("bit",),
+        MaterialSource.bit_shares)."""
+        return self._take(SINGLE_BITS if single else ("bit",), n)[0]
 
     def take_local_bits(self, width: int, n: int):
         """n values of width local bits each, one word per value
@@ -244,7 +303,7 @@ class _Cursor:
 
 
 class MaterialCursor(_Cursor):
-    """A cursor that regenerates the party's halves from the session seed."""
+    """A cursor that regenerates the party's halves from its source."""
 
     def _halves(self, key, at, n):
         return self.source.half(key, self.party, at, n)

@@ -13,9 +13,9 @@ below and can run on either engine:
   bits come in 3-bit blocks, the leaves (leaf_layout), and resolve the
   borrow out of each leaf with a log-depth prefix over them; lead may
   truncate its input in that opening's round. Joint
-  uniforms open the parties' local bits under the same kind of dealer bits,
-  one word per uniform (joint_uniform); geometric exponents open theirs the
-  same way and count their leading zeros with msb's prefix
+  uniforms open the parties' local bits under single dealer bits, one word
+  per uniform (joint_uniform); geometric exponents open theirs under whole
+  leaves of block bits and count their leading zeros with msb's prefix
   (joint_geometric). A party's local bits are one word per value.
   Independent branches run side by side (parallel) and share their rounds;
   a branch may run branches of its own, whose rounds ride in its.
@@ -37,7 +37,7 @@ import threading
 
 import numpy as np
 
-from .dealer import SIGN_BLOCK, Counts, MaterialCursor, MaterialSource
+from .dealer import SIGN_BLOCK, SINGLE_BITS, Counts, MaterialCursor, MaterialSource
 from .fixedpoint import DEFAULT_RING, RingConfig, truncate
 from .session import PartyRuntime, handshake
 from .transport import queue_pair
@@ -45,7 +45,7 @@ from .transport import queue_pair
 SIGN_WORDS = (1 << SIGN_BLOCK) - 1  # dealer words per block: its non-empty monomials
 _BLOCK_BITS = [(1 << t) - 1 for t in range(SIGN_BLOCK)]  # a block's words holding its bits
 
-_MASK_TAKE_WORDS = 1 << 17  # bit words joint_uniform takes at a time
+_MASK_TAKE_WORDS = 1 << 17  # single bits joint_uniform takes at a time
 
 # outputs of a leaf's map g -> G + P*g (g: the borrow into the leaf's lowest
 # bit): its borrow out, whether its bits of x are nonzero, its top bit of x
@@ -67,12 +67,6 @@ def whole_leaves(bits: int) -> int:
     width that covers them. A joint_geometric value has whole_leaves(l)
     jointly sampled bits."""
     return SIGN_BLOCK * -(-bits // SIGN_BLOCK)
-
-
-def uniform_mask_words(bits: int) -> int:
-    """Bit words that mask `bits` jointly sampled bits: whole blocks, of
-    which joint_uniform reads the bits alone."""
-    return SIGN_WORDS * -(-bits // SIGN_BLOCK)
 
 
 def prefix_plan(n: int, want):
@@ -429,9 +423,9 @@ class PlainEngine(BaseEngine):
 
     def joint_uniform(self, shape):
         """Uniform fixed-point values on (0, 1]: l jointly-XORed bits plus one
-        ulp. Spends the bit words that mask them (uniform_mask_words)."""
+        ulp. Spends the single bits that mask them, l per value."""
         l = self.cfg.frac_bits
-        self._advance(("bit",), uniform_mask_words(l * int(np.prod(shape, dtype=np.int64))))
+        self._advance(SINGLE_BITS, l * int(np.prod(shape, dtype=np.int64)))
         return (self._joint_bits(shape, l) + np.uint64(1)).reshape(shape)
 
     def joint_geometric(self, shape):
@@ -783,8 +777,8 @@ class MpcEngine(BaseEngine):
         """Uniform fixed-point values on (0, 1] in one masked XOR opening.
 
         The j-th bit of uniform i is u_j = b0_j xor b1_j, b_p_j being party
-        p's local bits; the dealer's random bits rho_j (bit words 0, 1 and 3
-        of a block) mask them. A bit shared additively in the ring carries
+        p's local bits; the dealer's single random bits rho_j (SINGLE_BITS)
+        mask them. A bit shared additively in the ring carries
         an XOR sharing of itself in its shares' low bits (the daBit
         observation), so each party sends one word per uniform, sum_j 2^j
         (b_p_j xor lsb[rho_j]_p), and both XOR the two words into the public
@@ -807,18 +801,15 @@ class MpcEngine(BaseEngine):
         return u.reshape(shape)
 
     def _uniform_masks(self, n, width):
-        """The dealer's bits that mask n values of width jointly sampled
-        bits each, one array per bit: bit j of value i is bit i * width + j of
-        uniform_mask_words(n * width) bit words, a block's bits being its
-        words _BLOCK_BITS. The words are taken _MASK_TAKE_WORDS or fewer at
-        a time, in whole blocks, and only their bits are kept."""
+        """The dealer's single bits that mask n values of width jointly
+        sampled bits each, one array per bit: bit j of value i is single bit
+        i * width + j. They are taken _MASK_TAKE_WORDS or fewer at a time."""
         rho = [np.empty(n, dtype=np.uint64) for _ in range(width)]
-        step = SIGN_BLOCK * max(1, _MASK_TAKE_WORDS // (SIGN_WORDS * width))  # values per take
+        step = max(1, _MASK_TAKE_WORDS // width)  # values per take
         for lo in range(0, n, step):
             m = min(step, n - lo)
-            words = self.material.take_bits(uniform_mask_words(m * width))
-            bits = words.reshape(-1, SIGN_WORDS)[:, _BLOCK_BITS].ravel()[:m * width]
-            for row, column in zip(rho, bits.reshape(m, width).T):
+            bits = self.material.take_bits(m * width, single=True).reshape(m, width)
+            for row, column in zip(rho, bits.T):
                 row[lo:lo + m] = column
         return rho
 

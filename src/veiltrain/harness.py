@@ -28,7 +28,7 @@ import numpy as np
 from .cleartext import baseline_fl
 from .datasets import (evaluate, load_csv, make_plan, partition,
                        stratified_folds, synth_data)
-from .dealer import with_slack
+from .dealer import role_seeds, with_slack
 from .engine import estimate_counts, run_two_party
 from .errors import VeiltrainError
 from .fixedpoint import decode
@@ -196,28 +196,33 @@ def _supervise(procs: dict, deadline: float):
 def run_mpc_process(owner_datasets, mode: str, cfg: dict, seed: int, draws: int,
                     workdir: str):
     """Same pipeline, but supervised as OS processes: a dealer and two party
-    processes over loopback TCP, with file-based share hand-off. A role
-    that fails stops the others at once, and all must end within
-    ROLE_DEADLINE_S (_supervise)."""
+    processes over loopback TCP, with file-based share hand-off. The
+    session replays MaterialSource(seed): each role's config,
+    <role>.cfg in workdir, holds that role's own seed (role_seeds) and no
+    other, and no role's holds seed itself. A role that fails stops the
+    others at once, and all must end within ROLE_DEADLINE_S
+    (_supervise)."""
     ring = ring_from_config(cfg)
     os.makedirs(workdir, exist_ok=True)
     prefix = os.path.join(workdir, "data")
     for party, (X, t) in enumerate(ingest_partitions(owner_datasets, mode, ring)):
         write_party_shares(prefix, cfg["session_id"], party, X, t, ring)
 
-    run_cfg = dict(cfg)
+    run_cfg = {key: value for key, value in cfg.items() if key != "seed"}
     run_cfg.update({
-        "seed": seed, "noise_draws": draws, "shares_prefix": prefix,
+        "noise_draws": draws, "shares_prefix": prefix,
         "out_dir": workdir, "party0_host": "127.0.0.1", "party0_port": _free_port(),
         "dealer_host": "127.0.0.1", "dealer_port": _free_port(),
     })
-    cfg_path = os.path.join(workdir, "session.cfg")
-    with open(cfg_path, "w", encoding="utf-8") as fh:
-        fh.write(format_config(run_cfg))
+    seeds, paths = role_seeds(seed), {}
+    for role, key in (("dealer", "dealer_seed"), ("party0", "bit_seed"), ("party1", "bit_seed")):
+        paths[role] = os.path.join(workdir, f"{role}.cfg")
+        with open(paths[role], "w", encoding="utf-8") as fh:
+            fh.write(format_config(dict(run_cfg, **{key: seeds[role]})))
 
     def spawn(role):
         return subprocess.Popen(
-            [sys.executable, "-m", "veiltrain.cli", "party", "--config", cfg_path,
+            [sys.executable, "-m", "veiltrain.cli", "party", "--config", paths[role],
              "--role", role],
             stdout=subprocess.PIPE, stderr=subprocess.PIPE)
 

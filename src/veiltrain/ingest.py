@@ -53,8 +53,8 @@ def ingest_partitions(owner_datasets, mode: str, ring: RingConfig, seed: int | N
     unpartitioned matrix, whatever the split. Under vertical partitioning
     each of the k owners scales its block of every row to norm at most
     1/sqrt(k), so reconstruction is the matrix of those scaled blocks.
-    seed is unused: a split seeded from the session seed, which every role
-    reads, would let a party rebuild the other's halves.
+    seed is unused: a split seeded from a seed the harness also derives the
+    roles' seeds from would let whoever holds it rebuild both halves.
     """
     parts0, parts1 = [], []
     labels0, labels1 = [], []

@@ -151,6 +151,10 @@ _TIMES_EXTRA = 2
 SIGMOID_CLAMP_BITS = 3  # the sigmoid clamps at |z| = 2^3
 SIGMOID_BOUND_BITS = 2  # with a public bound |z| <= 2^2 it needs no clamp
 SIGMOID_BOUND = 2.0 ** SIGMOID_BOUND_BITS
+# the coarsest ring the clamped sigmoid runs on: below 14 fractional bits
+# SIG_POWER as encoded is not monotone (its slope dips to -4.0e-4 at 12) and
+# its outputs beyond the clamp take two values at 12 and 13
+CLAMPED_SIGMOID_MIN_FRAC_BITS = 14
 _TURNS_EXTRA = 8        # fractional bits above l on sin_cos's 1/(2 pi)
 
 

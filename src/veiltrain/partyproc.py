@@ -1,10 +1,12 @@
 """Process-mode roles: the dealer service and the computing-party main loop.
 
 The dealer listens for both parties, checks that they request identical
-provisioning, and ships each its half of the correlated randomness as framed
-binary. Parties then meet over the configured peer address, handshake on the
-public config, and run the staged pipeline on their share files. Every
-party file is named here alone, each writer beside its reader.
+provisioning, and sends party 0 the seed of its half of the correlated
+randomness in one frame, and party 1 its half's words as framed binary.
+Each role reads only its own seed (dealer_seed, bit_seed), and draws a
+fresh one without it. Parties then meet over the configured peer address,
+handshake on the public config, and run the staged pipeline on their share
+files. Every party file is named here alone, each writer beside its reader.
 """
 
 from __future__ import annotations
@@ -15,14 +17,15 @@ import os
 import numpy as np
 
 from .dealer import _KIND_TAGS, _SPLIT_WORDS, MaterialSource, _Cursor, check_key, material_order
-from .engine import MpcEngine
 from .errors import ConfigMismatch, ParseError
 from .fixedpoint import decode
 from .session import PartyRuntime, handshake
 from .shareio import (check_ring_meta, public_section, read_share_file, read_weights_file,
                       ring_from_config, write_share_file, write_weights_file)
-from .transport import (KIND_HELLO, KIND_MATERIAL, KIND_PROVISION, FrameIO, accept, bind,
-                        connect, decode_kv, encode_kv, listen, payload_u64, u64_payload)
+from .transport import (KIND_HELLO, KIND_MATERIAL, KIND_PROVISION, KIND_SEED, FrameIO, accept,
+                        bind, connect, decode_kv, encode_kv, listen, payload_u64, u64_payload)
+
+SEED_BYTES = 16  # a 128-bit seed, little-endian, in the dealer's seed frame
 
 
 def _require_keys(cfg: dict, role: str, *keys) -> None:
@@ -31,6 +34,16 @@ def _require_keys(cfg: dict, role: str, *keys) -> None:
     for key in keys:
         if key not in cfg:
             raise ParseError(f"the {role} needs config key {key!r}, which has no default")
+
+
+def own_seed(cfg: dict, key: str) -> int:
+    """The role's own seed cfg[key], or a fresh 128-bit one (secrets)
+    where the config gives none."""
+    if key in cfg:
+        return cfg[key]
+    import secrets  # loads OpenSSL, about 4 MB, so only a role without its seed imports it
+
+    return secrets.randbits(8 * SEED_BYTES)
 
 
 def encode_counts(counts: dict) -> bytes:
@@ -67,11 +80,12 @@ def _material_payload(key, arrays) -> bytes:
 
 
 def serve_dealer(cfg: dict) -> None:
-    """Accept both parties, verify matching provisioning requests, generate
-    the session's material from the protocol seed, and ship the halves."""
+    """Accept both parties and verify matching provisioning requests; send
+    party 0 the split seed (dealer.split_seed) in one frame, then generate
+    party 1's half of the material from the dealer's seed and ship it."""
     _require_keys(cfg, "dealer", "dealer_host", "dealer_port")
     ring = ring_from_config(cfg)
-    source = MaterialSource(cfg["seed"], ring)
+    source = MaterialSource(None, ring, dealer=own_seed(cfg, "dealer_seed"))
     chans = listen(cfg["dealer_host"], cfg["dealer_port"], 2, cfg["connect_deadline"])
     try:
         requests, ios = {}, {}
@@ -83,18 +97,19 @@ def serve_dealer(cfg: dict) -> None:
             requests[party], ios[party] = decode_counts(prov), io
         if requests.get("0") != requests.get("1"):
             raise ConfigMismatch("provisioning", requests.get("0"), requests.get("1"))
-        for party, io in ios.items():
-            for key in material_order(requests[party]):
-                half = source.half(key, int(party), 0, requests[party][key])
-                io.send(KIND_MATERIAL, _material_payload(key, half))
+        ios["0"].send(KIND_SEED, source.split_seed.to_bytes(SEED_BYTES, "little"))
+        for key in material_order(requests["1"]):
+            half = source.half(key, 1, 0, requests["1"][key])
+            ios["1"].send(KIND_MATERIAL, _material_payload(key, half))
     finally:
         for chan in chans:
             chan.close()
 
 
 class WireMaterial(_Cursor):
-    """Party-side material buffers received from the dealer, plus the
-    party's own local bit stream."""
+    """Party-side material buffers, received from the dealer (load) or
+    expanded from the party's split seed (expand), plus the party's own
+    local bit stream."""
 
     def __init__(self, source: MaterialSource, party: int, counts: dict):
         super().__init__(source, party, counts)
@@ -103,24 +118,46 @@ class WireMaterial(_Cursor):
     def load(self, key, payload: bytes):
         if payload[:2] != _material_head(key):
             raise ParseError(f"dealer sent material {payload[:2].hex()} where {key!r} was due")
-        self.buffers[key] = payload_u64(payload[2:]).reshape(_SPLIT_WORDS[key[0]], -1)
+        self.buffers[key] = tuple(payload_u64(payload[2:]).reshape(_SPLIT_WORDS[key[0]], -1))
+
+    def expand(self):
+        """Generate the party's half of every provisioned key from its
+        source: party 0's from the split seed."""
+        for key in material_order(self.counts):
+            self.buffers[key] = self.source.half(key, self.party, 0, self.counts[key])
 
     def _halves(self, key, at, n):
-        return self.buffers[key][:, at:at + n]
+        return tuple(row[at:at + n] for row in self.buffers[key])
 
 
 def provision_from_dealer(cfg: dict, party: int, counts: dict) -> WireMaterial:
+    """Request counts from the dealer and return the party's material, its
+    local bits from its own seed (bit_seed). Party 0 receives the split
+    seed and expands its half itself, before it meets its peer; party 1
+    receives its half's words."""
     ring = ring_from_config(cfg)
     chan = connect(cfg["dealer_host"], cfg["dealer_port"],
                    deadline=cfg["connect_deadline"])
     io = FrameIO(chan, cfg["session_id"], with_round=False)
     io.send(KIND_HELLO, encode_kv({"party": party}))
     io.send(KIND_PROVISION, encode_counts(counts))
-    material = WireMaterial(MaterialSource(cfg["seed"], ring), party, counts)
-    for key in material_order(counts):
-        _, _, payload = io.recv(expect_kind=KIND_MATERIAL, timeout=600.0)
-        material.load(key, payload)
-    chan.close()
+    bits = {party: own_seed(cfg, "bit_seed")}
+    try:
+        if party == 0:
+            _, _, payload = io.recv(expect_kind=KIND_SEED, timeout=600.0)
+            if len(payload) != SEED_BYTES:
+                raise ParseError(f"dealer sent a seed of {len(payload)} bytes, not {SEED_BYTES}")
+            split = int.from_bytes(payload, "little")
+            material = WireMaterial(MaterialSource(None, ring, split=split, bits=bits), 0, counts)
+        else:
+            material = WireMaterial(MaterialSource(None, ring, bits=bits), 1, counts)
+            for key in material_order(counts):
+                _, _, payload = io.recv(expect_kind=KIND_MATERIAL, timeout=600.0)
+                material.load(key, payload)
+    finally:
+        chan.close()
+    if party == 0:
+        material.expand()  # while the dealer generates party 1's half
     return material
 
 
@@ -184,6 +221,7 @@ def run_party(cfg: dict, party: int) -> None:
     """The computing-party main loop: load shares, provision, handshake,
     run the session (harness.party_session), and write weights, noisy
     models, and report."""
+    from .engine import MpcEngine
     from .harness import party_session
 
     _require_keys(cfg, "party", "shares_prefix")

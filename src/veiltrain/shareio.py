@@ -10,7 +10,7 @@ import numpy as np
 
 from .errors import ConfigMismatch, ParseError
 from .fixedpoint import RingConfig
-from .training import TrainingConfig
+from .schedule import TrainingConfig
 from .transport import (KIND_DATA, KIND_HELLO, KIND_LABELS, decode_kv, encode_kv, pack_frame,
                         payload_u64, u64_payload, unpack_frame)
 
@@ -39,12 +39,15 @@ CONFIG_KEYS = {
     **{key: type(value) for key, value in DEFAULTS.items()}, "executor": _executor,
     "party0_host": str, "party0_port": int, "dealer_host": str, "dealer_port": int,
     "shares_prefix": str, "out_dir": str, "data_csv": str,
+    # a role's own seed, read by that role alone (partyproc.own_seed)
+    "dealer_seed": int, "bit_seed": int,
 }
 
 # what both computing parties must agree on: the ring, every training
-# hyperparameter, the privacy parameters, the protocol seed and the session
+# hyperparameter, the privacy parameters and the session; no seed, since
+# every role's seed is its own
 PUBLIC_KEYS = (*RingConfig().public(), *TrainingConfig().public(),
-               "epsilon", "noise_draws", "seed", "session_id")
+               "epsilon", "noise_draws", "session_id")
 
 
 def parse_config_text(text: str) -> dict:

@@ -55,61 +55,14 @@ import numpy as np
 
 from .errors import InvalidArgument, MagnitudeOverflow, VeiltrainError
 from .fixedpoint import RingConfig, decode, encode, from_signed, to_signed
-from .kernels import KERNEL_TOLERANCES, secure_sigmoid
+from .kernels import (CLAMPED_SIGMOID_MIN_FRAC_BITS, KERNEL_TOLERANCES, SIGMOID_BOUND,
+                      secure_sigmoid)
+from .schedule import SLOPE_SLACK, TrainingConfig  # noqa: F401 - SLOPE_SLACK re-exported
 
 # the least magnitude width the clamped sigmoid's msb is given for x . w:
 # sigmoid_input_bound, about R^2 / lambda, is below 2^12 for lambda above
 # 2^-12
 _FORWARD_MAGNITUDE_BITS = 12
-# slack on the sigmoid's slope 1/4 in the smoothness constant L of the
-# sigmoid tiers: it covers the bounded sigmoid's slope (at most 0.24994 on
-# |z| <= 4)
-SLOPE_SLACK = 2.0 ** -10
-
-
-@dataclass
-class TrainingConfig:
-    """Public hyperparameters agreed by both parties: the L2 weight and the
-    bias column. The step, the step count and the row bound follow."""
-
-    lambda_reg: float = 1.0
-    add_bias: bool = False
-
-    def __post_init__(self):
-        if not self.lambda_reg > 0:
-            raise InvalidArgument(f"lambda_reg must be positive, got {self.lambda_reg}")
-
-    def public(self) -> dict:
-        return {"lambda_reg": self.lambda_reg, "add_bias": int(self.add_bias)}
-
-    @property
-    def row_norm(self) -> float:
-        """R, the bound on a training row's norm: 1, sqrt 2 with the bias column."""
-        return math.sqrt(2.0) if self.add_bias else 1.0
-
-    @property
-    def linear(self) -> bool:
-        """Whether the linear-sigmoid tier trains: lambda >= R^2/2, so that
-        its public bound B = 2R^2/(4 lambda - R^2) on |x . w| is at most 2.
-        R^2 = 1 + add_bias is exact, where sqrt(2)^2 rounds above 2."""
-        return 2 * self.lambda_reg >= 1 + self.add_bias
-
-    @property
-    def alpha(self) -> float:
-        """The step 2/(L + mu), mu = lambda: L = lambda + R^2/4 on the linear
-        tier, lambda + R^2 (1/4 + SLOPE_SLACK) on the sigmoid ones."""
-        slope = 0.25 if self.linear else 0.25 + SLOPE_SLACK
-        return 2.0 / (2 * self.lambda_reg + (1 + self.add_bias) * slope)
-
-    def steps(self, ring: RingConfig = RingConfig()) -> int:
-        """The fewest k with ((L - mu)/(L + mu))^k R / lambda below one ulp
-        of the ring: from zero, the distance to the minimizer (at most
-        R / lambda) shrinks by that rate, 1 - alpha lambda, every step."""
-        rate = 1 - self.alpha * self.lambda_reg
-        target = 2.0 ** -ring.frac_bits * self.lambda_reg / self.row_norm
-        return max(0, math.floor(math.log(target) / math.log(rate)) + 1)
-
-
 @dataclass
 class ModelState:
     """Secret-shared weights at 2l fractional bits, short of the last
@@ -222,6 +175,17 @@ def forward_magnitude_bits(bound: float, ring: RingConfig) -> int:
         raise VeiltrainError(f"lambda_reg is too small: |x . w| may reach {bound:.6g}, beyond "
                              f"the ring's integer range 2^{ring.int_bits - 1}")
     return max(_FORWARD_MAGNITUDE_BITS, math.frexp(bound)[1])
+
+
+def _check_clamped_ring(cfg: TrainingConfig, bound: float, frac_bits: int) -> None:
+    """InvalidArgument where the clamped sigmoid tier (lambda below R^2/2,
+    and a bound on |x . w| above SIGMOID_BOUND) would run on a ring coarser
+    than CLAMPED_SIGMOID_MIN_FRAC_BITS."""
+    if bound > SIGMOID_BOUND and frac_bits < CLAMPED_SIGMOID_MIN_FRAC_BITS:
+        raise InvalidArgument(
+            f"lambda_reg = {cfg.lambda_reg:g} is below R^2/2 = {(1 + cfg.add_bias) / 2:g} "
+            f"and |x . w| may reach {bound:.4g}, so the sigmoid is clamped, which needs "
+            f"frac_bits >= {CLAMPED_SIGMOID_MIN_FRAC_BITS}; frac_bits = {frac_bits}")
 
 
 def mean_bits(b: int, alpha: float) -> int:
@@ -370,7 +334,8 @@ def train_pipeline(eng, X, t, cfg: TrainingConfig):
     optional bias column, then cfg.steps() gradient steps from zero, 2^k
     of them on the recurrence (takes_recurrence). Returns weight shares. A
     lambda_reg whose sigmoid_input_bound leaves the ring is refused before
-    any round (forward_magnitude_bits)."""
+    any round (forward_magnitude_bits), and so is the clamped tier on a
+    ring too coarse for it (_check_clamped_ring)."""
     if cfg.add_bias:
         X = append_bias(eng, X)
     n, d = X.shape
@@ -381,6 +346,7 @@ def train_pipeline(eng, X, t, cfg: TrainingConfig):
     if not cfg.linear:
         bound = sigmoid_input_bound(cfg, n, d, eng.cfg)
         forward_magnitude_bits(bound, eng.cfg)  # refuses a bound beyond the ring
+        _check_clamped_ring(cfg, bound, l)
     shift, frac_bits = l + mean_bits(n, cfg.alpha), 2 * l + 2 * cfg.linear
     state = ModelState(eng.zeros(d), eng.zeros(d), shift)
     if steps:

@@ -25,6 +25,7 @@ KIND_PROVISION = 3
 KIND_MATERIAL = 4
 KIND_DATA = 5
 KIND_LABELS = 6
+KIND_SEED = 7
 
 _CLOSED = None  # what a closing QueueChannel leaves in its peer's inbox
 _HEADER = struct.Struct("<IBI")

@@ -1,4 +1,5 @@
 import json
+import os
 import subprocess
 import sys
 
@@ -334,3 +335,25 @@ def test_cli_module_entrypoint():
                           capture_output=True, text=True)
     assert proc.returncode == 0
     assert "experiment" in proc.stdout
+
+
+def test_the_dealer_role_loads_no_protocol_module(tmp_path):
+    # veiltrain party --role dealer imports the dealer and its wire code
+    # alone; here it listens for 0.2 s, nobody dials, and it exits 2
+    from veiltrain.harness import _free_port
+
+    cfg = tmp_path / "dealer.cfg"
+    cfg.write_text(f"dealer_host = 127.0.0.1\ndealer_port = {_free_port()}\n"
+                   "connect_deadline = 0.2\n")
+    probe = ("import sys\nfrom veiltrain import cli\n"
+             f"rc = cli.main(['party', '--config', {str(cfg)!r}, '--role', 'dealer'])\n"
+             "print(rc, *sorted(m for m in sys.modules if m.startswith('veiltrain')))")
+    import veiltrain
+
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(veiltrain.__file__)))
+    proc = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
+                          text=True, timeout=60)
+    rc, *modules = proc.stdout.split()
+    assert rc == "2" and "veiltrain.partyproc" in modules and "veiltrain.dealer" in modules
+    loaded = {m.split(".", 1)[1] for m in modules if "." in m}
+    assert not loaded & {"engine", "kernels", "noise", "training", "harness"}, loaded

@@ -82,4 +82,12 @@ def test_removed_keys_are_parse_errors(key):
 def test_training_keys_are_lambda_and_the_bias_column():
     assert TrainingConfig().public() == {"lambda_reg": 1.0, "add_bias": 0}
     assert RingConfig().public() == {"frac_bits": 20}
-    assert len(CONFIG_KEYS) == 23 and len(PUBLIC_KEYS) == 7
+    assert len(CONFIG_KEYS) == 25 and len(PUBLIC_KEYS) == 6
+
+
+def test_no_seed_is_public_and_no_role_seed_has_a_default():
+    # the handshake carries no seed, and a role without its own seed draws
+    # one (partyproc.own_seed) rather than share a default with its peer
+    assert not [key for key in PUBLIC_KEYS if "seed" in key]
+    assert {"dealer_seed", "bit_seed"} <= set(CONFIG_KEYS)
+    assert not {"dealer_seed", "bit_seed"} & set(DEFAULTS)

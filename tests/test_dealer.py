@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from veiltrain.dealer import (_SPLIT_WORDS, MaterialCursor, MaterialSource, material_order,
-                              with_slack)
+from veiltrain.dealer import (_SPLIT_WORDS, SINGLE_BITS, MaterialCursor, MaterialSource,
+                              check_key, material_order, role_seeds, split_seed, with_slack)
 from veiltrain.errors import Exhausted
 from veiltrain.fixedpoint import RingConfig, to_signed
 
@@ -26,6 +26,16 @@ def test_bits_binary_and_balanced():
     bits = words.reshape(10_000, 7)[:, [0, 1, 3]]
     assert set(np.unique(bits)) <= {0, 1}
     assert np.all(np.abs(bits.mean(axis=0) - 0.5) <= 0.02)
+
+
+def test_single_bits_binary_balanced_and_apart_from_the_blocks():
+    # one random bit a word, from a stream of its own: not the blocks' bits
+    (bits,) = _summed(SINGLE_BITS, 30_000, 2)
+    (words,) = _summed(("bit",), 30_000, 2)
+    assert set(np.unique(bits)) == {0, 1} and abs(bits.mean() - 0.5) <= 0.02
+    assert not np.array_equal(bits, words)
+    h0, h1 = MaterialSource(2, RING).halves(SINGLE_BITS, 0, 100)
+    assert len(h0) == len(h1) == _SPLIT_WORDS["bit"] == 1
 
 
 def test_trunc_pair_invariant():
@@ -104,7 +114,7 @@ def test_bit_blocks_hold_monomials():
 
 
 @pytest.mark.parametrize("key", [("triple",), ("trunc", 20), ("trunc", 23), ("bit",),
-                                 ("trunc", 63)])
+                                 ("trunc", 63), SINGLE_BITS])
 def test_party_half_equals_its_part_of_halves(key):
     src = MaterialSource(12, RING)
     rng = np.random.default_rng(13)
@@ -116,7 +126,7 @@ def test_party_half_equals_its_part_of_halves(key):
             assert all(np.array_equal(x, y) for x, y in zip(mine, both[party]))
 
 
-@pytest.mark.parametrize("key", [("bit",), ("triple",), ("trunc", 20)])
+@pytest.mark.parametrize("key", [("bit",), ("triple",), ("trunc", 20), SINGLE_BITS])
 @pytest.mark.parametrize("chunk", [5, 7, 64, None])
 def test_halves_built_chunk_by_chunk_equal_halves(monkeypatch, key, chunk):
     # windows that cut blocks and cross the chunk edges of the in-place
@@ -157,6 +167,32 @@ def test_wire_material_matches_cursor():
         wire.load(("trunc", 20), _material_payload(("bit",), src.halves(("bit",), 0, 4)[1]))
 
 
+def test_the_single_bit_key_crosses_the_wire_and_no_other_bit_parameter_does():
+    from veiltrain.errors import ParseError
+    from veiltrain.partyproc import WireMaterial, _material_payload, decode_counts, encode_counts
+
+    counts = {("bit",): 14, SINGLE_BITS: 9, ("triple",): 2}
+    assert decode_counts(encode_counts(counts)) == counts
+    assert material_order(counts) == [("bit",), SINGLE_BITS, ("triple",)]
+    src = MaterialSource(16, RING)
+    for party in (0, 1):
+        wire, cursor = WireMaterial(src, party, counts), MaterialCursor(src, party, counts)
+        for key, n in counts.items():
+            payload = _material_payload(key, src.half(key, party, 0, n))
+            assert len(payload) == 2 + 8 * _SPLIT_WORDS[key[0]] * n
+            wire.load(key, payload)
+        assert np.array_equal(wire.take_bits(9, single=True), cursor.take_bits(9, single=True))
+        assert np.array_equal(wire.take_bits(14), cursor.take_bits(14))
+    # the two bit keys' frames are told apart
+    with pytest.raises(ParseError):
+        wire.load(("bit",), _material_payload(SINGLE_BITS, src.half(SINGLE_BITS, 1, 0, 14)))
+    for bad in (("bit", 2), ("bit", 0), ("bit", 1, 1)):
+        with pytest.raises(ParseError):
+            check_key(bad)
+    with pytest.raises(ParseError):
+        decode_counts(b"bit:2=5")
+
+
 def test_every_key_of_a_session_crosses_the_wire():
     from veiltrain.harness import pipeline_counts
     from veiltrain.partyproc import WireMaterial, _material_payload, decode_counts, encode_counts
@@ -164,6 +200,7 @@ def test_every_key_of_a_session_crosses_the_wire():
 
     counts = pipeline_counts(20, 4, DEFAULTS, 2)
     assert {key[0] for key in counts} == {"triple", "trunc", "bit"}
+    assert ("bit",) in counts and SINGLE_BITS in counts
     assert decode_counts(encode_counts(counts)) == counts
     # the dealer sends in the order of its decoded keys, the party reads in its own
     assert material_order(decode_counts(encode_counts(counts))) == material_order(counts)
@@ -192,8 +229,10 @@ def test_numpy_integer_shift_provisions_like_its_python_twin():
     assert encode_counts(counts) == encode_counts(twin)
     assert material_order(counts) == material_order(twin)
     # the dealer ships in the order of its decoded (Python int) keys; each
-    # party reads in the order of its own NumPy-keyed counts
-    cfg = dict(DEFAULTS, dealer_host="127.0.0.1", dealer_port=_free_port(), connect_deadline=10.0)
+    # party reads in the order of its own NumPy-keyed counts. The dealer's
+    # seed is session seed 3's, so both halves equal MaterialSource(3)'s
+    cfg = dict(DEFAULTS, dealer_host="127.0.0.1", dealer_port=_free_port(), connect_deadline=10.0,
+               dealer_seed=role_seeds(3)["dealer"])
     wires, errors = {}, []
 
     def role(name, fn, *args):
@@ -210,7 +249,7 @@ def test_numpy_integer_shift_provisions_like_its_python_twin():
     for t in threads:
         t.join(timeout=30)
     assert not errors and not any(t.is_alive() for t in threads), errors
-    src = MaterialSource(cfg["seed"], RING)
+    src = MaterialSource(3, RING)
     for party in (0, 1):
         cursor = MaterialCursor(src, party, twin)
         assert all(np.array_equal(x, y) for x, y in zip(wires[party].take_triples(3),
@@ -252,3 +291,129 @@ def test_provisioning_request_rejects_the_removed_block_key():
     assert decode_counts(b"bit:=21") == {("bit",): 21}
     with pytest.raises(ParseError):
         decode_counts(b"bit:3=21")
+
+
+def _provision(cfg, counts, monkeypatch, bit_seeds=None):
+    """serve_dealer and both parties' provision_from_dealer on threads named
+    for their roles, party p with bit_seeds[p] as its own seed if given;
+    returns each party's material and, by role, the (kind, payload bytes)
+    of every frame it received."""
+    import threading
+
+    from veiltrain import partyproc
+
+    frames = {}
+
+    class Recorder(partyproc.FrameIO):
+        def recv(self, *args, **kwargs):
+            kind, session, payload = super().recv(*args, **kwargs)
+            frames.setdefault(threading.current_thread().name, []).append((kind, len(payload)))
+            return kind, session, payload
+
+    monkeypatch.setattr(partyproc, "FrameIO", Recorder)
+    out, errors = {}, []
+
+    def role(name, fn, *args):
+        own = {} if bit_seeds is None or name == "dealer" else {"bit_seed": bit_seeds[name]}
+        try:
+            out[name] = fn(dict(cfg, **own), *args)
+        except Exception as exc:  # noqa: BLE001 - reported by the assert below
+            errors.append(exc)
+
+    threads = [threading.Thread(target=role, args=("dealer", partyproc.serve_dealer),
+                                name="dealer")]
+    threads += [threading.Thread(target=role, name=f"party{p}",
+                                 args=(p, partyproc.provision_from_dealer, p, counts))
+                for p in (0, 1)]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join(timeout=30)
+    assert not errors and not any(t.is_alive() for t in threads), errors
+    return out, frames
+
+
+def test_the_dealer_sends_party_0_a_seed_and_party_1_its_words(monkeypatch):
+    # party 0's half is the split stream alone: the dealer sends it the
+    # split seed in one 16-byte frame and no material word, and party 1 one
+    # frame per key. Both then hold what the all-knowing source deals them
+    from veiltrain.harness import _free_port
+    from veiltrain.partyproc import SEED_BYTES
+    from veiltrain.shareio import DEFAULTS
+    from veiltrain.transport import KIND_HELLO, KIND_MATERIAL, KIND_PROVISION, KIND_SEED
+
+    counts = {("triple",): 700, ("trunc", 20): 300, ("bit",): 14, SINGLE_BITS: 50}
+    cfg = dict(DEFAULTS, dealer_host="127.0.0.1", dealer_port=_free_port(), connect_deadline=10.0,
+               dealer_seed=role_seeds(17)["dealer"])
+    wires, frames = _provision(cfg, counts, monkeypatch)
+    assert frames["party0"] == [(KIND_SEED, SEED_BYTES)]
+    assert frames["party1"] == [(KIND_MATERIAL, 2 + 8 * _SPLIT_WORDS[key[0]] * counts[key])
+                                for key in material_order(counts)]
+    assert [kind for kind, _ in frames["dealer"]] == [KIND_HELLO, KIND_PROVISION] * 2
+    src = MaterialSource(17, RING)
+    for party in (0, 1):
+        cursor = MaterialCursor(src, party, counts)
+        for key, n in counts.items():
+            got, want = wires[party]._halves(key, 0, n), cursor._halves(key, 0, n)
+            assert all(np.array_equal(x, y) for x, y in zip(got, want))
+
+
+def test_a_party_cannot_regenerate_its_peers_material_or_bits(monkeypatch):
+    # a party's source holds its own bit seed and, for party 0, the split
+    # seed: every stream it has no seed for is refused, and no seed it
+    # holds, read as any role's seed, regenerates its peer's half or bits
+    from veiltrain.harness import _free_port
+    from veiltrain.shareio import DEFAULTS
+
+    seeds = role_seeds(19)
+    counts = {("triple",): 5, ("trunc", 20): 5, SINGLE_BITS: 5}
+    cfg = dict(DEFAULTS, dealer_host="127.0.0.1", dealer_port=_free_port(), connect_deadline=10.0,
+               dealer_seed=seeds["dealer"])
+    wires, _ = _provision(cfg, counts, monkeypatch, {p: seeds[f"party{p}"] for p in (0, 1)})
+    full = MaterialSource(19, RING)
+    for party, peer in ((0, 1), (1, 0)):
+        source = wires[party].source
+        assert np.array_equal(source.party_bit_stream(party, 0, 64, 20),
+                              full.party_bit_stream(party, 0, 64, 20))
+        with pytest.raises(Exhausted):
+            source.party_bit_stream(peer, 0, 64, 20)
+        with pytest.raises(Exhausted):
+            source.half(("triple",), 1, 0, 5)  # party 1's half needs the dealer's plain stream
+        held = [seeds[f"party{party}"], DEFAULTS["seed"], DEFAULTS["session_id"]]
+        held += [source.split_seed] if party == 0 else []
+        want_bits = full.party_bit_stream(peer, 0, 64, 20)
+        want_half = full.half(("triple",), peer, 0, 5)
+        for value in held:
+            for guess in (MaterialSource(value, RING), MaterialSource(None, RING, dealer=value,
+                                                                     bits={peer: value})):
+                assert not np.array_equal(guess.party_bit_stream(peer, 0, 64, 20), want_bits)
+                assert not np.array_equal(guess.half(("triple",), peer, 0, 5)[0], want_half[0])
+    assert split_seed(seeds["dealer"]) == full.split_seed == wires[0].source.split_seed
+
+
+def test_a_seed_frame_of_the_wrong_length_is_refused():
+    # party 0 reads its whole half from the dealer's seed frame, so one not
+    # 16 bytes long stops it, naming the length, before any material
+    import threading
+
+    from veiltrain.errors import ParseError
+    from veiltrain.harness import _free_port
+    from veiltrain.partyproc import provision_from_dealer
+    from veiltrain.shareio import DEFAULTS
+    from veiltrain.transport import KIND_SEED, FrameIO, listen
+
+    cfg = dict(DEFAULTS, dealer_host="127.0.0.1", dealer_port=_free_port(), connect_deadline=10.0)
+
+    def short_dealer():
+        (chan,) = listen(cfg["dealer_host"], cfg["dealer_port"], 1, 10.0)
+        io = FrameIO(chan, cfg["session_id"], with_round=False)
+        io.recv(), io.recv()  # HELLO and PROVISION
+        io.send(KIND_SEED, bytes(15))
+        chan.close()
+
+    dealer = threading.Thread(target=short_dealer)
+    dealer.start()
+    with pytest.raises(ParseError, match="seed of 15 bytes, not 16"):
+        provision_from_dealer(cfg, 0, {("triple",): 3})
+    dealer.join(timeout=10)
+    assert not dealer.is_alive()

@@ -1,8 +1,9 @@
 """The secure engine agrees with the clear-text one as a property: on random
 shapes and tmul-style summands (1 to 3, each with a scalar shift, one shift
 per row, or none), MpcEngine's tmul, mul, open and lead reconstruct to what
-PlainEngine returns, bit for bit, and take exactly the material its dry run
-counts."""
+PlainEngine returns, bit for bit, and so do its jointly sampled uniforms and
+geometric exponents on random shapes and rings; each takes exactly the
+material its dry run counts."""
 
 import numpy as np
 from hypothesis import given, settings
@@ -75,5 +76,24 @@ def test_tmul_mul_open_and_lead_match_the_plain_engine(case):
         assert len(got) == len(mirror)
         for g, m in zip(got, mirror):
             assert g.shape == m.shape and np.array_equal(g, m)
+    for eng in engines:
+        assert {k: v for k, v in eng.material.pos.items() if isinstance(k, tuple)} == counts
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.lists(st.integers(1, 40), min_size=1, max_size=2), st.sampled_from(ACCEPTED_RINGS),
+       st.integers(1, 999))
+def test_joint_uniform_and_geometric_match_the_plain_engine(shape, frac_bits, seed):
+    ring, shape = RingConfig(frac_bits), tuple(shape)
+
+    def fn(eng):
+        return [eng.open(eng.joint_uniform(shape)), eng.open(eng.joint_geometric(shape)),
+                eng.open(eng.joint_uniform(shape[:1]))]
+
+    mirror = fn(PlainEngine(MaterialSource(seed, ring), ring))
+    counts = estimate_counts(fn, seed, ring)
+    results, engines = run_both(fn, seed=seed, cfg=ring, counts=counts)
+    for got in results:
+        assert all(g.shape == m.shape and np.array_equal(g, m) for g, m in zip(got, mirror))
     for eng in engines:
         assert {k: v for k, v in eng.material.pos.items() if isinstance(k, tuple)} == counts

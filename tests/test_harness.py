@@ -266,6 +266,53 @@ def test_a_hanging_process_session_is_killed_at_its_deadline(monkeypatch, tmp_pa
                           "after 1 s\n")
 
 
+def test_each_process_role_holds_only_its_own_seed_and_the_session_replays(tmp_path):
+    # a replayed process session (seed 15) writes each role a config with
+    # its own seed alone: the dealer's dealer_seed, a party's bit_seed, and
+    # nowhere the session seed, the split seed or another role's seed; the
+    # share files and the handshake carry none either. The session still
+    # equals its mirror, PlainEngine(MaterialSource(15)), bit for bit
+    import re
+
+    from veiltrain.dealer import role_seeds, split_seed
+    from veiltrain.fixedpoint import decode
+    from veiltrain.harness import run_mpc_process
+    from veiltrain.shareio import load_config, public_section, read_share_file
+
+    X, t = synth_data(40, 4, seed=10, separability=1.0)
+    cfg = tiny_cfg(noise_draws=2, seed=15)
+    res = run_mpc_process([(X, t)], "horizontal", cfg, seed=15, draws=2, workdir=str(tmp_path))
+    seeds = role_seeds(15)
+    every = {**seeds, "split": split_seed(seeds["dealer"])}  # and no role reads seed itself
+    own_key = {"dealer": "dealer_seed", "party0": "bit_seed", "party1": "bit_seed"}
+    for role, key in own_key.items():
+        text = (tmp_path / f"{role}.cfg").read_text()
+        keys = {line.split("=")[0].strip() for line in text.splitlines()}
+        assert keys & {"seed", "dealer_seed", "bit_seed"} == {key}
+        assert load_config(tmp_path / f"{role}.cfg")[key] == seeds[role]
+        numbers = set(map(int, re.findall(r"\d+", text)))
+        assert numbers & set(every.values()) == {seeds[role]}
+    for party in (0, 1):
+        meta = read_share_file(str(tmp_path / f"data.party{party}.shares"))[1]
+        hello = public_section(load_config(tmp_path / f"party{party}.cfg"))
+        held = {str(v) for v in [*meta.values(), *hello.values()]}
+        assert not held & {str(v) for v in every.values()}
+        assert not [k for k in [*meta, *hello] if "seed" in k]
+
+    ring = ring_from_config(cfg)
+    (X0, t0), (X1, t1) = ingest_partitions([(X, t)], "horizontal", ring)
+    with np.errstate(over="ignore"):
+        mirror = party_pipeline(PlainEngine(MaterialSource(15, ring), ring), X0 + X1, t0 + t1,
+                                training_config(cfg), dp_params(cfg, 40, 4), 2)
+    assert np.array_equal(res["w_raw"], mirror["w_share"])
+    # noisy.party0.csv carries 10 significant digits
+    want = np.vectorize(lambda v: float(f"{v:.10g}"))(decode(mirror["noisy"], ring))
+    assert np.array_equal(res["noisy_models"], want)
+    threaded = run_mpc_threaded([(X, t)], "horizontal", cfg, seed=15, draws=2)
+    assert np.array_equal(threaded["w_raw"], mirror["w_share"])
+    assert np.array_equal(threaded["noisy_models"], decode(mirror["noisy"], ring))
+
+
 class _TruncationPeaks(PlainEngine):
     """The mirror, recording the largest |x| it truncates per phase path
     and shift."""

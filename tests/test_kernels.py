@@ -3,8 +3,8 @@ import pytest
 from scipy import stats
 
 from veiltrain import kernels
-from veiltrain.dealer import SIGN_BLOCK, MaterialSource
-from veiltrain.engine import SIGN_WORDS, PlainEngine, estimate_counts, whole_leaves
+from veiltrain.dealer import SIGN_BLOCK, SINGLE_BITS, MaterialSource
+from veiltrain.engine import PlainEngine, estimate_counts, whole_leaves
 from veiltrain.errors import Exhausted
 from veiltrain.fixedpoint import RingConfig, decode, encode, to_signed
 from veiltrain.noise import DpParams, perturb_weights
@@ -659,17 +659,18 @@ def test_uniform_opening_sends_one_masked_word_per_uniform(monkeypatch):
 
 
 def test_uniform_spends_bit_words_only():
-    n, l = 10_001, RING.frac_bits  # l * n is not a multiple of the block size
+    # one single bit ("bit", 1) per jointly sampled bit, and no block words:
+    # n uniforms of l bits take l n words, in takes that cross a uniform
+    n, l = 10_001, RING.frac_bits
+    want = {SINGLE_BITS: l * n}
 
     def fn(eng):
         return kernels.joint_uniform(eng, (n,))
 
-    want = SIGN_WORDS * -(-l * n // SIGN_BLOCK)
-    assert dict(estimate_counts(fn, 33, RING)) == {("bit",): want}
+    assert dict(estimate_counts(fn, 33, RING)) == want
     _, engines = run_both(fn, seed=33)
     for eng in engines:
-        assert {k: v for k, v in eng.material.pos.items() if isinstance(k, tuple)} \
-            == {("bit",): want}
+        assert {k: v for k, v in eng.material.pos.items() if isinstance(k, tuple)} == want
 
 
 # --- joint geometric exponents ---

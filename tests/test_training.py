@@ -1,4 +1,5 @@
 import contextlib
+import functools
 from dataclasses import fields
 
 import numpy as np
@@ -9,9 +10,9 @@ from veiltrain.cleartext import normalize_rows, sigmoid, train_lr_clear
 from veiltrain.dealer import MaterialSource
 from veiltrain.datasets import synth_data
 from veiltrain.engine import PlainEngine, estimate_counts
-from veiltrain.errors import VeiltrainError
+from veiltrain.errors import InvalidArgument, VeiltrainError
 from veiltrain.fixedpoint import RingConfig, decode, encode, to_signed
-from veiltrain.kernels import SIG4_POWER, SIG_POWER, SIGMOID_BOUND
+from veiltrain.kernels import CLAMPED_SIGMOID_MIN_FRAC_BITS, SIG4_POWER, SIG_POWER, SIGMOID_BOUND
 from veiltrain.training import (SLOPE_SLACK, ModelState, TrainingConfig, l2_normalize, backward,
                                 doublings, forward, forward_magnitude_bits, mean_bits,
                                 sigmoid_input_bound, takes_recurrence, train_pipeline, update)
@@ -250,14 +251,23 @@ def test_backward_truncates_values_below_2_to_the_2l_plus_2():
     # 2l bits, both at most 2^(2l + 1); identical rows with one label drive
     # the error furthest. The lambdas are below the linear tier, whose
     # recurrence has no backward pass
+    # recurrence has no backward pass. The clamped tier (lambda 0.1) runs
+    # from CLAMPED_SIGMOID_MIN_FRAC_BITS, and is refused below
     n, m = 300, 6
     aligned = np.tile(np.random.default_rng(53).uniform(-1, 1, m), (n, 1))
-    for ring in (RingConfig(12), RING, RingConfig(22)):
+    for ring in (RingConfig(12), RingConfig(CLAMPED_SIGMOID_MIN_FRAC_BITS), RING,
+                 RingConfig(22)):
         for t in (np.zeros(n), np.ones(n)):
             for lam, bias in ((0.45, False), (0.9, True), (0.1, False)):
                 eng = _BackwardPeak(MaterialSource(54, ring), ring)
-                train_pipeline(eng, owner_rows(eng, aligned), enc_pub(eng, t),
-                               TrainingConfig(lambda_reg=lam, add_bias=bias))
+                run = functools.partial(train_pipeline, eng, owner_rows(eng, aligned),
+                                        enc_pub(eng, t), TrainingConfig(lambda_reg=lam,
+                                                                        add_bias=bias))
+                if lam == 0.1 and ring.frac_bits < CLAMPED_SIGMOID_MIN_FRAC_BITS:
+                    with pytest.raises(InvalidArgument, match="clamped"):
+                        run()
+                    continue
+                run()
                 assert 2 ** (2 * ring.frac_bits - 2) <= eng.peak < 2 ** (2 * ring.frac_bits + 2)
 
 
@@ -627,6 +637,32 @@ def test_forward_magnitude_width_follows_the_input_bound():
         assert eng.counts() == {}  # refused before any round
 
 
+@pytest.mark.parametrize("frac_bits", [12, 13, 14])
+def test_the_clamped_tier_is_refused_below_14_fractional_bits(frac_bits):
+    # below 14 bits SIG_POWER as encoded is not monotone (its slope dips to
+    # -4.0e-4 at 12) and its outputs beyond the clamp take two values (12
+    # and 13): training on the clamped tier is refused there before any
+    # round, naming lambda, R^2/2 and the ring. The degree-6 tier (lambda
+    # 0.45, its bound below 4) and the linear tier still train
+    ring = RingConfig(frac_bits)
+    n, d = 20, 3
+    clamped = TrainingConfig(lambda_reg=0.25)
+    assert sigmoid_input_bound(clamped, n, d, ring) > SIGMOID_BOUND
+    assert sigmoid_input_bound(TrainingConfig(lambda_reg=0.45), n, d, ring) <= SIGMOID_BOUND
+    for tc in (clamped, TrainingConfig(lambda_reg=0.45), TrainingConfig()):
+        eng = PlainEngine(MaterialSource(64, ring), ring)
+        run = functools.partial(train_pipeline, eng, eng.zeros((n, d)), eng.zeros(n), tc)
+        if tc is clamped and frac_bits < CLAMPED_SIGMOID_MIN_FRAC_BITS:
+            with pytest.raises(InvalidArgument, match=r"^lambda_reg = 0.25 is below R\^2/2 = "
+                               rf"0.5 .* frac_bits >= 14; frac_bits = {frac_bits}$"):
+                run()
+            assert eng.counts() == {}
+        else:
+            run()
+            assert eng.counts()
+    assert CLAMPED_SIGMOID_MIN_FRAC_BITS == 14
+
+
 @pytest.mark.parametrize("bias", [False, True])
 def test_mirror_sensitivity_within_the_calibration(bias):
     # neighbouring datasets (one row replaced, its label flipped): the
@@ -641,17 +677,34 @@ def test_mirror_sensitivity_within_the_calibration(bias):
     # ulps, and the doublings left, like the contraction, amplify either by
     # at most 1/(1 - rate) = 1/(alpha lambda). So a run errs by at most
     # (k + 2)(1 + alpha)(sqrt(d) + d V) ulps / (alpha lambda), and the pair
-    # by twice that
+    # by twice that. At lambda 1/4 (below R^2/2, and |x . w| bounded above
+    # 4) the step loop runs the clamped sigmoid. The loss's derivative,
+    # sigma - t, is then at most 1 plus the sigmoid's error, and a step
+    # errs by an ulp on each coordinate of w and of the pending gradient,
+    # alpha ulps on each from the row scaling, and alpha R times the
+    # error's: an ulp from its truncation, and the 8 ulps of the sigmoid's
+    # rounding that sigmoid_input_bound allows. The contraction amplifies
+    # that by at most 1/(alpha lambda)
+    for lam in (1.0, 0.25):
+        _within_the_calibration(TrainingConfig(lambda_reg=lam, add_bias=bias))
+
+
+def _within_the_calibration(tc):
     n, m = 24, 4
-    tc = TrainingConfig(add_bias=bias)
-    d, r2 = m + bias, 1 + bias
-    k = doublings(tc.steps(RING))
-    assert tc.linear and takes_recurrence(n, d, tc.steps(RING))
-    big_b = 2 * r2 / (4 * tc.lambda_reg - r2)
-    v = tc.row_norm * (0.5 + big_b / 4) / tc.lambda_reg
-    run = ((k + 2) * (1 + tc.alpha) * (np.sqrt(d) + d * v) * 2.0 ** -RING.frac_bits
-           / (tc.alpha * tc.lambda_reg))
-    bound = 2 * tc.row_norm / (n * tc.lambda_reg) + 2 * run
+    d, r2, ulp = m + tc.add_bias, 1 + tc.add_bias, 2.0 ** -RING.frac_bits
+    derivative = 1.0
+    if tc.linear:
+        k = doublings(tc.steps(RING))
+        assert takes_recurrence(n, d, tc.steps(RING))
+        big_b = 2 * r2 / (4 * tc.lambda_reg - r2)
+        v = tc.row_norm * (0.5 + big_b / 4) / tc.lambda_reg
+        step = (k + 2) * (1 + tc.alpha) * (np.sqrt(d) + d * v) * ulp
+    else:
+        assert sigmoid_input_bound(tc, n, d, RING) > SIGMOID_BOUND
+        derivative += kernels.KERNEL_TOLERANCES["sigmoid"].bound
+        step = ((2 + tc.alpha) * np.sqrt(d) + 9 * tc.alpha * tc.row_norm) * ulp
+    run = step / (tc.alpha * tc.lambda_reg)
+    bound = 2 * tc.row_norm * derivative / (n * tc.lambda_reg) + 2 * run
     rng = np.random.default_rng(60)
     gaps = []
     for pair in range(24):
@@ -663,7 +716,7 @@ def test_mirror_sensitivity_within_the_calibration(bias):
         gap = np.linalg.norm(mirror_weights(X, t, tc, seed=62) - mirror_weights(X2, t2, tc, seed=62))
         assert gap <= bound
         gaps.append(gap)
-    print(f"largest gap / (2R/(n lambda)): {max(gaps) * n * tc.lambda_reg / (2 * tc.row_norm):.3f}")
+    print(f"lambda {tc.lambda_reg:g}: largest gap / (2R/(n lambda)): {max(gaps) * n * tc.lambda_reg / (2 * tc.row_norm):.3f}")
 
 
 def _surrogate_descent(X, t, tc, steps):
