@@ -8,12 +8,14 @@ of a block's bits (the masks of the msb and lead ops and of a joint
 geometric's opening), and single random bits ("bit", 1), one word per bit
 (the masks of a joint uniform's opening).
 
-Every kind of material comes from two PCG64 streams: a *plain* stream that
-fixes the secret values and a *split* stream that fixes party 0's half of
-them; party 1's half is the difference. Streams are addressed by (kind,
-parameter) tags and support random access via PCG64.advance, so a party,
-the dealer process, and the clear-text mirror all regenerate byte-identical
-material regardless of chunking.
+A kind defines only its secret values (MaterialSource._plain), from a
+*plain* PCG64 stream; one rule splits every kind (MaterialSource.half):
+party 0's half is a *split* stream, and party 1's half is the secret values
+less it. Streams are addressed by (kind, parameter) tags and support random
+access via PCG64.advance, so a party, the dealer process, and the
+clear-text mirror all regenerate byte-identical material regardless of
+chunking. A party takes its half through one cursor (MaterialCursor),
+whatever holds it.
 
 Three kinds of seed key the streams. The dealer's seed keys the plain
 streams, and the split seed, which the dealer derives from it
@@ -73,6 +75,8 @@ def split_seed(dealer_seed: int) -> int:
 
 
 SIGN_BLOCK = 3  # mask bits per monomial block of the msb and lead ops' material
+SIGN_WORDS = (1 << SIGN_BLOCK) - 1  # words per block: its non-empty monomials
+_BLOCK_BITS = [(1 << t) - 1 for t in range(SIGN_BLOCK)]  # a block's words holding its bits
 _CHUNK = 1 << 16  # items of a material half generated at a time
 
 
@@ -113,98 +117,79 @@ class MaterialSource:
         self._stream_seeds = {_PLAIN: dealer, _SPLIT: self.split_seed}
         self._bit_seeds = dict(bits or {})
 
-    def _words(self, kind, shift, which, start, n):
-        tags = [_KIND_TAGS[kind], shift if shift is not None else 0, which]
-        per = (_PLAIN_WORDS if which == _PLAIN else _SPLIT_WORDS)[kind]
+    def _words(self, key, which, start, n):
+        tags = [_KIND_TAGS[key[0]], key[1] if len(key) > 1 else 0, which]
+        per = (_PLAIN_WORDS if which == _PLAIN else _SPLIT_WORDS)[key[0]]
         return _window(self._stream_seeds[which], tags, per * start, per * n).reshape(n, per)
-
-    def triples(self, start: int, n: int):
-        """Returns (u0, v0, w0, u1, v1, w1) for items [start, start+n)."""
-        plain = self._words("triple", None, _PLAIN, start, n)
-        u, v = plain[:, 0], plain[:, 1]
-        w = u * v
-        sp = self._words("triple", None, _SPLIT, start, n)
-        u0, v0, w0 = sp[:, 0], sp[:, 1], sp[:, 2]
-        return u0, v0, w0, u - u0, v - v0, w - w0
 
     def trunc_plain(self, shift: int, start: int, n: int):
         """The signed masks r for truncation pairs (what the mirror consumes)."""
-        words = self._words("trunc", shift, _PLAIN, start, n)[:, 0]
+        words = self._words(("trunc", shift), _PLAIN, start, n)[:, 0]
         # r uniform on [-2^62, 2^62) so masked opens never wrap
         return from_signed(to_signed(words % np.uint64(1 << 63)) - (1 << 62))
 
-    def trunc_pairs(self, shift: int, start: int, n: int):
-        """Returns (r0, rs0, r1, rs1) with rs = r arithmetically shifted."""
-        r = self.trunc_plain(shift, start, n)
-        rs = truncate(r, shift)
-        sp = self._words("trunc", shift, _SPLIT, start, n)
-        r0, rs0 = sp[:, 0], sp[:, 1]
-        return r0, rs0, r - r0, rs - rs0
+    def _plain(self, key: tuple, start: int, n: int):
+        """The secret values of items [start, start+n) of one material key,
+        one array per word of a half: a triple's (u, v, uv), a truncation
+        pair's (r, r >> s), a random-bit word, a single random bit.
 
-    def bit_shares(self, start: int, n: int):
-        """Returns (b0, b1), the halves of random-bit words [start, start+n).
-
-        Every SIGN_BLOCK random bits fill 2^SIGN_BLOCK - 1 consecutive words
+        Every SIGN_BLOCK random bits fill SIGN_WORDS consecutive bit words
         with the products of their non-empty subsets, in subset order: word
         S - 1 holds the product of the bits i with bit i of S set, so words
-        0, 1, 3 of a block are the bits themselves."""
-        per = (1 << SIGN_BLOCK) - 1
-        first, end = start // per, -(-(start + n) // per)
-        words = self._words("bit", None, _PLAIN, first, end - first)[:, 0]
-        mono = np.empty((len(words), per), dtype=words.dtype)
-        for i in range(SIGN_BLOCK):  # the subsets holding bit i follow those without it
-            lo = (1 << i) - 1
+        _BLOCK_BITS of a block are the bits themselves."""
+        if key[0] == "triple":
+            u, v = self._words(key, _PLAIN, start, n).T
+            return u, v, u * v
+        if key[0] == "trunc":
+            r = self.trunc_plain(key[1], start, n)
+            return r, truncate(r, key[1])
+        if key == SINGLE_BITS:
+            return (self._words(key, _PLAIN, start, n)[:, 0] & np.uint64(1),)
+        first, end = start // SIGN_WORDS, -(-(start + n) // SIGN_WORDS)
+        words = self._words(key, _PLAIN, first, end - first)[:, 0]
+        mono = np.empty((len(words), SIGN_WORDS), dtype=words.dtype)
+        for i, lo in enumerate(_BLOCK_BITS):  # the subsets holding bit i follow those without it
             mono[:, lo] = (words >> np.uint64(i)) & np.uint64(1)
             mono[:, lo + 1:2 * lo + 1] = mono[:, :lo] * mono[:, lo:lo + 1]
-        at = start - first * per
-        b = mono.ravel()[at:at + n]
-        b0 = self._words("bit", None, _SPLIT, start, n)[:, 0]
-        return b0, b - b0
-
-    def single_bits(self, start: int, n: int):
-        """Returns (b0, b1), the halves of single random bits [start,
-        start+n) (key SINGLE_BITS), one word per bit."""
-        b = self._words("bit", 1, _PLAIN, start, n)[:, 0] & np.uint64(1)
-        b0 = self._words("bit", 1, _SPLIT, start, n)[:, 0]
-        return b0, b - b0
-
-    def halves(self, key: tuple, start: int, n: int):
-        """(party 0's arrays, party 1's arrays) of items [start, start+n) of one
-        material key; each party gets _SPLIT_WORDS[kind] arrays of n words."""
-        kind = key[0]
-        if kind == "triple":
-            out = self.triples(start, n)
-        elif kind == "trunc":
-            out = self.trunc_pairs(key[1], start, n)
-        elif key == ("bit",):
-            out = self.bit_shares(start, n)
-        elif key == SINGLE_BITS:
-            out = self.single_bits(start, n)
-        else:
-            raise ValueError(f"unknown material kind {key!r}")
-        half = len(out) // 2
-        return out[:half], out[half:]
+        at = start - first * SIGN_WORDS
+        return (mono.ravel()[at:at + n],)
 
     def half(self, key: tuple, party: int, start: int, n: int):
         """One party's arrays of items [start, start+n) of one material key,
-        equal to halves(key, start, n)[party]. Party 0's half is the split
-        stream alone, so it needs the split seed only; a one-word half is
-        the stream's own array. Other halves are built _CHUNK items at a
-        time into one array per word, so no whole-window temporary is held
-        beside them."""
-        kind, shift = key[0], (key[1] if len(key) > 1 else None)
-        if party == 0 and _SPLIT_WORDS[kind] == 1:
-            return (self._words(kind, shift, _SPLIT, start, n)[:, 0],)
-        out = [np.empty(n, dtype=np.uint64) for _ in range(_SPLIT_WORDS[kind])]
+        _SPLIT_WORDS[kind] arrays of n words. Party 0's half is the key's
+        split stream, so it needs the split seed only, and a one-word half is
+        the stream's own array. Party 1's half is the secret values (_plain)
+        less party 0's, built _CHUNK items at a time into one array per
+        word, so no whole-window temporary is held beside them."""
+        per = _SPLIT_WORDS[key[0]]
+        if party == 0 and per == 1:
+            return (self._words(key, _SPLIT, start, n)[:, 0],)
+        out = [np.empty(n, dtype=np.uint64) for _ in range(per)]
         for lo in range(0, n, _CHUNK):
             m = min(_CHUNK, n - lo)
-            if party == 0:
-                part = self._words(kind, shift, _SPLIT, start + lo, m).T
-            else:
-                part = self.halves(key, start + lo, m)[1]
+            part = self._words(key, _SPLIT, start + lo, m).T
+            if party == 1:
+                part = [x - x0 for x, x0 in zip(self._plain(key, start + lo, m), part)]
             for row, words in zip(out, part):
                 row[lo:lo + m] = words
         return tuple(out)
+
+    def halves(self, key: tuple, start: int, n: int):
+        """(party 0's arrays, party 1's arrays) of items [start, start+n) of
+        one material key (half)."""
+        return self.half(key, 0, start, n), self.half(key, 1, start, n)
+
+    def triples(self, start: int, n: int):
+        """Returns (u0, v0, w0, u1, v1, w1) for items [start, start+n)."""
+        return sum(self.halves(("triple",), start, n), ())
+
+    def trunc_pairs(self, shift: int, start: int, n: int):
+        """Returns (r0, rs0, r1, rs1) with rs = r arithmetically shifted."""
+        return sum(self.halves(("trunc", shift), start, n), ())
+
+    def bit_shares(self, start: int, n: int):
+        """Returns (b0, b1), the halves of random-bit words [start, start+n)."""
+        return sum(self.halves(("bit",), start, n), ())
 
     def party_bit_stream(self, party: int, start: int, n: int, width: int):
         """Party-local uniform bits for jointly sampled randomness: values
@@ -232,23 +217,21 @@ def _taken(pos: dict) -> dict:
     return {k: v for k, v in pos.items() if v}
 
 
-class _Cursor:
-    """One party's sequential view over provisioned dealer material.
+class MaterialCursor:
+    """One party's sequential view over its provisioned dealer material.
 
-    Subclasses say where the party's halves of a window of material come
-    from (_halves); the take_* methods, the provisioning check and the
-    branch windows are shared.
+    It takes the party's halves of each window from source.half(key,
+    party, at, n) and its local bits from source.party_bit_stream: a
+    MaterialSource regenerates them, a process party's store
+    (partyproc.WireMaterial) slices what it received or expanded.
     """
 
-    def __init__(self, source: MaterialSource, party: int, counts: dict):
+    def __init__(self, source, party: int, counts: dict):
         self.source = source
         self.party = party
         self.counts = dict(counts)
         self.pos: dict = {}
         self.windows = list(getattr(counts, "windows", ()))
-
-    def _halves(self, key, at, n):
-        raise NotImplementedError
 
     def _take(self, key, n):
         cap = self.counts.get(key, 0)
@@ -256,7 +239,7 @@ class _Cursor:
         if at + n > cap:
             raise Exhausted(f"requested {at + n} of {key!r} but only {cap} provisioned")
         self.pos[key] = at + n
-        return self._halves(key, at, n)
+        return self.source.half(key, self.party, at, n)
 
     def take_triples(self, n: int):
         u, v, w = self._take(("triple",), n)
@@ -267,9 +250,8 @@ class _Cursor:
         return r, rs
 
     def take_bits(self, n: int, single: bool = False):
-        """n random-bit words: with single, n single bits (SINGLE_BITS,
-        MaterialSource.single_bits); else block monomials (("bit",),
-        MaterialSource.bit_shares)."""
+        """n random-bit words: with single, n single bits (SINGLE_BITS);
+        else block monomials (("bit",))."""
         return self._take(SINGLE_BITS if single else ("bit",), n)[0]
 
     def take_local_bits(self, width: int, n: int):
@@ -300,13 +282,6 @@ class _Cursor:
             views.append(view)
         self.pos = dict(bounds[-1])
         return views
-
-
-class MaterialCursor(_Cursor):
-    """A cursor that regenerates the party's halves from its source."""
-
-    def _halves(self, key, at, n):
-        return self.source.half(key, self.party, at, n)
 
 
 def with_slack(counts: dict, slack: float = 0.10) -> Counts:

@@ -37,13 +37,11 @@ import threading
 
 import numpy as np
 
-from .dealer import SIGN_BLOCK, SINGLE_BITS, Counts, MaterialCursor, MaterialSource
+from .dealer import (_BLOCK_BITS, SIGN_BLOCK, SIGN_WORDS, SINGLE_BITS, Counts, MaterialCursor,
+                     MaterialSource)
 from .fixedpoint import DEFAULT_RING, RingConfig, truncate
 from .session import PartyRuntime, handshake
 from .transport import queue_pair
-
-SIGN_WORDS = (1 << SIGN_BLOCK) - 1  # dealer words per block: its non-empty monomials
-_BLOCK_BITS = [(1 << t) - 1 for t in range(SIGN_BLOCK)]  # a block's words holding its bits
 
 _MASK_TAKE_WORDS = 1 << 17  # single bits joint_uniform takes at a time
 
@@ -649,7 +647,8 @@ class MpcEngine(BaseEngine):
             for i, (o, words) in enumerate(zip(outputs, mono)):
                 if o is None:
                     continue
-                val = ((c >> np.uint64(SIGN_BLOCK * i)) & np.uint64(SIGN_WORDS)).astype(np.intp)
+                digit = (c >> np.uint64(SIGN_BLOCK * i)) & np.uint64((1 << SIGN_BLOCK) - 1)
+                val = digit.astype(np.intp)
                 for coef, dst in zip(maps, (G, P)):
                     table = coef[o, val]  # [value, monomial], the constant first
                     share = np.einsum("vm,vm->v", table[:, 1:], words)  # wraps mod 2^64

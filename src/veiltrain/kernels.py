@@ -10,9 +10,10 @@ starts from a power-basis polynomial too, accurate enough (2^-9.87 in 1 -
 m y0^2) that one Newton correction, applied to the products the caller
 wants, finishes it; the square root is that kernel times m. Sine and
 cosine need no range reduction: a half-angle polynomial covers the whole
-period, and one squaring round doubles the angle. Unit exponentials need
-no normalization either: -ln U = e ln 2 - ln m, with the exponent e from
-the engine's joint_geometric and ln m a fit in the mantissa's own uniform.
+period, and one round of pair products doubles the angle. Unit
+exponentials need no normalization either: -ln U = e ln 2 - ln m, with the
+exponent e from the engine's joint_geometric and ln m a fit in the
+mantissa's own uniform.
 Signs alone (the division's sign, the sigmoid's clamps) come from the
 engine's msb op. The sigmoid is an odd polynomial: on an input with a
 public bound |z| <= 4 it needs no clamp, otherwise it clamps its input to
@@ -116,9 +117,8 @@ SIN_POWER = tuple(np.polynomial.chebyshev.cheb2poly(SIN_CHEB))
 COS_POWER = tuple(np.polynomial.chebyshev.cheb2poly(COS_CHEB))
 SIG_POWER = tuple(np.polynomial.chebyshev.cheb2poly(SIG_CHEB))
 SIG4_POWER = tuple(np.polynomial.chebyshev.cheb2poly(SIG4_CHEB))
-SIN_COS_POWER = tuple(np.polynomial.polynomial.polyadd(SIN_POWER, COS_POWER))  # s + c
 # the fits sin/cos's power chain feeds (_turn_powers)
-_TURN_FITS = (SIN_POWER, COS_POWER, SIN_COS_POWER, LNM_POWER)
+_TURN_FITS = (SIN_POWER, COS_POWER, LNM_POWER)
 
 # the reciprocal's start on the coarse mantissa m in [1/8, 1): 1/m ~ a - b m,
 # with relative error below 0.44
@@ -502,10 +502,10 @@ def _sin_cos_turns(eng, powers, rows=(), truncate=True):
     (_turn_powers).
 
     The angle is pi x + pi, so from the half-angle fits s = sin(pi x / 2)
-    and c = cos(pi x / 2), sin = -2 s c = s^2 + c^2 - (s + c)^2 and cos =
-    s^2 - c^2: one tmul truncates and squares s, c and s + c (each fit's
-    summands, _poly_2l), one truncation follows. With truncate False sin
-    and cos stay at 2l bits, for the caller's next tmul to truncate.
+    and c = cos(pi x / 2), sin = -2 s c and cos = s^2 - c^2: one tmul
+    truncates s and c (each fit's summands, _poly_2l) and forms s c, s^2
+    and c^2 as pair products, one truncation follows. With truncate False
+    sin and cos stay at 2l bits, for the caller's next tmul to truncate.
 
     rows: more summands of that tmul, (arrays, shifts) pairs like
     _poly_2l's with rows on axis 0, such as unit exponentials
@@ -514,14 +514,15 @@ def _sin_cos_turns(eng, powers, rows=(), truncate=True):
     l = eng.frac_bits
     with eng.phase("sin_cos"):
         k = powers.low.shape[1]
-        halves = [_poly_2l(eng, powers, fit) for fit in (SIN_POWER, COS_POWER, SIN_COS_POWER)]
-        *t, squares = eng.tmul(*_stack_rows(halves + list(rows)), square=range(3 * k))
-        ss, cc, both = squares.reshape((3, k) + squares.shape[1:])
-        sin_cos = eng.stack([eng.sub(eng.add(ss, cc), both), eng.sub(ss, cc)])
+        halves = [_poly_2l(eng, powers, fit) for fit in (SIN_POWER, COS_POWER)]
+        s, c = list(range(k)), list(range(k, 2 * k))
+        *t, prods = eng.tmul(*_stack_rows(halves + list(rows)), square=(s + s + c, c + s + c))
+        sc, ss, cc = prods.reshape((3, k) + prods.shape[1:])
+        sin_cos = eng.stack([eng.mul_public_int(sc, -2), eng.sub(ss, cc)])
         sin, cos = eng.trunc(sin_cos, l) if truncate else sin_cos
         if not rows:
             return Results((sin, cos))
-        return Results((sin, cos, functools.reduce(eng.add, t)[3 * k:]))
+        return Results((sin, cos, functools.reduce(eng.add, t)[2 * k:]))
 
 
 def _exponentials_2l(eng, e, powers, scale=1, total=False):

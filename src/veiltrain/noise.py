@@ -142,11 +142,11 @@ def sample_noise(eng, dp: DpParams, batch: tuple = (), truncate=True):
     pair's cos, at theta = pi v where the others have 2 pi v, so that 2
     theta is within sin/cos's one period (R cos theta keeps its law).
 
-    The schedule: the exponents, which only sin/cos's squaring round reads,
+    The schedule: the exponents, which only sin/cos's product round reads,
     are drawn beside the uniforms and their power chain (eng.parallel),
     which leaves its top powers at 2l bits (kernels._powers); ln m rides in
     sin/cos's rounds. At even d, rsqrt's normalization (its lead) opens in
-    sin/cos's squaring round, which also truncates the sum of all d
+    sin/cos's product round, which also truncates the sum of all d
     exponentials at 2l bits: the lead's summands are E_i = 2 X_i and S/4^a
     (S = ||g||^2 = sum E_i, 4^a >= k) at 2l bits, truncated in its opening
     round (engine lead with shifts). The next round truncates sin, cos and

@@ -3,10 +3,11 @@
 The dealer listens for both parties, checks that they request identical
 provisioning, and sends party 0 the seed of its half of the correlated
 randomness in one frame, and party 1 its half's words as framed binary.
-Each role reads only its own seed (dealer_seed, bit_seed), and draws a
-fresh one without it. Parties then meet over the configured peer address,
-handshake on the public config, and run the staged pipeline on their share
-files. Every party file is named here alone, each writer beside its reader.
+Each role reads only its own seed (dealer_seed, bit_seed), draws a fresh
+one without it, and refuses a config holding the other's. Parties then
+meet over the configured peer address, handshake on the public config, and
+run the staged pipeline on their share files. Every party file is named
+here alone, each writer beside its reader.
 """
 
 from __future__ import annotations
@@ -16,8 +17,9 @@ import os
 
 import numpy as np
 
-from .dealer import _KIND_TAGS, _SPLIT_WORDS, MaterialSource, _Cursor, check_key, material_order
-from .errors import ConfigMismatch, ParseError
+from .dealer import (_KIND_TAGS, _SPLIT_WORDS, MaterialCursor, MaterialSource, check_key,
+                     material_order)
+from .errors import ConfigMismatch, Exhausted, ParseError
 from .fixedpoint import decode
 from .session import PartyRuntime, handshake
 from .shareio import (check_ring_meta, public_section, read_share_file, read_weights_file,
@@ -34,6 +36,14 @@ def _require_keys(cfg: dict, role: str, *keys) -> None:
     for key in keys:
         if key not in cfg:
             raise ParseError(f"the {role} needs config key {key!r}, which has no default")
+
+
+def _refuse_seed(cfg: dict, role: str, key: str) -> None:
+    """ParseError naming key, another role's seed, where cfg holds it: one
+    config shared by the roles would hand each party the dealer's seed, and
+    both parties one bit seed."""
+    if key in cfg:
+        raise ParseError(f"the {role}'s config holds {key!r}, another role's seed")
 
 
 def own_seed(cfg: dict, key: str) -> int:
@@ -83,6 +93,7 @@ def serve_dealer(cfg: dict) -> None:
     """Accept both parties and verify matching provisioning requests; send
     party 0 the split seed (dealer.split_seed) in one frame, then generate
     party 1's half of the material from the dealer's seed and ship it."""
+    _refuse_seed(cfg, "dealer", "bit_seed")
     _require_keys(cfg, "dealer", "dealer_host", "dealer_port")
     ring = ring_from_config(cfg)
     source = MaterialSource(None, ring, dealer=own_seed(cfg, "dealer_seed"))
@@ -106,13 +117,14 @@ def serve_dealer(cfg: dict) -> None:
             chan.close()
 
 
-class WireMaterial(_Cursor):
-    """Party-side material buffers, received from the dealer (load) or
-    expanded from the party's split seed (expand), plus the party's own
-    local bit stream."""
+class WireMaterial:
+    """A process party's material store: its halves, received from the
+    dealer (load) or expanded from its split seed (expand), handed out as
+    slices (half); its local bits come from its own source."""
 
-    def __init__(self, source: MaterialSource, party: int, counts: dict):
-        super().__init__(source, party, counts)
+    def __init__(self, source: MaterialSource, party: int):
+        self.source = source
+        self.party = party
         self.buffers: dict = {}
 
     def load(self, key, payload: bytes):
@@ -120,21 +132,28 @@ class WireMaterial(_Cursor):
             raise ParseError(f"dealer sent material {payload[:2].hex()} where {key!r} was due")
         self.buffers[key] = tuple(payload_u64(payload[2:]).reshape(_SPLIT_WORDS[key[0]], -1))
 
-    def expand(self):
-        """Generate the party's half of every provisioned key from its
-        source: party 0's from the split seed."""
-        for key in material_order(self.counts):
-            self.buffers[key] = self.source.half(key, self.party, 0, self.counts[key])
+    def expand(self, counts: dict):
+        """Generate the party's half of every key in counts from its source:
+        party 0's from the split seed."""
+        for key in material_order(counts):
+            self.buffers[key] = self.source.half(key, self.party, 0, counts[key])
 
-    def _halves(self, key, at, n):
-        return tuple(row[at:at + n] for row in self.buffers[key])
+    def half(self, key, party: int, start: int, n: int):
+        """Items [start, start+n) of the party's half of key
+        (MaterialSource.half); the store holds its own party's alone."""
+        if party != self.party:
+            raise Exhausted(f"party {self.party}'s material holds no half of party {party}")
+        return tuple(row[start:start + n] for row in self.buffers[key])
+
+    def party_bit_stream(self, party: int, start: int, n: int, width: int):
+        return self.source.party_bit_stream(party, start, n, width)
 
 
-def provision_from_dealer(cfg: dict, party: int, counts: dict) -> WireMaterial:
-    """Request counts from the dealer and return the party's material, its
-    local bits from its own seed (bit_seed). Party 0 receives the split
-    seed and expands its half itself, before it meets its peer; party 1
-    receives its half's words."""
+def provision_from_dealer(cfg: dict, party: int, counts: dict) -> MaterialCursor:
+    """Request counts from the dealer and return the party's cursor over
+    its material, its local bits from its own seed (bit_seed). Party 0
+    receives the split seed and expands its half itself, before it meets
+    its peer; party 1 receives its half's words."""
     ring = ring_from_config(cfg)
     chan = connect(cfg["dealer_host"], cfg["dealer_port"],
                    deadline=cfg["connect_deadline"])
@@ -148,17 +167,17 @@ def provision_from_dealer(cfg: dict, party: int, counts: dict) -> WireMaterial:
             if len(payload) != SEED_BYTES:
                 raise ParseError(f"dealer sent a seed of {len(payload)} bytes, not {SEED_BYTES}")
             split = int.from_bytes(payload, "little")
-            material = WireMaterial(MaterialSource(None, ring, split=split, bits=bits), 0, counts)
+            material = WireMaterial(MaterialSource(None, ring, split=split, bits=bits), 0)
         else:
-            material = WireMaterial(MaterialSource(None, ring, bits=bits), 1, counts)
+            material = WireMaterial(MaterialSource(None, ring, bits=bits), 1)
             for key in material_order(counts):
                 _, _, payload = io.recv(expect_kind=KIND_MATERIAL, timeout=600.0)
                 material.load(key, payload)
     finally:
         chan.close()
     if party == 0:
-        material.expand()  # while the dealer generates party 1's half
-    return material
+        material.expand(counts)  # while the dealer generates party 1's half
+    return MaterialCursor(material, party, counts)
 
 
 def connect_peer(cfg: dict, party: int, server):
@@ -224,6 +243,7 @@ def run_party(cfg: dict, party: int) -> None:
     from .engine import MpcEngine
     from .harness import party_session
 
+    _refuse_seed(cfg, "party", "dealer_seed")
     _require_keys(cfg, "party", "shares_prefix")
     X, t = read_party_shares(cfg, party)
     _require_keys(cfg, "party", "dealer_host", "dealer_port", "party0_host", "party0_port",

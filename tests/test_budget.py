@@ -27,17 +27,17 @@ ROUNDS_BY_PATH = {
 # training's (its 2 uniform draws and the 3 rounds of sin/cos's power
 # chain), and the 6 in which two of its own branches ran (4 with the
 # exponents beside the uniforms and the power chain, 2 with rsqrt's lead
-# beside sin/cos's squaring and the truncation of sin, cos and the Gamma),
-# so 11 riders
+# beside sin/cos's pair products and the truncation of sin, cos and the
+# Gamma), so 11 riders
 OVERLAP_BY_PATH = {
     "perturb/uniform": 2, "perturb/geometric": 4, "perturb/sin_cos": 3, "perturb/rsqrt": 2,
 }
-WIRE_BYTES = 43_894  # party 0, sent plus received
+WIRE_BYTES = 43_702  # party 0, sent plus received
 
 # the noise alone at d = 50 with 100 draws, then the opening of the models:
 # the noise-wide benchmark's shape at a tenth of its batch
 NOISE_ROUNDS = 24
-NOISE_SENT_BYTES = 4_794_712  # party 0
+NOISE_SENT_BYTES = 4_754_712  # party 0
 
 
 def _column(report, column):

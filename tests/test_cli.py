@@ -259,6 +259,21 @@ def test_a_role_names_the_deployment_key_it_lacks(tmp_path, capsys, role, missin
     assert err.startswith("error: ") and repr(missing) in err
 
 
+@pytest.mark.parametrize("role, foreign", [("party0", "dealer_seed"), ("party1", "dealer_seed"),
+                                           ("dealer", "bit_seed")])
+def test_a_role_refuses_a_config_holding_a_seed_it_does_not_read(tmp_path, capsys, role,
+                                                                 foreign):
+    # one config for every role, with both seeds, would hand each party
+    # the dealer's seed (every mask) and both parties one bit seed (the
+    # noise a public constant): each role stops, naming the other's seed
+    cfg = tmp_path / "shared.cfg"
+    cfg.write_text(f"shares_prefix = {tmp_path / 's'}\ndealer_host = 127.0.0.1\n"
+                   "dealer_port = 9\nconnect_deadline = 1\ndealer_seed = 5\nbit_seed = 6\n")
+    assert main(["party", "--config", str(cfg), "--role", role]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and repr(foreign) in err
+
+
 def test_a_dealer_nobody_dials_is_an_error_line(tmp_path, capsys):
     from veiltrain.harness import _free_port
 

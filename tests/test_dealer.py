@@ -116,14 +116,19 @@ def test_bit_blocks_hold_monomials():
 @pytest.mark.parametrize("key", [("triple",), ("trunc", 20), ("trunc", 23), ("bit",),
                                  ("trunc", 63), SINGLE_BITS])
 def test_party_half_equals_its_part_of_halves(key):
+    # the one rule over any window: party 0's half is the split stream,
+    # which the split seed alone regenerates, and the halves add up to the
+    # kind's secret values
     src = MaterialSource(12, RING)
+    split_only = MaterialSource(None, RING, split=src.split_seed)
     rng = np.random.default_rng(13)
     for start, n in [(0, 1), *zip(rng.integers(0, 5000, 6), rng.integers(1, 300, 6))]:
         both = src.halves(key, int(start), int(n))
-        for party in (0, 1):
-            mine = src.half(key, party, int(start), int(n))
-            assert len(mine) == len(both[party])
-            assert all(np.array_equal(x, y) for x, y in zip(mine, both[party]))
+        plain = src._plain(key, int(start), int(n))
+        assert len(both[0]) == len(both[1]) == len(plain) == _SPLIT_WORDS[key[0]]
+        assert all(np.array_equal(x0 + x1, x) for x0, x1, x in zip(*both, plain))
+        mine = split_only.half(key, 0, int(start), int(n))
+        assert all(np.array_equal(x, y) for x, y in zip(mine, both[0]))
 
 
 @pytest.mark.parametrize("key", [("bit",), ("triple",), ("trunc", 20), SINGLE_BITS])
@@ -155,16 +160,19 @@ def test_wire_material_matches_cursor():
     counts = {("triple",): 5, ("trunc", 20): 4, ("bit",): 14}
     for party in (0, 1):
         cursor = MaterialCursor(src, party, counts)
-        wire = WireMaterial(src, party, counts)
+        store = WireMaterial(src, party)
         for key, n in counts.items():
-            wire.load(key, _material_payload(key, src.halves(key, 0, n)[party]))
+            store.load(key, _material_payload(key, src.halves(key, 0, n)[party]))
+        wire = MaterialCursor(store, party, counts)
         for a, b in ((cursor.take_triples(5), wire.take_triples(5)),
                      (cursor.take_trunc(20, 4), wire.take_trunc(20, 4)),
                      ((cursor.take_bits(3),), (wire.take_bits(3),)),
                      ((cursor.take_bits(11),), (wire.take_bits(11),))):
             assert all(np.array_equal(x, y) for x, y in zip(a, b))
+        with pytest.raises(Exhausted):  # the store holds its own party's half alone
+            store.half(("triple",), 1 - party, 0, 1)
     with pytest.raises(ParseError):
-        wire.load(("trunc", 20), _material_payload(("bit",), src.halves(("bit",), 0, 4)[1]))
+        store.load(("trunc", 20), _material_payload(("bit",), src.halves(("bit",), 0, 4)[1]))
 
 
 def test_the_single_bit_key_crosses_the_wire_and_no_other_bit_parameter_does():
@@ -176,16 +184,17 @@ def test_the_single_bit_key_crosses_the_wire_and_no_other_bit_parameter_does():
     assert material_order(counts) == [("bit",), SINGLE_BITS, ("triple",)]
     src = MaterialSource(16, RING)
     for party in (0, 1):
-        wire, cursor = WireMaterial(src, party, counts), MaterialCursor(src, party, counts)
+        store, cursor = WireMaterial(src, party), MaterialCursor(src, party, counts)
         for key, n in counts.items():
             payload = _material_payload(key, src.half(key, party, 0, n))
             assert len(payload) == 2 + 8 * _SPLIT_WORDS[key[0]] * n
-            wire.load(key, payload)
+            store.load(key, payload)
+        wire = MaterialCursor(store, party, counts)
         assert np.array_equal(wire.take_bits(9, single=True), cursor.take_bits(9, single=True))
         assert np.array_equal(wire.take_bits(14), cursor.take_bits(14))
     # the two bit keys' frames are told apart
     with pytest.raises(ParseError):
-        wire.load(("bit",), _material_payload(SINGLE_BITS, src.half(SINGLE_BITS, 1, 0, 14)))
+        store.load(("bit",), _material_payload(SINGLE_BITS, src.half(SINGLE_BITS, 1, 0, 14)))
     for bad in (("bit", 2), ("bit", 0), ("bit", 1, 1)):
         with pytest.raises(ParseError):
             check_key(bad)
@@ -206,13 +215,13 @@ def test_every_key_of_a_session_crosses_the_wire():
     assert material_order(decode_counts(encode_counts(counts))) == material_order(counts)
     src = MaterialSource(15, RING)
     for party in (0, 1):
-        wire = WireMaterial(src, party, counts)
+        store = WireMaterial(src, party)
         for key, n in counts.items():
             half = src.half(key, party, 0, n)
             payload = _material_payload(key, half)
             assert len(payload) == 2 + 8 * _SPLIT_WORDS[key[0]] * n  # how dealer_mb is sized
-            wire.load(key, payload)
-            assert all(np.array_equal(x, y) for x, y in zip(wire._halves(key, 0, n), half))
+            store.load(key, payload)
+            assert all(np.array_equal(x, y) for x, y in zip(store.half(key, party, 0, n), half))
 
 
 def test_numpy_integer_shift_provisions_like_its_python_twin():
@@ -338,7 +347,7 @@ def test_the_dealer_sends_party_0_a_seed_and_party_1_its_words(monkeypatch):
     # split seed in one 16-byte frame and no material word, and party 1 one
     # frame per key. Both then hold what the all-knowing source deals them
     from veiltrain.harness import _free_port
-    from veiltrain.partyproc import SEED_BYTES
+    from veiltrain.partyproc import SEED_BYTES, WireMaterial
     from veiltrain.shareio import DEFAULTS
     from veiltrain.transport import KIND_HELLO, KIND_MATERIAL, KIND_PROVISION, KIND_SEED
 
@@ -352,9 +361,11 @@ def test_the_dealer_sends_party_0_a_seed_and_party_1_its_words(monkeypatch):
     assert [kind for kind, _ in frames["dealer"]] == [KIND_HELLO, KIND_PROVISION] * 2
     src = MaterialSource(17, RING)
     for party in (0, 1):
-        cursor = MaterialCursor(src, party, counts)
+        # a process party takes through the one cursor, over its wire store
+        assert type(wires[party]) is MaterialCursor
+        assert isinstance(wires[party].source, WireMaterial)
         for key, n in counts.items():
-            got, want = wires[party]._halves(key, 0, n), cursor._halves(key, 0, n)
+            got, want = wires[party].source.half(key, party, 0, n), src.half(key, party, 0, n)
             assert all(np.array_equal(x, y) for x, y in zip(got, want))
 
 
@@ -372,7 +383,7 @@ def test_a_party_cannot_regenerate_its_peers_material_or_bits(monkeypatch):
     wires, _ = _provision(cfg, counts, monkeypatch, {p: seeds[f"party{p}"] for p in (0, 1)})
     full = MaterialSource(19, RING)
     for party, peer in ((0, 1), (1, 0)):
-        source = wires[party].source
+        source = wires[party].source.source  # the party's own seeds, under its wire store
         assert np.array_equal(source.party_bit_stream(party, 0, 64, 20),
                               full.party_bit_stream(party, 0, 64, 20))
         with pytest.raises(Exhausted):
@@ -388,7 +399,7 @@ def test_a_party_cannot_regenerate_its_peers_material_or_bits(monkeypatch):
                                                                      bits={peer: value})):
                 assert not np.array_equal(guess.party_bit_stream(peer, 0, 64, 20), want_bits)
                 assert not np.array_equal(guess.half(("triple",), peer, 0, 5)[0], want_half[0])
-    assert split_seed(seeds["dealer"]) == full.split_seed == wires[0].source.split_seed
+    assert split_seed(seeds["dealer"]) == full.split_seed == wires[0].source.source.split_seed
 
 
 def test_a_seed_frame_of_the_wrong_length_is_refused():

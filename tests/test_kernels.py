@@ -346,6 +346,25 @@ def test_sin_cos_turns_at_the_ends_of_the_fit():
     assert np.abs(decode(eng.open(c), RING) - [1, -1, 1, -1, 0]).max() <= 2**-12
 
 
+@pytest.mark.parametrize("frac_bits", [12, 20, 22])
+def test_sin_cos_turns_truncates_two_fits_and_takes_three_pair_products_an_angle(frac_bits):
+    # sin = -2 s c and cos = s^2 - c^2: one tmul truncates the two
+    # half-angle fits' summands (at 2l, and the top powers' at 2l + c, c
+    # their top_bits) and forms s c, s^2 and c^2, then sin and cos are
+    # truncated; a dry run after the power chain spends just that
+    ring, l, n = RingConfig(frac_bits), frac_bits, 7
+    eng = plain(50, ring)
+    powers = kernels._turn_powers(eng, eng.from_public(np.arange(n, dtype=np.uint64) << l - 2))
+    before = dict(eng.pos)
+    kernels._sin_cos_turns(eng, powers)
+    spent = {k: v - before.get(k, 0) for k, v in eng.pos.items() if v != before.get(k, 0)}
+    want = {("triple",): 3 * n, ("trunc", l): 4 * n}
+    for fit in (kernels.SIN_POWER, kernels.COS_POWER):
+        top = ("trunc", l + kernels.top_bits(l, fit[len(powers.low) + 1:]))
+        want[top] = want.get(top, 0) + n
+    assert spent == want
+
+
 def test_sincos_tolerance_sweep_and_pythagoras():
     rng = np.random.default_rng(11)
     th = rng.uniform(0, 2 * np.pi, 10_000)
