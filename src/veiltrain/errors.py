@@ -18,7 +18,7 @@ class SessionMismatch(VeiltrainError):
 
 
 class RoundDesync(VeiltrainError):
-    """Peers disagree on the current round counter."""
+    """A frame arrived out of turn: another number or kind than the next."""
 
 
 class ConfigMismatch(VeiltrainError):

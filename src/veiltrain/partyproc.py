@@ -101,11 +101,9 @@ def serve_dealer(cfg: dict) -> None:
     try:
         requests, ios = {}, {}
         for chan in chans:
-            io = FrameIO(chan, cfg["session_id"], with_round=False)
-            _, _, hello = io.recv(expect_kind=KIND_HELLO)
-            _, _, prov = io.recv(expect_kind=KIND_PROVISION)
-            party = decode_kv(hello).get("party")
-            requests[party], ios[party] = decode_counts(prov), io
+            io = FrameIO(chan, cfg["session_id"])
+            party = decode_kv(io.recv(KIND_HELLO)).get("party")
+            requests[party], ios[party] = decode_counts(io.recv(KIND_PROVISION)), io
         if requests.get("0") != requests.get("1"):
             raise ConfigMismatch("provisioning", requests.get("0"), requests.get("1"))
         ios["0"].send(KIND_SEED, source.split_seed.to_bytes(SEED_BYTES, "little"))
@@ -157,13 +155,13 @@ def provision_from_dealer(cfg: dict, party: int, counts: dict) -> MaterialCursor
     ring = ring_from_config(cfg)
     chan = connect(cfg["dealer_host"], cfg["dealer_port"],
                    deadline=cfg["connect_deadline"])
-    io = FrameIO(chan, cfg["session_id"], with_round=False)
+    io = FrameIO(chan, cfg["session_id"])
     io.send(KIND_HELLO, encode_kv({"party": party}))
     io.send(KIND_PROVISION, encode_counts(counts))
     bits = {party: own_seed(cfg, "bit_seed")}
     try:
         if party == 0:
-            _, _, payload = io.recv(expect_kind=KIND_SEED, timeout=600.0)
+            payload = io.recv(KIND_SEED, timeout=600.0)
             if len(payload) != SEED_BYTES:
                 raise ParseError(f"dealer sent a seed of {len(payload)} bytes, not {SEED_BYTES}")
             split = int.from_bytes(payload, "little")
@@ -171,8 +169,7 @@ def provision_from_dealer(cfg: dict, party: int, counts: dict) -> MaterialCursor
         else:
             material = WireMaterial(MaterialSource(None, ring, bits=bits), 1)
             for key in material_order(counts):
-                _, _, payload = io.recv(expect_kind=KIND_MATERIAL, timeout=600.0)
-                material.load(key, payload)
+                material.load(key, io.recv(KIND_MATERIAL, timeout=600.0))
     finally:
         chan.close()
     if party == 0:

@@ -2,12 +2,12 @@
 and transcript accounting.
 
 Rounds are strictly sequenced: every protocol step that communicates does one
-symmetric exchange with the peer, tagged with a round counter that both sides
-verify. Control flow is data-independent, so lock-step blocking receives are
-all the scheduling a session needs. Independent branches of a protocol
-(engine parallel) share rounds: each round then carries every branch's
-payload, is recorded under one branch's phase path, and counts as ridden
-for the others'.
+symmetric exchange with the peer, one frame each way that FrameIO numbers
+and checks: the handshake is frame 0, round r frame r. Control flow is
+data-independent, so lock-step blocking receives are all the scheduling a
+session needs. Independent branches of a protocol (engine parallel) share
+rounds: each round then carries every branch's payload, is recorded under
+one branch's phase path, and counts as ridden for the others'.
 """
 
 from __future__ import annotations
@@ -96,9 +96,8 @@ class PartyRuntime:
         self.party_id = party_id
         self.session_id = session_id
         self.cfg = cfg
-        self.io = FrameIO(channel, session_id, with_round=True)
+        self.io = FrameIO(channel, session_id)
         self.channel = channel
-        self.round_no = 0
         self.transcript = Transcript()
 
     def exchange(self, payload: np.ndarray) -> np.ndarray:
@@ -106,10 +105,8 @@ class PartyRuntime:
         t0 = time.perf_counter()
         before_out = self.channel.bytes_sent
         before_in = self.channel.bytes_received
-        self.io.send(KIND_OPEN, u64_payload(payload), self.round_no)
-        _, _, body = self.io.recv(expect_kind=KIND_OPEN, expect_round=self.round_no)
-        self.round_no += 1
-        out = payload_u64(body).reshape(np.shape(payload))
+        self.io.send(KIND_OPEN, u64_payload(payload))
+        out = payload_u64(self.io.recv(KIND_OPEN)).reshape(np.shape(payload))
         self.transcript.record(self.channel.bytes_sent - before_out,
                                self.channel.bytes_received - before_in,
                                time.perf_counter() - t0)
@@ -129,10 +126,8 @@ class PartyRuntime:
 def handshake(rt: PartyRuntime, public: dict) -> None:
     """Exchange the public configs (encode_kv); abort naming the differing key."""
     hello = encode_kv(dict(public, protocol_version=PROTOCOL_VERSION))
-    rt.io.send(KIND_HELLO, hello, rt.round_no)
-    _, _, theirs = rt.io.recv(expect_kind=KIND_HELLO, expect_round=rt.round_no)
-    rt.round_no += 1
-    mine, theirs = decode_kv(hello), decode_kv(theirs)
+    rt.io.send(KIND_HELLO, hello)
+    mine, theirs = decode_kv(hello), decode_kv(rt.io.recv(KIND_HELLO))
     for key in sorted(set(mine) | set(theirs)):
         if mine.get(key) != theirs.get(key):
             raise ConfigMismatch(key, mine.get(key), theirs.get(key))

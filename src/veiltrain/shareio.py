@@ -4,8 +4,6 @@ of little-endian ring elements."""
 
 from __future__ import annotations
 
-import struct
-
 import numpy as np
 
 from .errors import ConfigMismatch, ParseError
@@ -106,42 +104,37 @@ def public_section(cfg: dict) -> dict:
 
 
 def _write_frames(path, session: int, meta: dict, frames):
-    """A HELLO frame with meta (encode_kv), then one frame per (kind, array)."""
+    """Frame 0, HELLO with meta (encode_kv), then one frame per (kind, array)."""
     with open(path, "wb") as fh:
-        fh.write(pack_frame(KIND_HELLO, session, encode_kv(meta)))
-        for kind, arr in frames:
-            fh.write(pack_frame(kind, session, u64_payload(np.ravel(arr))))
+        fh.write(pack_frame(KIND_HELLO, session, 0, encode_kv(meta)))
+        for seq, (kind, arr) in enumerate(frames, start=1):
+            fh.write(pack_frame(kind, session, seq, u64_payload(np.ravel(arr))))
 
 
 def _read_frames(path, what: str, keys):
     """(session, meta, {kind: words}) of a file _write_frames wrote;
-    ParseError naming path unless it is one whose meta has every key and
-    that has a DATA frame."""
-    frames = []
+    ParseError naming path unless its frames are whole, in order and of one
+    session, its meta has every key and it has a DATA frame."""
     with open(path, "rb") as fh:
-        while head := fh.read(4):
-            length = struct.unpack("<I", head)[0] if len(head) == 4 else 0
-            body = fh.read(length)
-            if length < 5 or len(body) != length:  # a frame holds kind and session
-                raise ParseError(f"{path}: truncated frame")
-            frames.append(unpack_frame(body, with_round=False))
-    if not frames or frames[0][0] != KIND_HELLO:
-        raise ParseError(f"{path}: not a {what}")
-    session = frames[0][1]
+        rest = memoryview(fh.read())
+    frames = []  # (kind, session, payload)
     try:
-        meta = decode_kv(frames[0][3])
+        while rest:
+            kind, session, seq, payload, rest = unpack_frame(rest)
+            if seq != len(frames):
+                raise ParseError(f"frame {seq} where frame {len(frames)} was due")
+            if frames and session != frames[0][1]:
+                raise ParseError("mixed sessions in one file")
+            frames.append((kind, session, payload))
+        meta = decode_kv(frames[0][2]) if frames and frames[0][0] == KIND_HELLO else {}
+        if any(key not in meta for key in keys):
+            raise ParseError(f"not a {what}")
+        words = {kind: payload_u64(payload) for kind, _, payload in frames[1:]}
+        if KIND_DATA not in words:
+            raise ParseError("missing data frame")
     except ParseError as exc:
         raise ParseError(f"{path}: {exc}") from None
-    if any(key not in meta for key in keys):
-        raise ParseError(f"{path}: not a {what}")
-    words = {}
-    for kind, fsession, _, payload in frames[1:]:
-        if fsession != session:
-            raise ParseError(f"{path}: mixed sessions in one file")
-        words[kind] = payload_u64(payload)
-    if KIND_DATA not in words:
-        raise ParseError(f"{path}: missing data frame")
-    return session, meta, words
+    return frames[0][1], meta, words
 
 
 def write_share_file(path, session: int, party: int, X_share: np.ndarray,

@@ -1,12 +1,11 @@
 """Length-prefixed binary framing, its key=value text payloads, and the
 channels that carry it.
 
-Frame layout: 4-byte little-endian frame length (bytes after this field),
-1-byte message kind, 4-byte session id, then the payload: little-endian
-64-bit ring elements, or for control messages and file metadata the sorted
-`key=value` lines of encode_kv. Party-to-party frames insert a 4-byte round
-counter between the session id and the payload; dealer and file frames do
-not.
+Every frame, party, dealer or file: 4-byte little-endian frame length
+(bytes after this field), 1-byte message kind, 4-byte session id, 4-byte
+frame number (0, 1, ... in each direction and in a file), then the payload:
+little-endian 64-bit ring elements, or for control messages and file
+metadata the sorted `key=value` lines of encode_kv.
 """
 
 from __future__ import annotations
@@ -14,6 +13,7 @@ from __future__ import annotations
 import queue
 import socket
 import struct
+import time
 
 import numpy as np
 
@@ -28,27 +28,31 @@ KIND_LABELS = 6
 KIND_SEED = 7
 
 _CLOSED = None  # what a closing QueueChannel leaves in its peer's inbox
-_HEADER = struct.Struct("<IBI")
-_ROUND = struct.Struct("<I")
+_LENGTH = struct.Struct("<I")
+_HEADER = struct.Struct("<IBII")  # length, kind, session, frame number
+_BODY_HEADER = _HEADER.size - _LENGTH.size  # the header bytes the length counts
 
 
-def pack_frame(kind: int, session: int, payload: bytes, round_no: int | None = None) -> bytes:
-    body = _HEADER.pack(0, kind, session)[4:]  # kind + session only
-    if round_no is not None:
-        body += _ROUND.pack(round_no)
-    body += payload
-    return struct.pack("<I", len(body)) + body
+def pack_frame(kind: int, session: int, seq: int, payload) -> bytes:
+    """Frame number seq of a session: the header, then payload (bytes-like)."""
+    return b"".join([_HEADER.pack(_BODY_HEADER + len(payload), kind, session, seq), payload])
 
 
-def unpack_frame(body: bytes, with_round: bool):
-    kind = body[0]
-    session = struct.unpack_from("<I", body, 1)[0]
-    off = 5
-    round_no = None
-    if with_round:
-        round_no = struct.unpack_from("<I", body, off)[0]
-        off += 4
-    return kind, session, round_no, body[off:]
+def unpack_frame(data: memoryview):
+    """(kind, session, seq, payload, rest) of the frame data starts with,
+    payload and rest (what follows the frame) views of data; ParseError
+    naming the length of a frame shorter than its header or its length."""
+    if len(data) < _LENGTH.size:
+        raise ParseError(f"truncated frame: {len(data)} bytes, no length field")
+    (length,) = _LENGTH.unpack_from(data)
+    if length < _BODY_HEADER:
+        raise ParseError(f"frame length {length} is shorter than its {_BODY_HEADER}-byte header")
+    end = _LENGTH.size + length
+    if len(data) < end:
+        raise ParseError(f"truncated frame: length {length}, {len(data) - _LENGTH.size} "
+                         f"bytes follow")
+    _, kind, session, seq = _HEADER.unpack_from(data)
+    return kind, session, seq, data[_HEADER.size:end], data[end:]
 
 
 def encode_kv(mapping: dict) -> bytes:
@@ -56,11 +60,11 @@ def encode_kv(mapping: dict) -> bytes:
     return "\n".join(f"{k}={mapping[k]}" for k in sorted(mapping)).encode()
 
 
-def decode_kv(payload: bytes) -> dict:
-    """The str-to-str mapping of encode_kv's lines; ParseError for a line
-    without '='."""
+def decode_kv(payload) -> dict:
+    """The str-to-str mapping of encode_kv's lines in payload (bytes-like);
+    ParseError for a line without '='."""
     out = {}
-    for line in payload.decode(errors="replace").splitlines():
+    for line in str(payload, "utf-8", "replace").splitlines():
         key, eq, value = line.partition("=")
         if not eq:
             raise ParseError(f"expected key=value, got {line!r}")
@@ -68,12 +72,14 @@ def decode_kv(payload: bytes) -> dict:
     return out
 
 
-def u64_payload(arr: np.ndarray) -> bytes:
-    return np.ascontiguousarray(arr, dtype="<u8").tobytes()
+def u64_payload(arr: np.ndarray) -> memoryview:
+    """arr's words as little-endian bytes, a view of arr where it has them."""
+    return memoryview(np.ascontiguousarray(arr, dtype="<u8")).cast("B")
 
 
-def payload_u64(payload: bytes) -> np.ndarray:
-    return np.frombuffer(payload, dtype="<u8").astype(np.uint64)
+def payload_u64(payload) -> np.ndarray:
+    """The words of payload (bytes-like), read in place."""
+    return np.frombuffer(payload, dtype="<u8")
 
 
 class QueueChannel:
@@ -122,7 +128,8 @@ class SocketChannel:
         self.bytes_sent += len(data)
         self.sock.sendall(data)
 
-    def _recv_exact(self, n: int) -> bytes:
+    def _recv(self, n: int) -> list:
+        """The next n bytes as they arrive, at most 1 MiB a read."""
         chunks = []
         while n:
             chunk = self.sock.recv(min(n, 1 << 20))
@@ -130,18 +137,17 @@ class SocketChannel:
                 raise PeerClosed("peer closed the connection")
             chunks.append(chunk)
             n -= len(chunk)
-        return b"".join(chunks)
+        return chunks
 
     def recv_bytes(self, timeout: float | None = 60.0) -> bytes:
         self.sock.settimeout(timeout)
         try:
-            header = self._recv_exact(4)
-            (length,) = struct.unpack("<I", header)
-            body = self._recv_exact(length)
+            head = b"".join(self._recv(_LENGTH.size))
+            data = b"".join([head, *self._recv(_LENGTH.unpack(head)[0])])
         except socket.timeout:
             raise ConnectTimeout("peer sent nothing before the deadline")
-        self.bytes_received += 4 + len(body)
-        return header + body
+        self.bytes_received += len(data)
+        return data
 
     def close(self) -> None:
         try:
@@ -152,8 +158,6 @@ class SocketChannel:
 
 def connect(host: str, port: int, deadline: float = 10.0, retry: float = 0.05) -> SocketChannel:
     """Dial a peer, retrying until the deadline."""
-    import time
-
     end = time.monotonic() + deadline
     last = None
     while time.monotonic() < end:
@@ -205,24 +209,30 @@ def listen(host: str, port: int, count: int, timeout: float = 30.0) -> list:
 
 
 class FrameIO:
-    """Frame-level send/receive with session and round checking."""
+    """One session's numbered frames over a channel; sent and received
+    count the frames each way, so each is its direction's next number."""
 
-    def __init__(self, channel, session: int, with_round: bool):
+    def __init__(self, channel, session: int):
         self.channel = channel
         self.session = session
-        self.with_round = with_round
+        self.sent = 0
+        self.received = 0
 
-    def send(self, kind: int, payload: bytes, round_no: int | None = None) -> None:
-        self.channel.send_bytes(pack_frame(kind, self.session, payload, round_no))
+    def send(self, kind: int, payload) -> None:
+        self.channel.send_bytes(pack_frame(kind, self.session, self.sent, payload))
+        self.sent += 1
 
-    def recv(self, expect_kind: int | None = None, expect_round: int | None = None,
-             timeout: float | None = 60.0):
-        data = self.channel.recv_bytes(timeout=timeout)
-        kind, session, round_no, payload = unpack_frame(data[4:], self.with_round)
+    def recv(self, expect_kind: int, timeout: float | None = 60.0) -> memoryview:
+        """The next frame's payload, a read-only view of the bytes received;
+        SessionMismatch for a frame of another session, RoundDesync naming
+        both for a frame of another number or kind."""
+        data = memoryview(self.channel.recv_bytes(timeout=timeout))
+        kind, session, seq, payload, _ = unpack_frame(data)
         if session != self.session:
             raise SessionMismatch(f"frame for session {session}, expected {self.session}")
-        if expect_kind is not None and kind != expect_kind:
+        if seq != self.received:
+            raise RoundDesync(f"expected frame {self.received}, peer sent frame {seq}")
+        if kind != expect_kind:
             raise RoundDesync(f"expected frame kind {expect_kind}, got {kind}")
-        if expect_round is not None and round_no != expect_round:
-            raise RoundDesync(f"expected round {expect_round}, peer sent {round_no}")
-        return kind, round_no, payload
+        self.received += 1
+        return payload

@@ -233,7 +233,7 @@ def test_train_from_a_share_file_without_labels_is_an_error_line(tmp_path, capsy
     run_cli("synth", "--n", "20", "--m", "4", "--out", str(data))
     run_cli("ingest", "--owner-csv", str(data), "--out", str(prefix))
     shares = tmp_path / "s.party1.shares"
-    shares.write_bytes(shares.read_bytes()[:-(9 + 8 * 20)])  # its LABELS frame cut
+    shares.write_bytes(shares.read_bytes()[:-(13 + 8 * 20)])  # its LABELS frame cut
     capsys.readouterr()
     assert main(["train", "--shares", str(prefix), "--out-dir", str(tmp_path / "out")]) == 2
     err = capsys.readouterr().err

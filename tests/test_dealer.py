@@ -135,7 +135,8 @@ def test_party_half_equals_its_part_of_halves(key):
 @pytest.mark.parametrize("chunk", [5, 7, 64, None])
 def test_halves_built_chunk_by_chunk_equal_halves(monkeypatch, key, chunk):
     # windows that cut blocks and cross the chunk edges of the in-place
-    # build (None: the module's own chunk) equal halves()
+    # build (None: the module's own chunk) equal the unchunked rule: party
+    # 0's half the window's split words, party 1's _plain less them
     import veiltrain.dealer as dealer
 
     if chunk is not None:
@@ -144,11 +145,12 @@ def test_halves_built_chunk_by_chunk_equal_halves(monkeypatch, key, chunk):
     src = MaterialSource(14, RING)
     for start, n in [(0, chunk), (3, chunk + 1), (chunk - 5, 10), (1, 3 * chunk + 2),
                      (2 * chunk + 4, 1)]:
-        both = src.halves(key, start, n)
+        split = tuple(src._words(key, dealer._SPLIT, start, n).T)
+        want = split, tuple(x - x0 for x, x0 in zip(src._plain(key, start, n), split))
         for party in (0, 1):
             mine = src.half(key, party, start, n)
-            assert len(mine) == len(both[party])
-            for x, y in zip(mine, both[party]):
+            assert len(mine) == len(want[party])
+            for x, y in zip(mine, want[party]):
                 assert x.flags.c_contiguous and np.array_equal(x, y)
 
 
@@ -314,10 +316,11 @@ def _provision(cfg, counts, monkeypatch, bit_seeds=None):
     frames = {}
 
     class Recorder(partyproc.FrameIO):
-        def recv(self, *args, **kwargs):
-            kind, session, payload = super().recv(*args, **kwargs)
-            frames.setdefault(threading.current_thread().name, []).append((kind, len(payload)))
-            return kind, session, payload
+        def recv(self, expect_kind, **kwargs):
+            payload = super().recv(expect_kind, **kwargs)
+            frames.setdefault(threading.current_thread().name, []).append((expect_kind,
+                                                                           len(payload)))
+            return payload
 
     monkeypatch.setattr(partyproc, "FrameIO", Recorder)
     out, errors = {}, []
@@ -402,29 +405,86 @@ def test_a_party_cannot_regenerate_its_peers_material_or_bits(monkeypatch):
     assert split_seed(seeds["dealer"]) == full.split_seed == wires[0].source.source.split_seed
 
 
-def test_a_seed_frame_of_the_wrong_length_is_refused():
-    # party 0 reads its whole half from the dealer's seed frame, so one not
-    # 16 bytes long stops it, naming the length, before any material
+def _fake_dealer(party, counts, send):
+    """Run provision_from_dealer for party against a dealer that reads its
+    HELLO and PROVISION frames, then calls send(io, cfg) with its FrameIO;
+    returns the call's result or, raised, its error."""
     import threading
 
-    from veiltrain.errors import ParseError
     from veiltrain.harness import _free_port
     from veiltrain.partyproc import provision_from_dealer
     from veiltrain.shareio import DEFAULTS
-    from veiltrain.transport import KIND_SEED, FrameIO, listen
+    from veiltrain.transport import KIND_HELLO, KIND_PROVISION, FrameIO, listen
 
     cfg = dict(DEFAULTS, dealer_host="127.0.0.1", dealer_port=_free_port(), connect_deadline=10.0)
 
-    def short_dealer():
+    def fake():
         (chan,) = listen(cfg["dealer_host"], cfg["dealer_port"], 1, 10.0)
-        io = FrameIO(chan, cfg["session_id"], with_round=False)
-        io.recv(), io.recv()  # HELLO and PROVISION
-        io.send(KIND_SEED, bytes(15))
+        io = FrameIO(chan, cfg["session_id"])
+        io.recv(KIND_HELLO), io.recv(KIND_PROVISION)
+        send(io, cfg)
         chan.close()
 
-    dealer = threading.Thread(target=short_dealer)
+    dealer = threading.Thread(target=fake)
     dealer.start()
+    try:
+        return provision_from_dealer(cfg, party, counts)
+    finally:
+        dealer.join(timeout=10)
+        assert not dealer.is_alive()
+
+
+def test_a_seed_frame_of_the_wrong_length_is_refused():
+    # party 0 reads its whole half from the dealer's seed frame, so one not
+    # 16 bytes long stops it, naming the length, before any material
+    from veiltrain.errors import ParseError
+    from veiltrain.transport import KIND_SEED
+
     with pytest.raises(ParseError, match="seed of 15 bytes, not 16"):
-        provision_from_dealer(cfg, 0, {("triple",): 3})
-    dealer.join(timeout=10)
-    assert not dealer.is_alive()
+        _fake_dealer(0, {("triple",): 3}, lambda io, cfg: io.send(KIND_SEED, bytes(15)))
+
+
+@pytest.mark.parametrize("seq, desync", [(None, None), (2, "expected frame 1, peer sent frame 2"),
+                                         (0, "expected frame 1, peer sent frame 0")])
+def test_a_skipped_or_repeated_material_frame_is_refused(seq, desync):
+    # the dealer numbers its frames to party 1: the second material frame,
+    # numbered 2 (skipped) or 0 (repeated), stops the party naming both
+    # numbers, though it has the right kind and head
+    from veiltrain.errors import RoundDesync
+    from veiltrain.partyproc import _material_payload
+    from veiltrain.transport import KIND_MATERIAL, pack_frame
+
+    counts = {("triple",): 3, ("trunc", 20): 2}
+    src = MaterialSource(3, RING)
+    first, second = (_material_payload(key, src.half(key, 1, 0, counts[key]))
+                     for key in material_order(counts))
+
+    def send(io, cfg):
+        io.send(KIND_MATERIAL, first)
+        if seq is None:
+            io.send(KIND_MATERIAL, second)
+        else:
+            io.channel.send_bytes(pack_frame(KIND_MATERIAL, cfg["session_id"], seq, second))
+
+    if desync is None:
+        cursor = _fake_dealer(1, counts, send)
+        assert np.array_equal(cursor.source.half(("triple",), 1, 0, 3)[0],
+                              src.half(("triple",), 1, 0, 3)[0])
+        return
+    with pytest.raises(RoundDesync, match=desync):
+        _fake_dealer(1, counts, send)
+
+
+def test_received_material_is_read_only():
+    # party 1's material is a view of the frames it received: a write
+    # into it raises
+    from veiltrain.partyproc import WireMaterial, _material_payload
+    from veiltrain.transport import KIND_MATERIAL, FrameIO, queue_pair
+
+    key, a, b = ("triple",), *queue_pair()
+    FrameIO(a, 1).send(KIND_MATERIAL, _material_payload(key, MaterialSource(3, RING).half(
+        key, 1, 0, 4)))
+    store = WireMaterial(MaterialSource(None, RING), 1)
+    store.load(key, FrameIO(b, 1).recv(KIND_MATERIAL))
+    with pytest.raises(ValueError):
+        store.half(key, 1, 0, 4)[0][0] = 1

@@ -51,7 +51,7 @@ def _handshake_errors(public0, public1):
 
 
 def test_handshake_bytes_are_pinned():
-    # the HELLO frame a party sends: length, kind 1, session 1, round 0, then
+    # the HELLO frame a party sends: length, kind 1, session 1, frame 0, then
     # the public config's sorted key=value lines with the protocol version
     from veiltrain.session import PartyRuntime, handshake
     from veiltrain.transport import queue_pair
@@ -62,7 +62,21 @@ def test_handshake_bytes_are_pinned():
     ch1.send_bytes(hello)  # the peer's identical hello, already waiting
     rt = PartyRuntime(0, 1, ch0, RING)
     handshake(rt, {"seed": 1, "frac_bits": 20})
-    assert ch1.recv_bytes() == hello and rt.round_no == 1
+    assert ch1.recv_bytes() == hello and rt.io.sent == rt.io.received == 1
+
+
+def test_an_exchanged_share_is_a_read_only_view_of_the_frame():
+    # the peer's words are read in place, so a write into them raises
+    from veiltrain.session import PartyRuntime
+    from veiltrain.transport import KIND_OPEN, queue_pair, u64_payload
+
+    ch0, ch1 = queue_pair()
+    rt0, rt1 = PartyRuntime(0, 1, ch0, RING), PartyRuntime(1, 1, ch1, RING)
+    rt1.io.send(KIND_OPEN, u64_payload(np.arange(6)))  # the peer's share, already waiting
+    got = rt0.exchange(np.zeros((2, 3), dtype=np.uint64))
+    assert got.shape == (2, 3) and np.array_equal(got.ravel(), np.arange(6))
+    with pytest.raises(ValueError):
+        got[0, 0] = 1
 
 
 def test_handshake_mismatch_names_key():
@@ -211,7 +225,7 @@ def test_single_multiplication_round_and_bytes():
     tr = engines[0].rt.transcript
     assert tr.n_rounds == 1
     # one multiplication opens exactly 2 ring elements per party
-    frame_overhead = 4 + 1 + 4 + 4  # length, kind, session, round counter
+    frame_overhead = 4 + 1 + 4 + 4  # length, kind, session, frame number
     assert tr.bytes_sent == 2 * 8 + frame_overhead
 
 

@@ -1,3 +1,4 @@
+import struct
 import threading
 
 import numpy as np
@@ -6,23 +7,58 @@ import pytest
 from veiltrain.errors import (ConnectTimeout, ParseError, PeerClosed, RoundDesync,
                               SessionMismatch)
 from veiltrain.harness import _free_port
-from veiltrain.transport import (KIND_OPEN, FrameIO, accept, bind, connect, decode_kv, encode_kv,
-                                 listen, pack_frame, payload_u64, queue_pair, u64_payload,
-                                 unpack_frame)
+from veiltrain.transport import (KIND_HELLO, KIND_OPEN, FrameIO, accept, bind, connect,
+                                 decode_kv, encode_kv, listen, pack_frame, payload_u64,
+                                 queue_pair, u64_payload, unpack_frame)
 
 
 def test_frame_round_trip():
     payload = u64_payload(np.array([1, 2, 2**64 - 1], dtype=np.uint64))
-    raw = pack_frame(KIND_OPEN, 7, payload, round_no=5)
-    kind, session, round_no, body = unpack_frame(raw[4:], with_round=True)
-    assert (kind, session, round_no) == (KIND_OPEN, 7, 5)
+    raw = pack_frame(KIND_OPEN, 7, 5, payload)
+    assert raw[:13] == b"\x21\x00\x00\x00\x02\x07\x00\x00\x00\x05\x00\x00\x00"
+    kind, session, seq, body, rest = unpack_frame(memoryview(raw + b"next"))
+    assert (kind, session, seq, bytes(rest)) == (KIND_OPEN, 7, 5, b"next")
     assert np.array_equal(payload_u64(body), [1, 2, 2**64 - 1])
 
 
-def test_frame_without_round():
-    raw = pack_frame(3, 9, b"abc")
-    kind, session, round_no, body = unpack_frame(raw[4:], with_round=False)
-    assert (kind, session, round_no, body) == (3, 9, None, b"abc")
+def test_frames_are_read_in_place_and_read_only():
+    # u64_payload is a view of a contiguous array, and payload_u64 a view
+    # of the received bytes: a write into one raises
+    words = np.array([3, 4], dtype=np.uint64)
+    payload = u64_payload(words)
+    words[0] = 9
+    assert payload_u64(payload)[0] == 9
+    _, _, _, body, _ = unpack_frame(memoryview(pack_frame(KIND_OPEN, 1, 0, payload)))
+    got = payload_u64(body)
+    with pytest.raises(ValueError):
+        got[0] = 1
+
+
+def _tcp_pair():
+    port = _free_port()
+    srv = bind("127.0.0.1", port, 1)
+    dialer = connect("127.0.0.1", port, deadline=5)
+    return dialer, accept(srv, 1, timeout=5)[0]
+
+
+@pytest.mark.parametrize("pair", [queue_pair, _tcp_pair])
+@pytest.mark.parametrize("length", [0, 1, 8])
+def test_a_frame_shorter_than_its_header_is_refused_naming_its_length(pair, length):
+    a, b = pair()
+    a.send_bytes(struct.pack("<I", length) + bytes(length))
+    with pytest.raises(ParseError, match=f"frame length {length} is shorter than its 9-byte"):
+        FrameIO(b, session=1).recv(KIND_OPEN, timeout=5)
+    a.close(), b.close()
+
+
+def test_a_frame_shorter_than_its_length_field_is_refused():
+    a, b = queue_pair()
+    a.send_bytes(pack_frame(KIND_OPEN, 1, 0, b"abc")[:-1])
+    with pytest.raises(ParseError, match="truncated frame: length 12, 11 bytes follow"):
+        FrameIO(b, session=1).recv(KIND_OPEN)
+    a.send_bytes(b"\x01")
+    with pytest.raises(ParseError, match="truncated frame: 1 bytes"):
+        FrameIO(b, session=1).recv(KIND_OPEN)
 
 
 def test_key_value_codec_round_trip():
@@ -65,20 +101,30 @@ def test_queue_close_wakes_the_peer():
 
 def test_frameio_checks_session():
     a, b = queue_pair()
-    io_a = FrameIO(a, session=1, with_round=True)
-    io_b = FrameIO(b, session=2, with_round=True)
-    io_a.send(KIND_OPEN, b"", 0)
+    io_a = FrameIO(a, session=1)
+    io_b = FrameIO(b, session=2)
+    io_a.send(KIND_OPEN, b"")
     with pytest.raises(SessionMismatch):
-        io_b.recv()
+        io_b.recv(KIND_OPEN)
 
 
 def test_frameio_checks_round():
+    # each direction numbers its frames; recv refuses any but the next
     a, b = queue_pair()
-    io_a = FrameIO(a, session=1, with_round=True)
-    io_b = FrameIO(b, session=1, with_round=True)
-    io_a.send(KIND_OPEN, b"", 3)
-    with pytest.raises(RoundDesync):
-        io_b.recv(expect_round=4)
+    io_a, io_b = FrameIO(a, session=1), FrameIO(b, session=1)
+    io_a.send(KIND_OPEN, b"x")
+    io_a.send(KIND_OPEN, b"y")
+    assert bytes(io_b.recv(KIND_OPEN)) == b"x" and bytes(io_b.recv(KIND_OPEN)) == b"y"
+    assert (io_a.sent, io_a.received, io_b.sent, io_b.received) == (2, 0, 0, 2)
+    a.send_bytes(pack_frame(KIND_OPEN, 1, 3, b""))  # frame 2 skipped
+    with pytest.raises(RoundDesync, match="expected frame 2, peer sent frame 3"):
+        io_b.recv(KIND_OPEN)
+    a.send_bytes(pack_frame(KIND_OPEN, 1, 1, b""))  # frame 1 repeated
+    with pytest.raises(RoundDesync, match="expected frame 2, peer sent frame 1"):
+        io_b.recv(KIND_OPEN)
+    io_a.send(KIND_HELLO, b"")
+    with pytest.raises(RoundDesync, match=f"expected frame kind {KIND_OPEN}, got {KIND_HELLO}"):
+        io_b.recv(KIND_OPEN)
 
 
 def test_tcp_channel_round_trip():
@@ -97,20 +143,18 @@ def test_tcp_channel_round_trip():
 
         chan = SocketChannel(conn)
         result["server"] = chan.recv_bytes()
-        chan.send_bytes(pack_frame(KIND_OPEN, 1, b"reply"))
+        chan.send_bytes(pack_frame(KIND_OPEN, 1, 0, b"reply"))
         chan.close()
 
     th = threading.Thread(target=accept)
     th.start()
     chan = connect("127.0.0.1", port, deadline=5)
-    chan.send_bytes(pack_frame(KIND_OPEN, 1, b"hello"))
+    chan.send_bytes(pack_frame(KIND_OPEN, 1, 0, b"hello"))
     got = chan.recv_bytes()
     th.join()
     srv.close()
-    kind, session, _, body = unpack_frame(got[4:], with_round=False)
-    assert body == b"reply"
-    _, _, _, sbody = unpack_frame(result["server"][4:], with_round=False)
-    assert sbody == b"hello"
+    assert unpack_frame(memoryview(got))[3] == b"reply"
+    assert unpack_frame(memoryview(result["server"]))[3] == b"hello"
 
 
 def test_listen_accepts_each_dialer():
@@ -122,8 +166,8 @@ def test_listen_accepts_each_dialer():
     th.join(timeout=10)
     assert len(chans) == 2
     for i, (dialer, chan) in enumerate(zip(dialers, chans)):
-        dialer.send_bytes(pack_frame(KIND_OPEN, 1, bytes([i])))
-        assert unpack_frame(chan.recv_bytes(timeout=5)[4:], with_round=False)[3] == bytes([i])
+        dialer.send_bytes(pack_frame(KIND_OPEN, 1, 0, bytes([i])))
+        assert unpack_frame(memoryview(chan.recv_bytes(timeout=5)))[3] == bytes([i])
     for chan in dialers + chans:
         chan.close()
 
@@ -141,9 +185,9 @@ def test_a_dialer_reaches_a_bound_address_before_it_is_accepted():
     port = _free_port()
     srv = bind("127.0.0.1", port, 1)
     dialer = connect("127.0.0.1", port, deadline=1, retry=5.0)
-    dialer.send_bytes(pack_frame(KIND_OPEN, 1, b"early"))
+    dialer.send_bytes(pack_frame(KIND_OPEN, 1, 0, b"early"))
     [chan] = accept(srv, 1, timeout=5)
-    assert unpack_frame(chan.recv_bytes(timeout=5)[4:], with_round=False)[3] == b"early"
+    assert unpack_frame(memoryview(chan.recv_bytes(timeout=5)))[3] == b"early"
     assert srv.fileno() == -1
     for c in (dialer, chan):
         c.close()
